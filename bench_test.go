@@ -21,6 +21,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/collectives"
 	"repro/internal/comm"
+	"repro/internal/event"
 	"repro/internal/exchange"
 	"repro/internal/experiments"
 	"repro/internal/fabric"
@@ -761,3 +762,47 @@ func benchReplayFragment(b *testing.B, shards int) {
 // shard count.
 func BenchmarkReplaySerial(b *testing.B)  { benchReplayFragment(b, 1) }
 func BenchmarkReplaySharded(b *testing.B) { benchReplayFragment(b, 4) }
+
+// benchEngine measures the event queue alone under the simulator's load
+// shape: 4096 nodes, each of whose events schedules that node's next one
+// at next(now, node), b.N events in all (ns/op is per event). The engine
+// is warmed up and reset first, as a recycled replay state's is, so
+// allocs/op is the steady-state figure — zero.
+func benchEngine(b *testing.B, next func(now event.Time, node int) event.Time) {
+	const nodes = 4096
+	eng := event.New()
+	left := 0
+	var h event.ArgHandler
+	h = func(now event.Time, node int) {
+		if left > 0 {
+			left--
+			eng.PostArg(next(now, node), h, node)
+		}
+	}
+	run := func(events int) {
+		eng.Reset()
+		seeds := min(nodes, events)
+		left = events - seeds
+		for p := 0; p < seeds; p++ {
+			eng.PostArg(0, h, p)
+		}
+		eng.Run()
+	}
+	run(4 * nodes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	run(b.N)
+}
+
+// BenchmarkEngineTies is the synchronous machine: every node finishes a
+// step at the same instant, so every pending event ties and the queue
+// holds one or two runs. BenchmarkEngineDistinct is the contended or
+// jittered machine: no two nodes' events share a time, every event is a
+// run of its own, and the queue is a plain 4096-entry heap.
+func BenchmarkEngineTies(b *testing.B) {
+	benchEngine(b, func(now event.Time, _ int) event.Time { return now + 1 })
+}
+
+func BenchmarkEngineDistinct(b *testing.B) {
+	benchEngine(b, func(now event.Time, node int) event.Time { return now + 1 + event.Time(node)/8192 })
+}

@@ -2,6 +2,7 @@ package event
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -236,8 +237,9 @@ func TestPostAndPostArgPooling(t *testing.T) {
 		}
 	}
 
-	// Pooled events are recycled: a chain of sequential Posts reuses one
-	// Event from the free list instead of allocating per step.
+	// Queue storage is recycled: a chain of sequential Posts — one run of
+	// one event after another — reuses a retired run's slot instead of
+	// allocating per step.
 	g2 := New()
 	count := 0
 	var tick Handler
@@ -256,8 +258,8 @@ func TestPostAndPostArgPooling(t *testing.T) {
 	if count != 100 {
 		t.Fatalf("chain ran %d steps", count)
 	}
-	// One warm-up run has filled the free list; steady-state scheduling
-	// must not allocate per event (allow slack for the heap slice).
+	// One warm-up run has grown the queue; steady-state scheduling must
+	// not allocate per event (allow slack for the heap slice).
 	if allocs > 5 {
 		t.Errorf("pooled Post allocated %.0f times per run", allocs)
 	}
@@ -273,5 +275,125 @@ func TestPostAndPostArgPooling(t *testing.T) {
 	g3.Run()
 	if fired {
 		t.Error("cancelled event fired")
+	}
+}
+
+func TestScheduleNaNPanics(t *testing.T) {
+	nan := Time(math.NaN())
+	for name, schedule := range map[string]func(g *Engine){
+		"At":      func(g *Engine) { g.At(nan, func(Time) {}) },
+		"Post":    func(g *Engine) { g.Post(nan, func(Time) {}) },
+		"PostArg": func(g *Engine) { g.PostArg(nan, func(Time, int) {}, 0) },
+		"After":   func(g *Engine) { g.After(nan, func(Time) {}) },
+	} {
+		func() {
+			g := New()
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s at a NaN time must panic", name)
+				}
+				if g.Pending() != 0 {
+					t.Errorf("%s at a NaN time left %d events queued", name, g.Pending())
+				}
+			}()
+			schedule(g)
+		}()
+	}
+}
+
+func TestCancelFiredAndTombstones(t *testing.T) {
+	g := New()
+	var fired []int
+	note := func(i int) Handler { return func(Time) { fired = append(fired, i) } }
+	a := g.At(5, note(0))
+	b := g.At(5, note(1))
+	c := g.At(9, note(2))
+	if !g.Cancel(b) || g.Pending() != 2 {
+		t.Fatalf("cancel of a queued event: pending = %d", g.Pending())
+	}
+	if !g.Step() || g.Cancel(a) {
+		t.Error("an event that has fired cannot be cancelled")
+	}
+	// The clock must not move to a cancelled event's time, and an event
+	// scheduled earlier than a tombstone at the head still fires first.
+	if !g.Cancel(c) || g.Step() || g.Now() != 5 || g.Pending() != 0 {
+		t.Fatalf("queue of one tombstone: now = %v, pending = %d", g.Now(), g.Pending())
+	}
+	d := g.At(7, note(3))
+	if g.Cancel(c) {
+		t.Error("second cancel after the tombstone was dropped must be a no-op")
+	}
+	if !g.Cancel(d) {
+		t.Error("an event scheduled before a dropped tombstone's time is still queued")
+	}
+	g.At(6, note(4))
+	if end := g.Run(); end != 6 || fmt.Sprint(fired) != "[0 4]" {
+		t.Errorf("fired %v, ended at %v", fired, end)
+	}
+	if g.Steps() != 2 {
+		t.Errorf("steps = %d, tombstones must not count", g.Steps())
+	}
+}
+
+func TestRunUntilBoundaries(t *testing.T) {
+	g := New()
+	var fired []Time
+	h := func(now Time) { fired = append(fired, now) }
+	for i := 0; i < 3; i++ {
+		g.Post(10, h) // one run of three
+	}
+	g.Post(20, h)
+	if g.RunUntil(9.5) != 9.5 || len(fired) != 0 {
+		t.Fatalf("nothing matures by 9.5: fired %v", fired)
+	}
+	if g.RunLimit(1) || g.Now() != 10 || g.Pending() != 3 {
+		t.Fatalf("one step into the run: now = %v, pending = %d", g.Now(), g.Pending())
+	}
+	// A deadline behind the clock fires nothing, even mid-run.
+	if g.RunUntil(5) != 10 || len(fired) != 1 {
+		t.Fatalf("deadline behind the clock: fired %v", fired)
+	}
+	// Events scheduled at the deadline itself fire, after those queued.
+	g.Post(10, func(now Time) { fired = append(fired, -now) })
+	if g.RunUntil(10) != 10 || fmt.Sprint(fired) != "[10 10 10 -10]" {
+		t.Fatalf("deadline on the run's own time: fired %v", fired)
+	}
+	if g.RunUntil(15) != 15 || g.Pending() != 1 {
+		t.Fatalf("clock must advance to the deadline while events remain: now = %v", g.Now())
+	}
+	if g.RunUntil(30) != 20 {
+		t.Fatalf("clock must stop at the last event once drained: now = %v", g.Now())
+	}
+}
+
+func TestResetKeepsStorage(t *testing.T) {
+	g := New()
+	count := 0
+	var h ArgHandler = func(Time, int) { count++ }
+	load := func() {
+		for i := 0; i < 64; i++ {
+			g.PostArg(Time(i%4), h, i)
+			g.PostArg(Time(i%4), h, i)
+		}
+	}
+	load()
+	g.RunLimit(10) // leave events queued and a run half drained
+	e := g.At(3, func(Time) {})
+	g.Cancel(e)
+	g.Reset()
+	if g.Now() != 0 || g.Pending() != 0 || g.Steps() != 0 || g.Step() {
+		t.Fatalf("reset engine: now = %v, pending = %d, steps = %d", g.Now(), g.Pending(), g.Steps())
+	}
+	count = 0
+	allocs := testing.AllocsPerRun(5, func() {
+		g.Reset()
+		load()
+		g.Run()
+	})
+	if count != 6*128 {
+		t.Fatalf("ran %d events", count)
+	}
+	if allocs != 0 {
+		t.Errorf("a reset engine allocated %.0f times re-running the same load", allocs)
 	}
 }

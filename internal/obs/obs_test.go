@@ -126,6 +126,16 @@ func TestSpanBudgetDropsAndCounts(t *testing.T) {
 	if td.DroppedSpans != 11 { // root occupies one slot
 		t.Fatalf("dropped = %d, want 11", td.DroppedSpans)
 	}
+	// The budget bounds the trace, not the stage accounting: a dropped
+	// span's duration still reaches its stage's histogram.
+	if got := tr.StageStats()["point"].Count; got != MaxSpansPerTrace+10 {
+		t.Fatalf("stage histogram observed %d spans, want %d", got, MaxSpansPerTrace+10)
+	}
+	sp := StartSpan(ctx, "late")
+	sp.SetAttr("k", "v") // must not grow a span nobody will read
+	if sp == nil || len(sp.attrs) != 0 {
+		t.Fatalf("dropped span: %+v", sp)
+	}
 }
 
 func TestTracerRingEvictsOldest(t *testing.T) {

@@ -11,7 +11,8 @@ import (
 
 // MaxSpansPerTrace bounds one trace's span list: a hull build sweeping
 // hundreds of block sizes must not turn one request's trace into an
-// unbounded allocation. Spans past the bound are dropped and counted.
+// unbounded allocation. Spans past the bound are dropped from the trace
+// and counted; their durations still reach the per-stage histograms.
 const MaxSpansPerTrace = 128
 
 // DefaultTraceCapacity is the trace-ring size NewTracer uses when given
@@ -35,11 +36,14 @@ type Span struct {
 	end   time.Time
 	attrs []Attr
 	root  bool
+	// dropped marks a span past the trace's budget: it is not on the
+	// trace's list and records no attributes, but End still times it.
+	dropped bool
 }
 
 // SetAttr records a string attribute (no-op on a nil or dropped span).
 func (s *Span) SetAttr(key, value string) {
-	if s == nil {
+	if s == nil || s.dropped {
 		return
 	}
 	s.tr.mu.Lock()
@@ -190,8 +194,10 @@ func (t *Tracer) StartRequest(ctx context.Context, id, name string) (context.Con
 }
 
 // StartSpan opens a named span on the trace carried by ctx; it returns
-// nil (a valid no-op span) when ctx carries none or the trace's span
-// budget is spent.
+// nil (a valid no-op span) when ctx carries none. Once the trace's span
+// budget is spent the span is left off the trace, but ending it still
+// feeds the stage histogram: a stage's busy time must not depend on how
+// many other spans the request happened to record first.
 func StartSpan(ctx context.Context, name string) *Span {
 	tr, _ := ctx.Value(traceKey).(*Trace)
 	if tr == nil {
@@ -202,7 +208,8 @@ func StartSpan(ctx context.Context, name string) *Span {
 	if len(tr.spans) >= MaxSpansPerTrace {
 		tr.dropped++
 		tr.mu.Unlock()
-		return nil
+		s.dropped = true
+		return s
 	}
 	tr.spans = append(tr.spans, s)
 	tr.mu.Unlock()

@@ -721,7 +721,7 @@ func (o *Optimizer) evaluateMemoized(ctx context.Context, topo topology.Network,
 						continue
 					}
 				}
-				c, err := o.candidateCost(net, topo, m, parts[i], fields[i])
+				c, err := o.candidateCost(ctx, net, topo, m, parts[i], fields[i])
 				if err != nil {
 					errs[i] = err
 					continue
@@ -792,7 +792,7 @@ func (o *Optimizer) candidateBound(topo topology.Network, m int, fields [][2]int
 // candidateCost screens one candidate: the left-to-right sum of its
 // memoized per-phase costs — closed-form on the analytic backend, one
 // compiled fragment replay per distinct (field, m) on the simulated path.
-func (o *Optimizer) candidateCost(net *simnet.Network, topo topology.Network, m int, D partition.Partition, fields [][2]int) (float64, error) {
+func (o *Optimizer) candidateCost(ctx context.Context, net *simnet.Network, topo topology.Network, m int, D partition.Partition, fields [][2]int) (float64, error) {
 	if o.backend == Analytic {
 		h, _ := topology.AsHypercube(topo)
 		total := 0.0
@@ -823,20 +823,31 @@ func (o *Optimizer) candidateCost(net *simnet.Network, topo topology.Network, m 
 		pi := pi
 		lo, w := f[0], f[1]
 		v, err := o.simPhases.get(phaseKey{topo: topo.Name(), lo: lo, w: w, m: m}, &o.memoHits, &o.memoMisses,
-			func() (float64, error) {
-				res, err := net.RunSource(plan.CompilePhase(pi))
-				if err != nil {
-					return 0, err
-				}
-				o.countReplay(res)
-				return res.Makespan, nil
-			})
+			func() (float64, error) { return o.replayFragment(ctx, net, plan, pi) })
 		if err != nil {
 			return 0, err
 		}
 		total += v
 	}
 	return total, nil
+}
+
+// replayFragment prices phase pi of plan by one compiled fragment replay,
+// under a "replay" span: every memo miss of the simulated backend goes
+// through here, so the replay stage's histogram accounts for all of a
+// build's simulation time, not only the winner's re-derivation.
+func (o *Optimizer) replayFragment(ctx context.Context, net *simnet.Network, plan *exchange.Plan, pi int) (float64, error) {
+	sp := obs.StartSpan(ctx, "replay")
+	sp.SetAttr("kind", "fragment")
+	sp.SetInt("m", int64(plan.BlockSize()))
+	defer sp.End()
+	res, err := net.RunSource(plan.CompilePhase(pi))
+	if err != nil {
+		return 0, err
+	}
+	o.countReplay(res)
+	sp.SetInt("replay_shards", int64(res.ReplayShards))
+	return res.Makespan, nil
 }
 
 // finalizeSimulated re-derives the winner's reported time from one
@@ -858,19 +869,7 @@ func (o *Optimizer) finalizeSimulated(ctx context.Context, net *simnet.Network, 
 		}
 		lo, w := fields[0][0], fields[0][1]
 		return o.simPhases.get(phaseKey{topo: topo.Name(), lo: lo, w: w, m: m}, &o.memoHits, &o.memoMisses,
-			func() (float64, error) {
-				sp := obs.StartSpan(ctx, "replay")
-				sp.SetAttr("kind", "fragment")
-				sp.SetInt("m", int64(m))
-				defer sp.End()
-				res, err := net.RunSource(plan.CompilePhase(0))
-				if err != nil {
-					return 0, err
-				}
-				o.countReplay(res)
-				sp.SetInt("replay_shards", int64(res.ReplayShards))
-				return res.Makespan, nil
-			})
+			func() (float64, error) { return o.replayFragment(ctx, net, plan, 0) })
 	}
 	sp := obs.StartSpan(ctx, "replay")
 	sp.SetAttr("kind", "plan")

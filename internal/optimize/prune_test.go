@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/exchange"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/simnet"
 	"repro/internal/topology"
@@ -111,7 +112,7 @@ func TestMemoizedAnalyticCostMatchesUnmemoized(t *testing.T) {
 		for _, m := range []int{0, 3, 40, 331} {
 			for pass := 0; pass < 2; pass++ { // cold memo, then warm
 				for i, D := range es.parts {
-					got, err := o.candidateCost(nil, net, m, D, es.fields[i])
+					got, err := o.candidateCost(context.Background(), nil, net, m, D, es.fields[i])
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -149,7 +150,7 @@ func TestLowerBoundAdmissible(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					screen, err := o.candidateCost(sim, net, m, D, es.fields[i])
+					screen, err := o.candidateCost(context.Background(), sim, net, m, D, es.fields[i])
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -221,6 +222,39 @@ func TestStatsCounters(t *testing.T) {
 	sum.Add(st)
 	if sum.Pruned != 2*st.Pruned || sum.Evaluations != 2 {
 		t.Errorf("Stats.Add: %+v", sum)
+	}
+}
+
+// Every replay of a simulated build — each memo-miss fragment the
+// screening pays for, not only the winner's re-derivation — must land in
+// the trace's "replay" stage, including the ones past the trace's span
+// budget: the stage's busy time is what says where a build's time went.
+func TestEveryReplayIsAttributed(t *testing.T) {
+	tracer := obs.NewTracer(4)
+	ctx, root := tracer.StartRequest(context.Background(), "build", "hull")
+	o := NewSimulated(model.IPSC860())
+	if _, err := o.BuildTableOnCtx(ctx, topology.MustParseSpec("torus-4x4x4"), 0, 2048, 16); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	st := o.Stats()
+	replays := st.ReplaysSerial + st.ReplaysSharded
+	if replays <= obs.MaxSpansPerTrace {
+		t.Fatalf("only %d replays: the sweep must outrun the %d-span budget", replays, obs.MaxSpansPerTrace)
+	}
+	if got := tracer.StageStats()["replay"].Count; got != replays {
+		t.Errorf("replay stage observed %d spans for %d replays", got, replays)
+	}
+	fragments := 0
+	for _, sp := range tracer.Find("build")[0].Spans {
+		for _, a := range sp.Attrs {
+			if sp.Name == "replay" && a.Key == "kind" && a.Value == "fragment" {
+				fragments++
+			}
+		}
+	}
+	if fragments == 0 {
+		t.Error("no fragment replay span on the trace")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 
 	"repro/internal/topology"
 )
@@ -125,39 +124,4 @@ func (st *runState) slotFault(slot int, start float64) (float64, error) {
 		f *= cf.slowFact[slot]
 	}
 	return f, nil
-}
-
-// circuitFaults resolves the fault state of the whole circuit src→dst
-// acquired at start: the worst per-hop duration factor (a circuit's
-// throughput is limited by its slowest wire), or the error of the first
-// down wire.
-func (st *runState) circuitFaults(src, dst int, start float64) (float64, error) {
-	factor := 1.0
-	if st.hyper {
-		cur, diff := src, src^dst
-		for diff != 0 {
-			i := bits.TrailingZeros(uint(diff))
-			f, err := st.slotFault(cur*st.d+i, start)
-			if err != nil {
-				return 0, err
-			}
-			if f > factor {
-				factor = f
-			}
-			cur ^= 1 << uint(i)
-			diff &= diff - 1
-		}
-		return factor, nil
-	}
-	st.routeBuf = st.topo.AppendRoute(st.routeBuf, src, dst)
-	for i := 0; i+1 < len(st.routeBuf); i++ {
-		f, err := st.slotFault(st.topo.LinkSlot(st.routeBuf[i], st.routeBuf[i+1]), start)
-		if err != nil {
-			return 0, err
-		}
-		if f > factor {
-			factor = f
-		}
-	}
-	return factor, nil
 }

@@ -2,7 +2,9 @@ package simnet
 
 import (
 	"fmt"
+	"math"
 	"strings"
+	"sync"
 
 	"repro/internal/event"
 	"repro/internal/model"
@@ -155,18 +157,18 @@ func (s programsSource) Op(p, i int) Op   { return s[p][i] }
 
 // runState is the mutable execution state of one Run. All hot tables are
 // flat slices indexed by node or directed-link id — the interpreter
-// allocates nothing per event once set up (inbox slots and edge hold
-// rings grow amortized on first use).
+// allocates nothing per event once set up (inbox slots and link backlogs
+// grow amortized on first use). States are recycled through statePool:
+// a replay resets one instead of allocating the node arrays, the link
+// arrays and the event queue's storage again.
 type runState struct {
 	net   *Network
 	eng   *event.Engine
 	src   Source
 	topo  topology.Network
-	n     int  // nodes
-	d     int  // hypercube dimension (fast path only)
-	hyper bool // radix-2 bit-trick routing active
-	deg   int  // directed-link slots per node (== d on the hypercube)
-	syncD int  // topology diameter, the global-sync weight (§7.3)
+	cube  *topology.Hypercube // non-nil when radix-2 bit-trick routing is active
+	n     int                 // nodes
+	syncD int                 // topology diameter, the global-sync weight (§7.3)
 
 	// Fault state: faulty gates the per-circuit fault resolution out of
 	// healthy runs entirely; degr carries the static per-wire slow
@@ -174,7 +176,10 @@ type runState struct {
 	faulty bool
 	degr   *topology.Degraded
 
-	routeBuf []int // generic-path route scratch, reused across hops
+	// slots is the circuit being reserved, as the directed-link slots of
+	// its route: one walk of the route fills it, and the free-time scan,
+	// the fault resolution and the hold all read it.
+	slots []int
 
 	pc      []int32   // program counter per node
 	lens    []int32   // program length per node (NumOps, cached)
@@ -190,15 +195,26 @@ type runState struct {
 	exBytes []int
 	exReady []float64
 
-	// edges is the directed-link array, indexed by topology.LinkSlot
-	// (u*d+i on the hypercube: node u's link across dimension i).
-	edges []edgeState
+	// Directed-link state, indexed by topology.LinkSlot (u*d+i on the
+	// hypercube: node u's link across dimension i); see hold for the
+	// hot/cold split. busy and backlogOf are shared between the shards of
+	// a sharded replay (borrowsLinks marks the borrowers), backlogs and
+	// maxQueue are each shard's own.
+	busy      []float64   // hot: finish time of the link's newest hold
+	backlogOf []int32     // cold: 1 + index into backlogs, 0 until the link is first contended
+	backlogs  []holdQueue // cold: the older holds still outstanding, per contended link
+	maxQueue  int32       // deepest holding-or-waiting count seen on any link
+
+	borrowsLinks bool
 
 	// Message channels, one per ordered (src,dst) pair actually used,
-	// discovered on first contact. outIdx[src] lists src's channels; the
+	// discovered on first contact. outIdx[src] lists src's channels while
+	// they are few; a source that outgrows chanScanMax destinations gets
+	// chanTab[src], indexed by destination (1 + channel, 0 for none). The
 	// per-slot cursors replace the inbox/arrSeq/postSeq/waitSeq maps.
-	chans  []msgChan
-	outIdx [][]chanRef
+	chans   []msgChan
+	outIdx  [][]chanRef
+	chanTab [][]int32
 
 	bar barrierState
 
@@ -227,72 +243,196 @@ type runState struct {
 	deliverH event.ArgHandler
 }
 
-// edgeState is one directed link. Holds on a link never overlap (each
-// reservation starts at or after the previous finish), so the outstanding
-// reservations at any instant form an ascending queue of finish times,
-// pruned in place at each new hold instead of scheduling a release event
-// per link per hold. The queue lives in a small inline ring — schedules
-// without deep contention allocate nothing — and spills to a slice only
-// when more than edgeRing circuits stack up on one link.
-type edgeState struct {
-	busyUntil float64
-	maxQueue  int32
-	head, n   int32 // inline ring cursor and length
-	ring      [edgeRing]float64
-	spill     []float64 // overflow mode once non-nil
-	spillHead int32
+// statePool recycles runStates across replays, of one Network or of many:
+// the optimizer and the cost endpoint build a Network per request.
+var statePool = sync.Pool{New: func() any {
+	st := &runState{eng: event.New()}
+	st.stepH = func(_ event.Time, p int) { st.step(p) }
+	st.deliverH = func(now event.Time, ch int) { st.deliverAt(ch, float64(now)) }
+	return st
+}}
+
+// resized returns s with length n and every element zero, reusing its
+// storage when that is large enough.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
-const edgeRing = 4
+// newState returns a reset runState for one replay of src on n, with
+// link arrays of its own — or, for the later shards of a sharded replay,
+// with owner's.
+func (n *Network) newState(src Source, owner *runState) *runState {
+	st := statePool.Get().(*runState)
+	nodes := n.topo.Nodes()
+	st.net, st.src, st.topo, st.cube, st.n = n, src, n.topo, n.hyper, nodes
+	st.syncD = n.topo.Diameter()
+	st.degr = nil
+	if dg, ok := n.topo.(*topology.Degraded); ok && dg.HasSlowLinks() {
+		st.degr = dg
+	}
+	st.faulty = st.degr != nil || n.faults != nil
+	st.eng.Reset()
 
-// hold records a reservation finishing at finish, placed at time now, and
-// returns the number of circuits then holding-or-waiting on the link.
-func (e *edgeState) hold(now, finish float64) int32 {
-	if e.spill != nil {
-		h := e.spillHead
-		for int(h) < len(e.spill) && e.spill[h] <= now {
-			h++
-		}
-		if int(h) == len(e.spill) {
-			e.spill, h = e.spill[:0], 0
-		} else if int(h) >= len(e.spill)-int(h) {
-			// Compact once the dead prefix outgrows the live suffix, so
-			// a continuously backlogged link stays O(live holds).
-			n := copy(e.spill, e.spill[h:])
-			e.spill, h = e.spill[:n], 0
-		}
-		e.spillHead = h
-		e.spill = append(e.spill, finish)
-		return int32(len(e.spill)) - h
+	st.pc = resized(st.pc, nodes)
+	st.lens = resized(st.lens, nodes)
+	st.opStart = resized(st.opStart, nodes)
+	st.ready = resized(st.ready, nodes)
+	st.done = resized(st.done, nodes)
+	st.exPeer = resized(st.exPeer, nodes)
+	for p := range st.exPeer {
+		st.exPeer[p] = -1
 	}
-	for e.n > 0 && e.ring[e.head] <= now {
-		e.head = (e.head + 1) % edgeRing
-		e.n--
+	st.exBytes = resized(st.exBytes, nodes)
+	st.exReady = resized(st.exReady, nodes)
+	st.stall = resized(st.stall, nodes)
+	if st.borrowsLinks = owner != nil; st.borrowsLinks {
+		st.busy, st.backlogOf = owner.busy, owner.backlogOf
+	} else {
+		st.busy = resized(st.busy, nodes*n.topo.Degree())
+		st.backlogOf = resized(st.backlogOf, nodes*n.topo.Degree())
 	}
-	if e.n == edgeRing {
-		e.spill = make([]float64, 0, 2*edgeRing)
-		for i := int32(0); i < edgeRing; i++ {
-			e.spill = append(e.spill, e.ring[(e.head+i)%edgeRing])
+	st.backlogs, st.maxQueue = st.backlogs[:0], 0
+
+	// Channel tables keep their per-source storage across replays.
+	st.chans = st.chans[:0]
+	if cap(st.outIdx) < nodes {
+		st.outIdx = make([][]chanRef, nodes)
+		st.chanTab = make([][]int32, nodes)
+	}
+	st.outIdx, st.chanTab = st.outIdx[:nodes], st.chanTab[:nodes]
+	for p := range st.outIdx {
+		st.outIdx[p], st.chanTab[p] = st.outIdx[p][:0], st.chanTab[p][:0]
+	}
+
+	st.bar = barrierState{waiters: st.bar.waiters[:0]}
+	// NodeFinish and Timeline leave with the Result, so they are fresh.
+	st.res = Result{NodeFinish: make([]float64, nodes), ReplayShards: 1}
+	st.failed, st.windowed, st.rngs = nil, false, nil
+	if n.jitterFrac != 0 {
+		// Fresh per-Run streams seeded from the Network keep jitter
+		// reproducible across repeated and concurrent Runs (see
+		// SetJitter); never touch the global math/rand state here.
+		st.rngs = seedJitterStreams(n.jitterSeed, nodes)
+	}
+	return st
+}
+
+// maxPooledChans bounds the channel storage a pooled state keeps. The
+// node and link arrays grow with the machine; channels grow with the
+// pairs that talk — a cyclic phase spanning a whole 256-node torus opens
+// 65 280 of them — and a state idling in the pool must not hold megabytes
+// for the rare replay that needs them.
+const maxPooledChans = 1 << 13
+
+// release returns st to the pool, dropping what would pin the caller's
+// network and programs. A shard hands back only what is its own: the link
+// arrays it borrowed stay with their owner.
+func (st *runState) release() {
+	if st.borrowsLinks {
+		st.busy, st.backlogOf = nil, nil
+	}
+	if cap(st.chans) > maxPooledChans {
+		st.chans, st.outIdx, st.chanTab = nil, nil, nil
+	}
+	st.net, st.src, st.topo, st.cube, st.degr = nil, nil, nil, nil, nil
+	st.res, st.failed = Result{}, nil
+	statePool.Put(st)
+}
+
+// holdQueue is the cold part of one directed link's state: the finish
+// times, ascending, of the holds that were still outstanding when newer
+// ones were placed behind them. It is a circular buffer, inline until more
+// than edgeRing circuits stack up on the link and a doubled heap buffer
+// after that.
+type holdQueue struct {
+	head, n uint32
+	ring    [edgeRing]float64
+	spill   []float64 // replaces ring once non-nil; len is a power of two
+}
+
+const edgeRing = 4 // a power of two
+
+// push drops the holds finished by now, appends finish, and returns the
+// number left outstanding.
+func (q *holdQueue) push(now, finish float64) int32 {
+	buf := q.ring[:]
+	if q.spill != nil {
+		buf = q.spill
+	}
+	mask := uint32(len(buf) - 1)
+	for q.n > 0 && buf[q.head&mask] <= now {
+		q.head++
+		q.n--
+	}
+	if q.n == uint32(len(buf)) {
+		grown := make([]float64, 2*len(buf))
+		for i := uint32(0); i < q.n; i++ {
+			grown[i] = buf[(q.head+i)&mask]
 		}
-		e.spill = append(e.spill, finish)
-		e.head, e.n = 0, 0
-		return edgeRing + 1
+		q.spill, q.head = grown, 0
+		buf, mask = grown, uint32(len(grown)-1)
 	}
-	e.ring[(e.head+e.n)%edgeRing] = finish
-	e.n++
-	return e.n
+	buf[(q.head+q.n)&mask] = finish
+	q.n++
+	return int32(q.n)
+}
+
+// hold reserves every link in slots until finish, for a circuit placed
+// at time now, and keeps maxQueue — the number of circuits ever
+// simultaneously holding-or-waiting on one link — up to date.
+//
+// Holds on a link never overlap (each reservation starts at or after the
+// previous finish), so a link's outstanding holds are an ascending queue
+// of finish times whose newest member is busy[slot] itself. That is the
+// hot/cold invariant: busy alone answers "when is the link free", and
+// prev = busy[slot] ≤ now proves every earlier hold has finished — the
+// queue is empty and the new hold is alone on the link — without reading
+// anything else. Only a hold placed behind an unfinished one (prev > now)
+// touches the link's backlog, which keeps the older outstanding holds
+// (prev joins them) and prunes finished ones in place, instead of
+// scheduling a release event per link per hold. A backlog skipped by the
+// fast path may keep finished entries; they are below every later now and
+// fall out at the next contended hold.
+func (st *runState) hold(slots []int, now, finish float64) {
+	if st.maxQueue == 0 && len(slots) > 0 {
+		st.maxQueue = 1
+	}
+	for _, slot := range slots {
+		prev := st.busy[slot]
+		st.busy[slot] = finish
+		if prev <= now {
+			continue
+		}
+		bi := st.backlogOf[slot]
+		if bi == 0 {
+			st.backlogs = append(st.backlogs, holdQueue{})
+			bi = int32(len(st.backlogs))
+			st.backlogOf[slot] = bi
+		}
+		if depth := st.backlogs[bi-1].push(now, prev) + 1; depth > st.maxQueue {
+			st.maxQueue = depth
+		}
+	}
 }
 
 // msgChan carries the messages of one ordered (src,dst) pair. The three
 // cursors are the FIFO sequence counters for arrival, posting and waiting;
-// sent indexes the slot a send writes its message type into.
+// sent indexes the slot a send writes its message type into. The first
+// message's slot is inline: a pair of a cyclic phase exchanges exactly one
+// message, and a phase spanning the machine opens n² such channels.
 type msgChan struct {
-	src, dst int32
-	arr      int32
-	post     int32
-	wait     int32
-	sent     int32
-	slots    []inboxSlot
+	dst   int32
+	arr   int32
+	post  int32
+	wait  int32
+	sent  int32
+	first inboxSlot
+	rest  []inboxSlot // slots 1, 2, …
 }
 
 type inboxSlot struct {
@@ -350,49 +490,8 @@ func (n *Network) runSource(src Source) (Result, error) {
 		}
 	}
 	nodes := n.topo.Nodes()
-	d := 0
-	if n.hyper != nil {
-		d = n.hyper.Dim()
-	}
-	st := &runState{
-		net:   n,
-		eng:   event.New(),
-		src:   src,
-		topo:  n.topo,
-		n:     nodes,
-		d:     d,
-		hyper: n.hyper != nil,
-		deg:   n.topo.Degree(),
-		syncD: n.topo.Diameter(),
-
-		pc:      make([]int32, nodes),
-		lens:    make([]int32, nodes),
-		opStart: make([]float64, nodes),
-		ready:   make([]float64, nodes),
-		done:    make([]bool, nodes),
-		exPeer:  make([]int32, nodes),
-		exBytes: make([]int, nodes),
-		exReady: make([]float64, nodes),
-		edges:   make([]edgeState, nodes*n.topo.Degree()),
-		outIdx:  make([][]chanRef, nodes),
-		stall:   make([]float64, nodes),
-		res:     Result{NodeFinish: make([]float64, nodes), ReplayShards: 1},
-	}
-	if n.jitterFrac != 0 {
-		// Fresh per-Run streams seeded from the Network keep jitter
-		// reproducible across repeated and concurrent Runs (see
-		// SetJitter); never touch the global math/rand state here.
-		st.rngs = seedJitterStreams(n.jitterSeed, nodes)
-	}
-	if dg, ok := n.topo.(*topology.Degraded); ok && dg.HasSlowLinks() {
-		st.degr = dg
-	}
-	st.faulty = st.degr != nil || n.faults != nil
-	for p := range st.exPeer {
-		st.exPeer[p] = -1
-	}
-	st.stepH = func(_ event.Time, p int) { st.step(p) }
-	st.deliverH = func(now event.Time, ch int) { st.deliverAt(ch, float64(now)) }
+	st := n.newState(src, nil)
+	defer st.release()
 
 	totalOps := uint64(0)
 	for p := 0; p < nodes; p++ {
@@ -426,11 +525,7 @@ func (n *Network) runSource(src Source) (Result, error) {
 				p, st.pc[p], st.opName(p))
 		}
 	}
-	for i := range st.edges {
-		if q := int(st.edges[i].maxQueue); q > st.res.MaxEdgeQueue {
-			st.res.MaxEdgeQueue = q
-		}
-	}
+	st.res.MaxEdgeQueue = int(st.maxQueue)
 	// Per-node stall sums collapse to the reported total in node-index
 	// order — the same order the sharded merge uses, so both modes add
 	// the same floats in the same sequence.
@@ -517,8 +612,10 @@ func (st *runState) step(p int) {
 	st.opStart[p] = st.ready[p]
 	switch op.Kind {
 	case OpCompute:
-		if op.Micros < 0 {
-			st.fail(fmt.Errorf("simnet: node %d: negative compute time", p))
+		// NaN passes a plain < 0 guard and would reach the event queue as
+		// a timestamp that orders against nothing.
+		if !(op.Micros >= 0) || math.IsInf(op.Micros, 0) {
+			st.fail(fmt.Errorf("simnet: node %d: compute time %v is not a finite non-negative duration", p, op.Micros))
 			return
 		}
 		st.advance(p, st.ready[p]+op.Micros)

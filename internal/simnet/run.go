@@ -2,7 +2,7 @@ package simnet
 
 import (
 	"fmt"
-	"math/bits"
+	"math"
 	"slices"
 
 	"repro/internal/event"
@@ -53,123 +53,66 @@ func nextJitter(state *uint64) float64 {
 	return float64(z>>11) * 0x1p-53
 }
 
-// dist returns the routed distance between two nodes: the Hamming
-// bit-trick on the hypercube, the topology's Distance elsewhere.
-func (st *runState) dist(a, b int) int {
-	if st.hyper {
-		return bits.OnesCount(uint(a ^ b))
-	}
-	return st.topo.Distance(a, b)
-}
+// chanScanMax is the number of destinations a source's channel list may
+// hold before lookups switch from scanning it to the source's
+// destination-indexed table: a node of a multiphase XOR schedule talks
+// to a handful of peers, a node of a cyclic {k} phase to every other
+// node of its sub-block.
+const chanScanMax = 8
 
-// circuitFreeAt returns the earliest time ≥ t at which every directed
-// link of the dimension-ordered route src→dst is free. On the hypercube
-// the route is walked by flipping differing label bits lowest-first
-// (edges[u*d+i] is the link from node u across dimension i), so no edge
-// list is materialized; other topologies walk a reused route scratch.
-func (st *runState) circuitFreeAt(src, dst int, t float64) float64 {
-	if st.hyper {
-		cur, diff := src, src^dst
-		for diff != 0 {
-			i := bits.TrailingZeros(uint(diff))
-			if e := &st.edges[cur*st.d+i]; e.busyUntil > t {
-				t = e.busyUntil
-			}
-			cur ^= 1 << uint(i)
-			diff &= diff - 1
-		}
-		return t
-	}
-	st.routeBuf = st.topo.AppendRoute(st.routeBuf, src, dst)
-	for i := 0; i+1 < len(st.routeBuf); i++ {
-		slot := st.topo.LinkSlot(st.routeBuf[i], st.routeBuf[i+1])
-		if e := &st.edges[slot]; e.busyUntil > t {
-			t = e.busyUntil
-		}
-	}
-	return t
-}
-
-// holdCircuit reserves every link of the route src→dst until finish.
-// Holds on one link never overlap (busyUntil is monotone), so the
-// per-link occupancy count is maintained by pruning finished holds at
-// reservation time (edgeState.hold) instead of scheduling a release
-// event per link — the old per-hold events dominated large replays.
-func (st *runState) holdCircuit(src, dst int, finish float64) {
-	now := float64(st.eng.Now())
-	if st.hyper {
-		cur, diff := src, src^dst
-		for diff != 0 {
-			i := bits.TrailingZeros(uint(diff))
-			e := &st.edges[cur*st.d+i]
-			e.busyUntil = finish
-			if q := e.hold(now, finish); q > e.maxQueue {
-				e.maxQueue = q
-			}
-			cur ^= 1 << uint(i)
-			diff &= diff - 1
-		}
-		return
-	}
-	st.routeBuf = st.topo.AppendRoute(st.routeBuf, src, dst)
-	for i := 0; i+1 < len(st.routeBuf); i++ {
-		e := &st.edges[st.topo.LinkSlot(st.routeBuf[i], st.routeBuf[i+1])]
-		e.busyUntil = finish
-		if q := e.hold(now, finish); q > e.maxQueue {
-			e.maxQueue = q
-		}
+// appendRoute appends the directed-link slots of the dimension-ordered
+// route src→dst to the circuit being reserved: the e-cube bit walk on
+// the hypercube, the topology's one-pass walk elsewhere.
+func (st *runState) appendRoute(src, dst int) {
+	if st.cube != nil {
+		st.slots = st.cube.AppendRouteSlots(st.slots, src, dst)
+	} else {
+		st.slots = st.topo.AppendRouteSlots(st.slots, src, dst)
 	}
 }
 
-// reservePath acquires the e-cube circuit src→dst for a transmission
-// wanting to start no earlier than t and lasting dur µs. It returns the
-// actual start time (delayed if any link is busy — edge contention) and
-// the fault-adjusted duration: slow wires on the route stretch the
-// transmission by the worst per-hop factor, and a wire a FaultPlan took
-// down before the acquisition instant fails with ErrLinkDown.
-// The wait is charged to src's per-node stall account (summed in node
-// order at run end) so the reported total is independent of the global
-// event interleaving.
-func (st *runState) reservePath(src, dst int, t, dur float64) (start, adjDur float64, err error) {
-	if src == dst {
-		return t, dur, nil
+// reserve acquires the circuit in st.slots — one route, or both
+// directions of a pairwise exchange, which start together and hold for
+// the same duration — for a transmission wanting to start no earlier
+// than t and lasting dur µs. It returns the actual start time (delayed
+// while any link is busy — edge contention) and the fault-adjusted
+// duration: slow wires stretch the transmission by the worst per-hop
+// factor, and a wire a FaultPlan took down before the acquisition
+// instant fails with ErrLinkDown. The wait is charged to owner's
+// per-node stall account (summed in node order at run end) so the
+// reported total is independent of the global event interleaving; owner
+// is the sender, or the second arriver of an exchange, which is
+// deterministic per program.
+func (st *runState) reserve(owner int, t, dur float64) (start, adjDur float64, err error) {
+	start = t
+	for _, slot := range st.slots {
+		if b := st.busy[slot]; b > start {
+			start = b
+		}
 	}
-	start = st.circuitFreeAt(src, dst, t)
 	if st.faulty {
-		f, ferr := st.circuitFaults(src, dst, start)
-		if ferr != nil {
-			return 0, 0, ferr
+		// The worst per-hop factor limits the circuit's throughput; the
+		// first down wire in route order is the one reported.
+		factor := 1.0
+		for _, slot := range st.slots {
+			f, ferr := st.slotFault(slot, start)
+			if ferr != nil {
+				return 0, 0, ferr
+			}
+			if f > factor {
+				factor = f
+			}
 		}
-		dur *= f
+		dur *= factor
 	}
-	st.holdCircuit(src, dst, start+dur)
-	st.stall[src] += start - t
-	return start, dur, nil
-}
-
-// reservePair acquires both directed circuits of a pairwise exchange at
-// a common start time; both directions hold for the same fault-adjusted
-// duration (the exchange completes when its slowest direction does). The
-// wait is charged to p — the second arriver, who computes the exchange —
-// which is deterministic per program (see reservePath).
-func (st *runState) reservePair(p, q int, t, dur float64) (start, adjDur float64, err error) {
-	start = st.circuitFreeAt(p, q, t)
-	start = st.circuitFreeAt(q, p, start)
-	if st.faulty {
-		f, ferr := st.circuitFaults(p, q, start)
-		if ferr != nil {
-			return 0, 0, ferr
-		}
-		if f2, ferr := st.circuitFaults(q, p, start); ferr != nil {
-			return 0, 0, ferr
-		} else if f2 > f {
-			f = f2
-		}
-		dur *= f
+	finish := start + dur
+	if !(finish >= start && finish <= math.MaxFloat64) {
+		// NaN, infinite or negative: a machine parameter or jitter
+		// fraction no real machine has. It must not become a timestamp.
+		return 0, 0, fmt.Errorf("transmission of %v µs is not a finite non-negative duration", dur)
 	}
-	st.holdCircuit(p, q, start+dur)
-	st.holdCircuit(q, p, start+dur)
-	st.stall[p] += start - t
+	st.hold(st.slots, float64(st.eng.Now()), finish)
+	st.stall[owner] += start - t
 	return start, dur, nil
 }
 
@@ -256,13 +199,18 @@ func (st *runState) enterExchange(p int, op Op) {
 		return
 	}
 
-	h := st.dist(p, q)
+	// Both directed circuits, p's first; the routed distance is the hop
+	// count of either.
+	st.slots = st.slots[:0]
+	st.appendRoute(p, q)
+	h := len(st.slots)
+	st.appendRoute(q, p)
 	both := st.ready[p]
 	if firstReady > both {
 		both = firstReady
 	}
 	dur := st.jitter(p, st.net.params.ExchangeTime(op.Bytes, h))
-	start, dur, err := st.reservePair(p, q, both, dur)
+	start, dur, err := st.reserve(p, both, dur)
 	if err != nil {
 		st.fail(fmt.Errorf("simnet: exchange %d↔%d at t=%g µs: %w", p, q, both, err))
 		return
@@ -275,30 +223,62 @@ func (st *runState) enterExchange(p int, op Op) {
 }
 
 // channel returns the index into st.chans of the ordered pair src→dst,
-// creating it on first contact. Per-source channel lists stay short (a
-// node talks to at most a handful of peers), so the linear scan beats a
-// map and allocates only when a new pair first communicates.
+// creating it on first contact. A short per-source list is scanned — it
+// beats any map and allocates only when a new pair first communicates;
+// a source with more than chanScanMax destinations is looked up in its
+// destination-indexed table instead.
 func (st *runState) channel(src, dst int) int {
-	refs := st.outIdx[src]
-	for _, r := range refs {
-		if int(r.dst) == dst {
-			return int(r.ch)
+	tab := st.chanTab[src]
+	if len(tab) != 0 {
+		if ci := tab[dst]; ci != 0 {
+			return int(ci - 1)
+		}
+	} else {
+		for _, r := range st.outIdx[src] {
+			if int(r.dst) == dst {
+				return int(r.ch)
+			}
 		}
 	}
 	ci := len(st.chans)
-	st.chans = append(st.chans, msgChan{src: int32(src), dst: int32(dst)})
-	st.outIdx[src] = append(refs, chanRef{dst: int32(dst), ch: int32(ci)})
+	if ci == cap(st.chans) {
+		// Double, rather than append's 1.25× for large slices: a phase
+		// spanning the machine opens tens of thousands of channels, and
+		// every regrowth copies and clears them all.
+		grown := make([]msgChan, ci, max(2*ci, 64))
+		copy(grown, st.chans)
+		st.chans = grown
+	}
+	st.chans = st.chans[:ci+1]
+	// Recycle the slot storage a previous replay left here.
+	st.chans[ci] = msgChan{dst: int32(dst), rest: st.chans[ci].rest[:0]}
+	switch {
+	case len(tab) != 0:
+		tab[dst] = int32(ci + 1)
+	case len(st.outIdx[src]) < chanScanMax:
+		st.outIdx[src] = append(st.outIdx[src], chanRef{dst: int32(dst), ch: int32(ci)})
+	default:
+		tab = resized(tab, st.n)
+		for _, r := range st.outIdx[src] {
+			tab[r.dst] = r.ch + 1
+		}
+		tab[dst] = int32(ci + 1)
+		st.chanTab[src] = tab
+	}
 	return ci
 }
 
-// slot returns channel ci's i-th message slot, extending the ring as
+// slot returns channel ci's i-th message slot, extending the list as
 // posts/waits/sends run ahead of each other.
 func (st *runState) slot(ci, i int) *inboxSlot {
 	ch := &st.chans[ci]
-	for len(ch.slots) <= i {
-		ch.slots = append(ch.slots, inboxSlot{})
+	if i == 0 {
+		return &ch.first
 	}
-	return &ch.slots[i]
+	for len(ch.rest) < i {
+		ch.rest = append(ch.rest, inboxSlot{})
+	}
+	return &ch.rest[i-1]
 }
 
 // doSend implements OpSend: the sender owns the circuit for the message
@@ -322,7 +302,9 @@ func (st *runState) doSend(p int, op Op) {
 		return
 	}
 	prm := st.net.params
-	h := st.dist(p, q)
+	st.slots = st.slots[:0]
+	st.appendRoute(p, q)
+	h := len(st.slots)
 	var dur float64
 	if op.Type == Unforced {
 		dur = prm.UnforcedMessageTime(op.Bytes, h)
@@ -330,7 +312,7 @@ func (st *runState) doSend(p int, op Op) {
 		dur = prm.RawMessageTime(op.Bytes, h)
 	}
 	dur = st.jitter(p, dur)
-	start, dur, err := st.reservePath(p, q, st.ready[p], dur)
+	start, dur, err := st.reserve(p, st.ready[p], dur)
 	if err != nil {
 		st.fail(fmt.Errorf("simnet: send %d→%d at t=%g µs: %w", p, q, st.ready[p], err))
 		return
@@ -348,7 +330,7 @@ func (st *runState) doSend(p int, op Op) {
 // times), so the arrival cursor walks the slots FIFO.
 func (st *runState) deliverAt(ci int, t float64) {
 	ch := &st.chans[ci]
-	s := &ch.slots[ch.arr]
+	s := st.slot(ci, int(ch.arr))
 	ch.arr++
 	s.flags |= slotArrived
 	s.arriveAt = t

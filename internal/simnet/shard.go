@@ -3,11 +3,9 @@ package simnet
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"sync"
 
 	"repro/internal/event"
-	"repro/internal/topology"
 )
 
 // PhaseSpan describes one phase of a sharded replay source: a leading
@@ -126,10 +124,6 @@ func (n *Network) runSharded(src Sharded, w int) (Result, bool, error) {
 		row += sp.Rows
 	}
 
-	d := 0
-	if n.hyper != nil {
-		d = n.hyper.Dim()
-	}
 	deg := n.topo.Degree()
 	// faultSlots marks directed links carrying a timed fault; a phase
 	// whose coverage touches them from more than one shard falls back to
@@ -144,50 +138,17 @@ func (n *Network) runSharded(src Sharded, w int) (Result, bool, error) {
 		}
 	}
 
-	// Build the shard interpreters once: private engines, channels and
-	// node-state arrays, one shared directed-link array (each phase's
-	// verified link-disjointness makes the shards' writes to it disjoint;
-	// the per-phase goroutine joins order them across phases).
-	edges := make([]edgeState, nodes*deg)
+	// Set up the shard interpreters once: private engines, channels,
+	// node-state arrays and link backlogs, and the first shard's hot link
+	// arrays shared by all (each phase's verified link-disjointness makes
+	// the shards' writes to them disjoint; the per-phase goroutine joins
+	// order them across phases).
 	ws := make([]*runState, w)
 	for s := range ws {
-		st := &runState{
-			net:      n,
-			eng:      event.New(),
-			src:      src,
-			topo:     n.topo,
-			n:        nodes,
-			d:        d,
-			hyper:    n.hyper != nil,
-			deg:      deg,
-			syncD:    n.topo.Diameter(),
-			pc:       make([]int32, nodes),
-			lens:     make([]int32, nodes),
-			opStart:  make([]float64, nodes),
-			ready:    make([]float64, nodes),
-			done:     make([]bool, nodes),
-			exPeer:   make([]int32, nodes),
-			exBytes:  make([]int, nodes),
-			exReady:  make([]float64, nodes),
-			edges:    edges,
-			outIdx:   make([][]chanRef, nodes),
-			stall:    make([]float64, nodes),
-			res:      Result{NodeFinish: make([]float64, nodes)},
-			windowed: true,
-		}
-		if dg, ok := n.topo.(*topology.Degraded); ok && dg.HasSlowLinks() {
-			st.degr = dg
-		}
-		st.faulty = st.degr != nil || n.faults != nil
-		for p := range st.exPeer {
-			st.exPeer[p] = -1
-		}
-		if n.jitterFrac != 0 {
-			st.rngs = make([]uint64, nodes)
-		}
-		st.stepH = func(_ event.Time, p int) { st.step(p) }
-		st.deliverH = func(now event.Time, ch int) { st.deliverAt(ch, float64(now)) }
+		st := n.newState(src, ws[0])
+		st.windowed = true
 		ws[s] = st
+		defer st.release()
 	}
 
 	// Cross-phase per-node carriers, identical to the serial state: a
@@ -219,11 +180,24 @@ func (n *Network) runSharded(src Sharded, w int) (Result, bool, error) {
 		res.Barriers++
 
 		geom := phaseGeom{stride: sp.Stride, block: sp.Stride * sp.Span, weff: min(w, nodes/sp.Span)}
-		if geom.weff > 1 && !n.verifyPhase(src, geom, winLo, winHi, nodes, d, deg, faultSlots) {
+		if geom.weff > 1 && !n.verifyPhase(src, geom, winLo, winHi, nodes, deg, faultSlots) {
 			geom.weff = 1
 		}
 		if geom.weff > res.ReplayShards {
 			res.ReplayShards = geom.weff
+		}
+
+		// A link may change shards between phases, and its backlog lives
+		// with the shard that built it. Every hold placed so far finished
+		// by some node's ready time, hence by the release, so the backlogs
+		// hold nothing a later hold could still count: drop them.
+		stale := false
+		for _, st := range ws {
+			stale = stale || len(st.backlogs) > 0
+			st.backlogs = st.backlogs[:0]
+		}
+		if stale {
+			clear(ws[0].backlogOf)
 		}
 
 		// Copy the carriers in and seed every node's first step event at
@@ -300,11 +274,7 @@ func (n *Network) runSharded(src Sharded, w int) (Result, bool, error) {
 		res.Messages += ws[s].res.Messages
 		res.BytesMoved += ws[s].res.BytesMoved
 		res.DroppedForced += ws[s].res.DroppedForced
-	}
-	for i := range edges {
-		if q := int(edges[i].maxQueue); q > res.MaxEdgeQueue {
-			res.MaxEdgeQueue = q
-		}
+		res.MaxEdgeQueue = max(res.MaxEdgeQueue, int(ws[s].maxQueue))
 	}
 	return res, true, nil
 }
@@ -316,7 +286,7 @@ func (n *Network) runSharded(src Sharded, w int) (Result, bool, error) {
 // that at most one shard touches a faulted wire, so a FaultPlan resolves
 // exactly as it would serially. Any violation reports false and the phase
 // runs on a single shard.
-func (n *Network) verifyPhase(src Source, geom phaseGeom, winLo, winHi, nodes, d, deg int, faultSlots []uint64) bool {
+func (n *Network) verifyPhase(src Source, geom phaseGeom, winLo, winHi, nodes, deg int, faultSlots []uint64) bool {
 	words := (nodes*deg + 63) / 64
 	cover := make([][]uint64, geom.weff)
 	touchesFault := make([]bool, geom.weff)
@@ -328,14 +298,8 @@ func (n *Network) verifyPhase(src Source, geom phaseGeom, winLo, winHi, nodes, d
 			defer wg.Done()
 			cov := make([]uint64, words)
 			cover[s] = cov
-			var routeBuf []int
+			var slots []int
 			fault := false
-			stamp := func(slot int) {
-				cov[slot/64] |= 1 << uint(slot%64)
-				if faultSlots != nil && faultSlots[slot/64]&(1<<uint(slot%64)) != 0 {
-					fault = true
-				}
-			}
 			for p := 0; p < nodes; p++ {
 				if geom.owner(p) != s {
 					continue
@@ -354,18 +318,11 @@ func (n *Network) verifyPhase(src Source, geom phaseGeom, winLo, winHi, nodes, d
 							return // cross-shard partner (or malformed op: let serial dynamics report it)
 						}
 						if op.Kind == OpExchange || op.Kind == OpSend {
-							if n.hyper != nil {
-								cur, diff := p, p^q
-								for diff != 0 {
-									i := bits.TrailingZeros(uint(diff))
-									stamp(cur*d + i)
-									cur ^= 1 << uint(i)
-									diff &= diff - 1
-								}
-							} else {
-								routeBuf = n.topo.AppendRoute(routeBuf, p, q)
-								for i := 0; i+1 < len(routeBuf); i++ {
-									stamp(n.topo.LinkSlot(routeBuf[i], routeBuf[i+1]))
+							slots = n.topo.AppendRouteSlots(slots[:0], p, q)
+							for _, slot := range slots {
+								cov[slot/64] |= 1 << uint(slot%64)
+								if faultSlots != nil && faultSlots[slot/64]&(1<<uint(slot%64)) != 0 {
+									fault = true
 								}
 							}
 						}

@@ -203,3 +203,40 @@ func TestConcurrentRunSourceOneNetwork(t *testing.T) {
 		requireIdentical(t, "concurrent caller", want, results[i])
 	}
 }
+
+// A recycled runState must carry nothing over: replays that leave events
+// queued, nodes parked, channels open and links backlogged (a budget trip,
+// a deadlock, a contended fan-in on a different-sized machine) may hand
+// their state to the next replay, whose result must equal a first run's.
+func TestRecycledStateCarriesNothingOver(t *testing.T) {
+	src := multiphaseSource()
+	fresh := func(shards int) Result {
+		net := New(topology.MustNew(3), model.IPSC860())
+		net.SetJitter(0.05, 7)
+		net.SetReplayShards(shards)
+		return mustRunSource(t, net, src)
+	}
+	want := fresh(1)
+
+	budget := mkNet(2, model.IPSC860())
+	budget.SetEventBudget(3)
+	stuck := []Program{{Compute(1), Compute(1), Exchange(1, 8)}, {Compute(2)}, {Send(0, 64, Forced)}, {}}
+	fan := make([]Program, 32)
+	for p := 1; p < len(fan); p++ {
+		fan[p] = Program{Send(0, 4096, Unforced), Send(0, 64, Forced)}
+		fan[0] = append(fan[0], Recv(p), Recv(p))
+	}
+	for round := 0; round < 3; round++ {
+		if _, err := budget.Run(stuck); err == nil {
+			t.Fatal("tiny budget must trip")
+		}
+		if _, err := mkNet(2, model.IPSC860()).Run(stuck); err == nil {
+			t.Fatal("unmatched exchange must deadlock")
+		}
+		if res, err := mkNet(5, model.IPSC860()).Run(fan); err != nil || res.MaxEdgeQueue <= edgeRing {
+			t.Fatalf("fan-in: max edge queue %d, err %v", res.MaxEdgeQueue, err)
+		}
+		requireIdentical(t, "serial after dirty runs", want, fresh(1))
+		requireIdentical(t, "sharded after dirty runs", want, fresh(3))
+	}
+}

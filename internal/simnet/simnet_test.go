@@ -330,6 +330,34 @@ func TestNegativeComputeFails(t *testing.T) {
 	}
 }
 
+// A non-finite duration must fail the run as an error: as a timestamp it
+// would panic the event engine (NaN, which a plain "< 0" guard lets
+// through) or park the clock at infinity.
+func TestNonFiniteDurationsFail(t *testing.T) {
+	for _, micros := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		n := mkNet(1, model.IPSC860())
+		if _, err := n.Run([]Program{{Compute(micros)}, {}}); err == nil || !strings.Contains(err.Error(), "compute time") {
+			t.Errorf("compute time %v: err = %v", micros, err)
+		}
+	}
+	for name, bend := range map[string]func(*model.Params){
+		"NaN tau":      func(p *model.Params) { p.Tau = math.NaN() },
+		"infinite tau": func(p *model.Params) { p.Tau = math.Inf(1) },
+		"NaN lambda":   func(p *model.Params) { p.Lambda = math.NaN() },
+	} {
+		prm := model.IPSC860()
+		bend(&prm)
+		for kind, progs := range map[string][]Program{
+			"exchange": {{Exchange(1, 64)}, {Exchange(0, 64)}},
+			"send":     {{Send(1, 64, Forced)}, {Recv(0)}},
+		} {
+			if _, err := mkNet(1, prm).Run(progs); err == nil || !strings.Contains(err.Error(), "transmission") {
+				t.Errorf("%s, %s: err = %v", name, kind, err)
+			}
+		}
+	}
+}
+
 // Two circuits sharing a directed link must serialize — the edge
 // contention mechanism of §2. Sends 0→3 and 1→3 share edge 1→3? Under
 // e-cube, 0→3 routes 0→1→3 and 1→3 routes 1→3: both use directed link

@@ -191,6 +191,7 @@ type Degraded struct {
 
 	deadNode []bool          // nil when no dead nodes
 	linkDown []bool          // by base LinkSlot, both directions; nil when no dead links
+	hopDown  []bool          // by base LinkSlot: wire dead or either endpoint dead; nil when neither occurs
 	slowSlot map[int]float64 // by base LinkSlot, both directions; nil when no slow links
 	maxSlow  float64
 
@@ -240,6 +241,16 @@ func Overlay(base Network, fs FaultSet) (*Degraded, error) {
 		for _, l := range cfs.DeadLinks {
 			d.linkDown[base.LinkSlot(l.A, l.B)] = true
 			d.linkDown[base.LinkSlot(l.B, l.A)] = true
+		}
+	}
+	if d.linkDown != nil || d.deadNode != nil {
+		d.hopDown = make([]bool, base.Nodes()*base.Degree())
+		copy(d.hopDown, d.linkDown)
+		for _, p := range cfs.DeadNodes {
+			for _, q := range base.Neighbors(p) {
+				d.hopDown[base.LinkSlot(p, q)] = true
+				d.hopDown[base.LinkSlot(q, p)] = true
+			}
 		}
 	}
 	if len(cfs.SlowLinks) > 0 {
@@ -491,6 +502,34 @@ func (d *Degraded) AppendRoute(buf []int, src, dst int) []int {
 		panic(err)
 	}
 	return out
+}
+
+// AppendRouteSlots appends the slots of the fault-aware route: the base
+// walk when every hop of it is usable, the memoized detour otherwise.
+// Unroutable pairs panic like AppendRoute.
+func (d *Degraded) AppendRouteSlots(buf []int, src, dst int) []int {
+	mark := len(buf)
+	buf = d.base.AppendRouteSlots(buf, src, dst)
+	clean := true
+	if d.hopDown != nil {
+		for _, slot := range buf[mark:] {
+			if d.hopDown[slot] {
+				clean = false
+				break
+			}
+		}
+	}
+	if clean {
+		return buf
+	}
+	// A broken base route is rare and its detour is memoized as nodes;
+	// resolve it the way AppendRoute does and convert hop by hop.
+	route := d.AppendRoute(nil, src, dst)
+	buf = buf[:mark]
+	for i := 0; i+1 < len(route); i++ {
+		buf = append(buf, d.base.LinkSlot(route[i], route[i+1]))
+	}
+	return buf
 }
 
 // RouteEdges returns the directed edges of the fault-aware route.

@@ -26,6 +26,46 @@ func routeDim(net Network, from, to int) int {
 	return dim
 }
 
+// checkRouteSlots asserts that AppendRouteSlots agrees with LinkSlot over
+// the hops of route, and that it extends buf instead of replacing it.
+func checkRouteSlots(t *testing.T, net Network, route []int) {
+	t.Helper()
+	const sentinel = -7
+	src, dst := route[0], route[len(route)-1]
+	slots := net.AppendRouteSlots([]int{sentinel}, src, dst)
+	if slots[0] != sentinel || len(slots) != len(route) {
+		t.Fatalf("%s: AppendRouteSlots(%d,%d) = %v for route %v", net.Name(), src, dst, slots, route)
+	}
+	for i, slot := range slots[1:] {
+		if want := net.LinkSlot(route[i], route[i+1]); slot != want {
+			t.Fatalf("%s: route %d→%d hop %d→%d: AppendRouteSlots says slot %d, LinkSlot %d",
+				net.Name(), src, dst, route[i], route[i+1], slot, want)
+		}
+	}
+}
+
+// TestRouteSlotsAllPairs checks the one-walk slot form against the
+// node-route form on every ordered pair of small networks of each shape,
+// healthy and with dead wires and a dead node to detour around.
+func TestRouteSlotsAllPairs(t *testing.T) {
+	for _, spec := range []string{
+		"hypercube-5", "torus-4x4x4", "torus-3x5", "torus-2x6", "torus-2x2x3", "torus-7",
+		"mesh-5x3", "mesh-2x2", "mesh-4x4x2",
+		"hypercube-4!dl=0-1,5-7", "torus-4x4!dl=0-1,0-4", "mesh-4x4!dl=5-6", "torus-4x4!dn=5", "torus-4x4!sl=0-1:2",
+	} {
+		net := MustParseSpec(spec)
+		for src := 0; src < net.Nodes(); src++ {
+			for dst := 0; dst < net.Nodes(); dst++ {
+				route, err := net.Route(src, dst)
+				if err != nil {
+					continue // a dead endpoint; the slot form shares AppendRoute's panic
+				}
+				checkRouteSlots(t, net, route)
+			}
+		}
+	}
+}
+
 // FuzzRoute drives dimension-ordered routing on all three topology
 // shapes with fuzzer-chosen endpoints and checks the routing contract:
 // the route starts at src and ends at dst, every consecutive pair is one
@@ -101,6 +141,7 @@ func FuzzRoute(f *testing.F) {
 					net.Name(), i, buf, route)
 			}
 		}
+		checkRouteSlots(t, net, route)
 	})
 }
 
@@ -194,5 +235,6 @@ func FuzzDegradedRoute(f *testing.F) {
 					d.Name(), src, dst, from, to, route)
 			}
 		}
+		checkRouteSlots(t, d, route)
 	})
 }

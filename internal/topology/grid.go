@@ -3,6 +3,7 @@ package topology
 import (
 	"fmt"
 	"strings"
+	"sync"
 )
 
 // grid is the shared mixed-radix coordinate machine behind Torus and
@@ -19,6 +20,13 @@ type grid struct {
 	diameter int
 	wrap     bool
 	name     string
+
+	// digits is the per-node coordinate table AppendRouteSlots reads in
+	// place of a divide and a modulo per digit: node p's coordinates are
+	// digits[p·k : (p+1)·k]. It is built on the first walk — only networks
+	// that are simulated pay for it, not every spec a request resolves.
+	digitsOnce sync.Once
+	digits     []int32
 }
 
 // Torus is a mixed-radix k-dimensional torus with wraparound links and
@@ -35,30 +43,30 @@ type Mesh struct{ grid }
 // label-arithmetic comfort zone.
 const maxGridNodes = 1 << 24
 
-func newGrid(radices []int, wrap bool, kind string) (grid, error) {
+// init fills in the grid in place (it holds a sync.Once, so it is never
+// copied).
+func (g *grid) init(radices []int, wrap bool, kind string) error {
 	if len(radices) == 0 {
-		return grid{}, fmt.Errorf("topology: %s needs at least one dimension", kind)
+		return fmt.Errorf("topology: %s needs at least one dimension", kind)
 	}
 	if len(radices) > 24 {
-		return grid{}, fmt.Errorf("topology: %s with %d dimensions exceeds the limit of 24", kind, len(radices))
+		return fmt.Errorf("topology: %s with %d dimensions exceeds the limit of 24", kind, len(radices))
 	}
-	g := grid{
-		radices: append([]int(nil), radices...),
-		strides: make([]int, len(radices)),
-		n:       1,
-		degree:  2 * len(radices),
-		wrap:    wrap,
-	}
+	g.radices = append([]int(nil), radices...)
+	g.strides = make([]int, len(radices))
+	g.n = 1
+	g.degree = 2 * len(radices)
+	g.wrap = wrap
 	var b strings.Builder
 	b.WriteString(kind)
 	b.WriteByte('-')
 	for i, r := range radices {
 		if r < 2 {
-			return grid{}, fmt.Errorf("topology: %s radix %d in dimension %d (want ≥ 2)", kind, r, i)
+			return fmt.Errorf("topology: %s radix %d in dimension %d (want ≥ 2)", kind, r, i)
 		}
 		g.strides[i] = g.n
 		if g.n > maxGridNodes/r {
-			return grid{}, fmt.Errorf("topology: %s exceeds %d nodes", kind, maxGridNodes)
+			return fmt.Errorf("topology: %s exceeds %d nodes", kind, maxGridNodes)
 		}
 		g.n *= r
 		if wrap {
@@ -72,27 +80,27 @@ func newGrid(radices []int, wrap bool, kind string) (grid, error) {
 		fmt.Fprintf(&b, "%d", r)
 	}
 	g.name = b.String()
-	return g, nil
+	return nil
 }
 
 // NewTorus returns a torus with the given per-dimension radices (each
 // ≥ 2), dimension 0 being the least significant label digit.
 func NewTorus(radices ...int) (*Torus, error) {
-	g, err := newGrid(radices, true, "torus")
-	if err != nil {
+	t := &Torus{}
+	if err := t.init(radices, true, "torus"); err != nil {
 		return nil, err
 	}
-	return &Torus{g}, nil
+	return t, nil
 }
 
 // NewMesh returns an open-boundary mesh with the given per-dimension
 // radices (each ≥ 2).
 func NewMesh(radices ...int) (*Mesh, error) {
-	g, err := newGrid(radices, false, "mesh")
-	if err != nil {
+	m := &Mesh{}
+	if err := m.init(radices, false, "mesh"); err != nil {
 		return nil, err
 	}
-	return &Mesh{g}, nil
+	return m, nil
 }
 
 func (g *grid) Name() string        { return g.name }
@@ -199,6 +207,69 @@ func (g *grid) AppendRoute(buf []int, src, dst int) []int {
 		}
 	}
 	return buf
+}
+
+// AppendRouteSlots walks the dimension-ordered route once, emitting each
+// hop's slot from what the walk already knows — the node it leaves, the
+// dimension it is correcting and the direction it chose — so nothing is
+// re-derived from a pair of node labels the way LinkSlot must.
+func (g *grid) AppendRouteSlots(buf []int, src, dst int) []int {
+	g.digitsOnce.Do(g.buildDigits)
+	k := len(g.radices)
+	from, to := g.digits[src*k:src*k+k], g.digits[dst*k:dst*k+k]
+	cur := src
+	for i, r := range g.radices {
+		a, b := int(from[i]), int(to[i])
+		if a == b {
+			continue
+		}
+		// Hops and direction as dimDist and dimDir choose them: the
+		// shorter way round a ring (ties toward +), monotone on a mesh.
+		hops, up := b-a, true
+		if hops < 0 {
+			hops, up = -hops, false
+		}
+		if g.wrap {
+			if !up {
+				hops = r - hops // b − a mod r
+			}
+			if up = 2*hops <= r; !up {
+				hops = r - hops
+			}
+		}
+		stride := g.strides[i]
+		slot := 2 * i // LinkSlot's dir bit: 0 for +, 1 for −; a radix-2 ring only ever goes +
+		if !up {
+			slot++
+		}
+		for ; hops > 0; hops-- {
+			buf = append(buf, cur*g.degree+slot)
+			if up {
+				a++
+				cur += stride
+				if a == r {
+					a, cur = 0, cur-r*stride
+				}
+			} else {
+				if a == 0 {
+					a, cur = r, cur+r*stride
+				}
+				a--
+				cur -= stride
+			}
+		}
+	}
+	return buf
+}
+
+func (g *grid) buildDigits() {
+	k := len(g.radices)
+	g.digits = make([]int32, g.n*k)
+	for p := 0; p < g.n; p++ {
+		for i := range g.radices {
+			g.digits[p*k+i] = int32(g.digit(p, i))
+		}
+	}
 }
 
 // Route returns the dimension-ordered route from src to dst.

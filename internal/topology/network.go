@@ -66,6 +66,14 @@ type Network interface {
 	// node to an adjacent one, unique per directed link, in
 	// [0, Nodes()·Degree()). from and to must be neighbors.
 	LinkSlot(from, to int) int
+	// AppendRouteSlots appends to buf the LinkSlot of every hop of the
+	// route from src to dst, in route order, and returns the extended
+	// slice: the route as the simulator consumes it, produced in the one
+	// walk that already knows each hop's dimension and direction. It
+	// appends Distance(src, dst) slots (none when src == dst), validates
+	// and allocates like AppendRoute, and unlike AppendRoute keeps what
+	// buf already holds.
+	AppendRouteSlots(buf []int, src, dst int) []int
 	// TotalLinks returns the number of usable directed links.
 	TotalLinks() int
 	// AveragePathLength returns the mean routed distance over all

@@ -10,6 +10,7 @@ package topology
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/bitutil"
 )
@@ -89,6 +90,17 @@ func (h *Hypercube) AppendRoute(buf []int, src, dst int) []int {
 // LinkSlot returns from·d + i for the link crossing dimension i.
 func (h *Hypercube) LinkSlot(from, to int) int {
 	return from*h.dim + bitutil.LowestSetBit(from^to)
+}
+
+// AppendRouteSlots appends the slot of every hop of the e-cube route:
+// from the current node across each differing dimension, lowest first.
+func (h *Hypercube) AppendRouteSlots(buf []int, src, dst int) []int {
+	cur := src
+	for diff := src ^ dst; diff != 0; diff &= diff - 1 {
+		buf = append(buf, cur*h.dim+bits.TrailingZeros(uint(diff)))
+		cur ^= diff & -diff
+	}
+	return buf
 }
 
 // MustNew is New, panicking on error; for tests and fixed-size tools.
