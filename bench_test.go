@@ -725,25 +725,39 @@ func BenchmarkPlanCacheHitTorus(b *testing.B) {
 	}
 }
 
-// benchReplayFragment replays one d=16 top-field fragment — the largest
-// unit of work the optimizer's memoized costing runs — with the given
-// event-engine shard count. The fragment's 256 sub-blocks are pairwise
-// link-disjoint, so the sharded replay engages fully and must report the
-// same sim_µs bit-for-bit as the serial one (the equivalence suite pins
-// this; the benchmark pair exposes the wall-clock ratio).
-func benchReplayFragment(b *testing.B, shards int) {
-	prm := model.IPSC860()
+// replayFragment is the d=16 {8,8} top-field fragment — the largest unit
+// of work the optimizer's memoized costing runs: 65 536 nodes, 255
+// exchange rows, 256 pairwise link-disjoint sub-blocks.
+func replayFragment(b *testing.B) (topology.Network, *exchange.CompiledPlan) {
 	topo := topology.MustParseSpec("hypercube-16")
 	plan, err := exchange.NewPlanOn(topo, 4, partition.Partition{8, 8})
 	if err != nil {
 		b.Fatal(err)
 	}
-	frag := plan.CompilePhase(0)
+	return topo, plan.CompilePhase(0)
+}
+
+// benchReplayFragment replays the fragment on the event engine with the
+// given shard count. The fragment's phase certificate holds, so a plain
+// replay would be priced in closed form and neither the engine nor its
+// shards would run; a FaultPlan makes the replay core decline it, and
+// one that only fires after the run is over leaves the dynamics what they
+// always were — every step of a row tied at one instant. The sharded
+// replay engages fully and must report the same sim_µs bit-for-bit as
+// the serial one (the equivalence suite pins this; the benchmark pair
+// exposes the wall-clock ratio).
+func benchReplayFragment(b *testing.B, shards int) {
+	prm := model.IPSC860()
+	topo, frag := replayFragment(b)
+	never := simnet.FaultPlan{Links: []simnet.LinkFault{{A: 0, B: 1, At: 1e12, Factor: 2}}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	var last simnet.Result
 	for i := 0; i < b.N; i++ {
 		net := simnet.New(topo, prm)
+		if err := net.SetFaultPlan(never); err != nil {
+			b.Fatal(err)
+		}
 		net.SetReplayShards(shards)
 		res, err := net.RunSource(frag)
 		if err != nil {
@@ -762,6 +776,56 @@ func benchReplayFragment(b *testing.B, shards int) {
 // shard count.
 func BenchmarkReplaySerial(b *testing.B)  { benchReplayFragment(b, 1) }
 func BenchmarkReplaySharded(b *testing.B) { benchReplayFragment(b, 4) }
+
+// uncertified hides the compiled fragment's span Shape, so the replay
+// core may not share its certificate and runs the pass on every replay.
+type uncertified struct {
+	*exchange.CompiledPlan
+	spans []simnet.PhaseSpan
+}
+
+func (u uncertified) PhaseSpans() []simnet.PhaseSpan { return u.spans }
+
+// BenchmarkReplayCertified prices the same fragment, jitter-free, by its
+// phase certificate. cold pays the certificate pass — every circuit of
+// every row routed and stamped once — on each replay, which a process
+// otherwise pays once per (topology, field): it must stay below one
+// engine replay (BenchmarkReplaySerial). warm is every later replay: the
+// closed form alone, 255 additions and the finish-time fill.
+func BenchmarkReplayCertified(b *testing.B) {
+	prm := model.IPSC860()
+	topo, frag := replayFragment(b)
+	cold := uncertified{CompiledPlan: frag, spans: append([]simnet.PhaseSpan(nil), frag.PhaseSpans()...)}
+	for i := range cold.spans {
+		cold.spans[i].Shape = ""
+	}
+	for _, bc := range []struct {
+		name   string
+		src    simnet.Source
+		passes int
+	}{{"cold", cold, 1}, {"warm", frag, 0}} {
+		b.Run(bc.name, func(b *testing.B) {
+			if _, err := simnet.New(topo, prm).RunSource(bc.src); err != nil { // warm's one pass
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var last simnet.Result
+			for i := 0; i < b.N; i++ {
+				res, err := simnet.New(topo, prm).RunSource(bc.src)
+				if err != nil {
+					b.Fatal(err)
+				}
+				last = res
+			}
+			if last.ClosedFormPhases != 1 || last.Certificates != bc.passes {
+				b.Fatalf("%d closed-form phases after %d certificate passes (declined for %q)",
+					last.ClosedFormPhases, last.Certificates, last.DeclineReason)
+			}
+			b.ReportMetric(last.Makespan, "sim_µs")
+		})
+	}
+}
 
 // benchEngine measures the event queue alone under the simulator's load
 // shape: 4096 nodes, each of whose events schedules that node's next one

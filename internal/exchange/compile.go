@@ -53,13 +53,20 @@ func (p *Plan) Compile() *CompiledPlan {
 	for _, ph := range p.phases {
 		lo := len(c.rows)
 		c.rows = appendPhaseRows(c.rows, ph, p.m*c.n)
-		c.spans = append(c.spans, simnet.PhaseSpan{
-			Rows:   len(c.rows) - lo,
-			Stride: ph.Stride,
-			Span:   ph.Span,
-		})
+		c.spans = append(c.spans, phaseSpan(ph, len(c.rows)-lo))
 	}
 	return c
+}
+
+// phaseSpan is the span of a phase compiled to rows op-table rows. Its
+// Shape keeps simnet's promise: appendPhaseRows derives every row's kind
+// and partner rule from (XOR, Stride, Span) and the row count alone.
+func phaseSpan(ph Phase, rows int) simnet.PhaseSpan {
+	shape := "cyclic"
+	if ph.XOR {
+		shape = "xor"
+	}
+	return simnet.PhaseSpan{Rows: rows, Stride: ph.Stride, Span: ph.Span, Shape: shape}
 }
 
 // CompilePhase lowers phase i alone — its barrier, its steps, and its
@@ -72,11 +79,7 @@ func (p *Plan) Compile() *CompiledPlan {
 func (p *Plan) CompilePhase(i int) *CompiledPlan {
 	c := &CompiledPlan{m: p.m, n: p.Nodes(), topo: p.topo.Name()}
 	c.rows = appendPhaseRows(c.rows, p.phases[i], p.m*c.n)
-	c.spans = []simnet.PhaseSpan{{
-		Rows:   len(c.rows),
-		Stride: p.phases[i].Stride,
-		Span:   p.phases[i].Span,
-	}}
+	c.spans = []simnet.PhaseSpan{phaseSpan(p.phases[i], len(c.rows))}
 	return c
 }
 
@@ -136,10 +139,17 @@ func appendPhaseRows(rows []compiledOp, ph Phase, shuffleBytes int) []compiledOp
 
 // PhaseSpans returns the plan's per-phase span structure — one entry per
 // phase, covering that phase's barrier, step and shuffle rows — making
-// CompiledPlan a simnet.Sharded source: a replay may split each phase
-// across link-disjoint sub-block shards (simnet.Network.SetReplayShards).
+// CompiledPlan a simnet.Sharded source: a replay prices each phase whose
+// certificate holds in closed form, and may split the others across
+// link-disjoint sub-block shards (simnet.Network.SetReplayShards).
 // Callers must not modify the returned slice.
 func (c *CompiledPlan) PhaseSpans() []simnet.PhaseSpan { return c.spans }
+
+// UniformRow returns row i's kind and byte count, which the shared op
+// table gives every node alike.
+func (c *CompiledPlan) UniformRow(i int) (simnet.OpKind, int, bool) {
+	return c.rows[i].kind, c.rows[i].bytes, true
+}
 
 // NumNodes returns the topology's node count.
 func (c *CompiledPlan) NumNodes() int { return c.n }

@@ -1,6 +1,7 @@
 package exchange_test
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -25,21 +26,65 @@ func costOn(t *testing.T, topo topology.Network, src simnet.Source, jitterFrac f
 	return res
 }
 
-// requireBitIdentical asserts every Result field except ReplayShards
-// matches bit-for-bit — the sharded replay mode's core contract.
+// simulated strips the fields that report how a result was produced —
+// shards, pricing modes, certificate passes — leaving what was simulated.
+func simulated(r simnet.Result) simnet.Result {
+	r.ReplayShards, r.ClosedFormPhases, r.EnginePhases, r.DeclineReason, r.Certificates = 0, 0, 0, "", 0
+	return r
+}
+
+// requireBitIdentical asserts every simulated Result field matches
+// bit-for-bit — the contract of every replay mode.
 func requireBitIdentical(t *testing.T, label string, serial, sharded simnet.Result) {
 	t.Helper()
-	serial.ReplayShards, sharded.ReplayShards = 0, 0
+	serial, sharded = simulated(serial), simulated(sharded)
 	if !reflect.DeepEqual(serial, sharded) {
 		t.Fatalf("%s: sharded ≠ serial\nserial:  %+v\nsharded: %+v", label, serial, sharded)
 	}
 }
 
+// engineOracle replays the compiled plan's bare per-node programs through
+// the monolithic event loop — no phase structure, no certificates, no
+// shards: the reference every other replay mode must equal.
+func engineOracle(t *testing.T, topo topology.Network, src *exchange.CompiledPlan, jitterFrac float64) simnet.Result {
+	t.Helper()
+	net := simnet.New(topo, model.IPSC860())
+	net.SetJitter(jitterFrac, 7)
+	res, err := net.Run(src.Programs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// requireMode asserts how a replay priced its phases. A jitter-free XOR
+// phase of a healthy topology is answered by its certificate, so sharding
+// has nothing to engage on; everything else — any phase under jitter,
+// cyclic phases — must have run on the engine, and a replay with such
+// phases on several shards when asked for them.
+func requireMode(t *testing.T, label string, res simnet.Result, plan *exchange.Plan, jitter float64, shards int) {
+	t.Helper()
+	closed := 0
+	for _, ph := range plan.Phases() {
+		if ph.XOR && jitter == 0 {
+			closed++
+		}
+	}
+	engine := plan.NumPhases() - closed
+	if res.ClosedFormPhases != closed || res.EnginePhases != engine || (engine == 0) != (res.DeclineReason == "") {
+		t.Fatalf("%s: %d phases priced in closed form and %d on the engine (declined for %q), want %d and %d",
+			label, res.ClosedFormPhases, res.EnginePhases, res.DeclineReason, closed, engine)
+	}
+	if engine > 0 && shards > 1 && res.ReplayShards < 2 {
+		t.Fatalf("%s: sharded replay fell back (ReplayShards=%d)", label, res.ReplayShards)
+	}
+}
+
 // The equivalence matrix: compiled multiphase plans on all three topology
-// families, with jitter off and on, replayed serially and across several
-// shard counts — Time, Messages, BytesMoved, ContentionStall and
-// MaxEdgeQueue must agree bit-for-bit, and the sharded path must actually
-// have engaged (no silent fallback).
+// families, with jitter off and on, replayed on one engine and across
+// several shard counts — every simulated field must agree bit-for-bit
+// with the monolithic engine loop, and each replay must have been priced
+// the way its input dictates (no silent fallback, no silent engine run).
 func TestShardedReplayEquivalence(t *testing.T) {
 	cases := []struct {
 		spec string
@@ -52,7 +97,7 @@ func TestShardedReplayEquivalence(t *testing.T) {
 		{"torus-4x4x4", 24, partition.Partition{2, 1}},
 		{"torus-4x4", 8, partition.Partition{1, 1}},
 		{"mesh-4x4", 8, partition.Partition{1, 1}},
-		{"mesh-8x2", 16, partition.Partition{1, 1}},
+		{"mesh-8x2", 16, partition.Partition{1, 1}}, // one cyclic phase, one XOR
 	}
 	for _, tc := range cases {
 		topo := topology.MustParseSpec(tc.spec)
@@ -62,25 +107,20 @@ func TestShardedReplayEquivalence(t *testing.T) {
 		}
 		src := plan.Compile()
 		for _, jitter := range []float64{0, 0.05} {
-			serial := costOn(t, topo, src, jitter, 1)
-			if serial.ReplayShards != 1 {
-				t.Fatalf("%s: serial ReplayShards = %d", tc.spec, serial.ReplayShards)
-			}
-			for _, w := range []int{2, 3, 4} {
-				label := tc.spec + "/" + tc.D.String()
-				sharded := costOn(t, topo, src, jitter, w)
-				if sharded.ReplayShards < 2 {
-					t.Fatalf("%s w=%d jitter=%v: sharded replay fell back (ReplayShards=%d)",
-						label, w, jitter, sharded.ReplayShards)
-				}
-				requireBitIdentical(t, label, serial, sharded)
+			oracle := engineOracle(t, topo, src, jitter)
+			for _, w := range []int{1, 2, 3, 4} {
+				label := fmt.Sprintf("%s/%v w=%d jitter=%v", tc.spec, tc.D, w, jitter)
+				res := costOn(t, topo, src, jitter, w)
+				requireMode(t, label, res, plan, jitter, w)
+				requireBitIdentical(t, label, oracle, res)
 			}
 		}
 	}
 }
 
 // Single-phase fragments — the optimizer's memoized costing unit — must
-// shard equivalently too.
+// replay equivalently too: in closed form when nothing forbids it, on
+// link-disjoint shards under jitter.
 func TestShardedFragmentEquivalence(t *testing.T) {
 	topo := topology.MustParseSpec("hypercube-6")
 	plan, err := exchange.NewPlanOn(topo, 16, partition.Partition{3, 3})
@@ -89,12 +129,20 @@ func TestShardedFragmentEquivalence(t *testing.T) {
 	}
 	for pi := 0; pi < plan.NumPhases(); pi++ {
 		frag := plan.CompilePhase(pi)
-		serial := costOn(t, topo, frag, 0, 1)
-		sharded := costOn(t, topo, frag, 0, 4)
-		if sharded.ReplayShards < 2 {
-			t.Fatalf("phase %d: fragment fell back (ReplayShards=%d)", pi, sharded.ReplayShards)
+		for _, jitter := range []float64{0, 0.05} {
+			oracle := engineOracle(t, topo, frag, jitter)
+			for _, w := range []int{1, 4} {
+				label := fmt.Sprintf("phase %d w=%d jitter=%v", pi, w, jitter)
+				res := costOn(t, topo, frag, jitter, w)
+				if closed := jitter == 0; closed != (res.ClosedFormPhases == 1) || closed == (res.EnginePhases == 1) {
+					t.Fatalf("%s: %d closed-form and %d engine phases", label, res.ClosedFormPhases, res.EnginePhases)
+				}
+				if jitter != 0 && w > 1 && res.ReplayShards < 2 {
+					t.Fatalf("%s: fragment fell back (ReplayShards=%d)", label, res.ReplayShards)
+				}
+				requireBitIdentical(t, label, oracle, res)
+			}
 		}
-		requireBitIdentical(t, "fragment", serial, sharded)
 	}
 }
 

@@ -30,7 +30,11 @@
 //     tie-breaking of link acquisitions can shift it by a small fraction
 //     (≈2% worst observed), so selection runs on the fragment-sum and the
 //     winner's reported TimeMicro is re-derived by one whole-plan replay
-//     — bit-identical to Plan.Cost on the chosen partition.
+//     — bit-identical to Plan.Cost on the chosen partition. A replay
+//     is not always a run of the event engine: a phase whose circuits
+//     simnet has certified contention-free and lockstep (the XOR phases
+//     of a healthy hypercube) is priced by the engine's own additions
+//     with no events, to the same last bit; Stats counts phases by mode.
 //   - Branch-and-bound pruning (simulated backend). The analytic model
 //     generalization (model.PhaseLowerBoundOn) is an admissible lower
 //     bound on each phase's simulated makespan; candidates are ordered
@@ -174,12 +178,25 @@ type Stats struct {
 	MemoHits    int64 `json:"memo_hits"`
 	MemoMisses  int64 `json:"memo_misses"`
 	// ReplaysSharded and ReplaysSerial split the simulated backend's
-	// event-engine replays (memoized fragments and whole-plan winner
-	// re-derivations) by the mode that actually ran: sharded when the
-	// link-disjoint partitioner engaged (Result.ReplayShards > 1),
-	// serial otherwise — including every sharded attempt that fell back.
+	// replays (memoized fragments and whole-plan winner re-derivations)
+	// by the mode that actually ran: sharded when the link-disjoint
+	// partitioner engaged (Result.ReplayShards > 1), serial otherwise —
+	// including every sharded attempt that fell back and every replay
+	// priced wholly in closed form.
 	ReplaysSharded int64 `json:"replays_sharded"`
 	ReplaysSerial  int64 `json:"replays_serial"`
+	// PhasesClosedForm and PhasesEngine split the phases of those replays
+	// by how simnet priced them: in closed form under a lockstep
+	// certificate, or on the event engine. Declines counts, per replay
+	// with an engine-run phase, the reason its first such phase was
+	// declined (simnet.Result.DeclineReason). Certificates counts the
+	// certificate passes these replays ran themselves — at most one per
+	// (topology, phase field) per process, whichever optimizer gets there
+	// first.
+	PhasesClosedForm int64            `json:"phases_closed_form"`
+	PhasesEngine     int64            `json:"phases_engine"`
+	Certificates     int64            `json:"certificates"`
+	Declines         map[string]int64 `json:"declines,omitempty"`
 }
 
 // Add accumulates another snapshot into s (serving tiers aggregate stats
@@ -192,6 +209,87 @@ func (s *Stats) Add(t Stats) {
 	s.MemoMisses += t.MemoMisses
 	s.ReplaysSharded += t.ReplaysSharded
 	s.ReplaysSerial += t.ReplaysSerial
+	s.PhasesClosedForm += t.PhasesClosedForm
+	s.PhasesEngine += t.PhasesEngine
+	s.Certificates += t.Certificates
+	for reason, n := range t.Declines {
+		if s.Declines == nil {
+			s.Declines = make(map[string]int64)
+		}
+		s.Declines[reason] += n
+	}
+}
+
+// ReplayCounter accumulates the replay-mode counters of Stats from simnet
+// results; the zero value is ready and it is safe for concurrent use. An
+// Optimizer counts its own replays; a caller replaying plans itself (the
+// /v1/cost endpoint) keeps one of its own.
+type ReplayCounter struct {
+	sharded, serial    atomic.Int64
+	closedForm, engine atomic.Int64
+	certificates       atomic.Int64
+
+	mu       sync.Mutex
+	declines map[string]int64
+}
+
+// Traced runs one replay of plan (or of a fragment of it) under a "replay"
+// span — kind says which: "fragment", "plan", "cost" — and counts its
+// result. Every replay goes through here, so the replay stage's histogram
+// accounts for all of a build's or a cost request's simulation time.
+func (c *ReplayCounter) Traced(ctx context.Context, kind string, plan *exchange.Plan, replay func() (simnet.Result, error)) (simnet.Result, error) {
+	sp := obs.StartSpan(ctx, "replay")
+	defer sp.End()
+	if sp != nil { // an untraced replay can be microseconds: format nothing for it
+		sp.SetAttr("kind", kind)
+		sp.SetAttr("partition", plan.Partition().String())
+		sp.SetInt("m", int64(plan.BlockSize()))
+	}
+	res, err := replay()
+	if err != nil {
+		return res, err
+	}
+	sp.SetInt("phases", int64(res.ClosedFormPhases+res.EnginePhases))
+	sp.SetInt("replay_shards", int64(res.ReplayShards))
+	sp.SetInt("closed_form_phases", int64(res.ClosedFormPhases))
+	if res.ReplayShards > 1 {
+		c.sharded.Add(1)
+	} else {
+		c.serial.Add(1)
+	}
+	c.closedForm.Add(int64(res.ClosedFormPhases))
+	c.engine.Add(int64(res.EnginePhases))
+	c.certificates.Add(int64(res.Certificates))
+	if res.DeclineReason != "" {
+		sp.SetAttr("decline", res.DeclineReason)
+		c.mu.Lock()
+		if c.declines == nil {
+			c.declines = make(map[string]int64)
+		}
+		c.declines[res.DeclineReason]++
+		c.mu.Unlock()
+	}
+	return res, nil
+}
+
+// AddTo accumulates the counters into s.
+func (c *ReplayCounter) AddTo(s *Stats) {
+	t := Stats{
+		ReplaysSharded:   c.sharded.Load(),
+		ReplaysSerial:    c.serial.Load(),
+		PhasesClosedForm: c.closedForm.Load(),
+		PhasesEngine:     c.engine.Load(),
+		Certificates:     c.certificates.Load(),
+	}
+	c.mu.Lock()
+	if len(c.declines) > 0 {
+		t.Declines = make(map[string]int64, len(c.declines))
+		for reason, n := range c.declines {
+			t.Declines[reason] = n
+		}
+	}
+	c.mu.Unlock()
+	s.Add(t)
 }
 
 // Optimizer enumerates dimension groupings for one machine parameter set
@@ -207,12 +305,11 @@ type Optimizer struct {
 	replayShards atomic.Int32 // SetReplayShards; ≤ 1 keeps replays serial
 	exhaustive   atomic.Bool  // SetExhaustive; disables pruning/reordering
 
-	evaluated      atomic.Int64
-	pruned         atomic.Int64
-	memoHits       atomic.Int64
-	memoMisses     atomic.Int64
-	replaysSharded atomic.Int64
-	replaysSerial  atomic.Int64
+	evaluated  atomic.Int64
+	pruned     atomic.Int64
+	memoHits   atomic.Int64
+	memoMisses atomic.Int64
+	replays    ReplayCounter
 
 	enums sync.Map // topology name -> *enumSet
 
@@ -344,10 +441,11 @@ func (o *Optimizer) SetWorkers(n int) {
 }
 
 // SetReplayShards sets the event-engine shard count the simulated
-// backend's replays request (simnet.Network.SetReplayShards): phases
-// whose sub-blocks are provably link-disjoint run on up to n private
-// engines and merge at each barrier; everything else falls back to
-// serial dynamics. Sharded replays are bit-identical to serial ones, so
+// backend's replays request (simnet.Network.SetReplayShards): of the
+// phases that run on the engine at all — a certified lockstep phase is
+// priced without it — those whose sub-blocks are provably link-disjoint
+// run on up to n private engines and merge at the next barrier;
+// everything else falls back to serial dynamics. Sharded replays are bit-identical to serial ones, so
 // the setting never changes which Choice is returned or its TimeMicro —
 // only how fast the largest fragments cost. n ≤ 1 keeps replays serial
 // (the default). Safe to call concurrently with Best; an in-flight
@@ -357,15 +455,6 @@ func (o *Optimizer) SetReplayShards(n int) {
 		n = 0
 	}
 	o.replayShards.Store(int32(n))
-}
-
-// countReplay feeds the replay-mode stats split from one replay result.
-func (o *Optimizer) countReplay(res simnet.Result) {
-	if res.ReplayShards > 1 {
-		o.replaysSharded.Add(1)
-	} else {
-		o.replaysSerial.Add(1)
-	}
 }
 
 // SetExhaustive toggles the branch-and-bound cut and the best-first
@@ -383,16 +472,15 @@ func (o *Optimizer) Evaluations() int64 { return o.evals.Load() }
 
 // Stats returns a snapshot of the evaluation counters.
 func (o *Optimizer) Stats() Stats {
-	return Stats{
+	s := Stats{
 		Evaluations: o.evals.Load(),
 		Evaluated:   o.evaluated.Load(),
 		Pruned:      o.pruned.Load(),
 		MemoHits:    o.memoHits.Load(),
 		MemoMisses:  o.memoMisses.Load(),
-
-		ReplaysSharded: o.replaysSharded.Load(),
-		ReplaysSerial:  o.replaysSerial.Load(),
 	}
+	o.replays.AddTo(&s)
+	return s
 }
 
 // Params returns the machine parameters the optimizer evaluates against.
@@ -832,22 +920,13 @@ func (o *Optimizer) candidateCost(ctx context.Context, net *simnet.Network, topo
 	return total, nil
 }
 
-// replayFragment prices phase pi of plan by one compiled fragment replay,
-// under a "replay" span: every memo miss of the simulated backend goes
-// through here, so the replay stage's histogram accounts for all of a
-// build's simulation time, not only the winner's re-derivation.
+// replayFragment prices phase pi of plan by one compiled fragment replay;
+// every memo miss of the simulated backend goes through here.
 func (o *Optimizer) replayFragment(ctx context.Context, net *simnet.Network, plan *exchange.Plan, pi int) (float64, error) {
-	sp := obs.StartSpan(ctx, "replay")
-	sp.SetAttr("kind", "fragment")
-	sp.SetInt("m", int64(plan.BlockSize()))
-	defer sp.End()
-	res, err := net.RunSource(plan.CompilePhase(pi))
-	if err != nil {
-		return 0, err
-	}
-	o.countReplay(res)
-	sp.SetInt("replay_shards", int64(res.ReplayShards))
-	return res.Makespan, nil
+	res, err := o.replays.Traced(ctx, "fragment", plan, func() (simnet.Result, error) {
+		return net.RunSource(plan.CompilePhase(pi))
+	})
+	return res.Makespan, err
 }
 
 // finalizeSimulated re-derives the winner's reported time from one
@@ -871,19 +950,8 @@ func (o *Optimizer) finalizeSimulated(ctx context.Context, net *simnet.Network, 
 		return o.simPhases.get(phaseKey{topo: topo.Name(), lo: lo, w: w, m: m}, &o.memoHits, &o.memoMisses,
 			func() (float64, error) { return o.replayFragment(ctx, net, plan, 0) })
 	}
-	sp := obs.StartSpan(ctx, "replay")
-	sp.SetAttr("kind", "plan")
-	sp.SetAttr("partition", D.String())
-	sp.SetInt("m", int64(m))
-	sp.SetInt("phases", int64(plan.NumPhases()))
-	defer sp.End()
-	res, err := plan.Cost(net)
-	if err != nil {
-		return 0, err
-	}
-	o.countReplay(res)
-	sp.SetInt("replay_shards", int64(res.ReplayShards))
-	return res.Makespan, nil
+	res, err := o.replays.Traced(ctx, "plan", plan, func() (simnet.Result, error) { return plan.Cost(net) })
+	return res.Makespan, err
 }
 
 // Plan returns an executable exchange plan for the optimizer's best

@@ -1,21 +1,36 @@
 package optimize
 
 import (
+	"math"
 	"os"
 	"runtime"
 	"testing"
 
+	"repro/internal/exchange"
 	"repro/internal/model"
+	"repro/internal/simnet"
+	"repro/internal/topology"
 )
 
 // Sharded replay must be invisible to the optimizer's answers: the same
 // Choice — partition AND bit-identical TimeMicro — with shards on and
 // off, because the sharded replay results equal the serial ones exactly.
-// The stats split proves the sharded path actually engaged rather than
-// silently falling back everywhere.
+// The stats split proves each input was priced the way it should be: the
+// XOR phases of a healthy cube by certificate, with nothing left to
+// shard; the cyclic phases of a torus on the engine, sharded when asked.
 func TestReplayShardsChoiceEquivalence(t *testing.T) {
 	prm := model.IPSC860()
-	for _, tc := range []struct{ d, m int }{{5, 8}, {6, 40}, {7, 200}} {
+	for _, tc := range []struct {
+		spec   string
+		m      int
+		cyclic bool
+	}{
+		{"hypercube-5", 8, false},
+		{"hypercube-6", 40, false},
+		{"hypercube-7", 200, false},
+		{"torus-4x4x4", 40, true},
+	} {
+		topo := topology.MustParseSpec(tc.spec)
 		serial := NewSimulated(prm)
 		sharded := NewSimulated(prm)
 		sharded.SetReplayShards(4)
@@ -25,40 +40,51 @@ func TestReplayShardsChoiceEquivalence(t *testing.T) {
 		serial.SetExhaustive(true)
 		sharded.SetExhaustive(true)
 
-		sc, err := serial.Best(tc.d, tc.m)
+		sc, err := serial.BestOn(topo, tc.m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		hc, err := sharded.Best(tc.d, tc.m)
+		hc, err := sharded.BestOn(topo, tc.m)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !sc.Part.Equal(hc.Part) {
-			t.Errorf("d=%d m=%d: partitions differ: serial %v, sharded %v", tc.d, tc.m, sc.Part, hc.Part)
+			t.Errorf("%s m=%d: partitions differ: serial %v, sharded %v", tc.spec, tc.m, sc.Part, hc.Part)
 		}
 		if sc.TimeMicro != hc.TimeMicro {
-			t.Errorf("d=%d m=%d: times differ: serial %v, sharded %v", tc.d, tc.m, sc.TimeMicro, hc.TimeMicro)
+			t.Errorf("%s m=%d: times differ: serial %v, sharded %v", tc.spec, tc.m, sc.TimeMicro, hc.TimeMicro)
 		}
 
-		st := sharded.Stats()
-		if st.ReplaysSharded == 0 {
-			t.Errorf("d=%d m=%d: no replay ran sharded (serial=%d)", tc.d, tc.m, st.ReplaysSerial)
+		st, got := sharded.Stats(), serial.Stats()
+		if tc.cyclic {
+			if st.ReplaysSharded == 0 || st.PhasesClosedForm != 0 || st.Declines["row-not-exchange"] == 0 {
+				t.Errorf("%s m=%d: cyclic phases must run on engine shards: %+v", tc.spec, tc.m, st)
+			}
+		} else if st.ReplaysSharded != 0 || st.PhasesEngine != 0 || st.PhasesClosedForm == 0 || len(st.Declines) != 0 {
+			t.Errorf("%s m=%d: certified phases must be priced in closed form: %+v", tc.spec, tc.m, st)
 		}
-		if got := serial.Stats(); got.ReplaysSharded != 0 {
-			t.Errorf("d=%d m=%d: serial optimizer reports %d sharded replays", tc.d, tc.m, got.ReplaysSharded)
+		if got.ReplaysSharded != 0 {
+			t.Errorf("%s m=%d: serial optimizer reports %d sharded replays", tc.spec, tc.m, got.ReplaysSharded)
 		}
-		if got := serial.Stats(); got.ReplaysSerial == 0 {
-			t.Errorf("d=%d m=%d: serial optimizer counted no replays", tc.d, tc.m)
+		if got.ReplaysSerial == 0 {
+			t.Errorf("%s m=%d: serial optimizer counted no replays", tc.spec, tc.m)
+		}
+		if got.PhasesClosedForm != st.PhasesClosedForm || got.PhasesEngine != st.PhasesEngine {
+			t.Errorf("%s m=%d: pricing modes depend on the shard count: serial %+v, sharded %+v", tc.spec, tc.m, got, st)
 		}
 	}
 }
 
 // The replay counters aggregate like the other Stats fields.
 func TestStatsAddReplayCounters(t *testing.T) {
-	a := Stats{ReplaysSharded: 2, ReplaysSerial: 3}
-	a.Add(Stats{ReplaysSharded: 5, ReplaysSerial: 7})
+	a := Stats{ReplaysSharded: 2, ReplaysSerial: 3, PhasesClosedForm: 1, Declines: map[string]int64{"jitter": 1}}
+	a.Add(Stats{ReplaysSharded: 5, ReplaysSerial: 7, PhasesClosedForm: 2, PhasesEngine: 4, Certificates: 3,
+		Declines: map[string]int64{"jitter": 2, "trace": 1}})
 	if a.ReplaysSharded != 7 || a.ReplaysSerial != 10 {
 		t.Fatalf("Add: got sharded=%d serial=%d", a.ReplaysSharded, a.ReplaysSerial)
+	}
+	if a.PhasesClosedForm != 3 || a.PhasesEngine != 4 || a.Certificates != 3 || a.Declines["jitter"] != 3 || a.Declines["trace"] != 1 {
+		t.Fatalf("Add: got %+v", a)
 	}
 }
 
@@ -84,5 +110,59 @@ func TestSimulatedBest18(t *testing.T) {
 	}
 	if !a.Part.Canonical().Equal(s.Part.Canonical()) {
 		t.Errorf("analytic %v vs compiled-simulated %v", a.Part, s.Part)
+	}
+}
+
+// A certificate is a fact about the topology, not about a machine or a
+// block size: over a 17-point sweep on three machines' optimizers (and
+// their parallel workers, under -race) each (topology, phase field) is
+// certified at most once in the process, a second optimizer of a machine
+// already swept certifies nothing, and every machine's answers are still
+// the event engine's to the last bit.
+func TestCertificatesSharedAcrossMachines(t *testing.T) {
+	topo := topology.MustParseSpec("hypercube-8")
+	fields := topo.NumDims() * (topo.NumDims() + 1) / 2 // distinct (lo, w) bit fields
+	machines := []model.Params{model.IPSC860(), model.Hypothetical(), model.Ncube2(), model.IPSC860()}
+	var total Stats
+	for i, prm := range machines {
+		o := NewSimulated(prm)
+		tbl, err := o.BuildTableOn(topo, 0, 256, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := o.Stats()
+		if st.PhasesClosedForm == 0 || st.PhasesEngine != 0 {
+			t.Fatalf("machine %d: %d closed-form and %d engine phases", i, st.PhasesClosedForm, st.PhasesEngine)
+		}
+		if i == len(machines)-1 && st.Certificates != 0 {
+			t.Errorf("a second iPSC-860 optimizer ran %d certificate passes", st.Certificates)
+		}
+		total.Add(st)
+
+		// The engine oracle: each hull segment's winner, replayed as bare
+		// programs through the monolithic loop.
+		for _, seg := range tbl.Segments {
+			c, err := o.BestOn(topo, seg.MinBlock)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, err := exchange.NewPlanOn(topo, seg.MinBlock, c.Part)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oracle, err := simnet.New(topo, prm).Run(plan.Compile().Programs())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(c.TimeMicro) != math.Float64bits(oracle.Makespan) {
+				t.Errorf("machine %d m=%d %v: %v µs, the engine says %v", i, seg.MinBlock, c.Part, c.TimeMicro, oracle.Makespan)
+			}
+		}
+	}
+	if total.Certificates > int64(fields) {
+		t.Errorf("%d certificate passes for %d distinct fields", total.Certificates, fields)
+	}
+	if replays := total.ReplaysSerial + total.ReplaysSharded; replays <= int64(fields) {
+		t.Fatalf("only %d replays: the sweeps must outnumber the %d fields", replays, fields)
 	}
 }

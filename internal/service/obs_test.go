@@ -131,6 +131,82 @@ func TestPlanMissTraceStages(t *testing.T) {
 	}
 }
 
+// TestCostReplayIsTracedAndCounted: a /v1/cost replay runs under the same
+// "replay" span the optimizer's replays do, so the replay stage's busy
+// time covers it, and /metrics says how its phases were priced — the XOR
+// phases of a healthy cube by certificate, a torus phase on the engine.
+func TestCostReplayIsTracedAndCounted(t *testing.T) {
+	ts := newTestServer(t)
+	for _, req := range []CostRequest{
+		{D: 5, M: 40, Partition: []int{3, 2}},
+		{Topology: "torus-4x4", M: 32, Partition: []int{1, 1}},
+	} {
+		postJSON(t, ts.URL+"/v1/cost", req, http.StatusOK, nil)
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	var tr TracesResponse
+	for getJSON(t, ts.URL+"/debug/traces", http.StatusOK, &tr); len(tr.Traces) < 2; getJSON(t, ts.URL+"/debug/traces", http.StatusOK, &tr) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d traces committed, want 2", len(tr.Traces))
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	closedForm := map[string]string{}
+	for _, td := range tr.Traces {
+		for _, sp := range td.Spans {
+			if sp.Name != "replay" {
+				continue
+			}
+			attrs := map[string]string{}
+			for _, a := range sp.Attrs {
+				attrs[a.Key] = a.Value
+			}
+			if attrs["kind"] != "cost" || attrs["m"] == "" || attrs["phases"] != "2" {
+				t.Errorf("cost replay span attrs %v", attrs)
+			}
+			closedForm[attrs["partition"]] = attrs["closed_form_phases"]
+		}
+	}
+	if closedForm["{3,2}"] != "2" || closedForm["{1,1}"] != "0" {
+		t.Errorf("closed_form_phases by partition: %v, want {3,2}:2 {1,1}:0", closedForm)
+	}
+
+	var m MetricsResponse
+	getJSON(t, ts.URL+"/metrics", http.StatusOK, &m)
+	if got := m.Stages["replay"].Count; got != 2 {
+		t.Errorf("replay stage observed %d spans for 2 cost replays", got)
+	}
+	if m.Replay.PhasesClosedForm != 2 || m.Replay.PhasesEngine != 2 || m.Replay.Declines["row-not-exchange"] != 1 {
+		t.Errorf("/metrics replay section: %+v", m.Replay)
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics?format=prometheus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]float64{
+		`pland_replay_phases_total{mode=closed_form}`:          2,
+		`pland_replay_phases_total{mode=engine}`:               2,
+		`pland_replay_declines_total{reason=row-not-exchange}`: 1,
+	}
+	for _, smp := range parseProm(t, string(raw)) {
+		for k, v := range smp.labels {
+			if key := smp.name + "{" + k + "=" + v + "}"; want[key] == smp.value {
+				delete(want, key)
+			}
+		}
+	}
+	if len(want) != 0 {
+		t.Errorf("Prometheus exposition lacks %v", want)
+	}
+}
+
 // TestTracesChromeExport: ?format=chrome renders a well-formed Chrome
 // trace_event document covering the committed traces.
 func TestTracesChromeExport(t *testing.T) {

@@ -35,7 +35,24 @@ func (s *Server) writePrometheus(w http.ResponseWriter) int {
 	p.Counter("pland_optimizer_memo_hits_total", "Phase-cost memo hits.", nil, float64(os.MemoHits))
 	p.Counter("pland_optimizer_memo_misses_total", "Phase-cost memo misses.", nil, float64(os.MemoMisses))
 	p.Counter("pland_optimizer_replays_sharded_total", "Simulated replays that ran on link-disjoint engine shards.", nil, float64(os.ReplaysSharded))
-	p.Counter("pland_optimizer_replays_serial_total", "Simulated replays that ran serial (including sharded fallbacks).", nil, float64(os.ReplaysSerial))
+	p.Counter("pland_optimizer_replays_serial_total", "Simulated replays that ran serial (including sharded fallbacks and closed-form replays).", nil, float64(os.ReplaysSerial))
+
+	rm := s.replayMetrics()
+	p.Header("pland_replay_phases_total", "counter", "Replayed phases by pricing mode: closed form under a lockstep certificate, or the event engine.")
+	p.Sample("pland_replay_phases_total", map[string]string{"mode": "closed_form"}, float64(rm.PhasesClosedForm))
+	p.Sample("pland_replay_phases_total", map[string]string{"mode": "engine"}, float64(rm.PhasesEngine))
+	p.Counter("pland_replay_certificates_total", "Phase certificate passes run (at most one per topology and phase field).", nil, float64(rm.Certificates))
+	if len(rm.Declines) > 0 {
+		reasons := make([]string, 0, len(rm.Declines))
+		for reason := range rm.Declines {
+			reasons = append(reasons, reason)
+		}
+		sort.Strings(reasons)
+		p.Header("pland_replay_declines_total", "counter", "Replays with an engine-run phase, by why the first such phase was not priced in closed form.")
+		for _, reason := range reasons {
+			p.Sample("pland_replay_declines_total", map[string]string{"reason": reason}, float64(rm.Declines[reason]))
+		}
+	}
 
 	fm := s.faultMetrics()
 	p.Gauge("pland_fault_sets_active", "Fabrics currently carrying fault state.", nil, float64(fm.ActiveFaultSets))

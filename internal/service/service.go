@@ -155,6 +155,9 @@ type Server struct {
 	panics                       atomic.Int64
 	shed, earlyAborts            atomic.Int64
 
+	// costReplays counts the /v1/cost replays, which no optimizer sees.
+	costReplays optimize.ReplayCounter
+
 	// ready gates /readyz: set by the daemon once snapshot restore,
 	// warmup, and cluster join (probe start + warm fan-out) are done, so
 	// a load balancer never routes to a cold replica.
@@ -543,7 +546,7 @@ func (s *Server) handleCost(w http.ResponseWriter, r *http.Request) int {
 	}
 	costNet := simnet.New(net, prm)
 	costNet.SetReplayShards(s.cfg.ReplayWorkers)
-	res, err := plan.Cost(costNet)
+	res, err := s.costReplays.Traced(r.Context(), "cost", plan, func() (simnet.Result, error) { return plan.Cost(costNet) })
 	if err != nil {
 		return writeError(w, http.StatusInternalServerError, err.Error())
 	}
@@ -748,8 +751,11 @@ type EndpointMetrics struct {
 type MetricsResponse struct {
 	Cache     plancache.Stats `json:"cache"`
 	Optimizer optimize.Stats  `json:"optimizer"`
-	Faults    FaultMetrics    `json:"faults"`
-	Panics    int64           `json:"panics_total"`
+	// Replay says how simnet priced the phases of every replay this
+	// daemon ran, the optimizers' and /v1/cost's together.
+	Replay ReplayMetrics `json:"replay"`
+	Faults FaultMetrics  `json:"faults"`
+	Panics int64         `json:"panics_total"`
 	// Shed counts requests refused with 503 because the local build
 	// concurrency bound was exhausted; EarlyAborts counts requests whose
 	// client disconnected before the answer was built (499).
@@ -766,6 +772,28 @@ type MetricsResponse struct {
 	Stages map[string]obs.HistSnapshot `json:"stages,omitempty"`
 }
 
+// ReplayMetrics counts replayed phases by how they were priced — in
+// closed form under a lockstep certificate, or on the event engine — the
+// certificate passes run, and, per replay with an engine-run phase, why
+// its first such phase was declined.
+type ReplayMetrics struct {
+	PhasesClosedForm int64            `json:"phases_closed_form"`
+	PhasesEngine     int64            `json:"phases_engine"`
+	Certificates     int64            `json:"certificates"`
+	Declines         map[string]int64 `json:"declines,omitempty"`
+}
+
+func (s *Server) replayMetrics() ReplayMetrics {
+	st := s.cache.OptimizerStats()
+	s.costReplays.AddTo(&st)
+	return ReplayMetrics{
+		PhasesClosedForm: st.PhasesClosedForm,
+		PhasesEngine:     st.PhasesEngine,
+		Certificates:     st.Certificates,
+		Declines:         st.Declines,
+	}
+}
+
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) int {
 	if r.URL.Query().Get("format") == "prometheus" {
 		return s.writePrometheus(w)
@@ -773,6 +801,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) int {
 	resp := MetricsResponse{
 		Cache:       s.cache.Stats(),
 		Optimizer:   s.cache.OptimizerStats(),
+		Replay:      s.replayMetrics(),
 		Faults:      s.faultMetrics(),
 		Panics:      s.panics.Load(),
 		Shed:        s.shed.Load(),

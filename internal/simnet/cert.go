@@ -1,0 +1,228 @@
+package simnet
+
+import "sync"
+
+// The reasons a phase of a Sharded source runs on the event engine
+// instead of being priced in closed form (Result.DeclineReason). The
+// first four are properties of the network that make durations or link
+// availability node-dependent, and are decided before any certificate is
+// looked at; the rest are what the certificate pass found.
+const (
+	declineTrace          = "trace"      // the Timeline needs the engine's events
+	declineJitter         = "jitter"     // per-node noise draws
+	declineFaultPlan      = "fault-plan" // timed faults resolve per circuit and instant
+	declineSlowLink       = "slow-link"  // a degraded overlay stretches some circuits
+	declineRowNotUniform  = "row-not-uniform"
+	declineRowNotExchange = "row-not-exchange"
+	declinePartner        = "partner-mismatch"
+	declineHops           = "hop-mismatch"
+	declineOverlap        = "link-overlap"
+	declineDuration       = "non-finite-duration"
+)
+
+// phaseCert is what one walk over a phase window's routed circuits proves
+// about it — a function of the topology and the phase's field and row
+// shape only, never of block size or machine parameters.
+//
+// The lockstep proof (decline == "") is the precondition under which the
+// engine's enterExchange/reserve/hold never delay, never stall and never
+// touch a backlog, and finish every node of a row at the same instant:
+// every row is an exchange (or a shuffle) with one kind and byte count
+// for all nodes, every node's partner names it back, the directed-link
+// slots of all circuits of a row — both directions, detours included —
+// are pairwise disjoint, and they all have one hop count.
+//
+// The group facts are what sharded replay needs of a phase the engine
+// runs: groups are the node sets agreeing outside the phase field
+// (PhaseSpan), dealt onto shards whole.
+type phaseCert struct {
+	decline string  // the first lockstep check that failed, "" when none did
+	hops    []int32 // per window row, the one hop count (≥ 1) of an exchange row's circuits
+
+	// groupsDisjoint: every communication partner is in its node's group
+	// and no directed link carries circuits of two groups.
+	groupsDisjoint bool
+	// confined: every circuit visits nodes of its own group only, so a
+	// wire can be touched by the group holding both its ends and no other.
+	confined bool
+}
+
+func (c *phaseCert) declineFor(reason string) {
+	if c.decline == "" {
+		c.decline = reason
+	}
+}
+
+// certify walks the sp.Rows−1 rows after the barrier at winLo−1 once,
+// node by node through src.Op and the topology's own AppendRouteSlots —
+// the calls the engine makes — and returns what they prove.
+func (n *Network) certify(src Sharded, sp PhaseSpan, winLo int) *phaseCert {
+	nodes, deg := n.topo.Nodes(), n.topo.Degree()
+	multi := sp.Span < nodes // more than one group: the group facts are not vacuous
+	geom := phaseGeom{stride: sp.Stride, block: sp.Stride * sp.Span}
+	group := make([]int32, nodes)
+	for p := range group {
+		group[p] = int32(geom.group(p))
+	}
+
+	c := &phaseCert{hops: make([]int32, sp.Rows-1), groupsDisjoint: true, confined: true}
+	partner := make([]int32, nodes)   // this row's exchange partners
+	rowOf := make([]int32, nodes*deg) // 1 + the window row whose circuits last covered the slot
+	var groupOf []int32               // 1 + the group whose circuits cover the slot
+	if multi {
+		groupOf = make([]int32, nodes*deg)
+	}
+	var slots, route []int
+	for i := range c.hops {
+		r, stamp := winLo+i, int32(i)+1
+		kind, bytes, uniform := src.UniformRow(r)
+		switch {
+		case !uniform:
+			c.declineFor(declineRowNotUniform)
+		case kind != OpExchange && kind != OpShuffle:
+			c.declineFor(declineRowNotExchange)
+		}
+		if c.decline != "" && !(multi && c.groupsDisjoint) {
+			return c // nothing left to prove
+		}
+		h := -1
+		for p := 0; p < nodes; p++ {
+			op := src.Op(p, r)
+			if uniform && (op.Kind != kind || op.Bytes != bytes) {
+				c.declineFor(declineRowNotUniform)
+			}
+			switch op.Kind {
+			case OpCompute, OpShuffle:
+				continue
+			case OpExchange, OpSend, OpPostRecv, OpWaitRecv, OpRecv:
+			default:
+				// A barrier or unknown op inside the window: the engine
+				// reports it, on one shard.
+				c.groupsDisjoint = false
+				c.declineFor(declineRowNotExchange)
+				continue
+			}
+			q := op.Peer
+			if q == p {
+				c.declineFor(declinePartner) // a self-exchange costs nothing on the engine
+				continue
+			}
+			if q < 0 || q >= nodes {
+				c.groupsDisjoint = false
+				c.declineFor(declinePartner)
+				continue
+			}
+			g := group[p]
+			if group[q] != g {
+				c.groupsDisjoint = false
+			}
+			if op.Kind != OpExchange && op.Kind != OpSend {
+				continue
+			}
+			slots = n.topo.AppendRouteSlots(slots[:0], p, q)
+			if c.decline == "" { // so the row, and this op, is an exchange
+				partner[p] = int32(q)
+				if h >= 0 && len(slots) != h {
+					c.declineFor(declineHops)
+				}
+				h = len(slots)
+				for _, s := range slots {
+					if rowOf[s] == stamp {
+						c.declineFor(declineOverlap)
+						break
+					}
+					rowOf[s] = stamp
+				}
+			}
+			if multi && c.groupsDisjoint {
+				for _, s := range slots {
+					if groupOf[s] == 0 {
+						groupOf[s] = g + 1
+					} else if groupOf[s] != g+1 {
+						c.groupsDisjoint = false
+					}
+				}
+				if c.confined {
+					route = n.topo.AppendRoute(route, p, q)
+					for _, v := range route {
+						if group[v] != g {
+							c.confined = false
+							break
+						}
+					}
+				}
+			}
+		}
+		if c.decline == "" && kind == OpExchange {
+			// Every node of the row recorded its partner: each must be
+			// named back, or the engine's rendezvous never completes.
+			for p, q := range partner {
+				if partner[q] != int32(p) {
+					c.declineFor(declinePartner)
+					break
+				}
+			}
+			c.hops[i] = int32(h)
+		}
+	}
+	return c
+}
+
+// certKey identifies a certificate: the topology by registry name (which
+// carries the health digest of a degraded overlay) and the phase by its
+// span's geometry and shape.
+type certKey struct {
+	topo               string
+	stride, span, rows int
+	shape              string
+}
+
+type certEntry struct {
+	once sync.Once
+	cert *phaseCert
+}
+
+// maxCertRows bounds the certificate cache by the rows its entries
+// cover — a certificate is four bytes a row, so 16 MB at the very most.
+// The complete field set of one 1024-node topology is some 8 000 rows.
+const maxCertRows = 1 << 22
+
+// certCache is the process-wide compute-once certificate store: the
+// points of an m-sweep, the optimizers of different machines and repeated
+// cost requests verify a (topology, field) once between them.
+var certCache = struct {
+	mu   sync.Mutex
+	m    map[certKey]*certEntry
+	rows int // Σ rows over m's keys
+}{m: make(map[certKey]*certEntry)}
+
+// certificate returns the certificate of the phase whose window starts at
+// row winLo, and whether this call ran the pass. A span with no Shape
+// promises nothing about other sources' phases and is certified afresh.
+func (n *Network) certificate(src Sharded, sp PhaseSpan, winLo int) (cert *phaseCert, computed bool) {
+	if sp.Shape == "" {
+		return n.certify(src, sp, winLo), true
+	}
+	k := certKey{topo: n.topo.Name(), stride: sp.Stride, span: sp.Span, rows: sp.Rows, shape: sp.Shape}
+	cc := &certCache
+	cc.mu.Lock()
+	e, ok := cc.m[k]
+	if !ok {
+		for old := range cc.m {
+			if cc.rows+k.rows <= maxCertRows {
+				break
+			}
+			delete(cc.m, old) // a caller inside its once keeps the entry it holds
+			cc.rows -= old.rows
+		}
+		e = new(certEntry)
+		cc.m[k] = e
+		cc.rows += k.rows
+	}
+	cc.mu.Unlock()
+	e.once.Do(func() {
+		e.cert = n.certify(src, sp, winLo)
+		computed = true
+	})
+	return e.cert, computed
+}

@@ -44,6 +44,7 @@ type FaultPlan struct {
 // built once at SetFaultPlan and read-only afterwards (runs may share
 // it concurrently).
 type compiledFaults struct {
+	wires    [][2]int  // the faulted wires' end nodes, in plan order
 	downAt   []float64 // +Inf when the slot never goes down
 	slowFrom []float64 // +Inf when the slot never slows
 	slowFact []float64
@@ -86,6 +87,7 @@ func (n *Network) SetFaultPlan(fp FaultPlan) error {
 			return fmt.Errorf("simnet: fault on %d-%d: factor %v (want 0 = down or a finite factor > 1)",
 				lf.A, lf.B, lf.Factor)
 		}
+		cf.wires = append(cf.wires, [2]int{lf.A, lf.B})
 		for _, slot := range [2]int{base.LinkSlot(lf.A, lf.B), base.LinkSlot(lf.B, lf.A)} {
 			if lf.Factor == 0 {
 				if lf.At < cf.downAt[slot] {

@@ -143,8 +143,9 @@ var identityCases = []identityCase{
 	{name: "mesh4x4 fan-in", spec: "mesh-4x4", progs: fanIn(5)},
 }
 
-// run replays the case at the given shard count (1 = serial).
-func (c identityCase) run(t *testing.T, shards int) simnet.Result {
+// network builds the case's network at the given shard count (1 = one
+// engine) and, for a compiled case, its plan's compiled source.
+func (c identityCase) network(t *testing.T, shards int) (*simnet.Network, *exchange.CompiledPlan) {
 	t.Helper()
 	topo, err := topology.ParseSpec(c.spec)
 	if err != nil {
@@ -158,15 +159,26 @@ func (c identityCase) run(t *testing.T, shards int) simnet.Result {
 			t.Fatal(err)
 		}
 	}
-	var res simnet.Result
 	if c.progs != nil {
-		res, err = net.Run(c.progs(topo.Nodes()))
+		return net, nil
+	}
+	plan, err := exchange.NewPlanOn(topo, c.m, c.part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return net, plan.Compile()
+}
+
+// run replays the case at the given shard count.
+func (c identityCase) run(t *testing.T, shards int) simnet.Result {
+	t.Helper()
+	net, src := c.network(t, shards)
+	var res simnet.Result
+	var err error
+	if src == nil {
+		res, err = net.Run(c.progs(net.Nodes()))
 	} else {
-		var plan *exchange.Plan
-		if plan, err = exchange.NewPlanOn(topo, c.m, c.part); err != nil {
-			t.Fatal(err)
-		}
-		res, err = net.RunSource(plan.Compile())
+		res, err = net.RunSource(src)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -174,10 +186,11 @@ func (c identityCase) run(t *testing.T, shards int) simnet.Result {
 	return res
 }
 
-// TestReplayBitIdentity pins every simnet.Result field, bit for bit,
-// across the replay core's fast and slow paths: XOR and cyclic phases,
-// detours, slow wires, timed faults, jitter, and one-sided sends with
-// link queues deeper than the inline ring — serial and sharded.
+// TestReplayBitIdentity pins every simulated simnet.Result field, bit for
+// bit, across the replay core's fast and slow paths: XOR and cyclic
+// phases, detours, slow wires, timed faults, jitter, and one-sided sends
+// with link queues deeper than the inline ring — phases priced in closed
+// form or run on one engine or on several shards, as each case allows.
 func TestReplayBitIdentity(t *testing.T) {
 	got := make(map[string]replayDigest)
 	for _, c := range identityCases {

@@ -24,7 +24,7 @@ type Network struct {
 	jitterFrac float64
 	jitterSeed int64
 	faults     *compiledFaults // timed fault schedule (SetFaultPlan), nil when none
-	shards     int             // SetReplayShards; ≤ 1 replays serially
+	shards     int             // SetReplayShards; ≤ 1 keeps each engine-run phase on one engine
 }
 
 // SetJitter enables deterministic pseudo-random perturbation of every
@@ -127,10 +127,27 @@ type Result struct {
 	Timeline []Interval
 	// ReplayShards is the number of event-engine shards the run actually
 	// used: 1 for a serial replay (including every sharded attempt that
-	// fell back — cross-span detour routes, unconfined fault plans), the
-	// maximum per-phase shard count otherwise. Sharded and serial replays
-	// of the same source are bit-identical in every other field.
+	// fell back — cross-span detour routes, unconfined fault plans — and
+	// every run whose phases were all priced in closed form), the maximum
+	// per-phase shard count otherwise. Sharded and serial replays of the
+	// same source are bit-identical in every other field above.
 	ReplayShards int
+	// ClosedFormPhases and EnginePhases count the phases of a Sharded
+	// source by how they were priced: in closed form, under a certificate
+	// that the phase runs in lockstep, or on the event engine. Both are 0
+	// for plain programs. DeclineReason says why the first engine-run
+	// phase was not priced in closed form: "jitter", "fault-plan",
+	// "slow-link" or "trace" when the network rules it out for every
+	// phase, otherwise the certificate check that failed —
+	// "row-not-uniform", "row-not-exchange", "partner-mismatch",
+	// "hop-mismatch", "link-overlap" — or "non-finite-duration".
+	// Certificates counts the certificate passes this run had to perform
+	// itself; a pass is shared process-wide per (topology, phase span).
+	// None of the four affects, or depends on, the fields above.
+	ClosedFormPhases int
+	EnginePhases     int
+	DeclineReason    string
+	Certificates     int
 }
 
 // Source is the program set of one run addressed by (node, index). It is
@@ -234,7 +251,7 @@ type runState struct {
 	stall []float64
 
 	// windowed marks a shard interpreting one phase's row window under
-	// runSharded: barriers are handled by the orchestrator between
+	// runPhases: barriers are handled by the orchestrator between
 	// windows, so encountering one mid-window is a verification bug.
 	windowed bool
 
@@ -481,12 +498,15 @@ func (n *Network) RunSource(src Source) (Result, error) {
 	return n.runSource(src)
 }
 
+// runSource replays a Sharded source phase by phase (runPhases) and
+// everything else — plain programs, a source whose span table is
+// unusable, any run with tracing on — in the one monolithic loop below,
+// which is also the oracle the phase-by-phase path is tested against.
 func (n *Network) runSource(src Source) (Result, error) {
-	if n.shards > 1 && !n.trace {
-		if sh, ok := src.(Sharded); ok {
-			if res, ran, err := n.runSharded(sh, n.shards); ran {
-				return res, err
-			}
+	sh, phased := src.(Sharded)
+	if phased && !n.trace {
+		if res, ran, err := n.runPhases(sh); ran {
+			return res, err
 		}
 	}
 	nodes := n.topo.Nodes()
@@ -531,6 +551,9 @@ func (n *Network) runSource(src Source) (Result, error) {
 	// the same floats in the same sequence.
 	for p := 0; p < nodes; p++ {
 		st.res.ContentionStall += st.stall[p]
+	}
+	if phased && n.trace {
+		st.res.EnginePhases, st.res.DeclineReason = len(sh.PhaseSpans()), declineTrace
 	}
 	return st.res, nil
 }

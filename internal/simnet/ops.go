@@ -22,17 +22,23 @@
 // network executes one program per node, returning per-node completion
 // times and aggregate statistics.
 //
-// Replay is serial by default: one event engine orders every event in
-// the machine. A Source that also declares per-phase sub-block structure
-// (the Sharded interface; exchange.CompiledPlan does) can opt into
-// parallel replay via SetReplayShards: each phase's node groups are
-// verified to share no directed link — from the actual routes, detours
-// included — and link-disjoint groups then run on private engines that
-// merge at every barrier. Verification failure (a detour crossing spans,
-// a fault plan touched by two shards, a mid-window barrier) falls the
-// phase back to serial dynamics, so sharded results are always
-// bit-identical to serial ones: same makespans, same counters, same
-// jitter draws (per-node RNG streams), same float summation order.
+// Plain programs replay on one event engine that orders every event in
+// the machine. A Source that also declares its per-phase structure (the
+// Sharded interface; exchange.CompiledPlan does) is replayed phase by
+// phase, and each phase by the cheapest means that gives the engine's
+// exact result. A phase certificate — proved once per (topology, phase
+// field) from the actual routed links, detours included, and cached
+// process-wide — says whether the phase runs in lockstep: every row a
+// uniform exchange whose circuits are pairwise link-disjoint and of one
+// hop count. Such a phase is priced in closed form, by the float
+// additions the engine would have applied to every node and no events. A
+// phase the certificate declines — or any phase when jitter, a FaultPlan,
+// slow links or tracing make durations or availability node-dependent —
+// runs on the engine; SetReplayShards lets it run as several private
+// engines when the same certificate proves the phase's node groups share
+// no directed link. Every path returns bit-identical results: same
+// makespans, same counters, same jitter draws (per-node RNG streams),
+// same float summation order. Result says which path each phase took.
 package simnet
 
 import "fmt"

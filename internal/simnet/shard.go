@@ -6,17 +6,18 @@ import (
 	"sync"
 
 	"repro/internal/event"
+	"repro/internal/topology"
 )
 
-// PhaseSpan describes one phase of a sharded replay source: a leading
-// barrier row followed by Rows−1 rows whose communication stays inside
-// the phase's field. Nodes whose labels agree outside the field — i.e.
-// that share (p / (Stride·Span), p mod Stride) — form one group; the
+// PhaseSpan describes one phase of a Sharded source: a leading barrier
+// row followed by Rows−1 rows whose communication stays inside the
+// phase's field. Nodes whose labels agree outside the field — i.e. that
+// share (p / (Stride·Span), p mod Stride) — form one group; the
 // multiphase schedules only ever pair nodes within a group, and on the
 // base topologies a route between two group members never leaves the
-// group's sub-block. That independence is what the sharded replay mode
-// exploits; it is verified against the actual routed link coverage at
-// replay time, never assumed (degraded-overlay detours can break it).
+// group's sub-block. Nothing the replay does rests on that description:
+// what a phase's circuits actually occupy is proved from the routed
+// links, once per (topology, span), by the phase certificate.
 type PhaseSpan struct {
 	// Rows is the number of op-table rows in this phase, including the
 	// leading barrier row.
@@ -25,45 +26,52 @@ type PhaseSpan struct {
 	Stride int
 	// Span is the field size: the number of nodes per group.
 	Span int
+	// Shape names the phase's op pattern so its certificate can be shared:
+	// two spans with equal Rows, Stride, Span and a non-empty Shape, of any
+	// sources over one topology, must give every (node, row) the same op
+	// kind and partner — only byte counts may differ. A source that makes
+	// no such promise leaves Shape empty and has its phases certified
+	// afresh on every replay.
+	Shape string
 }
 
-// Sharded is a Source that exposes its per-phase span structure, making
-// it eligible for sharded replay (Network.SetReplayShards). The contract:
-// the program length is uniform across nodes and equals the sum of Rows;
-// each phase's first row is an OpBarrier for every node and no other row
-// of the phase is a barrier for any node. exchange.CompiledPlan is the
-// canonical implementation.
+// Sharded is a Source that exposes its per-phase structure, which lets a
+// replay treat each phase on its own: price it in closed form when its
+// certificate proves it runs in lockstep, run it on the event engine
+// otherwise — across several shards when SetReplayShards asks for them
+// and the certificate proves the phase's groups link-disjoint. The
+// contract: the program length is uniform across nodes and equals the sum
+// of Rows; each phase's first row is an OpBarrier for every node and no
+// other row of the phase is a barrier for any node. exchange.CompiledPlan
+// is the canonical implementation.
 type Sharded interface {
 	Source
 	// PhaseSpans returns the plan's phase structure in row order. Callers
 	// must not modify the returned slice.
 	PhaseSpans() []PhaseSpan
+	// UniformRow returns the op kind and byte count row i has on every
+	// node, or ok = false when nodes differ on either. Op(p, i) must agree
+	// with it for every p; the certificate pass checks that it does, and a
+	// replay then reads a certified row once instead of once per node.
+	UniformRow(i int) (kind OpKind, bytes int, ok bool)
 }
 
 // maxReplayShards bounds SetReplayShards: shards beyond the group count
-// of a phase idle anyway, and the verifier's pairwise link-coverage
-// intersection is quadratic in the shard count.
+// of a phase idle anyway.
 const maxReplayShards = 64
 
 // SetReplayShards sets the number of event-engine shards RunSource may
-// split a replay across (clamped to [1, 64]; ≤ 1 restores serial replay).
-// Sharding engages only for sources implementing Sharded, only while
-// tracing is off, and only for phases whose routed circuits provably
-// occupy disjoint directed links — each phase is stamped against
-// topology.LinkSlot coverage and falls back to a single shard when any
-// two shards would share a link (degraded-overlay detours that cross span
-// boundaries), when a communication partner lands on another shard, or
-// when a FaultPlan's faulted wires are touched by more than one shard.
-// Successful sharded replays are bit-identical to serial replays in every
-// Result field except ReplayShards.
+// split an engine-run phase across (clamped to [1, 64]; ≤ 1 keeps every
+// phase on one engine). Sharding engages only for sources implementing
+// Sharded, only while tracing is off, and only for phases whose
+// certificate proves that the routed circuits of different groups occupy
+// disjoint directed links; a phase falls back to a single shard when a
+// detour crosses groups, when a communication partner lies outside its
+// node's group, or when a FaultPlan's faulted wires would be touched by
+// more than one shard. Sharded replays are bit-identical to serial ones
+// in every Result field except ReplayShards.
 func (n *Network) SetReplayShards(w int) {
-	if w < 1 {
-		w = 1
-	}
-	if w > maxReplayShards {
-		w = maxReplayShards
-	}
-	n.shards = w
+	n.shards = min(max(w, 1), maxReplayShards)
 }
 
 // phaseGeom is the node→shard assignment of one phase: groups (sub-blocks
@@ -72,18 +80,36 @@ type phaseGeom struct {
 	stride, block, weff int
 }
 
+func (g phaseGeom) group(p int) int { return (p/g.block)*g.stride + p%g.stride }
+
 // owner returns the shard interpreting node p this phase.
-func (g phaseGeom) owner(p int) int {
-	grp := (p/g.block)*g.stride + p%g.stride
-	return grp % g.weff
+func (g phaseGeom) owner(p int) int { return g.group(p) % g.weff }
+
+// nodeDependent names what, if anything, makes transmission durations or
+// link availability differ from node to node on this network whatever the
+// routes are; a lockstep certificate says nothing about such a run.
+func (n *Network) nodeDependent() string {
+	if n.jitterFrac != 0 {
+		return declineJitter
+	}
+	if n.faults != nil {
+		return declineFaultPlan
+	}
+	if dg, ok := n.topo.(*topology.Degraded); ok && dg.HasSlowLinks() {
+		return declineSlowLink
+	}
+	return ""
 }
 
-// runSharded replays a Sharded source across up to w event-engine shards.
-// It reports ran = false when the source's span structure is unusable as
-// a whole (the caller then runs the ordinary serial path); a phase that
-// merely fails link-disjointness verification runs on a single shard
-// inside the orchestrator, which is the serial dynamics for that phase.
-func (n *Network) runSharded(src Sharded, w int) (Result, bool, error) {
+// runPhases replays a Sharded source phase by phase: the global barrier
+// each phase opens with is applied here, per-node carriers cross from one
+// phase to the next, and each phase's rows are either priced in closed
+// form — its certificate proves the engine would finish every node of
+// every row at one instant — or run on the event engine, on as many
+// shards as SetReplayShards allows and the certificate proves
+// independent. It reports ran = false when the source's span structure is
+// unusable as a whole (the caller then runs the monolithic loop).
+func (n *Network) runPhases(src Sharded) (Result, bool, error) {
 	nodes := n.topo.Nodes()
 	spans := src.PhaseSpans()
 	if len(spans) == 0 {
@@ -124,44 +150,18 @@ func (n *Network) runSharded(src Sharded, w int) (Result, bool, error) {
 		row += sp.Rows
 	}
 
-	deg := n.topo.Degree()
-	// faultSlots marks directed links carrying a timed fault; a phase
-	// whose coverage touches them from more than one shard falls back to
-	// a single shard so fault resolution stays serial-identical.
-	var faultSlots []uint64
-	if n.faults != nil {
-		faultSlots = make([]uint64, (nodes*deg+63)/64)
-		for slot := range n.faults.downAt {
-			if !math.IsInf(n.faults.downAt[slot], 1) || !math.IsInf(n.faults.slowFrom[slot], 1) {
-				faultSlots[slot/64] |= 1 << uint(slot%64)
-			}
-		}
-	}
+	w := max(n.shards, 1)
+	engineOnly := n.nodeDependent()
 
-	// Set up the shard interpreters once: private engines, channels,
-	// node-state arrays and link backlogs, and the first shard's hot link
-	// arrays shared by all (each phase's verified link-disjointness makes
-	// the shards' writes to them disjoint; the per-phase goroutine joins
-	// order them across phases).
-	ws := make([]*runState, w)
-	for s := range ws {
-		st := n.newState(src, ws[0])
-		st.windowed = true
-		ws[s] = st
-		defer st.release()
-	}
-
-	// Cross-phase per-node carriers, identical to the serial state: a
-	// node may move between shards from one phase to the next, so its
-	// ready time, jitter stream and stall account travel through these.
-	ready := make([]float64, nodes)
-	stall := make([]float64, nodes)
-	var rngs []uint64
-	if n.jitterFrac != 0 {
-		rngs = seedJitterStreams(n.jitterSeed, nodes)
-	}
-
+	// ready carries every node's available time from phase to phase (a
+	// node may move between shards) and ends as its finish time. The
+	// engine's states, and the stall and jitter-stream carriers only they
+	// touch, are set up by the first phase that needs them.
 	res := Result{NodeFinish: make([]float64, nodes), ReplayShards: 1}
+	ready := res.NodeFinish
+	var eng shardEngines
+	defer eng.release()
+
 	rowLo := 0
 	for pi, sp := range spans {
 		winLo, winHi := rowLo+1, rowLo+sp.Rows
@@ -169,7 +169,7 @@ func (n *Network) runSharded(src Sharded, w int) (Result, bool, error) {
 
 		// The global barrier this phase opens with: everyone waits for
 		// the slowest arrival, then pays the global sync cost together —
-		// exactly enterBarrier's release rule, applied across shards.
+		// exactly enterBarrier's release rule.
 		maxT := 0.0
 		for _, t := range ready {
 			if t > maxT {
@@ -180,183 +180,226 @@ func (n *Network) runSharded(src Sharded, w int) (Result, bool, error) {
 		res.Barriers++
 
 		geom := phaseGeom{stride: sp.Stride, block: sp.Stride * sp.Span, weff: min(w, nodes/sp.Span)}
-		if geom.weff > 1 && !n.verifyPhase(src, geom, winLo, winHi, nodes, deg, faultSlots) {
+		reason := engineOnly
+		var cert *phaseCert
+		if reason == "" || geom.weff > 1 {
+			var computed bool
+			if cert, computed = n.certificate(src, sp, winLo); computed {
+				res.Certificates++
+			}
+			if reason == "" {
+				reason = cert.decline
+			}
+		}
+		if reason == "" {
+			if t, msgs, moved, ok := n.closedForm(src, cert, winLo, winHi, release); ok {
+				for p := range ready {
+					ready[p] = t
+				}
+				res.Messages += msgs
+				res.BytesMoved += moved
+				if msgs > 0 { // circuits held links, each alone on its own
+					res.MaxEdgeQueue = max(res.MaxEdgeQueue, 1)
+				}
+				res.ClosedFormPhases++
+				continue
+			}
+			reason = declineDuration // the engine reports it in its own words
+		}
+		res.EnginePhases++
+		if res.DeclineReason == "" {
+			res.DeclineReason = reason
+		}
+		if geom.weff > 1 && !(cert.groupsDisjoint && n.faultsOnOneShard(cert, geom)) {
 			geom.weff = 1
 		}
-		if geom.weff > res.ReplayShards {
-			res.ReplayShards = geom.weff
-		}
-
-		// A link may change shards between phases, and its backlog lives
-		// with the shard that built it. Every hold placed so far finished
-		// by some node's ready time, hence by the release, so the backlogs
-		// hold nothing a later hold could still count: drop them.
-		stale := false
-		for _, st := range ws {
-			stale = stale || len(st.backlogs) > 0
-			st.backlogs = st.backlogs[:0]
-		}
-		if stale {
-			clear(ws[0].backlogOf)
-		}
-
-		// Copy the carriers in and seed every node's first step event at
-		// the release time, in node order: within each shard the engine
-		// then breaks release-time ties by node id, exactly as the serial
-		// barrier's sorted release does.
-		windowOps := uint64(winHi-winLo) * uint64(nodes)
-		for p := 0; p < nodes; p++ {
-			st := ws[geom.owner(p)]
-			st.pc[p] = int32(winLo)
-			st.lens[p] = int32(winHi)
-			st.ready[p] = release
-			st.done[p] = false
-			st.stall[p] = stall[p]
-			if rngs != nil {
-				st.rngs[p] = rngs[p]
-			}
-			st.eng.PostArg(event.Time(release), st.stepH, p)
-		}
-
-		budget := n.budget
-		if budget == 0 {
-			budget = DefaultEventBudget
-			if structural := 2*windowOps + 4*uint64(nodes); structural > budget {
-				budget = structural
-			}
-		}
-		drained := make([]bool, geom.weff)
-		if geom.weff == 1 {
-			drained[0] = ws[0].eng.RunLimit(budget)
-		} else {
-			var wg sync.WaitGroup
-			for s := 0; s < geom.weff; s++ {
-				wg.Add(1)
-				go func(s int) {
-					defer wg.Done()
-					drained[s] = ws[s].eng.RunLimit(budget)
-				}(s)
-			}
-			wg.Wait()
-		}
-		for s := 0; s < geom.weff; s++ {
-			if err := ws[s].failed; err != nil {
-				return res, true, err
-			}
-			if !drained[s] {
-				return res, true, fmt.Errorf(
-					"simnet: event budget (%d) exhausted in replay shard %d of phase %d (livelock?)",
-					budget, s, pi)
-			}
-		}
-		for p := 0; p < nodes; p++ {
-			st := ws[geom.owner(p)]
-			if !st.done[p] {
-				return res, true, fmt.Errorf("simnet: node %d blocked at op %d (%s): deadlock",
-					p, st.pc[p], st.opName(p))
-			}
-			ready[p] = st.ready[p]
-			stall[p] = st.stall[p]
-			if rngs != nil {
-				rngs[p] = st.rngs[p]
-			}
+		res.ReplayShards = max(res.ReplayShards, geom.weff)
+		if err := eng.runWindow(n, src, geom, pi, winLo, winHi, release, ready); err != nil {
+			return res, true, err
 		}
 	}
 
-	for p := 0; p < nodes; p++ {
-		res.NodeFinish[p] = ready[p]
-		if ready[p] > res.Makespan {
-			res.Makespan = ready[p]
+	for _, t := range ready {
+		if t > res.Makespan {
+			res.Makespan = t
 		}
-		res.ContentionStall += stall[p]
 	}
-	for s := range ws {
-		res.Messages += ws[s].res.Messages
-		res.BytesMoved += ws[s].res.BytesMoved
-		res.DroppedForced += ws[s].res.DroppedForced
-		res.MaxEdgeQueue = max(res.MaxEdgeQueue, int(ws[s].maxQueue))
+	for _, s := range eng.stall {
+		res.ContentionStall += s
+	}
+	for _, st := range eng.ws {
+		res.Messages += st.res.Messages
+		res.BytesMoved += st.res.BytesMoved
+		res.DroppedForced += st.res.DroppedForced
+		res.MaxEdgeQueue = max(res.MaxEdgeQueue, int(st.maxQueue))
 	}
 	return res, true, nil
 }
 
-// verifyPhase proves that this phase's routed circuits are confined to
-// their shards: every communication op's partner lives on the same shard,
-// and the directed links the circuits occupy — stamped from the actual
-// routes, detours included — are disjoint across shards. It also demands
-// that at most one shard touches a faulted wire, so a FaultPlan resolves
-// exactly as it would serially. Any violation reports false and the phase
-// runs on a single shard.
-func (n *Network) verifyPhase(src Source, geom phaseGeom, winLo, winHi, nodes, deg int, faultSlots []uint64) bool {
-	words := (nodes*deg + 63) / 64
-	cover := make([][]uint64, geom.weff)
-	touchesFault := make([]bool, geom.weff)
-	ok := make([]bool, geom.weff)
-	var wg sync.WaitGroup
-	for s := 0; s < geom.weff; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			cov := make([]uint64, words)
-			cover[s] = cov
-			var slots []int
-			fault := false
-			for p := 0; p < nodes; p++ {
-				if geom.owner(p) != s {
-					continue
-				}
-				for r := winLo; r < winHi; r++ {
-					op := src.Op(p, r)
-					switch op.Kind {
-					case OpCompute, OpShuffle:
-						continue
-					case OpExchange, OpSend, OpPostRecv, OpWaitRecv, OpRecv:
-						q := op.Peer
-						if q == p {
-							continue
-						}
-						if q < 0 || q >= nodes || geom.owner(q) != s {
-							return // cross-shard partner (or malformed op: let serial dynamics report it)
-						}
-						if op.Kind == OpExchange || op.Kind == OpSend {
-							slots = n.topo.AppendRouteSlots(slots[:0], p, q)
-							for _, slot := range slots {
-								cov[slot/64] |= 1 << uint(slot%64)
-								if faultSlots != nil && faultSlots[slot/64]&(1<<uint(slot%64)) != 0 {
-									fault = true
-								}
-							}
-						}
-					default:
-						return // a barrier (or unknown op) inside the window
-					}
-				}
+// closedForm prices a certified phase by the float additions the engine
+// would have applied to every node, in row order: the exchange time of
+// each row's one (bytes, hops), ρ·bytes for a shuffle. ok is false when a
+// duration is one the engine refuses to turn into a timestamp.
+func (n *Network) closedForm(src Sharded, cert *phaseCert, winLo, winHi int, release float64) (t float64, msgs, moved int, ok bool) {
+	nodes := n.topo.Nodes()
+	t = release
+	for r := winLo; r < winHi; r++ {
+		switch kind, bytes, _ := src.UniformRow(r); kind {
+		case OpExchange:
+			finish := t + n.params.ExchangeTime(bytes, int(cert.hops[r-winLo]))
+			if !(finish >= t && finish <= math.MaxFloat64) {
+				return 0, 0, 0, false
 			}
-			touchesFault[s] = fault
-			ok[s] = true
-		}(s)
-	}
-	wg.Wait()
-	faulted := 0
-	for s := 0; s < geom.weff; s++ {
-		if !ok[s] {
-			return false
-		}
-		if touchesFault[s] {
-			faulted++
+			t = finish
+			msgs += nodes // nodes/2 pairs, two transmissions each
+			moved += nodes * bytes
+		case OpShuffle:
+			t += n.params.Rho * float64(bytes)
 		}
 	}
-	if faulted > 1 {
+	return t, msgs, moved, true
+}
+
+// faultsOnOneShard reports whether at most one shard of a phase with
+// link-disjoint groups can touch a wire carrying a timed fault, so that a
+// FaultPlan resolves — and a down wire fails the run — exactly as it
+// would serially. A wire is touched by no group but the one holding both
+// its ends, given circuits confined to their groups.
+func (n *Network) faultsOnOneShard(cert *phaseCert, geom phaseGeom) bool {
+	if n.faults == nil {
+		return true
+	}
+	if !cert.confined {
 		return false
 	}
-	for a := 0; a < geom.weff; a++ {
-		for b := a + 1; b < geom.weff; b++ {
-			ca, cb := cover[a], cover[b]
-			for i := range ca {
-				if ca[i]&cb[i] != 0 {
-					return false
-				}
-			}
+	shard := -1
+	for _, wire := range n.faults.wires {
+		if geom.group(wire[0]) != geom.group(wire[1]) {
+			continue
 		}
+		o := geom.owner(wire[0])
+		if shard >= 0 && o != shard {
+			return false
+		}
+		shard = o
 	}
 	return true
+}
+
+// shardEngines is what the engine-run phases of one replay share and the
+// closed-form ones never need: the shard interpreters — private engines,
+// channels, node-state arrays and link backlogs, and the first shard's
+// hot link arrays shared by all (a phase's certified link-disjointness
+// makes the shards' writes to them disjoint; the per-phase goroutine
+// joins order them across phases) — and the per-node stall accounts and
+// jitter streams that travel with a node from shard to shard.
+type shardEngines struct {
+	ws    []*runState
+	stall []float64
+	rngs  []uint64
+}
+
+func (e *shardEngines) release() {
+	for _, st := range e.ws {
+		st.release()
+	}
+}
+
+// runWindow runs rows [winLo, winHi) of every node on geom.weff shards,
+// from the barrier release time, and writes the nodes' finish times back
+// to ready.
+func (e *shardEngines) runWindow(n *Network, src Sharded, geom phaseGeom, pi, winLo, winHi int, release float64, ready []float64) error {
+	nodes := len(ready)
+	if e.ws == nil {
+		e.stall = make([]float64, nodes)
+		if n.jitterFrac != 0 {
+			e.rngs = seedJitterStreams(n.jitterSeed, nodes)
+		}
+	}
+	for len(e.ws) < geom.weff {
+		var owner *runState
+		if len(e.ws) > 0 {
+			owner = e.ws[0]
+		}
+		st := n.newState(src, owner)
+		st.windowed = true
+		e.ws = append(e.ws, st)
+	}
+	ws := e.ws[:geom.weff]
+
+	// A link may change shards between phases, and its backlog lives
+	// with the shard that built it. Every hold placed so far finished
+	// by some node's ready time, hence by the release, so the backlogs
+	// hold nothing a later hold could still count: drop them.
+	stale := false
+	for _, st := range e.ws {
+		stale = stale || len(st.backlogs) > 0
+		st.backlogs = st.backlogs[:0]
+	}
+	if stale {
+		clear(e.ws[0].backlogOf)
+	}
+
+	// Copy the carriers in and seed every node's first step event at
+	// the release time, in node order: within each shard the engine
+	// then breaks release-time ties by node id, exactly as the serial
+	// barrier's sorted release does.
+	for p := 0; p < nodes; p++ {
+		st := ws[geom.owner(p)]
+		st.pc[p] = int32(winLo)
+		st.lens[p] = int32(winHi)
+		st.ready[p] = release
+		st.done[p] = false
+		st.stall[p] = e.stall[p]
+		if e.rngs != nil {
+			st.rngs[p] = e.rngs[p]
+		}
+		st.eng.PostArg(event.Time(release), st.stepH, p)
+	}
+
+	budget := n.budget
+	if budget == 0 {
+		budget = DefaultEventBudget
+		windowOps := uint64(winHi-winLo) * uint64(nodes)
+		if structural := 2*windowOps + 4*uint64(nodes); structural > budget {
+			budget = structural
+		}
+	}
+	drained := make([]bool, len(ws))
+	if len(ws) == 1 {
+		drained[0] = ws[0].eng.RunLimit(budget)
+	} else {
+		var wg sync.WaitGroup
+		for s := range ws {
+			wg.Add(1)
+			go func(s int) {
+				defer wg.Done()
+				drained[s] = ws[s].eng.RunLimit(budget)
+			}(s)
+		}
+		wg.Wait()
+	}
+	for s, st := range ws {
+		if st.failed != nil {
+			return st.failed
+		}
+		if !drained[s] {
+			return fmt.Errorf(
+				"simnet: event budget (%d) exhausted in replay shard %d of phase %d (livelock?)",
+				budget, s, pi)
+		}
+	}
+	for p := 0; p < nodes; p++ {
+		st := ws[geom.owner(p)]
+		if !st.done[p] {
+			return fmt.Errorf("simnet: node %d blocked at op %d (%s): deadlock",
+				p, st.pc[p], st.opName(p))
+		}
+		ready[p] = st.ready[p]
+		e.stall[p] = st.stall[p]
+		if e.rngs != nil {
+			e.rngs[p] = st.rngs[p]
+		}
+	}
+	return nil
 }

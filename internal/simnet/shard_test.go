@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -21,6 +22,18 @@ func (s *shardedProgs) NumNodes() int           { return len(s.progs) }
 func (s *shardedProgs) NumOps(p int) int        { return len(s.progs[p]) }
 func (s *shardedProgs) Op(p, i int) Op          { return s.progs[p][i] }
 func (s *shardedProgs) PhaseSpans() []PhaseSpan { return s.spans }
+
+// UniformRow answers from the programs themselves, so it agrees with Op
+// by construction.
+func (s *shardedProgs) UniformRow(i int) (OpKind, int, bool) {
+	first := s.progs[0][i]
+	for _, prog := range s.progs[1:] {
+		if prog[i].Kind != first.Kind || prog[i].Bytes != first.Bytes {
+			return 0, 0, false
+		}
+	}
+	return first.Kind, first.Bytes, true
+}
 
 // multiphaseSource builds a d=3 hypercube program of two XOR phases plus
 // compute and shuffle rows: phase one exchanges across dimension 2
@@ -59,19 +72,29 @@ func mustRunSource(t *testing.T, net *Network, src Source) Result {
 	return res
 }
 
-// requireIdentical asserts two results agree bit-for-bit in every field
-// except ReplayShards (which reports the mode that produced them).
+// simulated strips the fields that report how a result was produced —
+// shards, pricing modes, certificate passes — leaving what was simulated.
+func simulated(r Result) Result {
+	r.ReplayShards, r.ClosedFormPhases, r.EnginePhases, r.DeclineReason, r.Certificates = 0, 0, 0, "", 0
+	return r
+}
+
+// requireIdentical asserts two results agree bit-for-bit in every
+// simulated field.
 func requireIdentical(t *testing.T, label string, serial, sharded Result) {
 	t.Helper()
-	serial.ReplayShards, sharded.ReplayShards = 0, 0
+	serial, sharded = simulated(serial), simulated(sharded)
 	if !reflect.DeepEqual(serial, sharded) {
 		t.Fatalf("%s: sharded result differs from serial\nserial:  %+v\nsharded: %+v", label, serial, sharded)
 	}
 }
 
 // The sharded replay of a link-disjoint multiphase program must be
-// bit-identical to the serial replay — with and without jitter, across
-// shard counts that divide the groups evenly and ones that do not.
+// bit-identical to the serial replay, and both to the monolithic engine
+// loop over the bare programs — with and without jitter, across shard
+// counts that divide the groups evenly and ones that do not. Phase one
+// has a compute row, so it runs on the engine either way; phase two is
+// pure exchanges and is priced in closed form unless jitter forbids it.
 func TestShardedReplayMatchesSerial(t *testing.T) {
 	topo := topology.MustNew(3)
 	for _, jitter := range []float64{0, 0.08} {
@@ -81,6 +104,19 @@ func TestShardedReplayMatchesSerial(t *testing.T) {
 		serial := mustRunSource(t, serialNet, src)
 		if serial.ReplayShards != 1 {
 			t.Fatalf("serial ReplayShards = %d, want 1", serial.ReplayShards)
+		}
+		oracle, err := serialNet.Run(src.progs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireIdentical(t, "phase by phase vs monolithic", oracle, serial)
+		wantClosed, wantReason := 1, declineRowNotExchange
+		if jitter != 0 {
+			wantClosed, wantReason = 0, declineJitter
+		}
+		if serial.ClosedFormPhases != wantClosed || serial.EnginePhases != 2-wantClosed || serial.DeclineReason != wantReason {
+			t.Fatalf("jitter=%v: %d closed-form and %d engine phases, declined for %q; want %d, %d, %q", jitter,
+				serial.ClosedFormPhases, serial.EnginePhases, serial.DeclineReason, wantClosed, 2-wantClosed, wantReason)
 		}
 		for _, w := range []int{2, 3, 4, 7} {
 			net := New(topo, model.Hypothetical())
@@ -150,6 +186,10 @@ func TestShardedDeclinesUnderTrace(t *testing.T) {
 	res := mustRunSource(t, net, multiphaseSource())
 	if res.ReplayShards != 1 {
 		t.Fatalf("ReplayShards = %d under trace, want 1", res.ReplayShards)
+	}
+	if res.ClosedFormPhases != 0 || res.EnginePhases != 2 || res.DeclineReason != declineTrace {
+		t.Fatalf("under trace: %d closed-form and %d engine phases, declined for %q",
+			res.ClosedFormPhases, res.EnginePhases, res.DeclineReason)
 	}
 	if len(res.Timeline) == 0 {
 		t.Fatal("trace produced no timeline")
@@ -238,5 +278,56 @@ func TestRecycledStateCarriesNothingOver(t *testing.T) {
 		}
 		requireIdentical(t, "serial after dirty runs", want, fresh(1))
 		requireIdentical(t, "sharded after dirty runs", want, fresh(3))
+	}
+}
+
+// The certificate cache is bounded by the rows its keys cover: a key that
+// would overflow it evicts others first, and the row account stays the sum
+// over the resident keys.
+func TestCertificateCacheIsBounded(t *testing.T) {
+	cc := &certCache
+	fake := func(i int) certKey {
+		return certKey{topo: fmt.Sprintf("fake-%d", i), rows: maxCertRows / 4, shape: "fake"}
+	}
+	cc.mu.Lock()
+	for i := 0; i < 4; i++ {
+		cc.m[fake(i)] = new(certEntry)
+		cc.rows += fake(i).rows
+	}
+	cc.mu.Unlock()
+	defer func() {
+		cc.mu.Lock()
+		for i := 0; i < 4; i++ {
+			if _, ok := cc.m[fake(i)]; ok {
+				delete(cc.m, fake(i))
+				cc.rows -= fake(i).rows
+			}
+		}
+		cc.mu.Unlock()
+	}()
+
+	src := multiphaseSource()
+	for i := range src.spans {
+		src.spans[i].Shape = "bounded-cache-test"
+	}
+	net := New(topology.MustNew(3), model.Hypothetical())
+	want := mustRunSource(t, net, multiphaseSource())
+	got := mustRunSource(t, net, src)
+	requireIdentical(t, "cached certificates", want, got)
+	if got.Certificates != 2 {
+		t.Fatalf("%d certificate passes for two new keys", got.Certificates)
+	}
+	if again := mustRunSource(t, net, src); again.Certificates != 0 {
+		t.Fatalf("%d certificate passes on a warm cache", again.Certificates)
+	}
+
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	sum := 0
+	for k := range cc.m {
+		sum += k.rows
+	}
+	if cc.rows != sum || sum > maxCertRows {
+		t.Fatalf("cache accounts %d rows, holds %d, bound %d", cc.rows, sum, maxCertRows)
 	}
 }
