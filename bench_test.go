@@ -708,6 +708,56 @@ func BenchmarkBuildTableMemoized(b *testing.B) {
 	b.ReportMetric(float64(st.MemoHits), "memo_hits")
 }
 
+// BenchmarkHullBuildSimulated times a cold simulated hull build — a fresh
+// optimizer, the sweep pland runs for a line — on the three shapes a
+// build's cost takes: torus-4x4x4x4, where one whole-machine cyclic phase
+// that never wins dominates and is aborted at its cutoff at most points;
+// torus-8x8, a small cyclic line; and hypercube-10, priced by certificate
+// with no engine run at all. replays/op and aborted/op are the replays
+// that finished and the ones abandoned at their cutoff (each its last
+// iteration's count; the split can move with the worker count, the table
+// never does).
+func BenchmarkHullBuildSimulated(b *testing.B) {
+	prm := model.IPSC860()
+	for _, spec := range []string{"torus-4x4x4x4", "torus-8x8", "hypercube-10"} {
+		b.Run(spec, func(b *testing.B) {
+			net := topology.MustParseSpec(spec)
+			b.ReportAllocs()
+			var st optimize.Stats
+			for i := 0; i < b.N; i++ {
+				opt := optimize.NewSimulated(prm)
+				if _, err := opt.BuildTableOn(net, 0, 256, 16); err != nil {
+					b.Fatal(err)
+				}
+				st = opt.Stats()
+			}
+			b.ReportMetric(float64(st.ReplaysSerial+st.ReplaysSharded), "replays/op")
+			b.ReportMetric(float64(st.ReplaysAborted), "aborted/op")
+		})
+	}
+}
+
+// BenchmarkBestOnCached is the optimizer's answer to a (topology, m) it
+// has already enumerated — what every point of a plancache line rebuild
+// from a warm optimizer costs: one map lookup, nothing validated again,
+// nothing allocated.
+func BenchmarkBestOnCached(b *testing.B) {
+	net := topology.MustParseSpec("torus-4x4x4")
+	opt := optimize.New(model.IPSC860())
+	for m := 0; m < 256; m++ {
+		if _, err := opt.BestOn(net, m); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := opt.BestOn(net, i&255); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkPlanCacheHitTorus pins the serving hot path under a topology
 // key: a resident torus line must answer with the same O(1) lookup as
 // the hypercube line.

@@ -27,6 +27,7 @@ package event
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 )
 
 // Time is virtual simulation time in microseconds.
@@ -133,6 +134,8 @@ type Engine struct {
 	// exactly when (time, seq) is below (now, firedSeq).
 	cancelled map[uint64]struct{}
 	firedSeq  uint64
+
+	stopped atomic.Bool // Stop was called since the last Reset
 }
 
 // New returns an engine with the clock at zero.
@@ -391,13 +394,21 @@ func (g *Engine) Cancel(e *Event) bool {
 	return true
 }
 
+// Stop ends the Run, RunUntil or RunLimit in progress once the handler it
+// is in returns, and makes every later one return at once, until Reset:
+// the clock stays where it is and what is queued stays queued. A
+// simulation that has learned all it needed stops instead of draining.
+// Stop alone of the engine's methods may be called from another
+// goroutine, so one of several engines run side by side can stop the rest.
+func (g *Engine) Stop() { g.stopped.Store(true) }
+
 // Step executes the single earliest event. It reports false when the
 // queue is empty.
 func (g *Engine) Step() bool { return g.step(noLimit) }
 
 // Run executes events until the queue is empty and returns the final time.
 func (g *Engine) Run() Time {
-	for g.step(noLimit) {
+	for !g.stopped.Load() && g.step(noLimit) {
 	}
 	return g.now
 }
@@ -407,7 +418,10 @@ func (g *Engine) Run() Time {
 // remained and the clock had not passed it, else the time of the last
 // event executed.
 func (g *Engine) RunUntil(deadline Time) Time {
-	for g.step(deadline) {
+	for !g.stopped.Load() && g.step(deadline) {
+	}
+	if g.stopped.Load() {
+		return g.now
 	}
 	if g.pending > 0 && g.now < deadline {
 		g.now = deadline
@@ -418,7 +432,7 @@ func (g *Engine) RunUntil(deadline Time) Time {
 // RunLimit executes at most n events; useful as a watchdog against
 // runaway simulations. It reports whether the queue drained.
 func (g *Engine) RunLimit(n uint64) bool {
-	for i := uint64(0); i < n; i++ {
+	for i := uint64(0); i < n && !g.stopped.Load(); i++ {
 		if !g.step(noLimit) {
 			return true
 		}

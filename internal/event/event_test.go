@@ -174,6 +174,53 @@ func TestRunLimit(t *testing.T) {
 	}
 }
 
+// Stop ends the run in progress after the handler that called it, leaves
+// the rest queued and the clock where it was, holds until Reset, and may
+// come from another goroutine.
+func TestStop(t *testing.T) {
+	g := New()
+	var fired []int
+	for i := 0; i < 10; i++ {
+		i := i
+		g.At(Time(i), func(Time) {
+			fired = append(fired, i)
+			if i == 3 {
+				g.Stop()
+			}
+		})
+	}
+	if g.RunLimit(100) {
+		t.Error("a stopped RunLimit must not report the queue drained")
+	}
+	if len(fired) != 4 || g.Now() != 3 || g.Pending() != 6 {
+		t.Errorf("after Stop at t=3: fired %v, now %v, %d pending", fired, g.Now(), g.Pending())
+	}
+	if g.Run(); len(fired) != 4 {
+		t.Errorf("Run after Stop fired %v", fired)
+	}
+	if g.RunUntil(100); len(fired) != 4 || g.Now() != 3 {
+		t.Errorf("RunUntil after Stop fired %v and moved the clock to %v", fired, g.Now())
+	}
+
+	g.Reset()
+	n := 0
+	var h Handler
+	h = func(now Time) {
+		n++
+		g.Post(now+1, h)
+	}
+	g.Post(0, h)
+	ran := make(chan Time)
+	go func() { ran <- g.Run() }() // endless, but for Stop
+	g.Stop()
+	if end := <-ran; n != int(end)+1 && n != 0 {
+		t.Errorf("stopped from outside at t=%v after %d events", end, n)
+	}
+	if g.Pending() > 1 {
+		t.Errorf("%d events pending after an outside Stop", g.Pending())
+	}
+}
+
 func TestEventTimeAccessor(t *testing.T) {
 	g := New()
 	e := g.At(7, func(Time) {})

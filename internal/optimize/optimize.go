@@ -35,20 +35,45 @@
 //     simnet has certified contention-free and lockstep (the XOR phases
 //     of a healthy hypercube) is priced by the engine's own additions
 //     with no events, to the same last bit; Stats counts phases by mode.
-//   - Branch-and-bound pruning (simulated backend). The analytic model
-//     generalization (model.PhaseLowerBoundOn) is an admissible lower
-//     bound on each phase's simulated makespan; candidates are ordered
-//     best-first by bound and any candidate whose bound exceeds the
-//     incumbent's simulated time is skipped without a replay. The bound
-//     never overestimates, so no potential winner (or tie) is discarded,
-//     and pruned/evaluated counters are exposed through Stats.
-//   - Parallel costing. Surviving candidates are costed concurrently on
-//     a bounded worker pool (SetWorkers, default GOMAXPROCS on the
-//     compiled simulated path). Ties break deterministically — lowest
-//     cost, then fewest phases, then enumeration order — reduced after
-//     all workers finish, so parallel and serial enumeration return
-//     bit-identical Choices. SetExhaustive(true) disables pruning and
-//     best-first ordering for equivalence testing.
+//   - Branch-and-bound pruning (simulated backend), one rule. The
+//     analytic model generalization (model.PhaseLowerBoundOn) is an
+//     admissible lower bound on each phase's simulated makespan, and
+//     candidates are ordered best-first by the sum of their bounds. A
+//     candidate stays in contention while its cost can still come in under
+//     the incumbent's, so its phase i may cost at most a cutoff: the
+//     incumbent (plus pruneSlack), less the exact costs already summed for
+//     the phases before i, less the bounds of the phases still to come. The
+//     candidate is discarded the moment phase i is known to cost more
+//     than that — by its bound alone, with no replay (at i = 0 that is the
+//     familiar "candidate's bound exceeds the incumbent"), by what the memo
+//     already records, or by the replay itself, which runs under that
+//     cutoff (simnet.RunSourceBounded) and stops at the instant some
+//     node's clock passes it instead of simulating a loser to its last
+//     event. The bound never overestimates and an aborted replay proves
+//     its fragment costs more than the cutoff, so no potential winner (or
+//     tie) is discarded; Stats counts candidates evaluated, pruned and
+//     pruned with the help of a replay, and replays finished and aborted.
+//   - Two entry states. A simulated phase-memo entry is either exact — the
+//     fragment's makespan — or a bound — a value the makespan is known to
+//     exceed, the highest cutoff a replay of it was aborted at. A lookup
+//     under a cutoff the bound already reaches is answered without a
+//     replay; one under a looser cutoff replays again and leaves the entry
+//     exact or with a higher bound; a bound is never returned as a cost,
+//     and the winner's reported time only ever reads exact entries.
+//   - Parallel costing. A single Best costs its surviving candidates
+//     concurrently on a bounded worker pool (SetWorkers, default
+//     GOMAXPROCS on the compiled simulated path) — after the first
+//     best-first candidate, which runs alone so that every other one
+//     starts with an incumbent, hence a finite cutoff. A simulated table
+//     sweep deals its points to the same workers instead and costs the
+//     candidates within a point serially, best first: the points carry
+//     nothing from one to the next but an ordering hint, while two
+//     candidates started together would both replay with no cutoff. Ties
+//     break deterministically — lowest cost, then fewest phases, then
+//     enumeration order — reduced after all workers finish, so parallel
+//     and serial enumeration return bit-identical Choices.
+//     SetExhaustive(true) disables pruning, cutoffs and best-first
+//     ordering for equivalence testing.
 //
 // Concurrent Best calls on the same uncached key share one evaluation:
 // in-flight de-duplication prevents a cache stampede from running the
@@ -58,10 +83,12 @@ package optimize
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -165,26 +192,33 @@ type key struct {
 // Stats is a snapshot of the optimizer's evaluation counters. Evaluations
 // counts full enumerations (cache hits and singleflight followers do not
 // move it); Evaluated and Pruned partition the candidates those
-// enumerations dequeued into costed and bound-skipped; MemoHits and
-// MemoMisses count phase-level memo lookups (a miss computes the phase —
-// analytically or by fragment replay — a hit reuses it). The split of
-// candidates between Evaluated and Pruned can vary run to run on the
-// parallel path (it depends on how fast the incumbent drops); the
-// returned Choice never does.
+// enumerations dequeued into costed in full and proven to lose first;
+// MemoHits and MemoMisses count phase-level memo lookups (a miss computes
+// the phase — analytically or by fragment replay, finished or aborted — a
+// hit reuses what is recorded). The split of candidates between Evaluated
+// and Pruned can vary run to run on the parallel paths (it depends on how
+// fast the incumbent drops); the returned Choice never does.
 type Stats struct {
 	Evaluations int64 `json:"evaluations"`
 	Evaluated   int64 `json:"evaluated"`
 	Pruned      int64 `json:"pruned"`
 	MemoHits    int64 `json:"memo_hits"`
 	MemoMisses  int64 `json:"memo_misses"`
+	// PrunedByCutoff counts the candidates of Pruned whose proof needed a
+	// replay — exact phase costs already summed, or a replay aborted at its
+	// cutoff, this candidate's or an earlier one's — rather than the
+	// admissible bounds alone.
+	PrunedByCutoff int64 `json:"pruned_by_cutoff"`
 	// ReplaysSharded and ReplaysSerial split the simulated backend's
-	// replays (memoized fragments and whole-plan winner re-derivations)
-	// by the mode that actually ran: sharded when the link-disjoint
-	// partitioner engaged (Result.ReplayShards > 1), serial otherwise —
-	// including every sharded attempt that fell back and every replay
-	// priced wholly in closed form.
+	// finished replays (memoized fragments and whole-plan winner
+	// re-derivations) by the mode that actually ran: sharded when the
+	// link-disjoint partitioner engaged (Result.ReplayShards > 1), serial
+	// otherwise — including every sharded attempt that fell back and every
+	// replay priced wholly in closed form. ReplaysAborted counts the
+	// replays abandoned at their cutoff (simnet.ErrCutoff) instead.
 	ReplaysSharded int64 `json:"replays_sharded"`
 	ReplaysSerial  int64 `json:"replays_serial"`
+	ReplaysAborted int64 `json:"replays_aborted"`
 	// PhasesClosedForm and PhasesEngine split the phases of those replays
 	// by how simnet priced them: in closed form under a lockstep
 	// certificate, or on the event engine. Declines counts, per replay
@@ -207,8 +241,10 @@ func (s *Stats) Add(t Stats) {
 	s.Pruned += t.Pruned
 	s.MemoHits += t.MemoHits
 	s.MemoMisses += t.MemoMisses
+	s.PrunedByCutoff += t.PrunedByCutoff
 	s.ReplaysSharded += t.ReplaysSharded
 	s.ReplaysSerial += t.ReplaysSerial
+	s.ReplaysAborted += t.ReplaysAborted
 	s.PhasesClosedForm += t.PhasesClosedForm
 	s.PhasesEngine += t.PhasesEngine
 	s.Certificates += t.Certificates
@@ -226,6 +262,7 @@ func (s *Stats) Add(t Stats) {
 // /v1/cost endpoint) keeps one of its own.
 type ReplayCounter struct {
 	sharded, serial    atomic.Int64
+	aborted            atomic.Int64
 	closedForm, engine atomic.Int64
 	certificates       atomic.Int64
 
@@ -235,17 +272,26 @@ type ReplayCounter struct {
 
 // Traced runs one replay of plan (or of a fragment of it) under a "replay"
 // span — kind says which: "fragment", "plan", "cost" — and counts its
-// result. Every replay goes through here, so the replay stage's histogram
-// accounts for all of a build's or a cost request's simulation time.
-func (c *ReplayCounter) Traced(ctx context.Context, kind string, plan *exchange.Plan, replay func() (simnet.Result, error)) (simnet.Result, error) {
+// result; cutoff is the makespan bound the replay runs under, +Inf for
+// none. Every replay, finished or aborted at its cutoff, goes through
+// here, so the replay stage's histogram accounts for all of a build's or a
+// cost request's simulation time.
+func (c *ReplayCounter) Traced(ctx context.Context, kind string, plan *exchange.Plan, cutoff float64, replay func() (simnet.Result, error)) (simnet.Result, error) {
 	sp := obs.StartSpan(ctx, "replay")
 	defer sp.End()
 	if sp != nil { // an untraced replay can be microseconds: format nothing for it
 		sp.SetAttr("kind", kind)
 		sp.SetAttr("partition", plan.Partition().String())
 		sp.SetInt("m", int64(plan.BlockSize()))
+		if !math.IsInf(cutoff, 1) {
+			sp.SetAttr("cutoff_us", strconv.FormatFloat(cutoff, 'f', 2, 64))
+		}
 	}
 	res, err := replay()
+	if errors.Is(err, simnet.ErrCutoff) {
+		sp.SetAttr("aborted", "true")
+		c.aborted.Add(1)
+	}
 	if err != nil {
 		return res, err
 	}
@@ -277,6 +323,7 @@ func (c *ReplayCounter) AddTo(s *Stats) {
 	t := Stats{
 		ReplaysSharded:   c.sharded.Load(),
 		ReplaysSerial:    c.serial.Load(),
+		ReplaysAborted:   c.aborted.Load(),
 		PhasesClosedForm: c.closedForm.Load(),
 		PhasesEngine:     c.engine.Load(),
 		Certificates:     c.certificates.Load(),
@@ -305,16 +352,17 @@ type Optimizer struct {
 	replayShards atomic.Int32 // SetReplayShards; ≤ 1 keeps replays serial
 	exhaustive   atomic.Bool  // SetExhaustive; disables pruning/reordering
 
-	evaluated  atomic.Int64
-	pruned     atomic.Int64
-	memoHits   atomic.Int64
-	memoMisses atomic.Int64
-	replays    ReplayCounter
+	evaluated      atomic.Int64
+	pruned         atomic.Int64
+	prunedByCutoff atomic.Int64
+	memoHits       atomic.Int64
+	memoMisses     atomic.Int64
+	replays        ReplayCounter
 
 	enums sync.Map // topology name -> *enumSet
 
 	analyticPhases memoTable // (field, m) -> analytic phase cost
-	simPhases      memoTable // (field, m) -> fragment replay makespan
+	simPhases      simMemo   // (field, m) -> fragment replay makespan, or a value it exceeds
 	boundPhases    memoTable // (field, m) -> admissible lower bound
 
 	mu     sync.Mutex
@@ -396,6 +444,60 @@ func (t *memoTable) get(k phaseKey, hits, misses *atomic.Int64, compute func() (
 	return e.val, e.err
 }
 
+// simEntry is one memoized fragment cost, in one of two states: exact —
+// val is the fragment's makespan — or bounded — the makespan is known to
+// exceed val, the highest cutoff a replay of it was aborted at (−Inf
+// before any). An entry only moves up: a bound rises, or becomes exact.
+type simEntry struct {
+	mu    sync.Mutex
+	exact bool
+	val   float64
+	err   error
+}
+
+// simMemo is the simulated backend's phase memo. Unlike memoTable's
+// compute-once cells its entries can be asked again: a caller whose cutoff
+// lies beyond what an entry records replays the fragment, under that
+// cutoff, and leaves the entry exact or with a higher bound. Same-key
+// callers wait on the entry, as they would on a sync.Once.
+type simMemo struct {
+	mu sync.Mutex
+	m  map[phaseKey]*simEntry
+}
+
+// get returns the fragment's makespan (exact), or — when that is known to
+// exceed cutoff — a value at or above cutoff that it exceeds. replay runs
+// the fragment under the cutoff and reports simnet.ErrCutoff for a run it
+// abandoned; a lookup that replays is a miss, every other one a hit.
+func (t *simMemo) get(k phaseKey, cutoff float64, hits, misses *atomic.Int64, replay func(cutoff float64) (float64, error)) (val float64, exact bool, err error) {
+	t.mu.Lock()
+	if t.m == nil {
+		t.m = make(map[phaseKey]*simEntry)
+	}
+	e, ok := t.m[k]
+	if !ok {
+		e = &simEntry{val: math.Inf(-1)}
+		t.m[k] = e
+	}
+	t.mu.Unlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.err != nil || e.exact || e.val >= cutoff {
+		hits.Add(1)
+		return e.val, e.exact, e.err
+	}
+	misses.Add(1)
+	switch v, err := replay(cutoff); {
+	case err == nil:
+		e.val, e.exact = v, true
+	case errors.Is(err, simnet.ErrCutoff):
+		e.val = cutoff
+	default:
+		e.err = err
+	}
+	return e.val, e.exact, e.err
+}
+
 // enumSet is the cached candidate enumeration of one topology: the
 // groupings and, per grouping, its phase fields. Computed once per
 // topology name and shared by every (m) query and sweep point.
@@ -427,17 +529,30 @@ func NewSimulated(p model.Params) *Optimizer {
 // programs are op-for-op the programs the goroutine run records.
 func (o *Optimizer) SetCosting(c Costing) { o.costing.Store(int32(c)) }
 
-// SetWorkers bounds the candidate-costing worker pool. n ≤ 0 restores
-// the default: GOMAXPROCS on the compiled simulated path, 1 for the
-// analytic backend (the closed form is too cheap to fan out unless asked
-// to). Requests above GOMAXPROCS are clamped. Safe to call concurrently
-// with Best; an in-flight evaluation keeps the pool it started with. The
-// pool size never changes which Choice is returned.
+// SetWorkers bounds the costing worker pool: the candidates of one Best
+// enumeration, or — on the simulated backend — the points of one table
+// sweep, whose candidates are then costed serially. n ≤ 0 restores the
+// default: GOMAXPROCS on the compiled simulated path, 1 for the analytic
+// backend (the closed form is too cheap to fan out unless asked to).
+// Requests above GOMAXPROCS are clamped. Safe to call concurrently with
+// Best; an in-flight evaluation keeps the pool it started with. The pool
+// size never changes which Choice is returned.
 func (o *Optimizer) SetWorkers(n int) {
 	if max := runtime.GOMAXPROCS(0); n > max {
 		n = max
 	}
 	o.workers.Store(int32(n))
+}
+
+// poolSize is the worker bound SetWorkers left, or its default.
+func (o *Optimizer) poolSize() int {
+	if w := int(o.workers.Load()); w > 0 {
+		return w
+	}
+	if o.backend == Simulated {
+		return runtime.GOMAXPROCS(0)
+	}
+	return 1
 }
 
 // SetReplayShards sets the event-engine shard count the simulated
@@ -473,11 +588,12 @@ func (o *Optimizer) Evaluations() int64 { return o.evals.Load() }
 // Stats returns a snapshot of the evaluation counters.
 func (o *Optimizer) Stats() Stats {
 	s := Stats{
-		Evaluations: o.evals.Load(),
-		Evaluated:   o.evaluated.Load(),
-		Pruned:      o.pruned.Load(),
-		MemoHits:    o.memoHits.Load(),
-		MemoMisses:  o.memoMisses.Load(),
+		Evaluations:    o.evals.Load(),
+		Evaluated:      o.evaluated.Load(),
+		Pruned:         o.pruned.Load(),
+		MemoHits:       o.memoHits.Load(),
+		MemoMisses:     o.memoMisses.Load(),
+		PrunedByCutoff: o.prunedByCutoff.Load(),
 	}
 	o.replays.AddTo(&s)
 	return s
@@ -515,16 +631,29 @@ const MaxMixedRadixDims = 17
 // all radices are equal (order cannot matter) and over all 2^(k−1)
 // ordered compositions otherwise.
 func (o *Optimizer) BestOn(net topology.Network, m int) (Choice, error) {
-	return o.bestOn(context.Background(), net, m, nil)
+	return o.bestOn(context.Background(), net, m, nil, 0)
 }
 
-// bestOn is BestOn with an optional warm-start hint: a grouping expected
-// to be (near-)optimal — the previous sweep point's winner — evaluated
-// first so the incumbent starts tight and the bound cuts early. The hint
-// changes evaluation order only, never the returned Choice. ctx is used
-// solely for observability (replay spans land on the calling request's
-// trace); it does not cancel the enumeration.
-func (o *Optimizer) bestOn(ctx context.Context, net topology.Network, m int, hint partition.Partition) (Choice, error) {
+// bestOn is BestOn with an optional warm-start hint — a grouping expected
+// to be (near-)optimal, a lower sweep point's winner, evaluated first so
+// the incumbent starts tight and the bound cuts early — and the number of
+// workers its candidates are costed on (≤ 0: the optimizer's pool).
+// Neither changes the returned Choice, only the order and concurrency of
+// evaluation. ctx is used solely for observability (replay spans land on
+// the calling request's trace); it does not cancel the enumeration.
+func (o *Optimizer) bestOn(ctx context.Context, net topology.Network, m int, hint partition.Partition, workers int) (Choice, error) {
+	// The cache answers before anything is validated: a key is only ever
+	// inserted after the checks below passed for it, and a degraded
+	// overlay's name carries its health digest. Cached results also stay
+	// reachable regardless of the current costing's dimension limit (both
+	// costings produce identical choices, so a hit is always valid).
+	k := key{topo: net.Name(), m: m}
+	o.mu.Lock()
+	c, ok := o.cache[k]
+	o.mu.Unlock()
+	if ok {
+		return c, nil
+	}
 	if net.Nodes() > 1<<20 {
 		return Choice{}, fmt.Errorf("optimize: %s exceeds the enumeration limit of 2^20 nodes", net.Name())
 	}
@@ -542,16 +671,6 @@ func (o *Optimizer) bestOn(ctx context.Context, net topology.Network, m int, hin
 	if err := topology.CheckOperational(net); err != nil {
 		return Choice{}, fmt.Errorf("optimize: %w", err)
 	}
-	k := key{topo: net.Name(), m: m}
-	o.mu.Lock()
-	if c, ok := o.cache[k]; ok {
-		// Cached results stay reachable regardless of the current
-		// costing's dimension limit (both costings produce identical
-		// choices, so a hit is always valid).
-		o.mu.Unlock()
-		return c, nil
-	}
-	o.mu.Unlock()
 	costing := Costing(o.costing.Load())
 	if o.backend == Simulated {
 		if net.Nodes() > 1<<MaxSimulatedDim {
@@ -582,7 +701,7 @@ func (o *Optimizer) bestOn(ctx context.Context, net topology.Network, m int, hin
 	o.flight[k] = f
 	o.mu.Unlock()
 
-	f.c, f.err = o.evaluateAll(ctx, net, m, costing, hint)
+	f.c, f.err = o.evaluateAll(ctx, net, m, costing, hint, workers)
 	o.mu.Lock()
 	if f.err == nil {
 		o.cache[k] = f.c
@@ -654,7 +773,7 @@ func (o *Optimizer) enumFor(topo topology.Network) (*enumSet, error) {
 // go to the candidate with fewer phases, then to enumeration order, as
 // always). The analytic backend and the compiled simulated path run the
 // memoized engine; the goroutine oracle stays a serial whole-plan loop.
-func (o *Optimizer) evaluateAll(ctx context.Context, topo topology.Network, m int, costing Costing, hint partition.Partition) (Choice, error) {
+func (o *Optimizer) evaluateAll(ctx context.Context, topo topology.Network, m int, costing Costing, hint partition.Partition, workers int) (Choice, error) {
 	o.evals.Add(1)
 	if topo.NumDims() == 0 {
 		return Choice{Topo: topo.Name(), D: 0, Block: m, Part: nil, TimeMicro: 0, Backend: o.backend}, nil
@@ -666,7 +785,7 @@ func (o *Optimizer) evaluateAll(ctx context.Context, topo topology.Network, m in
 	if o.backend == Simulated && costing == CostingGoroutine {
 		return o.evaluateGoroutine(topo, m, es.parts)
 	}
-	return o.evaluateMemoized(ctx, topo, m, es, hint)
+	return o.evaluateMemoized(ctx, topo, m, es, hint, workers)
 }
 
 // evaluateGoroutine is the sequential whole-plan oracle: every candidate
@@ -711,14 +830,13 @@ func (o *Optimizer) evaluateGoroutine(topo topology.Network, m int, parts []part
 // reported TimeMicro is re-derived from one whole-plan replay of the
 // winner so it matches Plan.Cost bit-for-bit.
 //
-// Pruning discards a dequeued candidate only when its admissible lower
-// bound exceeds the incumbent phase-sum by more than pruneSlack; since
-// the incumbent only decreases toward the true minimum, a pruned
-// candidate's cost is strictly above the winner's — it can neither win
-// nor tie — so the reduction over the surviving candidates returns the
-// same Choice as exhaustive enumeration, regardless of worker count or
-// scheduling.
-func (o *Optimizer) evaluateMemoized(ctx context.Context, topo topology.Network, m int, es *enumSet, hint partition.Partition) (Choice, error) {
+// Pruning discards a candidate only when candidateCost proves its
+// phase-sum exceeds the incumbent's by more than pruneSlack; since the
+// incumbent only decreases toward the true minimum, a pruned candidate's
+// cost is strictly above the winner's — it can neither win nor tie — so
+// the reduction over the surviving candidates returns the same Choice as
+// exhaustive enumeration, regardless of worker count or scheduling.
+func (o *Optimizer) evaluateMemoized(ctx context.Context, topo topology.Network, m int, es *enumSet, hint partition.Partition, workers int) (Choice, error) {
 	parts, fields := es.parts, es.fields
 	simulated := o.backend == Simulated
 	prune := simulated && !o.exhaustive.Load()
@@ -727,11 +845,19 @@ func (o *Optimizer) evaluateMemoized(ctx context.Context, topo topology.Network,
 	for i := range order {
 		order[i] = i
 	}
-	var lbs []float64
+	var lbs []float64       // per candidate, the sum of its phases' bounds
+	var phaseLB [][]float64 // per candidate, per phase
 	if prune {
 		lbs = make([]float64, len(parts))
+		phaseLB = make([][]float64, len(parts))
+		phases := 0
+		for _, f := range fields {
+			phases += len(f)
+		}
+		flat := make([]float64, phases)
 		for i := range parts {
-			lb, err := o.candidateBound(topo, m, fields[i])
+			phaseLB[i], flat = flat[:len(fields[i])], flat[len(fields[i]):]
+			lb, err := o.candidateBound(topo, m, fields[i], phaseLB[i])
 			if err != nil {
 				return Choice{}, err
 			}
@@ -765,20 +891,10 @@ func (o *Optimizer) evaluateMemoized(ctx context.Context, topo topology.Network,
 	done := make([]bool, len(parts))
 	errs := make([]error, len(parts))
 
-	workers := int(o.workers.Load())
 	if workers <= 0 {
-		if simulated {
-			workers = runtime.GOMAXPROCS(0)
-		} else {
-			workers = 1
-		}
+		workers = o.poolSize()
 	}
-	if workers > len(order) {
-		workers = len(order)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers = max(min(workers, len(order)), 1)
 
 	var net *simnet.Network
 	if simulated {
@@ -788,45 +904,54 @@ func (o *Optimizer) evaluateMemoized(ctx context.Context, topo topology.Network,
 
 	var incMu sync.Mutex
 	incumbent := math.Inf(1)
+	evaluate := func(i int) {
+		limit, lb := math.Inf(1), []float64(nil)
+		if prune {
+			incMu.Lock()
+			limit = incumbent * (1 + pruneSlack)
+			incMu.Unlock()
+			lb = phaseLB[i]
+		}
+		c, fits, err := o.candidateCost(ctx, net, topo, m, parts[i], fields[i], lb, limit)
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		if !fits {
+			return
+		}
+		costs[i] = c
+		done[i] = true
+		o.evaluated.Add(1)
+		if prune {
+			incMu.Lock()
+			if c < incumbent {
+				incumbent = c
+			}
+			incMu.Unlock()
+		}
+	}
 	var cursor atomic.Int64
+	if prune && workers > 1 {
+		// The first best-first candidate alone: two candidates started
+		// together would both run with no incumbent, hence no cutoff.
+		evaluate(order[0])
+		cursor.Store(1)
+	}
+	work := func() {
+		for pos := int(cursor.Add(1)) - 1; pos < len(order); pos = int(cursor.Add(1)) - 1 {
+			evaluate(order[pos])
+		}
+	}
 	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ { // the caller is the first worker
+		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				pos := int(cursor.Add(1)) - 1
-				if pos >= len(order) {
-					return
-				}
-				i := order[pos]
-				if prune {
-					incMu.Lock()
-					th := incumbent
-					incMu.Unlock()
-					if lbs[i] > th*(1+pruneSlack) {
-						o.pruned.Add(1)
-						continue
-					}
-				}
-				c, err := o.candidateCost(ctx, net, topo, m, parts[i], fields[i])
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				costs[i] = c
-				done[i] = true
-				o.evaluated.Add(1)
-				if prune {
-					incMu.Lock()
-					if c < incumbent {
-						incumbent = c
-					}
-					incMu.Unlock()
-				}
-			}
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
 
 	for i := range errs {
@@ -861,17 +986,18 @@ func (o *Optimizer) evaluateMemoized(ctx context.Context, topo topology.Network,
 	return best, nil
 }
 
-// candidateBound sums the candidate's memoized per-phase admissible lower
-// bounds.
-func (o *Optimizer) candidateBound(topo topology.Network, m int, fields [][2]int) (float64, error) {
+// candidateBound fills perPhase with the candidate's memoized per-phase
+// admissible lower bounds and returns their sum.
+func (o *Optimizer) candidateBound(topo topology.Network, m int, fields [][2]int, perPhase []float64) (float64, error) {
 	total := 0.0
-	for _, f := range fields {
+	for pi, f := range fields {
 		lo, w := f[0], f[1]
 		v, err := o.boundPhases.get(phaseKey{topo: topo.Name(), lo: lo, w: w, m: m}, &o.memoHits, &o.memoMisses,
 			func() (float64, error) { return o.params.PhaseLowerBoundOn(topo, m, lo, w) })
 		if err != nil {
 			return 0, err
 		}
+		perPhase[pi] = v
 		total += v
 	}
 	return total, nil
@@ -880,7 +1006,21 @@ func (o *Optimizer) candidateBound(topo topology.Network, m int, fields [][2]int
 // candidateCost screens one candidate: the left-to-right sum of its
 // memoized per-phase costs — closed-form on the analytic backend, one
 // compiled fragment replay per distinct (field, m) on the simulated path.
-func (o *Optimizer) candidateCost(ctx context.Context, net *simnet.Network, topo topology.Network, m int, D partition.Partition, fields [][2]int) (float64, error) {
+//
+// On the simulated path it also holds the one pruning rule. lb are the
+// phases' admissible lower bounds (nil to cost unconditionally, as
+// SetExhaustive does) and limit what the candidate's sum must not exceed
+// to stay in contention, the incumbent plus pruneSlack. Phase i may then
+// cost at most
+//
+//	cutoff = limit − Σ exact costs of phases before i − Σ bounds of phases after i
+//
+// and the candidate is out (fits = false) as soon as one phase is known
+// to cost more: by its bound, with no replay — for the first phase that
+// is the whole candidate's bound against the incumbent — by a memo entry,
+// or by the replay itself, which runs under the cutoff and stops the
+// instant it passes it.
+func (o *Optimizer) candidateCost(ctx context.Context, net *simnet.Network, topo topology.Network, m int, D partition.Partition, fields [][2]int, lb []float64, limit float64) (cost float64, fits bool, err error) {
 	if o.backend == Analytic {
 		h, _ := topology.AsHypercube(topo)
 		total := 0.0
@@ -896,35 +1036,65 @@ func (o *Optimizer) candidateCost(ctx context.Context, net *simnet.Network, topo
 					return o.params.PhaseCostOn(topo, m, lo, w)
 				})
 			if err != nil {
-				return 0, err
+				return 0, false, err
 			}
 			total += v
 		}
-		return total, nil
+		return total, true, nil
 	}
-	plan, err := exchange.NewPlanOn(topo, m, D)
-	if err != nil {
-		return 0, err
+	var plan *exchange.Plan // built by the first phase that has to replay
+	later := 0.0            // Σ bounds of the phases after the current one
+	for _, b := range lb {
+		later += b
 	}
 	total := 0.0
 	for pi, f := range fields {
-		pi := pi
-		lo, w := f[0], f[1]
-		v, err := o.simPhases.get(phaseKey{topo: topo.Name(), lo: lo, w: w, m: m}, &o.memoHits, &o.memoMisses,
-			func() (float64, error) { return o.replayFragment(ctx, net, plan, pi) })
+		cutoff := math.Inf(1)
+		if lb != nil {
+			later -= lb[pi]
+			cutoff = limit - total - later
+			if lb[pi] > cutoff {
+				o.countPruned(pi > 0)
+				return 0, false, nil
+			}
+		}
+		v, exact, err := o.simPhases.get(phaseKey{topo: topo.Name(), lo: f[0], w: f[1], m: m}, cutoff, &o.memoHits, &o.memoMisses,
+			func(cutoff float64) (float64, error) {
+				if plan == nil {
+					var err error
+					if plan, err = exchange.NewPlanOn(topo, m, D); err != nil {
+						return 0, err
+					}
+				}
+				return o.replayFragment(ctx, net, plan, pi, cutoff)
+			})
 		if err != nil {
-			return 0, err
+			return 0, false, err
+		}
+		if !exact || v > cutoff {
+			o.countPruned(true)
+			return 0, false, nil
 		}
 		total += v
 	}
-	return total, nil
+	return total, true, nil
 }
 
-// replayFragment prices phase pi of plan by one compiled fragment replay;
-// every memo miss of the simulated backend goes through here.
-func (o *Optimizer) replayFragment(ctx context.Context, net *simnet.Network, plan *exchange.Plan, pi int) (float64, error) {
-	res, err := o.replays.Traced(ctx, "fragment", plan, func() (simnet.Result, error) {
-		return net.RunSource(plan.CompilePhase(pi))
+// countPruned counts one candidate proven a loser: by the admissible
+// bounds alone, or (byCutoff) with the help of a replay.
+func (o *Optimizer) countPruned(byCutoff bool) {
+	o.pruned.Add(1)
+	if byCutoff {
+		o.prunedByCutoff.Add(1)
+	}
+}
+
+// replayFragment prices phase pi of plan by one compiled fragment replay
+// bounded by cutoff; every memo miss of the simulated backend goes through
+// here.
+func (o *Optimizer) replayFragment(ctx context.Context, net *simnet.Network, plan *exchange.Plan, pi int, cutoff float64) (float64, error) {
+	res, err := o.replays.Traced(ctx, "fragment", plan, cutoff, func() (simnet.Result, error) {
+		return net.RunSourceBounded(plan.CompilePhase(pi), cutoff)
 	})
 	return res.Makespan, err
 }
@@ -935,22 +1105,25 @@ func (o *Optimizer) replayFragment(ctx context.Context, net *simnet.Network, pla
 // single-pass makespan). A single-phase winner's fragment is row-for-row
 // the whole plan, so its memoized value is reused without a replay —
 // that is the expensive {d} candidate, and it is exactly the one the
-// sweep's large-m points keep winning with.
+// sweep's large-m points keep winning with. The lookup passes no cutoff,
+// so it only ever reads an exact entry: the winner's, costed in full.
 func (o *Optimizer) finalizeSimulated(ctx context.Context, net *simnet.Network, topo topology.Network, m int, D partition.Partition) (float64, error) {
 	plan, err := exchange.NewPlanOn(topo, m, D)
 	if err != nil {
 		return 0, err
 	}
+	noCutoff := math.Inf(1)
 	if plan.NumPhases() == 1 {
 		fields, err := topology.PhaseFields(topo, D)
 		if err != nil {
 			return 0, err
 		}
 		lo, w := fields[0][0], fields[0][1]
-		return o.simPhases.get(phaseKey{topo: topo.Name(), lo: lo, w: w, m: m}, &o.memoHits, &o.memoMisses,
-			func() (float64, error) { return o.replayFragment(ctx, net, plan, 0) })
+		v, _, err := o.simPhases.get(phaseKey{topo: topo.Name(), lo: lo, w: w, m: m}, noCutoff, &o.memoHits, &o.memoMisses,
+			func(cutoff float64) (float64, error) { return o.replayFragment(ctx, net, plan, 0, cutoff) })
+		return v, err
 	}
-	res, err := o.replays.Traced(ctx, "plan", plan, func() (simnet.Result, error) { return plan.Cost(net) })
+	res, err := o.replays.Traced(ctx, "plan", plan, noCutoff, func() (simnet.Result, error) { return plan.Cost(net) })
 	return res.Makespan, err
 }
 
@@ -990,21 +1163,23 @@ func (o *Optimizer) BuildTable(d, mLo, mHi, step int) (Table, error) {
 // BuildTableOn sweeps block sizes [mLo, mHi] with the given step and
 // returns the hull-of-optimality table for any topology. Concurrent
 // identical sweeps share one build (a single tableKey singleflight
-// instead of one rendezvous per swept point), and consecutive sweep
-// points warm-start each other: each point's winner is evaluated first
-// at the next point, so the incumbent starts tight and the phase memo —
-// already hot from the previous point's fields — prices most candidates
-// without any new replay.
+// instead of one rendezvous per swept point), and sweep points warm-start
+// each other: a point's winner is evaluated first at the next point up,
+// so the incumbent starts tight — on the simulated backend every other
+// candidate's replays then run under a finite cutoff — and the phase memo
+// prices most candidates without any new replay. On the simulated backend
+// the points are dealt to the optimizer's workers (sweepPoints).
 func (o *Optimizer) BuildTableOn(net topology.Network, mLo, mHi, step int) (Table, error) {
 	return o.BuildTableOnCtx(context.Background(), net, mLo, mHi, step)
 }
 
-// BuildTableOnCtx is BuildTableOn bounded by a context, checked between
-// sweep points: a caller that no longer needs the table (the plan
+// BuildTableOnCtx is BuildTableOn bounded by a context, checked before
+// each sweep point: a caller that no longer needs the table (the plan
 // cache's fully-abandoned line fill) aborts the sweep after at most one
-// more Best enumeration instead of paying for the whole hull. Joiners
-// of an identical in-flight sweep share the initiator's fate — the plan
-// cache's own per-line singleflight makes that pairing one-to-one.
+// more Best enumeration per worker instead of paying for the whole hull.
+// Joiners of an identical in-flight sweep share the initiator's fate —
+// the plan cache's own per-line singleflight makes that pairing
+// one-to-one.
 func (o *Optimizer) BuildTableOnCtx(ctx context.Context, net topology.Network, mLo, mHi, step int) (Table, error) {
 	if mLo < 0 || mHi < mLo {
 		return Table{}, fmt.Errorf("optimize: bad sweep [%d,%d]", mLo, mHi)
@@ -1053,13 +1228,16 @@ func (o *Optimizer) BuildTableOnCtx(ctx context.Context, net topology.Network, m
 }
 
 func (o *Optimizer) buildTableOn(ctx context.Context, net topology.Network, mLo, mHi, step int) (Table, error) {
+	if o.backend == Simulated && mHi-mLo >= step {
+		return o.sweepPoints(ctx, net, mLo, mHi, step)
+	}
 	var segs []model.HullSegment
 	var hint partition.Partition
 	for m := mLo; m <= mHi; m += step {
 		if err := ctx.Err(); err != nil {
 			return Table{}, err
 		}
-		c, err := o.bestOn(ctx, net, m, hint)
+		c, err := o.bestOn(ctx, net, m, hint, 0)
 		if err != nil {
 			return Table{}, err
 		}
@@ -1069,6 +1247,82 @@ func (o *Optimizer) buildTableOn(ctx context.Context, net topology.Network, mLo,
 			continue
 		}
 		segs = append(segs, model.HullSegment{Part: c.Part, MinBlock: m, MaxBlock: m})
+	}
+	return Table{Topo: net.Name(), D: net.NumDims(), Segments: segs}, nil
+}
+
+// sweepPoints is the simulated backend's sweep of more than one point.
+// The loop above carries nothing from point to point but an ordering
+// hint, so its iterations are dealt, in m order, to the optimizer's
+// workers and the segments folded afterwards. Each point costs its
+// candidates serially, best first: a candidate started beside another has
+// no incumbent yet, and its replays would run with no cutoff. The hint is
+// the winner of the nearest lower point already finished; ctx is checked
+// by each worker before each point. With one worker this is the loop
+// above, point for point.
+func (o *Optimizer) sweepPoints(ctx context.Context, net topology.Network, mLo, mHi, step int) (Table, error) {
+	points := (mHi-mLo)/step + 1
+	winners := make([]partition.Partition, points)
+	finished := make([]bool, points)
+	var (
+		mu       sync.Mutex // guards everything below, and the two slices
+		next     int
+		failed   error // of the lowest point that failed
+		failedAt int
+	)
+	work := func() {
+		for {
+			mu.Lock()
+			if failed != nil || next == points {
+				mu.Unlock()
+				return
+			}
+			i := next
+			next++
+			var hint partition.Partition
+			for j := i - 1; j >= 0; j-- {
+				if finished[j] {
+					hint = winners[j]
+					break
+				}
+			}
+			mu.Unlock()
+
+			var c Choice
+			err := ctx.Err()
+			if err == nil {
+				c, err = o.bestOn(ctx, net, mLo+i*step, hint, 1)
+			}
+			mu.Lock()
+			if err == nil {
+				winners[i], finished[i] = c.Part, true
+			} else if failed == nil || i < failedAt {
+				failed, failedAt = err, i
+			}
+			mu.Unlock()
+		}
+	}
+	var wg sync.WaitGroup
+	for w := min(o.poolSize(), points); w > 1; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	if failed != nil {
+		return Table{}, failed
+	}
+	var segs []model.HullSegment
+	for i, part := range winners {
+		m := mLo + i*step
+		if n := len(segs); n > 0 && segs[n-1].Part.Equal(part) {
+			segs[n-1].MaxBlock = m
+			continue
+		}
+		segs = append(segs, model.HullSegment{Part: part, MinBlock: m, MaxBlock: m})
 	}
 	return Table{Topo: net.Name(), D: net.NumDims(), Segments: segs}, nil
 }

@@ -2,6 +2,7 @@ package optimize
 
 import (
 	"context"
+	"math"
 	"sync"
 	"testing"
 
@@ -112,7 +113,7 @@ func TestMemoizedAnalyticCostMatchesUnmemoized(t *testing.T) {
 		for _, m := range []int{0, 3, 40, 331} {
 			for pass := 0; pass < 2; pass++ { // cold memo, then warm
 				for i, D := range es.parts {
-					got, err := o.candidateCost(context.Background(), nil, net, m, D, es.fields[i])
+					got, _, err := o.candidateCost(context.Background(), nil, net, m, D, es.fields[i], nil, math.Inf(1))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -146,11 +147,11 @@ func TestLowerBoundAdmissible(t *testing.T) {
 			sim := simnet.New(net, prm)
 			for _, m := range []int{0, 8, 100} {
 				for i, D := range es.parts {
-					lb, err := o.candidateBound(net, m, es.fields[i])
+					lb, err := o.candidateBound(net, m, es.fields[i], make([]float64, len(es.fields[i])))
 					if err != nil {
 						t.Fatal(err)
 					}
-					screen, err := o.candidateCost(context.Background(), sim, net, m, D, es.fields[i])
+					screen, _, err := o.candidateCost(context.Background(), sim, net, m, D, es.fields[i], nil, math.Inf(1))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -226,9 +227,10 @@ func TestStatsCounters(t *testing.T) {
 }
 
 // Every replay of a simulated build — each memo-miss fragment the
-// screening pays for, not only the winner's re-derivation — must land in
-// the trace's "replay" stage, including the ones past the trace's span
-// budget: the stage's busy time is what says where a build's time went.
+// screening pays for, finished or aborted at its cutoff, not only the
+// winner's re-derivation — must land in the trace's "replay" stage,
+// including the ones past the trace's span budget: the stage's busy time
+// is what says where a build's time went.
 func TestEveryReplayIsAttributed(t *testing.T) {
 	tracer := obs.NewTracer(4)
 	ctx, root := tracer.StartRequest(context.Background(), "build", "hull")
@@ -238,23 +240,37 @@ func TestEveryReplayIsAttributed(t *testing.T) {
 	}
 	root.End()
 	st := o.Stats()
-	replays := st.ReplaysSerial + st.ReplaysSharded
+	replays := st.ReplaysSerial + st.ReplaysSharded + st.ReplaysAborted
+	if st.ReplaysAborted == 0 {
+		t.Error("no replay of the sweep was aborted at its cutoff")
+	}
 	if replays <= obs.MaxSpansPerTrace {
 		t.Fatalf("only %d replays: the sweep must outrun the %d-span budget", replays, obs.MaxSpansPerTrace)
 	}
 	if got := tracer.StageStats()["replay"].Count; got != replays {
 		t.Errorf("replay stage observed %d spans for %d replays", got, replays)
 	}
-	fragments := 0
+	fragments, aborted := 0, 0
 	for _, sp := range tracer.Find("build")[0].Spans {
+		attrs := map[string]string{}
 		for _, a := range sp.Attrs {
-			if sp.Name == "replay" && a.Key == "kind" && a.Value == "fragment" {
-				fragments++
+			attrs[a.Key] = a.Value
+		}
+		if sp.Name == "replay" && attrs["kind"] == "fragment" {
+			fragments++
+		}
+		if attrs["aborted"] == "true" {
+			aborted++
+			if attrs["cutoff_us"] == "" {
+				t.Errorf("aborted replay span without its cutoff: %v", sp.Attrs)
 			}
 		}
 	}
 	if fragments == 0 {
 		t.Error("no fragment replay span on the trace")
+	}
+	if aborted == 0 {
+		t.Error("no aborted replay span within the trace's span budget")
 	}
 }
 
@@ -315,7 +331,7 @@ func TestHintDoesNotChangeResult(t *testing.T) {
 	}
 	for _, hint := range []partition.Partition{{3}, {1, 1, 1}, {2, 1}} {
 		o := NewSimulated(prm)
-		got, err := o.bestOn(context.Background(), net, 40, hint)
+		got, err := o.bestOn(context.Background(), net, 40, hint, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -207,6 +207,49 @@ func TestCostReplayIsTracedAndCounted(t *testing.T) {
 	}
 }
 
+// TestAbortedReplaysAreCounted: a simulated hull build abandons losing
+// candidates' replays at their cutoff, and /metrics says how many, in
+// both forms, next to the optimizer's own count.
+func TestAbortedReplaysAreCounted(t *testing.T) {
+	cache := plancache.New(plancache.Config{NewOptimizer: optimize.NewSimulated, SweepHi: 128, SweepStep: 16})
+	srv, err := New(Config{Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	getJSON(t, ts.URL+"/v1/plan?machine=ipsc860&topology=torus-4x4x4&m=40", http.StatusOK, nil)
+
+	var m MetricsResponse
+	getJSON(t, ts.URL+"/metrics", http.StatusOK, &m)
+	if m.Replay.Aborted == 0 || m.Replay.Aborted != m.Optimizer.ReplaysAborted {
+		t.Errorf("replay.aborted %d, optimizer.replays_aborted %d, want equal and non-zero",
+			m.Replay.Aborted, m.Optimizer.ReplaysAborted)
+	}
+	if m.Optimizer.PrunedByCutoff == 0 || m.Optimizer.PrunedByCutoff > m.Optimizer.Pruned {
+		t.Errorf("optimizer pruned %d, by cutoff %d", m.Optimizer.Pruned, m.Optimizer.PrunedByCutoff)
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics?format=prometheus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, smp := range parseProm(t, string(raw)) {
+		if smp.name == "pland_replay_aborted_total" {
+			found = smp.value == float64(m.Replay.Aborted)
+		}
+	}
+	if !found {
+		t.Errorf("Prometheus exposition lacks pland_replay_aborted_total %d", m.Replay.Aborted)
+	}
+}
+
 // TestTracesChromeExport: ?format=chrome renders a well-formed Chrome
 // trace_event document covering the committed traces.
 func TestTracesChromeExport(t *testing.T) {

@@ -42,6 +42,7 @@ func (s *Server) writePrometheus(w http.ResponseWriter) int {
 	p.Sample("pland_replay_phases_total", map[string]string{"mode": "closed_form"}, float64(rm.PhasesClosedForm))
 	p.Sample("pland_replay_phases_total", map[string]string{"mode": "engine"}, float64(rm.PhasesEngine))
 	p.Counter("pland_replay_certificates_total", "Phase certificate passes run (at most one per topology and phase field).", nil, float64(rm.Certificates))
+	p.Counter("pland_replay_aborted_total", "Replays abandoned at their cutoff: the candidate was proven to lose before its replay finished.", nil, float64(rm.Aborted))
 	if len(rm.Declines) > 0 {
 		reasons := make([]string, 0, len(rm.Declines))
 		for reason := range rm.Declines {

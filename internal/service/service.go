@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"runtime"
 	"runtime/debug"
@@ -546,7 +547,7 @@ func (s *Server) handleCost(w http.ResponseWriter, r *http.Request) int {
 	}
 	costNet := simnet.New(net, prm)
 	costNet.SetReplayShards(s.cfg.ReplayWorkers)
-	res, err := s.costReplays.Traced(r.Context(), "cost", plan, func() (simnet.Result, error) { return plan.Cost(costNet) })
+	res, err := s.costReplays.Traced(r.Context(), "cost", plan, math.Inf(1), func() (simnet.Result, error) { return plan.Cost(costNet) })
 	if err != nil {
 		return writeError(w, http.StatusInternalServerError, err.Error())
 	}
@@ -774,12 +775,14 @@ type MetricsResponse struct {
 
 // ReplayMetrics counts replayed phases by how they were priced — in
 // closed form under a lockstep certificate, or on the event engine — the
-// certificate passes run, and, per replay with an engine-run phase, why
-// its first such phase was declined.
+// certificate passes run, per replay with an engine-run phase, why its
+// first such phase was declined, and the replays an optimizer abandoned
+// at their cutoff.
 type ReplayMetrics struct {
 	PhasesClosedForm int64            `json:"phases_closed_form"`
 	PhasesEngine     int64            `json:"phases_engine"`
 	Certificates     int64            `json:"certificates"`
+	Aborted          int64            `json:"aborted"`
 	Declines         map[string]int64 `json:"declines,omitempty"`
 }
 
@@ -790,6 +793,7 @@ func (s *Server) replayMetrics() ReplayMetrics {
 		PhasesClosedForm: st.PhasesClosedForm,
 		PhasesEngine:     st.PhasesEngine,
 		Certificates:     st.Certificates,
+		Aborted:          st.ReplaysAborted,
 		Declines:         st.Declines,
 	}
 }

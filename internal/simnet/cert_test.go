@@ -3,7 +3,9 @@ package simnet_test
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/exchange"
@@ -258,18 +260,42 @@ func TestCertificateDeclines(t *testing.T) {
 	}
 }
 
+// certTestRun numbers the runs that need a certificate key the process-wide
+// cache cannot hold yet; go test -count repeats a test in one process.
+var certTestRun atomic.Int64
+
+// reshaped is a compiled source under another certificate key: the same
+// programs, its spans' Shape suffixed.
+type reshaped struct {
+	simnet.Sharded
+	spans []simnet.PhaseSpan
+}
+
+func (r reshaped) PhaseSpans() []simnet.PhaseSpan { return r.spans }
+
+func reshape(src simnet.Sharded, suffix string) reshaped {
+	spans := slices.Clone(src.PhaseSpans())
+	for i := range spans {
+		spans[i].Shape += suffix
+	}
+	return reshaped{src, spans}
+}
+
 // Concurrent first use of one certificate key: every caller gets the
 // engine's result, and the pass runs once between them (-race checks the
 // memory model claim behind sharing it).
 func TestCertificateConcurrentFirstUse(t *testing.T) {
-	// A topology no other test of this package replays, so the key is cold.
 	topo := topology.MustParseSpec("torus-2x2x2x2x2x2x2")
 	plan, err := exchange.NewPlanOn(topo, 12, partition.Partition{7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := plan.Compile()
-	oracle, err := simnet.New(topo, model.IPSC860()).Run(src.Programs())
+	compiled := plan.Compile()
+	// A shape nothing in this process has replayed — not even an earlier
+	// iteration of this test under -count — so the key is cold.
+	shape := fmt.Sprintf("#first-use-%d", certTestRun.Add(1))
+	src := reshape(compiled, shape)
+	oracle, err := simnet.New(topo, model.IPSC860()).Run(compiled.Programs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +330,7 @@ func TestCertificateConcurrentFirstUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := simnet.New(topo, model.Hypothetical()).RunSource(other.Compile())
+	res, err := simnet.New(topo, model.Hypothetical()).RunSource(reshape(other.Compile(), shape))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,6 +348,21 @@ var fuzzSpecs = []string{
 	"mesh-4x4", "mesh-8x2", "mesh-2x2x2", "mesh-4x2!sl=0-1:3",
 }
 
+// fuzzGrouping is the grouping of topo's dimensions that closes a group
+// after dimension i for every set bit i of cuts.
+func fuzzGrouping(topo topology.Network, cuts uint8) partition.Partition {
+	var part partition.Partition
+	size := 0
+	for i := 0; i < topo.NumDims(); i++ {
+		size++
+		if cuts&(1<<i) != 0 || i == topo.NumDims()-1 {
+			part = append(part, size)
+			size = 0
+		}
+	}
+	return part
+}
+
 // FuzzCertifiedReplay: for any topology, grouping, block size, jitter
 // setting and shard count, the phase-by-phase replay equals the
 // monolithic engine loop over the same programs.
@@ -334,17 +375,7 @@ func FuzzCertifiedReplay(f *testing.F) {
 	f.Add(uint8(13), uint8(0b101), uint16(0), false, uint8(1))
 	f.Fuzz(func(t *testing.T, spec, cuts uint8, m uint16, jitter bool, shards uint8) {
 		topo := topology.MustParseSpec(fuzzSpecs[int(spec)%len(fuzzSpecs)])
-		// Bit i of cuts closes a group after dimension i.
-		var part partition.Partition
-		size := 0
-		for i := 0; i < topo.NumDims(); i++ {
-			size++
-			if cuts&(1<<i) != 0 || i == topo.NumDims()-1 {
-				part = append(part, size)
-				size = 0
-			}
-		}
-		plan, err := exchange.NewPlanOn(topo, int(m%512), part)
+		plan, err := exchange.NewPlanOn(topo, int(m%512), fuzzGrouping(topo, cuts))
 		if err != nil {
 			t.Skip(err)
 		}

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -229,14 +230,21 @@ type runState struct {
 	// they are few; a source that outgrows chanScanMax destinations gets
 	// chanTab[src], indexed by destination (1 + channel, 0 for none). The
 	// per-slot cursors replace the inbox/arrSeq/postSeq/waitSeq maps.
-	chans   []msgChan
-	outIdx  [][]chanRef
-	chanTab [][]int32
+	chans    []msgChan
+	outIdx   [][]chanRef
+	chanTab  [][]int32
+	chanHint int // channels the current window is expected to open, 0 when unknown
 
 	bar barrierState
 
 	res    Result
 	failed error
+
+	// cutoff is the makespan bound of a bounded run (+Inf for a plain
+	// one): the first node clock to pass it trips the run. siblings are
+	// the other shards of the window a tripped shard must stop.
+	cutoff   float64
+	siblings []*runState
 
 	// rngs holds one splitmix64 jitter stream per node (nil when jitter
 	// is off). Per-node streams keep noise draws independent of the
@@ -283,7 +291,7 @@ func resized[T any](s []T, n int) []T {
 // newState returns a reset runState for one replay of src on n, with
 // link arrays of its own — or, for the later shards of a sharded replay,
 // with owner's.
-func (n *Network) newState(src Source, owner *runState) *runState {
+func (n *Network) newState(src Source, owner *runState, cutoff float64) *runState {
 	st := statePool.Get().(*runState)
 	nodes := n.topo.Nodes()
 	st.net, st.src, st.topo, st.cube, st.n = n, src, n.topo, n.hyper, nodes
@@ -330,6 +338,7 @@ func (n *Network) newState(src Source, owner *runState) *runState {
 	// NodeFinish and Timeline leave with the Result, so they are fresh.
 	st.res = Result{NodeFinish: make([]float64, nodes), ReplayShards: 1}
 	st.failed, st.windowed, st.rngs = nil, false, nil
+	st.cutoff, st.siblings, st.chanHint = cutoff, nil, 0
 	if n.jitterFrac != 0 {
 		// Fresh per-Run streams seeded from the Network keep jitter
 		// reproducible across repeated and concurrent Runs (see
@@ -356,7 +365,7 @@ func (st *runState) release() {
 	if cap(st.chans) > maxPooledChans {
 		st.chans, st.outIdx, st.chanTab = nil, nil, nil
 	}
-	st.net, st.src, st.topo, st.cube, st.degr = nil, nil, nil, nil, nil
+	st.net, st.src, st.topo, st.cube, st.degr, st.siblings = nil, nil, nil, nil, nil, nil
 	st.res, st.failed = Result{}, nil
 	statePool.Put(st)
 }
@@ -485,32 +494,53 @@ func (n *Network) Run(programs []Program) (Result, error) {
 		return Result{}, fmt.Errorf("simnet: %d programs for %d nodes",
 			len(programs), n.topo.Nodes())
 	}
-	return n.runSource(programsSource(programs))
+	return n.runSource(programsSource(programs), math.Inf(1))
 }
 
 // RunSource executes a compiled program source — the allocation-free
 // costing path used by exchange.Plan.Cost and collectives.Cost.
 func (n *Network) RunSource(src Source) (Result, error) {
+	return n.RunSourceBounded(src, math.Inf(1))
+}
+
+// ErrCutoff is returned by a bounded run that was abandoned: the makespan,
+// if the run completes, exceeds the cutoff. It says nothing about whether
+// the run does complete — a program that would deadlock, or fail on a down
+// link, after the cutoff is abandoned like any other.
+var ErrCutoff = errors.New("simnet: makespan exceeds the cutoff")
+
+// RunSourceBounded is RunSource for a caller that only needs the result
+// if the makespan is at most cutoff µs — an optimizer holding an incumbent.
+// Virtual time only moves forward, so the first node clock, barrier
+// release or closed-form phase end past the cutoff proves the makespan
+// exceeds it, and the run stops there — every shard of it — with
+// ErrCutoff and a Result that means nothing. A run that returns nil is the
+// run RunSource would have made, bit for bit: ErrCutoff is returned if and
+// only if a completing run's makespan exceeds the cutoff.
+func (n *Network) RunSourceBounded(src Source, cutoff float64) (Result, error) {
 	if src.NumNodes() != n.topo.Nodes() {
 		return Result{}, fmt.Errorf("simnet: source of %d programs for %d nodes",
 			src.NumNodes(), n.topo.Nodes())
 	}
-	return n.runSource(src)
+	return n.runSource(src, cutoff)
 }
 
 // runSource replays a Sharded source phase by phase (runPhases) and
 // everything else — plain programs, a source whose span table is
 // unusable, any run with tracing on — in the one monolithic loop below,
 // which is also the oracle the phase-by-phase path is tested against.
-func (n *Network) runSource(src Source) (Result, error) {
+func (n *Network) runSource(src Source, cutoff float64) (Result, error) {
+	if cutoff < 0 {
+		return Result{}, ErrCutoff // no makespan is negative
+	}
 	sh, phased := src.(Sharded)
 	if phased && !n.trace {
-		if res, ran, err := n.runPhases(sh); ran {
+		if res, ran, err := n.runPhases(sh, cutoff); ran {
 			return res, err
 		}
 	}
 	nodes := n.topo.Nodes()
-	st := n.newState(src, nil)
+	st := n.newState(src, nil, cutoff)
 	defer st.release()
 
 	totalOps := uint64(0)
@@ -533,11 +563,12 @@ func (n *Network) runSource(src Source) (Result, error) {
 			budget = structural
 		}
 	}
-	if !st.eng.RunLimit(budget) {
-		return st.res, st.budgetError(budget)
-	}
+	drained := st.eng.RunLimit(budget)
 	if st.failed != nil {
 		return st.res, st.failed
+	}
+	if !drained {
+		return st.res, st.budgetError(budget)
 	}
 	for p, d := range st.done {
 		if !d {
@@ -607,6 +638,17 @@ func (st *runState) fail(err error) {
 	}
 }
 
+// trip abandons a bounded run whose makespan is now known to exceed the
+// cutoff: the engine — and, in a sharded window, every sibling's — stops
+// where it is instead of draining.
+func (st *runState) trip() {
+	st.fail(ErrCutoff)
+	st.eng.Stop()
+	for _, sib := range st.siblings {
+		sib.eng.Stop()
+	}
+}
+
 // checkPeer validates a receive op's peer, failing the run (not
 // panicking) on a node outside the cube.
 func (st *runState) checkPeer(p int, op Op) bool {
@@ -673,7 +715,13 @@ func (st *runState) step(p int) {
 }
 
 // advance completes node p's current op at time t and schedules the next.
+// A node's clock never moves back, so t is a lower bound on its finish
+// time and hence on the makespan.
 func (st *runState) advance(p int, t float64) {
+	if t > st.cutoff {
+		st.trip()
+		return
+	}
 	if st.net.trace && st.pc[p] < st.lens[p] {
 		op := st.src.Op(p, int(st.pc[p]))
 		st.res.Timeline = append(st.res.Timeline, Interval{

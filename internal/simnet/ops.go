@@ -39,6 +39,14 @@
 // no directed link. Every path returns bit-identical results: same
 // makespans, same counters, same jitter draws (per-node RNG streams),
 // same float summation order. Result says which path each phase took.
+//
+// A caller that needs the result only if the makespan is at most some
+// cutoff says so per call (RunSourceBounded). Virtual time only moves
+// forward, so the first node clock, barrier release or closed-form phase
+// end past the cutoff ends the run — all its shards — with ErrCutoff: "the
+// makespan, if the run completes, exceeds the cutoff", not a statement
+// about deadlock or any other failure the run had not reached yet. A
+// bounded run that returns nil is the unbounded run, bit for bit.
 package simnet
 
 import "fmt"

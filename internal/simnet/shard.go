@@ -108,8 +108,10 @@ func (n *Network) nodeDependent() string {
 // every row at one instant — or run on the event engine, on as many
 // shards as SetReplayShards allows and the certificate proves
 // independent. It reports ran = false when the source's span structure is
-// unusable as a whole (the caller then runs the monolithic loop).
-func (n *Network) runPhases(src Sharded) (Result, bool, error) {
+// unusable as a whole (the caller then runs the monolithic loop). A
+// barrier release or a closed-form phase end past cutoff abandons the run
+// with ErrCutoff, as a node clock past it abandons an engine window.
+func (n *Network) runPhases(src Sharded, cutoff float64) (Result, bool, error) {
 	nodes := n.topo.Nodes()
 	spans := src.PhaseSpans()
 	if len(spans) == 0 {
@@ -177,6 +179,9 @@ func (n *Network) runPhases(src Sharded) (Result, bool, error) {
 			}
 		}
 		release := maxT + n.params.GlobalSync(n.topo.Diameter())
+		if release > cutoff {
+			return res, true, ErrCutoff
+		}
 		res.Barriers++
 
 		geom := phaseGeom{stride: sp.Stride, block: sp.Stride * sp.Span, weff: min(w, nodes/sp.Span)}
@@ -193,6 +198,9 @@ func (n *Network) runPhases(src Sharded) (Result, bool, error) {
 		}
 		if reason == "" {
 			if t, msgs, moved, ok := n.closedForm(src, cert, winLo, winHi, release); ok {
+				if t > cutoff {
+					return res, true, ErrCutoff
+				}
 				for p := range ready {
 					ready[p] = t
 				}
@@ -214,7 +222,7 @@ func (n *Network) runPhases(src Sharded) (Result, bool, error) {
 			geom.weff = 1
 		}
 		res.ReplayShards = max(res.ReplayShards, geom.weff)
-		if err := eng.runWindow(n, src, geom, pi, winLo, winHi, release, ready); err != nil {
+		if err := eng.runWindow(n, src, geom, pi, winLo, winHi, release, cutoff, ready); err != nil {
 			return res, true, err
 		}
 	}
@@ -308,7 +316,7 @@ func (e *shardEngines) release() {
 // runWindow runs rows [winLo, winHi) of every node on geom.weff shards,
 // from the barrier release time, and writes the nodes' finish times back
 // to ready.
-func (e *shardEngines) runWindow(n *Network, src Sharded, geom phaseGeom, pi, winLo, winHi int, release float64, ready []float64) error {
+func (e *shardEngines) runWindow(n *Network, src Sharded, geom phaseGeom, pi, winLo, winHi int, release, cutoff float64, ready []float64) error {
 	nodes := len(ready)
 	if e.ws == nil {
 		e.stall = make([]float64, nodes)
@@ -321,11 +329,26 @@ func (e *shardEngines) runWindow(n *Network, src Sharded, geom phaseGeom, pi, wi
 		if len(e.ws) > 0 {
 			owner = e.ws[0]
 		}
-		st := n.newState(src, owner)
+		st := n.newState(src, owner, cutoff)
 		st.windowed = true
 		e.ws = append(e.ws, st)
 	}
 	ws := e.ws[:geom.weff]
+	// Every send row of a window opens one channel per node — a cyclic
+	// phase sends to a new partner each row, of the span−1 its group
+	// holds — so a shard's share of them sizes its channel table in one
+	// allocation instead of by doubling.
+	sends := 0
+	for r := winLo; r < winHi; r++ {
+		if kind, _, ok := src.UniformRow(r); ok && kind == OpSend {
+			sends++
+		}
+	}
+	sends = min(sends, geom.block/geom.stride-1)
+	for _, st := range ws {
+		st.siblings = ws
+		st.chanHint = len(st.chans) + (sends*nodes+geom.weff-1)/geom.weff
+	}
 
 	// A link may change shards between phases, and its backlog lives
 	// with the shard that built it. Every hold placed so far finished
@@ -379,10 +402,13 @@ func (e *shardEngines) runWindow(n *Network, src Sharded, geom phaseGeom, pi, wi
 		}
 		wg.Wait()
 	}
-	for s, st := range ws {
+	// A failure first: the shards a tripped one stopped did not drain.
+	for _, st := range ws {
 		if st.failed != nil {
 			return st.failed
 		}
+	}
+	for s := range ws {
 		if !drained[s] {
 			return fmt.Errorf(
 				"simnet: event budget (%d) exhausted in replay shard %d of phase %d (livelock?)",

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -246,7 +247,8 @@ func TestConcurrentRunSourceOneNetwork(t *testing.T) {
 
 // A recycled runState must carry nothing over: replays that leave events
 // queued, nodes parked, channels open and links backlogged (a budget trip,
-// a deadlock, a contended fan-in on a different-sized machine) may hand
+// a deadlock, a contended fan-in on a different-sized machine, runs
+// abandoned at a cutoff with their engines stopped mid-queue) may hand
 // their state to the next replay, whose result must equal a first run's.
 func TestRecycledStateCarriesNothingOver(t *testing.T) {
 	src := multiphaseSource()
@@ -273,13 +275,29 @@ func TestRecycledStateCarriesNothingOver(t *testing.T) {
 		if _, err := mkNet(2, model.IPSC860()).Run(stuck); err == nil {
 			t.Fatal("unmatched exchange must deadlock")
 		}
-		if res, err := mkNet(5, model.IPSC860()).Run(fan); err != nil || res.MaxEdgeQueue <= edgeRing {
-			t.Fatalf("fan-in: max edge queue %d, err %v", res.MaxEdgeQueue, err)
+		fanRes, err := mkNet(5, model.IPSC860()).Run(fan)
+		if err != nil || fanRes.MaxEdgeQueue <= edgeRing {
+			t.Fatalf("fan-in: max edge queue %d, err %v", fanRes.MaxEdgeQueue, err)
+		}
+		if _, err := mkNet(5, model.IPSC860()).RunSourceBounded(programsSource(fan), fanRes.Makespan/2); !errors.Is(err, ErrCutoff) {
+			t.Fatalf("fan-in under half its makespan: %v", err)
+		}
+		for _, shards := range []int{1, 3} {
+			net := New(topology.MustNew(3), model.IPSC860())
+			net.SetJitter(0.05, 7)
+			net.SetReplayShards(shards)
+			if _, err := net.RunSourceBounded(src, want.Makespan*0.9); !errors.Is(err, ErrCutoff) {
+				t.Fatalf("%d shards under 0.9 of the makespan: %v", shards, err)
+			}
 		}
 		requireIdentical(t, "serial after dirty runs", want, fresh(1))
 		requireIdentical(t, "sharded after dirty runs", want, fresh(3))
 	}
 }
+
+// boundedCacheRun counts the runs of TestCertificateCacheIsBounded in this
+// process: each needs keys the process-wide cache has not seen.
+var boundedCacheRun int
 
 // The certificate cache is bounded by the rows its keys cover: a key that
 // would overflow it evicts others first, and the row account stays the sum
@@ -306,9 +324,10 @@ func TestCertificateCacheIsBounded(t *testing.T) {
 		cc.mu.Unlock()
 	}()
 
+	boundedCacheRun++
 	src := multiphaseSource()
 	for i := range src.spans {
-		src.spans[i].Shape = "bounded-cache-test"
+		src.spans[i].Shape = fmt.Sprintf("bounded-cache-test-%d", boundedCacheRun) // new keys under -count too
 	}
 	net := New(topology.MustNew(3), model.Hypothetical())
 	want := mustRunSource(t, net, multiphaseSource())
