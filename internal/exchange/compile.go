@@ -31,7 +31,9 @@ type CompiledPlan struct {
 // being zero, a compiled exchange is never a self-exchange). All other
 // communication rows locate the partner through the phase's digit field:
 // f = (p/stride) mod span, shifted by ±shift (XOR'd for non-bit-aligned
-// radix-2 fields).
+// radix-2 fields). When a cyclic phase's stride and span are both powers
+// of two the field is a bit range of p, and the divide and the modulos
+// become a shift and masks.
 type compiledOp struct {
 	kind   simnet.OpKind
 	mask   int // fast path: peer = p ^ mask (OpExchange, mask > 0)
@@ -40,6 +42,9 @@ type compiledOp struct {
 	span   int
 	xor    bool // field combines by XOR instead of cyclic shift
 	bytes  int
+	// Cyclic rows over a bit-range field: f = p>>fieldLo & fieldMask
+	// (fieldMask = span−1; 0 means "not a bit range").
+	fieldLo, fieldMask int
 }
 
 // Compile lowers the plan to its per-node simnet programs, mirroring
@@ -106,29 +111,19 @@ func appendPhaseRows(rows []compiledOp, ph Phase, shuffleBytes int) []compiledOp
 			rows = append(rows, row)
 		}
 	} else {
-		for j := 1; j <= ph.steps(); j++ {
-			rows = append(rows, compiledOp{
-				kind:   simnet.OpPostRecv,
-				shift:  j,
-				stride: ph.Stride,
-				span:   ph.Span,
-			})
+		row := compiledOp{stride: ph.Stride, span: ph.Span}
+		if bitutil.IsPow2(ph.Stride) && bitutil.IsPow2(ph.Span) {
+			row.fieldLo, row.fieldMask = bitutil.Log2Exact(ph.Stride), ph.Span-1
 		}
 		for j := 1; j <= ph.steps(); j++ {
-			rows = append(rows,
-				compiledOp{
-					kind:   simnet.OpSend,
-					shift:  j,
-					stride: ph.Stride,
-					span:   ph.Span,
-					bytes:  ph.EffBytes,
-				},
-				compiledOp{
-					kind:   simnet.OpWaitRecv,
-					shift:  j,
-					stride: ph.Stride,
-					span:   ph.Span,
-				})
+			row.kind, row.shift = simnet.OpPostRecv, j
+			rows = append(rows, row)
+		}
+		for j := 1; j <= ph.steps(); j++ {
+			send, wait := row, row
+			send.kind, send.shift, send.bytes = simnet.OpSend, j, ph.EffBytes
+			wait.kind, wait.shift = simnet.OpWaitRecv, j
+			rows = append(rows, send, wait)
 		}
 	}
 	if ph.EffBlocks != 1 {
@@ -162,6 +157,14 @@ func (c *CompiledPlan) Ops() int { return c.n * len(c.rows) }
 
 // peer computes node p's communication partner for a generic row.
 func (r compiledOp) peer(p int) int {
+	if r.fieldMask != 0 {
+		f := p >> r.fieldLo & r.fieldMask
+		g := (f + r.shift) & r.fieldMask
+		if r.kind != simnet.OpSend { // receive rows pair with the sender shifted the other way
+			g = (f - r.shift) & r.fieldMask
+		}
+		return p ^ (f^g)<<r.fieldLo
+	}
 	f := (p / r.stride) % r.span
 	var g int
 	switch {

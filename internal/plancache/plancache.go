@@ -300,11 +300,26 @@ func (c *Cache) shardFor(key lineKey) *shard {
 // build failure.
 const MaxTopologyNodes = 1 << 20
 
-// ResolveTopology validates a topology registry spec for serving:
-// parse errors and oversized networks come back as request-validation
-// errors (the service layer maps them to 400).
+// ResolveTopology resolves a topology registry spec for serving: the
+// process-wide shared handle of topology.Resolve, so a fabric named by
+// many requests is parsed — and a degraded one's live graph derived —
+// once. Parse errors and oversized networks come back as
+// request-validation errors (the service layer maps them to 400).
 func ResolveTopology(spec string) (topology.Network, error) {
-	net, err := topology.ParseSpec(spec)
+	net, err := topology.Resolve(spec)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkServable(net); err != nil {
+		return nil, err
+	}
+	return net, nil
+}
+
+// ResolveHypercube is ResolveTopology for the dimension-based API: the
+// shared d-cube handle, without a spec string.
+func ResolveHypercube(d int) (topology.Network, error) {
+	net, err := topology.New(d)
 	if err != nil {
 		return nil, err
 	}
@@ -393,7 +408,7 @@ func (c *Cache) Get(machine string, d, m int) (Plan, error) {
 	if err != nil {
 		return Plan{}, err
 	}
-	net, err := topology.New(d)
+	net, err := ResolveHypercube(d)
 	if err != nil {
 		return Plan{}, err
 	}

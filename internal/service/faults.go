@@ -68,7 +68,7 @@ func (s *Server) handleFaults(w http.ResponseWriter, r *http.Request) int {
 	if req.Topology == "" {
 		return writeError(w, http.StatusBadRequest, "missing required field \"topology\"")
 	}
-	base, err := s.resolveTopo(req.Topology, "")
+	base, err := s.resolveTopo(req.Topology, 0, s.cfg.PlanMaxDim)
 	if err != nil {
 		return writeError(w, http.StatusBadRequest, err.Error())
 	}
@@ -83,7 +83,10 @@ func (s *Server) handleFaults(w http.ResponseWriter, r *http.Request) int {
 	}
 
 	s.faultMu.Lock()
-	fs := s.faults[name].Clone()
+	var fs topology.FaultSet
+	if cur := s.faults[name]; cur != nil {
+		fs = cur.Faults()
+	}
 	switch req.Action {
 	case "down":
 		fs.DeadLinks = append(fs.DeadLinks, links...)
@@ -111,7 +114,10 @@ func (s *Server) handleFaults(w http.ResponseWriter, r *http.Request) int {
 			fmt.Sprintf("unknown action %q (valid: down, slow, restore, clear)", req.Action))
 	}
 	// Overlay canonicalizes and validates the merged set against the
-	// base fabric (in-range nodes, adjacent endpoints, sane factors).
+	// base fabric (in-range nodes, adjacent endpoints, sane factors). The
+	// overlay built here is the one the registry keeps: every request for
+	// this fabric is served on it until the next report, so its routes and
+	// live-graph facts are derived once, not per request.
 	d, err := topology.Overlay(base, fs)
 	if err != nil {
 		s.faultMu.Unlock()
@@ -122,7 +128,7 @@ func (s *Server) handleFaults(w http.ResponseWriter, r *http.Request) int {
 	if canon.Empty() {
 		delete(s.faults, name)
 	} else {
-		s.faults[name] = canon
+		s.faults[name] = d
 	}
 	s.faultMu.Unlock()
 	s.faultUpdates.Add(1)
@@ -200,25 +206,22 @@ func restoreFaults(fs topology.FaultSet, links []topology.Link, nodes []int) top
 	return out
 }
 
-// applyFaults wraps base with the fabric's current fault set. A network
-// that already is a degraded overlay (the client asked for an explicit
-// fault digest) passes through untouched. The returned digest is "ok"
-// for a healthy fabric.
-func (s *Server) applyFaults(base topology.Network) (topology.Network, string, error) {
+// applyFaults returns the overlay the fault registry holds for base — the
+// one built when its faults were last reported — or base itself when the
+// fabric is healthy. A network that already is a degraded overlay (the
+// client asked for an explicit fault digest) passes through untouched.
+// The returned digest is "ok" for a healthy fabric.
+func (s *Server) applyFaults(base topology.Network) (topology.Network, string) {
 	if dg, ok := base.(*topology.Degraded); ok {
-		return base, dg.HealthDigest(), nil
+		return base, dg.HealthDigest()
 	}
 	s.faultMu.Lock()
-	fs, ok := s.faults[base.Name()]
+	d := s.faults[base.Name()]
 	s.faultMu.Unlock()
-	if !ok || fs.Empty() {
-		return base, "ok", nil
+	if d == nil {
+		return base, "ok"
 	}
-	d, err := topology.Overlay(base, fs)
-	if err != nil {
-		return nil, "", fmt.Errorf("applying fault set to %s: %w", base.Name(), err)
-	}
-	return d, d.HealthDigest(), nil
+	return d, d.HealthDigest()
 }
 
 // planFor answers one plan query under the fabric's current fault
@@ -229,10 +232,7 @@ func (s *Server) applyFaults(base topology.Network) (topology.Network, string, e
 // last-known-good answer that ignores the faults — and a bounded-retry
 // background rebuild is scheduled.
 func (s *Server) planFor(ctx context.Context, machine string, base topology.Network, m int) (p plancache.Plan, health string, degraded bool, err error) {
-	net, digest, err := s.applyFaults(base)
-	if err != nil {
-		return plancache.Plan{}, "", false, err
-	}
+	net, digest := s.applyFaults(base)
 	p, err = s.cache.GetForCtx(ctx, machine, net, m)
 	if err == nil {
 		return p, digest, false, nil
@@ -285,11 +285,7 @@ func (s *Server) rebuild(key, machine string, base topology.Network) {
 			time.Sleep(backoff)
 			backoff *= 2
 		}
-		net, digest, err := s.applyFaults(base)
-		if err != nil {
-			lastErr = err
-			continue
-		}
+		net, digest := s.applyFaults(base)
 		if digest == "ok" {
 			// Faults were cleared while we were backing off; the bare
 			// line is the right answer again.

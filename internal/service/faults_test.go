@@ -288,3 +288,42 @@ func TestPanicRecoveryMiddleware(t *testing.T) {
 		t.Fatalf("endpoint errors = %d, want 1", e)
 	}
 }
+
+// Once a fault is reported, the fabric is served on the overlay the
+// report built: the requests that follow parse no spec — the resolver's
+// miss path is the serving tier's only other way to an Overlay — and
+// derive nothing, so the report's derivation is the only one.
+func TestFaultedRequestsBuildNoOverlay(t *testing.T) {
+	_, ts := newFaultTestServer(t)
+	getJSON(t, ts.URL+"/v1/plan?machine=ipsc860&topology=torus-8x8&m=40", http.StatusOK, nil)
+
+	before := topology.ResolveStats()
+	var fr FaultsResponse
+	postJSON(t, ts.URL+"/v1/faults", FaultsRequest{
+		Topology: "torus-8x8", Action: "down", Links: [][2]int{{0, 1}},
+	}, http.StatusOK, &fr)
+	if fr.Health != "dl=0-1" || !fr.Operational {
+		t.Fatalf("faults response = %+v", fr)
+	}
+	const n = 8
+	for i := 0; i < n; i++ {
+		var plan PlanResponse
+		getJSON(t, fmt.Sprintf("%s/v1/plan?machine=ipsc860&topology=torus-8x8&m=%d", ts.URL, 16*i), http.StatusOK, &plan)
+		var cost CostResponse
+		postJSON(t, ts.URL+"/v1/cost", CostRequest{Topology: "torus-8x8", M: 8 * i, Partition: []int{1, 1}}, http.StatusOK, &cost)
+		if plan.Health != "dl=0-1" || plan.Degraded || cost.Health != "dl=0-1" || cost.Topology != "torus-8x8!dl=0-1" {
+			t.Fatalf("request %d: plan health %q degraded %v, cost health %q on %q",
+				i, plan.Health, plan.Degraded, cost.Health, cost.Topology)
+		}
+	}
+	after := topology.ResolveStats()
+	if after.Misses != before.Misses {
+		t.Errorf("%d specs parsed while serving a reported fault, want 0", after.Misses-before.Misses)
+	}
+	if got := after.Hits - before.Hits; got != 2*n+1 {
+		t.Errorf("%d handle hits for %d requests and the report", got, 2*n)
+	}
+	if got := after.Derivations - before.Derivations; got != 1 {
+		t.Errorf("%d overlay derivations, want the report's one", got)
+	}
+}

@@ -1,7 +1,9 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +16,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/optimize"
 	"repro/internal/plancache"
+	"repro/internal/topology"
 )
 
 // findTrace polls /debug/traces?id= until the trace commits (the root
@@ -498,6 +501,94 @@ func TestMetricsJSONLegacyShape(t *testing.T) {
 		if _, ok := ep[key]; !ok {
 			t.Errorf("endpoint metrics lost legacy key %q", key)
 		}
+	}
+}
+
+// resolveTestRun numbers TestResolveIsTracedAndCounted's runs: the handle
+// table is process-wide, so each run names a fabric no earlier one resolved.
+var resolveTestRun int
+
+// TestResolveIsTracedAndCounted: a /v1/cost naming a degraded fabric for
+// the first time books the parse and the live graph's derivation to a
+// "resolve" span, not to the replay, and the handle table's counters say
+// so on both /metrics forms, name by name.
+func TestResolveIsTracedAndCounted(t *testing.T) {
+	ts := newTestServer(t)
+	resolveTestRun++
+	spec := fmt.Sprintf("hypercube-6!dl=0-1!sl=2-3:%d.5", resolveTestRun+1)
+	before := topology.ResolveStats()
+	for i, id := range []string{"resolve-test-cold", "resolve-test-warm"} {
+		body, _ := json.Marshal(CostRequest{Topology: spec, M: 40, Partition: []int{3, 3}})
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/cost", bytes.NewReader(body))
+		req.Header.Set(obs.RequestIDHeader, id)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("/v1/cost %s: %d", spec, resp.StatusCode)
+		}
+		names := spanNames(findTrace(t, ts.URL, id))
+		if names["resolve"] != 1 || names["replay"] != 1 {
+			t.Errorf("request %d spans %v, want one resolve and one replay", i, names)
+		}
+	}
+	getJSON(t, ts.URL+"/v1/plan?d=5&m=40", http.StatusOK, nil) // the d-cube resolves nothing
+
+	want := topology.ResolveStats()
+	if want.Misses-before.Misses != 1 || want.Hits-before.Hits != 1 || want.Derivations-before.Derivations != 1 {
+		t.Errorf("two requests for %s moved the table from %+v to %+v, want one miss, one hit, one derivation", spec, before, want)
+	}
+
+	var top map[string]json.RawMessage
+	getJSON(t, ts.URL+"/metrics", http.StatusOK, &top)
+	var got map[string]int64
+	if err := json.Unmarshal(top["topology"], &got); err != nil {
+		t.Fatalf("/metrics topology section %s: %v", top["topology"], err)
+	}
+	var m MetricsResponse
+	getJSON(t, ts.URL+"/metrics", http.StatusOK, &m)
+	if m.Stages["resolve"].Count != 2 {
+		t.Errorf("resolve stage observed %d spans, want 2", m.Stages["resolve"].Count)
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics?format=prometheus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prom := map[string]float64{}
+	for _, smp := range parseProm(t, string(raw)) {
+		if len(smp.labels) == 0 {
+			prom[smp.name] = smp.value
+		}
+	}
+	for _, c := range []struct {
+		json, prom string
+		want       int64
+	}{
+		{"handles", "pland_topology_handles", int64(want.Handles)},
+		{"resolve_hits_total", "pland_topology_resolve_hits_total", want.Hits},
+		{"resolve_misses_total", "pland_topology_resolve_misses_total", want.Misses},
+		{"resolve_evictions_total", "pland_topology_resolve_evictions_total", want.Evictions},
+		{"derivations_total", "pland_topology_derivations_total", want.Derivations},
+		{"derive_us_total", "pland_topology_derive_us_total", want.DeriveMicros},
+	} {
+		if v, ok := got[c.json]; !ok || v != c.want {
+			t.Errorf("/metrics topology.%s = %d (present %v), want %d", c.json, v, ok, c.want)
+		}
+		if v, ok := prom[c.prom]; !ok || int64(v) != c.want {
+			t.Errorf("%s = %v (present %v), want %d", c.prom, v, ok, c.want)
+		}
+	}
+	if want.Handles < 1 || want.Misses < 1 {
+		t.Errorf("table counters never moved: %+v", want)
 	}
 }
 

@@ -38,7 +38,7 @@ func (s *Server) handlePeerLine(w http.ResponseWriter, r *http.Request) int {
 	if spec == "" {
 		return writeError(w, http.StatusBadRequest, "missing required parameter \"topology\"")
 	}
-	net, err := s.resolveTopo(spec, "")
+	net, err := s.resolveTopo(spec, 0, s.cfg.PlanMaxDim)
 	if err != nil {
 		return writeError(w, http.StatusBadRequest, err.Error())
 	}

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/obs"
+	"repro/internal/topology"
 )
 
 // writePrometheus renders every /metrics counter, gauge, and histogram
@@ -54,6 +55,14 @@ func (s *Server) writePrometheus(w http.ResponseWriter) int {
 			p.Sample("pland_replay_declines_total", map[string]string{"reason": reason}, float64(rm.Declines[reason]))
 		}
 	}
+
+	ts := topology.ResolveStats()
+	p.Gauge("pland_topology_handles", "Fabrics resident in the shared handle table.", nil, float64(ts.Handles))
+	p.Counter("pland_topology_resolve_hits_total", "Topology specs answered by a resident handle.", nil, float64(ts.Hits))
+	p.Counter("pland_topology_resolve_misses_total", "Topology specs that had to be parsed.", nil, float64(ts.Misses))
+	p.Counter("pland_topology_resolve_evictions_total", "Handles dropped to keep the table within its bound.", nil, float64(ts.Evictions))
+	p.Counter("pland_topology_derivations_total", "Degraded overlays whose live-graph facts were derived.", nil, float64(ts.Derivations))
+	p.Counter("pland_topology_derive_us_total", "Microseconds spent in those derivations.", nil, float64(ts.DeriveMicros))
 
 	fm := s.faultMetrics()
 	p.Gauge("pland_fault_sets_active", "Fabrics currently carrying fault state.", nil, float64(fm.ActiveFaultSets))

@@ -18,12 +18,14 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
 	"math"
 	"net/http"
+	"net/url"
 	"runtime"
 	"runtime/debug"
 	"sort"
@@ -145,10 +147,11 @@ type Server struct {
 	mu    sync.Mutex
 	stats map[string]*endpointStats
 
-	// Fault state: per-fabric fault sets keyed by base topology name,
-	// and the dedup set of in-flight background rebuilds (see faults.go).
+	// Fault state: per-fabric resolved overlays keyed by base topology
+	// name, and the dedup set of in-flight background rebuilds (see
+	// faults.go).
 	faultMu    sync.Mutex
-	faults     map[string]topology.FaultSet
+	faults     map[string]*topology.Degraded
 	rebuilding map[string]bool
 
 	faultUpdates, degradedServes atomic.Int64
@@ -183,7 +186,7 @@ func New(cfg Config) (*Server, error) {
 		cache:      cfg.Cache,
 		start:      time.Now(),
 		stats:      make(map[string]*endpointStats),
-		faults:     make(map[string]topology.FaultSet),
+		faults:     make(map[string]*topology.Degraded),
 		rebuilding: make(map[string]bool),
 	}, nil
 }
@@ -380,45 +383,48 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) int {
 	return writeJSON(w, http.StatusOK, resp)
 }
 
-// checkPlanDim enforces the server's dimension bound on cache-building
-// endpoints; returns an error message for out-of-bound d.
-func (s *Server) checkPlanDim(d int) error {
-	if d < 0 || d > s.cfg.PlanMaxDim {
-		return fmt.Errorf("d=%d out of this server's range [0,%d]", d, s.cfg.PlanMaxDim)
+// resolveTopo turns a request's topology/d pair into the fabric's shared
+// handle (topology.Resolve's table: a spec seen before is a map read)
+// within a serving bound: an explicit spec wins, otherwise d selects the
+// hypercube. maxDim caps the node count at 2^maxDim — a hull build's or a
+// replay's cost scales with it — and, for the hypercube path, d itself.
+// Handlers pass the returned Network straight to the cache's *For entry
+// points.
+func (s *Server) resolveTopo(spec string, d, maxDim int) (topology.Network, error) {
+	if spec == "" {
+		if d < 0 || d > maxDim {
+			return nil, fmt.Errorf("d=%d out of this server's range [0,%d]", d, maxDim)
+		}
+		return plancache.ResolveHypercube(d)
 	}
-	return nil
-}
-
-// resolveTopo turns a request's topology/d pair into a resolved network
-// within the server's serving bound: an explicit topology field wins,
-// otherwise d selects the hypercube. The bound caps both the node count
-// (2^PlanMaxDim — a hull build's cost scales with it) and, for the
-// hypercube path, d itself. Handlers pass the returned Network straight
-// to the cache's *For entry points, so a request's spec is parsed
-// exactly once.
-func (s *Server) resolveTopo(topo string, d string) (topology.Network, error) {
-	if topo == "" {
-		if d == "" {
-			return nil, fmt.Errorf("missing required parameter %q (or %q)", "d", "topology")
-		}
-		dv, err := queryInt(d, "d")
-		if err != nil {
-			return nil, err
-		}
-		if err := s.checkPlanDim(dv); err != nil {
-			return nil, err
-		}
-		return topology.New(dv)
-	}
-	net, err := plancache.ResolveTopology(topo)
+	net, err := plancache.ResolveTopology(spec)
 	if err != nil {
 		return nil, err
 	}
-	if net.Nodes() > 1<<s.cfg.PlanMaxDim {
+	if net.Nodes() > 1<<maxDim {
 		return nil, fmt.Errorf("topology %s has %d nodes, over this server's bound of %d",
-			net.Name(), net.Nodes(), 1<<s.cfg.PlanMaxDim)
+			net.Name(), net.Nodes(), 1<<maxDim)
 	}
 	return net, nil
+}
+
+// resolveTraced is resolveTopo for the single-fabric endpoints: a named
+// spec resolves under a "resolve" span that also covers a degraded
+// fabric's first derivation (once per process, and tens of milliseconds
+// at 1024 nodes), so the trace of a slow first request books that time
+// here and not to whichever replay or build first asks for the diameter.
+// The d-cube is an array read and gets no span.
+func (s *Server) resolveTraced(ctx context.Context, spec string, d, maxDim int) (topology.Network, error) {
+	if spec == "" {
+		return s.resolveTopo(spec, d, maxDim)
+	}
+	sp := obs.StartSpan(ctx, "resolve")
+	defer sp.End()
+	net, err := s.resolveTopo(spec, d, maxDim)
+	if err == nil {
+		net.Diameter() // a degraded handle's first use derives its live graph
+	}
+	return net, err
 }
 
 // statusClientClosedRequest is the (nginx-conventional) status recorded
@@ -456,7 +462,7 @@ func (s *Server) planQuery(w http.ResponseWriter, r *http.Request) (machine stri
 	if machine == "" {
 		machine = s.cfg.DefaultMachine
 	}
-	topo, err := s.resolveTopo(q.Get("topology"), q.Get("d"))
+	topo, err := s.queryTopo(r.Context(), q)
 	if err != nil {
 		return "", nil, 0, writeError(w, http.StatusBadRequest, err.Error())
 	}
@@ -465,6 +471,22 @@ func (s *Server) planQuery(w http.ResponseWriter, r *http.Request) (machine stri
 		return "", nil, 0, writeError(w, http.StatusBadRequest, err.Error())
 	}
 	return machine, topo, m, 0
+}
+
+// queryTopo resolves the topology/d pair of a URL query within the
+// plan-serving bound.
+func (s *Server) queryTopo(ctx context.Context, q url.Values) (topology.Network, error) {
+	spec, d := q.Get("topology"), 0
+	if spec == "" {
+		if q.Get("d") == "" {
+			return nil, fmt.Errorf("missing required parameter %q (or %q)", "d", "topology")
+		}
+		var err error
+		if d, err = queryInt(q.Get("d"), "d"); err != nil {
+			return nil, err
+		}
+	}
+	return s.resolveTraced(ctx, spec, d, s.cfg.PlanMaxDim)
 }
 
 func queryInt(raw, name string) (int, error) {
@@ -518,28 +540,11 @@ func (s *Server) handleCost(w http.ResponseWriter, r *http.Request) int {
 		return writeError(w, http.StatusBadRequest, err.Error())
 	}
 	req.Machine = machine
-	var topo topology.Network
-	if req.Topology != "" {
-		topo, err = plancache.ResolveTopology(req.Topology)
-	} else {
-		if req.D < 0 || req.D > s.cfg.CostMaxDim {
-			return writeError(w, http.StatusBadRequest,
-				fmt.Sprintf("d=%d out of this server's simulation bound [0,%d]", req.D, s.cfg.CostMaxDim))
-		}
-		topo, err = topology.New(req.D)
-	}
+	topo, err := s.resolveTraced(r.Context(), req.Topology, req.D, s.cfg.CostMaxDim)
 	if err != nil {
 		return writeError(w, http.StatusBadRequest, err.Error())
 	}
-	if topo.Nodes() > 1<<s.cfg.CostMaxDim {
-		return writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("topology %s has %d nodes, over this server's simulation bound of %d",
-				topo.Name(), topo.Nodes(), 1<<s.cfg.CostMaxDim))
-	}
-	net, health, err := s.applyFaults(topo)
-	if err != nil {
-		return writeError(w, http.StatusInternalServerError, err.Error())
-	}
+	net, health := s.applyFaults(topo)
 	D := partition.Partition(req.Partition)
 	plan, err := exchange.NewPlanOn(net, req.M, D)
 	if err != nil {
@@ -590,14 +595,11 @@ func (s *Server) handleHull(w http.ResponseWriter, r *http.Request) int {
 	if err != nil {
 		return writeError(w, http.StatusBadRequest, err.Error())
 	}
-	topo, err := s.resolveTopo(q.Get("topology"), q.Get("d"))
+	topo, err := s.queryTopo(r.Context(), q)
 	if err != nil {
 		return writeError(w, http.StatusBadRequest, err.Error())
 	}
-	net, health, err := s.applyFaults(topo)
-	if err != nil {
-		return writeError(w, http.StatusInternalServerError, err.Error())
-	}
+	net, health := s.applyFaults(topo)
 	tbl, err := s.cache.HullForCtx(r.Context(), name, net)
 	if err != nil {
 		return s.writeCacheError(w, r, err)
@@ -678,7 +680,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) int {
 				if machine == "" {
 					machine = s.cfg.DefaultMachine
 				}
-				topo, err := s.resolveTopo(qy.Topology, strconv.Itoa(qy.D))
+				topo, err := s.resolveTopo(qy.Topology, qy.D, s.cfg.PlanMaxDim)
 				if err != nil {
 					results[i] = BatchItem{Error: err.Error()}
 					continue
@@ -755,8 +757,12 @@ type MetricsResponse struct {
 	// Replay says how simnet priced the phases of every replay this
 	// daemon ran, the optimizers' and /v1/cost's together.
 	Replay ReplayMetrics `json:"replay"`
-	Faults FaultMetrics  `json:"faults"`
-	Panics int64         `json:"panics_total"`
+	// Topology is the process-wide fabric handle table: how many specs
+	// resolved to a resident handle, how many were parsed, and what the
+	// degraded fabrics' one-time derivations cost.
+	Topology topology.TableStats `json:"topology"`
+	Faults   FaultMetrics        `json:"faults"`
+	Panics   int64               `json:"panics_total"`
 	// Shed counts requests refused with 503 because the local build
 	// concurrency bound was exhausted; EarlyAborts counts requests whose
 	// client disconnected before the answer was built (499).
@@ -806,6 +812,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) int {
 		Cache:       s.cache.Stats(),
 		Optimizer:   s.cache.OptimizerStats(),
 		Replay:      s.replayMetrics(),
+		Topology:    topology.ResolveStats(),
 		Faults:      s.faultMetrics(),
 		Panics:      s.panics.Load(),
 		Shed:        s.shed.Load(),

@@ -6,6 +6,7 @@ import (
 	"math"
 	"strings"
 	"sync"
+	"weak"
 
 	"repro/internal/event"
 	"repro/internal/model"
@@ -352,8 +353,34 @@ func (n *Network) newState(src Source, owner *runState, cutoff float64) *runStat
 // node and link arrays grow with the machine; channels grow with the
 // pairs that talk — a cyclic phase spanning a whole 256-node torus opens
 // 65 280 of them — and a state idling in the pool must not hold megabytes
-// for the rare replay that needs them.
+// for the rare replay that needs them. Larger storage goes to spareChans.
 const maxPooledChans = 1 << 13
+
+// spareChans is the channel storage of the last replay that outgrew
+// maxPooledChans, held weakly: the next replay to outgrow it takes the
+// storage over instead of allocating its own, and the first collection in
+// between frees it, so an idle process retains nothing. Without it a
+// whole-machine torus-8x8x8 phase leaves 19 MB of garbage, the next such
+// replay allocates 19 MB beside it unless a collection happened to run in
+// between, and a daemon's peak resident set depends on the order of its
+// requests.
+var spareChans struct {
+	sync.Mutex
+	p weak.Pointer[[]msgChan]
+}
+
+// takeSpareChans returns the spare storage, emptied, if it holds at least
+// want channels, else nil; either way the spare is gone.
+func takeSpareChans(want int) []msgChan {
+	spareChans.Lock()
+	p := spareChans.p.Value()
+	spareChans.p = weak.Pointer[[]msgChan]{}
+	spareChans.Unlock()
+	if p == nil || cap(*p) < want {
+		return nil
+	}
+	return (*p)[:0]
+}
 
 // release returns st to the pool, dropping what would pin the caller's
 // network and programs. A shard hands back only what is its own: the link
@@ -363,6 +390,10 @@ func (st *runState) release() {
 		st.busy, st.backlogOf = nil, nil
 	}
 	if cap(st.chans) > maxPooledChans {
+		spare := st.chans[:0]
+		spareChans.Lock()
+		spareChans.p = weak.Make(&spare)
+		spareChans.Unlock()
 		st.chans, st.outIdx, st.chanTab = nil, nil, nil
 	}
 	st.net, st.src, st.topo, st.cube, st.degr, st.siblings = nil, nil, nil, nil, nil, nil

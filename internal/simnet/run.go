@@ -245,7 +245,15 @@ func (st *runState) channel(src, dst int) int {
 		// Double, rather than append's 1.25× for large slices: a phase
 		// spanning the machine opens tens of thousands of channels, and
 		// every regrowth copies and clears them all.
-		grown := make([]msgChan, ci, max(2*ci, 64, st.chanHint))
+		want := max(2*ci, 64, st.chanHint)
+		var grown []msgChan
+		if want > maxPooledChans {
+			grown = takeSpareChans(want)
+		}
+		if grown == nil {
+			grown = make([]msgChan, 0, want)
+		}
+		grown = grown[:ci]
 		copy(grown, st.chans)
 		st.chans = grown
 	}

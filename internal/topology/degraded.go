@@ -3,10 +3,13 @@ package topology
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
+	"time"
 )
 
 // ErrUnroutable is the sentinel wrapped by every routing or planning
@@ -181,8 +184,12 @@ func (fs FaultSet) digest() string {
 // Node labels are unchanged: Nodes(), Contains() and the LinkSlot space
 // still describe the full fabric, with dead elements marked, not
 // removed. A Degraded overlay is immutable after Overlay returns and
-// safe for concurrent use; to change the fault state, build a new
-// overlay from the base network.
+// safe for concurrent use — Resolve hands one out to every request that
+// names the fabric; to change the fault state, build a new overlay from
+// the base network. What it learns lazily it learns once: Connected,
+// Diameter, AveragePathLength and TotalLinks come from one derivation
+// pass on first use (see derive for when they are exact), detours are
+// memoized per broken pair.
 type Degraded struct {
 	base   Network
 	fs     FaultSet
@@ -190,24 +197,18 @@ type Degraded struct {
 	digest string
 
 	deadNode []bool          // nil when no dead nodes
-	linkDown []bool          // by base LinkSlot, both directions; nil when no dead links
-	hopDown  []bool          // by base LinkSlot: wire dead or either endpoint dead; nil when neither occurs
+	hopDown  []bool          // by base LinkSlot, both directions: wire dead or either endpoint dead; nil when neither occurs
 	slowSlot map[int]float64 // by base LinkSlot, both directions; nil when no slow links
 	maxSlow  float64
 
 	detours sync.Map // int64(src)<<32 | dst → []int, only for broken base routes
 
-	connOnce sync.Once
-	connErr  error
-
-	diamOnce sync.Once
-	diam     int
-
-	aplOnce sync.Once
-	apl     float64
-
-	linksOnce sync.Once
-	links     int
+	// The facts of the live graph, filled in by derive on first use.
+	deriveOnce sync.Once
+	connErr    error
+	diam       int
+	apl        float64
+	links      int
 }
 
 var _ Network = (*Degraded)(nil)
@@ -236,16 +237,12 @@ func Overlay(base Network, fs FaultSet) (*Degraded, error) {
 			d.deadNode[p] = true
 		}
 	}
-	if len(cfs.DeadLinks) > 0 {
-		d.linkDown = make([]bool, base.Nodes()*base.Degree())
-		for _, l := range cfs.DeadLinks {
-			d.linkDown[base.LinkSlot(l.A, l.B)] = true
-			d.linkDown[base.LinkSlot(l.B, l.A)] = true
-		}
-	}
-	if d.linkDown != nil || d.deadNode != nil {
+	if len(cfs.DeadLinks) > 0 || len(cfs.DeadNodes) > 0 {
 		d.hopDown = make([]bool, base.Nodes()*base.Degree())
-		copy(d.hopDown, d.linkDown)
+		for _, l := range cfs.DeadLinks {
+			d.hopDown[base.LinkSlot(l.A, l.B)] = true
+			d.hopDown[base.LinkSlot(l.B, l.A)] = true
+		}
 		for _, p := range cfs.DeadNodes {
 			for _, q := range base.Neighbors(p) {
 				d.hopDown[base.LinkSlot(p, q)] = true
@@ -301,13 +298,7 @@ func (d *Degraded) NodeAlive(p int) bool { return d.deadNode == nil || !d.deadNo
 // LinkAlive reports whether the directed link from → to (which must be
 // adjacent) and both its endpoints are usable.
 func (d *Degraded) LinkAlive(from, to int) bool {
-	return d.NodeAlive(from) && d.NodeAlive(to) && d.wireUp(from, to)
-}
-
-// wireUp reports whether the wire between two adjacent nodes is intact
-// (ignoring node health).
-func (d *Degraded) wireUp(from, to int) bool {
-	return d.linkDown == nil || !d.linkDown[d.base.LinkSlot(from, to)]
+	return d.hopDown == nil || !d.hopDown[d.base.LinkSlot(from, to)]
 }
 
 // SlowFactor returns the speed factor of the directed-link slot (as
@@ -364,23 +355,7 @@ func (d *Degraded) Neighbors(p int) []int {
 func (d *Degraded) LinkSlot(from, to int) int { return d.base.LinkSlot(from, to) }
 
 func (d *Degraded) TotalLinks() int {
-	if d.Healthy() {
-		return d.base.TotalLinks()
-	}
-	d.linksOnce.Do(func() {
-		seen := make(map[int]bool)
-		for p := 0; p < d.base.Nodes(); p++ {
-			if !d.NodeAlive(p) {
-				continue
-			}
-			for _, q := range d.base.Neighbors(p) {
-				if d.LinkAlive(p, q) {
-					seen[d.base.LinkSlot(p, q)] = true
-				}
-			}
-		}
-		d.links = len(seen)
-	})
+	d.deriveOnce.Do(d.derive)
 	return d.links
 }
 
@@ -390,11 +365,14 @@ func detourKey(src, dst int) int64 { return int64(src)<<32 | int64(uint32(dst)) 
 // routeClean reports whether every hop of route crosses a live wire and
 // every node on it is alive.
 func (d *Degraded) routeClean(route []int) bool {
-	for i, v := range route {
-		if !d.NodeAlive(v) {
-			return false
-		}
-		if i > 0 && !d.wireUp(route[i-1], v) {
+	if d.hopDown == nil {
+		return true
+	}
+	if !d.NodeAlive(route[0]) {
+		return false
+	}
+	for i := 1; i < len(route); i++ {
+		if d.hopDown[d.base.LinkSlot(route[i-1], route[i])] {
 			return false
 		}
 	}
@@ -589,143 +567,154 @@ func (d *Degraded) RouteMetrics(src, dst int) (dist int, slow float64, err error
 }
 
 // maxExactMetricNodes bounds the network size for which Diameter and
-// AveragePathLength are recomputed exactly over the live graph; larger
-// degraded networks fall back to documented pessimistic estimates
-// (serving tiers never ask beyond reports and barrier weights).
+// AveragePathLength are computed exactly over the live graph; a larger
+// overlay with dead elements falls back to documented estimates (serving
+// tiers never ask beyond reports and barrier weights).
 const maxExactMetricNodes = 4096
 
-// Diameter returns the maximum fault-aware distance over live routable
-// pairs. Small networks (≤ maxExactMetricNodes) compute it exactly by
-// BFS over the live graph; larger ones return the base diameter plus a
-// two-hop detour allowance per dead wire — an upper estimate used only
-// as the global-sync weight, consistently by both the model and the
-// simulator (they see the same Network).
-func (d *Degraded) Diameter() int {
-	if d.Healthy() {
-		return d.base.Diameter()
+// derive computes, once per overlay, every fact that depends on the live
+// graph as a whole: connectivity, diameter, mean path length, link count.
+// An overlay with no dead node or wire — slow wires only, or no fault —
+// has its base's graph and takes the base's closed-form values without a
+// traversal. Otherwise the live graph is laid out once as flat adjacency,
+// a walk from the first live node settles connectivity, and up to
+// maxExactMetricNodes an all-sources breadth-first search takes the
+// diameter as an integer maximum and the path length as an integer sum
+// under one division: exact, and independent of how the sources were
+// split. Beyond that size the path length is the base's and the diameter
+// the base's plus two hops of detour per dead wire, a dead node counting
+// as the wires it takes down — an estimate (a ring cut open exceeds it)
+// used only as the global-sync weight, consistently by the model and the
+// simulator, which see the same Network.
+func (d *Degraded) derive() {
+	defer noteDerivation(time.Now())
+	d.diam, d.apl, d.links = d.base.Diameter(), d.base.AveragePathLength(), d.base.TotalLinks()
+	if d.hopDown == nil {
+		return
 	}
-	d.diamOnce.Do(func() {
-		n := d.base.Nodes()
-		if n > maxExactMetricNodes {
-			d.diam = d.base.Diameter() + 2*len(d.fs.DeadLinks)
-			return
+	g := d.liveGraph()
+	deadLinks := d.links - len(g.adj) // directed: two per dead wire
+	d.links = len(g.adj)
+	n := d.base.Nodes()
+	live, first := n-len(d.fs.DeadNodes), 0
+	for first < n && !d.NodeAlive(first) {
+		first++
+	}
+	if live == 0 {
+		d.diam, d.apl = 0, 0
+		return
+	}
+	if reached, _, _ := g.walk(first, make([]int32, n), make([]int32, n)); reached != live {
+		d.connErr = fmt.Errorf("topology: %s: %d of %d live nodes unreachable: %w",
+			d.name, live-reached, live, ErrUnroutable)
+	}
+	if n > maxExactMetricNodes {
+		d.diam += deadLinks
+		return
+	}
+	far, sum, pairs := g.allPairs(d.deadNode)
+	d.diam, d.apl = far, 0
+	if pairs > 0 {
+		d.apl = float64(sum) / float64(pairs)
+	}
+}
+
+// liveGraph is the live part of a degraded fabric as flat adjacency: node
+// p's live neighbours, in base dimension order, are adj[off[p]:off[p+1]]
+// (none for a dead p).
+type liveGraph struct {
+	off, adj []int32
+}
+
+func (d *Degraded) liveGraph() liveGraph {
+	n := d.base.Nodes()
+	g := liveGraph{off: make([]int32, n+1), adj: make([]int32, 0, d.base.TotalLinks())}
+	for p := 0; p < n; p++ {
+		for _, q := range d.base.Neighbors(p) {
+			if !d.hopDown[d.base.LinkSlot(p, q)] {
+				g.adj = append(g.adj, int32(q))
+			}
 		}
-		dist := make([]int32, n)
-		var queue []int
-		for s := 0; s < n; s++ {
-			if !d.NodeAlive(s) {
-				continue
-			}
-			for i := range dist {
-				dist[i] = -1
-			}
-			dist[s] = 0
-			queue = append(queue[:0], s)
-			for len(queue) > 0 {
-				p := queue[0]
-				queue = queue[1:]
-				for _, q := range d.Neighbors(p) {
-					if dist[q] == -1 {
-						dist[q] = dist[p] + 1
-						if int(dist[q]) > d.diam {
-							d.diam = int(dist[q])
-						}
-						queue = append(queue, q)
-					}
-				}
+		g.off[p+1] = int32(len(g.adj))
+	}
+	return g
+}
+
+// walk searches breadth-first from s, in dist and queue (scratch, one
+// entry per node), and returns the nodes reached (s included), the
+// greatest distance and the sum of distances.
+func (g liveGraph) walk(s int, dist, queue []int32) (reached, far int, sum int64) {
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[s], queue[0] = 0, int32(s)
+	head, tail := 0, 1
+	for ; head < tail; head++ {
+		p := queue[head]
+		next := dist[p] + 1
+		for _, q := range g.adj[g.off[p]:g.off[p+1]] {
+			if dist[q] < 0 {
+				dist[q], queue[tail] = next, q
+				tail++
+				sum += int64(next)
 			}
 		}
-	})
+	}
+	return tail, int(dist[queue[tail-1]]), sum
+}
+
+// allPairs walks from every live source — dealt from a shared cursor to
+// GOMAXPROCS workers, the caller being one — and returns the greatest
+// distance, the sum of distances and the count of ordered routable pairs.
+func (g liveGraph) allPairs(dead []bool) (far int, sum, pairs int64) {
+	n := len(g.off) - 1
+	var cursor atomic.Int64
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	work := func() {
+		defer wg.Done()
+		dist, queue := make([]int32, n), make([]int32, n)
+		wFar, wSum, wPairs := 0, int64(0), int64(0)
+		for s := int(cursor.Add(1)) - 1; s < n; s = int(cursor.Add(1)) - 1 {
+			if dead == nil || !dead[s] {
+				reached, f, total := g.walk(s, dist, queue)
+				wFar, wSum, wPairs = max(wFar, f), wSum+total, wPairs+int64(reached-1)
+			}
+		}
+		mu.Lock()
+		far, sum, pairs = max(far, wFar), sum+wSum, pairs+wPairs
+		mu.Unlock()
+	}
+	workers := min(runtime.GOMAXPROCS(0), n)
+	wg.Add(workers)
+	for i := 1; i < workers; i++ {
+		go work()
+	}
+	work()
+	wg.Wait()
+	return far, sum, pairs
+}
+
+// Diameter returns the maximum distance over live routable pairs: exact
+// up to maxExactMetricNodes, an estimate beyond (see derive).
+func (d *Degraded) Diameter() int {
+	d.deriveOnce.Do(d.derive)
 	return d.diam
 }
 
-// AveragePathLength returns the mean fault-aware routed distance over
-// ordered live routable pairs; exact up to maxExactMetricNodes, the base
-// value beyond (reports only).
+// AveragePathLength returns the mean distance over ordered live routable
+// pairs; exact up to maxExactMetricNodes, the base value beyond (reports
+// only).
 func (d *Degraded) AveragePathLength() float64 {
-	if d.Healthy() {
-		return d.base.AveragePathLength()
-	}
-	d.aplOnce.Do(func() {
-		n := d.base.Nodes()
-		if n > maxExactMetricNodes {
-			d.apl = d.base.AveragePathLength()
-			return
-		}
-		total, pairs := 0.0, 0
-		dist := make([]int32, n)
-		var queue []int
-		for s := 0; s < n; s++ {
-			if !d.NodeAlive(s) {
-				continue
-			}
-			for i := range dist {
-				dist[i] = -1
-			}
-			dist[s] = 0
-			queue = append(queue[:0], s)
-			for len(queue) > 0 {
-				p := queue[0]
-				queue = queue[1:]
-				for _, q := range d.Neighbors(p) {
-					if dist[q] == -1 {
-						dist[q] = dist[p] + 1
-						queue = append(queue, q)
-					}
-				}
-			}
-			for t := 0; t < n; t++ {
-				if t != s && dist[t] > 0 {
-					total += float64(dist[t])
-					pairs++
-				}
-			}
-		}
-		if pairs > 0 {
-			d.apl = total / float64(pairs)
-		}
-	})
+	d.deriveOnce.Do(d.derive)
 	return d.apl
 }
 
 // Connected reports (as nil) whether every pair of live nodes is
 // routable over the live links; a severed partition returns an error
-// wrapping ErrUnroutable. Computed once per overlay.
+// wrapping ErrUnroutable.
 func (d *Degraded) Connected() error {
-	d.connOnce.Do(func() {
-		n := d.base.Nodes()
-		live, first := 0, -1
-		for p := 0; p < n; p++ {
-			if d.NodeAlive(p) {
-				live++
-				if first < 0 {
-					first = p
-				}
-			}
-		}
-		if live <= 1 {
-			return
-		}
-		seen := make([]bool, n)
-		seen[first] = true
-		reached := 1
-		queue := []int{first}
-		for len(queue) > 0 {
-			p := queue[0]
-			queue = queue[1:]
-			for _, q := range d.Neighbors(p) {
-				if !seen[q] {
-					seen[q] = true
-					reached++
-					queue = append(queue, q)
-				}
-			}
-		}
-		if reached != live {
-			d.connErr = fmt.Errorf("topology: %s: %d of %d live nodes unreachable: %w",
-				d.name, live-reached, live, ErrUnroutable)
-		}
-	})
+	d.deriveOnce.Do(d.derive)
 	return d.connErr
 }
 

@@ -122,7 +122,7 @@ func TestDegradedDetourTorus(t *testing.T) {
 			baseRoute, _ := base.Route(src, dst)
 			clean := true
 			for i := 0; i+1 < len(baseRoute); i++ {
-				if !d.wireUp(baseRoute[i], baseRoute[i+1]) {
+				if !d.LinkAlive(baseRoute[i], baseRoute[i+1]) {
 					clean = false
 					break
 				}

@@ -341,7 +341,10 @@ func (g *grid) TotalLinks() int {
 // AveragePathLength returns the mean routed distance over ordered node
 // pairs with src ≠ dst. Per-dimension digit distances are independent,
 // so the total over all ordered pairs is Σ_i (n/r_i)²·S_i with S_i the
-// all-pairs digit-distance sum of dimension i.
+// all-pairs digit-distance sum of dimension i. The sum is an exact
+// integer and there is one division, so the value is the correctly rounded
+// mean — the one a Degraded overlay's all-pairs walk of the same graph
+// arrives at.
 func (g *grid) AveragePathLength() float64 {
 	if g.n <= 1 {
 		return 0
@@ -357,5 +360,5 @@ func (g *grid) AveragePathLength() float64 {
 		pairs := g.n / r
 		total += float64(pairs) * float64(pairs) * float64(s)
 	}
-	return total / float64(g.n) / float64(g.n-1)
+	return total / float64(g.n*(g.n-1))
 }

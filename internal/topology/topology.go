@@ -3,9 +3,20 @@
 // decompositions) generalized behind the Network interface to
 // mixed-radix Torus and Mesh machines, plus the edge/node contention
 // analysis that motivates the circuit-switched schedules. Registry
-// specs ("hypercube-7", "torus-4x4x4", "mesh-8x8") resolve through
-// ParseSpec; every shape routes dimension-ordered (see Network for the
-// per-shape deadlock properties under hold-and-wait acquisition).
+// specs ("hypercube-7", "torus-4x4x4", "mesh-8x8", with an optional
+// "!dl=0-1" fault suffix) resolve through ParseSpec; every shape routes
+// dimension-ordered (see Network for the per-shape deadlock properties
+// under hold-and-wait acquisition).
+//
+// Every Network is immutable once constructed and safe for concurrent
+// use, so a fabric needs one value per process, not one per request:
+// ParseSpec is the pure constructor, Resolve the same thing through a
+// bounded process-wide table that returns one shared handle per fabric
+// whatever the spelling. What a handle derives lazily — a Degraded
+// overlay's connectivity, diameter, path length and link count (one pass,
+// exact up to maxExactMetricNodes nodes) and its detours, a grid's digit
+// table — is a pure function of the canonical spec (simulated time never
+// consults the host), derived on first use and kept with the handle.
 package topology
 
 import (
