@@ -10,17 +10,15 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
 
-	"repro/internal/circuit"
 	"repro/internal/collectives"
-	"repro/internal/comm"
 	"repro/internal/event"
 	"repro/internal/exchange"
 	"repro/internal/experiments"
@@ -29,7 +27,6 @@ import (
 	"repro/internal/optimize"
 	"repro/internal/partition"
 	"repro/internal/plancache"
-	"repro/internal/schedule"
 	"repro/internal/service"
 	"repro/internal/simnet"
 	"repro/internal/topology"
@@ -37,8 +34,8 @@ import (
 
 // simulate costs one exchange plan on a fresh simulated network via the
 // trace-compiled path (bit-identical to the goroutine-backed Simulate,
-// without moving payloads; BenchmarkCostingGoroutine keeps the old path
-// honest).
+// without moving payloads; exchange.TestCostEqualsSimulate pins the
+// identity).
 func simulate(b *testing.B, d, m int, D partition.Partition, prm model.Params) simnet.Result {
 	b.Helper()
 	plan, err := exchange.NewPlan(d, m, D)
@@ -304,7 +301,7 @@ func BenchmarkOptimizerEnumeration(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		opt := optimize.New(prm) // fresh cache each iteration
-		if _, err := opt.Best(10, 64); err != nil {
+		if _, err := opt.BestOn(topology.MustNew(10), 64); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -321,34 +318,19 @@ func BenchmarkSimulateOCS_D7(b *testing.B) {
 	}
 }
 
-// costingCases is the benchmark pair's workload: the d=7 figure-sweep
+// BenchmarkCostingCompiled times the trace-compiled costing path — plans
+// lowered straight to per-node simnet programs and replayed with no
+// goroutines, no mailboxes and no payload bytes — on the d=7 figure-sweep
 // case (every Figure-6 curve at the 40B headline block) and the fully
 // simulated optimizer enumeration at d=10, m=64 (p(10)=42 candidates).
-// BenchmarkCostingCompiled and BenchmarkCostingGoroutine run the same
-// work on the trace-compiled and the 2^d-goroutine costing paths; the
-// results are bit-identical, the costs are not.
-func benchCosting(b *testing.B, costing optimize.Costing) {
+func BenchmarkCostingCompiled(b *testing.B) {
 	prm := model.IPSC860()
 	b.Run("figure6_d7_m40", func(b *testing.B) {
 		b.ReportAllocs()
 		var last float64
 		for i := 0; i < b.N; i++ {
 			for _, D := range experiments.FigureCurves(7) {
-				plan, err := exchange.NewPlan(7, 40, D)
-				if err != nil {
-					b.Fatal(err)
-				}
-				net := simnet.New(topology.MustNew(7), prm)
-				var res simnet.Result
-				if costing == optimize.CostingGoroutine {
-					res, err = plan.Simulate(net)
-				} else {
-					res, err = plan.Cost(net)
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res.Makespan
+				last = simulate(b, 7, 40, D, prm).Makespan
 			}
 		}
 		b.ReportMetric(last, "sim_µs")
@@ -357,24 +339,12 @@ func benchCosting(b *testing.B, costing optimize.Costing) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			opt := optimize.NewSimulated(prm) // fresh cache each iteration
-			opt.SetCosting(costing)
-			if _, err := opt.Best(10, 64); err != nil {
+			if _, err := opt.BestOn(topology.MustNew(10), 64); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 }
-
-// BenchmarkCostingCompiled times the trace-compiled costing path: plans
-// lowered straight to per-node simnet programs and replayed with no
-// goroutines, no mailboxes and no payload bytes.
-func BenchmarkCostingCompiled(b *testing.B) { benchCosting(b, optimize.CostingCompiled) }
-
-// BenchmarkCostingGoroutine times the same workload on the goroutine
-// path (2^d node goroutines moving and verifying real payloads, then
-// replaying the recorded traces) — the baseline the compiled path is
-// required to beat by ≥5× with ≥10× fewer allocations.
-func BenchmarkCostingGoroutine(b *testing.B) { benchCosting(b, optimize.CostingGoroutine) }
 
 // BenchmarkRuntimeExchange_D5 times the real-data goroutine execution of
 // the d=5 multiphase exchange (32 goroutines moving 16B blocks).
@@ -473,46 +443,6 @@ func BenchmarkCollectives(b *testing.B) {
 	b.ReportMetric(ag, "allgather_µs")
 }
 
-// BenchmarkScheduleCompleteGraph times the §9 generalized scheduler on
-// the complete-exchange requirement for d=5 and reports the step count
-// (the XOR specialist needs 31).
-func BenchmarkScheduleCompleteGraph(b *testing.B) {
-	h := topology.MustNew(5)
-	req := schedule.CompleteGraph(h)
-	var steps int
-	for i := 0; i < b.N; i++ {
-		s, err := schedule.Build(h, req)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := s.Verify(req); err != nil {
-			b.Fatal(err)
-		}
-		steps = s.NumSteps()
-	}
-	b.ReportMetric(float64(steps), "steps")
-}
-
-// BenchmarkScheduleRandomGraph times the generalized scheduler on a random
-// sparse requirement (the arbitrary-directed-graph case of §9).
-func BenchmarkScheduleRandomGraph(b *testing.B) {
-	h := topology.MustNew(6)
-	rng := rand.New(rand.NewSource(5))
-	req := make([]topology.Transfer, 300)
-	for i := range req {
-		req[i] = topology.Transfer{Src: rng.Intn(64), Dst: rng.Intn(64)}
-	}
-	for i := 0; i < b.N; i++ {
-		s, err := schedule.Build(h, req)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := s.Verify(req); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkTraceOverhead measures the cost of timeline recording on the
 // d=6 OCS simulation (off vs on is visible by comparing with
 // BenchmarkSimulateOCS_D7).
@@ -531,69 +461,23 @@ func BenchmarkTraceOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkCircuitHopLevel runs a full d=5 XOR exchange step set through
-// the hop-level circuit simulator (header walks, partial-path holding)
-// and reports the virtual completion time of the last step.
-func BenchmarkCircuitHopLevel(b *testing.B) {
-	prm := model.IPSC860Raw()
-	h := topology.MustNew(5)
-	net := circuit.New(h, prm, nil)
-	var last float64
-	for i := 0; i < b.N; i++ {
-		for mask := 1; mask < h.Nodes(); mask++ {
-			msgs := make([]circuit.Message, 0, h.Nodes())
-			for p := 0; p < h.Nodes(); p++ {
-				msgs = append(msgs, circuit.Message{Src: p, Dst: p ^ mask, Bytes: 64})
-			}
-			res, err := net.Run(msgs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Deadlocked {
-				b.Fatal("e-cube deadlocked")
-			}
-			last = res.Makespan
-		}
-	}
-	b.ReportMetric(last, "laststep_µs")
-}
-
-// BenchmarkCommAllToAll times the user-facing communicator's auto-tuned
-// AllToAll with real goroutine data movement on 32 ranks.
-func BenchmarkCommAllToAll(b *testing.B) {
-	c, err := comm.New(5, model.IPSC860())
-	if err != nil {
-		b.Fatal(err)
-	}
-	c.SetTimeout(time.Minute)
-	n := c.Size()
-	for i := 0; i < b.N; i++ {
-		err := c.Run(func(r *comm.Rank) error {
-			send := make([][]byte, n)
-			for j := range send {
-				send[j] = make([]byte, 40)
-			}
-			_, err := r.AllToAll(send)
-			return err
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkPlanCacheHit times the plan cache's hot path — a (machine,
 // d, m) query answered from a resident hull line: shard lookup, binary
 // search over segments, closed-form time for the exact block size.
 func BenchmarkPlanCacheHit(b *testing.B) {
 	pc := plancache.New(plancache.Config{})
-	if _, err := pc.Get("ipsc860", 7, 40); err != nil {
+	ctx := context.Background()
+	net, err := plancache.ResolveHypercube(7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := pc.GetForCtx(ctx, "ipsc860", net, 40); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pc.Get("ipsc860", 7, (i*37)%500); err != nil {
+		if _, err := pc.GetForCtx(ctx, "ipsc860", net, (i*37)%500); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -675,7 +559,7 @@ func BenchmarkBestOnPruned(b *testing.B) {
 			var st optimize.Stats
 			for i := 0; i < b.N; i++ {
 				opt := optimize.NewSimulated(prm) // fresh caches: one cold enumeration per iteration
-				if _, err := opt.Best(d, 4); err != nil {
+				if _, err := opt.BestOn(topology.MustNew(d), 4); err != nil {
 					b.Fatal(err)
 				}
 				st = opt.Stats()
@@ -698,7 +582,7 @@ func BenchmarkBuildTableMemoized(b *testing.B) {
 	var st optimize.Stats
 	for i := 0; i < b.N; i++ {
 		opt := optimize.NewSimulated(prm)
-		if _, err := opt.BuildTable(10, 0, 256, 16); err != nil {
+		if _, err := opt.BuildTableOnCtx(context.Background(), topology.MustNew(10), 0, 256, 16); err != nil {
 			b.Fatal(err)
 		}
 		st = opt.Stats()
@@ -726,7 +610,7 @@ func BenchmarkHullBuildSimulated(b *testing.B) {
 			var st optimize.Stats
 			for i := 0; i < b.N; i++ {
 				opt := optimize.NewSimulated(prm)
-				if _, err := opt.BuildTableOn(net, 0, 256, 16); err != nil {
+				if _, err := opt.BuildTableOnCtx(context.Background(), net, 0, 256, 16); err != nil {
 					b.Fatal(err)
 				}
 				st = opt.Stats()
@@ -763,13 +647,18 @@ func BenchmarkBestOnCached(b *testing.B) {
 // the hypercube line.
 func BenchmarkPlanCacheHitTorus(b *testing.B) {
 	c := plancache.New(plancache.Config{SweepHi: 64})
-	if _, err := c.GetOn("ipsc860", "torus-4x4x4", 40); err != nil {
+	ctx := context.Background()
+	net, err := plancache.ResolveTopology("torus-4x4x4")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := c.GetForCtx(ctx, "ipsc860", net, 40); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.GetOn("ipsc860", "torus-4x4x4", i&255); err != nil {
+		if _, err := c.GetForCtx(ctx, "ipsc860", net, i&255); err != nil {
 			b.Fatal(err)
 		}
 	}

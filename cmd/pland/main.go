@@ -267,8 +267,12 @@ func newDaemon(o options) (*daemon, error) {
 		}
 	}
 	for _, dim := range dims {
+		cube, err := plancache.ResolveHypercube(dim)
+		if err != nil {
+			return nil, fmt.Errorf("warmup d=%d: %w", dim, err)
+		}
 		for name := range cache.Machines() {
-			built, err := cache.Warm(name, dim)
+			built, err := cache.WarmForCtx(context.Background(), name, cube)
 			if err != nil {
 				return nil, fmt.Errorf("warmup %s/d=%d: %w", name, dim, err)
 			}
@@ -279,7 +283,7 @@ func newDaemon(o options) (*daemon, error) {
 	}
 
 	// A cache miss on the simulated backend runs a full hull sweep of
-	// Best calls — hundreds of compiled replays per build — so the
+	// BestOn calls — hundreds of compiled replays per build — so the
 	// serving bound must match the per-request /v1/cost bound.
 	svcCfg := service.Config{
 		Cache:           cache,

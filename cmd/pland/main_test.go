@@ -106,7 +106,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	for _, q := range queried {
 		var got planWire
 		fetch(t, fmt.Sprintf("%s/v1/plan?machine=ipsc860&d=%d&m=%d", base, q.d, q.m), &got)
-		want, err := ref.Best(q.d, q.m)
+		want, err := ref.BestOn(topology.MustNew(q.d), q.m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +155,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	for _, q := range queried {
 		var got planWire
 		fetch(t, fmt.Sprintf("%s/v1/plan?machine=ipsc860&d=%d&m=%d", base2, q.d, q.m), &got)
-		want, err := ref.Best(q.d, q.m)
+		want, err := ref.BestOn(topology.MustNew(q.d), q.m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,7 +242,7 @@ func TestDaemonDefaultMachineFlag(t *testing.T) {
 	if got.Machine != "hypo" {
 		t.Errorf("default machine %q, want hypo", got.Machine)
 	}
-	want, err := optimize.New(model.Hypothetical()).Best(6, 24)
+	want, err := optimize.New(model.Hypothetical()).BestOn(topology.MustNew(6), 24)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,7 +106,7 @@ func TestFigureCurvesConsistentWithOptimizer(t *testing.T) {
 					best = c.Y[i]
 				}
 			}
-			choice, err := opt.Best(d, m)
+			choice, err := opt.BestOn(topology.MustNew(d), m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -152,7 +152,7 @@ func TestMillionNodePlanning(t *testing.T) {
 	prm := model.IPSC860()
 	opt := optimize.New(prm)
 	start := time.Now()
-	c, err := opt.Best(20, 64)
+	c, err := opt.BestOn(topology.MustNew(20), 64)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,11 +113,3 @@ func ECubeEdges(src, dst int) [][2]int {
 	}
 	return edges
 }
-
-// ReverseInts reverses s in place and returns it.
-func ReverseInts(s []int) []int {
-	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
-		s[i], s[j] = s[j], s[i]
-	}
-	return s
-}

@@ -219,18 +219,3 @@ func TestECubeEdgesCount(t *testing.T) {
 		}
 	}
 }
-
-func TestReverseInts(t *testing.T) {
-	s := []int{1, 2, 3, 4}
-	ReverseInts(s)
-	want := []int{4, 3, 2, 1}
-	for i := range want {
-		if s[i] != want[i] {
-			t.Fatalf("got %v", s)
-		}
-	}
-	empty := []int{}
-	if len(ReverseInts(empty)) != 0 {
-		t.Error("reverse of empty must be empty")
-	}
-}

@@ -16,6 +16,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -122,7 +123,8 @@ func (s *System) UsePlanCache(pc *plancache.Cache, machine string) error {
 // plan cache when attached, else from the private optimizer.
 func (s *System) bestPartition(block int) (partition.Partition, error) {
 	if s.pc != nil {
-		return s.pc.LookupFor(s.pcMachine, s.topo, block)
+		p, err := s.pc.GetForCtx(context.Background(), s.pcMachine, s.topo, block)
+		return p.Part, err
 	}
 	c, err := s.opt.BestOn(s.topo, block)
 	if err != nil {

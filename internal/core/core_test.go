@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -212,11 +213,11 @@ func TestTorusSystemUsesPlanCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := pc.LookupOn("hypo", "torus-3x3", 24)
+	hull, err := pc.HullForCtx(context.Background(), "hypo", topo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !part.Equal(want) {
+	if want := hull.Lookup(24); !part.Equal(want) {
 		t.Errorf("system %v, cache %v", part, want)
 	}
 	if s := pc.Stats(); s.Lines != 1 || s.Builds != 1 {

@@ -44,7 +44,7 @@ func sweepChoices(t *testing.T, o *Optimizer, net topology.Network) (Table, []Ch
 	if *wide {
 		step = 16
 	}
-	table, err := o.BuildTableOn(net, lo, hi, step)
+	table, err := o.BuildTableOnCtx(context.Background(), net, lo, hi, step)
 	if err != nil {
 		t.Fatalf("%s: %v", net.Name(), err)
 	}
@@ -204,11 +204,11 @@ func TestBoundEntryUpgrades(t *testing.T) {
 	// the sweep over the shared fields equals the exhaustive one.
 	oracle := NewSimulated(prm)
 	oracle.SetExhaustive(true)
-	want, err := oracle.BuildTableOn(net, 0, 256, 16)
+	want, err := oracle.BuildTableOnCtx(context.Background(), net, 0, 256, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	table, err := o.BuildTableOn(net, 0, 256, 16)
+	table, err := o.BuildTableOnCtx(context.Background(), net, 0, 256, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestSweepWorkersOneIsSequential(t *testing.T) {
 	for run := 0; run < 3; run++ {
 		o := NewSimulated(model.IPSC860())
 		o.SetWorkers(1)
-		if _, err := o.BuildTableOn(net, 0, 256, 16); err != nil {
+		if _, err := o.BuildTableOnCtx(context.Background(), net, 0, 256, 16); err != nil {
 			t.Fatal(err)
 		}
 		st := o.Stats()
@@ -283,7 +283,7 @@ func TestSweepCancel(t *testing.T) {
 			t.Errorf("workers=%d: cancelled sweep returned %v", workers, err)
 		}
 		// Every point that found the context live ran its Best; none after.
-		if got := o.Evaluations(); got != allowed {
+		if got := o.Stats().Evaluations; got != allowed {
 			t.Errorf("workers=%d: %d enumerations around a cancellation at point %d", workers, got, allowed)
 		}
 		runtime.GOMAXPROCS(prev)

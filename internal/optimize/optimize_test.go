@@ -1,6 +1,7 @@
 package optimize
 
 import (
+	"context"
 	"math"
 	"os"
 	"sync"
@@ -15,20 +16,20 @@ import (
 
 func TestBestValidation(t *testing.T) {
 	o := New(model.IPSC860())
-	if _, err := o.Best(-1, 10); err == nil {
+	if _, err := o.Plan(-1, 10); err == nil {
 		t.Error("negative dim must fail")
 	}
-	if _, err := o.Best(21, 10); err == nil {
+	if _, err := o.BestOn(topology.MustNew(21), 10); err == nil {
 		t.Error("dim > 20 must fail")
 	}
-	if _, err := o.Best(5, -1); err == nil {
+	if _, err := o.BestOn(topology.MustNew(5), -1); err == nil {
 		t.Error("negative block must fail")
 	}
 }
 
 func TestBestZeroDim(t *testing.T) {
 	o := New(model.IPSC860())
-	c, err := o.Best(0, 10)
+	c, err := o.BestOn(topology.MustNew(0), 10)
 	if err != nil || c.TimeMicro != 0 || c.Part != nil {
 		t.Errorf("0-cube choice: %+v %v", c, err)
 	}
@@ -39,7 +40,7 @@ func TestBestMatchesModelBestPartition(t *testing.T) {
 	o := New(prm)
 	for _, d := range []int{3, 5, 6, 7} {
 		for _, m := range []int{1, 12, 40, 160, 400} {
-			c, err := o.Best(d, m)
+			c, err := o.BestOn(topology.MustNew(d), m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -57,11 +58,11 @@ func TestBestMatchesModelBestPartition(t *testing.T) {
 
 func TestCacheReturnsSameChoice(t *testing.T) {
 	o := New(model.IPSC860())
-	a, err := o.Best(6, 40)
+	a, err := o.BestOn(topology.MustNew(6), 40)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := o.Best(6, 40)
+	b, err := o.BestOn(topology.MustNew(6), 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestBestConcurrent(t *testing.T) {
 	done := make(chan error, 16)
 	for i := 0; i < 16; i++ {
 		go func(m int) {
-			_, err := o.Best(7, m%5+1)
+			_, err := o.BestOn(topology.MustNew(7), m%5+1)
 			done <- err
 		}(i)
 	}
@@ -93,11 +94,11 @@ func TestSimulatedBackendAgrees(t *testing.T) {
 	oa := New(prm)
 	os := NewSimulated(prm)
 	for _, m := range []int{8, 40, 200} {
-		a, err := oa.Best(5, m)
+		a, err := oa.BestOn(topology.MustNew(5), m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := os.Best(5, m)
+		s, err := os.BestOn(topology.MustNew(5), m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,37 +113,22 @@ func TestSimulatedBackendDimLimit(t *testing.T) {
 		t.Fatalf("MaxSimulatedDim = %d; the compiled costing path must accept d = 14", MaxSimulatedDim)
 	}
 	o := NewSimulated(model.IPSC860())
-	if _, err := o.Best(MaxSimulatedDim+1, 4); err == nil {
+	if _, err := o.BestOn(topology.MustNew(MaxSimulatedDim+1), 4); err == nil {
 		t.Errorf("compiled simulated backend must refuse d > %d", MaxSimulatedDim)
-	}
-	o.SetCosting(CostingGoroutine)
-	if _, err := o.Best(MaxGoroutineDim+1, 4); err == nil {
-		t.Errorf("goroutine-costed simulated backend must refuse d > %d", MaxGoroutineDim)
 	}
 }
 
-// The compiled costing path must handle dimensions the goroutine path
-// never could: d = 11 exceeds the old hard cap of 10 and still matches
-// the analytic winner (the schedules are contention-free, so the two
-// backends coincide on the iPSC-860 model).
+// The compiled costing path must handle dimensions a 2^d-goroutine run
+// never could: d = 11 still matches the analytic winner (the schedules are
+// contention-free, so the two backends coincide on the iPSC-860 model).
 func TestSimulatedCompiledBeyondGoroutineLimit(t *testing.T) {
 	prm := model.IPSC860()
 	o := NewSimulated(prm)
-	s, err := o.Best(11, 4)
+	s, err := o.BestOn(topology.MustNew(11), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A cached d > MaxGoroutineDim result stays reachable after switching
-	// to goroutine costing (the limit only gates new evaluations).
-	o.SetCosting(CostingGoroutine)
-	cached, err := o.Best(11, 4)
-	if err != nil {
-		t.Fatalf("cached d=11 result unreachable after SetCosting: %v", err)
-	}
-	if !cached.Part.Equal(s.Part) {
-		t.Errorf("cached %v != original %v", cached.Part, s.Part)
-	}
-	a, err := New(prm).Best(11, 4)
+	a, err := New(prm).BestOn(topology.MustNew(11), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,11 +149,11 @@ func TestSimulatedBest14(t *testing.T) {
 		t.Skip("set REPRO_HEAVY=1 to run the full d=14 simulated enumeration")
 	}
 	prm := model.IPSC860()
-	s, err := NewSimulated(prm).Best(14, 4)
+	s, err := NewSimulated(prm).BestOn(topology.MustNew(14), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := New(prm).Best(14, 4)
+	a, err := New(prm).BestOn(topology.MustNew(14), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +174,7 @@ func TestBestStampedeDeduplicated(t *testing.T) {
 	for i := 0; i < callers; i++ {
 		go func(i int) {
 			defer wg.Done()
-			choices[i], errs[i] = o.Best(7, 40)
+			choices[i], errs[i] = o.BestOn(topology.MustNew(7), 40)
 		}(i)
 	}
 	wg.Wait()
@@ -205,15 +191,6 @@ func TestBestStampedeDeduplicated(t *testing.T) {
 	}
 }
 
-func TestCostingString(t *testing.T) {
-	if CostingCompiled.String() != "compiled" || CostingGoroutine.String() != "goroutine" {
-		t.Error("costing strings")
-	}
-	if Costing(9).String() == "" {
-		t.Error("unknown costing string")
-	}
-}
-
 func TestPlanFromChoice(t *testing.T) {
 	o := New(model.IPSC860())
 	p, err := o.Plan(6, 40)
@@ -223,7 +200,7 @@ func TestPlanFromChoice(t *testing.T) {
 	if p.Dim() != 6 || p.BlockSize() != 40 {
 		t.Errorf("plan = %v", p)
 	}
-	c, _ := o.Best(6, 40)
+	c, _ := o.BestOn(topology.MustNew(6), 40)
 	if !p.Partition().Equal(c.Part) {
 		t.Error("plan partition differs from choice")
 	}
@@ -235,7 +212,7 @@ func TestPlanFromChoice(t *testing.T) {
 
 func TestBuildTableAndLookup(t *testing.T) {
 	o := New(model.IPSC860())
-	tbl, err := o.BuildTable(6, 2, 400, 2)
+	tbl, err := o.BuildTableOnCtx(context.Background(), topology.MustNew(6), 2, 400, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +233,7 @@ func TestBuildTableAndLookup(t *testing.T) {
 	}
 	// Lookup must agree with Best at every swept size.
 	for m := 2; m <= 400; m += 26 {
-		c, _ := o.Best(6, m)
+		c, _ := o.BestOn(topology.MustNew(6), m)
 		if !tbl.Lookup(m).Equal(c.Part) {
 			t.Errorf("m=%d: table %v, best %v", m, tbl.Lookup(m), c.Part)
 		}
@@ -265,13 +242,13 @@ func TestBuildTableAndLookup(t *testing.T) {
 
 func TestBuildTableValidation(t *testing.T) {
 	o := New(model.IPSC860())
-	if _, err := o.BuildTable(5, -1, 10, 1); err == nil {
+	if _, err := o.BuildTableOnCtx(context.Background(), topology.MustNew(5), -1, 10, 1); err == nil {
 		t.Error("negative range must fail")
 	}
-	if _, err := o.BuildTable(5, 10, 5, 1); err == nil {
+	if _, err := o.BuildTableOnCtx(context.Background(), topology.MustNew(5), 10, 5, 1); err == nil {
 		t.Error("inverted range must fail")
 	}
-	tbl, err := o.BuildTable(5, 1, 5, 0) // step clamps to 1
+	tbl, err := o.BuildTableOnCtx(context.Background(), topology.MustNew(5), 1, 5, 0) // step clamps to 1
 	if err != nil || len(tbl.Segments) == 0 {
 		t.Errorf("clamped step: %v %v", tbl, err)
 	}
@@ -356,7 +333,7 @@ func TestBestOnMixedRadixComposition(t *testing.T) {
 // counts.
 func TestBestCachesPerTopology(t *testing.T) {
 	o := New(model.Hypothetical())
-	cube, err := o.Best(4, 40)
+	cube, err := o.BestOn(topology.MustNew(4), 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,27 +344,27 @@ func TestBestCachesPerTopology(t *testing.T) {
 	if cube.Topo == tor.Topo {
 		t.Errorf("distinct topologies share key %q", cube.Topo)
 	}
-	if o.Evaluations() != 2 {
-		t.Errorf("expected 2 enumerations, got %d", o.Evaluations())
+	if o.Stats().Evaluations != 2 {
+		t.Errorf("expected 2 enumerations, got %d", o.Stats().Evaluations)
 	}
 	// Hits on both keys.
-	if _, err := o.Best(4, 40); err != nil {
+	if _, err := o.BestOn(topology.MustNew(4), 40); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := o.BestOn(topology.MustParseSpec("torus-4x4"), 40); err != nil {
 		t.Fatal(err)
 	}
-	if o.Evaluations() != 2 {
-		t.Errorf("cache hits re-ran the enumeration: %d", o.Evaluations())
+	if o.Stats().Evaluations != 2 {
+		t.Errorf("cache hits re-ran the enumeration: %d", o.Stats().Evaluations)
 	}
 }
 
-// BuildTableOn must produce a hull whose every segment is the optimizer's
+// BuildTableOnCtx must produce a hull whose every segment is the optimizer's
 // winner on a torus.
 func TestBuildTableOnTorus(t *testing.T) {
 	o := New(model.IPSC860())
 	net := topology.MustParseSpec("torus-3x3")
-	tbl, err := o.BuildTableOn(net, 0, 64, 1)
+	tbl, err := o.BuildTableOnCtx(context.Background(), net, 0, 64, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,5 +405,45 @@ func TestSimulatedBackendOnTorus(t *testing.T) {
 	}
 	if res.Makespan != got.TimeMicro {
 		t.Errorf("BestOn %v µs, direct Cost %v µs", got.TimeMicro, res.Makespan)
+	}
+}
+
+// The simulated backend's choice is the argmin of the recorded runs: for
+// every enumerated grouping the plan is executed on the simulated fabric
+// with live goroutines and verified payloads (Plan.Simulate), and BestOn
+// must return that minimum — same tie-break: lowest makespan, then fewest
+// phases, then enumeration order — with a bit-identical TimeMicro. This is
+// the claim the memoized, pruned, compiled enumeration rests on.
+func TestBestOnEqualsSimulateArgmin(t *testing.T) {
+	prm := model.IPSC860()
+	for _, spec := range []string{"hypercube-4", "hypercube-5", "hypercube-6", "torus-4x4", "mesh-5x3"} {
+		net := topology.MustParseSpec(spec)
+		o := NewSimulated(prm)
+		for _, m := range []int{1, 40, 200} {
+			var want Choice
+			for i, D := range groupings(net) {
+				plan, err := exchange.NewPlanOn(net, m, D)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := plan.Simulate(simnet.New(net, prm))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i == 0 || res.Makespan < want.TimeMicro ||
+					(res.Makespan == want.TimeMicro && len(D) < len(want.Part)) {
+					want.Part, want.TimeMicro = D, res.Makespan
+				}
+			}
+			got, err := o.BestOn(net, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Part.Equal(want.Part) ||
+				math.Float64bits(got.TimeMicro) != math.Float64bits(want.TimeMicro) {
+				t.Errorf("%s m=%d: BestOn %v %v µs, Simulate argmin %v %v µs",
+					spec, m, got.Part, got.TimeMicro, want.Part, want.TimeMicro)
+			}
+		}
 	}
 }

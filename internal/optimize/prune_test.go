@@ -66,7 +66,7 @@ func TestPrunedParallelEquivalentToExhaustiveSerial(t *testing.T) {
 	}
 }
 
-// BuildTableOn must produce the identical table under pruning and
+// BuildTableOnCtx must produce the identical table under pruning and
 // parallelism as under exhaustive serial enumeration.
 func TestPrunedTableEquivalentToExhaustiveSerial(t *testing.T) {
 	prm := model.IPSC860()
@@ -77,11 +77,11 @@ func TestPrunedTableEquivalentToExhaustiveSerial(t *testing.T) {
 		serial.SetWorkers(1)
 		pruned := NewSimulated(prm)
 		pruned.SetWorkers(4)
-		want, err := serial.BuildTableOn(net, 0, 96, 8)
+		want, err := serial.BuildTableOnCtx(context.Background(), net, 0, 96, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := pruned.BuildTableOn(net, 0, 96, 8)
+		got, err := pruned.BuildTableOnCtx(context.Background(), net, 0, 96, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +198,7 @@ func TestLowerBoundAdmissible(t *testing.T) {
 // one of the two counters.
 func TestStatsCounters(t *testing.T) {
 	o := NewSimulated(model.IPSC860())
-	if _, err := o.Best(10, 4); err != nil {
+	if _, err := o.BestOn(topology.MustNew(10), 4); err != nil {
 		t.Fatal(err)
 	}
 	st := o.Stats()
@@ -284,16 +284,16 @@ func TestBuildTableBuildsPerSweep(t *testing.T) {
 	for m := lo; m <= hi; m += step {
 		points++
 	}
-	if _, err := o.BuildTable(6, lo, hi, step); err != nil {
+	if _, err := o.BuildTableOnCtx(context.Background(), topology.MustNew(6), lo, hi, step); err != nil {
 		t.Fatal(err)
 	}
-	if got := o.Evaluations(); got != points {
+	if got := o.Stats().Evaluations; got != points {
 		t.Errorf("first sweep ran %d enumerations, want %d", got, points)
 	}
-	if _, err := o.BuildTable(6, lo, hi, step); err != nil {
+	if _, err := o.BuildTableOnCtx(context.Background(), topology.MustNew(6), lo, hi, step); err != nil {
 		t.Fatal(err)
 	}
-	if got := o.Evaluations(); got != points {
+	if got := o.Stats().Evaluations; got != points {
 		t.Errorf("rebuild re-ran enumerations: %d, want %d", got, points)
 	}
 
@@ -306,7 +306,7 @@ func TestBuildTableBuildsPerSweep(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = o2.BuildTable(6, lo, hi, step)
+			_, errs[i] = o2.BuildTableOnCtx(context.Background(), topology.MustNew(6), lo, hi, step)
 		}(i)
 	}
 	wg.Wait()
@@ -315,7 +315,7 @@ func TestBuildTableBuildsPerSweep(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := o2.Evaluations(); got != points {
+	if got := o2.Stats().Evaluations; got != points {
 		t.Errorf("8 concurrent sweeps ran %d enumerations, want %d", got, points)
 	}
 }

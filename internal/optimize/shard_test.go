@@ -1,6 +1,7 @@
 package optimize
 
 import (
+	"context"
 	"math"
 	"os"
 	"runtime"
@@ -100,11 +101,11 @@ func TestSimulatedBest18(t *testing.T) {
 	prm := model.IPSC860()
 	o := NewSimulated(prm)
 	o.SetReplayShards(runtime.GOMAXPROCS(0))
-	s, err := o.Best(18, 1)
+	s, err := o.BestOn(topology.MustNew(18), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := New(prm).Best(18, 1)
+	a, err := New(prm).BestOn(topology.MustNew(18), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestCertificatesSharedAcrossMachines(t *testing.T) {
 	var total Stats
 	for i, prm := range machines {
 		o := NewSimulated(prm)
-		tbl, err := o.BuildTableOn(topo, 0, 256, 16)
+		tbl, err := o.BuildTableOnCtx(context.Background(), topo, 0, 256, 16)
 		if err != nil {
 			t.Fatal(err)
 		}

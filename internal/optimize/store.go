@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/partition"
+	"repro/internal/topology"
 )
 
 // The paper's §6 observes that the partition enumeration "needs to be
@@ -86,7 +87,12 @@ func LoadTable(r io.Reader, prm model.Params) (Table, error) {
 	if st.Machine != paramsKey(prm) {
 		return Table{}, fmt.Errorf("optimize: table computed for different machine parameters")
 	}
-	t := Table{D: st.D}
+	// SaveTable stores only d: a stored table is always a d-cube's.
+	cube, err := topology.New(st.D)
+	if err != nil {
+		return Table{}, fmt.Errorf("optimize: stored table: %w", err)
+	}
+	t := Table{Topo: cube.Name(), D: st.D}
 	for _, seg := range st.Segments {
 		D := partition.Partition(append([]int(nil), seg.Partition...))
 		if !D.Canonical().IsValid(st.D) {

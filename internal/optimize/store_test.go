@@ -2,18 +2,21 @@ package optimize
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/topology"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	prm := model.IPSC860()
 	o := New(prm)
-	tbl, err := o.BuildTable(6, 0, 400, 8)
+	tbl, err := o.BuildTableOnCtx(context.Background(), topology.MustNew(6), 0, 400, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,15 +28,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.D != tbl.D || len(got.Segments) != len(tbl.Segments) {
-		t.Fatalf("round trip shape: %+v vs %+v", got, tbl)
-	}
-	for i := range tbl.Segments {
-		if !got.Segments[i].Part.Equal(tbl.Segments[i].Part) ||
-			got.Segments[i].MinBlock != tbl.Segments[i].MinBlock ||
-			got.Segments[i].MaxBlock != tbl.Segments[i].MaxBlock {
-			t.Errorf("segment %d differs: %+v vs %+v", i, got.Segments[i], tbl.Segments[i])
-		}
+	// Field for field, Topo included: a loaded table names its topology.
+	if !reflect.DeepEqual(got, tbl) {
+		t.Fatalf("round trip: %+v vs %+v", got, tbl)
 	}
 	// Lookups must agree.
 	for m := 0; m <= 400; m += 40 {
@@ -46,7 +43,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 func TestLoadRejectsWrongMachine(t *testing.T) {
 	prm := model.IPSC860()
 	o := New(prm)
-	tbl, err := o.BuildTable(5, 0, 100, 10)
+	tbl, err := o.BuildTableOnCtx(context.Background(), topology.MustNew(5), 0, 100, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,6 +75,11 @@ func TestLoadRejectsInvalidSegments(t *testing.T) {
 	if _, err := LoadTable(strings.NewReader(bad), prm); err == nil {
 		t.Error("invalid partition must be rejected")
 	}
+	// A stored d no hypercube has, with a partition that does sum to it.
+	bad31 := strings.NewReplacer(`"d":5`, `"d":31`, `[9]`, `[31]`).Replace(bad)
+	if _, err := LoadTable(strings.NewReader(bad31), prm); err == nil {
+		t.Error("out-of-range dimension must be rejected")
+	}
 	bad2 := strings.Replace(bad, `[9]`, `[2,3]`, 1)
 	bad2 = strings.Replace(bad2, `"min_block":0,"max_block":10`, `"min_block":10,"max_block":0`, 1)
 	if _, err := LoadTable(strings.NewReader(bad2), prm); err == nil {
@@ -88,7 +90,7 @@ func TestLoadRejectsInvalidSegments(t *testing.T) {
 func TestSaveLoadFile(t *testing.T) {
 	prm := model.IPSC860()
 	o := New(prm)
-	tbl, err := o.BuildTable(5, 0, 200, 10)
+	tbl, err := o.BuildTableOnCtx(context.Background(), topology.MustNew(5), 0, 200, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

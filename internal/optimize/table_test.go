@@ -1,10 +1,12 @@
 package optimize
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/model"
 	"repro/internal/partition"
+	"repro/internal/topology"
 )
 
 // tableFixture is a hand-built three-segment table:
@@ -103,7 +105,7 @@ func TestTableBounds(t *testing.T) {
 // would, for every block size (not just swept grid points).
 func TestBuiltTableLookupMatchesBest(t *testing.T) {
 	o := New(model.IPSC860())
-	tbl, err := o.BuildTable(6, 0, 300, 1)
+	tbl, err := o.BuildTableOnCtx(context.Background(), topology.MustNew(6), 0, 300, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +113,7 @@ func TestBuiltTableLookupMatchesBest(t *testing.T) {
 		t.Fatalf("Bounds = (%d,%d,%v), want (0,300,true)", lo, hi, ok)
 	}
 	for m := 0; m <= 300; m += 7 {
-		c, err := o.Best(6, m)
+		c, err := o.BestOn(topology.MustNew(6), m)
 		if err != nil {
 			t.Fatal(err)
 		}

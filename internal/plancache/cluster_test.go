@@ -44,7 +44,7 @@ func TestFetchHookFillsMissWithoutBuilding(t *testing.T) {
 			return &ld, nil
 		},
 	})
-	p, err := c.Get("ipsc860", 4, 32)
+	p, err := c.GetForCtx(bg, "ipsc860", mustCube(t, 4), 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestFetchHookFillsMissWithoutBuilding(t *testing.T) {
 			fetches.Load(), s.PeerImports, s.Builds)
 	}
 	// A resident line never consults the hook again.
-	if _, err := c.Get("ipsc860", 4, 64); err != nil {
+	if _, err := c.GetForCtx(bg, "ipsc860", mustCube(t, 4), 64); err != nil {
 		t.Fatal(err)
 	}
 	if fetches.Load() != 1 {
@@ -71,7 +71,7 @@ func TestFetchFailureFallsBackToLocalBuild(t *testing.T) {
 			return nil, errors.New("owner unreachable")
 		},
 	})
-	if _, err := c.Get("ipsc860", 4, 32); err != nil {
+	if _, err := c.GetForCtx(bg, "ipsc860", mustCube(t, 4), 32); err != nil {
 		t.Fatalf("failed fetch was not recovered by a local build: %v", err)
 	}
 	s := c.Stats()
@@ -88,7 +88,7 @@ func TestFetchInvalidPayloadFallsBackToLocalBuild(t *testing.T) {
 			return &ld, nil
 		},
 	})
-	if _, err := c.Get("ipsc860", 4, 32); err != nil {
+	if _, err := c.GetForCtx(bg, "ipsc860", mustCube(t, 4), 32); err != nil {
 		t.Fatalf("invalid peer payload was not recovered by a local build: %v", err)
 	}
 	if s := c.Stats(); s.Builds != 1 || s.PeerImports != 0 {
@@ -129,7 +129,7 @@ func TestCancelledFillDoesNotPoisonKey(t *testing.T) {
 	// The key must not be poisoned: a fresh caller succeeds.
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.Get("ipsc860", 5, 32)
+		_, err := c.GetForCtx(bg, "ipsc860", mustCube(t, 5), 32)
 		done <- err
 	}()
 	select {
@@ -173,7 +173,7 @@ func TestJoinerSurvivesInitiatorCancel(t *testing.T) {
 
 	joinerErr := make(chan error, 1)
 	go func() {
-		_, err := c.GetForCtx(context.Background(), "ipsc860", mustCube(t, 5), 32)
+		_, err := c.GetForCtx(bg, "ipsc860", mustCube(t, 5), 32)
 		joinerErr <- err
 	}()
 	// Give the joiner a moment to join the in-progress flight, then
@@ -193,7 +193,7 @@ func TestShedBeyondBuildBound(t *testing.T) {
 	c := New(Config{MaxConcurrentBuilds: 1})
 	// Occupy the single build slot as a stuck build would.
 	c.buildSem <- struct{}{}
-	_, err := c.Get("ipsc860", 4, 32)
+	_, err := c.GetForCtx(bg, "ipsc860", mustCube(t, 4), 32)
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("miss beyond the build bound: %v, want ErrOverloaded", err)
 	}
@@ -202,7 +202,7 @@ func TestShedBeyondBuildBound(t *testing.T) {
 	}
 	// Slot frees: the same miss now builds.
 	<-c.buildSem
-	if _, err := c.Get("ipsc860", 4, 32); err != nil {
+	if _, err := c.GetForCtx(bg, "ipsc860", mustCube(t, 4), 32); err != nil {
 		t.Fatalf("miss after the slot freed: %v", err)
 	}
 }
@@ -227,7 +227,7 @@ func TestInvalidateWarmGetChurn(t *testing.T) {
 				default:
 				}
 				net := nets[(i+w)%len(nets)]
-				if _, err := c.GetFor("ipsc860", net, 16); err != nil {
+				if _, err := c.GetForCtx(bg, "ipsc860", net, 16); err != nil {
 					t.Errorf("GetFor under churn: %v", err)
 					return
 				}
@@ -243,7 +243,7 @@ func TestInvalidateWarmGetChurn(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := c.WarmFor("ipsc860", nets[i%len(nets)]); err != nil {
+			if _, err := c.WarmForCtx(bg, "ipsc860", nets[i%len(nets)]); err != nil {
 				t.Errorf("WarmFor under churn: %v", err)
 				return
 			}
@@ -268,9 +268,22 @@ func TestInvalidateWarmGetChurn(t *testing.T) {
 	wg.Wait()
 }
 
+var bg = context.Background()
+
 func mustCube(t *testing.T, d int) topology.Network {
 	t.Helper()
 	net, err := topology.New(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return net
+}
+
+// mustSpec resolves a registry spec the way the serving tier does before
+// it asks the cache.
+func mustSpec(t *testing.T, spec string) topology.Network {
+	t.Helper()
+	net, err := ResolveTopology(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,14 +22,14 @@ func overlayPC(t *testing.T, spec string, fs topology.FaultSet) *topology.Degrad
 // reflect their own network — the degraded one costs more.
 func TestDegradedLineKeyedSeparately(t *testing.T) {
 	c := New(Config{SweepHi: 64})
-	bare, err := c.GetOn("ipsc860", "torus-4x4", 32)
+	bare, err := c.GetForCtx(bg, "ipsc860", mustSpec(t, "torus-4x4"), 32)
 	if err != nil {
 		t.Fatal(err)
 	}
 	slow := overlayPC(t, "torus-4x4", topology.FaultSet{
 		SlowLinks: []topology.SlowLink{{Link: topology.Link{A: 0, B: 1}, Factor: 4}},
 	})
-	deg, err := c.GetFor("ipsc860", slow, 32)
+	deg, err := c.GetForCtx(bg, "ipsc860", slow, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestDegradedLineKeyedSeparately(t *testing.T) {
 	}
 	// A zero-fault overlay hits the bare line: same key, no third build.
 	clean := overlayPC(t, "torus-4x4", topology.FaultSet{})
-	same, err := c.GetFor("ipsc860", clean, 32)
+	same, err := c.GetForCtx(bg, "ipsc860", clean, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,17 +67,17 @@ func TestWarmForAndInvalidateWhere(t *testing.T) {
 	dead := overlayPC(t, "torus-4x4", topology.FaultSet{
 		DeadLinks: []topology.Link{{A: 0, B: 1}},
 	})
-	built, err := c.WarmFor("ipsc860", dead)
+	built, err := c.WarmForCtx(bg, "ipsc860", dead)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !built {
 		t.Fatal("WarmFor on a cold cache did not build")
 	}
-	if built, err = c.WarmFor("ipsc860", dead); err != nil || built {
+	if built, err = c.WarmForCtx(bg, "ipsc860", dead); err != nil || built {
 		t.Fatalf("second WarmFor = (%v, %v), want resident hit", built, err)
 	}
-	if _, err := c.WarmOn("ipsc860", "torus-4x4"); err != nil {
+	if _, err := c.WarmForCtx(bg, "ipsc860", mustSpec(t, "torus-4x4")); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Lines != 2 {
@@ -94,11 +94,11 @@ func TestWarmForAndInvalidateWhere(t *testing.T) {
 	if st := c.Stats(); st.Lines != 1 {
 		t.Fatalf("after invalidation lines = %d, want 1", st.Lines)
 	}
-	if _, err := c.GetOn("ipsc860", "torus-4x4", 16); err != nil {
+	if _, err := c.GetForCtx(bg, "ipsc860", mustSpec(t, "torus-4x4"), 16); err != nil {
 		t.Fatalf("bare line gone after degraded invalidation: %v", err)
 	}
 	hitsBefore := c.Stats().Builds
-	if built, err = c.WarmFor("ipsc860", dead); err != nil || !built {
+	if built, err = c.WarmForCtx(bg, "ipsc860", dead); err != nil || !built {
 		t.Fatalf("WarmFor after invalidation = (%v, %v), want a rebuild", built, err)
 	}
 	if c.Stats().Builds != hitsBefore+1 {
@@ -113,13 +113,13 @@ func TestWarmForAndInvalidateWhere(t *testing.T) {
 // runtime state, never restart-warm content.
 func TestSnapshotSkipsDegradedLines(t *testing.T) {
 	c := New(Config{SweepHi: 64})
-	if _, err := c.WarmOn("ipsc860", "torus-4x4"); err != nil {
+	if _, err := c.WarmForCtx(bg, "ipsc860", mustSpec(t, "torus-4x4")); err != nil {
 		t.Fatal(err)
 	}
 	slow := overlayPC(t, "torus-4x4", topology.FaultSet{
 		SlowLinks: []topology.SlowLink{{Link: topology.Link{A: 0, B: 1}, Factor: 2}},
 	})
-	if _, err := c.WarmFor("ipsc860", slow); err != nil {
+	if _, err := c.WarmForCtx(bg, "ipsc860", slow); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

@@ -1,12 +1,12 @@
 // Package plancache is a sharded, concurrency-safe cache of optimal
-// exchange plans keyed by (machine, dimension, block size) — the serving
+// exchange plans keyed by (machine, topology, block size) — the serving
 // tier the paper's §6 observation calls for: the partition enumeration
 // "needs to be done only once and the optimal combination stored for
 // repeated future use".
 //
 // The cache does not store one entry per block size. A cache line holds
-// the hull-of-optimality table for one (machine, d) pair — built once via
-// optimize.BuildTable — and every block size resolves through
+// the hull-of-optimality table for one (machine, topology) pair — built
+// once via optimize.BuildTableOnCtx — and every block size resolves through
 // Table.LookupSegment to one of its O(hull) segments, so millions of
 // distinct m values collapse onto a handful of cached partitions. The
 // per-request cost for a resident line is a binary search plus the
@@ -14,8 +14,9 @@
 //
 // Concurrency: lines live in fixed shards (mutex + LRU list each); a
 // missing line is built exactly once per cache — concurrent requests for
-// the same (machine, d) wait on a single in-flight build, and the build's
-// Best sweeps ride optimize.Optimizer's own singleflight underneath.
+// the same (machine, topology) wait on a single in-flight build, and the
+// build's BestOn sweeps ride optimize.Optimizer's own singleflight
+// underneath.
 // Capacity is bounded per shard with least-recently-used eviction, and
 // hit/miss/evict/inflight counters expose the cache's behaviour to the
 // service layer's /metrics.
@@ -339,9 +340,9 @@ func ResolveHypercube(d int) (topology.Network, error) {
 const MaxMixedRadixDims = 12
 
 // checkServable enforces the enumeration-cost bounds on every request
-// path — including the dimension-based Get, which never goes through a
-// spec string — so an oversized topology is always a caller error,
-// never a BuildError-classified (500-mapped) hull failure.
+// path — including dimension-based requests (ResolveHypercube), which
+// never go through a spec string — so an oversized topology is always a
+// caller error, never a BuildError-classified (500-mapped) hull failure.
 func checkServable(net topology.Network) error {
 	if net.Nodes() > MaxTopologyNodes {
 		return fmt.Errorf("plancache: %s exceeds the serving limit of %d nodes",
@@ -364,9 +365,6 @@ func checkServable(net topology.Network) error {
 	}
 	return nil
 }
-
-// hypercubeSpec names the d-cube line the dimension-based API uses.
-func hypercubeSpec(d int) string { return fmt.Sprintf("hypercube-%d", d) }
 
 // optimizer returns (creating once) the per-machine optimizer.
 func (c *Cache) optimizer(name string, p model.Params) *optimize.Optimizer {
@@ -400,43 +398,16 @@ func (c *Cache) OptimizerStats() optimize.Stats {
 	return sum
 }
 
-// Get answers one (machine, d, m) hypercube query with the full plan
-// detail. This is the serving hot path: the shared hypercube instance
-// resolves without parsing or allocation.
-func (c *Cache) Get(machine string, d, m int) (Plan, error) {
-	name, prm, err := c.resolve(machine)
-	if err != nil {
-		return Plan{}, err
-	}
-	net, err := ResolveHypercube(d)
-	if err != nil {
-		return Plan{}, err
-	}
-	return c.getOn(context.Background(), name, prm, net, m)
-}
-
-// GetOn answers one (machine, topology, m) query with the full plan
-// detail; topo is a topology registry spec such as "torus-4x4x4".
-func (c *Cache) GetOn(machine, topo string, m int) (Plan, error) {
-	net, err := ResolveTopology(topo)
-	if err != nil {
-		return Plan{}, err
-	}
-	return c.GetFor(machine, net, m)
-}
-
-// GetFor is GetOn with an already-resolved topology — the form the
-// service layer uses so a request's spec is parsed exactly once.
-func (c *Cache) GetFor(machine string, net topology.Network, m int) (Plan, error) {
-	return c.GetForCtx(context.Background(), machine, net, m)
-}
-
-// GetForCtx is GetFor bounded by a request context: when ctx ends the
-// caller returns ctx.Err() immediately while any in-flight line fill it
-// initiated or joined continues for its remaining waiters (and is
-// cancelled only when fully abandoned). The serving tier passes each
-// request's context here so a disconnected client stops paying for a
-// hull build it will never read.
+// GetForCtx answers one (machine, topology, m) query with the full plan
+// detail — the serving hot path: a resident line answers with a shard
+// lookup, a binary search and the closed-form time for the exact m. net
+// is an already-resolved topology (ResolveHypercube, ResolveTopology, or
+// a degraded overlay the caller built), so a request's spec is parsed at
+// most once. ctx bounds the call: when it ends the caller returns
+// ctx.Err() immediately while any in-flight line fill it initiated or
+// joined continues for its remaining waiters (and is cancelled only when
+// fully abandoned), so a disconnected client stops paying for a hull
+// build it will never read.
 func (c *Cache) GetForCtx(ctx context.Context, machine string, net topology.Network, m int) (Plan, error) {
 	name, prm, err := c.resolve(machine)
 	if err != nil {
@@ -459,63 +430,10 @@ func (c *Cache) getOn(ctx context.Context, name string, prm model.Params, net to
 	return c.answer(name, prm, ln, m)
 }
 
-// Lookup is the fast path: the optimal partition for (machine, d, m) on
-// a d-cube with no per-request breakdown. The returned slice is shared
-// with the cache line and must be treated as read-only.
-func (c *Cache) Lookup(machine string, d, m int) (partition.Partition, error) {
-	return c.LookupOn(machine, hypercubeSpec(d), m)
-}
-
-// LookupOn is Lookup for any topology registry spec.
-func (c *Cache) LookupOn(machine, topo string, m int) (partition.Partition, error) {
-	net, err := ResolveTopology(topo)
-	if err != nil {
-		return nil, err
-	}
-	return c.LookupFor(machine, net, m)
-}
-
-// LookupFor is LookupOn with an already-resolved topology — the form
-// core.System uses so its own topology handle is never re-parsed.
-func (c *Cache) LookupFor(machine string, net topology.Network, m int) (partition.Partition, error) {
-	name, prm, err := c.resolve(machine)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkServable(net); err != nil {
-		return nil, err
-	}
-	if m < 0 {
-		return nil, fmt.Errorf("plancache: negative block size %d", m)
-	}
-	ln, _, err := c.lineFor(context.Background(), name, prm, net)
-	if err != nil {
-		return nil, err
-	}
-	return ln.table.Lookup(m), nil
-}
-
-// Hull returns the resident hull table for (machine, d) on a d-cube,
-// building the line if needed.
-func (c *Cache) Hull(machine string, d int) (optimize.Table, error) {
-	return c.HullOn(machine, hypercubeSpec(d))
-}
-
-// HullOn is Hull for any topology registry spec.
-func (c *Cache) HullOn(machine, topo string) (optimize.Table, error) {
-	net, err := ResolveTopology(topo)
-	if err != nil {
-		return optimize.Table{}, err
-	}
-	return c.HullFor(machine, net)
-}
-
-// HullFor is HullOn with an already-resolved topology.
-func (c *Cache) HullFor(machine string, net topology.Network) (optimize.Table, error) {
-	return c.HullForCtx(context.Background(), machine, net)
-}
-
-// HullForCtx is HullFor bounded by a request context (see GetForCtx).
+// HullForCtx returns the resident hull table for (machine, topology),
+// building the line if needed; Table.Lookup on it is the fast path for a
+// caller that wants only the partition. ctx bounds the call as in
+// GetForCtx.
 func (c *Cache) HullForCtx(ctx context.Context, machine string, net topology.Network) (optimize.Table, error) {
 	name, prm, err := c.resolve(machine)
 	if err != nil {
@@ -529,28 +447,6 @@ func (c *Cache) HullForCtx(ctx context.Context, machine string, net topology.Net
 		return optimize.Table{}, err
 	}
 	return ln.table, nil
-}
-
-// Warm pre-builds the line for (machine, d) on a d-cube, so the first
-// query pays no enumeration. It reports whether a build actually ran
-// (false when the line was already resident or another caller's build
-// was joined).
-func (c *Cache) Warm(machine string, d int) (built bool, err error) {
-	return c.WarmOn(machine, hypercubeSpec(d))
-}
-
-// WarmOn is Warm for any topology registry spec.
-func (c *Cache) WarmOn(machine, topo string) (built bool, err error) {
-	name, prm, err := c.resolve(machine)
-	if err != nil {
-		return false, err
-	}
-	net, err := ResolveTopology(topo)
-	if err != nil {
-		return false, err
-	}
-	_, built, err = c.lineFor(context.Background(), name, prm, net)
-	return built, err
 }
 
 // answer resolves m through a resident line.
@@ -831,15 +727,12 @@ func (c *Cache) insertLocked(sh *shard, ln *line) {
 	}
 }
 
-// WarmFor is WarmOn with an already-resolved topology — the form the
-// service layer's fault paths use, where the network is a degraded
-// overlay it has already built rather than a registry spec.
-func (c *Cache) WarmFor(machine string, net topology.Network) (built bool, err error) {
-	return c.WarmForCtx(context.Background(), machine, net)
-}
-
-// WarmForCtx is WarmFor bounded by a request context (see GetForCtx).
-// The peer-serving endpoint uses it to build a line it owns on demand.
+// WarmForCtx pre-builds the line for (machine, topology), so the first
+// query pays no enumeration. It reports whether a build actually ran
+// (false when the line was already resident, another caller's build was
+// joined, or a peer supplied the line). ctx bounds the call as in
+// GetForCtx. Warm-up, the peer-serving endpoint and the fault paths — where
+// net is a degraded overlay, not a registry spec — all come through here.
 func (c *Cache) WarmForCtx(ctx context.Context, machine string, net topology.Network) (built bool, err error) {
 	name, prm, err := c.resolve(machine)
 	if err != nil {

@@ -8,17 +8,18 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/optimize"
+	"repro/internal/topology"
 )
 
 func TestGetMatchesOptimizerBest(t *testing.T) {
 	c := New(Config{})
 	ref := optimize.New(model.IPSC860())
 	for _, m := range []int{0, 1, 16, 40, 159, 160, 161, 400, 512} {
-		got, err := c.Get("ipsc860", 7, m)
+		got, err := c.GetForCtx(bg, "ipsc860", mustCube(t, 7), m)
 		if err != nil {
 			t.Fatalf("Get(ipsc860,7,%d): %v", m, err)
 		}
-		want, err := ref.Best(7, m)
+		want, err := ref.BestOn(topology.MustNew(7), m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,20 +47,20 @@ func TestBlockAxisCollapsesToOneLine(t *testing.T) {
 		return opt
 	}})
 	for m := 0; m <= 512; m += 3 {
-		if _, err := c.Get("ipsc860", 6, m); err != nil {
+		if _, err := c.GetForCtx(bg, "ipsc860", mustCube(t, 6), m); err != nil {
 			t.Fatal(err)
 		}
 	}
-	evalsAfterBuild := opt.Evaluations()
+	evalsAfterBuild := opt.Stats().Evaluations
 	if evalsAfterBuild != 513 {
 		t.Errorf("line build ran %d enumerations, want 513 (one per swept m)", evalsAfterBuild)
 	}
 	for m := 0; m <= 512; m += 7 {
-		if _, err := c.Get("ipsc860", 6, m); err != nil {
+		if _, err := c.GetForCtx(bg, "ipsc860", mustCube(t, 6), m); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := opt.Evaluations(); got != evalsAfterBuild {
+	if got := opt.Stats().Evaluations; got != evalsAfterBuild {
 		t.Errorf("cache hits drove the optimizer: evaluations %d → %d", evalsAfterBuild, got)
 	}
 	s := c.Stats()
@@ -79,14 +80,14 @@ func TestBlockAxisCollapsesToOneLine(t *testing.T) {
 
 func TestOutOfRangeClampsToNearestSegment(t *testing.T) {
 	c := New(Config{SweepHi: 200})
-	p, err := c.Get("ipsc860", 7, 1_000_000)
+	p, err := c.GetForCtx(bg, "ipsc860", mustCube(t, 7), 1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.InRange {
 		t.Error("m=1e6 reported in-range for a 200-byte sweep")
 	}
-	hull, err := c.Hull("ipsc860", 7)
+	hull, err := c.HullForCtx(bg, "ipsc860", mustCube(t, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestOutOfRangeClampsToNearestSegment(t *testing.T) {
 
 func TestUnknownMachineListsValidSet(t *testing.T) {
 	c := New(Config{})
-	_, err := c.Get("cray", 6, 40)
+	_, err := c.GetForCtx(bg, "cray", mustCube(t, 6), 40)
 	if err == nil {
 		t.Fatal("expected error for unknown machine")
 	}
@@ -109,10 +110,10 @@ func TestUnknownMachineListsValidSet(t *testing.T) {
 
 func TestAliasResolvesToCanonicalLine(t *testing.T) {
 	c := New(Config{})
-	if _, err := c.Get("ipsc", 6, 40); err != nil {
+	if _, err := c.GetForCtx(bg, "ipsc", mustCube(t, 6), 40); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Get("ipsc860", 6, 80); err != nil {
+	if _, err := c.GetForCtx(bg, "ipsc860", mustCube(t, 6), 80); err != nil {
 		t.Fatal(err)
 	}
 	if s := c.Stats(); s.Lines != 1 {
@@ -123,7 +124,7 @@ func TestAliasResolvesToCanonicalLine(t *testing.T) {
 func TestLRUEviction(t *testing.T) {
 	c := New(Config{Shards: 1, CapacityPerShard: 2})
 	for _, d := range []int{4, 5, 6} {
-		if _, err := c.Get("hypo", d, 40); err != nil {
+		if _, err := c.GetForCtx(bg, "hypo", mustCube(t, d), 40); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -135,7 +136,7 @@ func TestLRUEviction(t *testing.T) {
 		t.Errorf("lines = %d, want capacity 2", s.Lines)
 	}
 	// d=4 was least recently used; touching it again must rebuild.
-	if _, err := c.Get("hypo", 4, 40); err != nil {
+	if _, err := c.GetForCtx(bg, "hypo", mustCube(t, 4), 40); err != nil {
 		t.Fatal(err)
 	}
 	if s := c.Stats(); s.Builds != 4 {
@@ -147,11 +148,12 @@ func TestSingleflightCollapsesConcurrentBuilds(t *testing.T) {
 	c := New(Config{})
 	var wg sync.WaitGroup
 	errs := make([]error, 32)
+	net := mustCube(t, 7)
 	for i := range errs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = c.Get("ncube2", 7, 40+i)
+			_, errs[i] = c.GetForCtx(bg, "ncube2", net, 40+i)
 		}(i)
 	}
 	wg.Wait()
@@ -171,7 +173,7 @@ func TestSingleflightCollapsesConcurrentBuilds(t *testing.T) {
 func TestSnapshotRestoreWarm(t *testing.T) {
 	c := New(Config{})
 	for _, d := range []int{5, 6, 7} {
-		if _, err := c.Get("ipsc860", d, 40); err != nil {
+		if _, err := c.GetForCtx(bg, "ipsc860", mustCube(t, d), 40); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -189,11 +191,11 @@ func TestSnapshotRestoreWarm(t *testing.T) {
 		t.Fatalf("restored %d skipped %d, want 3/0", restored, skipped)
 	}
 	for _, d := range []int{5, 6, 7} {
-		got, err := warm.Get("ipsc860", d, 40)
+		got, err := warm.GetForCtx(bg, "ipsc860", mustCube(t, d), 40)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := c.Get("ipsc860", d, 40)
+		want, err := c.GetForCtx(bg, "ipsc860", mustCube(t, d), 40)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +211,7 @@ func TestSnapshotRestoreWarm(t *testing.T) {
 
 func TestRestoreSkipsStaleParams(t *testing.T) {
 	c := New(Config{})
-	if _, err := c.Get("ipsc860", 6, 40); err != nil {
+	if _, err := c.GetForCtx(bg, "ipsc860", mustCube(t, 6), 40); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -232,7 +234,7 @@ func TestRestoreSkipsStaleParams(t *testing.T) {
 
 func TestRestoreSkipsMismatchedSweep(t *testing.T) {
 	coarse := New(Config{SweepHi: 128, SweepStep: 8})
-	if _, err := coarse.Get("ipsc860", 6, 40); err != nil {
+	if _, err := coarse.GetForCtx(bg, "ipsc860", mustCube(t, 6), 40); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -268,7 +270,7 @@ func mustParamsJSON(t *testing.T) string {
 	t.Helper()
 	var buf bytes.Buffer
 	c := New(Config{})
-	if _, err := c.Get("ipsc860", 5, 1); err != nil {
+	if _, err := c.GetForCtx(bg, "ipsc860", mustCube(t, 5), 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Snapshot(&buf); err != nil {
@@ -291,28 +293,28 @@ func mustParamsJSON(t *testing.T) string {
 
 func TestWarm(t *testing.T) {
 	c := New(Config{})
-	built, err := c.Warm("hypo", 6)
+	built, err := c.WarmForCtx(bg, "hypo", mustCube(t, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !built {
 		t.Error("first Warm did not build")
 	}
-	built, err = c.Warm("hypo", 6)
+	built, err = c.WarmForCtx(bg, "hypo", mustCube(t, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if built {
 		t.Error("second Warm rebuilt a resident line")
 	}
-	if _, err := c.Warm("hypo", -1); err == nil {
+	if _, err := ResolveHypercube(-1); err == nil {
 		t.Error("expected error for negative dimension")
 	}
 }
 
 func TestZeroDimension(t *testing.T) {
 	c := New(Config{})
-	p, err := c.Get("hypo", 0, 40)
+	p, err := c.GetForCtx(bg, "hypo", mustCube(t, 0), 40)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/optimize"
+	"repro/internal/topology"
 )
 
 // A version-1 snapshot (pre-topology keys) must be rejected as stale —
@@ -46,14 +47,14 @@ func TestStaleV1SnapshotRejected(t *testing.T) {
 func TestTorusLineSnapshotRoundTrip(t *testing.T) {
 	cfg := Config{SweepHi: 64, NewOptimizer: optimize.New}
 	src := New(cfg)
-	want, err := src.GetOn("hypo", "torus-3x3", 24)
+	want, err := src.GetForCtx(bg, "hypo", mustSpec(t, "torus-3x3"), 24)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want.Topo != "torus-3x3" || want.D != 2 {
 		t.Fatalf("unexpected plan: %+v", want)
 	}
-	if _, err := src.Get("hypo", 4, 24); err != nil {
+	if _, err := src.GetForCtx(bg, "hypo", mustCube(t, 4), 24); err != nil {
 		t.Fatal(err)
 	}
 
@@ -66,7 +67,7 @@ func TestTorusLineSnapshotRoundTrip(t *testing.T) {
 	if err != nil || restored != 2 || skipped != 0 {
 		t.Fatalf("restore: %d restored, %d skipped, %v", restored, skipped, err)
 	}
-	got, err := dst.GetOn("hypo", "torus-3x3", 24)
+	got, err := dst.GetForCtx(bg, "hypo", mustSpec(t, "torus-3x3"), 24)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestTorusLineMatchesOptimizerAndHitsBypass(t *testing.T) {
 	c := New(Config{SweepHi: 64})
 	topoName := "torus-4x4"
 
-	p, err := c.GetOn("hypo", topoName, 40)
+	p, err := c.GetForCtx(bg, "hypo", mustSpec(t, topoName), 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestTorusLineMatchesOptimizerAndHitsBypass(t *testing.T) {
 
 	before := c.Stats()
 	for m := 0; m <= 64; m++ {
-		if _, err := c.GetOn("hypo", topoName, m); err != nil {
+		if _, err := c.GetForCtx(bg, "hypo", mustSpec(t, topoName), m); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -120,7 +121,7 @@ func TestTorusLineMatchesOptimizerAndHitsBypass(t *testing.T) {
 	}
 
 	// Distinct topologies must be distinct lines even at equal node count.
-	if _, err := c.GetOn("hypo", "hypercube-4", 40); err != nil {
+	if _, err := c.GetForCtx(bg, "hypo", mustSpec(t, "hypercube-4"), 40); err != nil {
 		t.Fatal(err)
 	}
 	if s := c.Stats(); s.Lines != 2 {
@@ -131,8 +132,7 @@ func TestTorusLineMatchesOptimizerAndHitsBypass(t *testing.T) {
 // Bad topology specs must surface as request-validation errors, not
 // build failures (the service maps them to 400 vs 500).
 func TestBadTopologySpecIsRequestError(t *testing.T) {
-	c := New(Config{})
-	_, err := c.GetOn("hypo", "torus-0x4", 10)
+	_, err := ResolveTopology("torus-0x4")
 	if err == nil {
 		t.Fatal("bad spec must fail")
 	}
@@ -140,7 +140,7 @@ func TestBadTopologySpecIsRequestError(t *testing.T) {
 	if errors.As(err, &be) {
 		t.Errorf("bad spec classified as a build failure: %v", err)
 	}
-	if _, err := c.GetOn("hypo", "klein-bottle-4", 10); err == nil {
+	if _, err := ResolveTopology("klein-bottle-4"); err == nil {
 		t.Error("unknown shape must fail")
 	}
 }
@@ -153,7 +153,11 @@ func TestMixedRadixDimensionBound(t *testing.T) {
 	// 19 unequal-radix dims, 786432 nodes — inside the node bound, but
 	// 2^18 compositions per sweep point.
 	spec := "torus-3x2x2x2x2x2x2x2x2x2x2x2x2x2x2x2x2x2x2"
-	_, err := c.GetOn("hypo", spec, 1)
+	if _, err := ResolveTopology(spec); err == nil {
+		t.Fatal("oversized mixed-radix topology must be rejected at resolution")
+	}
+	// ...and by the cache itself, for a caller that parsed the spec on its own.
+	_, err := c.GetForCtx(bg, "hypo", topology.MustParseSpec(spec), 1)
 	if err == nil {
 		t.Fatal("oversized mixed-radix topology must be rejected")
 	}
@@ -163,7 +167,7 @@ func TestMixedRadixDimensionBound(t *testing.T) {
 	}
 	// A uniform shape of the same dimension count stays servable (p(k)
 	// candidates, not 2^(k−1)).
-	if _, err := c.GetOn("hypo", "hypercube-19", 1); err != nil {
+	if _, err := c.GetForCtx(bg, "hypo", mustSpec(t, "hypercube-19"), 1); err != nil {
 		t.Errorf("uniform 19-dim shape must serve: %v", err)
 	}
 }

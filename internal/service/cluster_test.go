@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/plancache"
+	"repro/internal/topology"
 )
 
 func TestReadyzGatesOnSetReady(t *testing.T) {
@@ -116,7 +117,7 @@ func TestPeerLineBuildsOnDemandAndServes(t *testing.T) {
 
 func TestPeerSnapshotServesResidentLines(t *testing.T) {
 	cache := plancache.New(plancache.Config{})
-	if _, err := cache.Warm("ipsc860", 3); err != nil {
+	if _, err := cache.WarmForCtx(context.Background(), "ipsc860", topology.MustNew(3)); err != nil {
 		t.Fatal(err)
 	}
 	srv, err := New(Config{Cache: cache})

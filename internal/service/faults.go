@@ -291,7 +291,7 @@ func (s *Server) rebuild(key, machine string, base topology.Network) {
 			// line is the right answer again.
 			return
 		}
-		if _, err := s.cache.WarmFor(machine, net); err != nil {
+		if _, err := s.cache.WarmForCtx(context.Background(), machine, net); err != nil {
 			lastErr = err
 			continue
 		}

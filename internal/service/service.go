@@ -69,7 +69,7 @@ type Config struct {
 	// PlanMaxDim bounds the dimension /v1/plan, /v1/hull and /v1/batch
 	// accept (default 20, the optimizer's own limit). A daemon whose
 	// cache costs hull sweeps by simulation must set this near
-	// CostMaxDim: one cache miss runs a full sweep of Best calls, each
+	// CostMaxDim: one cache miss runs a full sweep of BestOn calls, each
 	// hundreds of times the work of a single /v1/cost.
 	PlanMaxDim int
 	// RebuildAttempts bounds the background retry loop that rebuilds a
@@ -111,7 +111,7 @@ func (c Config) withDefaults() Config {
 		c.CostMaxDim = optimize.MaxSimulatedDim
 	}
 	if c.PlanMaxDim <= 0 || c.PlanMaxDim > 20 {
-		c.PlanMaxDim = 20 // optimize.Best's own dimension bound
+		c.PlanMaxDim = 20 // optimize.BestOn's enumeration bound, 2^20 nodes
 	}
 	if c.RebuildAttempts <= 0 {
 		c.RebuildAttempts = 4
@@ -388,8 +388,8 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) int {
 // within a serving bound: an explicit spec wins, otherwise d selects the
 // hypercube. maxDim caps the node count at 2^maxDim — a hull build's or a
 // replay's cost scales with it — and, for the hypercube path, d itself.
-// Handlers pass the returned Network straight to the cache's *For entry
-// points.
+// Handlers pass the returned Network straight to the cache's GetForCtx,
+// HullForCtx and WarmForCtx.
 func (s *Server) resolveTopo(spec string, d, maxDim int) (topology.Network, error) {
 	if spec == "" {
 		if d < 0 || d > maxDim {

@@ -1,9 +1,6 @@
 package topology
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // Transfer is one point-to-point message in a communication step.
 type Transfer struct {
@@ -52,33 +49,7 @@ func (r ContentionReport) ContendedEdges() []Edge {
 // AnalyzeStep computes the contention report for a set of simultaneous
 // transfers. Transfers with Src == Dst are ignored.
 func (h *Hypercube) AnalyzeStep(step []Transfer) (ContentionReport, error) {
-	r := ContentionReport{
-		EdgeLoad: make(map[Edge]int),
-		NodeLoad: make(map[int]int),
-	}
-	for _, tr := range step {
-		if tr.Src == tr.Dst {
-			continue
-		}
-		route, err := h.Route(tr.Src, tr.Dst)
-		if err != nil {
-			return r, fmt.Errorf("transfer %d→%d: %w", tr.Src, tr.Dst, err)
-		}
-		for i := 0; i+1 < len(route); i++ {
-			e := Edge{From: route[i], To: route[i+1]}
-			r.EdgeLoad[e]++
-			if c := r.EdgeLoad[e]; c > r.MaxEdgeLoad {
-				r.MaxEdgeLoad = c
-			}
-		}
-		for _, v := range route[1 : len(route)-1] {
-			r.NodeLoad[v]++
-			if c := r.NodeLoad[v]; c > r.MaxNodeLoad {
-				r.MaxNodeLoad = c
-			}
-		}
-	}
-	return r, nil
+	return Analyze(h, step)
 }
 
 // XORStep returns the transfer set of step i of the Schmiermund–Seidel
@@ -114,23 +85,9 @@ func (h *Hypercube) VerifyXORScheduleContentionFree() (int, error) {
 // i-th block to node i. All n−1 circuits converge on one destination, so
 // the step suffers heavy edge contention for d ≥ 2 — the contrast that
 // motivates the carefully scheduled algorithms of §4.2.
-func (h *Hypercube) NaiveStep(i int) []Transfer {
-	step := make([]Transfer, 0, h.n-1)
-	for p := 0; p < h.n; p++ {
-		if p != i {
-			step = append(step, Transfer{Src: p, Dst: i})
-		}
-	}
-	return step
-}
+func (h *Hypercube) NaiveStep(i int) []Transfer { return NaiveStep(h, i) }
 
 // ShiftStep returns the transfer set in which node p sends to (p+i) mod n.
 // Cyclic shifts are, perhaps surprisingly, edge-contention-free under
 // e-cube routing; they are provided for schedule experiments.
-func (h *Hypercube) ShiftStep(i int) []Transfer {
-	step := make([]Transfer, 0, h.n)
-	for p := 0; p < h.n; p++ {
-		step = append(step, Transfer{Src: p, Dst: (p + i) & (h.n - 1)})
-	}
-	return step
-}
+func (h *Hypercube) ShiftStep(i int) []Transfer { return ShiftStep(h, i) }

@@ -510,19 +510,6 @@ func (d *Degraded) AppendRouteSlots(buf []int, src, dst int) []int {
 	return buf
 }
 
-// RouteEdges returns the directed edges of the fault-aware route.
-func (d *Degraded) RouteEdges(src, dst int) ([]Edge, error) {
-	p, err := d.Route(src, dst)
-	if err != nil {
-		return nil, err
-	}
-	edges := make([]Edge, 0, len(p)-1)
-	for i := 0; i+1 < len(p); i++ {
-		edges = append(edges, Edge{From: p[i], To: p[i+1]})
-	}
-	return edges, nil
-}
-
 // Distance returns the fault-aware routed hop count. Unroutable pairs
 // panic like AppendRoute; gate on Connected/CheckOperational first.
 func (d *Degraded) Distance(a, b int) int {

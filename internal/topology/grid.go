@@ -280,19 +280,6 @@ func (g *grid) Route(src, dst int) ([]int, error) {
 	return g.AppendRoute(nil, src, dst), nil
 }
 
-// RouteEdges returns the directed edges of the route from src to dst.
-func (g *grid) RouteEdges(src, dst int) ([]Edge, error) {
-	p, err := g.Route(src, dst)
-	if err != nil {
-		return nil, err
-	}
-	edges := make([]Edge, 0, len(p)-1)
-	for i := 0; i+1 < len(p); i++ {
-		edges = append(edges, Edge{From: p[i], To: p[i+1]})
-	}
-	return edges, nil
-}
-
 // LinkSlot returns the directed-link slot of the hop from → to:
 // from·Degree() + 2·dim + dir, with dir 0 for + and 1 for −. On a
 // radix-2 torus dimension both directions reach the same neighbor over

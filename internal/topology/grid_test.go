@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -188,26 +189,25 @@ func TestSubBlocksPartition(t *testing.T) {
 	}
 }
 
-// PhaseFields on a hypercube must agree with the original bit-range
-// method.
+// PhaseFields on a hypercube is the §5.2 bit-range layout: fields consume
+// the label's bits from the top down.
 func TestPhaseFieldsMatchesHypercube(t *testing.T) {
 	h := MustNew(7)
-	for _, groups := range [][]int{{7}, {3, 4}, {1, 2, 4}, {1, 1, 1, 1, 1, 1, 1}} {
-		want, err := h.PhaseFields(groups)
+	for _, tc := range []struct {
+		groups []int
+		want   [][2]int
+	}{
+		{[]int{7}, [][2]int{{0, 7}}},
+		{[]int{3, 4}, [][2]int{{4, 3}, {0, 4}}},
+		{[]int{1, 2, 4}, [][2]int{{6, 1}, {4, 2}, {0, 4}}},
+		{[]int{1, 1, 1, 1, 1, 1, 1}, [][2]int{{6, 1}, {5, 1}, {4, 1}, {3, 1}, {2, 1}, {1, 1}, {0, 1}}},
+	} {
+		got, err := PhaseFields(h, tc.groups)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := PhaseFields(h, groups)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%v: %v vs %v", groups, got, want)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("%v: %v vs %v", groups, got, want)
-			}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Fatalf("%v: %v, want %v", tc.groups, got, tc.want)
 		}
 	}
 	if _, err := PhaseFields(h, []int{3, 3}); err == nil {
@@ -215,22 +215,17 @@ func TestPhaseFieldsMatchesHypercube(t *testing.T) {
 	}
 }
 
-// The generalized contention analyzer must agree with the hypercube
-// method, and cyclic shifts within a torus must stay inside their
-// sub-block.
+// The contention analyzer on a hypercube: XOR step 5 of the 4-cube routes
+// 16 two-hop circuits over 32 distinct directed links. Cyclic shifts
+// within a torus use links; the naive step contends harder.
 func TestAnalyzeOnGrids(t *testing.T) {
 	h := MustNew(4)
-	step := h.XORStep(5)
-	want, err := h.AnalyzeStep(step)
+	got, err := Analyze(h, h.XORStep(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Analyze(h, step)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.MaxEdgeLoad != want.MaxEdgeLoad || len(got.EdgeLoad) != len(want.EdgeLoad) {
-		t.Error("Analyze disagrees with AnalyzeStep")
+	if got.MaxEdgeLoad != 1 || len(got.EdgeLoad) != 32 {
+		t.Errorf("XOR step 5: max edge load %d over %d links, want 1 over 32", got.MaxEdgeLoad, len(got.EdgeLoad))
 	}
 
 	tor := MustParseSpec("torus-4x4")

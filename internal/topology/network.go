@@ -60,8 +60,6 @@ type Network interface {
 	// storage reused) without validation — the allocation-free form the
 	// simulator's hot loops use. Both endpoints must be valid nodes.
 	AppendRoute(buf []int, src, dst int) []int
-	// RouteEdges returns the directed edges of the route from src to dst.
-	RouteEdges(src, dst int) ([]Edge, error)
 	// LinkSlot returns the directed-link slot id of the link from one
 	// node to an adjacent one, unique per directed link, in
 	// [0, Nodes()·Degree()). from and to must be neighbors.
@@ -87,8 +85,9 @@ type Network interface {
 // of a multiphase exchange whose grouping has the given group sizes, in
 // phase order. Groups consume dimensions from the top down — phase 1 uses
 // the highest g_1 dimensions — generalizing the §5.2 bit-field layout to
-// mixed-radix coordinate blocks (on a hypercube, dimensions are bits and
-// this is exactly Hypercube.PhaseFields).
+// mixed-radix coordinate blocks (on a hypercube, dimensions are bits: the
+// j-th partial exchange uses bits Σ_{i≤j}d_i − d_j .. Σ_{i≤j}d_i − 1 counting
+// down from the top of the label).
 func PhaseFields(net Network, groups []int) ([][2]int, error) {
 	k := net.NumDims()
 	sum := 0
@@ -154,8 +153,7 @@ func SubBlocks(net Network, lo, w int) ([][]int, error) {
 }
 
 // Analyze computes the contention report for a set of simultaneous
-// transfers routed on any network — the generalization of
-// Hypercube.AnalyzeStep. Transfers with Src == Dst are ignored.
+// transfers routed on any network. Transfers with Src == Dst are ignored.
 func Analyze(net Network, step []Transfer) (ContentionReport, error) {
 	r := ContentionReport{
 		EdgeLoad: make(map[Edge]int),

@@ -177,19 +177,6 @@ func (h *Hypercube) Route(src, dst int) ([]int, error) {
 	return bitutil.ECubePath(src, dst), nil
 }
 
-// RouteEdges returns the directed edges of the e-cube route from src to dst.
-func (h *Hypercube) RouteEdges(src, dst int) ([]Edge, error) {
-	p, err := h.Route(src, dst)
-	if err != nil {
-		return nil, err
-	}
-	edges := make([]Edge, 0, len(p)-1)
-	for i := 0; i+1 < len(p); i++ {
-		edges = append(edges, Edge{From: p[i], To: p[i+1]})
-	}
-	return edges, nil
-}
-
 // TotalLinks returns the number of directed links: d·2^d.
 func (h *Hypercube) TotalLinks() int { return h.dim * h.n }
 
@@ -255,31 +242,6 @@ func (h *Hypercube) Subcubes(lo, w int) ([]Subcube, error) {
 			seen[fixed] = true
 			out = append(out, Subcube{Lo: lo, Width: w, Fixed: fixed})
 		}
-	}
-	return out, nil
-}
-
-// PhaseFields returns the bit ranges (lo, width) used by each phase of a
-// multiphase exchange with the given subcube dimensions, in phase order.
-// Per §5.2 the j-th partial exchange uses bits Σ_{i≤j}d_i − d_j .. Σ_{i≤j}d_i − 1
-// counting down from the top of the label.
-func (h *Hypercube) PhaseFields(dims []int) ([][2]int, error) {
-	sum := 0
-	for _, di := range dims {
-		if di <= 0 {
-			return nil, fmt.Errorf("topology: nonpositive phase dimension %d", di)
-		}
-		sum += di
-	}
-	if sum != h.dim {
-		return nil, fmt.Errorf("topology: phase dimensions sum to %d, want %d", sum, h.dim)
-	}
-	out := make([][2]int, len(dims))
-	start := h.dim - 1
-	for j, dj := range dims {
-		stop := start - dj + 1
-		out[j] = [2]int{stop, dj}
-		start = stop - 1
 	}
 	return out, nil
 }

@@ -77,7 +77,7 @@ func TestRouteErrors(t *testing.T) {
 	if _, err := h.Route(0, 8); err == nil {
 		t.Error("route to node outside cube must fail")
 	}
-	if _, err := h.RouteEdges(-1, 0); err == nil {
+	if _, err := h.Route(-1, 0); err == nil {
 		t.Error("route from negative node must fail")
 	}
 }
@@ -87,10 +87,6 @@ func TestRouteSelf(t *testing.T) {
 	p, err := h.Route(5, 5)
 	if err != nil || len(p) != 1 || p[0] != 5 {
 		t.Errorf("self route = %v, %v", p, err)
-	}
-	es, err := h.RouteEdges(5, 5)
-	if err != nil || len(es) != 0 {
-		t.Errorf("self route edges = %v", es)
 	}
 }
 
@@ -188,7 +184,7 @@ func TestSubcubeString(t *testing.T) {
 // exchange uses bits 2,1 and the second uses bit 0.
 func TestPhaseFieldsFigure3(t *testing.T) {
 	h := MustNew(3)
-	fields, err := h.PhaseFields([]int{2, 1})
+	fields, err := PhaseFields(h, []int{2, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +199,7 @@ func TestPhaseFieldsFigure3(t *testing.T) {
 func TestPhaseFieldsCoverAllBits(t *testing.T) {
 	h := MustNew(7)
 	for _, dims := range [][]int{{7}, {3, 4}, {2, 2, 3}, {1, 1, 1, 1, 1, 1, 1}, {4, 3}} {
-		fields, err := h.PhaseFields(dims)
+		fields, err := PhaseFields(h, dims)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,16 +215,16 @@ func TestPhaseFieldsCoverAllBits(t *testing.T) {
 
 func TestPhaseFieldsErrors(t *testing.T) {
 	h := MustNew(5)
-	if _, err := h.PhaseFields([]int{2, 2}); err == nil {
+	if _, err := PhaseFields(h, []int{2, 2}); err == nil {
 		t.Error("wrong sum must fail")
 	}
-	if _, err := h.PhaseFields([]int{6}); err == nil {
+	if _, err := PhaseFields(h, []int{6}); err == nil {
 		t.Error("oversized phase must fail")
 	}
-	if _, err := h.PhaseFields([]int{5, 0}); err == nil {
+	if _, err := PhaseFields(h, []int{5, 0}); err == nil {
 		t.Error("zero phase must fail")
 	}
-	if _, err := h.PhaseFields([]int{-2, 7}); err == nil {
+	if _, err := PhaseFields(h, []int{-2, 7}); err == nil {
 		t.Error("negative phase must fail")
 	}
 }
