@@ -621,10 +621,26 @@ func BenchmarkHullBuildSimulated(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildTableAnalytic times an analytic hull build from a fresh
+// optimizer — the unit of work behind every plancache line fill, fault
+// rebuild and owner rebuild after an eviction — on the largest cube the
+// serving tier takes, over its range: the lower envelope of p(16) = 231
+// lines, a handful of block sizes priced.
+func BenchmarkBuildTableAnalytic(b *testing.B) {
+	prm := model.IPSC860()
+	cube := topology.MustNew(16)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := optimize.New(prm).BuildTableOnCtx(context.Background(), cube, 0, 512, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkBestOnCached is the optimizer's answer to a (topology, m) it
-// has already enumerated — what every point of a plancache line rebuild
-// from a warm optimizer costs: one map lookup, nothing validated again,
-// nothing allocated.
+// has already enumerated — what a repeated BestOn (a simulated sweep point
+// revisited, a CLI asking again) costs: one map lookup, nothing validated
+// again, nothing allocated.
 func BenchmarkBestOnCached(b *testing.B) {
 	net := topology.MustParseSpec("torus-4x4x4")
 	opt := optimize.New(model.IPSC860())

@@ -32,7 +32,6 @@ func main() {
 		"machine model: "+strings.Join(model.MachineNames(), " | "))
 	save := flag.String("save", "", "also write the table as JSON to this path (§6: compute once, reuse)")
 	load := flag.String("load", "", "load a previously saved table instead of recomputing")
-	optWorkers := flag.Int("opt-workers", 0, "optimizer candidate-costing workers, clamped to GOMAXPROCS (0 = backend default)")
 	flag.Parse()
 
 	prm, err := model.MachineByName(*machine)
@@ -41,7 +40,6 @@ func main() {
 	}
 
 	opt := optimize.New(prm)
-	opt.SetWorkers(*optWorkers)
 	var tbl optimize.Table
 	if *load != "" {
 		tbl, err = optimize.LoadTableFile(*load, prm)

@@ -28,7 +28,6 @@ func main() {
 	m := flag.Int("m", -1, "with -d: also model each candidate's multiphase time for this block size")
 	machine := flag.String("machine", "ipsc860",
 		"machine model for -m costing: "+strings.Join(model.MachineNames(), " | "))
-	optWorkers := flag.Int("opt-workers", 0, "optimizer candidate-costing workers, clamped to GOMAXPROCS (0 = backend default)")
 	flag.Parse()
 
 	if *d < 0 {
@@ -39,7 +38,7 @@ func main() {
 			fatal(fmt.Errorf("d=%d too large to enumerate", *d))
 		}
 		if *m >= 0 {
-			if err := costed(*d, *m, *machine, *optWorkers); err != nil {
+			if err := costed(*d, *m, *machine); err != nil {
 				fatal(err)
 			}
 			return
@@ -68,7 +67,7 @@ func main() {
 // costed prints every partition of d with its modeled multiphase time
 // for block size m — the §6 enumeration the optimizer runs, made
 // visible. The winner is marked.
-func costed(d, m int, machine string, optWorkers int) error {
+func costed(d, m int, machine string) error {
 	prm, err := model.MachineByName(machine)
 	if err != nil {
 		return err
@@ -80,7 +79,6 @@ func costed(d, m int, machine string, optWorkers int) error {
 	// Ask the optimizer itself which candidate wins, so the mark always
 	// agrees with what mpx and pland serve (tie-breaks included).
 	opt := optimize.New(prm)
-	opt.SetWorkers(optWorkers)
 	cube, err := topology.New(d)
 	if err != nil {
 		return err

@@ -87,6 +87,28 @@ func (p Params) PhaseCost(m, d, di int) float64 {
 	return t
 }
 
+// PhaseLine returns PhaseCost as a function of the block size: eq. (3) is
+// intercept + slope·m, the constant terms (startups, distance, the global
+// synchronization) and the terms proportional to m (transmission of the
+// effective blocks, the shuffle) each summed on their own. See
+// PhaseLineOn for what the regrouping means for the last bit.
+func (p Params) PhaseLine(d, di int) (slope, intercept float64) {
+	if di <= 0 {
+		return 0, 0
+	}
+	steps := float64(int(1)<<uint(di) - 1)
+	totalDist := float64(di) * float64(int(1)<<uint(di-1))
+	slope = steps * p.EffTau() * float64(EffectiveBlockSize(1, d, di))
+	intercept = steps*p.EffLambda() + p.EffDelta()*totalDist
+	if di != d {
+		slope += p.ShuffleTime(1, d)
+	}
+	if p.GlobalSyncPerPhase {
+		intercept += p.GlobalSync(d)
+	}
+	return slope, intercept
+}
+
 // PhaseCostStandard returns the modeled time of one partial exchange of
 // subcube dimension di performed with the Standard Exchange algorithm
 // *inside* the subcube: di nearest-neighbour transmissions each carrying

@@ -282,6 +282,56 @@ func (p Params) PhaseCostOn(net topology.Network, m, lo, w int) (float64, error)
 	return t, nil
 }
 
+// PhaseLineOn returns PhaseCostOn as a function of the block size: over the
+// field [lo, lo+w) the phase costs intercept + slope·m, on healthy fields
+// (a hypercube's are PhaseLine's) and on faulty overlays alike, because
+// every term of the closed form is either constant or proportional to m.
+// The paper draws its hull of optimality (§6, §8) as an envelope of
+// exactly these straight lines. The coefficients group PhaseCostOn's terms
+// by power of m rather than in its order of evaluation, so
+// intercept + slope·m agrees with PhaseCostOn to rounding, not to the last
+// bit: the lines say where two groupings cross, PhaseCostOn says which one
+// a block size on either side of the crossing is served.
+func (p Params) PhaseLineOn(net topology.Network, lo, w int) (slope, intercept float64, err error) {
+	if w <= 0 {
+		return 0, 0, fmt.Errorf("model: nonpositive phase width %d", w)
+	}
+	if h, ok := topology.AsHypercube(net); ok && lo >= 0 && lo+w <= h.Dim() {
+		slope, intercept = p.PhaseLine(h.Dim(), w)
+		return slope, intercept, nil
+	}
+	span, err := topology.SpanSize(net, lo, w)
+	if err != nil {
+		return 0, 0, err
+	}
+	n := net.Nodes()
+	steps := float64(span - 1) // on an overlay, each step weighted by its slow factor
+	if dg, ok := net.(*topology.Degraded); ok && !dg.Healthy() {
+		if err := dg.Operational(); err != nil {
+			return 0, 0, err
+		}
+		pm, err := phaseMetricsDegraded(dg, lo, w)
+		if err != nil {
+			return 0, 0, err
+		}
+		steps = 0
+		for i := range pm.dist {
+			steps += pm.slow[i]
+			intercept += (p.EffLambda() + p.EffDelta()*pm.dist[i]) * pm.slow[i]
+		}
+	} else {
+		intercept = steps*p.EffLambda() + p.EffDelta()*phaseDistTotal(net, lo, w)
+	}
+	slope = steps * p.EffTau() * float64(n/span)
+	if span != n {
+		slope += p.Rho * float64(n)
+	}
+	if p.GlobalSyncPerPhase {
+		intercept += p.GlobalSync(net.Diameter())
+	}
+	return slope, intercept, nil
+}
+
 // MultiphaseOn returns the modeled total time in µs of the multiphase
 // complete exchange with dimension grouping D on any topology with block
 // size m, every phase using the circuit-switched schedule inside its

@@ -172,3 +172,45 @@ func TestPhaseDistTotalLargeSpanClosedForm(t *testing.T) {
 		t.Errorf("closed form %v below sampled exact lower bound %v", closed, exact)
 	}
 }
+
+// PhaseLineOn is PhaseCostOn regrouped by power of m: on every machine,
+// every field of a cube, a torus, a mixed-radix mesh and the three kinds
+// of overlay, intercept + slope·m must agree with PhaseCostOn — and, on a
+// hypercube, with eq. (3)'s PhaseCost — to rounding.
+func TestPhaseLineOnMatchesPhaseCostOn(t *testing.T) {
+	for name, prm := range Machines() {
+		for _, spec := range []string{
+			"hypercube-5", "torus-4x4x4", "mesh-3x5x4", "torus-4x8x2",
+			"hypercube-6!dl=0-1", "hypercube-6!sl=0-1:2.5", "torus-8x8!dl=0-1",
+		} {
+			net := topology.MustParseSpec(spec)
+			cube, _ := topology.AsHypercube(net)
+			for lo := 0; lo < net.NumDims(); lo++ {
+				for w := 1; lo+w <= net.NumDims(); w++ {
+					slope, intercept, err := prm.PhaseLineOn(net, lo, w)
+					if err != nil {
+						t.Fatalf("%s %s [%d,%d): %v", name, spec, lo, lo+w, err)
+					}
+					for _, m := range []int{0, 1, 40, 512, 1 << 20} {
+						want, err := prm.PhaseCostOn(net, m, lo, w)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got := intercept + slope*float64(m)
+						if math.Abs(got-want) > 1e-12*want {
+							t.Errorf("%s %s [%d,%d) m=%d: line %v, PhaseCostOn %v", name, spec, lo, lo+w, m, got, want)
+						}
+						if cube != nil {
+							if eq3 := prm.PhaseCost(m, cube.Dim(), w); math.Abs(got-eq3) > 1e-12*eq3 {
+								t.Errorf("%s %s w=%d m=%d: line %v, PhaseCost %v", name, spec, w, m, got, eq3)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if _, _, err := IPSC860().PhaseLineOn(topology.MustParseSpec("torus-4x4"), 1, 2); err == nil {
+		t.Error("field past the last dimension must fail")
+	}
+}

@@ -122,7 +122,7 @@ func TestBoundEntryUpgrades(t *testing.T) {
 	net := topology.MustParseSpec("mesh-2x3x4x2")
 	o := NewSimulated(prm)
 	sim := simnet.New(net, prm)
-	es, err := o.enumFor(net)
+	es, err := enumFor(net)
 	if err != nil {
 		t.Fatal(err)
 	}

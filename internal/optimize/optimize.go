@@ -15,30 +15,46 @@
 // TestBestOnEqualsSimulateArgmin pins the optimizer's choice to the argmin
 // of those recorded runs.
 //
-// Enumeration never costs the same sub-schedule twice and never costs a
-// candidate it can prove is a loser:
+// On the analytic backend every candidate's cost is affine in the block
+// size — eq. (3) is a constant plus a term proportional to m, for cube
+// fields, grid fields and degraded overlays alike (model.PhaseLineOn) — so
+// the hull of optimality is what the paper draws: the lower envelope of
+// p(d) straight lines. BestOn prices each distinct field once and sums per
+// candidate; BuildTableOnCtx walks the envelope instead of costing every
+// block size (envelopeTable): it prices a block size, reads off the lines
+// how far the winner stays clear of every other candidate, and prices
+// again only where that lead runs out. The lines are the closed form
+// regrouped, equal to it up to rounding, so they are trusted only by a
+// margin that rounding cannot reach; which side of a crossing a block size
+// falls on, and every tie, is decided by the same left-to-right sums of
+// PhaseCost/PhaseCostOn values a point-by-point sweep compares. The table
+// is therefore that sweep's table exactly (TestEnvelopeEqualsSweep keeps
+// the sweep as its oracle), for a few block sizes priced per segment, and
+// nothing about a build is kept once the table is returned.
+//
+// The simulated backend never costs the same sub-schedule twice and never
+// costs a candidate it can prove is a loser:
 //
 //   - Memoization. Candidates share almost all of their structure — the
 //     same (dimension field, m) phase appears in many groupings — so the
 //     optimizer keeps per-Optimizer compute-once caches of per-(field, m)
-//     phase costs (analytic) and per-(field, m) compiled trace-fragment
-//     makespans (simulated). A candidate's screening cost is the sum of
-//     its phases' memoized values; BestOn and BuildTableOnCtx sweeps reuse
-//     phase work across candidates and across the m-sweep. Barriers
-//     serialize phases, so in real arithmetic the fragment-sum equals the
-//     whole-plan makespan exactly; in contended cyclic phases float
-//     tie-breaking of link acquisitions can shift it by a small fraction
-//     (≈2% worst observed), so selection runs on the fragment-sum and the
-//     winner's reported TimeMicro is re-derived by one whole-plan replay
-//     — bit-identical to Plan.Cost on the chosen partition. A replay
+//     compiled trace-fragment makespans. A candidate's screening cost is
+//     the sum of its phases' memoized values; BestOn and BuildTableOnCtx
+//     sweeps reuse phase work across candidates and across the m-sweep.
+//     Barriers serialize phases, so in real arithmetic the fragment-sum
+//     equals the whole-plan makespan exactly; in contended cyclic phases
+//     float tie-breaking of link acquisitions can shift it by a small
+//     fraction (≈2% worst observed), so selection runs on the fragment-sum
+//     and the winner's reported TimeMicro is re-derived by one whole-plan
+//     replay — bit-identical to Plan.Cost on the chosen partition. A replay
 //     is not always a run of the event engine: a phase whose circuits
 //     simnet has certified contention-free and lockstep (the XOR phases
 //     of a healthy hypercube) is priced by the engine's own additions
 //     with no events, to the same last bit; Stats counts phases by mode.
-//   - Branch-and-bound pruning (simulated backend), one rule. The
-//     analytic model generalization (model.PhaseLowerBoundOn) is an
-//     admissible lower bound on each phase's simulated makespan, and
-//     candidates are ordered best-first by the sum of their bounds. A
+//   - Branch-and-bound pruning, one rule. The analytic model
+//     generalization (model.PhaseLowerBoundOn) is an admissible lower
+//     bound on each phase's simulated makespan, and candidates are
+//     ordered best-first by the sum of their bounds. A
 //     candidate stays in contention while its cost can still come in under
 //     the incumbent's, so its phase i may cost at most a cutoff: the
 //     incumbent (plus pruneSlack), less the exact costs already summed for
@@ -62,7 +78,7 @@
 //     and the winner's reported time only ever reads exact entries.
 //   - Parallel costing. A single BestOn costs its surviving candidates
 //     concurrently on a bounded worker pool (SetWorkers, default
-//     GOMAXPROCS on the simulated backend) — after the first
+//     GOMAXPROCS) — after the first
 //     best-first candidate, which runs alone so that every other one
 //     starts with an incumbent, hence a finite cutoff. A simulated table
 //     sweep deals its points to the same workers instead and costs the
@@ -156,13 +172,18 @@ type key struct {
 
 // Stats is a snapshot of the optimizer's evaluation counters. Evaluations
 // counts full enumerations (cache hits and singleflight followers do not
-// move it); Evaluated and Pruned partition the candidates those
-// enumerations dequeued into costed in full and proven to lose first;
-// MemoHits and MemoMisses count phase-level memo lookups (a miss computes
-// the phase — analytically or by fragment replay, finished or aborted — a
-// hit reuses what is recorded). The split of candidates between Evaluated
-// and Pruned can vary run to run on the parallel paths (it depends on how
-// fast the incumbent drops); the returned Choice never does.
+// move it): one per BestOn miss, and on the analytic backend one per table
+// build — an envelope is a single enumeration, however many block sizes
+// the table covers. Evaluated and Pruned partition the candidates those
+// enumerations dequeued into costed in full and proven to lose first (an
+// analytic enumeration costs every candidate: its line, or its cost at
+// one m). MemoHits and MemoMisses count the simulated backend's phase-level
+// memo lookups (a miss computes the phase — its bound, or a fragment
+// replay, finished or aborted — a hit reuses what is recorded); the
+// analytic backend keeps no memo and never moves them. The split of
+// candidates between Evaluated and Pruned can vary run to run on the
+// parallel paths (it depends on how fast the incumbent drops); the
+// returned Choice never does.
 type Stats struct {
 	Evaluations int64 `json:"evaluations"`
 	Evaluated   int64 `json:"evaluated"`
@@ -323,11 +344,8 @@ type Optimizer struct {
 	memoMisses     atomic.Int64
 	replays        ReplayCounter
 
-	enums sync.Map // topology name -> *enumSet
-
-	analyticPhases memoTable // (field, m) -> analytic phase cost
-	simPhases      simMemo   // (field, m) -> fragment replay makespan, or a value it exceeds
-	boundPhases    memoTable // (field, m) -> admissible lower bound
+	simPhases   simMemo   // (field, m) -> fragment replay makespan, or a value it exceeds
+	boundPhases memoTable // (field, m) -> admissible lower bound
 
 	mu     sync.Mutex
 	cache  map[key]Choice
@@ -378,7 +396,8 @@ type memoEntry struct {
 // memoTable is a concurrency-safe compute-once map: the first caller for
 // a key runs compute, concurrent callers block on its sync.Once, later
 // callers reuse the stored value. Entries live for the optimizer's
-// lifetime, like the per-(topology, m) Choice cache above them.
+// lifetime, like the per-(topology, m) Choice cache above them (simulated
+// backend only: the admissible bounds).
 type memoTable struct {
 	mu sync.Mutex
 	m  map[phaseKey]*memoEntry
@@ -462,14 +481,23 @@ func (t *simMemo) get(k phaseKey, cutoff float64, hits, misses *atomic.Int64, re
 	return e.val, e.exact, e.err
 }
 
-// enumSet is the cached candidate enumeration of one topology: the
-// groupings and, per grouping, its phase fields. Computed once per
-// topology name and shared by every (m) query and sweep point.
+// enumSet is the cached candidate enumeration of one topology shape: the
+// groupings and, per grouping, its phase fields. It depends on a topology
+// only through its enumKey, so one set serves every topology of that
+// shape — healthy or degraded, whatever the radices — on every optimizer
+// of the process, for every (m) query and table build.
 type enumSet struct {
 	once   sync.Once
 	parts  []partition.Partition
 	fields [][][2]int
-	err    error
+	// distinct lists every field some grouping uses, once, and phase[i][j]
+	// is the index in it of grouping i's j-th field: the analytic backend
+	// prices a field once per block size, not once per grouping it occurs
+	// in. On a hypercube a field is its width alone (eq. 3 does not ask
+	// where it starts), so distinct has at most d entries.
+	distinct [][2]int
+	phase    [][]int32
+	err      error
 }
 
 // New returns an optimizer over the given machine parameters using the
@@ -486,14 +514,14 @@ func NewSimulated(p model.Params) *Optimizer {
 	return &Optimizer{params: p, backend: Simulated, cache: make(map[key]Choice)}
 }
 
-// SetWorkers bounds the costing worker pool: the candidates of one BestOn
-// enumeration, or — on the simulated backend — the points of one table
-// sweep, whose candidates are then costed serially. n ≤ 0 restores the
-// default: GOMAXPROCS on the simulated backend, 1 for the analytic
-// backend (the closed form is too cheap to fan out unless asked to).
-// Requests above GOMAXPROCS are clamped. Safe to call concurrently with
-// BestOn; an in-flight evaluation keeps the pool it started with. The pool
-// size never changes which Choice is returned.
+// SetWorkers bounds the simulated backend's costing worker pool: the
+// candidates of one BestOn enumeration, or the points of one table sweep,
+// whose candidates are then costed serially. n ≤ 0 restores the default,
+// GOMAXPROCS; requests above GOMAXPROCS are clamped. The analytic backend
+// prices an enumeration from closed forms in microseconds and never fans
+// out. Safe to call concurrently with BestOn; an in-flight evaluation keeps
+// the pool it started with. The pool size never changes which Choice is
+// returned.
 func (o *Optimizer) SetWorkers(n int) {
 	if max := runtime.GOMAXPROCS(0); n > max {
 		n = max
@@ -506,10 +534,7 @@ func (o *Optimizer) poolSize() int {
 	if w := int(o.workers.Load()); w > 0 {
 		return w
 	}
-	if o.backend == Simulated {
-		return runtime.GOMAXPROCS(0)
-	}
-	return 1
+	return runtime.GOMAXPROCS(0)
 }
 
 // SetReplayShards sets the event-engine shard count the simulated
@@ -589,26 +614,11 @@ func (o *Optimizer) bestOn(ctx context.Context, net topology.Network, m int, hin
 	if ok {
 		return c, nil
 	}
-	if net.Nodes() > 1<<20 {
-		return Choice{}, fmt.Errorf("optimize: %s exceeds the enumeration limit of 2^20 nodes", net.Name())
-	}
-	if !uniformRadices(net) && net.NumDims() > MaxMixedRadixDims {
-		return Choice{}, fmt.Errorf("optimize: %s has %d unequal-radix dimensions; composition enumeration is limited to %d",
-			net.Name(), net.NumDims(), MaxMixedRadixDims)
-	}
 	if m < 0 {
 		return Choice{}, fmt.Errorf("optimize: negative block size %d", m)
 	}
-	// A non-operational degraded fabric (dead node, severed partition)
-	// cannot host any complete exchange: fail the optimization up front
-	// with the typed unroutable error instead of letting fault-aware
-	// routing panic inside costing.
-	if err := topology.CheckOperational(net); err != nil {
-		return Choice{}, fmt.Errorf("optimize: %w", err)
-	}
-	if o.backend == Simulated && net.Nodes() > 1<<MaxSimulatedDim {
-		return Choice{}, fmt.Errorf("optimize: simulated backend limited to %d nodes, got %s",
-			1<<MaxSimulatedDim, net.Name())
+	if err := o.checkEnumerable(net); err != nil {
+		return Choice{}, err
 	}
 	o.mu.Lock()
 	if c, ok := o.cache[k]; ok {
@@ -640,10 +650,37 @@ func (o *Optimizer) bestOn(ctx context.Context, net topology.Network, m int, hin
 	return f.c, f.err
 }
 
+// checkEnumerable is what an enumeration asks of a topology before it costs
+// anything on it, whatever the block size.
+func (o *Optimizer) checkEnumerable(net topology.Network) error {
+	if net.Nodes() > 1<<20 {
+		return fmt.Errorf("optimize: %s exceeds the enumeration limit of 2^20 nodes", net.Name())
+	}
+	if !uniformRadices(net) && net.NumDims() > MaxMixedRadixDims {
+		return fmt.Errorf("optimize: %s has %d unequal-radix dimensions; composition enumeration is limited to %d",
+			net.Name(), net.NumDims(), MaxMixedRadixDims)
+	}
+	// A non-operational degraded fabric (dead node, severed partition)
+	// cannot host any complete exchange: fail the optimization up front
+	// with the typed unroutable error instead of letting fault-aware
+	// routing panic inside costing.
+	if err := topology.CheckOperational(net); err != nil {
+		return fmt.Errorf("optimize: %w", err)
+	}
+	if o.backend == Simulated && net.Nodes() > 1<<MaxSimulatedDim {
+		return fmt.Errorf("optimize: simulated backend limited to %d nodes, got %s",
+			1<<MaxSimulatedDim, net.Name())
+	}
+	return nil
+}
+
 // uniformRadices reports whether every dimension has the same radix, in
 // which case a group's radix multiset depends only on its size and
 // phase order cannot change the cost.
 func uniformRadices(net topology.Network) bool {
+	if _, ok := net.(*topology.Hypercube); ok {
+		return true // without asking for a fresh copy of its d radices
+	}
 	dims := net.Dims()
 	for _, r := range dims {
 		if r != dims[0] {
@@ -679,18 +716,54 @@ func groupings(net topology.Network) []partition.Partition {
 	return out
 }
 
-// enumFor returns the topology's cached enumeration (groupings plus
+// enumKey is all the enumeration asks of a topology: how many dimensions
+// there are to group, whether they share one radix (partitions suffice;
+// otherwise ordered compositions), and whether eq. (3)'s width-only fields
+// apply. At most a few dozen keys exist.
+type enumKey struct {
+	dims          int
+	uniform, cube bool
+}
+
+var (
+	enumMu   sync.Mutex
+	enumSets = make(map[enumKey]*enumSet)
+)
+
+// enumFor returns the cached enumeration of topo's shape (groupings plus
 // per-grouping phase fields), computing it on first use.
-func (o *Optimizer) enumFor(topo topology.Network) (*enumSet, error) {
-	v, _ := o.enums.LoadOrStore(topo.Name(), new(enumSet))
-	es := v.(*enumSet)
+func enumFor(topo topology.Network) (*enumSet, error) {
+	_, cube := topology.AsHypercube(topo)
+	k := enumKey{dims: topo.NumDims(), uniform: uniformRadices(topo), cube: cube}
+	enumMu.Lock()
+	es, ok := enumSets[k]
+	if !ok {
+		es = new(enumSet)
+		enumSets[k] = es
+	}
+	enumMu.Unlock()
 	es.once.Do(func() {
 		es.parts = groupings(topo)
 		es.fields = make([][][2]int, len(es.parts))
+		es.phase = make([][]int32, len(es.parts))
+		index := make(map[[2]int]int32)
 		for i, D := range es.parts {
 			es.fields[i], es.err = topology.PhaseFields(topo, D)
 			if es.err != nil {
 				return
+			}
+			es.phase[i] = make([]int32, len(es.fields[i]))
+			for j, f := range es.fields[i] {
+				if cube {
+					f[0] = 0
+				}
+				k, ok := index[f]
+				if !ok {
+					k = int32(len(es.distinct))
+					index[f] = k
+					es.distinct = append(es.distinct, f)
+				}
+				es.phase[i][j] = k
 			}
 		}
 	})
@@ -705,24 +778,29 @@ func (o *Optimizer) evaluateAll(ctx context.Context, topo topology.Network, m in
 	if topo.NumDims() == 0 {
 		return Choice{Topo: topo.Name(), D: 0, Block: m, Part: nil, TimeMicro: 0, Backend: o.backend}, nil
 	}
-	es, err := o.enumFor(topo)
+	es, err := enumFor(topo)
 	if err != nil {
 		return Choice{}, err
 	}
-	return o.evaluateMemoized(ctx, topo, m, es, hint, workers)
+	if o.backend == Analytic {
+		i, t, err := o.newAnalyticPricer(topo, es).winner(m)
+		if err != nil {
+			return Choice{}, err
+		}
+		o.evaluated.Add(int64(len(es.parts)))
+		return Choice{Topo: topo.Name(), D: topo.NumDims(), Block: m, Part: es.parts[i].Clone(), TimeMicro: t, Backend: Analytic}, nil
+	}
+	return o.evaluateSimulated(ctx, topo, m, es, hint, workers)
 }
 
-// evaluateMemoized is the memoized, branch-and-bound-pruned, parallel
-// enumeration engine shared by the analytic and the simulated backend.
+// evaluateSimulated is the simulated backend's memoized, branch-and-bound-
+// pruned, parallel enumeration engine.
 //
 // Selection uses each candidate's phase-sum: the left-to-right sum of its
-// memoized per-phase values. On the analytic backend those values are
-// exactly PhaseCost/PhaseCostOn, so the sum is bit-identical to
-// Multiphase/MultiphaseOn. On the simulated path each value is one
-// compiled fragment replay (barrier + steps + shuffle); the phase-sum
-// equals the whole-plan makespan up to float64 summation order, and the
-// reported TimeMicro is re-derived from one whole-plan replay of the
-// winner so it matches Plan.Cost bit-for-bit.
+// memoized per-phase values, each one compiled fragment replay (barrier +
+// steps + shuffle). The phase-sum equals the whole-plan makespan up to
+// float64 summation order, and the reported TimeMicro is re-derived from
+// one whole-plan replay of the winner so it matches Plan.Cost bit-for-bit.
 //
 // Pruning discards a candidate only when candidateCost proves its
 // phase-sum exceeds the incumbent's by more than pruneSlack; since the
@@ -730,10 +808,9 @@ func (o *Optimizer) evaluateAll(ctx context.Context, topo topology.Network, m in
 // cost is strictly above the winner's — it can neither win nor tie — so
 // the reduction over the surviving candidates returns the same Choice as
 // exhaustive enumeration, regardless of worker count or scheduling.
-func (o *Optimizer) evaluateMemoized(ctx context.Context, topo topology.Network, m int, es *enumSet, hint partition.Partition, workers int) (Choice, error) {
+func (o *Optimizer) evaluateSimulated(ctx context.Context, topo topology.Network, m int, es *enumSet, hint partition.Partition, workers int) (Choice, error) {
 	parts, fields := es.parts, es.fields
-	simulated := o.backend == Simulated
-	prune := simulated && !o.exhaustive.Load()
+	prune := !o.exhaustive.Load()
 
 	order := make([]int, len(parts))
 	for i := range order {
@@ -790,11 +867,8 @@ func (o *Optimizer) evaluateMemoized(ctx context.Context, topo topology.Network,
 	}
 	workers = max(min(workers, len(order)), 1)
 
-	var net *simnet.Network
-	if simulated {
-		net = simnet.New(topo, o.params)
-		net.SetReplayShards(int(o.replayShards.Load()))
-	}
+	net := simnet.New(topo, o.params)
+	net.SetReplayShards(int(o.replayShards.Load()))
 
 	var incMu sync.Mutex
 	incumbent := math.Inf(1)
@@ -870,13 +944,11 @@ func (o *Optimizer) evaluateMemoized(ctx context.Context, topo topology.Network,
 		return Choice{}, fmt.Errorf("optimize: internal: every candidate was pruned")
 	}
 	best.Part = best.Part.Clone()
-	if simulated {
-		t, err := o.finalizeSimulated(ctx, net, topo, m, best.Part)
-		if err != nil {
-			return Choice{}, err
-		}
-		best.TimeMicro = t
+	t, err := o.finalizeSimulated(ctx, net, topo, m, best.Part)
+	if err != nil {
+		return Choice{}, err
 	}
+	best.TimeMicro = t
 	return best, nil
 }
 
@@ -898,11 +970,11 @@ func (o *Optimizer) candidateBound(topo topology.Network, m int, fields [][2]int
 }
 
 // candidateCost screens one candidate: the left-to-right sum of its
-// memoized per-phase costs — closed-form on the analytic backend, one
-// compiled fragment replay per distinct (field, m) on the simulated path.
+// memoized per-phase costs, one compiled fragment replay per distinct
+// (field, m).
 //
-// On the simulated path it also holds the one pruning rule. lb are the
-// phases' admissible lower bounds (nil to cost unconditionally, as
+// It also holds the one pruning rule. lb are the phases' admissible
+// lower bounds (nil to cost unconditionally, as
 // SetExhaustive does) and limit what the candidate's sum must not exceed
 // to stay in contention, the incumbent plus pruneSlack. Phase i may then
 // cost at most
@@ -915,27 +987,6 @@ func (o *Optimizer) candidateBound(topo topology.Network, m int, fields [][2]int
 // or by the replay itself, which runs under the cutoff and stops the
 // instant it passes it.
 func (o *Optimizer) candidateCost(ctx context.Context, net *simnet.Network, topo topology.Network, m int, D partition.Partition, fields [][2]int, lb []float64, limit float64) (cost float64, fits bool, err error) {
-	if o.backend == Analytic {
-		h, _ := topology.AsHypercube(topo)
-		total := 0.0
-		for _, f := range fields {
-			lo, w := f[0], f[1]
-			v, err := o.analyticPhases.get(phaseKey{topo: topo.Name(), lo: lo, w: w, m: m}, &o.memoHits, &o.memoMisses,
-				func() (float64, error) {
-					if h != nil {
-						// Radix-2 fast path: eq. (3) directly, so the
-						// phase-sum is bit-identical to Multiphase.
-						return o.params.PhaseCost(m, h.Dim(), w), nil
-					}
-					return o.params.PhaseCostOn(topo, m, lo, w)
-				})
-			if err != nil {
-				return 0, false, err
-			}
-			total += v
-		}
-		return total, true, nil
-	}
 	var plan *exchange.Plan // built by the first phase that has to replay
 	later := 0.0            // Σ bounds of the phases after the current one
 	for _, b := range lb {
@@ -1045,22 +1096,26 @@ type Table struct {
 	Segments []model.HullSegment
 }
 
-// BuildTableOnCtx sweeps block sizes [mLo, mHi] with the given step and
-// returns the hull-of-optimality table for any topology. Concurrent
-// identical sweeps share one build (a single tableKey singleflight
-// instead of one rendezvous per swept point), and sweep points warm-start
-// each other: a point's winner is evaluated first at the next point up,
-// so the incumbent starts tight — on the simulated backend every other
-// candidate's replays then run under a finite cutoff — and the phase memo
-// prices most candidates without any new replay. On the simulated backend
-// the points are dealt to the optimizer's workers (sweepPoints).
+// BuildTableOnCtx returns the hull-of-optimality table of any topology over
+// the block sizes mLo, mLo+step, … ≤ mHi: the winner at each of those
+// lattice points, equal neighbours folded into segments. Concurrent
+// identical builds share one (a single tableKey singleflight).
 //
-// ctx is checked before each sweep point: a caller that no longer needs
-// the table (the plan cache's fully-abandoned line fill) aborts the sweep
-// after at most one more BestOn enumeration per worker instead of paying
-// for the whole hull. Joiners of an identical in-flight sweep share the
-// initiator's fate — the plan cache's own per-line singleflight makes that
-// pairing one-to-one.
+// On the analytic backend the table is computed as the lower envelope of
+// the candidates' cost lines (envelopeTable): one enumeration, a handful
+// of block sizes actually priced, nothing retained. On the simulated
+// backend every lattice point is costed: the points are dealt to the
+// optimizer's workers (sweepPoints) and warm-start each other — a point's
+// winner is evaluated first at the next point up, so the incumbent starts
+// tight, every other candidate's replays run under a finite cutoff, and
+// the phase memo prices most candidates without any new replay.
+//
+// ctx is checked before an analytic build and before each simulated sweep
+// point: a caller that no longer needs the table (the plan cache's
+// fully-abandoned line fill) aborts a sweep after at most one more BestOn
+// enumeration per worker instead of paying for the whole hull. Joiners of
+// an identical in-flight build share the initiator's fate — the plan
+// cache's own per-line singleflight makes that pairing one-to-one.
 func (o *Optimizer) BuildTableOnCtx(ctx context.Context, net topology.Network, mLo, mHi, step int) (Table, error) {
 	if mLo < 0 || mHi < mLo {
 		return Table{}, fmt.Errorf("optimize: bad sweep [%d,%d]", mLo, mHi)
@@ -1109,38 +1164,32 @@ func (o *Optimizer) BuildTableOnCtx(ctx context.Context, net topology.Network, m
 }
 
 func (o *Optimizer) buildTableOn(ctx context.Context, net topology.Network, mLo, mHi, step int) (Table, error) {
-	if o.backend == Simulated && mHi-mLo >= step {
+	if o.backend == Analytic {
+		return o.envelopeTable(ctx, net, mLo, mHi, step)
+	}
+	if mHi-mLo >= step {
 		return o.sweepPoints(ctx, net, mLo, mHi, step)
 	}
-	var segs []model.HullSegment
-	var hint partition.Partition
-	for m := mLo; m <= mHi; m += step {
-		if err := ctx.Err(); err != nil {
-			return Table{}, err
-		}
-		c, err := o.bestOn(ctx, net, m, hint, 0)
-		if err != nil {
-			return Table{}, err
-		}
-		hint = c.Part
-		if n := len(segs); n > 0 && segs[n-1].Part.Equal(c.Part) {
-			segs[n-1].MaxBlock = m
-			continue
-		}
-		segs = append(segs, model.HullSegment{Part: c.Part, MinBlock: m, MaxBlock: m})
+	// A single point: its candidates get the whole worker pool.
+	if err := ctx.Err(); err != nil {
+		return Table{}, err
 	}
-	return Table{Topo: net.Name(), D: net.NumDims(), Segments: segs}, nil
+	c, err := o.bestOn(ctx, net, mLo, nil, 0)
+	if err != nil {
+		return Table{}, err
+	}
+	return Table{Topo: net.Name(), D: net.NumDims(), Segments: []model.HullSegment{{Part: c.Part, MinBlock: mLo, MaxBlock: mLo}}}, nil
 }
 
 // sweepPoints is the simulated backend's sweep of more than one point.
-// The loop above carries nothing from point to point but an ordering
-// hint, so its iterations are dealt, in m order, to the optimizer's
-// workers and the segments folded afterwards. Each point costs its
+// A point-by-point loop carries nothing from point to point but an
+// ordering hint, so its iterations are dealt, in m order, to the
+// optimizer's workers and the segments folded afterwards. Each point costs its
 // candidates serially, best first: a candidate started beside another has
 // no incumbent yet, and its replays would run with no cutoff. The hint is
 // the winner of the nearest lower point already finished; ctx is checked
-// by each worker before each point. With one worker this is the loop
-// above, point for point.
+// by each worker before each point. With one worker this is that loop,
+// point for point.
 func (o *Optimizer) sweepPoints(ctx context.Context, net topology.Network, mLo, mHi, step int) (Table, error) {
 	points := (mHi-mLo)/step + 1
 	winners := make([]partition.Partition, points)
@@ -1220,9 +1269,10 @@ func (t Table) Lookup(m int) partition.Partition {
 // answered: below the table's low bound the first segment, above the
 // high bound the last one (for large blocks the hull has converged to
 // its asymptotic partition, so the clamp is the right extrapolation),
-// and — for tables built with a sweep step > 1 — the next segment up
-// when m falls in a gap between swept grid points. On an empty table the
-// zero segment and false are returned.
+// and — for tables built on a lattice of step > 1, whose segments begin
+// and end on lattice points — the next segment up when m falls between
+// the last point of one segment and the first of the next. On an empty
+// table the zero segment and false are returned.
 func (t Table) LookupSegment(m int) (model.HullSegment, bool) {
 	if len(t.Segments) == 0 {
 		return model.HullSegment{}, false

@@ -97,8 +97,9 @@ func TestPrunedTableEquivalentToExhaustiveSerial(t *testing.T) {
 	}
 }
 
-// The memoized analytic phase-sum must be bit-identical to the
-// unmemoized closed forms, cold and warm, on every grouping — the
+// The analytic phase-sum — each distinct field priced once per block size
+// and shared by every grouping it occurs in — must be bit-identical to the
+// closed forms priced grouping by grouping, on every grouping: the
 // property that keeps the optimizer's reported times exactly equal to
 // Multiphase/MultiphaseOn.
 func TestMemoizedAnalyticCostMatchesUnmemoized(t *testing.T) {
@@ -106,25 +107,30 @@ func TestMemoizedAnalyticCostMatchesUnmemoized(t *testing.T) {
 	for _, spec := range equivalenceShapes {
 		net := shapeNet(t, spec)
 		o := New(prm)
-		es, err := o.enumFor(net)
+		es, err := enumFor(net)
 		if err != nil {
 			t.Fatal(err)
 		}
+		pricer := o.newAnalyticPricer(net, es)
 		for _, m := range []int{0, 3, 40, 331} {
-			for pass := 0; pass < 2; pass++ { // cold memo, then warm
-				for i, D := range es.parts {
-					got, _, err := o.candidateCost(context.Background(), nil, net, m, D, es.fields[i], nil, math.Inf(1))
-					if err != nil {
-						t.Fatal(err)
-					}
-					want, _, err := prm.MultiphaseOn(net, m, D)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got != want {
-						t.Errorf("%s m=%d %v pass %d: memoized %v, MultiphaseOn %v",
-							spec, m, D, pass, got, want)
-					}
+			best, bestCost, err := pricer.winner(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, D := range es.parts {
+				got := 0.0
+				for _, k := range es.phase[i] {
+					got += pricer.cost[k]
+				}
+				want, _, err := prm.MultiphaseOn(net, m, D)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Errorf("%s m=%d %v: shared-field sum %v, MultiphaseOn %v", spec, m, D, got, want)
+				}
+				if want < bestCost {
+					t.Errorf("%s m=%d: winner %v costs %v, %v costs %v", spec, m, es.parts[best], bestCost, D, want)
 				}
 			}
 		}
@@ -140,7 +146,7 @@ func TestLowerBoundAdmissible(t *testing.T) {
 		for _, spec := range equivalenceShapes {
 			net := shapeNet(t, spec)
 			o := NewSimulated(prm)
-			es, err := o.enumFor(net)
+			es, err := enumFor(net)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -274,49 +280,57 @@ func TestEveryReplayIsAttributed(t *testing.T) {
 	}
 }
 
-// A table sweep runs exactly one enumeration per swept point, a rebuild
-// runs none (per-point cache), and concurrent duplicate sweeps share the
-// same builds instead of multiplying them.
+// An analytic table build is one enumeration, whatever the lattice: every
+// candidate is counted once and the phase memo (a simulated-backend
+// structure) does not move. Nothing of a build is kept, so a rebuild is one
+// more enumeration — and callers that ask for a table another caller is
+// already building share that build instead of starting their own.
 func TestBuildTableBuildsPerSweep(t *testing.T) {
 	o := New(model.IPSC860())
+	cube := topology.MustNew(6)
 	const lo, hi, step = 0, 64, 2
-	points := int64(0)
-	for m := lo; m <= hi; m += step {
-		points++
-	}
-	if _, err := o.BuildTableOnCtx(context.Background(), topology.MustNew(6), lo, hi, step); err != nil {
-		t.Fatal(err)
-	}
-	if got := o.Stats().Evaluations; got != points {
-		t.Errorf("first sweep ran %d enumerations, want %d", got, points)
-	}
-	if _, err := o.BuildTableOnCtx(context.Background(), topology.MustNew(6), lo, hi, step); err != nil {
-		t.Fatal(err)
-	}
-	if got := o.Stats().Evaluations; got != points {
-		t.Errorf("rebuild re-ran enumerations: %d, want %d", got, points)
+	candidates := int64(len(partition.All(6)))
+	for build := int64(1); build <= 2; build++ {
+		if _, err := o.BuildTableOnCtx(context.Background(), cube, lo, hi, step); err != nil {
+			t.Fatal(err)
+		}
+		st := o.Stats()
+		if st.Evaluations != build || st.Evaluated != build*candidates {
+			t.Errorf("after build %d: %d enumerations of %d candidates, want %d of %d",
+				build, st.Evaluations, st.Evaluated, build, build*candidates)
+		}
+		if st.MemoHits != 0 || st.MemoMisses != 0 || st.Pruned != 0 {
+			t.Errorf("analytic build moved simulated-backend counters: %+v", st)
+		}
 	}
 
-	// Fresh optimizer, 8 concurrent identical sweeps: still one
-	// enumeration per point.
+	// Eight callers arriving while the table is being built: the build in
+	// flight is planted by hand so that "while" does not depend on timing.
 	o2 := New(model.IPSC860())
+	planted := &tableFlight{done: make(chan struct{}), t: Table{Topo: "planted", D: 6}}
+	o2.tableFlight = map[tableKey]*tableFlight{{topo: cube.Name(), lo: lo, hi: hi, step: step}: planted}
 	var wg sync.WaitGroup
+	got := make([]Table, 8)
 	errs := make([]error, 8)
 	for i := range errs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = o2.BuildTableOnCtx(context.Background(), topology.MustNew(6), lo, hi, step)
+			got[i], errs[i] = o2.BuildTableOnCtx(context.Background(), cube, lo, hi, step)
 		}(i)
 	}
+	close(planted.done)
 	wg.Wait()
-	for _, err := range errs {
+	for i, err := range errs {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if got[i].Topo != "planted" {
+			t.Errorf("caller %d built its own table instead of sharing the one in flight", i)
+		}
 	}
-	if got := o2.Stats().Evaluations; got != points {
-		t.Errorf("8 concurrent sweeps ran %d enumerations, want %d", got, points)
+	if n := o2.Stats().Evaluations; n != 0 {
+		t.Errorf("8 callers of an in-flight build ran %d enumerations, want 0", n)
 	}
 }
 

@@ -6,7 +6,10 @@
 //
 // The cache does not store one entry per block size. A cache line holds
 // the hull-of-optimality table for one (machine, topology) pair — built
-// once via optimize.BuildTableOnCtx — and every block size resolves through
+// once via optimize.BuildTableOnCtx: on the analytic backend the lower
+// envelope of the candidates' cost lines, microseconds of work that leave
+// nothing behind in the optimizer; on the simulated backend a replayed
+// sweep of the block sizes — and every block size resolves through
 // Table.LookupSegment to one of its O(hull) segments, so millions of
 // distinct m values collapse onto a handful of cached partitions. The
 // per-request cost for a resident line is a binary search plus the
@@ -14,9 +17,7 @@
 //
 // Concurrency: lines live in fixed shards (mutex + LRU list each); a
 // missing line is built exactly once per cache — concurrent requests for
-// the same (machine, topology) wait on a single in-flight build, and the
-// build's BestOn sweeps ride optimize.Optimizer's own singleflight
-// underneath.
+// the same (machine, topology) wait on a single in-flight build.
 // Capacity is bounded per shard with least-recently-used eviction, and
 // hit/miss/evict/inflight counters expose the cache's behaviour to the
 // service layer's /metrics.
@@ -44,8 +45,8 @@ import (
 	"repro/internal/topology"
 )
 
-// DefaultSweepHi is the upper block-size bound of the hull sweep a line
-// is built over. Queries above it clamp to the last hull segment, which
+// DefaultSweepHi is the upper block-size bound of the hull a line is
+// built over. Queries above it clamp to the last hull segment, which
 // for every machine in the registry has converged to the asymptotically
 // optimal partition well before this bound.
 const DefaultSweepHi = 512
@@ -71,9 +72,9 @@ type Config struct {
 	// NewOptimizer builds the per-machine optimizer (default
 	// optimize.New, the analytic backend).
 	NewOptimizer func(model.Params) *optimize.Optimizer
-	// OptWorkers is passed to each optimizer's SetWorkers: the candidate-
-	// costing worker-pool size, clamped to GOMAXPROCS. Zero keeps the
-	// optimizer's own default.
+	// OptWorkers is passed to each optimizer's SetWorkers: the simulated
+	// backend's costing worker-pool size, clamped to GOMAXPROCS. Zero keeps
+	// the optimizer's own default.
 	OptWorkers int
 	// ReplayWorkers is passed to each optimizer's SetReplayShards: the
 	// event-engine shard count a simulated replay may split each
@@ -332,11 +333,11 @@ func ResolveHypercube(d int) (topology.Network, error) {
 
 // MaxMixedRadixDims bounds unequal-radix topologies at request
 // validation: their optimizer enumeration is over 2^(k−1) ordered
-// compositions, re-run for each of the ~SweepHi block sizes of a hull
-// build, so the node-count bound alone would let one request schedule
-// an exponential amount of work. 12 dimensions cap a build at
-// 2^11 · sweep candidates. Uniform-radix shapes (hypercubes, square
-// tori) enumerate only p(k) partitions and are not restricted.
+// compositions — on the simulated backend re-run for each swept block
+// size of a hull build — so the node-count bound alone would let one
+// request schedule an exponential amount of work. 12 dimensions cap an
+// enumeration at 2^11 candidates. Uniform-radix shapes (hypercubes,
+// square tori) enumerate only p(k) partitions and are not restricted.
 const MaxMixedRadixDims = 12
 
 // checkServable enforces the enumeration-cost bounds on every request
@@ -687,9 +688,10 @@ func (e *BuildError) Error() string {
 
 func (e *BuildError) Unwrap() error { return e.Err }
 
-// build runs the hull sweep for one line. ctx is the fill's context: a
-// fully abandoned fill aborts between sweep points (context errors pass
-// through unwrapped so the flight machinery can classify them).
+// build builds the hull table of one line. ctx is the fill's context: a
+// fully abandoned fill aborts before an analytic build or between a
+// simulated one's sweep points (context errors pass through unwrapped so
+// the flight machinery can classify them).
 func (c *Cache) build(ctx context.Context, name string, prm model.Params, net topology.Network) (*line, error) {
 	opt := c.optimizer(name, prm)
 	tbl, err := opt.BuildTableOnCtx(ctx, net, 0, c.cfg.SweepHi, c.cfg.SweepStep)

@@ -3,6 +3,7 @@ package plancache
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -52,8 +53,8 @@ func TestBlockAxisCollapsesToOneLine(t *testing.T) {
 		}
 	}
 	evalsAfterBuild := opt.Stats().Evaluations
-	if evalsAfterBuild != 513 {
-		t.Errorf("line build ran %d enumerations, want 513 (one per swept m)", evalsAfterBuild)
+	if evalsAfterBuild != 1 {
+		t.Errorf("line build ran %d enumerations, want 1 (one envelope for all 513 block sizes)", evalsAfterBuild)
 	}
 	for m := 0; m <= 512; m += 7 {
 		if _, err := c.GetForCtx(bg, "ipsc860", mustCube(t, 6), m); err != nil {
@@ -321,4 +322,51 @@ func TestZeroDimension(t *testing.T) {
 	if len(p.Part) != 0 || p.TimeMicro != 0 || len(p.Phases) != 0 {
 		t.Errorf("d=0 plan = %+v, want empty partition and zero time", p)
 	}
+}
+
+// An analytic line build keeps nothing but the line: churning hypercube-8…16
+// on every registry machine through a cache too small to hold them (the
+// fleet_churn shape) must leave the live heap where it was — the per-block-
+// size memo a sweep used to leave behind was hundreds of MB here — and a
+// rebuild of the largest line, fill machinery included, is a few dozen
+// allocations.
+func TestAnalyticBuildRetainsNothing(t *testing.T) {
+	liveHeap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	c := New(Config{Shards: 1, CapacityPerShard: 12})
+	before := liveHeap()
+	for round := 0; round < 2; round++ {
+		for d := 8; d <= 16; d++ {
+			for _, machine := range model.MachineNames() {
+				if _, err := c.WarmForCtx(bg, machine, mustCube(t, d)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	s := c.Stats()
+	if want := int64(2 * 9 * len(model.MachineNames())); s.Builds != want || s.Evictions != want-12 {
+		t.Fatalf("builds=%d evictions=%d, want %d builds and all but 12 evicted", s.Builds, s.Evictions, want)
+	}
+	if grew := int64(liveHeap()) - int64(before); grew > 4<<20 {
+		t.Errorf("live heap grew by %d KB over %d line builds, want < 4 MB", grew>>10, s.Builds)
+	}
+
+	cube := mustCube(t, 16)
+	isCube16 := func(_, topo string) bool { return topo == cube.Name() }
+	allocs := testing.AllocsPerRun(20, func() {
+		c.InvalidateWhere(isCube16)
+		if built, err := c.WarmForCtx(bg, "ipsc860", cube); err != nil || !built {
+			t.Fatalf("rebuild: built=%v err=%v", built, err)
+		}
+	})
+	if allocs > 40 {
+		t.Errorf("a hypercube-16 rebuild made %.0f allocations, want ≤ 40", allocs)
+	}
+	t.Logf("hypercube-16 rebuild: %.0f allocs", allocs)
 }

@@ -33,8 +33,8 @@ func (s *Server) writePrometheus(w http.ResponseWriter) int {
 	p.Counter("pland_optimizer_evaluations_total", "Optimizer enumeration passes.", nil, float64(os.Evaluations))
 	p.Counter("pland_optimizer_evaluated_total", "Candidate partitions fully costed.", nil, float64(os.Evaluated))
 	p.Counter("pland_optimizer_pruned_total", "Candidate partitions cut by the bound.", nil, float64(os.Pruned))
-	p.Counter("pland_optimizer_memo_hits_total", "Phase-cost memo hits.", nil, float64(os.MemoHits))
-	p.Counter("pland_optimizer_memo_misses_total", "Phase-cost memo misses.", nil, float64(os.MemoMisses))
+	p.Counter("pland_optimizer_memo_hits_total", "Simulated-backend phase-memo hits (an analytic build keeps no memo).", nil, float64(os.MemoHits))
+	p.Counter("pland_optimizer_memo_misses_total", "Simulated-backend phase-memo misses: fragment replays run or bounds computed.", nil, float64(os.MemoMisses))
 	p.Counter("pland_optimizer_replays_sharded_total", "Simulated replays that ran on link-disjoint engine shards.", nil, float64(os.ReplaysSharded))
 	p.Counter("pland_optimizer_replays_serial_total", "Simulated replays that ran serial (including sharded fallbacks and closed-form replays).", nil, float64(os.ReplaysSerial))
 

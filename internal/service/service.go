@@ -335,33 +335,31 @@ type PlanResponse struct {
 }
 
 func planResponse(p plancache.Plan) PlanResponse {
-	resp := PlanResponse{
+	// One copy of the partition (the cache line owns p.Part), shared by the
+	// two fields that show it: the response is only ever marshalled.
+	part := append([]int{}, p.Part...)
+	return PlanResponse{
 		Machine:     p.Machine,
 		Topology:    p.Topo,
 		D:           p.D,
 		M:           p.Block,
-		Partition:   append([]int{}, p.Part...),
+		Partition:   part,
 		PredictedUS: p.TimeMicro,
 		Phases:      phasesJSON(p.Phases),
-		Segment: segmentJSON{
-			Partition: append([]int{}, p.Part...),
-			MinBlock:  p.SegMin,
-			MaxBlock:  p.SegMax,
-		},
-		InRange: p.InRange,
+		Segment:     segmentJSON{Partition: part, MinBlock: p.SegMin, MaxBlock: p.SegMax},
+		InRange:     p.InRange,
 	}
-	return resp
 }
 
 func phasesJSON(phases []model.PhaseBreakdown) []phaseJSON {
-	out := make([]phaseJSON, 0, len(phases))
-	for _, ph := range phases {
-		out = append(out, phaseJSON{
+	out := make([]phaseJSON, len(phases))
+	for i, ph := range phases {
+		out[i] = phaseJSON{
 			SubcubeDim: ph.SubcubeDim,
 			EffBlock:   ph.EffBlock,
 			Alg:        ph.Alg.String(),
 			TimeUS:     ph.Time,
-		})
+		}
 	}
 	return out
 }
@@ -924,9 +922,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) int {
 func writeJSON(w http.ResponseWriter, code int, v interface{}) int {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 	return code
 }
 
