@@ -58,14 +58,15 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "hull: table saved to %s\n", *save)
 	}
-	// The table names its topology, whether just built or loaded.
+	// The table names its topology and its range, whether just built or
+	// loaded: a loaded one ignores -d/-lo/-hi/-step.
 	net, err := topology.ParseSpec(tbl.Topo)
 	if err != nil {
 		fatal(err)
 	}
+	tblLo, tblHi, _ := tbl.Bounds()
 	out := report.NewTable(
-		fmt.Sprintf("hull of optimality: d=%d, machine=%s, sweep %d..%d step %d",
-			tbl.D, *machine, *lo, *hi, *step),
+		fmt.Sprintf("hull of optimality: d=%d, machine=%s, blocks %d..%d", tbl.D, *machine, tblLo, tblHi),
 		"block range (B)", "partition", "time at range start (µs)")
 	for _, seg := range tbl.Segments {
 		c, err := opt.BestOn(net, seg.MinBlock)

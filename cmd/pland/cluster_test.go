@@ -2,21 +2,41 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net"
 	"net/http"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/model"
 )
 
-// startFleetNode is startDaemon over a pre-reserved listener, so the
-// fleet's peer URLs are known before any replica boots.
-func startFleetNode(t *testing.T, o options, ln net.Listener) (stop func()) {
+// reserveFleet opens n loopback listeners, so the fleet's peer URLs are
+// known before any replica boots.
+func reserveFleet(t *testing.T, n int) (lns []net.Listener, urls []string) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lns = append(lns, ln)
+		urls = append(urls, "http://"+ln.Addr().String())
+	}
+	return lns, urls
+}
+
+// startFleetNode is startDaemon over a pre-reserved listener. The daemon
+// is returned so a test can hard-close its server (d.srv.Close, the
+// in-process kill -9); stop tolerates a daemon that died that way.
+func startFleetNode(t *testing.T, o options, ln net.Listener) (d *daemon, stop func()) {
 	t.Helper()
 	o.logger = slog.New(slog.DiscardHandler)
 	d, err := newDaemon(o)
@@ -32,10 +52,15 @@ func startFleetNode(t *testing.T, o options, ln net.Listener) (stop func()) {
 			return
 		}
 		stopped = true
+		// Shutdown waits five seconds on a connection that never carried
+		// a request — a dial that lost the race to a freed one and sits
+		// unused in a pool. Every client of the fleet, the replicas' peer
+		// clients included, pools on the default transport: empty it.
+		http.DefaultTransport.(*http.Transport).CloseIdleConnections()
 		cancel()
 		select {
 		case err := <-done:
-			if err != nil {
+			if err != nil && !errors.Is(err, http.ErrServerClosed) {
 				t.Errorf("daemon exit: %v", err)
 			}
 		case <-time.After(10 * time.Second):
@@ -43,7 +68,7 @@ func startFleetNode(t *testing.T, o options, ln net.Listener) (stop func()) {
 		}
 	}
 	t.Cleanup(stop)
-	return stop
+	return d, stop
 }
 
 // clusterMetricsWire mirrors the /metrics fields the fleet test asserts.
@@ -60,6 +85,17 @@ type clusterMetricsWire struct {
 			Breaker string `json:"breaker"`
 		} `json:"peers"`
 	} `json:"cluster"`
+}
+
+// breakerOf returns the breaker state reported for one peer, "" if the
+// peer is not listed.
+func (m clusterMetricsWire) breakerOf(peer string) string {
+	for _, p := range m.Cluster.Peers {
+		if p.URL == peer {
+			return p.Breaker
+		}
+	}
+	return ""
 }
 
 func waitReady(t *testing.T, base string) {
@@ -87,22 +123,12 @@ func waitReady(t *testing.T, base string) {
 // dies the same fetcher still answers — by local fallback build, within
 // one client deadline, with the breaker trip visible on /metrics.
 func TestFleetEndToEnd(t *testing.T) {
-	const n = 3
-	lns := make([]net.Listener, n)
-	urls := make([]string, n)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[i] = ln
-		urls[i] = "http://" + ln.Addr().String()
-	}
+	lns, urls := reserveFleet(t, 3)
 	peers := strings.Join(urls, ",")
 
-	stops := make([]func(), n)
+	stops := make([]func(), len(lns))
 	for i := range lns {
-		stops[i] = startFleetNode(t, options{
+		_, stops[i] = startFleetNode(t, options{
 			machine:          "ipsc860",
 			self:             urls[i],
 			peers:            peers,
@@ -193,31 +219,145 @@ func TestFleetEndToEnd(t *testing.T) {
 	if fm.Cache.Builds < 1 {
 		t.Fatal("fetcher did not build locally after owner death")
 	}
-	breaker := ""
-	for _, p := range fm.Cluster.Peers {
-		if p.URL == owner {
-			breaker = p.Breaker
-		}
-	}
-	if breaker != "open" {
+	if breaker := fm.breakerOf(owner); breaker != "open" {
 		t.Fatalf("dead owner's breaker is %q on the fetcher's /metrics, want open", breaker)
 	}
+}
+
+// TestFleetKillOwnerUnderLoad is the fleet's core promise under load: a
+// ring owner hard-killed while closed-loop clients keep both survivors
+// missing on lines all three replicas own costs latency, never an error.
+// One shard of two lines under a working set of up to nine makes every
+// pass over it miss, so the survivors fetch from the owner until it dies
+// and must fall back to local builds from then on. The kill is tied to a
+// request count, and every client keeps going for two more passes after
+// it, so each survivor meets the dead owner whatever the scheduling.
+func TestFleetKillOwnerUnderLoad(t *testing.T) {
+	lns, urls := reserveFleet(t, 3)
+	peers := strings.Join(urls, ",")
+	nodes := make([]*daemon, len(lns))
+	for i := range lns {
+		nodes[i], _ = startFleetNode(t, options{
+			machine:          "ipsc860",
+			self:             urls[i],
+			peers:            peers,
+			shards:           1,
+			capacity:         2,
+			peerAttempts:     1,
+			breakerThreshold: 1,
+			probeEvery:       time.Hour, // the survivors learn of the death from their fetches
+		}, lns[i])
+	}
+	for _, u := range urls {
+		waitReady(t, u)
+	}
+
+	// The working set: up to three lines owned by each replica.
+	ring, err := cluster.NewRing(urls, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type lineRef struct {
+		machine string
+		d       int
+	}
+	var lines []lineRef
+	owned := make(map[string]int)
+	for d := 2; d <= 10; d++ {
+		for _, machine := range model.MachineNames() {
+			owner := ring.Owner(cluster.LineKey(machine, fmt.Sprintf("hypercube-%d", d)))
+			if owned[owner] < 3 {
+				owned[owner]++
+				lines = append(lines, lineRef{machine, d})
+			}
+		}
+	}
+	victim, survivors := urls[0], urls[1:]
+	if owned[victim] == 0 || len(lines) < 4 {
+		t.Fatalf("working set %v does not cover the victim and overflow the caches", lines)
+	}
+
+	const (
+		clientsPerSurvivor = 2
+		perClient          = 40 // requests each client sends at least
+		killAfter          = 80 // completed requests, fleet-wide, before the owner dies
+	)
+	var completed, failed atomic.Int64
+	var firstFailure atomic.Value
+	killed := make(chan struct{})
+	client := &http.Client{Timeout: 10 * time.Second}
+	var wg sync.WaitGroup
+	for _, base := range survivors {
+		for c := 0; c < clientsPerSurvivor; c++ {
+			wg.Add(1)
+			go func(offset int) {
+				defer wg.Done()
+				afterKill := 0
+				for i := 0; i < perClient || afterKill < 2*len(lines); i++ {
+					select {
+					case <-killed:
+						afterKill++
+					default:
+					}
+					ln := lines[(i+offset)%len(lines)]
+					url := fmt.Sprintf("%s/v1/plan?machine=%s&d=%d&m=%d", base, ln.machine, ln.d, 8*(i%50))
+					if msg := planOrShed(client, url); msg != "" {
+						failed.Add(1)
+						firstFailure.CompareAndSwap(nil, url+": "+msg)
+					}
+					if completed.Add(1) == killAfter {
+						nodes[0].srv.Close()
+						close(killed)
+					}
+				}
+			}(c * len(lines) / clientsPerSurvivor)
+		}
+	}
+	wg.Wait()
+	if n := failed.Load(); n != 0 {
+		t.Fatalf("%d of %d requests failed across the owner kill; first: %v", n, completed.Load(), firstFailure.Load())
+	}
+
+	for _, base := range survivors {
+		var m clusterMetricsWire
+		fetch(t, base+"/metrics", &m)
+		t.Logf("%s: %d peer hits, %d fallback builds, %d local builds", base,
+			m.Cluster.PeerHits, m.Cluster.FallbackBuilds, m.Cache.Builds)
+		if m.Cluster.PeerHits < 1 {
+			t.Errorf("%s never fetched a line from a peer: the load did not exercise the fleet", base)
+		}
+		if m.Cluster.FallbackBuilds < 1 {
+			t.Errorf("%s: peer_fallback_builds_total did not move after the owner died", base)
+		}
+		if breaker := m.breakerOf(victim); breaker != "open" {
+			t.Errorf("%s: dead owner's breaker is %q, want open", base, breaker)
+		}
+	}
+}
+
+// planOrShed GETs one plan and returns "" for the two answers a loaded
+// fleet may give — 200, or a 503 shed carrying Retry-After — and a
+// description of anything else, transport errors included.
+func planOrShed(client *http.Client, url string) string {
+	resp, err := client.Get(url)
+	if err != nil {
+		return err.Error()
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	switch {
+	case resp.StatusCode == http.StatusOK:
+		return ""
+	case resp.StatusCode == http.StatusServiceUnavailable && resp.Header.Get("Retry-After") != "":
+		return ""
+	}
+	return fmt.Sprintf("status %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
 }
 
 // TestFleetFaultForwarding: a fault update accepted by one replica
 // reaches the others (marked forwarded, applied, not re-forwarded).
 func TestFleetFaultForwarding(t *testing.T) {
-	const n = 2
-	lns := make([]net.Listener, n)
-	urls := make([]string, n)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[i] = ln
-		urls[i] = "http://" + ln.Addr().String()
-	}
+	lns, urls := reserveFleet(t, 2)
 	peers := strings.Join(urls, ",")
 	for i := range lns {
 		startFleetNode(t, options{

@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -53,17 +52,7 @@ func waitTrace(t *testing.T, base, id string) tracesWire {
 // line request carries the build, and both are addressable by the same
 // ID on their respective /debug/traces.
 func TestFleetRequestIDSpansReplicas(t *testing.T) {
-	const n = 2
-	lns := make([]net.Listener, n)
-	urls := make([]string, n)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[i] = ln
-		urls[i] = "http://" + ln.Addr().String()
-	}
+	lns, urls := reserveFleet(t, 2)
 	peers := strings.Join(urls, ",")
 	for i := range lns {
 		startFleetNode(t, options{

@@ -69,9 +69,8 @@
 // failure costs latency, never an error. Replicas probe each other's
 // /healthz, warm-fetch their owned lines at startup, gate /readyz on
 // that warm-up, forward fault updates fleet-wide, and shed local
-// builds beyond a bound with 503s; cmd/loadgen is the fleet's paced
-// measuring stick. Without -peers the daemon is bit-identical to the
-// standalone build.
+// builds beyond a bound with 503s. Without -peers the daemon is
+// bit-identical to the standalone build.
 //
 // The fleet watches itself through internal/obs, a zero-dependency
 // observability layer: every request carries a correlation ID
@@ -88,7 +87,7 @@
 // Layout:
 //
 //	internal/...   the library (see README.md for the package map)
-//	cmd/...        mpx, hull, partitions, figures, calibrate, pland, loadgen
+//	cmd/...        mpx, hull, partitions, figures, calibrate, pland
 //	examples/...   runnable demonstrations
 //
 // The benchmark harness in this package (bench_test.go) regenerates every

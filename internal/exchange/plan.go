@@ -2,6 +2,7 @@ package exchange
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/partition"
 	"repro/internal/topology"
@@ -45,6 +46,10 @@ type Plan struct {
 	phases []Phase
 }
 
+// MaxBufferBytes bounds m × nodes, one node's exchange buffer, so that
+// every size a plan derives from its block size fits an int.
+const MaxBufferBytes = math.MaxInt32
+
 // NewPlanOn validates (topo, m, D) and precomputes the phase layout: D
 // groups the topology's dimensions into consecutive fields consumed from
 // the top down, as in the paper's pseudocode — the first phase uses the
@@ -55,6 +60,9 @@ func NewPlanOn(topo topology.Network, m int, D partition.Partition) (*Plan, erro
 	}
 	if m < 0 {
 		return nil, fmt.Errorf("exchange: negative block size %d", m)
+	}
+	if limit := MaxBufferBytes / topo.Nodes(); m > limit {
+		return nil, fmt.Errorf("exchange: block size %d over the limit of %d on %s", m, limit, topo.Name())
 	}
 	// A complete exchange needs every node alive and the live graph
 	// connected; gating here keeps the replay core's panic-free

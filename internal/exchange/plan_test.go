@@ -34,6 +34,42 @@ func TestNewPlanValidation(t *testing.T) {
 	}
 }
 
+// m × nodes is bounded so that no size a plan derives from m wraps: a
+// block size from outside (pland's /v1/cost) must fail here, not overflow.
+func TestNewPlanOnBlockSizeLimit(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		part partition.Partition
+		m    int
+		ok   bool
+	}{
+		{"hypercube-5", partition.Partition{1, 1, 1, 1, 1}, MaxBufferBytes / 32, true},
+		{"hypercube-5", partition.Partition{1, 1, 1, 1, 1}, MaxBufferBytes/32 + 1, false},
+		{"hypercube-5", partition.Partition{5}, 1 << 62, false}, // 32·m wraps to 0
+		{"torus-4x4", partition.Partition{1, 1}, MaxBufferBytes / 16, true},
+		{"torus-4x4", partition.Partition{1, 1}, MaxBufferBytes/16 + 1, false},
+		{"hypercube-0", nil, MaxBufferBytes, true},
+		{"hypercube-0", nil, MaxBufferBytes + 1, false},
+	} {
+		topo, err := topology.ParseSpec(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := NewPlanOn(topo, tc.m, tc.part)
+		if (err == nil) != tc.ok {
+			t.Errorf("NewPlanOn(%s, m=%d): err = %v, want ok=%v", tc.spec, tc.m, err, tc.ok)
+		}
+		if err != nil {
+			continue
+		}
+		for _, ph := range p.Phases() {
+			if ph.EffBytes < tc.m {
+				t.Errorf("NewPlanOn(%s, m=%d): EffBytes %d wrapped", tc.spec, tc.m, ph.EffBytes)
+			}
+		}
+	}
+}
+
 func TestNewPlanAcceptsUnsortedPartition(t *testing.T) {
 	// The paper's figures label partitions {2,3} — phase order matters
 	// for the bit fields but any order is legal (§5 footnote).

@@ -38,6 +38,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/exchange"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/optimize"
@@ -421,8 +422,8 @@ func (c *Cache) getOn(ctx context.Context, name string, prm model.Params, net to
 	if err := checkServable(net); err != nil {
 		return Plan{}, err
 	}
-	if m < 0 {
-		return Plan{}, fmt.Errorf("plancache: negative block size %d", m)
+	if limit := exchange.MaxBufferBytes / net.Nodes(); m < 0 || m > limit {
+		return Plan{}, fmt.Errorf("plancache: block size %d outside [0, %d] on %s", m, limit, net.Name())
 	}
 	ln, _, err := c.lineFor(ctx, name, prm, net)
 	if err != nil {

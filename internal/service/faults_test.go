@@ -251,6 +251,7 @@ func TestFaultsValidation(t *testing.T) {
 			t.Fatalf("%s: rejected request mutated fault state: %+v", name, mr.Faults)
 		}
 	}
+	postRaw(t, ts.URL+"/v1/faults", `{"topology":"torus-4x4","action":"clear"} x`, http.StatusBadRequest)
 	// Wrong method.
 	resp, err := http.Get(ts.URL + "/v1/faults")
 	if err != nil {

@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"math"
 	"net/http"
@@ -906,15 +907,23 @@ const maxBodyBytes = 1 << 20
 // writes the error response and returns its status code (0 on success).
 func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) int {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
+	dec := json.NewDecoder(r.Body)
+	err := dec.Decode(v)
+	if err == nil {
+		// The body is one JSON value; only EOF may follow it.
+		if _, err = dec.Token(); err == io.EOF {
+			return 0
 		}
-		return writeError(w, http.StatusBadRequest, "decoding request body: "+err.Error())
+		if err == nil {
+			err = errors.New("trailing data after the JSON value")
+		}
 	}
-	return 0
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
+	}
+	return writeError(w, http.StatusBadRequest, "decoding request body: "+err.Error())
 }
 
 // --- response plumbing ---

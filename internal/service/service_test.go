@@ -71,6 +71,19 @@ func postJSON(t *testing.T, url string, body interface{}, wantCode int, v interf
 	}
 }
 
+// postRaw posts a literal body, for the cases json.Marshal cannot spell.
+func postRaw(t *testing.T, url, body string, wantCode int) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != wantCode {
+		t.Errorf("POST %s %q = %d, want %d", url, body, resp.StatusCode, wantCode)
+	}
+}
+
 func TestPlanEndpointMatchesOptimizer(t *testing.T) {
 	ts := newTestServer(t)
 	ref := optimize.New(model.IPSC860())
@@ -113,6 +126,9 @@ func TestPlanEndpointValidation(t *testing.T) {
 		{"machine=ipsc860&d=7&m=-1", http.StatusBadRequest},  // negative m
 		{"machine=ipsc860&d=-2&m=40", http.StatusBadRequest}, // negative d
 		{"machine=ipsc860&d=99&m=40", http.StatusBadRequest}, // beyond optimizer range
+		{"d=5&m=67108863", http.StatusOK},                    // m × nodes just inside the buffer limit
+		{"d=5&m=67108864", http.StatusBadRequest},            // and just over it
+		{"d=5&m=4611686018427387904", http.StatusBadRequest}, // m·2^(d−di) would wrap
 	} {
 		resp, err := http.Get(ts.URL + "/v1/plan?" + tc.query)
 		if err != nil {
@@ -173,14 +189,12 @@ func TestCostEndpointValidation(t *testing.T) {
 		CostRequest{D: 15, M: 40, Partition: []int{15}}, http.StatusBadRequest, nil) // beyond CostMaxDim
 	postJSON(t, ts.URL+"/v1/cost",
 		CostRequest{Machine: "cray", D: 7, M: 40, Partition: []int{7}}, http.StatusBadRequest, nil)
-	resp, err := http.Post(ts.URL+"/v1/cost", "application/json", strings.NewReader("{"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("truncated body: status %d, want 400", resp.StatusCode)
-	}
+	postJSON(t, ts.URL+"/v1/cost", // m·2^(d−di) would wrap
+		CostRequest{D: 5, M: 1 << 62, Partition: []int{1, 1, 1, 1, 1}}, http.StatusBadRequest, nil)
+	postRaw(t, ts.URL+"/v1/cost", `{`, http.StatusBadRequest)
+	postRaw(t, ts.URL+"/v1/cost", `{"d":3,"m":4,"partition":[3]} `, http.StatusOK)
+	postRaw(t, ts.URL+"/v1/cost", `{"d":3,"m":4,"partition":[3]} trailing`, http.StatusBadRequest)
+	postRaw(t, ts.URL+"/v1/cost", `{"d":3,"m":4,"partition":[3]}}`, http.StatusBadRequest)
 }
 
 func TestCostEndpointUsesCacheRegistry(t *testing.T) {
@@ -312,6 +326,7 @@ func TestBatchEndpoint(t *testing.T) {
 	req.Queries = append(req.Queries,
 		BatchQuery{Machine: "cray", D: 6, M: 40}, // per-item error
 		BatchQuery{D: 5, M: 40},                  // default machine
+		BatchQuery{D: 5, M: 1 << 62},             // per-item error: m × nodes over the buffer limit
 	)
 	var got BatchResponse
 	postJSON(t, ts.URL+"/v1/batch", req, http.StatusOK, &got)
@@ -338,6 +353,9 @@ func TestBatchEndpoint(t *testing.T) {
 	if got.Results[65].Plan == nil || got.Results[65].Plan.Machine != "ipsc860" {
 		t.Error("default-machine query did not resolve to ipsc860")
 	}
+	if got.Results[66].Error == "" || got.Results[66].Plan != nil {
+		t.Error("oversized-block query did not produce a per-item error")
+	}
 }
 
 func TestBatchTooLarge(t *testing.T) {
@@ -349,6 +367,7 @@ func TestBatchTooLarge(t *testing.T) {
 	defer ts.Close()
 	req := BatchRequest{Queries: make([]BatchQuery, 5)}
 	postJSON(t, ts.URL+"/v1/batch", req, http.StatusRequestEntityTooLarge, nil)
+	postRaw(t, ts.URL+"/v1/batch", `{"queries":[{"d":3,"m":4}]}{"queries":[]}`, http.StatusBadRequest)
 }
 
 func TestHealthz(t *testing.T) {
