@@ -81,8 +81,10 @@
 // timelines via mpx/figures -trace-out). Latencies feed fixed
 // log-bucket histograms with derived p50/p90/p99 per endpoint and per
 // stage, exposed on the JSON /metrics and as Prometheus text at
-// /metrics?format=prometheus; pland logs structured records (log/slog)
-// and opts into pprof/expvar on a separate -debug-addr listener.
+// /metrics?format=prometheus — both rendered from one snapshot whose
+// struct tags declare every metric once; pland logs structured records
+// (log/slog) and opts into pprof/expvar on a separate -debug-addr
+// listener.
 //
 // Layout:
 //

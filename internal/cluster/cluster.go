@@ -487,34 +487,25 @@ func (c *Cluster) forwardOnce(ctx context.Context, base string, body []byte) err
 // PeerMetrics is one peer's serving state on /metrics and /readyz.
 type PeerMetrics struct {
 	URL string `json:"url"`
-	// Up is the last health-probe verdict.
-	Up bool `json:"up"`
+	Up  bool   `json:"up" prom:"pland_peer_up,gauge" help:"Last health-probe verdict per peer (1 = up)."`
 	// Breaker is "closed", "open", or "half-open".
-	Breaker string `json:"breaker"`
-	// ConsecutiveFailures is the current fetch-failure streak.
-	ConsecutiveFailures int `json:"consecutive_failures"`
-	// BreakerTrips counts closed→open transitions.
-	BreakerTrips int64 `json:"breaker_trips"`
+	Breaker             string `json:"breaker" prom:"-"`
+	ConsecutiveFailures int    `json:"consecutive_failures" prom:"pland_peer_consecutive_failures,gauge" help:"Current fetch-failure streak per peer."`
+	BreakerTrips        int64  `json:"breaker_trips" prom:"pland_peer_breaker_trips_total,counter" help:"Breaker closed-to-open transitions per peer."`
 }
 
 // Metrics is the cluster slice of /metrics.
 type Metrics struct {
-	Self  string        `json:"self"`
-	Peers []PeerMetrics `json:"peers"`
-	// PeerHits counts misses filled by a successful owner fetch.
-	PeerHits int64 `json:"peer_hits_total"`
-	// PeerFetchFailures counts owner fetches that exhausted their
-	// deadline/retry/breaker budget.
-	PeerFetchFailures int64 `json:"peer_fetch_failures_total"`
-	// FallbackBuilds counts local builds forced by a failed owner fetch
-	// — the degraded-but-served path.
-	FallbackBuilds int64 `json:"peer_fallback_builds_total"`
-	// FaultForwards / FaultForwardFailures count per-peer fault-update
-	// forward outcomes.
-	FaultForwards        int64 `json:"fault_forwards_total"`
-	FaultForwardFailures int64 `json:"fault_forward_failures_total"`
-	// WarmedLines counts lines imported by startup snapshot fan-out.
-	WarmedLines int64 `json:"warmed_lines_total"`
+	Self     string        `json:"self" prom:"-"`
+	Peers    []PeerMetrics `json:"peers" prom:"peer=URL"`
+	PeerHits int64         `json:"peer_hits_total" prom:"pland_peer_hits_total,counter" help:"Misses filled by a successful owner fetch."`
+	// PeerFetchFailures' budget is the fetch deadline, retries and breaker.
+	PeerFetchFailures int64 `json:"peer_fetch_failures_total" prom:"pland_peer_fetch_failures_total,counter" help:"Owner fetches that exhausted their budget."`
+	// FallbackBuilds is the degraded-but-served path.
+	FallbackBuilds       int64 `json:"peer_fallback_builds_total" prom:"pland_peer_fallback_builds_total,counter" help:"Local builds forced by a failed owner fetch."`
+	FaultForwards        int64 `json:"fault_forwards_total" prom:"pland_fault_forwards_total,counter" help:"Fault updates forwarded to peers."`
+	FaultForwardFailures int64 `json:"fault_forward_failures_total" prom:"pland_fault_forward_failures_total,counter" help:"Fault forwards that failed."`
+	WarmedLines          int64 `json:"warmed_lines_total" prom:"pland_warmed_lines_total,counter" help:"Lines imported by startup snapshot fan-out."`
 }
 
 // Metrics returns a point-in-time snapshot.

@@ -2,13 +2,13 @@
 // request correlation IDs carried through contexts and across peer
 // hops, named spans recorded into a bounded lock-sharded trace ring
 // (exportable as Chrome trace_event JSON), allocation-free log-bucket
-// latency histograms with derived quantiles, and a Prometheus text
-// exposition writer. The serving tier threads a trace through handler →
-// cache lookup → singleflight build → optimizer → compiled-trace
-// replay, so one slow /v1/plan opens directly in a trace viewer; the
-// same histogram and exposition primitives back /metrics in both its
-// JSON and Prometheus forms. Everything here is standard library only
-// and safe for concurrent use.
+// latency histograms with derived quantiles, and WriteProm, which renders
+// a struct whose fields declare their Prometheus families in tags. The
+// serving tier threads a trace through handler → cache lookup →
+// singleflight build → optimizer → compiled-trace replay, so one slow
+// /v1/plan opens directly in a trace viewer; the same histograms and one
+// tagged snapshot back /metrics in both its JSON and Prometheus forms.
+// Everything here is standard library only and safe for concurrent use.
 package obs
 
 import (

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -238,16 +239,19 @@ func TestEmptyHistogramSnapshot(t *testing.T) {
 }
 
 func TestPromWriterFormats(t *testing.T) {
-	var buf bytes.Buffer
-	p := NewPromWriter(&buf)
-	p.Counter("pland_panics_total", "Recovered handler panics.", nil, 3)
-	p.Gauge("pland_http_inflight", "In-flight requests.", map[string]string{"endpoint": "/v1/plan"}, 2)
 	var h Histogram
 	h.Observe(3)
 	h.Observe(300)
-	p.Header("pland_http_request_duration_us", "histogram", "Request latency.")
-	p.Histogram("pland_http_request_duration_us", map[string]string{"endpoint": "/v1/plan"}, h.Snapshot())
-	if err := p.Err(); err != nil {
+	type endpoint struct {
+		Inflight int64        `prom:"pland_http_inflight,gauge" help:"In-flight requests."`
+		Latency  HistSnapshot `prom:"pland_http_request_duration_us,histogram" help:"Request latency."`
+	}
+	v := struct {
+		Panics    int64               `prom:"pland_panics_total,counter" help:"Recovered handler panics."`
+		Endpoints map[string]endpoint `prom:"endpoint"`
+	}{3, map[string]endpoint{"/v1/plan": {2, h.Snapshot()}}}
+	var buf bytes.Buffer
+	if err := WriteProm(&buf, v); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -268,11 +272,56 @@ func TestPromWriterFormats(t *testing.T) {
 
 func TestPromLabelEscaping(t *testing.T) {
 	var buf bytes.Buffer
-	p := NewPromWriter(&buf)
-	p.Sample("m", map[string]string{"k": "a\"b\\c\nd"}, 1)
-	want := `m{k="a\"b\\c\nd"} 1` + "\n"
+	v := struct {
+		M map[string]int `prom:"m,gauge,k" help:"a\\b"`
+	}{map[string]int{"a\"b\\c\nd": 1}}
+	if err := WriteProm(&buf, v); err != nil {
+		t.Fatal(err)
+	}
+	want := "# HELP m a\\\\b\n# TYPE m gauge\n" + `m{k="a\"b\\c\nd"} 1` + "\n"
 	if buf.String() != want {
 		t.Fatalf("escaped sample %q, want %q", buf.String(), want)
+	}
+}
+
+// TestWritePromLabelsAndSkips: constant labels and an element field label
+// a family's samples in walk order; nil pointers, empty maps, strings and
+// prom:"-" fields write nothing; a family declared twice with different
+// help is refused.
+func TestWritePromLabelsAndSkips(t *testing.T) {
+	type peer struct {
+		URL   string
+		Up    bool   `prom:"up,gauge" help:"Peer up."`
+		State string `prom:"-"`
+	}
+	type section struct {
+		Closed int64 `prom:"phases_total,counter,mode=closed" help:"Phases."`
+		Engine int64 `prom:"phases_total,counter,mode=engine" help:"Phases."`
+	}
+	v := struct {
+		Section  section
+		Peers    []peer `prom:"peer=URL"`
+		Missing  *section
+		Declines map[string]int64 `prom:"declines_total,counter,reason" help:"Declines."`
+		Hidden   int64            `prom:"-"`
+	}{section{1, 2}, []peer{{"http://b", true, "open"}, {"http://a", false, "closed"}}, nil, nil, 9}
+	var buf bytes.Buffer
+	if err := WriteProm(&buf, &v); err != nil {
+		t.Fatal(err)
+	}
+	want := "# HELP phases_total Phases.\n# TYPE phases_total counter\n" +
+		"phases_total{mode=\"closed\"} 1\nphases_total{mode=\"engine\"} 2\n" +
+		"# HELP up Peer up.\n# TYPE up gauge\nup{peer=\"http://b\"} 1\nup{peer=\"http://a\"} 0\n"
+	if buf.String() != want {
+		t.Fatalf("exposition\n%s\nwant\n%s", buf.String(), want)
+	}
+
+	bad := struct {
+		A int `prom:"x_total,counter" help:"One."`
+		B int `prom:"x_total,counter" help:"Two."`
+	}{}
+	if err := WriteProm(io.Discard, bad); err == nil {
+		t.Fatal("a family declared with two helps was accepted")
 	}
 }
 

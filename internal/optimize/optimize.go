@@ -185,16 +185,14 @@ type key struct {
 // parallel paths (it depends on how fast the incumbent drops); the
 // returned Choice never does.
 type Stats struct {
-	Evaluations int64 `json:"evaluations"`
-	Evaluated   int64 `json:"evaluated"`
-	Pruned      int64 `json:"pruned"`
-	MemoHits    int64 `json:"memo_hits"`
-	MemoMisses  int64 `json:"memo_misses"`
-	// PrunedByCutoff counts the candidates of Pruned whose proof needed a
-	// replay — exact phase costs already summed, or a replay aborted at its
-	// cutoff, this candidate's or an earlier one's — rather than the
-	// admissible bounds alone.
-	PrunedByCutoff int64 `json:"pruned_by_cutoff"`
+	Evaluations int64 `json:"evaluations" prom:"pland_optimizer_evaluations_total,counter" help:"Optimizer enumeration passes."`
+	Evaluated   int64 `json:"evaluated" prom:"pland_optimizer_evaluated_total,counter" help:"Candidate partitions fully costed."`
+	Pruned      int64 `json:"pruned" prom:"pland_optimizer_pruned_total,counter" help:"Candidate partitions cut by the bound."`
+	MemoHits    int64 `json:"memo_hits" prom:"pland_optimizer_memo_hits_total,counter" help:"Simulated-backend phase-memo hits (an analytic build keeps no memo)."`
+	MemoMisses  int64 `json:"memo_misses" prom:"pland_optimizer_memo_misses_total,counter" help:"Simulated-backend phase-memo misses: fragment replays run or bounds computed."`
+	// PrunedByCutoff's replay is exact phase costs already summed, or a
+	// replay aborted at its cutoff, this candidate's or an earlier one's.
+	PrunedByCutoff int64 `json:"pruned_by_cutoff" prom:"pland_optimizer_pruned_by_cutoff_total,counter" help:"Pruned candidate partitions whose proof needed a replay, not the admissible bounds alone."`
 	// ReplaysSharded and ReplaysSerial split the simulated backend's
 	// finished replays (memoized fragments and whole-plan winner
 	// re-derivations) by the mode that actually ran: sharded when the
@@ -202,9 +200,11 @@ type Stats struct {
 	// otherwise — including every sharded attempt that fell back and every
 	// replay priced wholly in closed form. ReplaysAborted counts the
 	// replays abandoned at their cutoff (simnet.ErrCutoff) instead.
-	ReplaysSharded int64 `json:"replays_sharded"`
-	ReplaysSerial  int64 `json:"replays_serial"`
-	ReplaysAborted int64 `json:"replays_aborted"`
+	ReplaysSharded int64 `json:"replays_sharded" prom:"pland_optimizer_replays_sharded_total,counter" help:"Simulated replays that ran on link-disjoint engine shards."`
+	ReplaysSerial  int64 `json:"replays_serial" prom:"pland_optimizer_replays_serial_total,counter" help:"Simulated replays that ran serial (including sharded fallbacks and closed-form replays)."`
+	// The remaining fields reach the Prometheus form through the service's
+	// replay section, which adds the replays no optimizer ran.
+	ReplaysAborted int64 `json:"replays_aborted" prom:"-"`
 	// PhasesClosedForm and PhasesEngine split the phases of those replays
 	// by how simnet priced them: in closed form under a lockstep
 	// certificate, or on the event engine. Declines counts, per replay
@@ -213,10 +213,10 @@ type Stats struct {
 	// certificate passes these replays ran themselves — at most one per
 	// (topology, phase field) per process, whichever optimizer gets there
 	// first.
-	PhasesClosedForm int64            `json:"phases_closed_form"`
-	PhasesEngine     int64            `json:"phases_engine"`
-	Certificates     int64            `json:"certificates"`
-	Declines         map[string]int64 `json:"declines,omitempty"`
+	PhasesClosedForm int64            `json:"phases_closed_form" prom:"-"`
+	PhasesEngine     int64            `json:"phases_engine" prom:"-"`
+	Certificates     int64            `json:"certificates" prom:"-"`
+	Declines         map[string]int64 `json:"declines,omitempty" prom:"-"`
 }
 
 // Add accumulates another snapshot into s (serving tiers aggregate stats

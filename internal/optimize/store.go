@@ -94,21 +94,39 @@ func LoadTable(r io.Reader, prm model.Params) (Table, error) {
 	}
 	t := Table{Topo: cube.Name(), D: st.D}
 	for _, seg := range st.Segments {
-		D := partition.Partition(append([]int(nil), seg.Partition...))
-		if !D.Canonical().IsValid(st.D) {
-			return Table{}, fmt.Errorf("optimize: stored partition %v invalid for d=%d", D, st.D)
-		}
-		if seg.MinBlock > seg.MaxBlock || seg.MinBlock < 0 {
-			return Table{}, fmt.Errorf("optimize: stored segment range [%d,%d] invalid",
-				seg.MinBlock, seg.MaxBlock)
-		}
 		t.Segments = append(t.Segments, model.HullSegment{
-			Part:     D,
+			Part:     partition.Partition(append([]int(nil), seg.Partition...)),
 			MinBlock: seg.MinBlock,
 			MaxBlock: seg.MaxBlock,
 		})
 	}
+	if err := t.Validate(); err != nil {
+		return Table{}, fmt.Errorf("optimize: stored table: %w", err)
+	}
 	return t, nil
+}
+
+// Validate checks a table read from outside the optimizer (a stored
+// table, a snapshot or peer line): every grouping splits the D dimensions
+// into positive parts, and the block ranges are non-empty, non-negative
+// and strictly ascending, so LookupSegment answers each covered block
+// size from the one segment holding it.
+func (t Table) Validate() error {
+	prevMax := -1
+	for _, seg := range t.Segments {
+		valid := seg.Part.Sum() == t.D && (t.D == 0 || len(seg.Part) > 0)
+		for _, di := range seg.Part {
+			valid = valid && di > 0
+		}
+		if !valid {
+			return fmt.Errorf("grouping %v invalid for %s", seg.Part, t.Topo)
+		}
+		if seg.MinBlock > seg.MaxBlock || seg.MinBlock <= prevMax {
+			return fmt.Errorf("segment range [%d,%d] out of order", seg.MinBlock, seg.MaxBlock)
+		}
+		prevMax = seg.MaxBlock
+	}
+	return nil
 }
 
 // SaveTableFile writes the table to a file path.

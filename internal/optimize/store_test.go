@@ -3,6 +3,7 @@ package optimize
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/partition"
 	"repro/internal/topology"
 )
 
@@ -68,22 +70,96 @@ func TestLoadRejectsGarbage(t *testing.T) {
 
 func TestLoadRejectsInvalidSegments(t *testing.T) {
 	prm := model.IPSC860()
-	// A partition that does not sum to d.
-	bad := `{"version":1,"d":5,"machine":{"lambda":95,"tau":0.394,"delta":10.3,"rho":0.54,` +
-		`"lambda_zero":82.5,"global_sync_per_dim":150,"exchange_mode":1,"global_sync_per_phase":true},` +
-		`"segments":[{"partition":[9],"min_block":0,"max_block":10}]}`
-	if _, err := LoadTable(strings.NewReader(bad), prm); err == nil {
-		t.Error("invalid partition must be rejected")
+	for _, c := range []struct {
+		name     string
+		d        int
+		segments string
+	}{
+		// The one valid row: the envelope is right, so each other row fails
+		// on its segments.
+		{"valid", 3, `{"partition":[2,1],"min_block":0,"max_block":50},{"partition":[3],"min_block":51,"max_block":200}`},
+		{"partition not summing to d", 5, `{"partition":[9],"min_block":0,"max_block":10}`},
+		{"d no hypercube has", 31, `{"partition":[31],"min_block":0,"max_block":10}`},
+		{"inverted range", 5, `{"partition":[2,3],"min_block":10,"max_block":0}`},
+		{"negative block", 5, `{"partition":[2,3],"min_block":-1,"max_block":10}`},
+		{"zero part", 3, `{"partition":[3,0],"min_block":0,"max_block":10}`},
+		{"segments out of order", 3, `{"partition":[3],"min_block":100,"max_block":200},{"partition":[2,1],"min_block":0,"max_block":50}`},
+		{"segments overlapping", 3, `{"partition":[2,1],"min_block":0,"max_block":50},{"partition":[3],"min_block":50,"max_block":200}`},
+	} {
+		stored := fmt.Sprintf(`{"version":1,"d":%d,"machine":{"lambda":95,"tau":0.394,"delta":10.3,"rho":0.54,`+
+			`"lambda_zero":82.5,"global_sync_per_dim":150,"exchange_mode":1,"global_sync_per_phase":true},`+
+			`"segments":[%s]}`, c.d, c.segments)
+		tbl, err := LoadTable(strings.NewReader(stored), prm)
+		if c.name == "valid" {
+			if err != nil || !tbl.Lookup(10).Equal(partition.Partition{2, 1}) {
+				t.Errorf("valid table: %+v, %v", tbl, err)
+			}
+		} else if err == nil {
+			t.Errorf("%s: loaded %+v", c.name, tbl)
+		}
 	}
-	// A stored d no hypercube has, with a partition that does sum to it.
-	bad31 := strings.NewReplacer(`"d":5`, `"d":31`, `[9]`, `[31]`).Replace(bad)
-	if _, err := LoadTable(strings.NewReader(bad31), prm); err == nil {
-		t.Error("out-of-range dimension must be rejected")
+}
+
+// FuzzLoadTable: LoadTable never panics, and a table it accepts has
+// ascending, disjoint segments whose groupings split its d into positive
+// parts, answers every block size a segment covers from that segment, and
+// survives a SaveTable/LoadTable round trip unchanged.
+func FuzzLoadTable(f *testing.F) {
+	prm := model.IPSC860()
+	o := New(prm)
+	for _, d := range []int{3, 6, 8, 10} {
+		tbl, err := o.BuildTableOnCtx(context.Background(), topology.MustNew(d), 0, 256, 1)
+		if err != nil {
+			f.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := SaveTable(&buf, tbl, prm); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
 	}
-	bad2 := strings.Replace(bad, `[9]`, `[2,3]`, 1)
-	bad2 = strings.Replace(bad2, `"min_block":0,"max_block":10`, `"min_block":10,"max_block":0`, 1)
-	if _, err := LoadTable(strings.NewReader(bad2), prm); err == nil {
-		t.Error("inverted range must be rejected")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tbl, err := LoadTable(bytes.NewReader(data), prm)
+		if err != nil {
+			return
+		}
+		checkSegments(t, tbl)
+		var buf bytes.Buffer
+		if err := SaveTable(&buf, tbl, prm); err != nil {
+			t.Fatal(err)
+		}
+		again, err := LoadTable(&buf, prm)
+		if err != nil || !reflect.DeepEqual(again, tbl) {
+			t.Fatalf("round trip of %+v: %+v, %v", tbl, again, err)
+		}
+	})
+}
+
+// checkSegments asserts what every table handed to a lookup must hold:
+// ascending, disjoint, non-empty block ranges from 0 up, groupings that
+// split tbl.D into positive parts, and each covered block size answered
+// by the segment that holds it.
+func checkSegments(t *testing.T, tbl Table) {
+	t.Helper()
+	prevMax := -1
+	for i, seg := range tbl.Segments {
+		if seg.MinBlock <= prevMax || seg.MaxBlock < seg.MinBlock {
+			t.Fatalf("%s segment %d [%d,%d] follows max block %d", tbl.Topo, i, seg.MinBlock, seg.MaxBlock, prevMax)
+		}
+		prevMax = seg.MaxBlock
+		if seg.Part.Sum() != tbl.D || tbl.D > 0 && len(seg.Part) == 0 {
+			t.Fatalf("%s segment %d grouping %v does not split %d dimensions", tbl.Topo, i, seg.Part, tbl.D)
+		}
+		for _, di := range seg.Part {
+			if di <= 0 {
+				t.Fatalf("%s segment %d grouping %v has a part %d", tbl.Topo, i, seg.Part, di)
+			}
+		}
+		for _, m := range []int{seg.MinBlock, seg.MinBlock + (seg.MaxBlock-seg.MinBlock)/2, seg.MaxBlock} {
+			if got, ok := tbl.LookupSegment(m); !ok || !reflect.DeepEqual(got, seg) {
+				t.Fatalf("%s: m=%d answered by %+v (in range %v), want segment %d %+v", tbl.Topo, m, got, ok, i, seg)
+			}
+		}
 	}
 }
 

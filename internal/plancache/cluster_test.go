@@ -281,7 +281,7 @@ func mustCube(t *testing.T, d int) topology.Network {
 
 // mustSpec resolves a registry spec the way the serving tier does before
 // it asks the cache.
-func mustSpec(t *testing.T, spec string) topology.Network {
+func mustSpec(t testing.TB, spec string) topology.Network {
 	t.Helper()
 	net, err := ResolveTopology(spec)
 	if err != nil {

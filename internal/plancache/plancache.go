@@ -152,28 +152,21 @@ type Plan struct {
 	InRange bool
 }
 
-// Stats is a point-in-time counter snapshot. The JSON names are part of
-// the service's /metrics wire format.
+// Stats is a point-in-time counter snapshot. The JSON names and prom
+// families are part of the service's /metrics wire formats.
 type Stats struct {
-	// Hits counts requests answered from a resident line.
-	Hits int64 `json:"hits"`
-	// Misses counts requests that had to build (or wait for) a line.
-	Misses int64 `json:"misses"`
-	// Evictions counts lines dropped by the per-shard LRU bound.
-	Evictions int64 `json:"evictions"`
-	// Inflight is the number of line builds running right now.
-	Inflight int64 `json:"inflight"`
-	// Builds counts completed line builds (restores not included).
-	Builds int64 `json:"builds"`
-	// PeerImports counts misses filled by the Fetch hook (a peer line
-	// imported instead of built locally).
-	PeerImports int64 `json:"peer_imports"`
-	// Shed counts misses refused with ErrOverloaded because the
-	// concurrent-build bound was reached.
-	Shed int64 `json:"shed"`
-	// Lines and Segments are the resident totals.
-	Lines    int `json:"lines"`
-	Segments int `json:"segments"`
+	Hits      int64 `json:"hits" prom:"pland_cache_hits_total,counter" help:"Requests answered from a resident plan line."`
+	Misses    int64 `json:"misses" prom:"pland_cache_misses_total,counter" help:"Requests that built or waited for a plan line."`
+	Evictions int64 `json:"evictions" prom:"pland_cache_evictions_total,counter" help:"Plan lines dropped by the per-shard LRU bound."`
+	Inflight  int64 `json:"inflight" prom:"pland_cache_inflight_builds,gauge" help:"Line builds running right now."`
+	// Builds leaves restores out.
+	Builds int64 `json:"builds" prom:"pland_cache_builds_total,counter" help:"Completed local line builds."`
+	// PeerImports counts lines the Fetch hook supplied.
+	PeerImports int64 `json:"peer_imports" prom:"pland_cache_peer_imports_total,counter" help:"Misses filled by importing a peer's line."`
+	// Shed counts misses refused with ErrOverloaded.
+	Shed     int64 `json:"shed" prom:"pland_cache_shed_total,counter" help:"Misses refused because the build bound was reached."`
+	Lines    int   `json:"lines" prom:"pland_cache_lines,gauge" help:"Resident plan lines."`
+	Segments int   `json:"segments" prom:"pland_cache_segments,gauge" help:"Resident hull segments."`
 }
 
 // lineKey identifies one cache line: the machine's parameter set and the

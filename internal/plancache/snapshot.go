@@ -220,29 +220,16 @@ func restoreLine(sl LineData) (*line, error) {
 	if err != nil {
 		return nil, fmt.Errorf("plancache: snapshot line for machine %s: %w", sl.Machine, err)
 	}
-	k := net.NumDims()
-	tbl := optimize.Table{Topo: net.Name(), D: k}
-	prevMax := -1
+	tbl := optimize.Table{Topo: net.Name(), D: net.NumDims()}
 	for _, seg := range sl.Segments {
-		D := partition.Partition(append([]int(nil), seg.Partition...))
-		if sum := D.Sum(); sum != k || (k > 0 && len(D) == 0) {
-			return nil, fmt.Errorf("plancache: snapshot grouping %v invalid for %s", D, net.Name())
-		}
-		for _, di := range D {
-			if di <= 0 {
-				return nil, fmt.Errorf("plancache: snapshot grouping %v invalid for %s", D, net.Name())
-			}
-		}
-		if seg.MinBlock > seg.MaxBlock || seg.MinBlock <= prevMax {
-			return nil, fmt.Errorf("plancache: snapshot segment range [%d,%d] out of order",
-				seg.MinBlock, seg.MaxBlock)
-		}
-		prevMax = seg.MaxBlock
 		tbl.Segments = append(tbl.Segments, model.HullSegment{
-			Part:     D,
+			Part:     partition.Partition(append([]int(nil), seg.Partition...)),
 			MinBlock: seg.MinBlock,
 			MaxBlock: seg.MaxBlock,
 		})
+	}
+	if err := tbl.Validate(); err != nil {
+		return nil, fmt.Errorf("plancache: snapshot line for machine %s: %w", sl.Machine, err)
 	}
 	return &line{
 		key:       lineKey{machine: sl.Machine, topo: net.Name()},

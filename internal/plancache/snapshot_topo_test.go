@@ -2,7 +2,10 @@ package plancache
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -76,6 +79,97 @@ func TestTorusLineSnapshotRoundTrip(t *testing.T) {
 	}
 	if s := dst.Stats(); s.Builds != 0 {
 		t.Errorf("restored cache ran %d builds", s.Builds)
+	}
+}
+
+// FuzzRestore: Restore and ImportLine never panic on any document; every
+// line they accept has ascending, disjoint segments whose groupings split
+// its topology's dimensions and answers each covered block size from the
+// segment that holds it; and a restored cache's snapshot restores to a
+// cache whose snapshot is byte-identical.
+func FuzzRestore(f *testing.F) {
+	cfg := Config{SweepHi: 64}
+	all := New(cfg)
+	seed := func(c *Cache) {
+		var buf bytes.Buffer
+		if err := c.Snapshot(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	for _, q := range []struct{ machine, spec string }{
+		{"hypo", "hypercube-4"}, {"ipsc860", "hypercube-3"}, {"hypo", "torus-3x3"}, {"hypo", "mesh-2x3"},
+	} {
+		one := New(cfg)
+		for _, c := range []*Cache{one, all} {
+			if _, err := c.GetForCtx(bg, q.machine, mustSpec(f, q.spec), 24); err != nil {
+				f.Fatal(err)
+			}
+		}
+		seed(one)
+	}
+	seed(all)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var doc Snapshot
+		_ = json.Unmarshal(data, &doc)
+		for _, ld := range doc.Lines {
+			// An overlay allocates per link slot: keep fuzzed fabrics small.
+			base, _ := topology.SplitSpec(ld.Topology)
+			if net, err := topology.ParseSpec(base); err == nil && net.Nodes() > 1<<10 {
+				t.Skip()
+			}
+		}
+		c := New(cfg)
+		c.Restore(bytes.NewReader(data))
+		checkLines(t, c)
+		for _, ld := range doc.Lines {
+			imp := New(cfg)
+			if imp.ImportLine(ld) == nil {
+				checkLines(t, imp)
+			}
+		}
+
+		var first, second bytes.Buffer
+		if err := c.Snapshot(&first); err != nil {
+			t.Fatal(err)
+		}
+		again := New(cfg)
+		if _, _, err := again.Restore(bytes.NewReader(first.Bytes())); err != nil {
+			t.Fatalf("restoring a restored cache's snapshot: %v", err)
+		}
+		if err := again.Snapshot(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("snapshot changed across a restore:\n%s\nthen\n%s", first.Bytes(), second.Bytes())
+		}
+	})
+}
+
+// checkLines asserts what a lookup needs of every resident line.
+func checkLines(t *testing.T, c *Cache) {
+	t.Helper()
+	for _, sh := range c.shards {
+		sh.mu.Lock()
+		for el := sh.lru.Front(); el != nil; el = el.Next() {
+			ln := el.Value.(*line)
+			k, prevMax := ln.net.NumDims(), -1
+			for i, seg := range ln.table.Segments {
+				if seg.MinBlock <= prevMax || seg.MaxBlock < seg.MinBlock {
+					t.Fatalf("%s segment %d [%d,%d] follows max block %d", ln.key.topo, i, seg.MinBlock, seg.MaxBlock, prevMax)
+				}
+				prevMax = seg.MaxBlock
+				if seg.Part.Sum() != k || k > 0 && len(seg.Part) == 0 || slices.ContainsFunc(seg.Part, func(di int) bool { return di <= 0 }) {
+					t.Fatalf("%s segment %d grouping %v does not split %d dimensions", ln.key.topo, i, seg.Part, k)
+				}
+				for _, m := range []int{seg.MinBlock, seg.MinBlock + (seg.MaxBlock-seg.MinBlock)/2, seg.MaxBlock} {
+					if got, ok := ln.table.LookupSegment(m); !ok || !reflect.DeepEqual(got, seg) {
+						t.Fatalf("%s: m=%d answered by %+v (in range %v), want segment %d", ln.key.topo, m, got, ok, i)
+					}
+				}
+			}
+		}
+		sh.mu.Unlock()
 	}
 }
 

@@ -308,18 +308,13 @@ func (s *Server) rebuild(key, machine string, base topology.Network) {
 
 // FaultMetrics is the fault-handling slice of /metrics.
 type FaultMetrics struct {
-	// ActiveFaultSets counts fabrics currently carrying faults.
-	ActiveFaultSets int `json:"active_fault_sets"`
-	// Updates counts accepted POST /v1/faults operations.
-	Updates int64 `json:"updates"`
-	// DegradedServes counts plan answers served from last-known-good
-	// state because the degraded fabric could not be planned.
-	DegradedServes int64 `json:"degraded_serves"`
-	// Rebuilds and RebuildFailures count background rebuild outcomes:
-	// lines successfully rebuilt under fault state, and retry budgets
-	// exhausted without one.
-	Rebuilds        int64 `json:"rebuilds"`
-	RebuildFailures int64 `json:"rebuild_failures"`
+	ActiveFaultSets int   `json:"active_fault_sets" prom:"pland_fault_sets_active,gauge" help:"Fabrics currently carrying fault state."`
+	Updates         int64 `json:"updates" prom:"pland_fault_updates_total,counter" help:"Accepted fault-state updates."`
+	// DegradedServes' fabric could not be planned under its faults.
+	DegradedServes int64 `json:"degraded_serves" prom:"pland_degraded_serves_total,counter" help:"Plan answers served from last-known-good state."`
+	// Rebuilds and RebuildFailures count background rebuild outcomes.
+	Rebuilds        int64 `json:"rebuilds" prom:"pland_fault_rebuilds_total,counter" help:"Plan lines rebuilt under fault state."`
+	RebuildFailures int64 `json:"rebuild_failures" prom:"pland_fault_rebuild_failures_total,counter" help:"Rebuild retry budgets exhausted."`
 }
 
 func (s *Server) faultMetrics() FaultMetrics {

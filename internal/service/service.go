@@ -129,12 +129,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// endpointStats aggregates one route's latency counters.
+// endpointStats aggregates one route's counters; the histogram keeps its
+// request count, total and maximum latency.
 type endpointStats struct {
-	count    atomic.Int64
 	errors   atomic.Int64
-	totalUS  atomic.Int64
-	maxUS    atomic.Int64
 	inflight atomic.Int64
 	hist     obs.Histogram
 }
@@ -238,19 +236,10 @@ func (s *Server) instrument(name, method string, h func(http.ResponseWriter, *ht
 		// matter how the handler dies.
 		code := http.StatusInternalServerError
 		defer func() {
-			us := time.Since(begin).Microseconds()
 			st.inflight.Add(-1)
-			st.count.Add(1)
-			st.totalUS.Add(us)
-			st.hist.Observe(us)
+			st.hist.Observe(time.Since(begin).Microseconds())
 			if code >= 400 {
 				st.errors.Add(1)
-			}
-			for {
-				old := st.maxUS.Load()
-				if us <= old || st.maxUS.CompareAndSwap(old, us) {
-					break
-				}
 			}
 			if root != nil {
 				root.SetInt("status", int64(code))
@@ -731,51 +720,51 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) int {
 	})
 }
 
-// EndpointMetrics is one route's latency accounting. The quantiles are
-// derived from a fixed log-bucket histogram, so they are estimates
-// bounded by their bucket (and exact at the observed max).
+// EndpointMetrics is one route's request accounting, all but Errors and
+// Inflight read from the route's latency histogram. The quantiles are
+// estimates bounded by their log bucket (and exact at the observed max).
 type EndpointMetrics struct {
-	Count    int64   `json:"count"`
-	Errors   int64   `json:"errors"`
-	TotalUS  int64   `json:"total_us"`
-	MeanUS   float64 `json:"mean_us"`
-	MaxUS    int64   `json:"max_us"`
-	P50US    float64 `json:"p50_us"`
-	P90US    float64 `json:"p90_us"`
-	P99US    float64 `json:"p99_us"`
-	Inflight int64   `json:"inflight"`
+	Count    int64            `json:"count" prom:"pland_http_requests_total,counter" help:"Requests served per endpoint."`
+	Errors   int64            `json:"errors" prom:"pland_http_request_errors_total,counter" help:"Requests answered with status >= 400 per endpoint."`
+	TotalUS  int64            `json:"total_us" prom:"-"`
+	MeanUS   float64          `json:"mean_us" prom:"-"`
+	MaxUS    int64            `json:"max_us" prom:"-"`
+	P50US    float64          `json:"p50_us" prom:"-"`
+	P90US    float64          `json:"p90_us" prom:"-"`
+	P99US    float64          `json:"p99_us" prom:"-"`
+	Inflight int64            `json:"inflight" prom:"pland_http_inflight,gauge" help:"Requests being served right now per endpoint."`
+	Latency  obs.HistSnapshot `json:"-" prom:"pland_http_request_duration_us,histogram" help:"Request latency per endpoint in microseconds."`
 }
 
-// MetricsResponse is the /metrics wire format: the cache counters and
-// the aggregated optimizer enumeration counters (candidates evaluated,
-// branch-and-bound pruned, memo hits/misses across every per-machine
-// optimizer) next to per-endpoint request/latency counters.
+// MetricsResponse is the /metrics snapshot, taken once per scrape with
+// each source read once. Its json tags shape the JSON document and its
+// prom tags the Prometheus exposition (obs.WriteProm), so adding a metric
+// is adding one tagged field.
 type MetricsResponse struct {
-	Cache     plancache.Stats `json:"cache"`
-	Optimizer optimize.Stats  `json:"optimizer"`
+	Cache plancache.Stats `json:"cache"`
+	// Optimizer's replay counters reach the Prometheus form through
+	// Replay, which adds the /v1/cost replays to them.
+	Optimizer optimize.Stats `json:"optimizer"`
 	// Replay says how simnet priced the phases of every replay this
 	// daemon ran, the optimizers' and /v1/cost's together.
 	Replay ReplayMetrics `json:"replay"`
-	// Topology is the process-wide fabric handle table: how many specs
-	// resolved to a resident handle, how many were parsed, and what the
-	// degraded fabrics' one-time derivations cost.
-	Topology topology.TableStats `json:"topology"`
-	Faults   FaultMetrics        `json:"faults"`
-	Panics   int64               `json:"panics_total"`
-	// Shed counts requests refused with 503 because the local build
-	// concurrency bound was exhausted; EarlyAborts counts requests whose
-	// client disconnected before the answer was built (499).
-	Shed        int64 `json:"shed_total"`
-	EarlyAborts int64 `json:"early_aborts_total"`
-	// Cluster carries peer-layer counters and per-peer up/breaker state;
-	// absent on a standalone daemon so the standalone wire format is
-	// unchanged.
+	// Topology is the process-wide fabric handle table.
+	Topology    topology.TableStats `json:"topology"`
+	Faults      FaultMetrics        `json:"faults"`
+	Panics      int64               `json:"panics_total" prom:"pland_panics_total,counter" help:"Recovered handler panics."`
+	Shed        int64               `json:"shed_total" prom:"pland_shed_total,counter" help:"Requests refused with 503 for build overload."`
+	EarlyAborts int64               `json:"early_aborts_total" prom:"pland_early_aborts_total,counter" help:"Requests whose client disconnected first."`
+	// TracesCommitted is /debug/traces' committed_total; the JSON form
+	// predates it and leaves it there.
+	TracesCommitted int64 `json:"-" prom:"pland_traces_committed_total,counter" help:"Request traces committed to the debug ring."`
+	// Cluster is absent on a standalone daemon, so the standalone wire
+	// format is unchanged.
 	Cluster   *cluster.Metrics           `json:"cluster,omitempty"`
-	Endpoints map[string]EndpointMetrics `json:"endpoints"`
-	// Stages carries per-stage latency histograms (build, optimizer,
-	// replay, peer_fetch, cache, …) aggregated from trace spans; absent
-	// until the first traced request exercises a stage.
-	Stages map[string]obs.HistSnapshot `json:"stages,omitempty"`
+	Endpoints map[string]EndpointMetrics `json:"endpoints" prom:"endpoint"`
+	// Stages are the trace spans' per-stage latency histograms, absent
+	// until a traced request exercises a stage. The JSON form drops their
+	// buckets to keep the document compact.
+	Stages map[string]obs.HistSnapshot `json:"stages,omitempty" prom:"pland_stage_duration_us,histogram,stage" help:"Traced stage latency in microseconds."`
 }
 
 // ReplayMetrics counts replayed phases by how they were priced — in
@@ -784,71 +773,79 @@ type MetricsResponse struct {
 // first such phase was declined, and the replays an optimizer abandoned
 // at their cutoff.
 type ReplayMetrics struct {
-	PhasesClosedForm int64            `json:"phases_closed_form"`
-	PhasesEngine     int64            `json:"phases_engine"`
-	Certificates     int64            `json:"certificates"`
-	Aborted          int64            `json:"aborted"`
-	Declines         map[string]int64 `json:"declines,omitempty"`
+	PhasesClosedForm int64            `json:"phases_closed_form" prom:"pland_replay_phases_total,counter,mode=closed_form" help:"Replayed phases by pricing mode: closed form under a lockstep certificate, or the event engine."`
+	PhasesEngine     int64            `json:"phases_engine" prom:"pland_replay_phases_total,counter,mode=engine" help:"Replayed phases by pricing mode: closed form under a lockstep certificate, or the event engine."`
+	Certificates     int64            `json:"certificates" prom:"pland_replay_certificates_total,counter" help:"Phase certificate passes run (at most one per topology and phase field)."`
+	Aborted          int64            `json:"aborted" prom:"pland_replay_aborted_total,counter" help:"Replays abandoned at their cutoff: the candidate was proven to lose before its replay finished."`
+	Declines         map[string]int64 `json:"declines,omitempty" prom:"pland_replay_declines_total,counter,reason" help:"Replays with an engine-run phase, by why the first such phase was not priced in closed form."`
 }
 
-func (s *Server) replayMetrics() ReplayMetrics {
-	st := s.cache.OptimizerStats()
-	s.costReplays.AddTo(&st)
-	return ReplayMetrics{
-		PhasesClosedForm: st.PhasesClosedForm,
-		PhasesEngine:     st.PhasesEngine,
-		Certificates:     st.Certificates,
-		Aborted:          st.ReplaysAborted,
-		Declines:         st.Declines,
-	}
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) int {
-	if r.URL.Query().Get("format") == "prometheus" {
-		return s.writePrometheus(w)
-	}
-	resp := MetricsResponse{
-		Cache:       s.cache.Stats(),
-		Optimizer:   s.cache.OptimizerStats(),
-		Replay:      s.replayMetrics(),
-		Topology:    topology.ResolveStats(),
-		Faults:      s.faultMetrics(),
-		Panics:      s.panics.Load(),
-		Shed:        s.shed.Load(),
-		EarlyAborts: s.earlyAborts.Load(),
-		Endpoints:   make(map[string]EndpointMetrics),
+// metrics takes the snapshot both /metrics forms render.
+func (s *Server) metrics() MetricsResponse {
+	opt := s.cache.OptimizerStats()
+	var all optimize.Stats
+	all.Add(opt)
+	s.costReplays.AddTo(&all)
+	m := MetricsResponse{
+		Cache:     s.cache.Stats(),
+		Optimizer: opt,
+		Replay: ReplayMetrics{
+			PhasesClosedForm: all.PhasesClosedForm,
+			PhasesEngine:     all.PhasesEngine,
+			Certificates:     all.Certificates,
+			Aborted:          all.ReplaysAborted,
+			Declines:         all.Declines,
+		},
+		Topology:        topology.ResolveStats(),
+		Faults:          s.faultMetrics(),
+		Panics:          s.panics.Load(),
+		Shed:            s.shed.Load(),
+		EarlyAborts:     s.earlyAborts.Load(),
+		TracesCommitted: s.cfg.Tracer.Committed(),
+		Endpoints:       make(map[string]EndpointMetrics),
+		Stages:          s.cfg.Tracer.StageStats(),
 	}
 	if s.cfg.Cluster != nil {
-		m := s.cfg.Cluster.Metrics()
-		resp.Cluster = &m
+		cm := s.cfg.Cluster.Metrics()
+		m.Cluster = &cm
 	}
 	s.mu.Lock()
 	for name, st := range s.stats {
-		resp.Endpoints[name] = st.metrics()
+		m.Endpoints[name] = st.metrics()
 	}
 	s.mu.Unlock()
-	if stages := s.cfg.Tracer.StageStats(); len(stages) > 0 {
-		resp.Stages = make(map[string]obs.HistSnapshot, len(stages))
-		for name, snap := range stages {
-			snap.Buckets = nil // quantiles only; buckets live on the Prometheus form
-			resp.Stages[name] = snap
-		}
-	}
-	return writeJSON(w, http.StatusOK, resp)
+	return m
 }
 
-// metrics renders one endpoint's counters for the JSON /metrics form.
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) int {
+	m := s.metrics()
+	if r.URL.Query().Get("format") == "prometheus" {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		w.WriteHeader(http.StatusOK)
+		// The status is sent: a write error means the scraper left, and a
+		// declaration error is a bug TestEveryMetricDeclared catches.
+		_ = obs.WriteProm(w, &m)
+		return http.StatusOK
+	}
+	for name, snap := range m.Stages {
+		snap.Buckets = nil
+		m.Stages[name] = snap
+	}
+	return writeJSON(w, http.StatusOK, m)
+}
+
 func (st *endpointStats) metrics() EndpointMetrics {
 	snap := st.hist.Snapshot()
 	m := EndpointMetrics{
-		Count:    st.count.Load(),
+		Count:    snap.Count,
 		Errors:   st.errors.Load(),
-		TotalUS:  st.totalUS.Load(),
-		MaxUS:    st.maxUS.Load(),
+		TotalUS:  snap.SumUS,
+		MaxUS:    snap.MaxUS,
 		P50US:    snap.P50US,
 		P90US:    snap.P90US,
 		P99US:    snap.P99US,
 		Inflight: st.inflight.Load(),
+		Latency:  snap,
 	}
 	if m.Count > 0 {
 		m.MeanUS = float64(m.TotalUS) / float64(m.Count)

@@ -91,17 +91,13 @@ func Resolve(spec string) (Network, error) {
 // TableStats is a snapshot of the handle table's counters, in the wire
 // form the serving tier's /metrics carries.
 type TableStats struct {
-	// Handles is the number of resident fabrics.
-	Handles int `json:"handles"`
-	// Hits, Misses and Evictions count Resolve calls answered from the
-	// table, calls that parsed their spec, and handles dropped for room.
-	Hits      int64 `json:"resolve_hits_total"`
-	Misses    int64 `json:"resolve_misses_total"`
-	Evictions int64 `json:"resolve_evictions_total"`
-	// Derivations counts the overlays — resolved or built directly — whose
-	// live-graph facts were derived, DeriveMicros the time that took.
-	Derivations  int64 `json:"derivations_total"`
-	DeriveMicros int64 `json:"derive_us_total"`
+	Handles   int   `json:"handles" prom:"pland_topology_handles,gauge" help:"Fabrics resident in the shared handle table."`
+	Hits      int64 `json:"resolve_hits_total" prom:"pland_topology_resolve_hits_total,counter" help:"Topology specs answered by a resident handle."`
+	Misses    int64 `json:"resolve_misses_total" prom:"pland_topology_resolve_misses_total,counter" help:"Topology specs that had to be parsed."`
+	Evictions int64 `json:"resolve_evictions_total" prom:"pland_topology_resolve_evictions_total,counter" help:"Handles dropped to keep the table within its bound."`
+	// Derivations counts overlays resolved or built directly.
+	Derivations  int64 `json:"derivations_total" prom:"pland_topology_derivations_total,counter" help:"Degraded overlays whose live-graph facts were derived."`
+	DeriveMicros int64 `json:"derive_us_total" prom:"pland_topology_derive_us_total,counter" help:"Microseconds spent in those derivations."`
 }
 
 // ResolveStats returns the handle table's counters.
