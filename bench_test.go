@@ -637,27 +637,6 @@ func BenchmarkBuildTableAnalytic(b *testing.B) {
 	}
 }
 
-// BenchmarkBestOnCached is the optimizer's answer to a (topology, m) it
-// has already enumerated — what a repeated BestOn (a simulated sweep point
-// revisited, a CLI asking again) costs: one map lookup, nothing validated
-// again, nothing allocated.
-func BenchmarkBestOnCached(b *testing.B) {
-	net := topology.MustParseSpec("torus-4x4x4")
-	opt := optimize.New(model.IPSC860())
-	for m := 0; m < 256; m++ {
-		if _, err := opt.BestOn(net, m); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := opt.BestOn(net, i&255); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkPlanCacheHitTorus pins the serving hot path under a topology
 // key: a resident torus line must answer with the same O(1) lookup as
 // the hypercube line.

@@ -31,7 +31,9 @@
 //
 // The optimizer (internal/optimize) keeps that enumeration interactive
 // at scale: per-(field, m) phase costs and compiled trace fragments are
-// memoized across candidates and block-size sweeps, an admissible
+// memoized across the candidates and block-size sweep of one call, the
+// per-fabric facts they lean on (phase certificates, routed-distance sums)
+// are derived once per topology handle and kept there, an admissible
 // analytic lower bound (model.PhaseLowerBoundOn) prunes provable losers
 // branch-and-bound style, and surviving candidates are costed in
 // parallel on a bounded worker pool with deterministic tie-breaking —

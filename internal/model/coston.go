@@ -2,7 +2,6 @@ package model
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/partition"
 	"repro/internal/topology"
@@ -16,15 +15,22 @@ import (
 // w·2^(w−1), exactly eq. (3); on mixed-radix groups the steps are cyclic
 // field shifts and the distance term is the sum over steps of the
 // worst-case routed distance within a sub-block, computed once per
-// (topology, field) and memoized.
+// (topology handle, field) and kept with the handle.
 
-// shiftDistKey memoizes phaseDistTotal per (topology name, field).
-type shiftDistKey struct {
-	name  string
+// fieldKey names one fact this package derives per dimension field of a
+// topology and keeps with the topology handle (topology.Derived).
+type fieldKey struct {
+	fact  fieldFact
 	lo, w int
 }
 
-var shiftDistMemo sync.Map // shiftDistKey -> float64
+type fieldFact uint8
+
+const (
+	shiftDist     fieldFact = iota // phaseDistTotal
+	shiftLB                        // maxNodeShiftDist
+	degradedPhase                  // phaseMetricsDegraded
+)
 
 // exactShiftDistSpan bounds the field span for which the worst-case
 // shift distances are computed by exact O(span²) enumeration. Larger
@@ -56,28 +62,25 @@ func phaseDistTotal(net topology.Network, lo, w int) float64 {
 	if xor {
 		return float64(w) * float64(span/2)
 	}
-	key := shiftDistKey{name: net.Name(), lo: lo, w: w}
-	if v, ok := shiftDistMemo.Load(key); ok {
-		return v.(float64)
-	}
-	var total float64
-	if span <= exactShiftDistSpan {
-		// Distances between nodes differing only inside the field are
-		// field-local, so the sub-block anchored at label 0 is
-		// representative: node(f) = f·stride. (Faults break this
-		// symmetry; degraded phases are priced by phaseMetricsDegraded,
-		// never here.)
-		stride := net.Stride(lo)
-		for j := 1; j < span; j++ {
-			maxDist := 0
-			for f := 0; f < span; f++ {
-				if d := net.Distance(f*stride, ((f+j)%span)*stride); d > maxDist {
-					maxDist = d
+	return topology.Derived(net, fieldKey{shiftDist, lo, w}, func() (total float64) {
+		if span <= exactShiftDistSpan {
+			// Distances between nodes differing only inside the field are
+			// field-local, so the sub-block anchored at label 0 is
+			// representative: node(f) = f·stride. (Faults break this
+			// symmetry; degraded phases are priced by phaseMetricsDegraded,
+			// never here.)
+			stride := net.Stride(lo)
+			for j := 1; j < span; j++ {
+				maxDist := 0
+				for f := 0; f < span; f++ {
+					if d := net.Distance(f*stride, ((f+j)%span)*stride); d > maxDist {
+						maxDist = d
+					}
 				}
+				total += float64(maxDist)
 			}
-			total += float64(maxDist)
+			return total
 		}
-	} else {
 		// Torus fields wrap; any other shape is priced with the
 		// open-boundary max(w, r−w), the pessimistic upper bound. A
 		// healthy Degraded overlay wraps exactly like its base.
@@ -98,9 +101,8 @@ func phaseDistTotal(net topology.Network, lo, w int) float64 {
 			}
 			total += float64(span/r)*float64(sum) - float64(zero)
 		}
-	}
-	shiftDistMemo.Store(key, total)
-	return total
+		return total
+	})
 }
 
 // digitShiftMax returns the worst-case routed distance of one dimension
@@ -129,15 +131,21 @@ func digitShiftMax(r, v int, wrap bool) int {
 }
 
 // degradedPhaseMetrics carries the params-independent per-step worst
-// cases of one phase on one faulty overlay: dist[j-1] is the worst
-// fault-aware routed distance of step j, slow[j-1] the worst per-wire
-// speed factor among step j's routes.
+// cases of one phase on one faulty overlay: step j (1 ≤ j ≤ steps) has the
+// worst fault-aware routed distance dist[j-1] and the worst per-wire speed
+// factor slow[j-1] among its routes — or, when the phase was priced by the
+// fallback, every step has the one pair dist[0], slow[0].
 type degradedPhaseMetrics struct {
-	dist []float64
-	slow []float64
+	steps      int // span − 1
+	dist, slow []float64
+	err        error
 }
 
-var degradedPhaseMemo sync.Map // shiftDistKey -> *degradedPhaseMetrics
+// at returns step i+1's worst distance and slow factor.
+func (pm *degradedPhaseMetrics) at(i int) (dist, slow float64) {
+	i = min(i, len(pm.dist)-1) // a fallback's one pair stands for every step
+	return pm.dist[i], pm.slow[i]
+}
 
 // degradedExactWork bounds the route enumerations (nodes × steps) spent
 // computing exact degraded phase metrics; beyond it the phase is priced
@@ -146,22 +154,29 @@ var degradedPhaseMemo sync.Map // shiftDistKey -> *degradedPhaseMetrics
 // attacker-chosen span.
 const degradedExactWork = 1 << 22
 
-// phaseMetricsDegraded computes the per-step metrics of the phase over
-// [lo, lo+w) on a faulty overlay. Faults break the sub-block symmetry
-// the healthy closed forms rely on (the XOR uniform distance and the
-// block-0 representative), so every sub-block is enumerated with the
-// actual step family — XOR pairing f^j on all-radix-2 fields, cyclic
-// shifts f+j elsewhere — through fault-aware routing. Past the work cap
-// the fallback charges the healthy distance total plus a two-hop detour
-// allowance per dead wire per step, at the overlay's worst slow factor.
+// phaseMetricsDegraded returns the per-step metrics of the phase over
+// [lo, lo+w) on a faulty overlay, derived once per overlay handle.
 func phaseMetricsDegraded(d *topology.Degraded, lo, w int) (*degradedPhaseMetrics, error) {
-	key := shiftDistKey{name: d.Name(), lo: lo, w: w}
-	if v, ok := degradedPhaseMemo.Load(key); ok {
-		return v.(*degradedPhaseMetrics), nil
-	}
+	pm := topology.Derived(d, fieldKey{degradedPhase, lo, w}, func() *degradedPhaseMetrics {
+		pm := new(degradedPhaseMetrics)
+		pm.err = pm.derive(d, lo, w)
+		return pm
+	})
+	return pm, pm.err
+}
+
+// derive fills pm for the phase over [lo, lo+w) of d. Faults break the
+// sub-block symmetry the healthy closed forms rely on (the XOR uniform
+// distance and the block-0 representative), so every sub-block is
+// enumerated with the actual step family — XOR pairing f^j on all-radix-2
+// fields, cyclic shifts f+j elsewhere — through fault-aware routing. Past
+// the work cap the fallback charges every step the healthy distance
+// total's share plus a two-hop detour allowance per dead wire, at the
+// overlay's worst slow factor: one pair, stored once.
+func (pm *degradedPhaseMetrics) derive(d *topology.Degraded, lo, w int) error {
 	span, err := topology.SpanSize(d, lo, w)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	dims := d.Dims()
 	xor := true
@@ -170,52 +185,45 @@ func phaseMetricsDegraded(d *topology.Degraded, lo, w int) (*degradedPhaseMetric
 			xor = false
 		}
 	}
-	pm := &degradedPhaseMetrics{
-		dist: make([]float64, span-1),
-		slow: make([]float64, span-1),
-	}
+	pm.steps = span - 1
 	n := d.Nodes()
-	if uint64(n)*uint64(span-1) <= degradedExactWork {
-		blocks, err := topology.SubBlocks(d, lo, w)
-		if err != nil {
-			return nil, err
-		}
-		for j := 1; j < span; j++ {
-			maxDist, maxSlow := 0, 1.0
-			for _, block := range blocks {
-				for f, src := range block {
-					var dst int
-					if xor {
-						dst = block[f^j]
-					} else {
-						dst = block[(f+j)%span]
-					}
-					h, s, err := d.RouteMetrics(src, dst)
-					if err != nil {
-						return nil, err
-					}
-					if h > maxDist {
-						maxDist = h
-					}
-					if s > maxSlow {
-						maxSlow = s
-					}
+	if uint64(n)*uint64(span-1) > degradedExactWork {
+		total := phaseDistTotal(d.Base(), lo, w)
+		perStep := total/float64(span-1) + 2*float64(len(d.Faults().DeadLinks))
+		pm.dist, pm.slow = []float64{perStep}, []float64{d.MaxSlowFactor()}
+		return nil
+	}
+	blocks, err := topology.SubBlocks(d, lo, w)
+	if err != nil {
+		return err
+	}
+	pm.dist, pm.slow = make([]float64, span-1), make([]float64, span-1)
+	for j := 1; j < span; j++ {
+		maxDist, maxSlow := 0, 1.0
+		for _, block := range blocks {
+			for f, src := range block {
+				var dst int
+				if xor {
+					dst = block[f^j]
+				} else {
+					dst = block[(f+j)%span]
+				}
+				h, s, err := d.RouteMetrics(src, dst)
+				if err != nil {
+					return err
+				}
+				if h > maxDist {
+					maxDist = h
+				}
+				if s > maxSlow {
+					maxSlow = s
 				}
 			}
-			pm.dist[j-1] = float64(maxDist)
-			pm.slow[j-1] = maxSlow
 		}
-	} else {
-		total := phaseDistTotal(d.Base(), lo, w)
-		fs := d.Faults()
-		perStep := total/float64(span-1) + 2*float64(len(fs.DeadLinks))
-		for j := range pm.dist {
-			pm.dist[j] = perStep
-			pm.slow[j] = d.MaxSlowFactor()
-		}
+		pm.dist[j-1] = float64(maxDist)
+		pm.slow[j-1] = maxSlow
 	}
-	degradedPhaseMemo.Store(key, pm)
-	return pm, nil
+	return nil
 }
 
 // PhaseCostOn returns the modeled time in µs of one partial exchange
@@ -260,8 +268,9 @@ func (p Params) PhaseCostOn(net topology.Network, m, lo, w int) (float64, error)
 			return 0, err
 		}
 		t := 0.0
-		for i := range pm.dist {
-			t += (p.EffLambda() + p.EffTau()*mi + p.EffDelta()*pm.dist[i]) * pm.slow[i]
+		for i := 0; i < pm.steps; i++ {
+			dist, slow := pm.at(i)
+			t += (p.EffLambda() + p.EffTau()*mi + p.EffDelta()*dist) * slow
 		}
 		if span != n {
 			t += p.Rho * float64(m) * float64(n)
@@ -315,9 +324,10 @@ func (p Params) PhaseLineOn(net topology.Network, lo, w int) (slope, intercept f
 			return 0, 0, err
 		}
 		steps = 0
-		for i := range pm.dist {
-			steps += pm.slow[i]
-			intercept += (p.EffLambda() + p.EffDelta()*pm.dist[i]) * pm.slow[i]
+		for i := 0; i < pm.steps; i++ {
+			dist, slow := pm.at(i)
+			steps += slow
+			intercept += (p.EffLambda() + p.EffDelta()*dist) * slow
 		}
 	} else {
 		intercept = steps*p.EffLambda() + p.EffDelta()*phaseDistTotal(net, lo, w)

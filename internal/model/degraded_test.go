@@ -2,6 +2,7 @@ package model
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/topology"
@@ -111,5 +112,66 @@ func TestLowerBoundAdmissibleOnDegraded(t *testing.T) {
 					lo, lo+w, m, lb, cost)
 			}
 		}
+	}
+}
+
+// Past degradedExactWork a degraded phase is priced by the fallback: every
+// step charged one (distance, slow factor) pair, which is kept once, not
+// once per step. The sum still adds span−1 equal terms in step order, so
+// PhaseCostOn and PhaseLineOn are pinned to the bits they had when every
+// step kept its own copy: two fallback fields of a 65 536-node torus with a
+// dead and a slow wire, three block sizes, two machines.
+func TestDegradedFallbackBits(t *testing.T) {
+	net := topology.MustParseSpec("torus-256x256!dl=0-1!sl=2-3:2.5")
+	type row struct {
+		lo, w, m               int
+		cost, slope, intercept uint64
+	}
+	for _, tc := range []struct {
+		machine string
+		prm     Params
+		rows    []row
+	}{
+		{"ipsc860", IPSC860(), []row{
+			{0, 2, 0, 0x41bc16d4a2402b8e, 0x40ef84ff33333334, 0x41bc16d4a2402b8e},
+			{0, 2, 40, 0x41bc3e3ae1400bee, 0x40ef84ff33333334, 0x41bc16d4a2402b8e},
+			{0, 2, 512, 0x41be0f2495735161, 0x40ef84ff33333334, 0x41bc16d4a2402b8e},
+			{1, 1, 0, 0x412f2f9280000019, 0x40f856a3d70a3d71, 0x412f2f9280000019},
+			{1, 1, 40, 0x41531c18b6666674, 0x40f856a3d70a3d71, 0x412f2f9280000019},
+			{1, 1, 512, 0x4188d362210a3d60, 0x40f856a3d70a3d71, 0x412f2f9280000019},
+		}},
+		{"hypo", Hypothetical(), []row{
+			{0, 2, 0, 0x41bb89fd44002074, 0x4103ffec00000000, 0x41bb89fd44002074},
+			{0, 2, 40, 0x41bbedfce00020b3, 0x4103ffec00000000, 0x41bb89fd44002074},
+			{0, 2, 512, 0x41c044fc22000f73, 0x4103ffec00000000, 0x41bb89fd44002074},
+			{1, 1, 0, 0x412dab4fffffffeb, 0x410bec0000000000, 0x412dab4fffffffeb},
+			{1, 1, 40, 0x41634e34fffffff6, 0x410bec0000000000, 0x412dab4fffffffeb},
+			{1, 1, 512, 0x419c27569fffffe6, 0x410bec0000000000, 0x412dab4fffffffeb},
+		}},
+	} {
+		for _, r := range tc.rows {
+			if span, _ := topology.SpanSize(net, r.lo, r.w); uint64(net.Nodes())*uint64(span-1) <= degradedExactWork {
+				t.Fatalf("field [%d,%d) is priced exactly; the test needs the fallback", r.lo, r.lo+r.w)
+			}
+			cost, err := tc.prm.PhaseCostOn(net, r.m, r.lo, r.w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			slope, intercept, err := tc.prm.PhaseLineOn(net, r.lo, r.w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := [3]uint64{math.Float64bits(cost), math.Float64bits(slope), math.Float64bits(intercept)}; got != [3]uint64{r.cost, r.slope, r.intercept} {
+				t.Errorf("%s field [%d,%d) m=%d: cost, slope, intercept bits %#x, recorded %#x",
+					tc.machine, r.lo, r.lo+r.w, r.m, got, [3]uint64{r.cost, r.slope, r.intercept})
+			}
+		}
+	}
+	pm, err := phaseMetricsDegraded(net.(*topology.Degraded), 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pm.steps != 65535 || len(pm.dist) != 1 || len(pm.slow) != 1 {
+		t.Errorf("fallback keeps %d distances and %d slow factors for %d steps, want one pair", len(pm.dist), len(pm.slow), pm.steps)
 	}
 }

@@ -2,7 +2,6 @@ package model
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/topology"
 )
@@ -29,47 +28,30 @@ import (
 // candidate whose per-phase bounds already sum past the incumbent's
 // simulated time cannot win.
 
-// shiftLBKey memoizes maxNodeShiftDist per (topology name, field).
-type shiftLBKey struct {
-	name  string
-	lo, w int
-}
-
-var shiftLBMemo sync.Map // shiftLBKey -> float64
-
 // maxNodeShiftDist returns max_f Σ_{j=1}^{span−1} dist(f, (f+j) mod span)
 // over the dimension field [lo, lo+w): the total routed distance of the
-// busiest node's sends across a cyclic phase. Distances between nodes
-// differing only inside the field are sub-block-local, so the sub-block
-// anchored at label 0 is representative. Beyond exactShiftDistSpan the
-// O(span²) maximum is replaced by the f = 0 row sum — weaker, but still
-// admissible (the maximum dominates every single row).
+// busiest node's sends across a cyclic phase, kept with the topology
+// handle. Distances between nodes differing only inside the field are
+// sub-block-local, so the sub-block anchored at label 0 is representative.
+// Beyond exactShiftDistSpan the O(span²) maximum is replaced by the f = 0
+// row sum — weaker, but still admissible (the maximum dominates every
+// single row).
 func maxNodeShiftDist(net topology.Network, lo, w, span int) float64 {
-	key := shiftLBKey{name: net.Name(), lo: lo, w: w}
-	if v, ok := shiftLBMemo.Load(key); ok {
-		return v.(float64)
-	}
-	stride := net.Stride(lo)
-	var total float64
-	if span <= exactShiftDistSpan {
-		for f := 0; f < span; f++ {
+	return topology.Derived(net, fieldKey{shiftLB, lo, w}, func() (total float64) {
+		stride := net.Stride(lo)
+		rows := span // every row f of the sub-block, or only f = 0
+		if span > exactShiftDistSpan {
+			rows = 1
+		}
+		for f := 0; f < rows; f++ {
 			sum := 0
 			for j := 1; j < span; j++ {
 				sum += net.Distance(f*stride, ((f+j)%span)*stride)
 			}
-			if s := float64(sum); s > total {
-				total = s
-			}
+			total = max(total, float64(sum))
 		}
-	} else {
-		sum := 0
-		for j := 1; j < span; j++ {
-			sum += net.Distance(0, j*stride)
-		}
-		total = float64(sum)
-	}
-	shiftLBMemo.Store(key, total)
-	return total
+		return total
+	})
 }
 
 // PhaseLowerBoundOn returns an admissible lower bound in µs on the

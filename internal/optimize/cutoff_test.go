@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/model"
-	"repro/internal/simnet"
 	"repro/internal/topology"
 )
 
@@ -35,9 +34,9 @@ var (
 )
 
 // sweepChoices sweeps pland's block-size range on o — at pland's step
-// under -wide, at twice that otherwise — and returns the table and every
-// point's Choice.
-func sweepChoices(t *testing.T, o *Optimizer, net topology.Network) (Table, []Choice) {
+// under -wide, at twice that otherwise — and returns the table and, when
+// asked for, every point's Choice.
+func sweepChoices(t *testing.T, o *Optimizer, net topology.Network, withChoices bool) (Table, []Choice) {
 	t.Helper()
 	const lo, hi = 0, 256
 	step := 32
@@ -49,8 +48,8 @@ func sweepChoices(t *testing.T, o *Optimizer, net topology.Network) (Table, []Ch
 		t.Fatalf("%s: %v", net.Name(), err)
 	}
 	var choices []Choice
-	for m := lo; m <= hi; m += step {
-		c, err := o.BestOn(net, m) // from the choice cache
+	for m := lo; withChoices && m <= hi; m += step {
+		c, err := o.BestOn(net, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,8 +61,8 @@ func sweepChoices(t *testing.T, o *Optimizer, net topology.Network) (Table, []Ch
 // The tentpole invariant: costing under a cutoff, sweep points dealt to
 // any number of workers, returns the table — and at every point the
 // Choice, TimeMicro to the bit — that exhaustive serial enumeration does.
-// A second pass over the same optimizers' phase memos (choice cache
-// dropped) answers from exact and bound entries and must agree too.
+// Every setting's table is compared; the points' Choices are re-enumerated
+// and compared at one pruned setting, two workers.
 func TestCutoffPrunedEqualsExhaustive(t *testing.T) {
 	machines := []struct {
 		name string
@@ -79,7 +78,7 @@ func TestCutoffPrunedEqualsExhaustive(t *testing.T) {
 			oracle := NewSimulated(mc.prm)
 			oracle.SetExhaustive(true)
 			oracle.SetWorkers(1)
-			wantTable, want := sweepChoices(t, oracle, net)
+			wantTable, want := sweepChoices(t, oracle, net, true)
 			if st := oracle.Stats(); st.ReplaysAborted != 0 || st.Pruned != 0 {
 				t.Fatalf("%s %s: the exhaustive oracle aborted %d replays and pruned %d candidates",
 					spec, mc.name, st.ReplaysAborted, st.Pruned)
@@ -90,22 +89,17 @@ func TestCutoffPrunedEqualsExhaustive(t *testing.T) {
 				prev := runtime.GOMAXPROCS(max(workers, runtime.GOMAXPROCS(0)))
 				o := NewSimulated(mc.prm)
 				o.SetWorkers(workers)
-				for pass := 0; pass < 2; pass++ {
-					label := fmt.Sprintf("%s %s workers=%d pass %d", spec, mc.name, workers, pass)
-					gotTable, got := sweepChoices(t, o, net)
-					if !reflect.DeepEqual(gotTable, wantTable) {
-						t.Errorf("%s: table %+v, exhaustive %+v", label, gotTable, wantTable)
+				label := fmt.Sprintf("%s %s workers=%d", spec, mc.name, workers)
+				gotTable, got := sweepChoices(t, o, net, workers == 2)
+				if !reflect.DeepEqual(gotTable, wantTable) {
+					t.Errorf("%s: table %+v, exhaustive %+v", label, gotTable, wantTable)
+				}
+				for i := range got {
+					if !got[i].Part.Equal(want[i].Part) ||
+						math.Float64bits(got[i].TimeMicro) != math.Float64bits(want[i].TimeMicro) {
+						t.Errorf("%s m=%d: %v/%v µs, exhaustive %v/%v µs", label, want[i].Block,
+							got[i].Part, got[i].TimeMicro, want[i].Part, want[i].TimeMicro)
 					}
-					for i := range want {
-						if !got[i].Part.Equal(want[i].Part) ||
-							math.Float64bits(got[i].TimeMicro) != math.Float64bits(want[i].TimeMicro) {
-							t.Errorf("%s m=%d: %v/%v µs, exhaustive %v/%v µs", label, want[i].Block,
-								got[i].Part, got[i].TimeMicro, want[i].Part, want[i].TimeMicro)
-						}
-					}
-					o.mu.Lock()
-					clear(o.cache) // the next pass enumerates again, over the phase memo as it stands
-					o.mu.Unlock()
 				}
 				runtime.GOMAXPROCS(prev)
 			}
@@ -121,7 +115,7 @@ func TestBoundEntryUpgrades(t *testing.T) {
 	prm := model.IPSC860()
 	net := topology.MustParseSpec("mesh-2x3x4x2")
 	o := NewSimulated(prm)
-	sim := simnet.New(net, prm)
+	ev := o.newEvaluation(net)
 	es, err := enumFor(net)
 	if err != nil {
 		t.Fatal(err)
@@ -136,26 +130,26 @@ func TestBoundEntryUpgrades(t *testing.T) {
 		}
 	}
 	ctx := context.Background()
-	exact, _, err := NewSimulated(prm).candidateCost(ctx, sim, net, m, es.parts[whole], es.fields[whole], nil, math.Inf(1))
+	exact, _, err := NewSimulated(prm).newEvaluation(net).candidateCost(ctx, m, es.parts[whole], es.fields[whole], nil, math.Inf(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	lb := make([]float64, 1)
-	if _, err := o.candidateBound(net, m, es.fields[whole], lb); err != nil {
+	if _, err := ev.candidateBound(m, es.fields[whole], lb); err != nil {
 		t.Fatal(err)
 	}
 	if !(lb[0] < exact) {
 		t.Fatalf("bound %v not below the exact cost %v: the test needs room between them", lb[0], exact)
 	}
-	k := phaseKey{topo: net.Name(), lo: es.fields[whole][0][0], w: es.fields[whole][0][1], m: m}
+	k := phaseKey{lo: es.fields[whole][0][0], w: es.fields[whole][0][1], m: m}
 	entry := func() (float64, bool) {
-		e := o.simPhases.m[k]
+		e := ev.simPhases.m[k]
 		return e.val, e.exact
 	}
 
 	// A tight limit between bound and cost: the replay runs and is aborted.
 	tight := (lb[0] + exact) / 2
-	if _, fits, err := o.candidateCost(ctx, sim, net, m, es.parts[whole], es.fields[whole], lb, tight); err != nil || fits {
+	if _, fits, err := ev.candidateCost(ctx, m, es.parts[whole], es.fields[whole], lb, tight); err != nil || fits {
 		t.Fatalf("under limit %v: fits=%v err=%v, want a pruned candidate", tight, fits, err)
 	}
 	st := o.Stats()
@@ -166,7 +160,7 @@ func TestBoundEntryUpgrades(t *testing.T) {
 		t.Fatalf("entry after the abort: %v exact=%v, want the bound %v", v, isExact, tight)
 	}
 	// A lower limit is answered by the bound entry: no replay.
-	if _, fits, _ := o.candidateCost(ctx, sim, net, m, es.parts[whole], es.fields[whole], lb, (lb[0]+tight)/2); fits {
+	if _, fits, _ := ev.candidateCost(ctx, m, es.parts[whole], es.fields[whole], lb, (lb[0]+tight)/2); fits {
 		t.Fatal("a bound entry was returned as a cost")
 	}
 	if st := o.Stats(); st.ReplaysAborted != 1 || st.ReplaysSerial+st.ReplaysSharded != 0 {
@@ -174,14 +168,14 @@ func TestBoundEntryUpgrades(t *testing.T) {
 	}
 	// A looser limit, still short of the cost: replayed again, bound raised.
 	looser := (tight + exact) / 2
-	if _, fits, _ := o.candidateCost(ctx, sim, net, m, es.parts[whole], es.fields[whole], lb, looser); fits {
+	if _, fits, _ := ev.candidateCost(ctx, m, es.parts[whole], es.fields[whole], lb, looser); fits {
 		t.Fatal("a bound entry was returned as a cost")
 	}
 	if v, isExact := entry(); isExact || v != looser {
 		t.Fatalf("entry after the second abort: %v exact=%v, want the bound %v", v, isExact, looser)
 	}
 	// A limit above the cost: replayed to the end, exact from now on.
-	got, fits, err := o.candidateCost(ctx, sim, net, m, es.parts[whole], es.fields[whole], lb, 2*exact)
+	got, fits, err := ev.candidateCost(ctx, m, es.parts[whole], es.fields[whole], lb, 2*exact)
 	if err != nil || !fits || math.Float64bits(got) != math.Float64bits(exact) {
 		t.Fatalf("under a loose limit: %v fits=%v err=%v, want the exact %v", got, fits, err, exact)
 	}
@@ -193,15 +187,16 @@ func TestBoundEntryUpgrades(t *testing.T) {
 		t.Fatalf("replay counts after the upgrade: %+v", st)
 	}
 	// An exact entry above the limit prunes without a replay.
-	if _, fits, _ := o.candidateCost(ctx, sim, net, m, es.parts[whole], es.fields[whole], lb, tight); fits {
+	if _, fits, _ := ev.candidateCost(ctx, m, es.parts[whole], es.fields[whole], lb, tight); fits {
 		t.Fatal("an exact cost above the limit was accepted")
 	}
 	if after := o.Stats(); after.ReplaysAborted != 2 || after.ReplaysSerial+after.ReplaysSharded != 1 {
 		t.Fatalf("an exact entry replayed again: %+v", after)
 	}
 
-	// The same through the public surface: whatever was aborted on the way,
-	// the sweep over the shared fields equals the exhaustive one.
+	// The same through the public surface: the sweep's own evaluation aborts
+	// and upgrades entries of the shared fields, and its table equals the
+	// exhaustive one.
 	oracle := NewSimulated(prm)
 	oracle.SetExhaustive(true)
 	want, err := oracle.BuildTableOnCtx(context.Background(), net, 0, 256, 16)
@@ -233,7 +228,7 @@ func TestSweepWorkersOneIsSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := o.Stats()
-		st.Certificates = 0 // a process-wide cache: only the first run can pay
+		st.Certificates = 0 // kept with net's handle: only the first run can pay
 		if run == 0 {
 			first = st
 			if st.ReplaysAborted == 0 || st.PrunedByCutoff == 0 || st.Evaluated+st.Pruned == 0 {

@@ -1,8 +1,8 @@
 // Package optimize selects the best multiphase partition for a given cube
 // dimension and block size (paper §6): it enumerates all p(d) partitions
 // of d — a "trivial number" even for large cubes (p(10)=42, p(20)=627) —
-// evaluates each against the machine model, and caches the winning plan
-// for repeated use.
+// evaluates each against the machine model, and returns the winner, which
+// package plancache stores for repeated use.
 //
 // Two evaluation backends are available: the closed-form analytic model
 // (fast, used by default, mirrors §4.3/§7.4) and network simulation
@@ -36,11 +36,11 @@
 // costs a candidate it can prove is a loser:
 //
 //   - Memoization. Candidates share almost all of their structure — the
-//     same (dimension field, m) phase appears in many groupings — so the
-//     optimizer keeps per-Optimizer compute-once caches of per-(field, m)
-//     compiled trace-fragment makespans. A candidate's screening cost is
-//     the sum of its phases' memoized values; BestOn and BuildTableOnCtx
-//     sweeps reuse phase work across candidates and across the m-sweep.
+//     same (dimension field, m) phase appears in many groupings — so each
+//     BestOn or BuildTableOnCtx call keeps a compute-once memo of
+//     per-(field, m) compiled trace-fragment makespans. A candidate's
+//     screening cost is the sum of its phases' memoized values; a table
+//     sweep reuses phase work across candidates and across the m-sweep.
 //     Barriers serialize phases, so in real arithmetic the fragment-sum
 //     equals the whole-plan makespan exactly; in contended cyclic phases
 //     float tie-breaking of link acquisitions can shift it by a small
@@ -91,10 +91,13 @@
 //     SetExhaustive(true) disables pruning, cutoffs and best-first
 //     ordering for equivalence testing.
 //
-// Concurrent BestOn calls on the same uncached key share one evaluation:
-// in-flight de-duplication prevents a cache stampede from running the
-// full enumeration once per caller, and concurrent identical table
-// sweeps share one build.
+// The optimizer keeps no answers and no memo between calls: the phase memo
+// lives for one BestOn or BuildTableOnCtx call, shared by that call's
+// workers and dropped when it returns, and the per-fabric facts costing
+// leans on — phase certificates, routed-distance sums — are kept with the
+// topology handle (topology.Derived). The result worth keeping is the
+// caller's: plancache stores one hull table per (machine, topology) and
+// builds each one once.
 package optimize
 
 import (
@@ -164,17 +167,11 @@ type Choice struct {
 	Backend   Backend
 }
 
-// key identifies one cached choice.
-type key struct {
-	topo string
-	m    int
-}
-
 // Stats is a snapshot of the optimizer's evaluation counters. Evaluations
-// counts full enumerations (cache hits and singleflight followers do not
-// move it): one per BestOn miss, and on the analytic backend one per table
-// build — an envelope is a single enumeration, however many block sizes
-// the table covers. Evaluated and Pruned partition the candidates those
+// counts full enumerations: one per BestOn call or simulated sweep point,
+// and on the analytic backend one per table build — an envelope is a
+// single enumeration, however many block sizes the table covers.
+// Evaluated and Pruned partition the candidates those
 // enumerations dequeued into costed in full and proven to lose first (an
 // analytic enumeration costs every candidate: its line, or its cost at
 // one m). MemoHits and MemoMisses count the simulated backend's phase-level
@@ -211,8 +208,7 @@ type Stats struct {
 	// with an engine-run phase, the reason its first such phase was
 	// declined (simnet.Result.DeclineReason). Certificates counts the
 	// certificate passes these replays ran themselves — at most one per
-	// (topology, phase field) per process, whichever optimizer gets there
-	// first.
+	// (topology handle, phase field), whichever optimizer gets there first.
 	PhasesClosedForm int64            `json:"phases_closed_form" prom:"-"`
 	PhasesEngine     int64            `json:"phases_engine" prom:"-"`
 	Certificates     int64            `json:"certificates" prom:"-"`
@@ -325,13 +321,13 @@ func (c *ReplayCounter) AddTo(s *Stats) {
 	s.Add(t)
 }
 
-// Optimizer enumerates dimension groupings for one machine parameter set
-// and caches results per (topology, m). It is safe for concurrent use;
-// concurrent queries for the same uncached key share a single evaluation.
+// Optimizer enumerates dimension groupings for one machine parameter set.
+// It is safe for concurrent use and keeps no answers: every BestOn and
+// BuildTableOnCtx call enumerates, and only its counters outlive it.
 type Optimizer struct {
 	params  model.Params
 	backend Backend
-	evals   atomic.Int64 // evaluateAll invocations, for stampede tests
+	evals   atomic.Int64 // enumerations run
 
 	workers      atomic.Int32 // SetWorkers; ≤ 0 selects the default
 	replayShards atomic.Int32 // SetReplayShards; ≤ 1 keeps replays serial
@@ -343,45 +339,32 @@ type Optimizer struct {
 	memoHits       atomic.Int64
 	memoMisses     atomic.Int64
 	replays        ReplayCounter
-
-	simPhases   simMemo   // (field, m) -> fragment replay makespan, or a value it exceeds
-	boundPhases memoTable // (field, m) -> admissible lower bound
-
-	mu     sync.Mutex
-	cache  map[key]Choice
-	flight map[key]*inflight
-
-	tableMu     sync.Mutex
-	tableFlight map[tableKey]*tableFlight
 }
 
-// inflight is one evaluation in progress; latecomers for the same key
-// wait on done instead of re-running the enumeration.
-type inflight struct {
-	done chan struct{}
-	c    Choice
-	err  error
+// evaluation is one BestOn or BuildTableOnCtx call on one topology: the
+// fabric its replays run on and the phase memos its workers share. The
+// call creates it and drops it when it returns.
+type evaluation struct {
+	*Optimizer
+	topo        topology.Network
+	net         *simnet.Network // the simulated backend's replay fabric
+	simPhases   simMemo         // (field, m) -> fragment replay makespan, or a value it exceeds
+	boundPhases memoTable       // (field, m) -> admissible lower bound
 }
 
-// tableKey identifies one table sweep; tableFlight deduplicates
-// concurrent identical sweeps into a single build instead of one
-// singleflight rendezvous per swept point per caller.
-type tableKey struct {
-	topo         string
-	lo, hi, step int
+func (o *Optimizer) newEvaluation(topo topology.Network) *evaluation {
+	e := &evaluation{Optimizer: o, topo: topo}
+	if o.backend == Simulated {
+		e.net = simnet.New(topo, o.params)
+		e.net.SetReplayShards(int(o.replayShards.Load()))
+	}
+	return e
 }
 
-type tableFlight struct {
-	done chan struct{}
-	t    Table
-	err  error
-}
-
-// phaseKey identifies one memoized phase: the topology, the dimension
+// phaseKey identifies one memoized phase of an evaluation: the dimension
 // field [lo, lo+w) and the block size. Every grouping containing this
 // field at this m shares the entry.
 type phaseKey struct {
-	topo  string
 	lo, w int
 	m     int
 }
@@ -395,9 +378,8 @@ type memoEntry struct {
 
 // memoTable is a concurrency-safe compute-once map: the first caller for
 // a key runs compute, concurrent callers block on its sync.Once, later
-// callers reuse the stored value. Entries live for the optimizer's
-// lifetime, like the per-(topology, m) Choice cache above them (simulated
-// backend only: the admissible bounds).
+// callers reuse the stored value. Entries live as long as the evaluation
+// (simulated backend only: the admissible bounds).
 type memoTable struct {
 	mu sync.Mutex
 	m  map[phaseKey]*memoEntry
@@ -503,7 +485,7 @@ type enumSet struct {
 // New returns an optimizer over the given machine parameters using the
 // analytic backend.
 func New(p model.Params) *Optimizer {
-	return &Optimizer{params: p, backend: Analytic, cache: make(map[key]Choice)}
+	return &Optimizer{params: p, backend: Analytic}
 }
 
 // NewSimulated returns an optimizer that costs candidates by simulation
@@ -511,7 +493,7 @@ func New(p model.Params) *Optimizer {
 // accepted; enumeration runs on a worker pool bounded
 // by GOMAXPROCS.
 func NewSimulated(p model.Params) *Optimizer {
-	return &Optimizer{params: p, backend: Simulated, cache: make(map[key]Choice)}
+	return &Optimizer{params: p, backend: Simulated}
 }
 
 // SetWorkers bounds the simulated backend's costing worker pool: the
@@ -588,66 +570,12 @@ func (o *Optimizer) Params() model.Params { return o.params }
 const MaxMixedRadixDims = 17
 
 // BestOn returns the fastest dimension grouping for a complete exchange
-// of block size m on any topology. Results are cached per (topology, m);
-// the enumeration is over the p(k) groupings of the k dimensions when
-// all radices are equal (order cannot matter) and over all 2^(k−1)
-// ordered compositions otherwise.
+// of block size m on any topology. The enumeration is over the p(k)
+// groupings of the k dimensions when all radices are equal (order cannot
+// matter) and over all 2^(k−1) ordered compositions otherwise. Every call
+// enumerates; a caller that asks again keeps the answer.
 func (o *Optimizer) BestOn(net topology.Network, m int) (Choice, error) {
-	return o.bestOn(context.Background(), net, m, nil, 0)
-}
-
-// bestOn is BestOn with an optional warm-start hint — a grouping expected
-// to be (near-)optimal, a lower sweep point's winner, evaluated first so
-// the incumbent starts tight and the bound cuts early — and the number of
-// workers its candidates are costed on (≤ 0: the optimizer's pool).
-// Neither changes the returned Choice, only the order and concurrency of
-// evaluation. ctx is used solely for observability (replay spans land on
-// the calling request's trace); it does not cancel the enumeration.
-func (o *Optimizer) bestOn(ctx context.Context, net topology.Network, m int, hint partition.Partition, workers int) (Choice, error) {
-	// The cache answers before anything is validated: a key is only ever
-	// inserted after the checks below passed for it, and a degraded
-	// overlay's name carries its health digest.
-	k := key{topo: net.Name(), m: m}
-	o.mu.Lock()
-	c, ok := o.cache[k]
-	o.mu.Unlock()
-	if ok {
-		return c, nil
-	}
-	if m < 0 {
-		return Choice{}, fmt.Errorf("optimize: negative block size %d", m)
-	}
-	if err := o.checkEnumerable(net); err != nil {
-		return Choice{}, err
-	}
-	o.mu.Lock()
-	if c, ok := o.cache[k]; ok {
-		o.mu.Unlock()
-		return c, nil
-	}
-	if f, ok := o.flight[k]; ok {
-		// Another goroutine is already enumerating this key: share its
-		// result instead of stampeding.
-		o.mu.Unlock()
-		<-f.done
-		return f.c, f.err
-	}
-	f := &inflight{done: make(chan struct{})}
-	if o.flight == nil {
-		o.flight = make(map[key]*inflight)
-	}
-	o.flight[k] = f
-	o.mu.Unlock()
-
-	f.c, f.err = o.evaluateAll(ctx, net, m, hint, workers)
-	o.mu.Lock()
-	if f.err == nil {
-		o.cache[k] = f.c
-	}
-	delete(o.flight, k)
-	o.mu.Unlock()
-	close(f.done)
-	return f.c, f.err
+	return o.newEvaluation(net).best(context.Background(), m, nil, 0)
 }
 
 // checkEnumerable is what an enumeration asks of a topology before it costs
@@ -770,27 +698,41 @@ func enumFor(topo topology.Network) (*enumSet, error) {
 	return es, es.err
 }
 
-// evaluateAll costs the topology's groupings and returns the winner (ties
-// go to the candidate with fewer phases, then to enumeration order, as
-// always).
-func (o *Optimizer) evaluateAll(ctx context.Context, topo topology.Network, m int, hint partition.Partition, workers int) (Choice, error) {
-	o.evals.Add(1)
+// best costs the topology's groupings at block size m and returns the
+// winner (ties go to the candidate with fewer phases, then to enumeration
+// order, as always). hint is an optional warm start — a grouping expected
+// to be (near-)optimal, a lower sweep point's winner, evaluated first so
+// the incumbent starts tight and the bound cuts early — and workers the
+// number of workers the candidates are costed on (≤ 0: the optimizer's
+// pool). Neither changes the returned Choice, only the order and
+// concurrency of evaluation. ctx is used solely for observability (replay
+// spans land on the calling request's trace); it does not cancel the
+// enumeration.
+func (e *evaluation) best(ctx context.Context, m int, hint partition.Partition, workers int) (Choice, error) {
+	topo := e.topo
+	if m < 0 {
+		return Choice{}, fmt.Errorf("optimize: negative block size %d", m)
+	}
+	if err := e.checkEnumerable(topo); err != nil {
+		return Choice{}, err
+	}
+	e.evals.Add(1)
 	if topo.NumDims() == 0 {
-		return Choice{Topo: topo.Name(), D: 0, Block: m, Part: nil, TimeMicro: 0, Backend: o.backend}, nil
+		return Choice{Topo: topo.Name(), D: 0, Block: m, Part: nil, TimeMicro: 0, Backend: e.backend}, nil
 	}
 	es, err := enumFor(topo)
 	if err != nil {
 		return Choice{}, err
 	}
-	if o.backend == Analytic {
-		i, t, err := o.newAnalyticPricer(topo, es).winner(m)
+	if e.backend == Analytic {
+		i, t, err := e.newAnalyticPricer(topo, es).winner(m)
 		if err != nil {
 			return Choice{}, err
 		}
-		o.evaluated.Add(int64(len(es.parts)))
+		e.evaluated.Add(int64(len(es.parts)))
 		return Choice{Topo: topo.Name(), D: topo.NumDims(), Block: m, Part: es.parts[i].Clone(), TimeMicro: t, Backend: Analytic}, nil
 	}
-	return o.evaluateSimulated(ctx, topo, m, es, hint, workers)
+	return e.evaluateSimulated(ctx, m, es, hint, workers)
 }
 
 // evaluateSimulated is the simulated backend's memoized, branch-and-bound-
@@ -808,9 +750,9 @@ func (o *Optimizer) evaluateAll(ctx context.Context, topo topology.Network, m in
 // cost is strictly above the winner's — it can neither win nor tie — so
 // the reduction over the surviving candidates returns the same Choice as
 // exhaustive enumeration, regardless of worker count or scheduling.
-func (o *Optimizer) evaluateSimulated(ctx context.Context, topo topology.Network, m int, es *enumSet, hint partition.Partition, workers int) (Choice, error) {
-	parts, fields := es.parts, es.fields
-	prune := !o.exhaustive.Load()
+func (e *evaluation) evaluateSimulated(ctx context.Context, m int, es *enumSet, hint partition.Partition, workers int) (Choice, error) {
+	topo, parts, fields := e.topo, es.parts, es.fields
+	prune := !e.exhaustive.Load()
 
 	order := make([]int, len(parts))
 	for i := range order {
@@ -828,7 +770,7 @@ func (o *Optimizer) evaluateSimulated(ctx context.Context, topo topology.Network
 		flat := make([]float64, phases)
 		for i := range parts {
 			phaseLB[i], flat = flat[:len(fields[i])], flat[len(fields[i]):]
-			lb, err := o.candidateBound(topo, m, fields[i], phaseLB[i])
+			lb, err := e.candidateBound(m, fields[i], phaseLB[i])
 			if err != nil {
 				return Choice{}, err
 			}
@@ -863,12 +805,9 @@ func (o *Optimizer) evaluateSimulated(ctx context.Context, topo topology.Network
 	errs := make([]error, len(parts))
 
 	if workers <= 0 {
-		workers = o.poolSize()
+		workers = e.poolSize()
 	}
 	workers = max(min(workers, len(order)), 1)
-
-	net := simnet.New(topo, o.params)
-	net.SetReplayShards(int(o.replayShards.Load()))
 
 	var incMu sync.Mutex
 	incumbent := math.Inf(1)
@@ -880,7 +819,7 @@ func (o *Optimizer) evaluateSimulated(ctx context.Context, topo topology.Network
 			incMu.Unlock()
 			lb = phaseLB[i]
 		}
-		c, fits, err := o.candidateCost(ctx, net, topo, m, parts[i], fields[i], lb, limit)
+		c, fits, err := e.candidateCost(ctx, m, parts[i], fields[i], lb, limit)
 		if err != nil {
 			errs[i] = err
 			return
@@ -890,7 +829,7 @@ func (o *Optimizer) evaluateSimulated(ctx context.Context, topo topology.Network
 		}
 		costs[i] = c
 		done[i] = true
-		o.evaluated.Add(1)
+		e.evaluated.Add(1)
 		if prune {
 			incMu.Lock()
 			if c < incumbent {
@@ -927,7 +866,7 @@ func (o *Optimizer) evaluateSimulated(ctx context.Context, topo topology.Network
 			return Choice{}, errs[i]
 		}
 	}
-	best := Choice{Topo: topo.Name(), D: topo.NumDims(), Block: m, Backend: o.backend}
+	best := Choice{Topo: topo.Name(), D: topo.NumDims(), Block: m, Backend: e.backend}
 	first := true
 	for i := range parts {
 		if !done[i] {
@@ -944,7 +883,7 @@ func (o *Optimizer) evaluateSimulated(ctx context.Context, topo topology.Network
 		return Choice{}, fmt.Errorf("optimize: internal: every candidate was pruned")
 	}
 	best.Part = best.Part.Clone()
-	t, err := o.finalizeSimulated(ctx, net, topo, m, best.Part)
+	t, err := e.finalizeSimulated(ctx, m, best.Part)
 	if err != nil {
 		return Choice{}, err
 	}
@@ -954,12 +893,12 @@ func (o *Optimizer) evaluateSimulated(ctx context.Context, topo topology.Network
 
 // candidateBound fills perPhase with the candidate's memoized per-phase
 // admissible lower bounds and returns their sum.
-func (o *Optimizer) candidateBound(topo topology.Network, m int, fields [][2]int, perPhase []float64) (float64, error) {
+func (e *evaluation) candidateBound(m int, fields [][2]int, perPhase []float64) (float64, error) {
 	total := 0.0
 	for pi, f := range fields {
 		lo, w := f[0], f[1]
-		v, err := o.boundPhases.get(phaseKey{topo: topo.Name(), lo: lo, w: w, m: m}, &o.memoHits, &o.memoMisses,
-			func() (float64, error) { return o.params.PhaseLowerBoundOn(topo, m, lo, w) })
+		v, err := e.boundPhases.get(phaseKey{lo: lo, w: w, m: m}, &e.memoHits, &e.memoMisses,
+			func() (float64, error) { return e.params.PhaseLowerBoundOn(e.topo, m, lo, w) })
 		if err != nil {
 			return 0, err
 		}
@@ -986,7 +925,7 @@ func (o *Optimizer) candidateBound(topo topology.Network, m int, fields [][2]int
 // is the whole candidate's bound against the incumbent — by a memo entry,
 // or by the replay itself, which runs under the cutoff and stops the
 // instant it passes it.
-func (o *Optimizer) candidateCost(ctx context.Context, net *simnet.Network, topo topology.Network, m int, D partition.Partition, fields [][2]int, lb []float64, limit float64) (cost float64, fits bool, err error) {
+func (e *evaluation) candidateCost(ctx context.Context, m int, D partition.Partition, fields [][2]int, lb []float64, limit float64) (cost float64, fits bool, err error) {
 	var plan *exchange.Plan // built by the first phase that has to replay
 	later := 0.0            // Σ bounds of the phases after the current one
 	for _, b := range lb {
@@ -999,25 +938,25 @@ func (o *Optimizer) candidateCost(ctx context.Context, net *simnet.Network, topo
 			later -= lb[pi]
 			cutoff = limit - total - later
 			if lb[pi] > cutoff {
-				o.countPruned(pi > 0)
+				e.countPruned(pi > 0)
 				return 0, false, nil
 			}
 		}
-		v, exact, err := o.simPhases.get(phaseKey{topo: topo.Name(), lo: f[0], w: f[1], m: m}, cutoff, &o.memoHits, &o.memoMisses,
+		v, exact, err := e.simPhases.get(phaseKey{lo: f[0], w: f[1], m: m}, cutoff, &e.memoHits, &e.memoMisses,
 			func(cutoff float64) (float64, error) {
 				if plan == nil {
 					var err error
-					if plan, err = exchange.NewPlanOn(topo, m, D); err != nil {
+					if plan, err = exchange.NewPlanOn(e.topo, m, D); err != nil {
 						return 0, err
 					}
 				}
-				return o.replayFragment(ctx, net, plan, pi, cutoff)
+				return e.replayFragment(ctx, plan, pi, cutoff)
 			})
 		if err != nil {
 			return 0, false, err
 		}
 		if !exact || v > cutoff {
-			o.countPruned(true)
+			e.countPruned(true)
 			return 0, false, nil
 		}
 		total += v
@@ -1037,9 +976,9 @@ func (o *Optimizer) countPruned(byCutoff bool) {
 // replayFragment prices phase pi of plan by one compiled fragment replay
 // bounded by cutoff; every memo miss of the simulated backend goes through
 // here.
-func (o *Optimizer) replayFragment(ctx context.Context, net *simnet.Network, plan *exchange.Plan, pi int, cutoff float64) (float64, error) {
-	res, err := o.replays.Traced(ctx, "fragment", plan, cutoff, func() (simnet.Result, error) {
-		return net.RunSourceBounded(plan.CompilePhase(pi), cutoff)
+func (e *evaluation) replayFragment(ctx context.Context, plan *exchange.Plan, pi int, cutoff float64) (float64, error) {
+	res, err := e.replays.Traced(ctx, "fragment", plan, cutoff, func() (simnet.Result, error) {
+		return e.net.RunSourceBounded(plan.CompilePhase(pi), cutoff)
 	})
 	return res.Makespan, err
 }
@@ -1052,23 +991,23 @@ func (o *Optimizer) replayFragment(ctx context.Context, net *simnet.Network, pla
 // that is the expensive {d} candidate, and it is exactly the one the
 // sweep's large-m points keep winning with. The lookup passes no cutoff,
 // so it only ever reads an exact entry: the winner's, costed in full.
-func (o *Optimizer) finalizeSimulated(ctx context.Context, net *simnet.Network, topo topology.Network, m int, D partition.Partition) (float64, error) {
-	plan, err := exchange.NewPlanOn(topo, m, D)
+func (e *evaluation) finalizeSimulated(ctx context.Context, m int, D partition.Partition) (float64, error) {
+	plan, err := exchange.NewPlanOn(e.topo, m, D)
 	if err != nil {
 		return 0, err
 	}
 	noCutoff := math.Inf(1)
 	if plan.NumPhases() == 1 {
-		fields, err := topology.PhaseFields(topo, D)
+		fields, err := topology.PhaseFields(e.topo, D)
 		if err != nil {
 			return 0, err
 		}
 		lo, w := fields[0][0], fields[0][1]
-		v, _, err := o.simPhases.get(phaseKey{topo: topo.Name(), lo: lo, w: w, m: m}, noCutoff, &o.memoHits, &o.memoMisses,
-			func(cutoff float64) (float64, error) { return o.replayFragment(ctx, net, plan, 0, cutoff) })
+		v, _, err := e.simPhases.get(phaseKey{lo: lo, w: w, m: m}, noCutoff, &e.memoHits, &e.memoMisses,
+			func(cutoff float64) (float64, error) { return e.replayFragment(ctx, plan, 0, cutoff) })
 		return v, err
 	}
-	res, err := o.replays.Traced(ctx, "plan", plan, noCutoff, func() (simnet.Result, error) { return plan.Cost(net) })
+	res, err := e.replays.Traced(ctx, "plan", plan, noCutoff, func() (simnet.Result, error) { return plan.Cost(e.net) })
 	return res.Makespan, err
 }
 
@@ -1098,8 +1037,8 @@ type Table struct {
 
 // BuildTableOnCtx returns the hull-of-optimality table of any topology over
 // the block sizes mLo, mLo+step, … ≤ mHi: the winner at each of those
-// lattice points, equal neighbours folded into segments. Concurrent
-// identical builds share one (a single tableKey singleflight).
+// lattice points, equal neighbours folded into segments. Every call
+// builds; the plan cache keeps the table and builds each line once.
 //
 // On the analytic backend the table is computed as the lower envelope of
 // the candidates' cost lines (envelopeTable): one enumeration, a handful
@@ -1108,14 +1047,12 @@ type Table struct {
 // optimizer's workers (sweepPoints) and warm-start each other — a point's
 // winner is evaluated first at the next point up, so the incumbent starts
 // tight, every other candidate's replays run under a finite cutoff, and
-// the phase memo prices most candidates without any new replay.
+// the call's phase memo prices most candidates without any new replay.
 //
 // ctx is checked before an analytic build and before each simulated sweep
 // point: a caller that no longer needs the table (the plan cache's
 // fully-abandoned line fill) aborts a sweep after at most one more BestOn
-// enumeration per worker instead of paying for the whole hull. Joiners of
-// an identical in-flight build share the initiator's fate — the plan
-// cache's own per-line singleflight makes that pairing one-to-one.
+// enumeration per worker instead of paying for the whole hull.
 func (o *Optimizer) BuildTableOnCtx(ctx context.Context, net topology.Network, mLo, mHi, step int) (Table, error) {
 	if mLo < 0 || mHi < mLo {
 		return Table{}, fmt.Errorf("optimize: bad sweep [%d,%d]", mLo, mHi)
@@ -1123,58 +1060,37 @@ func (o *Optimizer) BuildTableOnCtx(ctx context.Context, net topology.Network, m
 	if step < 1 {
 		step = 1
 	}
-	tk := tableKey{topo: net.Name(), lo: mLo, hi: mHi, step: step}
-	o.tableMu.Lock()
-	if f, ok := o.tableFlight[tk]; ok {
-		o.tableMu.Unlock()
-		select {
-		case <-f.done:
-			return f.t, f.err
-		case <-ctx.Done():
-			return Table{}, ctx.Err()
-		}
-	}
-	f := &tableFlight{done: make(chan struct{})}
-	if o.tableFlight == nil {
-		o.tableFlight = make(map[tableKey]*tableFlight)
-	}
-	o.tableFlight[tk] = f
-	o.tableMu.Unlock()
-
 	sp := obs.StartSpan(ctx, "optimizer")
 	before := o.Stats()
-	f.t, f.err = o.buildTableOn(ctx, net, mLo, mHi, step)
+	t, err := o.buildTableOn(ctx, net, mLo, mHi, step)
 	if sp != nil {
 		// Deltas are process-wide, so a concurrent build on another
 		// topology inflates them; good enough for trace triage.
 		after := o.Stats()
 		sp.SetAttr("topology", net.Name())
-		sp.SetInt("segments", int64(len(f.t.Segments)))
+		sp.SetInt("segments", int64(len(t.Segments)))
 		sp.SetInt("evaluated", after.Evaluated-before.Evaluated)
 		sp.SetInt("pruned", after.Pruned-before.Pruned)
 		sp.SetInt("memo_hits", after.MemoHits-before.MemoHits)
 		sp.SetInt("memo_misses", after.MemoMisses-before.MemoMisses)
 	}
 	sp.End()
-	o.tableMu.Lock()
-	delete(o.tableFlight, tk)
-	o.tableMu.Unlock()
-	close(f.done)
-	return f.t, f.err
+	return t, err
 }
 
 func (o *Optimizer) buildTableOn(ctx context.Context, net topology.Network, mLo, mHi, step int) (Table, error) {
 	if o.backend == Analytic {
 		return o.envelopeTable(ctx, net, mLo, mHi, step)
 	}
+	e := o.newEvaluation(net)
 	if mHi-mLo >= step {
-		return o.sweepPoints(ctx, net, mLo, mHi, step)
+		return e.sweepPoints(ctx, mLo, mHi, step)
 	}
 	// A single point: its candidates get the whole worker pool.
 	if err := ctx.Err(); err != nil {
 		return Table{}, err
 	}
-	c, err := o.bestOn(ctx, net, mLo, nil, 0)
+	c, err := e.best(ctx, mLo, nil, 0)
 	if err != nil {
 		return Table{}, err
 	}
@@ -1190,7 +1106,7 @@ func (o *Optimizer) buildTableOn(ctx context.Context, net topology.Network, mLo,
 // the winner of the nearest lower point already finished; ctx is checked
 // by each worker before each point. With one worker this is that loop,
 // point for point.
-func (o *Optimizer) sweepPoints(ctx context.Context, net topology.Network, mLo, mHi, step int) (Table, error) {
+func (e *evaluation) sweepPoints(ctx context.Context, mLo, mHi, step int) (Table, error) {
 	points := (mHi-mLo)/step + 1
 	winners := make([]partition.Partition, points)
 	finished := make([]bool, points)
@@ -1221,7 +1137,7 @@ func (o *Optimizer) sweepPoints(ctx context.Context, net topology.Network, mLo, 
 			var c Choice
 			err := ctx.Err()
 			if err == nil {
-				c, err = o.bestOn(ctx, net, mLo+i*step, hint, 1)
+				c, err = e.best(ctx, mLo+i*step, hint, 1)
 			}
 			mu.Lock()
 			if err == nil {
@@ -1233,7 +1149,7 @@ func (o *Optimizer) sweepPoints(ctx context.Context, net topology.Network, mLo, 
 		}
 	}
 	var wg sync.WaitGroup
-	for w := min(o.poolSize(), points); w > 1; w-- {
+	for w := min(e.poolSize(), points); w > 1; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -1254,7 +1170,7 @@ func (o *Optimizer) sweepPoints(ctx context.Context, net topology.Network, mLo, 
 		}
 		segs = append(segs, model.HullSegment{Part: part, MinBlock: m, MaxBlock: m})
 	}
-	return Table{Topo: net.Name(), D: net.NumDims(), Segments: segs}, nil
+	return Table{Topo: e.topo.Name(), D: e.topo.NumDims(), Segments: segs}, nil
 }
 
 // Lookup returns the optimal partition for block size m from the table

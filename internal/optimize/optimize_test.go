@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"os"
-	"sync"
 	"testing"
 
 	"repro/internal/exchange"
@@ -56,6 +55,7 @@ func TestBestMatchesModelBestPartition(t *testing.T) {
 	}
 }
 
+// Asking again enumerates again, and gets the same answer.
 func TestCacheReturnsSameChoice(t *testing.T) {
 	o := New(model.IPSC860())
 	a, err := o.BestOn(topology.MustNew(6), 40)
@@ -67,7 +67,7 @@ func TestCacheReturnsSameChoice(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !a.Part.Equal(b.Part) || a.TimeMicro != b.TimeMicro {
-		t.Error("cached choice differs")
+		t.Error("a repeated BestOn returned another choice")
 	}
 }
 
@@ -159,35 +159,6 @@ func TestSimulatedBest14(t *testing.T) {
 	}
 	if !a.Part.Canonical().Equal(s.Part.Canonical()) {
 		t.Errorf("analytic %v vs compiled-simulated %v", a.Part, s.Part)
-	}
-}
-
-// Concurrent Best calls on one uncached key must share a single
-// enumeration (no cache stampede).
-func TestBestStampedeDeduplicated(t *testing.T) {
-	o := NewSimulated(model.IPSC860())
-	const callers = 8
-	var wg sync.WaitGroup
-	choices := make([]Choice, callers)
-	errs := make([]error, callers)
-	wg.Add(callers)
-	for i := 0; i < callers; i++ {
-		go func(i int) {
-			defer wg.Done()
-			choices[i], errs[i] = o.BestOn(topology.MustNew(7), 40)
-		}(i)
-	}
-	wg.Wait()
-	for i := 0; i < callers; i++ {
-		if errs[i] != nil {
-			t.Fatal(errs[i])
-		}
-		if !choices[i].Part.Equal(choices[0].Part) {
-			t.Errorf("caller %d got %v, caller 0 got %v", i, choices[i].Part, choices[0].Part)
-		}
-	}
-	if n := o.evals.Load(); n != 1 {
-		t.Errorf("%d concurrent Best calls ran %d evaluations, want 1", callers, n)
 	}
 }
 
@@ -329,8 +300,8 @@ func TestBestOnMixedRadixComposition(t *testing.T) {
 	}
 }
 
-// Hypercube and torus lines must cache independently even at equal node
-// counts.
+// Hypercube and torus answers are distinct even at equal node counts, and
+// each call is one enumeration.
 func TestBestCachesPerTopology(t *testing.T) {
 	o := New(model.Hypothetical())
 	cube, err := o.BestOn(topology.MustNew(4), 40)
@@ -346,16 +317,6 @@ func TestBestCachesPerTopology(t *testing.T) {
 	}
 	if o.Stats().Evaluations != 2 {
 		t.Errorf("expected 2 enumerations, got %d", o.Stats().Evaluations)
-	}
-	// Hits on both keys.
-	if _, err := o.BestOn(topology.MustNew(4), 40); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := o.BestOn(topology.MustParseSpec("torus-4x4"), 40); err != nil {
-		t.Fatal(err)
-	}
-	if o.Stats().Evaluations != 2 {
-		t.Errorf("cache hits re-ran the enumeration: %d", o.Stats().Evaluations)
 	}
 }
 

@@ -12,8 +12,7 @@ import (
 
 // sweepTable is the table build the envelope replaced, kept as its oracle:
 // BestOn at every lattice point of [mLo, mHi], equal neighbours folded into
-// segments. It runs on its own optimizer (every BestOn answer is cached for
-// the optimizer's lifetime).
+// segments, on an optimizer of its own.
 func sweepTable(t testing.TB, prm model.Params, net topology.Network, mLo, mHi, step int) Table {
 	t.Helper()
 	o := New(prm)

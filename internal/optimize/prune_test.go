@@ -3,7 +3,6 @@ package optimize
 import (
 	"context"
 	"math"
-	"sync"
 	"testing"
 
 	"repro/internal/exchange"
@@ -145,19 +144,18 @@ func TestLowerBoundAdmissible(t *testing.T) {
 	for _, prm := range []model.Params{model.IPSC860(), model.IPSC860Raw(), model.Hypothetical()} {
 		for _, spec := range equivalenceShapes {
 			net := shapeNet(t, spec)
-			o := NewSimulated(prm)
+			ev := NewSimulated(prm).newEvaluation(net)
 			es, err := enumFor(net)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sim := simnet.New(net, prm)
 			for _, m := range []int{0, 8, 100} {
 				for i, D := range es.parts {
-					lb, err := o.candidateBound(net, m, es.fields[i], make([]float64, len(es.fields[i])))
+					lb, err := ev.candidateBound(m, es.fields[i], make([]float64, len(es.fields[i])))
 					if err != nil {
 						t.Fatal(err)
 					}
-					screen, _, err := o.candidateCost(context.Background(), sim, net, m, D, es.fields[i], nil, math.Inf(1))
+					screen, _, err := ev.candidateCost(context.Background(), m, D, es.fields[i], nil, math.Inf(1))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -165,7 +163,7 @@ func TestLowerBoundAdmissible(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					res, err := plan.Cost(sim)
+					res, err := plan.Cost(ev.net)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -283,8 +281,7 @@ func TestEveryReplayIsAttributed(t *testing.T) {
 // An analytic table build is one enumeration, whatever the lattice: every
 // candidate is counted once and the phase memo (a simulated-backend
 // structure) does not move. Nothing of a build is kept, so a rebuild is one
-// more enumeration — and callers that ask for a table another caller is
-// already building share that build instead of starting their own.
+// more enumeration.
 func TestBuildTableBuildsPerSweep(t *testing.T) {
 	o := New(model.IPSC860())
 	cube := topology.MustNew(6)
@@ -303,35 +300,6 @@ func TestBuildTableBuildsPerSweep(t *testing.T) {
 			t.Errorf("analytic build moved simulated-backend counters: %+v", st)
 		}
 	}
-
-	// Eight callers arriving while the table is being built: the build in
-	// flight is planted by hand so that "while" does not depend on timing.
-	o2 := New(model.IPSC860())
-	planted := &tableFlight{done: make(chan struct{}), t: Table{Topo: "planted", D: 6}}
-	o2.tableFlight = map[tableKey]*tableFlight{{topo: cube.Name(), lo: lo, hi: hi, step: step}: planted}
-	var wg sync.WaitGroup
-	got := make([]Table, 8)
-	errs := make([]error, 8)
-	for i := range errs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			got[i], errs[i] = o2.BuildTableOnCtx(context.Background(), cube, lo, hi, step)
-		}(i)
-	}
-	close(planted.done)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got[i].Topo != "planted" {
-			t.Errorf("caller %d built its own table instead of sharing the one in flight", i)
-		}
-	}
-	if n := o2.Stats().Evaluations; n != 0 {
-		t.Errorf("8 callers of an in-flight build ran %d enumerations, want 0", n)
-	}
 }
 
 // The warm-start hint reorders evaluation only; even a deliberately bad
@@ -345,7 +313,7 @@ func TestHintDoesNotChangeResult(t *testing.T) {
 	}
 	for _, hint := range []partition.Partition{{3}, {1, 1, 1}, {2, 1}} {
 		o := NewSimulated(prm)
-		got, err := o.bestOn(context.Background(), net, 40, hint, 0)
+		got, err := o.newEvaluation(net).best(context.Background(), 40, hint, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -376,4 +344,63 @@ func TestWorkerCountsAgree(t *testing.T) {
 			t.Errorf("workers=%d: %v/%v µs, want %v/%v µs", w, c.Part, c.TimeMicro, ref.Part, ref.TimeMicro)
 		}
 	}
+}
+
+// lowerBoundSpecs are the fabrics FuzzLowerBoundAdmissible draws from: a
+// cube, a torus, a mixed-radix mesh, a dead-wire and a slow-wire overlay.
+var lowerBoundSpecs = []string{"hypercube-5", "torus-4x4", "mesh-2x3x4", "torus-4x4!dl=0-1", "hypercube-4!sl=0-1:2.5"}
+
+// FuzzLowerBoundAdmissible: on every machine, the admissible bound of any
+// phase field at any block size never exceeds the makespan of that
+// phase's fragment replay — the cost it stands in for. Pruning discards a
+// candidate on its bounds alone, so a pruned enumeration returns the
+// exhaustive one's answer only while this holds.
+func FuzzLowerBoundAdmissible(f *testing.F) {
+	f.Add(uint8(0), uint8(0), uint8(4), uint16(40))
+	f.Add(uint8(1), uint8(0), uint8(1), uint16(0))
+	f.Add(uint8(2), uint8(1), uint8(1), uint16(512))
+	f.Add(uint8(3), uint8(0), uint8(1), uint16(7))
+	f.Add(uint8(4), uint8(1), uint8(2), uint16(200))
+	nets := make([]topology.Network, len(lowerBoundSpecs))
+	for i, spec := range lowerBoundSpecs {
+		nets[i] = topology.MustParseSpec(spec)
+	}
+	machines := []model.Params{model.IPSC860(), model.Hypothetical(), model.Ncube2()}
+	f.Fuzz(func(t *testing.T, spec, lo, w uint8, m uint16) {
+		net := nets[int(spec)%len(nets)]
+		k := net.NumDims()
+		fieldLo := int(lo) % k
+		width := int(w)%(k-fieldLo) + 1
+		block := int(m) % 513
+		// The grouping whose phases are the dimensions above the field, the
+		// field, and those below it; phases take dimensions from the top.
+		var groups partition.Partition
+		phase := 0
+		if top := k - fieldLo - width; top > 0 {
+			groups, phase = append(groups, top), 1
+		}
+		groups = append(groups, width)
+		if fieldLo > 0 {
+			groups = append(groups, fieldLo)
+		}
+		plan, err := exchange.NewPlanOn(net, block, groups)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fragment := plan.CompilePhase(phase)
+		for i, prm := range machines {
+			lb, err := prm.PhaseLowerBoundOn(net, block, fieldLo, width)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := simnet.New(net, prm).RunSource(fragment)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lb > res.Makespan*(1+pruneSlack) {
+				t.Errorf("%s machine %d field [%d,%d) m=%d: bound %v above the fragment's makespan %v",
+					net.Name(), i, fieldLo, fieldLo+width, block, lb, res.Makespan)
+			}
+		}
+	})
 }

@@ -176,13 +176,12 @@ type lineKey struct {
 	topo    string
 }
 
-// line is one resident hull table.
+// line is one resident hull table, swept over the cache's configured
+// block sizes.
 type line struct {
-	key              lineKey
-	net              topology.Network
-	table            optimize.Table
-	sweepLo, sweepHi int
-	sweepStep        int
+	key   lineKey
+	net   topology.Network
+	table optimize.Table
 }
 
 // flight is one in-progress line fill (peer fetch, then local build);
@@ -620,8 +619,8 @@ func (c *Cache) runFlight(ctx context.Context, f *flight, sh *shard, key lineKey
 func (c *Cache) fill(ctx context.Context, name string, prm model.Params, net topology.Network) (*line, bool, error) {
 	if c.cfg.Fetch != nil {
 		ld, err := c.cfg.Fetch(ctx, name, net.Name())
-		if err == nil && ld != nil {
-			if ln, ierr := c.lineFromPeer(*ld, name, prm, net); ierr == nil {
+		if err == nil && ld != nil && ld.Machine == name && ld.Topology == net.Name() {
+			if ln, err := c.admit(*ld); err == nil {
 				return ln, false, nil
 			}
 		}
@@ -647,24 +646,6 @@ func (c *Cache) fill(ctx context.Context, name string, prm model.Params, net top
 	}
 	sp.End()
 	return ln, err == nil, err
-}
-
-// lineFromPeer validates a fetched peer line against this request and
-// this cache's configuration before accepting it in place of a build.
-func (c *Cache) lineFromPeer(ld LineData, name string, prm model.Params, net topology.Network) (*line, error) {
-	if ld.Machine != name || ld.Topology != net.Name() {
-		return nil, fmt.Errorf("plancache: peer line is for %s/%s, want %s/%s",
-			ld.Machine, ld.Topology, name, net.Name())
-	}
-	if ld.Params != prm {
-		return nil, fmt.Errorf("plancache: peer line for %s/%s computed under different machine parameters",
-			name, net.Name())
-	}
-	if ld.SweepLo != 0 || ld.SweepHi != c.cfg.SweepHi || ld.SweepStep != c.cfg.SweepStep {
-		return nil, fmt.Errorf("plancache: peer line for %s/%s swept [%d,%d] step %d, want [0,%d] step %d",
-			name, net.Name(), ld.SweepLo, ld.SweepHi, ld.SweepStep, c.cfg.SweepHi, c.cfg.SweepStep)
-	}
-	return restoreLine(ld)
 }
 
 // BuildError marks a failure inside a line build (the hull sweep), as
@@ -695,14 +676,15 @@ func (c *Cache) build(ctx context.Context, name string, prm model.Params, net to
 		}
 		return nil, &BuildError{Machine: name, Topo: net.Name(), Err: err}
 	}
-	return &line{
-		key:       lineKey{machine: name, topo: net.Name()},
-		net:       net,
-		table:     tbl,
-		sweepLo:   0,
-		sweepHi:   c.cfg.SweepHi,
-		sweepStep: c.cfg.SweepStep,
-	}, nil
+	return &line{key: lineKey{machine: name, topo: net.Name()}, net: net, table: tbl}, nil
+}
+
+// insert adds a line to its shard, as insertLocked does.
+func (c *Cache) insert(ln *line) {
+	sh := c.shardFor(ln.key)
+	sh.mu.Lock()
+	c.insertLocked(sh, ln)
+	sh.mu.Unlock()
 }
 
 // insertLocked adds a line to its shard and evicts past capacity. The

@@ -3,6 +3,7 @@ package plancache
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -331,13 +332,6 @@ func TestZeroDimension(t *testing.T) {
 // rebuild of the largest line, fill machinery included, is a few dozen
 // allocations.
 func TestAnalyticBuildRetainsNothing(t *testing.T) {
-	liveHeap := func() uint64 {
-		runtime.GC()
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
 	c := New(Config{Shards: 1, CapacityPerShard: 12})
 	before := liveHeap()
 	for round := 0; round < 2; round++ {
@@ -369,4 +363,43 @@ func TestAnalyticBuildRetainsNothing(t *testing.T) {
 		t.Errorf("a hypercube-16 rebuild made %.0f allocations, want ≤ 40", allocs)
 	}
 	t.Logf("hypercube-16 rebuild: %.0f allocs", allocs)
+}
+
+// liveHeap returns the heap in use after two collections.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// What a build derives from a fabric — here a faulted overlay's per-step
+// phase metrics — is kept with the fabric's handle, so a line's eviction
+// lets it go with the handle. Eight lines on un-interned overlays of
+// torus-256x256, each with another dead wire, churned through a one-line
+// cache leave about the one resident handle behind. Kept in process-wide
+// memos keyed by the fabric's name instead, each digest held ≈ 1 MB for
+// good (its whole-machine phase's fallback metrics, one copy per step).
+func TestEvictedOverlayLinesRetainNothing(t *testing.T) {
+	c := New(Config{Shards: 1, CapacityPerShard: 1})
+	before := liveHeap()
+	const digests = 8
+	for i := 0; i < digests; i++ {
+		net, err := topology.ParseSpec(fmt.Sprintf("torus-256x256!dl=%d-%d", i, i+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if built, err := c.WarmForCtx(bg, "ipsc860", net); err != nil || !built {
+			t.Fatalf("%s: built=%v err=%v", net.Name(), built, err)
+		}
+	}
+	if s := c.Stats(); s.Lines != 1 || s.Evictions != digests-1 {
+		t.Fatalf("lines=%d evictions=%d, want one resident line", s.Lines, s.Evictions)
+	}
+	grew := int64(liveHeap()) - int64(before)
+	t.Logf("live heap grew by %d KB over %d overlay lines", grew>>10, digests)
+	if grew > 1536<<10 {
+		t.Errorf("live heap grew by %d KB over %d overlay lines, want < 1.5 MB", grew>>10, digests)
+	}
 }

@@ -2,6 +2,7 @@ package plancache
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -67,9 +68,8 @@ func (c *Cache) exportLocked(ln *line) (LineData, bool) {
 		Params:    prm,
 		Topology:  ln.key.topo,
 		D:         ln.net.NumDims(),
-		SweepLo:   ln.sweepLo,
-		SweepHi:   ln.sweepHi,
-		SweepStep: ln.sweepStep,
+		SweepHi:   c.cfg.SweepHi,
+		SweepStep: c.cfg.SweepStep,
 	}
 	for _, seg := range ln.table.Segments {
 		sl.Segments = append(sl.Segments, SegmentData{
@@ -129,32 +129,16 @@ func (c *Cache) ExportLine(machine, topo string) (LineData, bool) {
 	return c.exportLocked(el.Value.(*line))
 }
 
-// ImportLine validates one wire line against this cache's registry and
-// sweep configuration and inserts it as resident. The staleness rules
-// are those of Restore — unknown machine, changed parameters, or a
-// mismatched sweep are errors, not silent acceptance — so a peer
-// running different constants can never poison this cache.
+// ImportLine admits one wire line (see admit) and inserts it as resident:
+// a stale line — unknown machine, changed parameters, a mismatched sweep
+// — is an error, not silent acceptance, so a peer running different
+// constants can never poison this cache.
 func (c *Cache) ImportLine(sl LineData) error {
-	prm, ok := c.cfg.Machines[sl.Machine]
-	if !ok {
-		return fmt.Errorf("plancache: import line for unknown machine %q", sl.Machine)
-	}
-	if prm != sl.Params {
-		return fmt.Errorf("plancache: import line for %s/%s computed under different machine parameters",
-			sl.Machine, sl.Topology)
-	}
-	if sl.SweepLo != 0 || sl.SweepHi != c.cfg.SweepHi || sl.SweepStep != c.cfg.SweepStep {
-		return fmt.Errorf("plancache: import line for %s/%s swept [%d,%d] step %d, want [0,%d] step %d",
-			sl.Machine, sl.Topology, sl.SweepLo, sl.SweepHi, sl.SweepStep, c.cfg.SweepHi, c.cfg.SweepStep)
-	}
-	ln, err := restoreLine(sl)
+	ln, err := c.admit(sl)
 	if err != nil {
 		return err
 	}
-	sh := c.shardFor(ln.key)
-	sh.mu.Lock()
-	c.insertLocked(sh, ln)
-	sh.mu.Unlock()
+	c.insert(ln)
 	return nil
 }
 
@@ -191,34 +175,43 @@ func (c *Cache) Restore(r io.Reader) (restored, skipped int, err error) {
 	// Insert in reverse so the snapshot's MRU-first order is preserved
 	// by the front-insertion LRU.
 	for i := len(snap.Lines) - 1; i >= 0; i-- {
-		sl := snap.Lines[i]
-		prm, ok := c.cfg.Machines[sl.Machine]
-		if !ok || prm != sl.Params {
+		ln, err := c.admit(snap.Lines[i])
+		if errors.Is(err, errStale) {
 			skipped++
 			continue
 		}
-		if sl.SweepLo != 0 || sl.SweepHi != c.cfg.SweepHi || sl.SweepStep != c.cfg.SweepStep {
-			skipped++
-			continue
-		}
-		ln, err := restoreLine(sl)
 		if err != nil {
 			return restored, skipped, err
 		}
-		sh := c.shardFor(ln.key)
-		sh.mu.Lock()
-		c.insertLocked(sh, ln)
-		sh.mu.Unlock()
+		c.insert(ln)
 		restored++
 	}
 	return restored, skipped, nil
 }
 
-// restoreLine validates and rebuilds one line.
-func restoreLine(sl LineData) (*line, error) {
+// errStale marks a line computed for another configuration: a machine
+// this cache does not know, other machine parameters, or another sweep.
+var errStale = errors.New("stale line")
+
+// admit is the one admission rule for a line this cache did not build — a
+// snapshot's, an imported one, a peer's: it must be fresh (errStale
+// otherwise), its topology servable and its segments valid. It returns the
+// line, keyed by the topology's canonical name on its shared handle.
+func (c *Cache) admit(sl LineData) (*line, error) {
+	prm, ok := c.cfg.Machines[sl.Machine]
+	switch {
+	case !ok:
+		return nil, fmt.Errorf("plancache: %w for unknown machine %q", errStale, sl.Machine)
+	case prm != sl.Params:
+		return nil, fmt.Errorf("plancache: %w for %s/%s: computed under different machine parameters",
+			errStale, sl.Machine, sl.Topology)
+	case sl.SweepLo != 0 || sl.SweepHi != c.cfg.SweepHi || sl.SweepStep != c.cfg.SweepStep:
+		return nil, fmt.Errorf("plancache: %w for %s/%s: swept [%d,%d] step %d, want [0,%d] step %d",
+			errStale, sl.Machine, sl.Topology, sl.SweepLo, sl.SweepHi, sl.SweepStep, c.cfg.SweepHi, c.cfg.SweepStep)
+	}
 	net, err := ResolveTopology(sl.Topology)
 	if err != nil {
-		return nil, fmt.Errorf("plancache: snapshot line for machine %s: %w", sl.Machine, err)
+		return nil, fmt.Errorf("plancache: line for machine %s: %w", sl.Machine, err)
 	}
 	tbl := optimize.Table{Topo: net.Name(), D: net.NumDims()}
 	for _, seg := range sl.Segments {
@@ -229,16 +222,9 @@ func restoreLine(sl LineData) (*line, error) {
 		})
 	}
 	if err := tbl.Validate(); err != nil {
-		return nil, fmt.Errorf("plancache: snapshot line for machine %s: %w", sl.Machine, err)
+		return nil, fmt.Errorf("plancache: line for machine %s: %w", sl.Machine, err)
 	}
-	return &line{
-		key:       lineKey{machine: sl.Machine, topo: net.Name()},
-		net:       net,
-		table:     tbl,
-		sweepLo:   sl.SweepLo,
-		sweepHi:   sl.SweepHi,
-		sweepStep: sl.SweepStep,
-	}, nil
+	return &line{key: lineKey{machine: sl.Machine, topo: net.Name()}, net: net, table: tbl}, nil
 }
 
 // SnapshotFile writes the snapshot atomically: to a temp file in the

@@ -28,8 +28,8 @@ var familiesSinceGolden = []string{"pland_optimizer_pruned_by_cutoff_total"}
 
 // goldenMaskedJSON are the /metrics JSON keys whose values depend on
 // timing (latencies, derivation time) or on process-wide state other
-// tests in the package also move (the fabric handle table, the phase
-// certificate cache).
+// tests in the package also move (the fabric handle table, and the phase
+// certificates kept with its shared handles).
 var goldenMaskedJSON = regexp.MustCompile(`"(total_us|mean_us|max_us|sum_us|p50_us|p90_us|p99_us|certificates|handles|resolve_hits_total|resolve_misses_total|resolve_evictions_total|derivations_total|derive_us_total)":[^,}]+`)
 
 // goldenMaskedProm are the families whose values are masked for the same

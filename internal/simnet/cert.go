@@ -1,6 +1,6 @@
 package simnet
 
-import "sync"
+import "repro/internal/topology"
 
 // The reasons a phase of a Sharded source runs on the event engine
 // instead of being priced in closed form (Result.DeclineReason). The
@@ -168,61 +168,28 @@ func (n *Network) certify(src Sharded, sp PhaseSpan, winLo int) *phaseCert {
 	return c
 }
 
-// certKey identifies a certificate: the topology by registry name (which
-// carries the health digest of a degraded overlay) and the phase by its
-// span's geometry and shape.
+// certKey identifies a certificate on its topology handle: the phase by
+// its span's geometry and shape.
 type certKey struct {
-	topo               string
 	stride, span, rows int
 	shape              string
 }
 
-type certEntry struct {
-	once sync.Once
-	cert *phaseCert
-}
-
-// maxCertRows bounds the certificate cache by the rows its entries
-// cover — a certificate is four bytes a row, so 16 MB at the very most.
-// The complete field set of one 1024-node topology is some 8 000 rows.
-const maxCertRows = 1 << 22
-
-// certCache is the process-wide compute-once certificate store: the
-// points of an m-sweep, the optimizers of different machines and repeated
-// cost requests verify a (topology, field) once between them.
-var certCache = struct {
-	mu   sync.Mutex
-	m    map[certKey]*certEntry
-	rows int // Σ rows over m's keys
-}{m: make(map[certKey]*certEntry)}
-
 // certificate returns the certificate of the phase whose window starts at
-// row winLo, and whether this call ran the pass. A span with no Shape
-// promises nothing about other sources' phases and is certified afresh.
+// row winLo, and whether this call ran the pass. A certificate is a fact
+// about the fabric, kept with its handle (topology.Derived): the points of
+// an m-sweep, the optimizers of different machines and repeated cost
+// requests on one handle verify a phase field once between them. A span
+// with no Shape promises nothing about other sources' phases and is
+// certified afresh.
 func (n *Network) certificate(src Sharded, sp PhaseSpan, winLo int) (cert *phaseCert, computed bool) {
 	if sp.Shape == "" {
 		return n.certify(src, sp, winLo), true
 	}
-	k := certKey{topo: n.topo.Name(), stride: sp.Stride, span: sp.Span, rows: sp.Rows, shape: sp.Shape}
-	cc := &certCache
-	cc.mu.Lock()
-	e, ok := cc.m[k]
-	if !ok {
-		for old := range cc.m {
-			if cc.rows+k.rows <= maxCertRows {
-				break
-			}
-			delete(cc.m, old) // a caller inside its once keeps the entry it holds
-			cc.rows -= old.rows
-		}
-		e = new(certEntry)
-		cc.m[k] = e
-		cc.rows += k.rows
-	}
-	cc.mu.Unlock()
-	e.once.Do(func() {
-		e.cert = n.certify(src, sp, winLo)
+	k := certKey{stride: sp.Stride, span: sp.Span, rows: sp.Rows, shape: sp.Shape}
+	cert = topology.Derived(n.topo, k, func() *phaseCert {
 		computed = true
+		return n.certify(src, sp, winLo)
 	})
-	return e.cert, computed
+	return cert, computed
 }

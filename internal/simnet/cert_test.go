@@ -3,9 +3,7 @@ package simnet_test
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/exchange"
@@ -260,27 +258,6 @@ func TestCertificateDeclines(t *testing.T) {
 	}
 }
 
-// certTestRun numbers the runs that need a certificate key the process-wide
-// cache cannot hold yet; go test -count repeats a test in one process.
-var certTestRun atomic.Int64
-
-// reshaped is a compiled source under another certificate key: the same
-// programs, its spans' Shape suffixed.
-type reshaped struct {
-	simnet.Sharded
-	spans []simnet.PhaseSpan
-}
-
-func (r reshaped) PhaseSpans() []simnet.PhaseSpan { return r.spans }
-
-func reshape(src simnet.Sharded, suffix string) reshaped {
-	spans := slices.Clone(src.PhaseSpans())
-	for i := range spans {
-		spans[i].Shape += suffix
-	}
-	return reshaped{src, spans}
-}
-
 // Concurrent first use of one certificate key: every caller gets the
 // engine's result, and the pass runs once between them (-race checks the
 // memory model claim behind sharing it).
@@ -290,12 +267,10 @@ func TestCertificateConcurrentFirstUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compiled := plan.Compile()
-	// A shape nothing in this process has replayed — not even an earlier
-	// iteration of this test under -count — so the key is cold.
-	shape := fmt.Sprintf("#first-use-%d", certTestRun.Add(1))
-	src := reshape(compiled, shape)
-	oracle, err := simnet.New(topo, model.IPSC860()).Run(compiled.Programs())
+	// A torus spec parses to a handle of its own, so no earlier run — not
+	// even this test's under -count — has warmed its certificates.
+	src := plan.Compile()
+	oracle, err := simnet.New(topo, model.IPSC860()).Run(src.Programs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +305,7 @@ func TestCertificateConcurrentFirstUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := simnet.New(topo, model.Hypothetical()).RunSource(reshape(other.Compile(), shape))
+	res, err := simnet.New(topo, model.Hypothetical()).RunSource(other.Compile())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -144,7 +144,7 @@ type Result struct {
 	// "row-not-uniform", "row-not-exchange", "partner-mismatch",
 	// "hop-mismatch", "link-overlap" — or "non-finite-duration".
 	// Certificates counts the certificate passes this run had to perform
-	// itself; a pass is shared process-wide per (topology, phase span).
+	// itself; a pass is kept with the topology handle per phase span.
 	// None of the four affects, or depends on, the fields above.
 	ClosedFormPhases int
 	EnginePhases     int

@@ -27,8 +27,8 @@
 // Sharded interface; exchange.CompiledPlan does) is replayed phase by
 // phase, and each phase by the cheapest means that gives the engine's
 // exact result. A phase certificate — proved once per (topology, phase
-// field) from the actual routed links, detours included, and cached
-// process-wide — says whether the phase runs in lockstep: every row a
+// field) from the actual routed links, detours included, and kept with
+// the fabric handle — says whether the phase runs in lockstep: every row a
 // uniform exchange whose circuits are pairwise link-disjoint and of one
 // hop count. Such a phase is priced in closed form, by the float
 // additions the engine would have applied to every node and no events. A

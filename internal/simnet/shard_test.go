@@ -2,7 +2,6 @@ package simnet
 
 import (
 	"errors"
-	"fmt"
 	"reflect"
 	"runtime"
 	"runtime/debug"
@@ -341,58 +340,36 @@ func TestOversizedChannelStorageIsRecycled(t *testing.T) {
 	}
 }
 
-// boundedCacheRun counts the runs of TestCertificateCacheIsBounded in this
-// process: each needs keys the process-wide cache has not seen.
-var boundedCacheRun int
-
-// The certificate cache is bounded by the rows its keys cover: a key that
-// would overflow it evicts others first, and the row account stays the sum
-// over the resident keys.
-func TestCertificateCacheIsBounded(t *testing.T) {
-	cc := &certCache
-	fake := func(i int) certKey {
-		return certKey{topo: fmt.Sprintf("fake-%d", i), rows: maxCertRows / 4, shape: "fake"}
+// A certificate is kept with the fabric handle it was proved on: a second
+// run on the same handle certifies nothing, a fault-free overlay of it
+// reads its certificates, and another handle of the same spec proves its
+// own. A mesh spec parses to a new handle, so every run of this test —
+// -count included — starts cold.
+func TestCertificateKeptWithHandle(t *testing.T) {
+	topo := topology.MustParseSpec("mesh-2x2x2")
+	healthy, err := topology.Overlay(topo, topology.FaultSet{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	cc.mu.Lock()
-	for i := 0; i < 4; i++ {
-		cc.m[fake(i)] = new(certEntry)
-		cc.rows += fake(i).rows
-	}
-	cc.mu.Unlock()
-	defer func() {
-		cc.mu.Lock()
-		for i := 0; i < 4; i++ {
-			if _, ok := cc.m[fake(i)]; ok {
-				delete(cc.m, fake(i))
-				cc.rows -= fake(i).rows
-			}
-		}
-		cc.mu.Unlock()
-	}()
-
-	boundedCacheRun++
 	src := multiphaseSource()
 	for i := range src.spans {
-		src.spans[i].Shape = fmt.Sprintf("bounded-cache-test-%d", boundedCacheRun) // new keys under -count too
+		src.spans[i].Shape = "kept-with-handle"
 	}
-	net := New(topology.MustNew(3), model.Hypothetical())
-	want := mustRunSource(t, net, multiphaseSource())
-	got := mustRunSource(t, net, src)
-	requireIdentical(t, "cached certificates", want, got)
-	if got.Certificates != 2 {
-		t.Fatalf("%d certificate passes for two new keys", got.Certificates)
-	}
-	if again := mustRunSource(t, net, src); again.Certificates != 0 {
-		t.Fatalf("%d certificate passes on a warm cache", again.Certificates)
-	}
-
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	sum := 0
-	for k := range cc.m {
-		sum += k.rows
-	}
-	if cc.rows != sum || sum > maxCertRows {
-		t.Fatalf("cache accounts %d rows, holds %d, bound %d", cc.rows, sum, maxCertRows)
+	want := mustRunSource(t, New(topo, model.Hypothetical()), multiphaseSource())
+	for _, tc := range []struct {
+		label  string
+		net    topology.Network
+		passes int
+	}{
+		{"first run", topo, 2},
+		{"same handle", topo, 0},
+		{"fault-free overlay", healthy, 0},
+		{"another handle of the spec", topology.MustParseSpec("mesh-2x2x2"), 2},
+	} {
+		got := mustRunSource(t, New(tc.net, model.Hypothetical()), src)
+		requireIdentical(t, tc.label, want, got)
+		if got.Certificates != tc.passes {
+			t.Errorf("%s: %d certificate passes, want %d", tc.label, got.Certificates, tc.passes)
+		}
 	}
 }

@@ -209,9 +209,18 @@ type Degraded struct {
 	diam       int
 	apl        float64
 	links      int
+
+	memo memo // Derived's values; a fault-free overlay uses its base's
 }
 
 var _ Network = (*Degraded)(nil)
+
+func (d *Degraded) derived() *memo {
+	if d.Healthy() {
+		return d.base.derived()
+	}
+	return &d.memo
+}
 
 // Overlay wraps base with the given fault set. The set is canonicalized
 // and validated (see FaultSet.canonicalize); wrapping an already
@@ -271,9 +280,8 @@ func (d *Degraded) Base() Network { return d.base }
 func (d *Degraded) Faults() FaultSet { return d.fs.Clone() }
 
 // Healthy reports whether the overlay carries no faults at all — in
-// which case every method delegates to the base network and Name()
-// returns the base name unchanged, so memoization keys collide (by
-// design) with the bare network's.
+// which case every method delegates to the base network, Name() returns
+// the base name unchanged and Derived reads the base's values.
 func (d *Degraded) Healthy() bool { return d.fs.Empty() }
 
 // HealthDigest returns the canonical fault summary: "ok" when healthy,

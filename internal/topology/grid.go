@@ -27,6 +27,8 @@ type grid struct {
 	// that are simulated pay for it, not every spec a request resolves.
 	digitsOnce sync.Once
 	digits     []int32
+
+	memo memo
 }
 
 // Torus is a mixed-radix k-dimensional torus with wraparound links and
@@ -43,8 +45,8 @@ type Mesh struct{ grid }
 // label-arithmetic comfort zone.
 const maxGridNodes = 1 << 24
 
-// init fills in the grid in place (it holds a sync.Once, so it is never
-// copied).
+// init fills in the grid in place (it holds a sync.Once and a memo, so it
+// is never copied).
 func (g *grid) init(radices []int, wrap bool, kind string) error {
 	if len(radices) == 0 {
 		return fmt.Errorf("topology: %s needs at least one dimension", kind)
@@ -111,6 +113,7 @@ func (g *grid) Dims() []int         { return append([]int(nil), g.radices...) }
 func (g *grid) Stride(i int) int    { return g.strides[i] }
 func (g *grid) Degree() int         { return g.degree }
 func (g *grid) Diameter() int       { return g.diameter }
+func (g *grid) derived() *memo      { return &g.memo }
 
 // digit returns coordinate i of label p.
 func (g *grid) digit(p, i int) int { return (p / g.strides[i]) % g.radices[i] }

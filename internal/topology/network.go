@@ -1,6 +1,9 @@
 package topology
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Network is the abstract interconnect every layer above routing is
 // written against: a set of nodes labelled by mixed-radix coordinates
@@ -77,6 +80,36 @@ type Network interface {
 	// AveragePathLength returns the mean routed distance over all
 	// ordered node pairs with src ≠ dst.
 	AveragePathLength() float64
+
+	// derived returns the memo Derived keeps this handle's values in.
+	derived() *memo
+}
+
+// memo is what one handle keeps of the values other layers derive from it
+// (Derived): one per Hypercube, grid and faulted Degraded overlay.
+type memo struct{ m sync.Map } // key → *memoCell
+
+type memoCell struct {
+	once sync.Once
+	v    any
+}
+
+// Derived returns build's value for key on net. build runs at most once per
+// handle — concurrent first callers wait for that one run — and its value
+// is kept with the handle: shared by everyone holding it (Resolve hands out
+// one handle per fabric) and collected with it. A fault-free Degraded
+// overlay routes and prices like its base, and reads and fills its base's
+// values. build must be a pure function of the fabric; a key's type should
+// be private to the calling package, so that two packages never collide.
+func Derived[K comparable, V any](net Network, key K, build func() V) V {
+	m := &net.derived().m
+	c, ok := m.Load(key)
+	if !ok {
+		c, _ = m.LoadOrStore(key, new(memoCell))
+	}
+	cell := c.(*memoCell)
+	cell.once.Do(func() { cell.v = build() })
+	return cell.v.(V)
 }
 
 // NumDims-related helpers shared by the exchange planner.

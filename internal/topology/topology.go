@@ -17,6 +17,13 @@
 // exact up to maxExactMetricNodes nodes) and its detours, a grid's digit
 // table — is a pure function of the canonical spec (simulated time never
 // consults the host), derived on first use and kept with the handle.
+//
+// That is the one rule for every per-fabric fact, whichever layer derives
+// it: the cost model's routed-distance sums and degraded per-step metrics,
+// the simulator's phase certificates. Derived(net, key, build) computes a
+// value once per handle and keeps it there, so it lives exactly as long as
+// someone holds the fabric, and no layer keeps a table keyed by a fabric's
+// name.
 package topology
 
 import (
@@ -33,6 +40,7 @@ type Hypercube struct {
 	dim  int
 	n    int
 	name string
+	memo memo
 }
 
 // Hypercube is the radix-2 Network; Torus and Mesh are the mixed-radix
@@ -76,6 +84,8 @@ func (h *Hypercube) Dims() []int {
 	}
 	return out
 }
+
+func (h *Hypercube) derived() *memo { return &h.memo }
 
 // Stride returns 2^i, the label stride of bit i.
 func (h *Hypercube) Stride(i int) int { return 1 << uint(i) }
