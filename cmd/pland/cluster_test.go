@@ -130,6 +130,9 @@ func TestFleetEndToEnd(t *testing.T) {
 	for i := range lns {
 		_, stops[i] = startFleetNode(t, options{
 			machine:          "ipsc860",
+			backend:          "simulated", // a line the ring still fetches: its build replays
+			sweepHi:          64,
+			sweepStep:        16,
 			self:             urls[i],
 			peers:            peers,
 			peerAttempts:     1,
@@ -152,7 +155,7 @@ func TestFleetEndToEnd(t *testing.T) {
 	}
 	owner := ownerOf(3)
 	var dims []int
-	for d := 3; d <= 20 && len(dims) < 2; d++ {
+	for d := 3; d <= 12 && len(dims) < 2; d++ {
 		if ownerOf(d) == owner {
 			dims = append(dims, d)
 		}
@@ -224,6 +227,56 @@ func TestFleetEndToEnd(t *testing.T) {
 	}
 }
 
+// TestAnalyticFleetBuildsLocally: on the analytic backend a healthy line
+// rebuilds in microseconds, less than one hop to its owner costs, so
+// every replica builds it itself — and all three answer alike.
+func TestAnalyticFleetBuildsLocally(t *testing.T) {
+	lns, urls := reserveFleet(t, 3)
+	peers := strings.Join(urls, ",")
+	for i := range lns {
+		startFleetNode(t, options{
+			machine:    "ipsc860",
+			self:       urls[i],
+			peers:      peers,
+			probeEvery: time.Hour,
+		}, lns[i])
+	}
+	for _, u := range urls {
+		waitReady(t, u)
+	}
+
+	var parts []string
+	for _, u := range urls {
+		var plan planWire
+		fetch(t, u+"/v1/plan?machine=ipsc860&d=12&m=40", &plan)
+		parts = append(parts, fmt.Sprint(plan.Partition))
+	}
+	if parts[0] != parts[1] || parts[1] != parts[2] {
+		t.Fatalf("replicas disagree on hypercube-12 m=40: %v", parts)
+	}
+	var hits int64
+	for _, u := range urls {
+		var m struct {
+			clusterMetricsWire
+			Endpoints map[string]struct {
+				Count int64 `json:"count"`
+			} `json:"endpoints"`
+		}
+		fetch(t, u+"/metrics", &m)
+		hits += m.Cluster.PeerHits
+		if m.Cache.Builds != 1 {
+			t.Errorf("%s built %d lines, want 1: its own", u, m.Cache.Builds)
+		}
+		// Every route is listed from boot; a served peer fetch counts.
+		if n := m.Endpoints[cluster.PeerLinePath].Count; n != 0 {
+			t.Errorf("%s served %d %s requests, want none", u, n, cluster.PeerLinePath)
+		}
+	}
+	if hits != 0 {
+		t.Errorf("peer_hits_total is %d fleet-wide, want 0", hits)
+	}
+}
+
 // TestFleetKillOwnerUnderLoad is the fleet's core promise under load: a
 // ring owner hard-killed while closed-loop clients keep both survivors
 // missing on lines all three replicas own costs latency, never an error.
@@ -239,6 +292,9 @@ func TestFleetKillOwnerUnderLoad(t *testing.T) {
 	for i := range lns {
 		nodes[i], _ = startFleetNode(t, options{
 			machine:          "ipsc860",
+			backend:          "simulated", // lines the ring still fetches: their builds replay
+			sweepHi:          64,
+			sweepStep:        16,
 			self:             urls[i],
 			peers:            peers,
 			shards:           1,
@@ -263,7 +319,7 @@ func TestFleetKillOwnerUnderLoad(t *testing.T) {
 	}
 	var lines []lineRef
 	owned := make(map[string]int)
-	for d := 2; d <= 10; d++ {
+	for d := 2; d <= 7; d++ {
 		for _, machine := range model.MachineNames() {
 			owner := ring.Owner(cluster.LineKey(machine, fmt.Sprintf("hypercube-%d", d)))
 			if owned[owner] < 3 {

@@ -23,11 +23,14 @@
 //
 // Every replica must be given the same -peers set (its own URL may be
 // included; it is excluded from its peer list automatically). A
-// consistent-hash ring assigns each cache line an owner; misses are
-// fetched from the owner with deadlines, retries, and a per-peer
-// circuit breaker, and fall back to a local build when the owner is
-// unreachable. /readyz turns 200 only after restore, warmup, and the
-// ring join's warm fan-out; /healthz stays pure liveness.
+// consistent-hash ring assigns each cache line an owner. A miss on a
+// line whose build costs more than the hop — a simulated-backend line,
+// or one on a faulted fabric — is fetched from the owner with deadlines,
+// retries, and a per-peer circuit breaker, and falls back to a local
+// build when the owner is unreachable; a healthy analytic line rebuilds
+// in microseconds and is always built where it is asked. /readyz turns
+// 200 only after restore, warmup, and the ring join's warm fan-out;
+// /healthz stays pure liveness.
 package main
 
 import (
@@ -113,11 +116,11 @@ func main() {
 	flag.StringVar(&o.self, "self", "", "this replica's advertised base URL (required with -peers)")
 	flag.StringVar(&o.peers, "peers", "", "comma-separated replica base URLs forming the fleet (empty = standalone)")
 	flag.IntVar(&o.maxBuilds, "max-builds", 0, "concurrent local hull builds before shedding with 503 (0 = unbounded)")
-	flag.DurationVar(&o.peerTimeout, "peer-timeout", 0, "per-attempt peer fetch deadline (0 = cluster default)")
-	flag.IntVar(&o.peerAttempts, "peer-attempts", 0, "peer fetch attempts before local fallback (0 = cluster default)")
+	flag.DurationVar(&o.peerTimeout, "peer-timeout", 0, "per-attempt peer fetch deadline for fetched lines: simulated or faulted (0 = cluster default)")
+	flag.IntVar(&o.peerAttempts, "peer-attempts", 0, "peer fetch attempts before local fallback, for fetched lines: simulated or faulted (0 = cluster default)")
 	flag.DurationVar(&o.probeEvery, "probe-every", 0, "peer health-probe interval (0 = cluster default)")
-	flag.IntVar(&o.breakerThreshold, "breaker-threshold", 0, "consecutive peer failures before the breaker opens (0 = cluster default)")
-	flag.DurationVar(&o.breakerCooldown, "breaker-cooldown", 0, "open-breaker cooldown before a half-open probe (0 = cluster default)")
+	flag.IntVar(&o.breakerThreshold, "breaker-threshold", 0, "consecutive peer fetch failures before the breaker opens, for fetched lines: simulated or faulted (0 = cluster default)")
+	flag.DurationVar(&o.breakerCooldown, "breaker-cooldown", 0, "open-breaker cooldown before a half-open probe, for fetched lines: simulated or faulted (0 = cluster default)")
 	flag.StringVar(&o.logFormat, "log-format", "text", "log output format: text | json")
 	flag.StringVar(&o.debugAddr, "debug-addr", "", "listen address for pprof and /debug/vars (empty = off)")
 	flag.IntVar(&o.traceCapacity, "trace-capacity", 0, "request traces retained for /debug/traces (0 = default)")

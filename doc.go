@@ -64,14 +64,16 @@
 // The serving tier also scales out: internal/cluster turns N pland
 // replicas into one logical cache. A consistent-hash ring with virtual
 // nodes assigns every cache line to an owner replica; a non-owner's
-// miss fetches the built line from its owner over /v1/peer/line —
-// per-attempt deadlines, bounded retries with backoff and jitter, and
-// per-peer circuit breakers guarding every hop — and falls back to a
-// local singleflight build when the owner is dead or slow, so a peer
-// failure costs latency, never an error. Replicas probe each other's
-// /healthz, warm-fetch their owned lines at startup, gate /readyz on
-// that warm-up, forward fault updates fleet-wide, and shed local
-// builds beyond a bound with 503s. Without -peers the daemon is
+// miss on a line whose build costs more than the hop (a simulated or a
+// faulted one — a healthy analytic line rebuilds in microseconds and is
+// built where it is asked) fetches the built line from its owner over
+// /v1/peer/line — per-attempt deadlines, bounded retries with backoff
+// and jitter, and per-peer circuit breakers guarding every hop — and
+// falls back to a local singleflight build when the owner is dead or
+// slow, so a peer failure costs latency, never an error. Replicas probe
+// each other's /healthz, warm-fetch their owned lines at startup, gate
+// /readyz on that warm-up, forward fault updates fleet-wide, and shed
+// local builds beyond a bound with 503s. Without -peers the daemon is
 // bit-identical to the standalone build.
 //
 // The fleet watches itself through internal/obs, a zero-dependency

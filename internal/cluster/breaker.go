@@ -92,6 +92,18 @@ func (b *breaker) failure() {
 	}
 }
 
+// abandon records a fetch its caller gave up on: it says nothing about
+// the peer, so the streak is left alone. An abandoned half-open probe
+// returns the breaker to open without restarting the cooldown, so the
+// next fetch is admitted as the probe instead of being refused forever.
+func (b *breaker) abandon() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.state == breakerHalfOpen {
+		b.state = breakerOpen
+	}
+}
+
 // reset force-closes the breaker (a down→up health-probe transition:
 // the peer restarted and answers /healthz again, so give it a clean
 // slate rather than waiting out a cooldown from its previous life).

@@ -71,6 +71,31 @@ func TestBreakerHalfOpenProbeLifecycle(t *testing.T) {
 	}
 }
 
+func TestBreakerAbandonBooksNothing(t *testing.T) {
+	clk := &fakeClock{t: time.Unix(0, 0)}
+	b := newBreaker(2, time.Minute, clk.now)
+	b.failure()
+	b.abandon()
+	if state, fails, _ := b.snapshot(); state != breakerClosed || fails != 1 {
+		t.Fatalf("abandoned fetch on a closed breaker: got (%s, %d), want (closed, 1)", state, fails)
+	}
+
+	// An abandoned half-open probe hands the probe to the next caller at
+	// once: no new cooldown, no new trip.
+	b.failure()
+	clk.advance(2 * time.Minute)
+	if !b.allow() {
+		t.Fatal("breaker refused the half-open probe after cooldown")
+	}
+	b.abandon()
+	if state, _, trips := b.snapshot(); state != breakerOpen || trips != 1 {
+		t.Fatalf("abandoned probe: got state %s, trips %d, want open, 1", state, trips)
+	}
+	if !b.allow() {
+		t.Fatal("the next caller was refused the probe an abandoned one left")
+	}
+}
+
 func TestBreakerReset(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(0, 0)}
 	b := newBreaker(1, time.Hour, clk.now)

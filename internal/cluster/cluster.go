@@ -213,10 +213,14 @@ func (c *Cluster) Owner(machine, topo string) string {
 }
 
 // FetchLine implements plancache.Config.Fetch: on a local miss, fetch
-// the line from its ring owner. It declines (nil, nil) when this
+// the line from its ring owner. The cache asks only for lines whose
+// build costs more than the hop (simulated or faulted); FetchLine itself
+// fetches every key it does not own. It declines (nil, nil) when this
 // replica owns the key — the local build is the right move, not a
-// fallback. Any error return means the caller will fall back to a
-// local build, which is exactly what the fallback counter records.
+// fallback. Any other error return means the caller will fall back to a
+// local build, which is exactly what the fallback counter records; a
+// fetch ended by the caller's own context builds nothing, so it is
+// booked neither against the peer nor as a fallback.
 func (c *Cluster) FetchLine(ctx context.Context, machine, topo string) (*plancache.LineData, error) {
 	owner := c.Owner(machine, topo)
 	if owner == c.self {
@@ -233,6 +237,13 @@ func (c *Cluster) FetchLine(ctx context.Context, machine, topo string) (*plancac
 	sp.SetAttr("machine", machine)
 	sp.SetAttr("topology", topo)
 	ld, err := c.fetchFrom(ctx, p, machine, topo)
+	if err != nil && err == ctx.Err() {
+		// fetchFrom returns the context's error bare only when the
+		// caller gave up first.
+		sp.SetAttr("outcome", "cancelled")
+		sp.End()
+		return nil, err
+	}
 	if err != nil {
 		c.peerFetchFailures.Add(1)
 		c.fallbackBuilds.Add(1)
@@ -267,7 +278,7 @@ func (c *Cluster) fetchFrom(ctx context.Context, p *peer, machine, topo string) 
 			select {
 			case <-time.After(d):
 			case <-ctx.Done():
-				p.breaker.failure()
+				p.breaker.abandon()
 				return nil, ctx.Err()
 			}
 			backoff *= 2
@@ -279,9 +290,8 @@ func (c *Cluster) fetchFrom(ctx context.Context, p *peer, machine, topo string) 
 		}
 		lastErr = err
 		if ctx.Err() != nil {
-			// The caller is gone; this says nothing about the peer, but
-			// the attempt still failed.
-			p.breaker.failure()
+			// The caller is gone; this says nothing about the peer.
+			p.breaker.abandon()
 			return nil, ctx.Err()
 		}
 	}

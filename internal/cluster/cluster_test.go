@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -243,6 +244,89 @@ func TestFetchHonorsCallerDeadline(t *testing.T) {
 	}
 	if took := time.Since(began); took > 5*time.Second {
 		t.Fatalf("fetch ignored the caller deadline for %v", took)
+	}
+}
+
+// TestCancelledFetchBooksNothing: a fetch ended by its caller's own
+// context says nothing about the peer and builds nothing, so it moves
+// neither the breaker's streak nor the failure and fallback counters.
+// Enough abandoned fetches in a row would otherwise open a healthy
+// owner's breaker.
+func TestCancelledFetchBooksNothing(t *testing.T) {
+	// The first request blocks until its client gives up; later ones fail
+	// at once, which sends the fetch into its backoff wait.
+	var calls atomic.Int64
+	arrived := make(chan struct{}, 2) // one per request the two fetches make
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		arrived <- struct{}{}
+		if calls.Add(1) == 1 {
+			<-r.Context().Done()
+			return
+		}
+		http.Error(w, "warming up", http.StatusInternalServerError)
+	}))
+	defer peer.Close()
+	c, err := New(Config{
+		Self:          "http://self.invalid:1",
+		Peers:         []string{peer.URL},
+		FetchAttempts: 3,
+		FetchTimeout:  10 * time.Second,
+		FetchBackoff:  time.Hour, // a cancel during the backoff wait is the second case
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, _ := cubeOwnedBy(t, c.Ring(), "ipsc860", peer.URL)
+
+	// Cancelled while the attempt is in flight.
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() {
+		_, err := c.FetchLine(ctx, "ipsc860", topo)
+		errc <- err
+	}()
+	select {
+	case <-arrived:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the fetch never reached the peer")
+	}
+	cancel()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled fetch returned %v, want context.Canceled", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("cancelled fetch did not return")
+	}
+
+	// Cancelled in the backoff wait after a failed attempt.
+	ctx, cancel = context.WithCancel(context.Background())
+	go func() {
+		_, err := c.FetchLine(ctx, "ipsc860", topo)
+		errc <- err
+	}()
+	select {
+	case <-arrived:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the second fetch never reached the peer")
+	}
+	cancel()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("fetch cancelled in backoff returned %v, want context.Canceled", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("fetch cancelled in backoff did not return")
+	}
+
+	st := c.PeerStates()[0]
+	if st.ConsecutiveFailures != 0 || st.Breaker != breakerClosed {
+		t.Fatalf("peer after cancelled fetches: streak %d, breaker %s — want 0, closed", st.ConsecutiveFailures, st.Breaker)
+	}
+	if m := c.Metrics(); m.PeerFetchFailures != 0 || m.FallbackBuilds != 0 {
+		t.Fatalf("cancelled fetches counted: failures %d, fallback builds %d — want 0, 0", m.PeerFetchFailures, m.FallbackBuilds)
 	}
 }
 

@@ -2,13 +2,14 @@
 //
 // A consistent-hash ring with virtual nodes assigns every plan-cache
 // line key — the digest-carrying (machine, topology name) pair — to an
-// owner replica. On a local miss a non-owner first fetches the line
-// from its owner over the internal /v1/peer/line endpoint, guarded by a
-// per-attempt deadline, bounded retries with exponential backoff and
-// jitter, and a per-peer circuit breaker (consecutive-failure trip,
-// half-open probes); only when that fails does it fall back to a local
-// singleflight build. A dead or slow peer must never make a request
-// fail — only cost more.
+// owner replica. On a local miss for a line whose build costs more than
+// the hop (plancache decides: simulated or faulted lines) a non-owner
+// first fetches the line from its owner over the internal /v1/peer/line
+// endpoint, guarded by a per-attempt deadline, bounded retries with
+// exponential backoff and jitter, and a per-peer circuit breaker
+// (consecutive-failure trip, half-open probes); only when that fails
+// does it fall back to a local singleflight build. A dead or slow peer
+// must never make a request fail — only cost more.
 //
 // Membership is a static peer list plus lightweight health probing
 // (/healthz polls drive peer up/down state, surfaced with breaker state

@@ -496,6 +496,9 @@ func NewSimulated(p model.Params) *Optimizer {
 	return &Optimizer{params: p, backend: Simulated}
 }
 
+// Backend reports how the optimizer costs candidates.
+func (o *Optimizer) Backend() Backend { return o.backend }
+
 // SetWorkers bounds the simulated backend's costing worker pool: the
 // candidates of one BestOn enumeration, or the points of one table sweep,
 // whose candidates are then costed serially. n ≤ 0 restores the default,

@@ -3,18 +3,24 @@ package plancache
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/model"
+	"repro/internal/optimize"
 	"repro/internal/topology"
 )
 
-// wireLine builds a LineData this cache's default configuration accepts.
-func wireLine(t *testing.T, machine string, d int) LineData {
+// fetchedSpec is a line the cache still fetches from its owner: a
+// faulted fabric, whose build routes around the dead link. It is cheap
+// to build here all the same, so the fallback tests stay fast.
+const fetchedSpec = "hypercube-4!dl=0-1"
+
+// wireLine builds a LineData this cache's default configuration accepts
+// for a line on the d-cube named by spec.
+func wireLine(t *testing.T, machine, spec string, d int) LineData {
 	t.Helper()
 	prm, ok := model.Machines()[machine]
 	if !ok {
@@ -23,7 +29,7 @@ func wireLine(t *testing.T, machine string, d int) LineData {
 	return LineData{
 		Machine:   machine,
 		Params:    prm,
-		Topology:  fmt.Sprintf("hypercube-%d", d),
+		Topology:  spec,
 		D:         d,
 		SweepLo:   0,
 		SweepHi:   DefaultSweepHi,
@@ -37,14 +43,14 @@ func TestFetchHookFillsMissWithoutBuilding(t *testing.T) {
 	c := New(Config{
 		Fetch: func(_ context.Context, machine, topo string) (*LineData, error) {
 			fetches.Add(1)
-			ld := wireLine(t, machine, 4)
+			ld := wireLine(t, machine, fetchedSpec, 4)
 			if ld.Topology != topo {
-				t.Errorf("fetch hook asked for %q, expected hypercube-4", topo)
+				t.Errorf("fetch hook asked for %q, expected %s", topo, fetchedSpec)
 			}
 			return &ld, nil
 		},
 	})
-	p, err := c.GetForCtx(bg, "ipsc860", mustCube(t, 4), 32)
+	p, err := c.GetForCtx(bg, "ipsc860", mustSpec(t, fetchedSpec), 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +63,7 @@ func TestFetchHookFillsMissWithoutBuilding(t *testing.T) {
 			fetches.Load(), s.PeerImports, s.Builds)
 	}
 	// A resident line never consults the hook again.
-	if _, err := c.GetForCtx(bg, "ipsc860", mustCube(t, 4), 64); err != nil {
+	if _, err := c.GetForCtx(bg, "ipsc860", mustSpec(t, fetchedSpec), 64); err != nil {
 		t.Fatal(err)
 	}
 	if fetches.Load() != 1 {
@@ -71,7 +77,7 @@ func TestFetchFailureFallsBackToLocalBuild(t *testing.T) {
 			return nil, errors.New("owner unreachable")
 		},
 	})
-	if _, err := c.GetForCtx(bg, "ipsc860", mustCube(t, 4), 32); err != nil {
+	if _, err := c.GetForCtx(bg, "ipsc860", mustSpec(t, fetchedSpec), 32); err != nil {
 		t.Fatalf("failed fetch was not recovered by a local build: %v", err)
 	}
 	s := c.Stats()
@@ -83,12 +89,12 @@ func TestFetchFailureFallsBackToLocalBuild(t *testing.T) {
 func TestFetchInvalidPayloadFallsBackToLocalBuild(t *testing.T) {
 	c := New(Config{
 		Fetch: func(_ context.Context, machine, _ string) (*LineData, error) {
-			ld := wireLine(t, machine, 4)
+			ld := wireLine(t, machine, fetchedSpec, 4)
 			ld.Params.Lambda *= 2 // a peer running different constants
 			return &ld, nil
 		},
 	})
-	if _, err := c.GetForCtx(bg, "ipsc860", mustCube(t, 4), 32); err != nil {
+	if _, err := c.GetForCtx(bg, "ipsc860", mustSpec(t, fetchedSpec), 32); err != nil {
 		t.Fatalf("invalid peer payload was not recovered by a local build: %v", err)
 	}
 	if s := c.Stats(); s.Builds != 1 || s.PeerImports != 0 {
@@ -114,22 +120,23 @@ func TestCancelledFillDoesNotPoisonKey(t *testing.T) {
 		},
 	})
 
+	net := mustSpec(t, fetchedSpec)
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := c.GetForCtx(ctx, "ipsc860", mustCube(t, 5), 32)
+		_, err := c.GetForCtx(ctx, "ipsc860", net, 32)
 		errc <- err
 	}()
-	<-release
+	recvWithin(t, release, "the first caller never reached the fetch")
 	cancel()
-	if err := <-errc; !errors.Is(err, context.Canceled) {
+	if err := recvWithin(t, errc, "the cancelled caller never returned"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled caller got %v, want context.Canceled", err)
 	}
 
 	// The key must not be poisoned: a fresh caller succeeds.
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.GetForCtx(bg, "ipsc860", mustCube(t, 5), 32)
+		_, err := c.GetForCtx(bg, "ipsc860", net, 32)
 		done <- err
 	}()
 	select {
@@ -163,29 +170,100 @@ func TestJoinerSurvivesInitiatorCancel(t *testing.T) {
 		},
 	})
 
+	net := mustSpec(t, fetchedSpec)
 	initiatorCtx, cancelInitiator := context.WithCancel(context.Background())
 	initiatorErr := make(chan error, 1)
 	go func() {
-		_, err := c.GetForCtx(initiatorCtx, "ipsc860", mustCube(t, 5), 32)
+		_, err := c.GetForCtx(initiatorCtx, "ipsc860", net, 32)
 		initiatorErr <- err
 	}()
-	<-inFetch
+	recvWithin(t, inFetch, "the initiator never reached the fetch")
 
 	joinerErr := make(chan error, 1)
 	go func() {
-		_, err := c.GetForCtx(bg, "ipsc860", mustCube(t, 5), 32)
+		_, err := c.GetForCtx(bg, "ipsc860", net, 32)
 		joinerErr <- err
 	}()
 	// Give the joiner a moment to join the in-progress flight, then
 	// abandon it from the initiator's side.
 	time.Sleep(20 * time.Millisecond)
 	cancelInitiator()
-	if err := <-initiatorErr; !errors.Is(err, context.Canceled) {
+	if err := recvWithin(t, initiatorErr, "the initiator never returned"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("initiator got %v, want context.Canceled", err)
 	}
 	close(release)
-	if err := <-joinerErr; err != nil {
+	if err := recvWithin(t, joinerErr, "the joiner never returned"); err != nil {
 		t.Fatalf("joiner was killed by the initiator's cancel: %v", err)
+	}
+}
+
+// TestFetchOnlyWhereBuildCostsMoreThanHop pins which misses consult the
+// owner: a line whose build replays or routes around faults is fetched,
+// a healthy analytic line — microseconds to rebuild — never is.
+func TestFetchOnlyWhereBuildCostsMoreThanHop(t *testing.T) {
+	fetches := make(map[string]int)
+	var mu sync.Mutex
+	declineCounting := func(_ context.Context, _, topo string) (*LineData, error) {
+		mu.Lock()
+		fetches[topo]++
+		mu.Unlock()
+		return nil, nil // decline: build locally
+	}
+	fetchesOf := func(topo string) int {
+		mu.Lock()
+		defer mu.Unlock()
+		return fetches[topo]
+	}
+	analytic := New(Config{Fetch: declineCounting})
+	get := func(c *Cache, net topology.Network) {
+		t.Helper()
+		if _, err := c.GetForCtx(bg, "ipsc860", net, 32); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// A healthy analytic line is built here, once, and never fetched.
+	get(analytic, mustCube(t, 5))
+	get(analytic, mustCube(t, 5))
+	if n, s := fetchesOf("hypercube-5"), analytic.Stats(); n != 0 || s.Builds != 1 {
+		t.Fatalf("healthy analytic line: %d fetches, %d builds — want 0, 1", n, s.Builds)
+	}
+
+	// A zero-fault overlay is its bare fabric: the same line, not fetched.
+	healthy, err := topology.Overlay(mustCube(t, 6), topology.FaultSet{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	get(analytic, healthy)
+	get(analytic, mustCube(t, 6))
+	if n, s := fetchesOf("hypercube-6"), analytic.Stats(); n != 0 || s.Builds != 2 {
+		t.Fatalf("zero-fault overlay: %d fetches, %d builds — want 0, 2", n, s.Builds)
+	}
+
+	// A faulted analytic line is fetched first.
+	get(analytic, mustSpec(t, fetchedSpec))
+	if n, s := fetchesOf(fetchedSpec), analytic.Stats(); n != 1 || s.Builds != 3 {
+		t.Fatalf("faulted analytic line: %d fetches, %d builds — want 1, 3", n, s.Builds)
+	}
+
+	// A healthy line whose build replays is fetched first.
+	simulated := New(Config{Fetch: declineCounting, NewOptimizer: optimize.NewSimulated, SweepHi: 16, SweepStep: 8})
+	get(simulated, mustCube(t, 3))
+	if n, s := fetchesOf("hypercube-3"), simulated.Stats(); n != 1 || s.Builds != 1 {
+		t.Fatalf("healthy simulated line: %d fetches, %d builds — want 1, 1", n, s.Builds)
+	}
+}
+
+// recvWithin receives from ch, failing the test with what instead of
+// hanging when nothing arrives within ten seconds.
+func recvWithin[T any](t *testing.T, ch <-chan T, what string) T {
+	t.Helper()
+	select {
+	case v := <-ch:
+		return v
+	case <-time.After(10 * time.Second):
+		t.Fatal(what)
+		panic("unreachable")
 	}
 }
 

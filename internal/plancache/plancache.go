@@ -85,11 +85,15 @@ type Config struct {
 	ReplayWorkers int
 	// Fetch, when non-nil, is consulted inside the per-key singleflight
 	// before a missing line is built locally — the cluster peer-fetch
-	// hook. It may return (nil, nil) to decline (this replica owns the
-	// key, or no peers are configured), a validated-importable LineData
-	// on success, or an error after its own deadline/retry budget; any
-	// error or invalid payload falls back to the local build, so a dead
-	// or slow peer can never fail a request, only make it cost a build.
+	// hook — for the lines whose build costs more than the hop: those of
+	// a simulated-backend optimizer and those of a faulted fabric
+	// (topology.HealthDigestOf ≠ "ok"). A healthy analytic line is always
+	// built locally, in microseconds. The hook may return (nil, nil) to
+	// decline (this replica owns the key, or no peers are configured), a
+	// validated-importable LineData on success, or an error after its own
+	// deadline/retry budget; any error or invalid payload falls back to
+	// the local build, so a dead or slow peer can never fail a request,
+	// only make it cost a build.
 	Fetch func(ctx context.Context, machine, topo string) (*LineData, error)
 	// MaxConcurrentBuilds bounds how many local hull builds may run at
 	// once. Beyond the bound a miss is shed with ErrOverloaded instead
@@ -472,9 +476,9 @@ var ErrOverloaded = errors.New("build capacity exhausted")
 
 // lineFor returns the resident line for (name, topology), filling it
 // under a per-key singleflight on a miss (peer fetch first when a Fetch
-// hook is configured, local build otherwise). built is true only for
-// the caller that initiated a fill that ran a local build (not for
-// hits, joined waiters, or peer imports).
+// hook is configured and fill finds the line worth fetching, local build
+// otherwise). built is true only for the caller that initiated a fill
+// that ran a local build (not for hits, joined waiters, or peer imports).
 //
 // ctx bounds this caller's WAIT, not the fill: when ctx ends the
 // caller gets ctx.Err() immediately while the fill keeps running for
@@ -589,10 +593,10 @@ func flightDone(f *flight) bool {
 	}
 }
 
-// runFlight performs one fill: peer fetch (when configured), then local
-// build, publishing the result and retiring the flight entry. It runs
-// detached from any single request so one disconnected client cannot
-// abort work others are waiting on.
+// runFlight performs one fill: peer fetch (when configured and worth the
+// hop, see fill), then local build, publishing the result and retiring
+// the flight entry. It runs detached from any single request so one
+// disconnected client cannot abort work others are waiting on.
 func (c *Cache) runFlight(ctx context.Context, f *flight, sh *shard, key lineKey, name string, prm model.Params, net topology.Network) {
 	f.line, f.built, f.err = c.fill(ctx, name, prm, net)
 
@@ -616,8 +620,17 @@ func (c *Cache) runFlight(ctx context.Context, f *flight, sh *shard, key lineKey
 // accepts the key, by a bounded local build otherwise. A fetch error or
 // an invalid peer payload falls back to the local build — a dead peer
 // costs time, never correctness.
+//
+// The hop is consulted only where it saves more than it costs: one owner
+// fetch is ≈ 80 µs in process and ≈ 300 µs of CPU across two processes.
+// A line whose build replays (the simulated backend: milliseconds to
+// seconds) or routes around faults (≈ 120 µs on hypercube-10!dl=0-1,
+// milliseconds on hypercube-16) is fetched. A healthy line on the
+// analytic backend rebuilds on a warm fabric handle in 3–50 µs for cubes
+// up to hypercube-20, so it is built here.
 func (c *Cache) fill(ctx context.Context, name string, prm model.Params, net topology.Network) (*line, bool, error) {
-	if c.cfg.Fetch != nil {
+	if c.cfg.Fetch != nil &&
+		(c.optimizer(name, prm).Backend() == optimize.Simulated || topology.HealthDigestOf(net) != "ok") {
 		ld, err := c.cfg.Fetch(ctx, name, net.Name())
 		if err == nil && ld != nil && ld.Machine == name && ld.Topology == net.Name() {
 			if ln, err := c.admit(*ld); err == nil {
