@@ -674,30 +674,45 @@ func replayFragment(b *testing.B) (topology.Network, *exchange.CompiledPlan) {
 // benchReplayFragment replays the fragment on the event engine with the
 // given shard count. The fragment's phase certificate holds, so a plain
 // replay would be priced in closed form and neither the engine nor its
-// shards would run; a FaultPlan makes the replay core decline it, and
-// one that only fires after the run is over leaves the dynamics what they
-// always were — every step of a row tied at one instant. The sharded
-// replay engages fully and must report the same sim_µs bit-for-bit as
-// the serial one (the equivalence suite pins this; the benchmark pair
-// exposes the wall-clock ratio).
+// shards would run; one statically slow wire (a degraded overlay that
+// keeps every base route) makes the replay core decline it, "slow-link",
+// while leaving the dynamics what they were everywhere else — every step
+// of a row tied at one instant. The sharded replay engages fully and must
+// report the same sim_µs bit-for-bit as the serial one: it is checked
+// here against one serial replay outside the timer, and the benchmark
+// pair exposes the wall-clock ratio.
 func benchReplayFragment(b *testing.B, shards int) {
 	prm := model.IPSC860()
-	topo, frag := replayFragment(b)
-	never := simnet.FaultPlan{Links: []simnet.LinkFault{{A: 0, B: 1, At: 1e12, Factor: 2}}}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var last simnet.Result
-	for i := 0; i < b.N; i++ {
-		net := simnet.New(topo, prm)
-		if err := net.SetFaultPlan(never); err != nil {
-			b.Fatal(err)
-		}
-		net.SetReplayShards(shards)
+	_, frag := replayFragment(b)
+	slow := topology.MustParseSpec("hypercube-16!sl=0-1:2")
+	replay := func(w int) simnet.Result {
+		net := simnet.New(slow, prm)
+		net.SetReplayShards(w)
 		res, err := net.RunSource(frag)
 		if err != nil {
 			b.Fatal(err)
 		}
-		last = res
+		return res
+	}
+	var serial simnet.Result
+	if shards > 1 {
+		serial = replay(1)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var last simnet.Result
+	for i := 0; i < b.N; i++ {
+		last = replay(shards)
+	}
+	b.StopTimer()
+	if last.DeclineReason != "slow-link" || last.EnginePhases != 1 {
+		b.Fatalf("fragment declined for %q on %d engine phases, want slow-link on 1", last.DeclineReason, last.EnginePhases)
+	}
+	if shards > 1 && (last.ReplayShards != shards || last.Makespan != serial.Makespan ||
+		last.ContentionStall != serial.ContentionStall || last.Messages != serial.Messages) {
+		b.Fatalf("%d shards (engaged %d): makespan %v stall %v msgs %d, serial %v / %v / %d",
+			shards, last.ReplayShards, last.Makespan, last.ContentionStall, last.Messages,
+			serial.Makespan, serial.ContentionStall, serial.Messages)
 	}
 	b.ReportMetric(last.Makespan, "sim_µs")
 	b.ReportMetric(float64(last.ReplayShards), "shards")

@@ -52,10 +52,10 @@
 //
 // The stack is fault-aware end to end: topology.Overlay wraps any
 // Network in a Degraded view (dead links, dead nodes, per-link slowdown
-// factors) with detour routing and a canonical health digest; the cost
-// model, optimizer, simulator (simnet.FaultPlan injects deterministic
-// timed faults) and plan cache all plan around the damage, and the
-// daemon degrades gracefully — POST /v1/faults changes a fabric's fault
+// factors) with detour routing and a canonical health digest. A fault is
+// a static property of the fabric, held on its topology.Resolve handle:
+// the cost model, optimizer, simulator and plan cache all plan around the
+// damage on that one handle, and the daemon degrades gracefully — POST /v1/faults changes a fabric's fault
 // state, and when re-planning under faults is impossible the
 // last-known-good plan is served flagged degraded while a bounded-
 // backoff background rebuild retries. A zero-fault overlay is exactly

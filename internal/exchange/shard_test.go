@@ -187,26 +187,37 @@ func TestCompiledPlanPhaseSpans(t *testing.T) {
 
 // A slow-wire-only overlay keeps base routes, so sharding still engages
 // and stays bit-identical: per-circuit slow factors are pure functions of
-// the route.
+// the route. That holds with the slow wires on one shard or spread over
+// several: wires 0–1 and 4–5 lie in different groups of the stride-1
+// phase, so two shards stretch circuits of their own.
 func TestShardedDegradedSlowWiresStillShard(t *testing.T) {
 	base := topology.MustParseSpec("hypercube-5")
-	slow, err := topology.Overlay(base, topology.FaultSet{
-		SlowLinks: []topology.SlowLink{{Link: topology.Link{A: 0, B: 1}, Factor: 4}},
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, slowLinks := range [][]topology.SlowLink{
+		{{Link: topology.Link{A: 0, B: 1}, Factor: 4}},
+		{{Link: topology.Link{A: 0, B: 1}, Factor: 3}, {Link: topology.Link{A: 4, B: 5}, Factor: 5}},
+	} {
+		slow, err := topology.Overlay(base, topology.FaultSet{SlowLinks: slowLinks})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := exchange.NewPlanOn(slow, 16, partition.Partition{2, 2, 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := plan.Compile()
+		oracle := engineOracle(t, slow, src, 0)
+		for _, w := range []int{1, 4} {
+			label := fmt.Sprintf("%s w=%d", slow.Name(), w)
+			res := costOn(t, slow, src, 0, w)
+			if res.DeclineReason != "slow-link" {
+				t.Fatalf("%s: declined for %q, want slow-link", label, res.DeclineReason)
+			}
+			if w > 1 && res.ReplayShards < 2 {
+				t.Fatalf("%s: slow-only overlay fell back (ReplayShards=%d)", label, res.ReplayShards)
+			}
+			requireBitIdentical(t, label, oracle, res)
+		}
 	}
-	plan, err := exchange.NewPlanOn(slow, 16, partition.Partition{2, 2, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := plan.Compile()
-	serial := costOn(t, slow, src, 0, 1)
-	sharded := costOn(t, slow, src, 0, 4)
-	if sharded.ReplayShards < 2 {
-		t.Fatalf("slow-only overlay fell back (ReplayShards=%d)", sharded.ReplayShards)
-	}
-	requireBitIdentical(t, "slow overlay", serial, sharded)
 }
 
 // phaseIndexWithStride locates the compiled phase whose sub-block field
@@ -256,82 +267,4 @@ func TestShardedDegradedDetourFallsBackToSerial(t *testing.T) {
 	whole := plan.Compile()
 	requireBitIdentical(t, "degraded whole plan",
 		costOn(t, dead, whole, 0, 1), costOn(t, dead, whole, 0, 4))
-}
-
-// A timed FaultPlan whose faulted wires are touched by a single shard
-// keeps sharding (that shard resolves the faults exactly as serial
-// replay would); wires spread across two shards force the phase serial.
-func TestShardedFaultPlanConfinement(t *testing.T) {
-	topo := topology.MustParseSpec("hypercube-3")
-	plan, err := exchange.NewPlanOn(topo, 8, partition.Partition{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := plan.Compile()
-
-	runWith := func(fp simnet.FaultPlan, shards int) (simnet.Result, error) {
-		net := simnet.New(topo, model.IPSC860())
-		net.SetReplayShards(shards)
-		if err := net.SetFaultPlan(fp); err != nil {
-			t.Fatal(err)
-		}
-		return net.RunSource(src)
-	}
-
-	// Confined: one slowed wire whose slots only the stride-1 phase's
-	// {4..7} sub-block ever touches.
-	confined := simnet.FaultPlan{Links: []simnet.LinkFault{{A: 4, B: 5, At: 0, Factor: 3}}}
-	serial, err := runWith(confined, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := runWith(confined, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sharded.ReplayShards < 2 {
-		t.Fatalf("confined fault plan fell back (ReplayShards=%d)", sharded.ReplayShards)
-	}
-	requireBitIdentical(t, "confined fault", serial, sharded)
-
-	// Unconfined: wires 0–1 and 4–5 land in the stride-1 phase's two
-	// different sub-blocks ({0..3} and {4..7}), so two shards touch
-	// faulted slots and that phase must run serial.
-	spread := simnet.FaultPlan{Links: []simnet.LinkFault{
-		{A: 0, B: 1, At: 0, Factor: 3},
-		{A: 4, B: 5, At: 0, Factor: 5},
-	}}
-	serial2, err := runWith(spread, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frag := plan.CompilePhase(phaseIndexWithStride(t, plan, 1))
-	net := simnet.New(topo, model.IPSC860())
-	net.SetReplayShards(4)
-	if err := net.SetFaultPlan(spread); err != nil {
-		t.Fatal(err)
-	}
-	fres, err := net.RunSource(frag)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fres.ReplayShards != 1 {
-		t.Fatalf("spread fault plan kept sharding (ReplayShards=%d)", fres.ReplayShards)
-	}
-	sharded2, err := runWith(spread, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireBitIdentical(t, "spread fault", serial2, sharded2)
-
-	// A confined down wire fails the sharded run with the serial error.
-	down := simnet.FaultPlan{Links: []simnet.LinkFault{{A: 4, B: 5, At: 0, Factor: 0}}}
-	_, serialErr := runWith(down, 1)
-	_, shardedErr := runWith(down, 4)
-	if serialErr == nil || shardedErr == nil {
-		t.Fatalf("down wire did not fail: serial=%v sharded=%v", serialErr, shardedErr)
-	}
-	if serialErr.Error() != shardedErr.Error() {
-		t.Fatalf("down-wire errors differ:\nserial:  %v\nsharded: %v", serialErr, shardedErr)
-	}
 }

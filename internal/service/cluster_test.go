@@ -6,13 +6,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/obs"
 	"repro/internal/plancache"
 	"repro/internal/topology"
 )
@@ -268,6 +271,83 @@ func TestFaultUpdatesForwardToPeers(t *testing.T) {
 	}
 	if got.Load() != nil {
 		t.Fatal("peer received a second-hop forward")
+	}
+}
+
+// A fault report is applied before it is forwarded, so a client that
+// hangs up meanwhile must not stop it reaching the rest of the fleet, or
+// the replicas' fault digests diverge. The first peer to be forwarded to
+// holds the forward until the forwarder gives up on it; the client leaves
+// during that stall, and the second peer must still receive the update
+// under the client's request ID.
+func TestFaultForwardOutlivesTheClient(t *testing.T) {
+	var arrivals atomic.Int32
+	stalled := make(chan struct{})
+	second := make(chan string, 1)
+	peer := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/faults" {
+			io.WriteString(w, `{"status":"ok"}`) // the health probe
+			return
+		}
+		io.Copy(io.Discard, r.Body)
+		if arrivals.Add(1) == 1 {
+			close(stalled)
+			<-r.Context().Done()
+			return
+		}
+		second <- r.Header.Get(obs.RequestIDHeader)
+		io.WriteString(w, `{}`)
+	})
+	p1, p2 := httptest.NewServer(peer), httptest.NewServer(peer)
+	defer p1.Close()
+	defer p2.Close()
+
+	clu, err := cluster.New(cluster.Config{
+		Self:         "http://self.invalid:1",
+		Peers:        []string{p1.URL, p2.URL},
+		FetchTimeout: 300 * time.Millisecond,
+		Logger:       slog.New(slog.DiscardHandler),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{Cache: plancache.New(plancache.Config{}), Cluster: clu, Logger: slog.New(slog.DiscardHandler)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/faults",
+		strings.NewReader(`{"topology":"hypercube-3","action":"down","links":[[2,3]]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set(obs.RequestIDHeader, "forward-outlives-client")
+	hungUp := make(chan struct{})
+	go func() {
+		defer close(hungUp)
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	select {
+	case <-stalled:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the update was never forwarded")
+	}
+	cancel()
+	<-hungUp
+	select {
+	case id := <-second:
+		if id != "forward-outlives-client" {
+			t.Fatalf("forward carried request ID %q, want the client's", id)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the second peer never received the update after the client hung up")
 	}
 }
 

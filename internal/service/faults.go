@@ -114,10 +114,11 @@ func (s *Server) handleFaults(w http.ResponseWriter, r *http.Request) int {
 			fmt.Sprintf("unknown action %q (valid: down, slow, restore, clear)", req.Action))
 	}
 	// Overlay canonicalizes and validates the merged set against the
-	// base fabric (in-range nodes, adjacent endpoints, sane factors). The
-	// overlay built here is the one the registry keeps: every request for
-	// this fabric is served on it until the next report, so its routes and
-	// live-graph facts are derived once, not per request.
+	// base fabric (in-range nodes, adjacent endpoints, sane factors); it
+	// is used for nothing else. The registry keeps the handle Resolve
+	// files under the faulted fabric's name, so a report and a request
+	// that names the same digest are served on one handle, whose routes
+	// and live-graph facts are derived once.
 	d, err := topology.Overlay(base, fs)
 	if err != nil {
 		s.faultMu.Unlock()
@@ -125,10 +126,15 @@ func (s *Server) handleFaults(w http.ResponseWriter, r *http.Request) int {
 	}
 	canon := d.Faults()
 	digest := d.HealthDigest()
+	net := base
 	if canon.Empty() {
 		delete(s.faults, name)
 	} else {
-		s.faults[name] = d
+		if net, err = topology.Resolve(d.Name()); err != nil {
+			s.faultMu.Unlock()
+			return writeError(w, http.StatusInternalServerError, err.Error())
+		}
+		s.faults[name] = net.(*topology.Degraded)
 	}
 	s.faultMu.Unlock()
 	s.faultUpdates.Add(1)
@@ -144,7 +150,7 @@ func (s *Server) handleFaults(w http.ResponseWriter, r *http.Request) int {
 	resp := FaultsResponse{
 		Topology:    name,
 		Health:      digest,
-		Operational: d.Operational() == nil,
+		Operational: topology.CheckOperational(net) == nil,
 		DeadNodes:   canon.DeadNodes,
 		Invalidated: invalidated,
 	}
@@ -161,11 +167,14 @@ func (s *Server) handleFaults(w http.ResponseWriter, r *http.Request) int {
 	// Fan the accepted update out to live peers so digest-keyed
 	// invalidation stays fleet-consistent. Forwarded copies carry a
 	// loop-guard header and are never re-forwarded; failures are
-	// best-effort (logged + counted), never the client's problem.
+	// best-effort (logged + counted), never the client's problem. The
+	// update is applied here already, so a client hanging up must not
+	// stop it reaching the peers: the forwards outlive the request (each
+	// is bounded by the peer fetch timeout) and keep its request ID.
 	if s.cfg.Cluster != nil && r.Header.Get(cluster.ForwardedHeader) == "" {
 		body, err := json.Marshal(req)
 		if err == nil {
-			resp.Forwarded, resp.ForwardFailed = s.cfg.Cluster.ForwardFaults(r.Context(), body)
+			resp.Forwarded, resp.ForwardFailed = s.cfg.Cluster.ForwardFaults(context.WithoutCancel(r.Context()), body)
 		} else {
 			s.cfg.Logger.Error("cannot marshal fault update for forwarding", "component", "faults", "error", err)
 		}
@@ -206,11 +215,13 @@ func restoreFaults(fs topology.FaultSet, links []topology.Link, nodes []int) top
 	return out
 }
 
-// applyFaults returns the overlay the fault registry holds for base — the
-// one built when its faults were last reported — or base itself when the
-// fabric is healthy. A network that already is a degraded overlay (the
-// client asked for an explicit fault digest) passes through untouched.
-// The returned digest is "ok" for a healthy fabric.
+// applyFaults returns the handle the fault registry holds for base — the
+// one topology.Resolve gave for the faulted fabric's name when its faults
+// were last reported, so the same handle a request naming that digest
+// gets — or base itself when the fabric is healthy. A network that
+// already is a degraded overlay (the client asked for an explicit fault
+// digest) passes through untouched. The returned digest is "ok" for a
+// healthy fabric.
 func (s *Server) applyFaults(base topology.Network) (topology.Network, string) {
 	if dg, ok := base.(*topology.Degraded); ok {
 		return base, dg.HealthDigest()

@@ -1,10 +1,14 @@
 package service
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"reflect"
 	"testing"
 	"time"
 
@@ -290,10 +294,12 @@ func TestPanicRecoveryMiddleware(t *testing.T) {
 	}
 }
 
-// Once a fault is reported, the fabric is served on the overlay the
-// report built: the requests that follow parse no spec — the resolver's
-// miss path is the serving tier's only other way to an Overlay — and
-// derive nothing, so the report's derivation is the only one.
+// Once a fault is reported, the fabric is served on the handle the report
+// resolved: the requests that follow parse no spec — the resolver's miss
+// path is the serving tier's only other way to an Overlay — and derive
+// nothing. The report itself derives the faulted fabric at most once: on
+// its first run in the process; a later run finds the handle resident and
+// already derived.
 func TestFaultedRequestsBuildNoOverlay(t *testing.T) {
 	_, ts := newFaultTestServer(t)
 	getJSON(t, ts.URL+"/v1/plan?machine=ipsc860&topology=torus-8x8&m=40", http.StatusOK, nil)
@@ -305,6 +311,10 @@ func TestFaultedRequestsBuildNoOverlay(t *testing.T) {
 	}, http.StatusOK, &fr)
 	if fr.Health != "dl=0-1" || !fr.Operational {
 		t.Fatalf("faults response = %+v", fr)
+	}
+	reported := topology.ResolveStats()
+	if got := reported.Derivations - before.Derivations; got > 1 {
+		t.Errorf("the report derived the fabric %d times, want at most once", got)
 	}
 	const n = 8
 	for i := 0; i < n; i++ {
@@ -318,13 +328,174 @@ func TestFaultedRequestsBuildNoOverlay(t *testing.T) {
 		}
 	}
 	after := topology.ResolveStats()
-	if after.Misses != before.Misses {
-		t.Errorf("%d specs parsed while serving a reported fault, want 0", after.Misses-before.Misses)
+	if after.Misses != reported.Misses {
+		t.Errorf("%d specs parsed while serving a reported fault, want 0", after.Misses-reported.Misses)
 	}
-	if got := after.Hits - before.Hits; got != 2*n+1 {
-		t.Errorf("%d handle hits for %d requests and the report", got, 2*n)
+	if got := after.Hits - reported.Hits; got != 2*n {
+		t.Errorf("%d handle hits for %d requests", got, 2*n)
 	}
+	if got := after.Derivations - reported.Derivations; got != 0 {
+		t.Errorf("%d overlay derivations after the report, want 0", got)
+	}
+}
+
+// handleTestRun numbers TestReportedFaultIsOneHandle's runs: the handle
+// table is process-wide, so each run reports a fault no earlier run did,
+// on a fabric no other test names.
+var handleTestRun int
+
+// A fabric faulted by report and the same fabric named by its digest are
+// one handle: a /v1/cost on the base, a /v1/cost on the digest spec and a
+// peer line fetch for it are all served on the handle the report
+// resolved, so the faulted fabric is derived once and both costs agree.
+func TestReportedFaultIsOneHandle(t *testing.T) {
+	srv, ts := newFaultTestServer(t)
+	handleTestRun++
+	factor := 1.5 + float64(handleTestRun)
+
+	before := topology.ResolveStats()
+	var fr FaultsResponse
+	postJSON(t, ts.URL+"/v1/faults", FaultsRequest{
+		Topology: "torus-6x6", Action: "slow", Links: [][2]int{{0, 1}}, Factor: factor,
+	}, http.StatusOK, &fr)
+	spec := "torus-6x6!" + fr.Health
+	if fr.Health != fmt.Sprintf("sl=0-1:%g", factor) {
+		t.Fatalf("faults response = %+v", fr)
+	}
+	req := CostRequest{Topology: "torus-6x6", M: 48, Partition: []int{1, 1}}
+	var onBase, onDigest CostResponse
+	postJSON(t, ts.URL+"/v1/cost", req, http.StatusOK, &onBase)
+	req.Topology = spec
+	postJSON(t, ts.URL+"/v1/cost", req, http.StatusOK, &onDigest)
+	getJSON(t, ts.URL+"/v1/peer/line?machine=ipsc860&topology="+url.QueryEscape(spec), http.StatusOK, nil)
+	after := topology.ResolveStats()
+
 	if got := after.Derivations - before.Derivations; got != 1 {
-		t.Errorf("%d overlay derivations, want the report's one", got)
+		t.Errorf("the faulted fabric was derived %d times, want once", got)
 	}
+	if !reflect.DeepEqual(onBase, onDigest) {
+		t.Errorf("cost on the base %+v, on %s %+v", onBase, spec, onDigest)
+	}
+	base, err := topology.Resolve("torus-6x6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	named, err := topology.Resolve(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if served, _ := srv.applyFaults(base); served != named {
+		t.Errorf("the report is served on %p, the digest spec resolves to %p", served, named)
+	}
+}
+
+// faultOps decodes a /v1/faults request sequence from fuzz input, three
+// bytes and then the operands per request, on torus-4x4. The first byte
+// picks the action (its low three bits: down, slow, restore, clear or an
+// unknown one) and the topology field (bits 3–4: the fabric, twice, none,
+// or a spec carrying a digest); the second the link and node counts (0–3
+// each); the third the slow factor in sixteenths. Links are two bytes,
+// nodes one, each taken mod 20 so some fall outside the 16 nodes.
+func faultOps(data []byte) []FaultsRequest {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	var ops []FaultsRequest
+	for len(data) > 0 && len(ops) < 16 {
+		head, counts := next(), next()
+		req := FaultsRequest{
+			Action:   []string{"down", "slow", "restore", "clear", "wobble"}[head&7%5],
+			Topology: []string{"torus-4x4", "torus-4x4", "", "torus-4x4!dl=0-1"}[head>>3&3],
+			Factor:   float64(next()) / 16,
+		}
+		for range counts & 3 {
+			req.Links = append(req.Links, [2]int{next() % 20, next() % 20})
+		}
+		for range counts >> 2 & 3 {
+			req.Nodes = append(req.Nodes, next()%20)
+		}
+		ops = append(ops, req)
+	}
+	return ops
+}
+
+// FuzzFaults drives /v1/faults with decoded request sequences. No request
+// may answer 5xx (a panic answers 500). After every accepted update the
+// fabric is served on exactly the handle topology.Resolve gives for its
+// reported name and digest, and a clear answers "ok" and leaves no
+// registry entry behind.
+func FuzzFaults(f *testing.F) {
+	// TestFaultsValidation's rows, then accepted sequences: down, slow,
+	// restore and clear on links and a node.
+	for _, seed := range [][]byte{
+		{0 | 2<<3, 1, 0, 0, 1}, // missing topology
+		{4, 0, 0},              // unknown action
+		{0, 1, 0, 0, 5},        // non-adjacent link
+		{0, 1 << 2, 0, 19},     // out-of-range node
+		{1, 1, 0, 0, 1},        // slow sans factor
+		{1, 1 << 2, 32, 1},     // slow on nodes
+		{3 | 3<<3, 0, 0},       // digest in spec
+		{0, 1, 0, 0, 1, 1, 1, 40, 1, 2, 2, 1, 0, 0, 1, 3, 0, 0},
+		{0, 1 << 2, 0, 3, 2, 1 << 2, 0, 3, 1, 2, 40, 4, 5, 5, 6},
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		srv, err := New(Config{
+			Cache:           plancache.New(plancache.Config{}),
+			RebuildAttempts: 1,
+			Logger:          slog.New(slog.DiscardHandler),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := srv.Handler()
+		base, err := topology.Resolve("torus-4x4")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, op := range faultOps(data) {
+			body, err := json.Marshal(op)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/faults", bytes.NewReader(body)))
+			if rec.Code >= 500 {
+				t.Fatalf("op %d %s: %d %s", i, body, rec.Code, rec.Body)
+			}
+			if rec.Code != http.StatusOK {
+				continue
+			}
+			var fr FaultsResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &fr); err != nil {
+				t.Fatalf("op %d %s: %v", i, body, err)
+			}
+			spec := fr.Topology
+			if fr.Health != "ok" {
+				spec += "!" + fr.Health
+			}
+			named, err := topology.Resolve(spec)
+			if err != nil {
+				t.Fatalf("op %d %s: the reported fabric %s does not resolve: %v", i, body, spec, err)
+			}
+			if served, health := srv.applyFaults(base); served != named || health != fr.Health {
+				t.Fatalf("op %d %s: served %s (%s) on %p, %s resolves to %p",
+					i, body, served.Name(), health, served, spec, named)
+			}
+			if op.Action == "clear" {
+				srv.faultMu.Lock()
+				_, kept := srv.faults[fr.Topology]
+				srv.faultMu.Unlock()
+				if fr.Health != "ok" || kept {
+					t.Fatalf("op %d: clear answered health %q, registry entry kept: %v", i, fr.Health, kept)
+				}
+			}
+		}
+	})
 }

@@ -146,9 +146,9 @@ type Server struct {
 	mu    sync.Mutex
 	stats map[string]*endpointStats
 
-	// Fault state: per-fabric resolved overlays keyed by base topology
-	// name, and the dedup set of in-flight background rebuilds (see
-	// faults.go).
+	// Fault state: per-fabric overlay handles (topology.Resolve's, one per
+	// faulted fabric) keyed by base topology name, and the dedup set of
+	// in-flight background rebuilds (see faults.go).
 	faultMu    sync.Mutex
 	faults     map[string]*topology.Degraded
 	rebuilding map[string]bool

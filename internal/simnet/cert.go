@@ -4,14 +4,13 @@ import "repro/internal/topology"
 
 // The reasons a phase of a Sharded source runs on the event engine
 // instead of being priced in closed form (Result.DeclineReason). The
-// first four are properties of the network that make durations or link
-// availability node-dependent, and are decided before any certificate is
-// looked at; the rest are what the certificate pass found.
+// first three are properties of the network that make durations
+// node-dependent, and are decided before any certificate is looked at;
+// the rest are what the certificate pass found.
 const (
-	declineTrace          = "trace"      // the Timeline needs the engine's events
-	declineJitter         = "jitter"     // per-node noise draws
-	declineFaultPlan      = "fault-plan" // timed faults resolve per circuit and instant
-	declineSlowLink       = "slow-link"  // a degraded overlay stretches some circuits
+	declineTrace          = "trace"     // the Timeline needs the engine's events
+	declineJitter         = "jitter"    // per-node noise draws
+	declineSlowLink       = "slow-link" // a degraded overlay stretches some circuits
 	declineRowNotUniform  = "row-not-uniform"
 	declineRowNotExchange = "row-not-exchange"
 	declinePartner        = "partner-mismatch"
@@ -32,7 +31,7 @@ const (
 // slots of all circuits of a row — both directions, detours included —
 // are pairwise disjoint, and they all have one hop count.
 //
-// The group facts are what sharded replay needs of a phase the engine
+// The group fact is what sharded replay needs of a phase the engine
 // runs: groups are the node sets agreeing outside the phase field
 // (PhaseSpan), dealt onto shards whole.
 type phaseCert struct {
@@ -42,9 +41,6 @@ type phaseCert struct {
 	// groupsDisjoint: every communication partner is in its node's group
 	// and no directed link carries circuits of two groups.
 	groupsDisjoint bool
-	// confined: every circuit visits nodes of its own group only, so a
-	// wire can be touched by the group holding both its ends and no other.
-	confined bool
 }
 
 func (c *phaseCert) declineFor(reason string) {
@@ -65,14 +61,14 @@ func (n *Network) certify(src Sharded, sp PhaseSpan, winLo int) *phaseCert {
 		group[p] = int32(geom.group(p))
 	}
 
-	c := &phaseCert{hops: make([]int32, sp.Rows-1), groupsDisjoint: true, confined: true}
+	c := &phaseCert{hops: make([]int32, sp.Rows-1), groupsDisjoint: true}
 	partner := make([]int32, nodes)   // this row's exchange partners
 	rowOf := make([]int32, nodes*deg) // 1 + the window row whose circuits last covered the slot
 	var groupOf []int32               // 1 + the group whose circuits cover the slot
 	if multi {
 		groupOf = make([]int32, nodes*deg)
 	}
-	var slots, route []int
+	var slots []int
 	for i := range c.hops {
 		r, stamp := winLo+i, int32(i)+1
 		kind, bytes, uniform := src.UniformRow(r)
@@ -140,15 +136,6 @@ func (n *Network) certify(src Sharded, sp PhaseSpan, winLo int) *phaseCert {
 						groupOf[s] = g + 1
 					} else if groupOf[s] != g+1 {
 						c.groupsDisjoint = false
-					}
-				}
-				if c.confined {
-					route = n.topo.AppendRoute(route, p, q)
-					for _, v := range route {
-						if group[v] != g {
-							c.confined = false
-							break
-						}
 					}
 				}
 			}

@@ -99,7 +99,6 @@ func TestDeclineReasonsOfTheNetwork(t *testing.T) {
 	}{
 		"cube6 {3,3}":           {"", 2},
 		"cube6 {3,3} jitter":    {"jitter", 0},
-		"cube5 timed slow {5}":  {"fault-plan", 0},
 		"cube5 slow link {3,2}": {"slow-link", 0},
 		"cube5 dead link {5}":   {"hop-mismatch", 0},
 		"torus4x4x4 {3}":        {"row-not-exchange", 0},

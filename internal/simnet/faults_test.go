@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"errors"
 	"testing"
 
 	"repro/internal/model"
@@ -47,89 +46,8 @@ func TestStaticSlowLinkStretchesExchange(t *testing.T) {
 	}
 }
 
-// A timed slow fault activates only for circuits acquired at or after
-// At, and composes multiplicatively with a static slow factor.
-func TestFaultPlanSlowComposesWithStatic(t *testing.T) {
-	p := model.IPSC860()
-	base := topology.MustParseSpec("torus-4x4")
-	d, err := topology.Overlay(base, topology.FaultSet{
-		SlowLinks: []topology.SlowLink{{Link: topology.Link{A: 0, B: 1}, Factor: 2}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := New(d, p)
-	m := 100
-	healthy := p.EffLambda() + p.Tau*float64(m) + p.EffDelta()*1
-	// Activates after the first (static-2×) exchange starts but before
-	// the second is acquired at t = 2·healthy.
-	if err := n.SetFaultPlan(FaultPlan{Links: []LinkFault{
-		{A: 0, B: 1, At: healthy, Factor: 3},
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	// Two back-to-back exchanges over the wire: the first starts at 0
-	// (static 2× only), the second starts at 2·healthy ≥ At (2×·3×).
-	progs := emptyPrograms(16)
-	progs[0] = Program{Exchange(1, m), Exchange(1, m)}
-	progs[1] = Program{Exchange(0, m), Exchange(0, m)}
-	res, err := n.Run(progs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := 2*healthy + 6*healthy; !almost(res.Makespan, want, 1e-9) {
-		t.Errorf("makespan = %v, want %v", res.Makespan, want)
-	}
-}
-
-// A wire going down at time T fails — loudly, with ErrLinkDown — any
-// circuit acquired at or after T, while runs that finish before T are
-// untouched.
-func TestFaultPlanLinkDownFailsLoudly(t *testing.T) {
-	p := model.IPSC860()
-	n := New(topology.MustNew(3), p)
-	m := 100
-	healthy := p.EffLambda() + p.Tau*float64(m) + p.EffDelta()*1
-	// The wire dies mid-plan: after the first exchange is acquired at
-	// t = 0, before the second is acquired at t = healthy.
-	if err := n.SetFaultPlan(FaultPlan{Links: []LinkFault{
-		{A: 0, B: 1, At: 0.5 * healthy, Factor: 0},
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	progs := emptyPrograms(8)
-	progs[0] = Program{Exchange(1, m)}
-	progs[1] = Program{Exchange(0, m)}
-	if _, err := n.Run(progs); err != nil {
-		t.Fatalf("exchange before the fault must survive: %v", err)
-	}
-	progs[0] = Program{Exchange(1, m), Exchange(1, m)}
-	progs[1] = Program{Exchange(0, m), Exchange(0, m)}
-	if _, err := n.Run(progs); !errors.Is(err, ErrLinkDown) {
-		t.Fatalf("exchange across dead wire: %v, want ErrLinkDown", err)
-	}
-
-	// Sends hit the same wall.
-	if err := n.SetFaultPlan(FaultPlan{Links: []LinkFault{{A: 0, B: 1, At: 0, Factor: 0}}}); err != nil {
-		t.Fatal(err)
-	}
-	progs = emptyPrograms(8)
-	progs[0] = Program{Send(1, m, Unforced)}
-	progs[1] = Program{Recv(0)}
-	if _, err := n.Run(progs); !errors.Is(err, ErrLinkDown) {
-		t.Fatalf("send across dead wire: %v, want ErrLinkDown", err)
-	}
-	// Clearing the plan restores the healthy fabric.
-	if err := n.SetFaultPlan(FaultPlan{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := n.Run(progs); err != nil {
-		t.Fatalf("cleared fault plan must run clean: %v", err)
-	}
-}
-
-// Fault adjustments compose with jitter deterministically: two runs with
-// the same seed and fault plan agree bit-for-bit.
+// Static slow wires compose with jitter deterministically: two runs with
+// the same seed on the same degraded overlay agree bit-for-bit.
 func TestFaultsComposeWithJitterDeterministically(t *testing.T) {
 	p := model.IPSC860()
 	base := topology.MustParseSpec("torus-4x4")
@@ -142,9 +60,6 @@ func TestFaultsComposeWithJitterDeterministically(t *testing.T) {
 	mk := func() (Result, error) {
 		n := New(d, p)
 		n.SetJitter(0.05, 42)
-		if err := n.SetFaultPlan(FaultPlan{Links: []LinkFault{{A: 4, B: 5, At: 10, Factor: 2}}}); err != nil {
-			t.Fatal(err)
-		}
 		progs := emptyPrograms(16)
 		for _, pair := range [][2]int{{0, 1}, {4, 5}, {8, 9}} {
 			progs[pair[0]] = Program{Exchange(pair[1], 64), Exchange(pair[1], 64)}
@@ -162,9 +77,6 @@ func TestFaultsComposeWithJitterDeterministically(t *testing.T) {
 	}
 	// And the jittered slow exchange is genuinely ≠ the unjittered one.
 	n := New(d, p)
-	if err := n.SetFaultPlan(FaultPlan{Links: []LinkFault{{A: 4, B: 5, At: 10, Factor: 2}}}); err != nil {
-		t.Fatal(err)
-	}
 	progs := emptyPrograms(16)
 	progs[0] = Program{Exchange(1, 64)}
 	progs[1] = Program{Exchange(0, 64)}
@@ -206,19 +118,5 @@ func TestDegradedDeadWireDetoursInReplay(t *testing.T) {
 	want := p.EffLambda() + p.Tau*float64(m) + p.EffDelta()*float64(h)
 	if !almost(res.Makespan, want, 1e-9) {
 		t.Errorf("detoured exchange makespan = %v, want %v", res.Makespan, want)
-	}
-}
-
-func TestSetFaultPlanValidation(t *testing.T) {
-	n := New(topology.MustNew(3), model.IPSC860())
-	for _, bad := range []LinkFault{
-		{A: 0, B: 3, At: 0, Factor: 0},   // not adjacent
-		{A: 0, B: 99, At: 0, Factor: 0},  // out of range
-		{A: 0, B: 1, At: -1, Factor: 0},  // negative time
-		{A: 0, B: 1, At: 0, Factor: 0.5}, // factor ≤ 1
-	} {
-		if err := n.SetFaultPlan(FaultPlan{Links: []LinkFault{bad}}); err == nil {
-			t.Errorf("SetFaultPlan accepted %+v", bad)
-		}
 	}
 }

@@ -78,7 +78,6 @@ type identityCase struct {
 	part   partition.Partition // compiled multiphase plan; nil when progs is set
 	m      int
 	jitter float64
-	faults *simnet.FaultPlan
 	progs  func(n int) []simnet.Program
 }
 
@@ -130,10 +129,6 @@ var identityCases = []identityCase{
 	{name: "cube5 slow link {3,2}", spec: "hypercube-5!sl=0-1:2.5", part: partition.Partition{3, 2}, m: 32},
 	{name: "torus4x4 dead link {2}", spec: "torus-4x4!dl=0-1", part: partition.Partition{2}, m: 32},
 	{name: "torus4x4 slow link {1,1}", spec: "torus-4x4!sl=0-1:3", part: partition.Partition{1, 1}, m: 32},
-	{name: "cube5 timed slow {5}", spec: "hypercube-5", part: partition.Partition{5}, m: 32,
-		faults: &simnet.FaultPlan{Links: []simnet.LinkFault{{A: 0, B: 1, At: 900, Factor: 4}, {A: 6, B: 7, At: 0, Factor: 1.5}}}},
-	{name: "torus4x4 timed slow {2}", spec: "torus-4x4", part: partition.Partition{2}, m: 32,
-		faults: &simnet.FaultPlan{Links: []simnet.LinkFault{{A: 0, B: 1, At: 500, Factor: 2}}}},
 	{name: "cube6 {3,3} jitter", spec: "hypercube-6", part: partition.Partition{3, 3}, m: 24, jitter: 0.05},
 	{name: "cube6 {6} jitter", spec: "hypercube-6", part: partition.Partition{6}, m: 24, jitter: 0.05},
 	{name: "torus4x4x4 {3} jitter", spec: "torus-4x4x4", part: partition.Partition{3}, m: 40, jitter: 0.05},
@@ -154,11 +149,6 @@ func (c identityCase) network(t *testing.T, shards int) (*simnet.Network, *excha
 	net := simnet.New(topo, model.IPSC860())
 	net.SetJitter(c.jitter, 42)
 	net.SetReplayShards(shards)
-	if c.faults != nil {
-		if err := net.SetFaultPlan(*c.faults); err != nil {
-			t.Fatal(err)
-		}
-	}
 	if c.progs != nil {
 		return net, nil
 	}
@@ -188,7 +178,7 @@ func (c identityCase) run(t *testing.T, shards int) simnet.Result {
 
 // TestReplayBitIdentity pins every simulated simnet.Result field, bit for
 // bit, across the replay core's fast and slow paths: XOR and cyclic
-// phases, detours, slow wires, timed faults, jitter, and one-sided sends
+// phases, detours, slow wires, jitter, and one-sided sends
 // with link queues deeper than the inline ring — phases priced in closed
 // form or run on one engine or on several shards, as each case allows.
 func TestReplayBitIdentity(t *testing.T) {

@@ -25,8 +25,7 @@ type Network struct {
 	budget     uint64
 	jitterFrac float64
 	jitterSeed int64
-	faults     *compiledFaults // timed fault schedule (SetFaultPlan), nil when none
-	shards     int             // SetReplayShards; ≤ 1 keeps each engine-run phase on one engine
+	shards     int // SetReplayShards; ≤ 1 keeps each engine-run phase on one engine
 }
 
 // SetJitter enables deterministic pseudo-random perturbation of every
@@ -129,8 +128,8 @@ type Result struct {
 	Timeline []Interval
 	// ReplayShards is the number of event-engine shards the run actually
 	// used: 1 for a serial replay (including every sharded attempt that
-	// fell back — cross-span detour routes, unconfined fault plans — and
-	// every run whose phases were all priced in closed form), the maximum
+	// fell back — cross-group detour routes or partners — and every run
+	// whose phases were all priced in closed form), the maximum
 	// per-phase shard count otherwise. Sharded and serial replays of the
 	// same source are bit-identical in every other field above.
 	ReplayShards int
@@ -138,9 +137,10 @@ type Result struct {
 	// source by how they were priced: in closed form, under a certificate
 	// that the phase runs in lockstep, or on the event engine. Both are 0
 	// for plain programs. DeclineReason says why the first engine-run
-	// phase was not priced in closed form: "jitter", "fault-plan",
-	// "slow-link" or "trace" when the network rules it out for every
-	// phase, otherwise the certificate check that failed —
+	// phase was not priced in closed form: "jitter", "slow-link" (a
+	// degraded overlay's static slow wires) or "trace" when the network
+	// rules it out for every phase, otherwise the certificate check that
+	// failed —
 	// "row-not-uniform", "row-not-exchange", "partner-mismatch",
 	// "hop-mismatch", "link-overlap" — or "non-finite-duration".
 	// Certificates counts the certificate passes this run had to perform
@@ -189,15 +189,14 @@ type runState struct {
 	n     int                 // nodes
 	syncD int                 // topology diameter, the global-sync weight (§7.3)
 
-	// Fault state: faulty gates the per-circuit fault resolution out of
-	// healthy runs entirely; degr carries the static per-wire slow
-	// factors of a degraded overlay (nil when none).
-	faulty bool
-	degr   *topology.Degraded
+	// degr is the degraded overlay whose per-wire slow factors stretch the
+	// circuits crossing them; nil when no wire is slow, which keeps the
+	// factor lookup out of every other run.
+	degr *topology.Degraded
 
 	// slots is the circuit being reserved, as the directed-link slots of
 	// its route: one walk of the route fills it, and the free-time scan,
-	// the fault resolution and the hold all read it.
+	// the slow-factor lookup and the hold all read it.
 	slots []int
 
 	pc      []int32   // program counter per node
@@ -301,7 +300,6 @@ func (n *Network) newState(src Source, owner *runState, cutoff float64) *runStat
 	if dg, ok := n.topo.(*topology.Degraded); ok && dg.HasSlowLinks() {
 		st.degr = dg
 	}
-	st.faulty = st.degr != nil || n.faults != nil
 	st.eng.Reset()
 
 	st.pc = resized(st.pc, nodes)

@@ -32,9 +32,9 @@
 // uniform exchange whose circuits are pairwise link-disjoint and of one
 // hop count. Such a phase is priced in closed form, by the float
 // additions the engine would have applied to every node and no events. A
-// phase the certificate declines — or any phase when jitter, a FaultPlan,
-// slow links or tracing make durations or availability node-dependent —
-// runs on the engine; SetReplayShards lets it run as several private
+// phase the certificate declines — or any phase when jitter, a degraded
+// overlay's slow wires or tracing make durations node-dependent — runs on
+// the engine; SetReplayShards lets it run as several private
 // engines when the same certificate proves the phase's node groups share
 // no directed link. Every path returns bit-identical results: same
 // makespans, same counters, same jitter draws (per-node RNG streams),

@@ -75,10 +75,9 @@ func (st *runState) appendRoute(src, dst int) {
 // directions of a pairwise exchange, which start together and hold for
 // the same duration — for a transmission wanting to start no earlier
 // than t and lasting dur µs. It returns the actual start time (delayed
-// while any link is busy — edge contention) and the fault-adjusted
-// duration: slow wires stretch the transmission by the worst per-hop
-// factor, and a wire a FaultPlan took down before the acquisition
-// instant fails with ErrLinkDown. The wait is charged to owner's
+// while any link is busy — edge contention) and the duration on this
+// fabric: a degraded overlay's slow wires stretch the transmission by the
+// worst per-hop factor. The wait is charged to owner's
 // per-node stall account (summed in node order at run end) so the
 // reported total is independent of the global event interleaving; owner
 // is the sender, or the second arriver of an exchange, which is
@@ -90,18 +89,11 @@ func (st *runState) reserve(owner int, t, dur float64) (start, adjDur float64, e
 			start = b
 		}
 	}
-	if st.faulty {
-		// The worst per-hop factor limits the circuit's throughput; the
-		// first down wire in route order is the one reported.
+	if st.degr != nil {
+		// The worst per-hop factor limits the circuit's throughput.
 		factor := 1.0
 		for _, slot := range st.slots {
-			f, ferr := st.slotFault(slot, start)
-			if ferr != nil {
-				return 0, 0, ferr
-			}
-			if f > factor {
-				factor = f
-			}
+			factor = max(factor, st.degr.SlowFactor(slot))
 		}
 		dur *= factor
 	}

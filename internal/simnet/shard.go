@@ -66,10 +66,9 @@ const maxReplayShards = 64
 // Sharded, only while tracing is off, and only for phases whose
 // certificate proves that the routed circuits of different groups occupy
 // disjoint directed links; a phase falls back to a single shard when a
-// detour crosses groups, when a communication partner lies outside its
-// node's group, or when a FaultPlan's faulted wires would be touched by
-// more than one shard. Sharded replays are bit-identical to serial ones
-// in every Result field except ReplayShards.
+// detour crosses groups or when a communication partner lies outside its
+// node's group. Sharded replays are bit-identical to serial ones in every
+// Result field except ReplayShards.
 func (n *Network) SetReplayShards(w int) {
 	n.shards = min(max(w, 1), maxReplayShards)
 }
@@ -85,15 +84,12 @@ func (g phaseGeom) group(p int) int { return (p/g.block)*g.stride + p%g.stride }
 // owner returns the shard interpreting node p this phase.
 func (g phaseGeom) owner(p int) int { return g.group(p) % g.weff }
 
-// nodeDependent names what, if anything, makes transmission durations or
-// link availability differ from node to node on this network whatever the
-// routes are; a lockstep certificate says nothing about such a run.
+// nodeDependent names what, if anything, makes transmission durations
+// differ from node to node on this network whatever the routes are; a
+// lockstep certificate says nothing about such a run.
 func (n *Network) nodeDependent() string {
 	if n.jitterFrac != 0 {
 		return declineJitter
-	}
-	if n.faults != nil {
-		return declineFaultPlan
 	}
 	if dg, ok := n.topo.(*topology.Degraded); ok && dg.HasSlowLinks() {
 		return declineSlowLink
@@ -218,7 +214,7 @@ func (n *Network) runPhases(src Sharded, cutoff float64) (Result, bool, error) {
 		if res.DeclineReason == "" {
 			res.DeclineReason = reason
 		}
-		if geom.weff > 1 && !(cert.groupsDisjoint && n.faultsOnOneShard(cert, geom)) {
+		if geom.weff > 1 && !cert.groupsDisjoint {
 			geom.weff = 1
 		}
 		res.ReplayShards = max(res.ReplayShards, geom.weff)
@@ -266,32 +262,6 @@ func (n *Network) closedForm(src Sharded, cert *phaseCert, winLo, winHi int, rel
 		}
 	}
 	return t, msgs, moved, true
-}
-
-// faultsOnOneShard reports whether at most one shard of a phase with
-// link-disjoint groups can touch a wire carrying a timed fault, so that a
-// FaultPlan resolves — and a down wire fails the run — exactly as it
-// would serially. A wire is touched by no group but the one holding both
-// its ends, given circuits confined to their groups.
-func (n *Network) faultsOnOneShard(cert *phaseCert, geom phaseGeom) bool {
-	if n.faults == nil {
-		return true
-	}
-	if !cert.confined {
-		return false
-	}
-	shard := -1
-	for _, wire := range n.faults.wires {
-		if geom.group(wire[0]) != geom.group(wire[1]) {
-			continue
-		}
-		o := geom.owner(wire[0])
-		if shard >= 0 && o != shard {
-			return false
-		}
-		shard = o
-	}
-	return true
 }
 
 // shardEngines is what the engine-run phases of one replay share and the
