@@ -10,7 +10,9 @@
 package repro
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -518,6 +520,50 @@ func BenchmarkServePlan(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		warm(fmt.Sprintf("%s/v1/plan?machine=ipsc860&d=7&m=%d", ts.URL, (i*37)%500))
+	}
+}
+
+// BenchmarkServeBatch times one /v1/batch of 16 warm plan queries — cube
+// and torus lines on two machines, the canonical body the direct decoder
+// reads — over a loopback HTTP connection.
+func BenchmarkServeBatch(b *testing.B) {
+	srv, err := service.New(service.Config{Cache: plancache.New(plancache.Config{})})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	client := ts.Client()
+	var req service.BatchRequest
+	for i := 0; i < 16; i++ {
+		q := service.BatchQuery{Machine: "ipsc860", D: 5 + i%3, M: (i * 37) % 500}
+		if i%4 == 3 {
+			q = service.BatchQuery{Machine: "hypo", Topology: "torus-4x4x4", M: (i * 53) % 500}
+		}
+		req.Queries = append(req.Queries, q)
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	post := func() {
+		resp, err := client.Post(ts.URL+"/v1/batch", "application/json", bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+			b.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			b.Fatalf("status %d", resp.StatusCode)
+		}
+	}
+	post() // builds the lines
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post()
 	}
 }
 

@@ -48,7 +48,12 @@
 // /v1/hull, /v1/batch, /v1/faults, /healthz, /metrics), and cmd/pland is
 // the daemon that serves auto-tuned exchange plans to the network — the
 // paper's "compute once, store for repeated future use" (§6) as a
-// product.
+// product. A warm answer is a segment lookup, eq. (3) priced for the
+// exact block size without copying the fabric's layout, and one append:
+// /v1/plan and /v1/batch bodies are appended into one buffer, byte for
+// byte what encoding/json writes for their wire structs, and the
+// canonical /v1/batch body is parsed without reflection (any other body
+// takes encoding/json's path, errors included).
 //
 // The stack is fault-aware end to end: topology.Overlay wraps any
 // Network in a Degraded view (dead links, dead nodes, per-link slowdown
@@ -78,7 +83,9 @@
 //
 // The fleet watches itself through internal/obs, a zero-dependency
 // observability layer: every request carries a correlation ID
-// (X-Pland-Request-Id, propagated across peer hops) and records a span
+// (X-Pland-Request-Id, propagated across peer hops; a client's ID is
+// adopted only when it is 1–64 bytes of [A-Za-z0-9._:-], and a fresh one
+// is minted from a per-process seed and a counter) and records a span
 // tree — handler, cache outcome, build, optimizer, compiled-trace
 // replay, peer fetch — into a bounded ring served at /debug/traces
 // (JSON or Chrome trace_event, the same exporter that dumps simnet

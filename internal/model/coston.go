@@ -41,7 +41,8 @@ const (
 const exactShiftDistSpan = 4096
 
 // phaseDistTotal returns the total routed distance charged to one phase
-// over the dimension field [lo, lo+w): Σ_j max_f dist(f, f+j) for cyclic
+// over the dimension field [lo, lo+w), whose span (topology.SpanSize) the
+// caller has already read: Σ_j max_f dist(f, f+j) for cyclic
 // phases, w·2^(w−1) for XOR phases (where every step's distance is
 // uniform, popcount(j)). Beyond exactShiftDistSpan the cyclic term is
 // the per-dimension worst-case closed form: adding j to a field shifts
@@ -49,17 +50,8 @@ const exactShiftDistSpan = 4096
 // most Σ_i M_i(j_i) with M_i(v) the worst per-dimension digit distance
 // over the carry cases; summed over j, each digit value occurs span/r_i
 // times, giving Σ_i (span/r_i)·Σ_v M_i(v) − Σ_i M_i(0).
-func phaseDistTotal(net topology.Network, lo, w int) float64 {
-	dims := net.Dims()
-	xor := true
-	span := 1
-	for i := lo; i < lo+w; i++ {
-		span *= dims[i]
-		if dims[i] != 2 {
-			xor = false
-		}
-	}
-	if xor {
+func phaseDistTotal(net topology.Network, lo, w, span int) float64 {
+	if span == 1<<w { // every radix is at least 2: an all-binary field
 		return float64(w) * float64(span/2)
 	}
 	return topology.Derived(net, fieldKey{shiftDist, lo, w}, func() (total float64) {
@@ -89,6 +81,7 @@ func phaseDistTotal(net topology.Network, lo, w int) float64 {
 			baseNet = dg.Base()
 		}
 		_, wrap := baseNet.(*topology.Torus)
+		dims := net.Dims()
 		for i := lo; i < lo+w; i++ {
 			r := dims[i]
 			sum, zero := 0, 0
@@ -178,17 +171,11 @@ func (pm *degradedPhaseMetrics) derive(d *topology.Degraded, lo, w int) error {
 	if err != nil {
 		return err
 	}
-	dims := d.Dims()
-	xor := true
-	for i := lo; i < lo+w; i++ {
-		if dims[i] != 2 {
-			xor = false
-		}
-	}
+	xor := span == 1<<w
 	pm.steps = span - 1
 	n := d.Nodes()
 	if uint64(n)*uint64(span-1) > degradedExactWork {
-		total := phaseDistTotal(d.Base(), lo, w)
+		total := phaseDistTotal(d.Base(), lo, w, span)
 		perStep := total/float64(span-1) + 2*float64(len(d.Faults().DeadLinks))
 		pm.dist, pm.slow = []float64{perStep}, []float64{d.MaxSlowFactor()}
 		return nil
@@ -250,45 +237,44 @@ func (pm *degradedPhaseMetrics) derive(d *topology.Degraded, lo, w int) error {
 // (dead node, severed partition) is an error wrapping
 // topology.ErrUnroutable, never a cost.
 func (p Params) PhaseCostOn(net topology.Network, m, lo, w int) (float64, error) {
+	t, _, err := p.phaseCostOn(net, m, lo, w)
+	return t, err
+}
+
+// phaseCostOn is PhaseCostOn also returning the field's span.
+func (p Params) phaseCostOn(net topology.Network, m, lo, w int) (t float64, span int, err error) {
 	if w <= 0 {
-		return 0, fmt.Errorf("model: nonpositive phase width %d", w)
+		return 0, 0, fmt.Errorf("model: nonpositive phase width %d", w)
 	}
-	span, err := topology.SpanSize(net, lo, w)
+	span, err = topology.SpanSize(net, lo, w)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	n := net.Nodes()
 	mi := float64(m) * float64(n/span)
 	if dg, ok := net.(*topology.Degraded); ok && !dg.Healthy() {
 		if err := dg.Operational(); err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		pm, err := phaseMetricsDegraded(dg, lo, w)
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
-		t := 0.0
 		for i := 0; i < pm.steps; i++ {
 			dist, slow := pm.at(i)
 			t += (p.EffLambda() + p.EffTau()*mi + p.EffDelta()*dist) * slow
 		}
-		if span != n {
-			t += p.Rho * float64(m) * float64(n)
-		}
-		if p.GlobalSyncPerPhase {
-			t += p.GlobalSync(net.Diameter())
-		}
-		return t, nil
+	} else {
+		steps := float64(span - 1)
+		t = steps*(p.EffLambda()+p.EffTau()*mi) + p.EffDelta()*phaseDistTotal(net, lo, w, span)
 	}
-	steps := float64(span - 1)
-	t := steps*(p.EffLambda()+p.EffTau()*mi) + p.EffDelta()*phaseDistTotal(net, lo, w)
 	if span != n {
 		t += p.Rho * float64(m) * float64(n)
 	}
 	if p.GlobalSyncPerPhase {
 		t += p.GlobalSync(net.Diameter())
 	}
-	return t, nil
+	return t, span, nil
 }
 
 // PhaseLineOn returns PhaseCostOn as a function of the block size: over the
@@ -330,7 +316,7 @@ func (p Params) PhaseLineOn(net topology.Network, lo, w int) (slope, intercept f
 			intercept += (p.EffLambda() + p.EffDelta()*dist) * slow
 		}
 	} else {
-		intercept = steps*p.EffLambda() + p.EffDelta()*phaseDistTotal(net, lo, w)
+		intercept = steps*p.EffLambda() + p.EffDelta()*phaseDistTotal(net, lo, w, span)
 	}
 	slope = steps * p.EffTau() * float64(n/span)
 	if span != n {
@@ -373,23 +359,24 @@ func (p Params) MultiphaseOn(net topology.Network, m int, D partition.Partition)
 		t, phases := p.Multiphase(m, d, D)
 		return t, phases, nil
 	}
-	fields, err := topology.PhaseFields(net, D)
-	if err != nil {
+	// The phase fields of topology.PhaseFields, walked in place: phase j
+	// takes the D[j] dimensions below the previous phase's.
+	if err := topology.CheckGroups(net, D); err != nil {
 		return 0, nil, err
 	}
 	n := net.Nodes()
 	total := 0.0
 	phases := make([]PhaseBreakdown, 0, len(D))
-	for i, f := range fields {
-		lo, w := f[0], f[1]
-		span, _ := topology.SpanSize(net, lo, w)
-		t, err := p.PhaseCostOn(net, m, lo, w)
+	hi := net.NumDims()
+	for _, w := range D {
+		hi -= w
+		t, span, err := p.phaseCostOn(net, m, hi, w)
 		if err != nil {
 			return 0, nil, err
 		}
 		total += t
 		phases = append(phases, PhaseBreakdown{
-			SubcubeDim: D[i],
+			SubcubeDim: w,
 			EffBlock:   m * (n / span),
 			Alg:        PhaseCS,
 			Time:       t,

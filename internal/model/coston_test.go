@@ -115,11 +115,11 @@ func TestPhaseDistTotalMatchesEnumeration(t *testing.T) {
 		}
 		want += float64(maxDist)
 	}
-	if got := phaseDistTotal(net, lo, w); got != want {
+	if got := phaseDistTotal(net, lo, w, span); got != want {
 		t.Errorf("phaseDistTotal = %v, enumeration %v", got, want)
 	}
 	// Second call must hit the memo and agree.
-	if got := phaseDistTotal(net, lo, w); got != want {
+	if got := phaseDistTotal(net, lo, w, span); got != want {
 		t.Errorf("memoized phaseDistTotal = %v, want %v", got, want)
 	}
 }
@@ -156,7 +156,7 @@ func TestPhaseDistTotalLargeSpanClosedForm(t *testing.T) {
 	// On a span just over the cutoff, the closed form must dominate the
 	// exact worst-case enumeration (it is an upper bound).
 	net := topology.MustParseSpec("torus-84x84") // span 7056 > exactShiftDistSpan
-	closed := phaseDistTotal(net, 0, 2)
+	closed := phaseDistTotal(net, 0, 2, 84*84)
 	span := 84 * 84
 	exact := 0.0
 	for j := 1; j < span; j++ {
@@ -212,5 +212,22 @@ func TestPhaseLineOnMatchesPhaseCostOn(t *testing.T) {
 	}
 	if _, _, err := IPSC860().PhaseLineOn(topology.MustParseSpec("torus-4x4"), 1, 2); err == nil {
 		t.Error("field past the last dimension must fail")
+	}
+}
+
+// A warm answer on a grid fabric prices its segment without copying the
+// fabric: the per-phase breakdown is the only allocation.
+func TestMultiphaseOnAllocs(t *testing.T) {
+	prm := IPSC860()
+	net, err := topology.Resolve("torus-4x4x4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	D := partition.Partition{2, 1}
+	if _, _, err := prm.MultiphaseOn(net, 40, D); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { prm.MultiphaseOn(net, 40, D) }); allocs != 1 {
+		t.Fatalf("MultiphaseOn on %s allocates %v times, want 1 (the phase slice)", net.Name(), allocs)
 	}
 }

@@ -70,13 +70,7 @@ func (p Params) PhaseLowerBoundOn(net topology.Network, m, lo, w int) (float64, 
 	if err != nil {
 		return 0, err
 	}
-	dims := net.Dims()
-	xor := true
-	for i := lo; i < lo+w; i++ {
-		if dims[i] != 2 {
-			xor = false
-		}
-	}
+	xor := span == 1<<w // every radix is at least 2
 	n := net.Nodes()
 	mi := float64(m) * float64(n/span)
 	steps := float64(span - 1)

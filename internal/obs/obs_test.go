@@ -28,6 +28,80 @@ func TestRequestIDRoundTrip(t *testing.T) {
 	}
 }
 
+// Minted IDs are 16 lowercase hex characters, distinct across many
+// concurrent mints, and every one passes ValidRequestID.
+func TestNewRequestIDsDistinct(t *testing.T) {
+	const workers, per = 4, 5000
+	ids := make([][]string, workers)
+	var wg sync.WaitGroup
+	for w := range ids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				ids[w] = append(ids[w], NewRequestID())
+			}
+		}()
+	}
+	wg.Wait()
+	seen := make(map[string]bool, workers*per)
+	for _, batch := range ids {
+		for _, id := range batch {
+			if len(id) != 16 || strings.Trim(id, "0123456789abcdef") != "" || !ValidRequestID(id) {
+				t.Fatalf("minted ID %q is not 16 lowercase hex characters", id)
+			}
+			if seen[id] {
+				t.Fatalf("minted ID %q twice", id)
+			}
+			seen[id] = true
+		}
+	}
+}
+
+func TestValidRequestID(t *testing.T) {
+	for id, want := range map[string]bool{
+		"":                          false,
+		"ci-smoke-0001":             true,
+		"A.b_c:d-9":                 true,
+		strings.Repeat("x", 64):     true,
+		strings.Repeat("x", 65):     false,
+		"a b":                       false,
+		"a/b":                       false,
+		"a\nb":                      false,
+		"\u00e9":                    false,
+		"trace\x00":                 false,
+		"0123456789abcdef":          true,
+		strings.Repeat("7", 16<<10): false,
+	} {
+		if got := ValidRequestID(id); got != want {
+			t.Errorf("ValidRequestID(%.20q) = %v, want %v", id, got, want)
+		}
+	}
+}
+
+// A span's first four attributes are stored inline: setting them grows
+// no slice.
+func TestSpanAttrsInline(t *testing.T) {
+	tr := NewTracer(16)
+	ctx, root := tr.StartRequest(context.Background(), "inline", "/v1/plan")
+	defer root.End()
+	sp := StartSpan(ctx, "cache")
+	if allocs := testing.AllocsPerRun(1, func() {
+		sp.attrs = nil
+		sp.SetAttr("machine", "ipsc860")
+		sp.SetAttr("topology", "hypercube-7")
+		sp.SetAttr("error", "true")
+		sp.SetAttr("outcome", "hit")
+	}); allocs != 0 {
+		t.Fatalf("four SetAttr calls allocate %v times, want 0", allocs)
+	}
+	sp.SetAttr("fifth", "spills")
+	sp.End()
+	if n := len(sp.attrs); n != 5 {
+		t.Fatalf("span holds %d attributes, want 5", n)
+	}
+}
+
 func TestDetachKeepsValuesDropsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(WithRequestID(context.Background(), "abc"))
 	d := Detach(ctx)

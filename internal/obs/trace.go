@@ -34,8 +34,11 @@ type Span struct {
 	name  string
 	start time.Time
 	end   time.Time
-	attrs []Attr
-	root  bool
+	// attrs starts on inline, so a span's first four attributes — the
+	// most any stage sets — are stored without growing a slice.
+	attrs  []Attr
+	inline [4]Attr
+	root   bool
 	// dropped marks a span past the trace's budget: it is not on the
 	// trace's list and records no attributes, but End still times it.
 	dropped bool
@@ -47,6 +50,9 @@ func (s *Span) SetAttr(key, value string) {
 		return
 	}
 	s.tr.mu.Lock()
+	if s.attrs == nil {
+		s.attrs = s.inline[:0]
+	}
 	s.attrs = append(s.attrs, Attr{Key: key, Value: value})
 	s.tr.mu.Unlock()
 }
@@ -90,6 +96,12 @@ type Trace struct {
 	mu      sync.Mutex
 	spans   []*Span
 	dropped int
+
+	// rootSpan and inline back the root span and the head of spans, so
+	// the trace of a short request is one allocation for the trace and
+	// one per further span.
+	rootSpan Span
+	inline   [4]*Span
 }
 
 // SpanData is one span on the /debug/traces wire: offsets are µs from
@@ -180,17 +192,18 @@ func NewTracer(capacity int) *Tracer {
 // StartRequest opens a trace for one request: the returned context
 // carries the request ID and the trace (so StartSpan works anywhere
 // downstream), and the returned root span commits the trace to the ring
-// when ended. A nil tracer returns ctx unchanged and a nil span.
+// when ended. A nil tracer returns ctx carrying only the ID, and a nil
+// span.
 func (t *Tracer) StartRequest(ctx context.Context, id, name string) (context.Context, *Span) {
 	if t == nil {
 		return WithRequestID(ctx, id), nil
 	}
 	tr := &Trace{tracer: t, id: id, name: name, start: time.Now()}
-	root := &Span{tr: tr, name: name, start: tr.start, root: true}
-	tr.spans = append(tr.spans, root)
-	ctx = WithRequestID(ctx, id)
-	ctx = context.WithValue(ctx, traceKey, tr)
-	return ctx, root
+	root := &tr.rootSpan
+	*root = Span{tr: tr, name: name, start: tr.start, root: true}
+	tr.spans = append(tr.inline[:0], root)
+	// The trace carries the request ID for RequestID.
+	return context.WithValue(ctx, traceKey, tr), root
 }
 
 // StartSpan opens a named span on the trace carried by ctx; it returns

@@ -623,3 +623,47 @@ func TestPanicStillAccounted(t *testing.T) {
 		t.Error("panicked response lost its request ID header")
 	}
 }
+
+// A client's request ID is adopted only when short and plain: a 16 KiB
+// one is replaced by a fresh ID, which is what the trace is filed under,
+// while an ordinary one still round-trips.
+func TestRequestIDBounded(t *testing.T) {
+	ts := newTestServer(t)
+	get := func(id string) string {
+		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/plan?machine=ipsc860&d=4&m=40", nil)
+		req.Header.Set(obs.RequestIDHeader, id)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("plan with request ID of %d bytes: %d", len(id), resp.StatusCode)
+		}
+		return resp.Header.Get(obs.RequestIDHeader)
+	}
+
+	long := strings.Repeat("a", 16<<10)
+	got := get(long)
+	if len(got) != 16 || strings.Trim(got, "0123456789abcdef") != "" {
+		t.Fatalf("a 16 KiB request ID came back as %d bytes, want a fresh 16-hex ID", len(got))
+	}
+	findTrace(t, ts.URL, got)
+	var tr TracesResponse
+	getJSON(t, ts.URL+"/debug/traces?id="+long, http.StatusOK, &tr)
+	if len(tr.Traces) != 0 {
+		t.Fatalf("the long ID addresses %d traces, want none", len(tr.Traces))
+	}
+	for _, bad := range []string{strings.Repeat("b", obs.MaxRequestIDLen+1), "a b", "id/x", "é"} {
+		if got := get(bad); got == bad || len(got) != 16 {
+			t.Errorf("request ID %q echoed as %q, want a fresh one", bad, got)
+		}
+	}
+	for _, ok := range []string{"ci-smoke-0001", strings.Repeat("c", obs.MaxRequestIDLen), "A.b_c:d-9"} {
+		if got := get(ok); got != ok {
+			t.Errorf("request ID %q echoed as %q", ok, got)
+		}
+	}
+	findTrace(t, ts.URL, "ci-smoke-0001")
+}

@@ -218,8 +218,10 @@ func (s *Server) instrument(name, method string, h func(http.ResponseWriter, *ht
 	st := s.endpoint(name)
 	return func(w http.ResponseWriter, r *http.Request) {
 		begin := time.Now()
+		// A client's ID is adopted only if it is short and plain: it is
+		// kept in every committed trace and forwarded on every peer hop.
 		id := r.Header.Get(obs.RequestIDHeader)
-		if id == "" {
+		if !obs.ValidRequestID(id) {
 			id = obs.NewRequestID()
 		}
 		// Echo the ID so clients — and the fetching replica on a peer
@@ -305,7 +307,9 @@ type segmentJSON struct {
 	MaxBlock  int   `json:"max_block"`
 }
 
-// PlanResponse is the /v1/plan wire format.
+// PlanResponse is the /v1/plan wire format. The handler writes it with
+// appendPlan (wire.go), which the tests pin to json.Encoder's bytes of
+// this struct.
 type PlanResponse struct {
 	Machine     string      `json:"machine"`
 	Topology    string      `json:"topology"`
@@ -322,23 +326,6 @@ type PlanResponse struct {
 	// ignores them; a background rebuild is in flight.
 	Health   string `json:"health"`
 	Degraded bool   `json:"degraded,omitempty"`
-}
-
-func planResponse(p plancache.Plan) PlanResponse {
-	// One copy of the partition (the cache line owns p.Part), shared by the
-	// two fields that show it: the response is only ever marshalled.
-	part := append([]int{}, p.Part...)
-	return PlanResponse{
-		Machine:     p.Machine,
-		Topology:    p.Topo,
-		D:           p.D,
-		M:           p.Block,
-		Partition:   part,
-		PredictedUS: p.TimeMicro,
-		Phases:      phasesJSON(p.Phases),
-		Segment:     segmentJSON{Partition: part, MinBlock: p.SegMin, MaxBlock: p.SegMax},
-		InRange:     p.InRange,
-	}
 }
 
 func phasesJSON(phases []model.PhaseBreakdown) []phaseJSON {
@@ -365,10 +352,11 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) int {
 	if err != nil {
 		return s.writeCacheError(w, r, err)
 	}
-	resp := planResponse(p)
-	resp.Health = health
-	resp.Degraded = degraded
-	return writeJSON(w, http.StatusOK, resp)
+	buf := getBuf()
+	defer putBuf(buf)
+	body, ok := appendPlan(*buf, &p, health, degraded)
+	*buf = append(body, '\n')
+	return writeBody(w, http.StatusOK, *buf, ok)
 }
 
 // resolveTopo turns a request's topology/d pair into the fabric's shared
@@ -624,7 +612,8 @@ type BatchItem struct {
 	Error string        `json:"error,omitempty"`
 }
 
-// BatchResponse carries the results in query order.
+// BatchResponse carries the results in query order. Like PlanResponse
+// it is written by an append encoder (appendBatch) pinned to it.
 type BatchResponse struct {
 	Results []BatchItem `json:"results"`
 }
@@ -633,14 +622,14 @@ type BatchResponse struct {
 // come back in request order.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) int {
 	var req BatchRequest
-	if code := decodeBody(w, r, &req); code != 0 {
+	if code := decodeBatch(w, r, &req); code != 0 {
 		return code
 	}
 	if len(req.Queries) > s.cfg.MaxBatch {
 		return writeError(w, http.StatusRequestEntityTooLarge,
 			fmt.Sprintf("batch of %d queries exceeds the limit of %d", len(req.Queries), s.cfg.MaxBatch))
 	}
-	results := make([]BatchItem, len(req.Queries))
+	results := make([]batchResult, len(req.Queries))
 	workers := s.cfg.BatchWorkers
 	if workers > len(req.Queries) {
 		workers = len(req.Queries)
@@ -660,7 +649,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) int {
 				// A disconnected client stops the fan-out: remaining
 				// queries are marked cancelled, not computed.
 				if err := ctx.Err(); err != nil {
-					results[i] = BatchItem{Error: "request cancelled: " + err.Error()}
+					results[i].err = "request cancelled: " + err.Error()
 					continue
 				}
 				qy := req.Queries[i]
@@ -670,7 +659,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) int {
 				}
 				topo, err := s.resolveTopo(qy.Topology, qy.D, s.cfg.PlanMaxDim)
 				if err != nil {
-					results[i] = BatchItem{Error: err.Error()}
+					results[i].err = err.Error()
 					continue
 				}
 				p, health, degraded, err := s.planFor(ctx, machine, topo, qy.M)
@@ -678,13 +667,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) int {
 					if errors.Is(err, plancache.ErrOverloaded) {
 						s.shed.Add(1)
 					}
-					results[i] = BatchItem{Error: err.Error()}
+					results[i].err = err.Error()
 					continue
 				}
-				resp := planResponse(p)
-				resp.Health = health
-				resp.Degraded = degraded
-				results[i] = BatchItem{Plan: &resp}
+				results[i] = batchResult{plan: p, health: health, degraded: degraded, planned: true}
 			}
 		}()
 	}
@@ -693,7 +679,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) int {
 		s.earlyAborts.Add(1)
 		return writeError(w, statusClientClosedRequest, "client closed request: "+err.Error())
 	}
-	return writeJSON(w, http.StatusOK, BatchResponse{Results: results})
+	buf := getBuf()
+	defer putBuf(buf)
+	body, ok := appendBatch(*buf, results)
+	*buf = append(body, '\n')
+	return writeBody(w, http.StatusOK, *buf, ok)
 }
 
 // HealthResponse is the /healthz wire format.
@@ -904,7 +894,12 @@ const maxBodyBytes = 1 << 20
 // writes the error response and returns its status code (0 on success).
 func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) int {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(r.Body)
+	return decodeReader(w, r.Body, v)
+}
+
+// decodeReader is decodeBody's decoding of an already size-limited body.
+func decodeReader(w http.ResponseWriter, body io.Reader, v interface{}) int {
+	dec := json.NewDecoder(body)
 	err := dec.Decode(v)
 	if err == nil {
 		// The body is one JSON value; only EOF may follow it.

@@ -271,3 +271,37 @@ func TestRoutesStayInSubBlock(t *testing.T) {
 		}
 	}
 }
+
+// SpanSize reads a field's span off the strides; it must equal the
+// product of the field's radices, be 2^w exactly on all-binary fields,
+// and reject fields outside the network.
+func TestSpanSizeMatchesRadices(t *testing.T) {
+	for _, spec := range []string{"hypercube-0", "hypercube-5", "torus-4x4x4", "mesh-2x3x4", "torus-3x2x2x5", "torus-8x8!dl=0-1"} {
+		net, err := Resolve(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dims, k := net.Dims(), net.NumDims()
+		for lo := 0; lo <= k; lo++ {
+			for w := 0; lo+w <= k; w++ {
+				want, binary := 1, true
+				for _, r := range dims[lo : lo+w] {
+					want *= r
+					binary = binary && r == 2
+				}
+				got, err := SpanSize(net, lo, w)
+				if err != nil || got != want {
+					t.Fatalf("%s: SpanSize(%d, %d) = %d, %v; want %d", spec, lo, w, got, err, want)
+				}
+				if (got == 1<<w) != binary {
+					t.Fatalf("%s [%d,%d): span %d, all-binary %v", spec, lo, lo+w, got, binary)
+				}
+			}
+		}
+		for _, f := range [][2]int{{-1, 1}, {0, -1}, {0, k + 1}, {k, 1}} {
+			if _, err := SpanSize(net, f[0], f[1]); err == nil {
+				t.Fatalf("%s: SpanSize(%d, %d) accepted a field outside the network", spec, f[0], f[1])
+			}
+		}
+	}
+}

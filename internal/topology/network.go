@@ -120,42 +120,56 @@ func Derived[K comparable, V any](net Network, key K, build func() V) V {
 // the highest g_1 dimensions — generalizing the §5.2 bit-field layout to
 // mixed-radix coordinate blocks (on a hypercube, dimensions are bits: the
 // j-th partial exchange uses bits Σ_{i≤j}d_i − d_j .. Σ_{i≤j}d_i − 1 counting
-// down from the top of the label).
+// down from the top of the label). A caller that only walks the fields
+// checks the grouping with CheckGroups and steps lo down from NumDims by
+// each group size, without the slice.
 func PhaseFields(net Network, groups []int) ([][2]int, error) {
-	k := net.NumDims()
-	sum := 0
-	for _, g := range groups {
-		if g <= 0 {
-			return nil, fmt.Errorf("topology: nonpositive phase group %d", g)
-		}
-		sum += g
-	}
-	if sum != k {
-		return nil, fmt.Errorf("topology: phase groups sum to %d, want %d dimensions", sum, k)
+	if err := CheckGroups(net, groups); err != nil {
+		return nil, err
 	}
 	out := make([][2]int, len(groups))
-	start := k - 1
+	hi := net.NumDims()
 	for j, g := range groups {
-		lo := start - g + 1
-		out[j] = [2]int{lo, g}
-		start = lo - 1
+		out[j] = [2]int{hi - g, g}
+		hi -= g
 	}
 	return out, nil
 }
 
+// CheckGroups reports whether the group sizes are a grouping of net's
+// dimensions: every group positive, the sizes summing to NumDims.
+func CheckGroups(net Network, groups []int) error {
+	sum := 0
+	for _, g := range groups {
+		if g <= 0 {
+			return fmt.Errorf("topology: nonpositive phase group %d", g)
+		}
+		sum += g
+	}
+	if k := net.NumDims(); sum != k {
+		return fmt.Errorf("topology: phase groups sum to %d, want %d dimensions", sum, k)
+	}
+	return nil
+}
+
 // SpanSize returns the number of nodes in one sub-block of the dimension
 // field [lo, lo+w): the product of the radices of those dimensions (2^w
-// on a hypercube).
+// on a hypercube), read off the strides as Stride(lo+w)/Stride(lo) with
+// Nodes() above the top dimension, so it copies nothing. A field is
+// all-radix-2 exactly when its span is 2^w, every radix being at least 2.
 func SpanSize(net Network, lo, w int) (int, error) {
-	if w < 0 || lo < 0 || lo+w > net.NumDims() {
+	k := net.NumDims()
+	if w < 0 || lo < 0 || lo+w > k {
 		return 0, fmt.Errorf("topology: dimension field [%d,%d) not in %s", lo, lo+w, net.Name())
 	}
-	span := 1
-	dims := net.Dims()
-	for i := lo; i < lo+w; i++ {
-		span *= dims[i]
+	if w == 0 {
+		return 1, nil
 	}
-	return span, nil
+	top := net.Nodes()
+	if lo+w < k {
+		top = net.Stride(lo + w)
+	}
+	return top / net.Stride(lo), nil
 }
 
 // SubBlocks partitions the node set into the sub-blocks of the dimension
