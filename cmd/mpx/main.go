@@ -39,7 +39,6 @@ func main() {
 	gantt := flag.Bool("gantt", false, "render a per-node timeline of the simulated run")
 	ganttWidth := flag.Int("gantt-width", 100, "timeline width in characters")
 	traceOut := flag.String("trace-out", "", "write the simulated timeline as Chrome trace_event JSON to this file (opens in chrome://tracing or Perfetto)")
-	replayWorkers := flag.Int("replay-workers", 0, "event-engine shards for the compiled-replay cross-check on link-disjoint phases; results stay bit-identical (0 or 1 = serial)")
 	flag.Parse()
 
 	prm, err := model.MachineByName(*machine)
@@ -77,22 +76,6 @@ func main() {
 	t.AddRow("simulated (µs)", res.SimulatedMicros)
 	t.AddRow("contention stall (µs)", res.ContentionStall)
 	t.AddRowStrings("data verified", fmt.Sprintf("%v", res.DataVerified))
-	if *replayWorkers > 1 {
-		// Cross-check the goroutine fabric's makespan against the
-		// compiled-trace replay, sharded across link-disjoint sub-blocks.
-		plan, err := sys.Plan(*m, res.Partition)
-		if err != nil {
-			fatal(err)
-		}
-		net := simnet.New(sys.Topology(), prm)
-		net.SetReplayShards(*replayWorkers)
-		replayed, err := plan.Cost(net)
-		if err != nil {
-			fatal(err)
-		}
-		t.AddRow("compiled replay (µs)", replayed.Makespan)
-		t.AddRowStrings("replay shards", fmt.Sprintf("%d", replayed.ReplayShards))
-	}
 	if *onRuntime {
 		plan, err := sys.Plan(*m, res.Partition)
 		if err != nil {

@@ -71,10 +71,6 @@ type options struct {
 	snapshotPath  string
 	snapshotEvery time.Duration
 	warmupDims    string
-	optWorkers    int
-	replayWorkers int
-	rebuildTries  int
-	rebuildWait   time.Duration
 
 	// Fleet mode (see the package doc): all off when peers is empty.
 	self             string
@@ -109,10 +105,6 @@ func main() {
 	flag.StringVar(&o.snapshotPath, "snapshot", "", "cache snapshot file (restored at startup, written periodically and on shutdown)")
 	flag.DurationVar(&o.snapshotEvery, "snapshot-every", 5*time.Minute, "periodic snapshot interval (requires -snapshot)")
 	flag.StringVar(&o.warmupDims, "warmup-dims", "", "comma-separated dimensions to pre-build for every machine at startup, e.g. \"5,6,7\"")
-	flag.IntVar(&o.optWorkers, "opt-workers", 0, "optimizer candidate-costing workers, clamped to GOMAXPROCS (0 = backend default)")
-	flag.IntVar(&o.replayWorkers, "replay-workers", 0, "event-engine shards per simulated replay on link-disjoint phases; results stay bit-identical (0 or 1 = serial)")
-	flag.IntVar(&o.rebuildTries, "rebuild-attempts", 0, "background degraded-plan rebuild attempts (0 = service default)")
-	flag.DurationVar(&o.rebuildWait, "rebuild-backoff", 0, "initial backoff between rebuild attempts, doubled per try (0 = service default)")
 	flag.StringVar(&o.self, "self", "", "this replica's advertised base URL (required with -peers)")
 	flag.StringVar(&o.peers, "peers", "", "comma-separated replica base URLs forming the fleet (empty = standalone)")
 	flag.IntVar(&o.maxBuilds, "max-builds", 0, "concurrent local hull builds before shedding with 503 (0 = unbounded)")
@@ -238,8 +230,6 @@ func newDaemon(o options) (*daemon, error) {
 		SweepHi:             o.sweepHi,
 		SweepStep:           o.sweepStep,
 		NewOptimizer:        newOpt,
-		OptWorkers:          o.optWorkers,
-		ReplayWorkers:       o.replayWorkers,
 		MaxConcurrentBuilds: o.maxBuilds,
 	}
 	if clu != nil {
@@ -289,15 +279,12 @@ func newDaemon(o options) (*daemon, error) {
 	// BestOn calls — hundreds of compiled replays per build — so the
 	// serving bound must match the per-request /v1/cost bound.
 	svcCfg := service.Config{
-		Cache:           cache,
-		DefaultMachine:  defaultMachine,
-		PlanMaxDim:      planMaxDim,
-		ReplayWorkers:   o.replayWorkers,
-		RebuildAttempts: o.rebuildTries,
-		RebuildBackoff:  o.rebuildWait,
-		Logger:          o.logger,
-		Tracer:          obs.NewTracer(o.traceCapacity),
-		Cluster:         clu,
+		Cache:          cache,
+		DefaultMachine: defaultMachine,
+		PlanMaxDim:     planMaxDim,
+		Logger:         o.logger,
+		Tracer:         obs.NewTracer(o.traceCapacity),
+		Cluster:        clu,
 	}
 	svc, err := service.New(svcCfg)
 	if err != nil {

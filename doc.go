@@ -61,10 +61,12 @@
 // a static property of the fabric, held on its topology.Resolve handle:
 // the cost model, optimizer, simulator and plan cache all plan around the
 // damage on that one handle, and the daemon degrades gracefully — POST /v1/faults changes a fabric's fault
-// state, and when re-planning under faults is impossible the
-// last-known-good plan is served flagged degraded while a bounded-
-// backoff background rebuild retries. A zero-fault overlay is exactly
-// transparent: bit-identical plans, costs, and cache keys.
+// state, and while the reported faults leave the fabric non-operational
+// (a dead node or a severed live graph, decided once on the handle) a
+// plan query gets the healthy base's plan flagged degraded, with no
+// cache work for the faulted line; pricing or building on such a fabric
+// is a 400. A zero-fault overlay is exactly transparent: bit-identical
+// plans, costs, and cache keys.
 //
 // The serving tier also scales out: internal/cluster turns N pland
 // replicas into one logical cache. A consistent-hash ring with virtual

@@ -141,10 +141,12 @@ func (b Backend) String() string {
 }
 
 // MaxSimulatedDim is the dimension limit of the Simulated backend: a
-// candidate is costed by replaying its trace-compiled programs, and
-// link-disjoint sub-block shards (simnet.Network.SetReplayShards) split a
-// 2^18-node phase across cores with bit-identical results, keeping the
-// largest fragments tractable.
+// candidate is costed by replaying its trace-compiled programs. A healthy
+// cube's phases are certified lockstep XOR exchanges and are priced in
+// closed form without the event engine, which keeps the largest
+// fragments tractable; the phases the certificate declines (a torus row,
+// a faulted or slow wire) run on the engine, serial, and are what the
+// limit bounds.
 const MaxSimulatedDim = 18
 
 // pruneSlack is the relative tolerance of the branch-and-bound cut: a
@@ -329,9 +331,8 @@ type Optimizer struct {
 	backend Backend
 	evals   atomic.Int64 // enumerations run
 
-	workers      atomic.Int32 // SetWorkers; ≤ 0 selects the default
-	replayShards atomic.Int32 // SetReplayShards; ≤ 1 keeps replays serial
-	exhaustive   atomic.Bool  // SetExhaustive; disables pruning/reordering
+	workers    atomic.Int32 // SetWorkers; ≤ 0 selects the default
+	exhaustive atomic.Bool  // SetExhaustive; disables pruning/reordering
 
 	evaluated      atomic.Int64
 	pruned         atomic.Int64
@@ -356,7 +357,6 @@ func (o *Optimizer) newEvaluation(topo topology.Network) *evaluation {
 	e := &evaluation{Optimizer: o, topo: topo}
 	if o.backend == Simulated {
 		e.net = simnet.New(topo, o.params)
-		e.net.SetReplayShards(int(o.replayShards.Load()))
 	}
 	return e
 }
@@ -520,23 +520,6 @@ func (o *Optimizer) poolSize() int {
 		return w
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// SetReplayShards sets the event-engine shard count the simulated
-// backend's replays request (simnet.Network.SetReplayShards): of the
-// phases that run on the engine at all — a certified lockstep phase is
-// priced without it — those whose sub-blocks are provably link-disjoint
-// run on up to n private engines and merge at the next barrier;
-// everything else falls back to serial dynamics. Sharded replays are bit-identical to serial ones, so
-// the setting never changes which Choice is returned or its TimeMicro —
-// only how fast the largest fragments cost. n ≤ 1 keeps replays serial
-// (the default). Safe to call concurrently with BestOn; an in-flight
-// evaluation keeps the count it started with.
-func (o *Optimizer) SetReplayShards(n int) {
-	if n < 0 {
-		n = 0
-	}
-	o.replayShards.Store(int32(n))
 }
 
 // SetExhaustive toggles the branch-and-bound cut and the best-first

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"os"
-	"runtime"
 	"testing"
 
 	"repro/internal/exchange"
@@ -13,13 +12,12 @@ import (
 	"repro/internal/topology"
 )
 
-// Sharded replay must be invisible to the optimizer's answers: the same
-// Choice — partition AND bit-identical TimeMicro — with shards on and
-// off, because the sharded replay results equal the serial ones exactly.
-// The stats split proves each input was priced the way it should be: the
-// XOR phases of a healthy cube by certificate, with nothing left to
-// shard; the cyclic phases of a torus on the engine, sharded when asked.
-func TestReplayShardsChoiceEquivalence(t *testing.T) {
+// The simulated backend prices each input the way it should: the XOR
+// phases of a healthy cube by certificate, in closed form with no engine
+// phase and no decline; the cyclic phases of a torus on the event engine,
+// declined as row-not-exchange. Every replay runs serial. (Sharded ≡
+// serial is pinned where sharding lives, in simnet and exchange.)
+func TestSimulatedPricingModes(t *testing.T) {
 	prm := model.IPSC860()
 	for _, tc := range []struct {
 		spec   string
@@ -31,47 +29,24 @@ func TestReplayShardsChoiceEquivalence(t *testing.T) {
 		{"hypercube-7", 200, false},
 		{"torus-4x4x4", 40, true},
 	} {
-		topo := topology.MustParseSpec(tc.spec)
-		serial := NewSimulated(prm)
-		sharded := NewSimulated(prm)
-		sharded.SetReplayShards(4)
-		// Exhaustive mode costs every candidate's fragments — without it,
-		// the bound can prune everything but a single-phase winner whose
-		// whole-machine span is one group and legitimately runs serial.
-		serial.SetExhaustive(true)
-		sharded.SetExhaustive(true)
-
-		sc, err := serial.BestOn(topo, tc.m)
-		if err != nil {
+		o := NewSimulated(prm)
+		// Exhaustive mode costs every candidate's fragments, so every
+		// phase field of the input is priced.
+		o.SetExhaustive(true)
+		if _, err := o.BestOn(topology.MustParseSpec(tc.spec), tc.m); err != nil {
 			t.Fatal(err)
 		}
-		hc, err := sharded.BestOn(topo, tc.m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sc.Part.Equal(hc.Part) {
-			t.Errorf("%s m=%d: partitions differ: serial %v, sharded %v", tc.spec, tc.m, sc.Part, hc.Part)
-		}
-		if sc.TimeMicro != hc.TimeMicro {
-			t.Errorf("%s m=%d: times differ: serial %v, sharded %v", tc.spec, tc.m, sc.TimeMicro, hc.TimeMicro)
-		}
-
-		st, got := sharded.Stats(), serial.Stats()
+		st := o.Stats()
 		if tc.cyclic {
-			if st.ReplaysSharded == 0 || st.PhasesClosedForm != 0 || st.Declines["row-not-exchange"] == 0 {
-				t.Errorf("%s m=%d: cyclic phases must run on engine shards: %+v", tc.spec, tc.m, st)
+			if st.PhasesEngine == 0 || st.PhasesClosedForm != 0 || st.Declines["row-not-exchange"] == 0 {
+				t.Errorf("%s m=%d: cyclic phases must run on the engine: %+v", tc.spec, tc.m, st)
 			}
-		} else if st.ReplaysSharded != 0 || st.PhasesEngine != 0 || st.PhasesClosedForm == 0 || len(st.Declines) != 0 {
+		} else if st.PhasesEngine != 0 || st.PhasesClosedForm == 0 || len(st.Declines) != 0 {
 			t.Errorf("%s m=%d: certified phases must be priced in closed form: %+v", tc.spec, tc.m, st)
 		}
-		if got.ReplaysSharded != 0 {
-			t.Errorf("%s m=%d: serial optimizer reports %d sharded replays", tc.spec, tc.m, got.ReplaysSharded)
-		}
-		if got.ReplaysSerial == 0 {
-			t.Errorf("%s m=%d: serial optimizer counted no replays", tc.spec, tc.m)
-		}
-		if got.PhasesClosedForm != st.PhasesClosedForm || got.PhasesEngine != st.PhasesEngine {
-			t.Errorf("%s m=%d: pricing modes depend on the shard count: serial %+v, sharded %+v", tc.spec, tc.m, got, st)
+		if st.ReplaysSharded != 0 || st.ReplaysSerial == 0 {
+			t.Errorf("%s m=%d: %d sharded and %d serial replays, want 0 and > 0",
+				tc.spec, tc.m, st.ReplaysSharded, st.ReplaysSerial)
 		}
 	}
 }
@@ -90,18 +65,16 @@ func TestStatsAddReplayCounters(t *testing.T) {
 }
 
 // The acceptance case for the raised limit: the simulated optimizer
-// accepts d = 18 (262144 nodes) with sharded replay carrying the
-// largest fragments. The enumeration replays billions of events, so it
-// only runs when REPRO_HEAVY is set; the limit itself is pinned
-// unconditionally in TestSimulatedBackendDimLimit.
+// accepts d = 18 (262144 nodes); a healthy cube's phases are certified
+// and priced in closed form, never reaching the engine. The enumeration
+// is still heavy, so it only runs when REPRO_HEAVY is set; the limit
+// itself is pinned unconditionally in TestSimulatedBackendDimLimit.
 func TestSimulatedBest18(t *testing.T) {
 	if os.Getenv("REPRO_HEAVY") == "" {
 		t.Skip("set REPRO_HEAVY=1 to run the full d=18 simulated enumeration")
 	}
 	prm := model.IPSC860()
-	o := NewSimulated(prm)
-	o.SetReplayShards(runtime.GOMAXPROCS(0))
-	s, err := o.BestOn(topology.MustNew(18), 1)
+	s, err := NewSimulated(prm).BestOn(topology.MustNew(18), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -367,3 +367,40 @@ func mustSpec(t testing.TB, spec string) topology.Network {
 	}
 	return net
 }
+
+// A non-operational fabric — a dead node, or dead links that sever the
+// live graph — is refused at validation on every entry point, with the
+// typed unroutable error: it is never fetched from a peer, never missed
+// and never built, and ResolveTopology refuses its spec the same way.
+func TestNonOperationalFabricNeverFetched(t *testing.T) {
+	var fetches atomic.Int64
+	c := New(Config{Fetch: func(context.Context, string, string) (*LineData, error) {
+		fetches.Add(1)
+		return nil, nil
+	}})
+	severed, err := topology.Overlay(mustCube(t, 1), topology.FaultSet{DeadLinks: []topology.Link{{A: 0, B: 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadNode, err := topology.Resolve("torus-4x4!dn=3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, net := range []topology.Network{severed, deadNode} {
+		_, getErr := c.GetForCtx(bg, "ipsc860", net, 32)
+		_, hullErr := c.HullForCtx(bg, "ipsc860", net)
+		_, warmErr := c.WarmForCtx(bg, "ipsc860", net)
+		for _, err := range []error{getErr, hullErr, warmErr} {
+			var be *BuildError
+			if !errors.Is(err, topology.ErrUnroutable) || errors.As(err, &be) {
+				t.Errorf("%s: %v, want a validation error wrapping ErrUnroutable", net.Name(), err)
+			}
+		}
+		if _, err := ResolveTopology(net.Name()); !errors.Is(err, topology.ErrUnroutable) {
+			t.Errorf("ResolveTopology(%s) = %v, want ErrUnroutable", net.Name(), err)
+		}
+	}
+	if n, s := fetches.Load(), c.Stats(); n != 0 || s.Misses != 0 || s.Builds != 0 {
+		t.Fatalf("non-operational fabrics: %d fetches, %d misses, %d builds — want 0, 0, 0", n, s.Misses, s.Builds)
+	}
+}

@@ -73,16 +73,6 @@ type Config struct {
 	// NewOptimizer builds the per-machine optimizer (default
 	// optimize.New, the analytic backend).
 	NewOptimizer func(model.Params) *optimize.Optimizer
-	// OptWorkers is passed to each optimizer's SetWorkers: the simulated
-	// backend's costing worker-pool size, clamped to GOMAXPROCS. Zero keeps
-	// the optimizer's own default.
-	OptWorkers int
-	// ReplayWorkers is passed to each optimizer's SetReplayShards: the
-	// event-engine shard count a simulated replay may split each
-	// link-disjoint phase across. Sharded replays are bit-identical to
-	// serial ones, so this only affects build latency, never answers.
-	// Zero or one keeps replays serial.
-	ReplayWorkers int
 	// Fetch, when non-nil, is consulted inside the per-key singleflight
 	// before a missing line is built locally — the cluster peer-fetch
 	// hook — for the lines whose build costs more than the hop: those of
@@ -302,8 +292,9 @@ const MaxTopologyNodes = 1 << 20
 // ResolveTopology resolves a topology registry spec for serving: the
 // process-wide shared handle of topology.Resolve, so a fabric named by
 // many requests is parsed — and a degraded one's live graph derived —
-// once. Parse errors and oversized networks come back as
-// request-validation errors (the service layer maps them to 400).
+// once. Parse errors, oversized networks and non-operational degraded
+// ones come back as request-validation errors (the service layer maps
+// them to 400).
 func ResolveTopology(spec string) (topology.Network, error) {
 	net, err := topology.Resolve(spec)
 	if err != nil {
@@ -339,8 +330,11 @@ const MaxMixedRadixDims = 12
 
 // checkServable enforces the enumeration-cost bounds on every request
 // path — including dimension-based requests (ResolveHypercube), which
-// never go through a spec string — so an oversized topology is always a
-// caller error, never a BuildError-classified (500-mapped) hull failure.
+// never go through a spec string — and refuses a non-operational
+// degraded fabric (a dead node or a severed live graph), so an oversized
+// or unroutable topology is always a caller error, never a
+// BuildError-classified (500-mapped) hull failure, and never a peer
+// fetch.
 func checkServable(net topology.Network) error {
 	if net.Nodes() > MaxTopologyNodes {
 		return fmt.Errorf("plancache: %s exceeds the serving limit of %d nodes",
@@ -361,7 +355,7 @@ func checkServable(net topology.Network) error {
 		return fmt.Errorf("plancache: %s has %d unequal-radix dimensions, over the serving limit of %d",
 			net.Name(), len(dims), MaxMixedRadixDims)
 	}
-	return nil
+	return topology.CheckOperational(net)
 }
 
 // optimizer returns (creating once) the per-machine optimizer.
@@ -372,12 +366,6 @@ func (c *Cache) optimizer(name string, p model.Params) *optimize.Optimizer {
 		return o
 	}
 	o := c.cfg.NewOptimizer(p)
-	if c.cfg.OptWorkers > 0 {
-		o.SetWorkers(c.cfg.OptWorkers)
-	}
-	if c.cfg.ReplayWorkers > 1 {
-		o.SetReplayShards(c.cfg.ReplayWorkers)
-	}
 	c.opts[name] = o
 	return o
 }
@@ -722,8 +710,7 @@ func (c *Cache) insertLocked(sh *shard, ln *line) {
 // query pays no enumeration. It reports whether a build actually ran
 // (false when the line was already resident, another caller's build was
 // joined, or a peer supplied the line). ctx bounds the call as in
-// GetForCtx. Warm-up, the peer-serving endpoint and the fault paths — where
-// net is a degraded overlay, not a registry spec — all come through here.
+// GetForCtx. Warm-up and the peer-serving endpoint come through here.
 func (c *Cache) WarmForCtx(ctx context.Context, machine string, net topology.Network) (built bool, err error) {
 	name, prm, err := c.resolve(machine)
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/plancache"
@@ -38,9 +37,10 @@ type FaultsResponse struct {
 	// for this fabric are cached under topology + "!" + Health.
 	Health string `json:"health"`
 	// Operational reports whether the degraded fabric can still host a
-	// complete exchange (every node alive, live graph connected). A
-	// non-operational fabric serves last-known-good plans flagged
-	// degraded until restored.
+	// complete exchange (every node alive, live graph connected). Until
+	// restored, a non-operational fabric's /v1/plan and /v1/batch answers
+	// are the healthy base's plans flagged degraded; /v1/cost, /v1/hull
+	// and a spec naming the faulted fabric answer 400.
 	Operational bool     `json:"operational"`
 	DeadNodes   []int    `json:"dead_nodes,omitempty"`
 	DeadLinks   []string `json:"dead_links,omitempty"`
@@ -236,85 +236,24 @@ func (s *Server) applyFaults(base topology.Network) (topology.Network, string) {
 }
 
 // planFor answers one plan query under the fabric's current fault
-// state. On a healthy fabric it is exactly the cache lookup. Under
-// faults it plans on the degraded overlay; if that fails (a severed
-// fabric cannot be planned, a build error), it degrades gracefully:
-// the healthy base fabric's plan is served flagged degraded — a
-// last-known-good answer that ignores the faults — and a bounded-retry
-// background rebuild is scheduled.
+// state. A fabric the registry holds as non-operational (a dead node, a
+// severed live graph: topology.CheckOperational, derived once per
+// handle) is served the healthy base's plan flagged degraded — a
+// last-known-good answer that ignores the faults — and does no cache
+// work for the faulted line. Every other fabric, healthy or faulted, is
+// exactly the cache lookup: its own answer or its own error.
 func (s *Server) planFor(ctx context.Context, machine string, base topology.Network, m int) (p plancache.Plan, health string, degraded bool, err error) {
 	net, digest := s.applyFaults(base)
-	p, err = s.cache.GetForCtx(ctx, machine, net, m)
-	if err == nil {
-		return p, digest, false, nil
+	if net != base && topology.CheckOperational(net) != nil {
+		net, degraded = base, true
 	}
-	if digest == "ok" || net == base {
-		// Healthy fabric, or an explicit degraded spec from the client:
-		// no fallback, the error is the answer.
+	if p, err = s.cache.GetForCtx(ctx, machine, net, m); err != nil {
 		return plancache.Plan{}, "", false, err
 	}
-	if ctx.Err() != nil {
-		// The client is gone; don't burn a last-known-good lookup or a
-		// rebuild on an answer nobody is waiting for.
-		return plancache.Plan{}, "", false, err
+	if degraded {
+		s.degradedServes.Add(1)
 	}
-	lkg, lerr := s.cache.GetForCtx(ctx, machine, base, m)
-	if lerr != nil {
-		return plancache.Plan{}, "", false, err
-	}
-	s.degradedServes.Add(1)
-	s.scheduleRebuild(machine, base)
-	return lkg, digest, true, nil
-}
-
-// scheduleRebuild starts (at most one per (machine, fabric)) a
-// background goroutine that retries building the degraded plan line
-// with exponential backoff. Each attempt re-reads the fabric's current
-// fault set, so an operator restoring hardware mid-retry is picked up.
-func (s *Server) scheduleRebuild(machine string, base topology.Network) {
-	key := machine + "\x00" + base.Name()
-	s.faultMu.Lock()
-	if s.rebuilding[key] {
-		s.faultMu.Unlock()
-		return
-	}
-	s.rebuilding[key] = true
-	s.faultMu.Unlock()
-	go s.rebuild(key, machine, base)
-}
-
-func (s *Server) rebuild(key, machine string, base topology.Network) {
-	defer func() {
-		s.faultMu.Lock()
-		delete(s.rebuilding, key)
-		s.faultMu.Unlock()
-	}()
-	backoff := s.cfg.RebuildBackoff
-	var lastErr error
-	for attempt := 1; attempt <= s.cfg.RebuildAttempts; attempt++ {
-		if attempt > 1 {
-			time.Sleep(backoff)
-			backoff *= 2
-		}
-		net, digest := s.applyFaults(base)
-		if digest == "ok" {
-			// Faults were cleared while we were backing off; the bare
-			// line is the right answer again.
-			return
-		}
-		if _, err := s.cache.WarmForCtx(context.Background(), machine, net); err != nil {
-			lastErr = err
-			continue
-		}
-		s.rebuilds.Add(1)
-		s.cfg.Logger.Info("rebuilt degraded line", "component", "faults",
-			"machine", machine, "topology", net.Name(), "attempts", attempt)
-		return
-	}
-	s.rebuildFailures.Add(1)
-	s.cfg.Logger.Warn("giving up rebuilding degraded line", "component", "faults",
-		"machine", machine, "topology", base.Name(),
-		"attempts", s.cfg.RebuildAttempts, "error", lastErr)
+	return p, digest, degraded, nil
 }
 
 // FaultMetrics is the fault-handling slice of /metrics.
@@ -323,9 +262,6 @@ type FaultMetrics struct {
 	Updates         int64 `json:"updates" prom:"pland_fault_updates_total,counter" help:"Accepted fault-state updates."`
 	// DegradedServes' fabric could not be planned under its faults.
 	DegradedServes int64 `json:"degraded_serves" prom:"pland_degraded_serves_total,counter" help:"Plan answers served from last-known-good state."`
-	// Rebuilds and RebuildFailures count background rebuild outcomes.
-	Rebuilds        int64 `json:"rebuilds" prom:"pland_fault_rebuilds_total,counter" help:"Plan lines rebuilt under fault state."`
-	RebuildFailures int64 `json:"rebuild_failures" prom:"pland_fault_rebuild_failures_total,counter" help:"Rebuild retry budgets exhausted."`
 }
 
 func (s *Server) faultMetrics() FaultMetrics {
@@ -336,8 +272,6 @@ func (s *Server) faultMetrics() FaultMetrics {
 		ActiveFaultSets: active,
 		Updates:         s.faultUpdates.Load(),
 		DegradedServes:  s.degradedServes.Load(),
-		Rebuilds:        s.rebuilds.Load(),
-		RebuildFailures: s.rebuildFailures.Load(),
 	}
 }
 

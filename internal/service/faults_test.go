@@ -9,8 +9,8 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"reflect"
+	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/model"
 	"repro/internal/optimize"
@@ -19,17 +19,14 @@ import (
 	"repro/internal/topology"
 )
 
-// newFaultTestServer wires a server with a fast rebuild loop so tests
-// can watch the bounded retries finish.
+// newFaultTestServer wires a quiet server over a fresh cache.
 func newFaultTestServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
 	// The full default sweep: the replan premise below (m=256 flips
 	// grouping under a slow wire) needs the hull built past m=256.
 	srv, err := New(Config{
-		Cache:           plancache.New(plancache.Config{}),
-		RebuildAttempts: 2,
-		RebuildBackoff:  time.Millisecond,
-		Logger:          slog.New(slog.DiscardHandler),
+		Cache:  plancache.New(plancache.Config{}),
+		Logger: slog.New(slog.DiscardHandler),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -104,11 +101,12 @@ func TestFaultsReplanLifecycle(t *testing.T) {
 
 // When the degraded fabric cannot be planned at all (a dead node severs
 // the exchange), the server degrades gracefully: the last-known-good
-// healthy plan is served flagged degraded, the counters tick, and the
-// bounded background rebuild exhausts its retries without taking the
-// daemon down.
+// healthy plan is served flagged degraded and the counters tick. The
+// decision is the fault registry handle's, so a degraded serve does no
+// cache work for the faulted line — no miss, no build — however often it
+// is asked, and restoring the node heals serving at once.
 func TestDegradedFallbackServe(t *testing.T) {
-	_, ts := newFaultTestServer(t)
+	srv, ts := newFaultTestServer(t)
 	planURL := ts.URL + "/v1/plan?machine=ipsc860&topology=torus-4x4&m=40"
 
 	var healthy PlanResponse
@@ -132,7 +130,14 @@ func TestDegradedFallbackServe(t *testing.T) {
 			deg.Partition, deg.PredictedUS, healthy.Partition, healthy.PredictedUS)
 	}
 
-	// Batch queries degrade the same way.
+	// Ten more serves and a batch: all degraded, none a miss or a build.
+	before := srv.cache.Stats()
+	for range 10 {
+		getJSON(t, planURL, http.StatusOK, &deg)
+		if !deg.Degraded || deg.Health != "dn=3" {
+			t.Fatalf("repeat serve = degraded=%v health=%q, want degraded dn=3", deg.Degraded, deg.Health)
+		}
+	}
 	var br BatchResponse
 	postJSON(t, ts.URL+"/v1/batch", BatchRequest{Queries: []BatchQuery{
 		{Machine: "ipsc860", Topology: "torus-4x4", M: 40},
@@ -140,26 +145,15 @@ func TestDegradedFallbackServe(t *testing.T) {
 	if len(br.Results) != 1 || br.Results[0].Plan == nil || !br.Results[0].Plan.Degraded {
 		t.Fatalf("batch under dead node = %+v, want one degraded plan", br.Results)
 	}
+	if after := srv.cache.Stats(); after.Misses != before.Misses || after.Builds != before.Builds {
+		t.Fatalf("degraded serves did cache work: misses %d→%d, builds %d→%d",
+			before.Misses, after.Misses, before.Builds, after.Builds)
+	}
 
-	// The rebuild retries are bounded: it gives up and says so on
-	// /metrics, alongside the degraded-serve count.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		var mr MetricsResponse
-		getJSON(t, ts.URL+"/metrics", http.StatusOK, &mr)
-		if mr.Faults.RebuildFailures >= 1 {
-			if mr.Faults.DegradedServes < 2 {
-				t.Fatalf("degraded_serves = %d, want ≥ 2", mr.Faults.DegradedServes)
-			}
-			if mr.Faults.ActiveFaultSets != 1 || mr.Faults.Updates != 1 {
-				t.Fatalf("fault metrics = %+v", mr.Faults)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("background rebuild never exhausted its retries")
-		}
-		time.Sleep(5 * time.Millisecond)
+	var mr MetricsResponse
+	getJSON(t, ts.URL+"/metrics", http.StatusOK, &mr)
+	if mr.Faults.DegradedServes != 12 || mr.Faults.ActiveFaultSets != 1 || mr.Faults.Updates != 1 {
+		t.Fatalf("fault metrics = %+v, want 12 degraded serves of 1 fault set after 1 update", mr.Faults)
 	}
 
 	// Restoring the node heals serving immediately.
@@ -173,36 +167,39 @@ func TestDegradedFallbackServe(t *testing.T) {
 	}
 }
 
-// A successful background rebuild ticks the rebuilds counter: the first
-// degraded serve happens while the overlay line is missing, and once
-// the rebuild lands, the next request gets the real degraded plan.
-// Forcing that window needs a fabric whose degraded build fails
-// transiently — instead we pin the simpler invariant: a plannable
-// degraded fabric never serves fallback, and a cleared fault set stops
-// the rebuild loop.
-func TestRebuildStopsWhenFaultsClear(t *testing.T) {
-	srv, ts := newFaultTestServer(t)
-	var fr FaultsResponse
+// A non-operational fabric is a caller error on every path that would
+// price or build on it: /v1/cost, /v1/hull under a reported dead node, and
+// an explicit spec naming the faulted fabric on /v1/plan and
+// /v1/peer/line all answer 400 with the unroutable message, never a 500.
+func TestNonOperationalFabricIsBadRequest(t *testing.T) {
+	_, ts := newFaultTestServer(t)
 	postJSON(t, ts.URL+"/v1/faults", FaultsRequest{
 		Topology: "torus-4x4", Action: "down", Nodes: []int{3},
-	}, http.StatusOK, &fr)
-	getJSON(t, ts.URL+"/v1/plan?machine=ipsc860&topology=torus-4x4&m=40", http.StatusOK, &PlanResponse{})
-	postJSON(t, ts.URL+"/v1/faults", FaultsRequest{Topology: "torus-4x4", Action: "clear"}, http.StatusOK, &fr)
-	if fr.Health != "ok" {
-		t.Fatalf("clear left health %q", fr.Health)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		srv.faultMu.Lock()
-		inflight := len(srv.rebuilding)
-		srv.faultMu.Unlock()
-		if inflight == 0 {
-			break
+	}, http.StatusOK, nil)
+	for _, tc := range []struct{ method, target, body string }{
+		{http.MethodGet, "/v1/hull?topology=torus-4x4", ""},
+		{http.MethodPost, "/v1/cost", `{"topology":"torus-4x4","m":32,"partition":[1,1]}`},
+		{http.MethodGet, "/v1/plan?topology=torus-4x4!dn=3&m=40", ""},
+		{http.MethodGet, "/v1/peer/line?topology=torus-4x4!dn=3", ""},
+		{http.MethodPost, "/v1/cost", `{"topology":"torus-4x4!dn=3","m":32,"partition":[1,1]}`},
+	} {
+		req, err := http.NewRequest(tc.method, ts.URL+tc.target, strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("rebuild goroutine still running after faults cleared")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(5 * time.Millisecond)
+		var e errorResponse
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "unroutable") {
+			t.Errorf("%s %s = %d %q, want 400 unroutable", tc.method, tc.target, resp.StatusCode, e.Error)
+		}
 	}
 }
 
@@ -447,9 +444,8 @@ func FuzzFaults(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		srv, err := New(Config{
-			Cache:           plancache.New(plancache.Config{}),
-			RebuildAttempts: 1,
-			Logger:          slog.New(slog.DiscardHandler),
+			Cache:  plancache.New(plancache.Config{}),
+			Logger: slog.New(slog.DiscardHandler),
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -62,25 +62,14 @@ type Config struct {
 	// 12). The compiled-trace replay is fast, but its event count grows
 	// like 4^d; a serving tier must refuse work that large per request.
 	CostMaxDim int
-	// ReplayWorkers is the event-engine shard count a /v1/cost replay may
-	// split each link-disjoint phase across (simnet sharded replay).
-	// Sharded results are bit-identical to serial ones, so this only
-	// affects latency. Zero or one keeps replays serial.
-	ReplayWorkers int
 	// PlanMaxDim bounds the dimension /v1/plan, /v1/hull and /v1/batch
 	// accept (default 20, the optimizer's own limit). A daemon whose
 	// cache costs hull sweeps by simulation must set this near
 	// CostMaxDim: one cache miss runs a full sweep of BestOn calls, each
 	// hundreds of times the work of a single /v1/cost.
 	PlanMaxDim int
-	// RebuildAttempts bounds the background retry loop that rebuilds a
-	// plan line after a degraded-fabric build failure (default 4).
-	RebuildAttempts int
-	// RebuildBackoff is the initial delay between rebuild attempts,
-	// doubled per attempt (default 250ms).
-	RebuildBackoff time.Duration
-	// Logger receives fault-state transitions, rebuild outcomes, and
-	// recovered handler panics (default slog.Default()).
+	// Logger receives fault-state transitions and recovered handler
+	// panics (default slog.Default()).
 	Logger *slog.Logger
 	// Tracer records per-request span trees served at /debug/traces and
 	// the per-stage latency histograms on /metrics. Nil gets a default
@@ -114,12 +103,6 @@ func (c Config) withDefaults() Config {
 	if c.PlanMaxDim <= 0 || c.PlanMaxDim > 20 {
 		c.PlanMaxDim = 20 // optimize.BestOn's enumeration bound, 2^20 nodes
 	}
-	if c.RebuildAttempts <= 0 {
-		c.RebuildAttempts = 4
-	}
-	if c.RebuildBackoff <= 0 {
-		c.RebuildBackoff = 250 * time.Millisecond
-	}
 	if c.Logger == nil {
 		c.Logger = slog.Default()
 	}
@@ -147,14 +130,11 @@ type Server struct {
 	stats map[string]*endpointStats
 
 	// Fault state: per-fabric overlay handles (topology.Resolve's, one per
-	// faulted fabric) keyed by base topology name, and the dedup set of
-	// in-flight background rebuilds (see faults.go).
-	faultMu    sync.Mutex
-	faults     map[string]*topology.Degraded
-	rebuilding map[string]bool
+	// faulted fabric) keyed by base topology name (see faults.go).
+	faultMu sync.Mutex
+	faults  map[string]*topology.Degraded
 
 	faultUpdates, degradedServes atomic.Int64
-	rebuilds, rebuildFailures    atomic.Int64
 	panics                       atomic.Int64
 	shed, earlyAborts            atomic.Int64
 
@@ -181,12 +161,11 @@ func New(cfg Config) (*Server, error) {
 	}
 	cfg.DefaultMachine = name
 	return &Server{
-		cfg:        cfg,
-		cache:      cfg.Cache,
-		start:      time.Now(),
-		stats:      make(map[string]*endpointStats),
-		faults:     make(map[string]*topology.Degraded),
-		rebuilding: make(map[string]bool),
+		cfg:    cfg,
+		cache:  cfg.Cache,
+		start:  time.Now(),
+		stats:  make(map[string]*endpointStats),
+		faults: make(map[string]*topology.Degraded),
 	}, nil
 }
 
@@ -321,9 +300,10 @@ type PlanResponse struct {
 	Segment     segmentJSON `json:"segment"`
 	InRange     bool        `json:"in_range"`
 	// Health is the fabric's fault digest at answer time ("ok" when
-	// healthy). Degraded marks a last-known-good fallback: the fabric
-	// carries faults the plan could not be rebuilt under, so this answer
-	// ignores them; a background rebuild is in flight.
+	// healthy). Degraded marks a last-known-good fallback: the fabric's
+	// reported faults leave it non-operational (a dead node or a severed
+	// live graph), so this is the healthy base's plan, which ignores them,
+	// until the faults are restored.
 	Health   string `json:"health"`
 	Degraded bool   `json:"degraded,omitempty"`
 }
@@ -387,20 +367,17 @@ func (s *Server) resolveTopo(spec string, d, maxDim int) (topology.Network, erro
 // resolveTraced is resolveTopo for the single-fabric endpoints: a named
 // spec resolves under a "resolve" span that also covers a degraded
 // fabric's first derivation (once per process, and tens of milliseconds
-// at 1024 nodes), so the trace of a slow first request books that time
-// here and not to whichever replay or build first asks for the diameter.
-// The d-cube is an array read and gets no span.
+// at 1024 nodes; the operational check in plancache.ResolveTopology runs
+// it), so the trace of a slow first request books that time here and not
+// to whichever replay or build first asks for the diameter. The d-cube
+// is an array read and gets no span.
 func (s *Server) resolveTraced(ctx context.Context, spec string, d, maxDim int) (topology.Network, error) {
 	if spec == "" {
 		return s.resolveTopo(spec, d, maxDim)
 	}
 	sp := obs.StartSpan(ctx, "resolve")
 	defer sp.End()
-	net, err := s.resolveTopo(spec, d, maxDim)
-	if err == nil {
-		net.Diameter() // a degraded handle's first use derives its live graph
-	}
-	return net, err
+	return s.resolveTopo(spec, d, maxDim)
 }
 
 // statusClientClosedRequest is the (nginx-conventional) status recorded
@@ -527,7 +504,6 @@ func (s *Server) handleCost(w http.ResponseWriter, r *http.Request) int {
 		return writeError(w, http.StatusBadRequest, err.Error())
 	}
 	costNet := simnet.New(net, prm)
-	costNet.SetReplayShards(s.cfg.ReplayWorkers)
 	res, err := s.costReplays.Traced(r.Context(), "cost", plan, math.Inf(1), func() (simnet.Result, error) { return plan.Cost(costNet) })
 	if err != nil {
 		return writeError(w, http.StatusInternalServerError, err.Error())

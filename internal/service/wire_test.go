@@ -15,7 +15,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/exchange"
 	"repro/internal/model"
@@ -88,10 +87,8 @@ func serve(h http.Handler, method, target, body string) *httptest.ResponseRecord
 // limit and one past it, on three machines, plus per-item errors.
 func TestPlanAndBatchBytesIdentical(t *testing.T) {
 	srv, err := New(Config{
-		Cache:           plancache.New(plancache.Config{}),
-		RebuildAttempts: 1,
-		RebuildBackoff:  time.Millisecond,
-		Logger:          slog.New(slog.DiscardHandler),
+		Cache:  plancache.New(plancache.Config{}),
+		Logger: slog.New(slog.DiscardHandler),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -359,4 +356,63 @@ func TestNonFinitePlanBodyEmpty(t *testing.T) {
 	if _, ok := encoded(planResponse(p, "ok", false)); ok {
 		t.Fatal("json.Encoder accepted +Inf: the premise of this test is gone")
 	}
+}
+
+// fuzzBody posts arbitrary bytes to one JSON-body route of a server that
+// simulates at most 2^4 nodes. No body may panic a handler (panics_total
+// stays 0), and every body encoding/json rejects — malformed, trailing
+// data, wrong field types — or that exceeds maxBodyBytes answers 400 or
+// 413: never a 5xx, never a 2xx.
+func fuzzBody[T any](f *testing.F, route string, seeds ...string) {
+	pad := strings.Repeat("x", maxBodyBytes)
+	seeds = append(seeds,
+		`{"topology":"torus-4x4"`,           // truncated
+		`{"topology":"torus-4x4"} {}`,       // trailing data
+		`{"topology":4,"m":"32"}`,           // wrong field types
+		`{"partition":{"a":1},"nodes":"3"}`, // wrong field types
+		`{"pad":"`+pad+`"}`,                 // over 1 MiB
+		``, `null`, `[]`)
+	for _, seed := range seeds {
+		f.Add([]byte(seed))
+	}
+	srv, err := New(Config{
+		Cache:      plancache.New(plancache.Config{}),
+		CostMaxDim: 4,
+		Logger:     slog.New(slog.DiscardHandler),
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	h := srv.Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, route, bytes.NewReader(body)))
+		if n := srv.panics.Load(); n != 0 {
+			t.Fatalf("%d panics; last body %q answered %d %s", n, body, rec.Code, rec.Body)
+		}
+		var v T
+		dec := json.NewDecoder(bytes.NewReader(body))
+		rejected := dec.Decode(&v) != nil
+		if !rejected {
+			_, err := dec.Token()
+			rejected = err != io.EOF
+		}
+		if (rejected || len(body) > maxBodyBytes) && rec.Code != http.StatusBadRequest && rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("rejected body %.80q answered %d %s, want 400 or 413", body, rec.Code, rec.Body)
+		}
+	})
+}
+
+// FuzzCostBody: /v1/cost's body decoder under arbitrary bytes.
+func FuzzCostBody(f *testing.F) {
+	fuzzBody[CostRequest](f, "/v1/cost",
+		`{"machine":"ipsc860","d":4,"m":40,"partition":[2,2]}`,
+		`{"topology":"torus-4x4","m":32,"partition":[1,1]}`)
+}
+
+// FuzzFaultsBody: /v1/faults's body decoder under arbitrary bytes.
+func FuzzFaultsBody(f *testing.F) {
+	fuzzBody[FaultsRequest](f, "/v1/faults",
+		`{"topology":"torus-4x4","action":"down","nodes":[3]}`,
+		`{"topology":"torus-4x4","action":"slow","links":[[0,1]],"factor":2.5}`)
 }
