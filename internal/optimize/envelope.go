@@ -3,6 +3,7 @@ package optimize
 import (
 	"context"
 	"math"
+	"sync"
 
 	"repro/internal/model"
 	"repro/internal/topology"
@@ -19,9 +20,43 @@ type analyticPricer struct {
 }
 
 func (o *Optimizer) newAnalyticPricer(topo topology.Network, es *enumSet) *analyticPricer {
-	cube, _ := topology.AsHypercube(topo)
-	return &analyticPricer{params: o.params, topo: topo, cube: cube, es: es, cost: make([]float64, len(es.distinct))}
+	a := new(analyticPricer)
+	a.reset(o.params, topo, es)
+	return a
 }
+
+// reset points a at another topology, keeping its cost buffer.
+func (a *analyticPricer) reset(params model.Params, topo topology.Network, es *enumSet) {
+	cube, _ := topology.AsHypercube(topo)
+	*a = analyticPricer{params: params, topo: topo, cube: cube, es: es, cost: resized(a.cost, len(es.distinct))}
+}
+
+// resized returns buf with length n and every element zero, allocating
+// only when its capacity is short of n.
+func resized(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+// envelopeScratch is the working memory of one envelopeTable call — the
+// pricer's costs, the field and candidate lines, the segments as the walk
+// finds them — kept in a pool so an analytic build allocates only the
+// Table it returns.
+type envelopeScratch struct {
+	pricer                                       analyticPricer
+	fieldSlope, fieldIntercept, slope, intercept []float64
+	segs                                         []envelopeSegment
+}
+
+// envelopeSegment is a table segment before it is copied out: winner is
+// the index of its grouping in the enumeration.
+type envelopeSegment struct{ winner, lo, hi int }
+
+var envelopeScratchPool = sync.Pool{New: func() any { return new(envelopeScratch) }}
 
 // winner returns the grouping the enumeration selects at block size m and
 // its cost: each candidate's cost is the left-to-right sum of its phases'
@@ -91,11 +126,18 @@ func (o *Optimizer) envelopeTable(ctx context.Context, net topology.Network, mLo
 		return Table{}, err
 	}
 	o.evaluated.Add(int64(len(es.parts)))
-	pricer := o.newAnalyticPricer(net, es)
-	lines, err := o.candidateLines(net, es)
+	sc := envelopeScratchPool.Get().(*envelopeScratch)
+	defer func() {
+		sc.pricer = analyticPricer{cost: sc.pricer.cost} // hold no fabric in the pool
+		envelopeScratchPool.Put(sc)
+	}()
+	pricer := &sc.pricer
+	pricer.reset(o.params, net, es)
+	lines, err := o.candidateLines(net, es, sc)
 	if err != nil {
 		return Table{}, err
 	}
+	segs := sc.segs[:0]
 	for m := mLo; m <= top; {
 		w, _, err := pricer.winner(m)
 		if err != nil {
@@ -110,12 +152,17 @@ func (o *Optimizer) envelopeTable(ctx context.Context, net topology.Network, mLo
 				end -= step
 			}
 		}
-		if n := len(tbl.Segments); n > 0 && tbl.Segments[n-1].Part.Equal(es.parts[w]) {
-			tbl.Segments[n-1].MaxBlock = end
+		if n := len(segs); n > 0 && segs[n-1].winner == w {
+			segs[n-1].hi = end
 		} else {
-			tbl.Segments = append(tbl.Segments, model.HullSegment{Part: es.parts[w].Clone(), MinBlock: m, MaxBlock: end})
+			segs = append(segs, envelopeSegment{winner: w, lo: m, hi: end})
 		}
 		m = end + step
+	}
+	sc.segs = segs
+	tbl.Segments = make([]model.HullSegment, len(segs))
+	for i, s := range segs {
+		tbl.Segments[i] = model.HullSegment{Part: es.parts[s.winner].Clone(), MinBlock: s.lo, MaxBlock: s.hi}
 	}
 	return tbl, nil
 }
@@ -130,8 +177,9 @@ type costLines struct {
 	sound bool
 }
 
-// candidateLines sums model.PhaseLineOn over each candidate's phases.
-func (o *Optimizer) candidateLines(net topology.Network, es *enumSet) (costLines, error) {
+// candidateLines sums model.PhaseLineOn over each candidate's phases, in
+// sc's buffers.
+func (o *Optimizer) candidateLines(net topology.Network, es *enumSet, sc *envelopeScratch) (costLines, error) {
 	p := o.params
 	l := costLines{sound: true}
 	for _, c := range []float64{p.EffLambda(), p.EffTau(), p.EffDelta(), p.Rho, p.GlobalSync(1)} {
@@ -139,8 +187,10 @@ func (o *Optimizer) candidateLines(net topology.Network, es *enumSet) (costLines
 			l.sound = false
 		}
 	}
-	fieldSlope, fieldIntercept := make([]float64, len(es.distinct)), make([]float64, len(es.distinct))
-	l.slope, l.intercept = make([]float64, len(es.parts)), make([]float64, len(es.parts))
+	sc.fieldSlope, sc.fieldIntercept = resized(sc.fieldSlope, len(es.distinct)), resized(sc.fieldIntercept, len(es.distinct))
+	sc.slope, sc.intercept = resized(sc.slope, len(es.parts)), resized(sc.intercept, len(es.parts))
+	fieldSlope, fieldIntercept := sc.fieldSlope, sc.fieldIntercept
+	l.slope, l.intercept = sc.slope, sc.intercept
 	for k, f := range es.distinct {
 		var err error
 		if fieldSlope[k], fieldIntercept[k], err = p.PhaseLineOn(net, f[0], f[1]); err != nil {

@@ -593,11 +593,19 @@ func (o *Optimizer) checkEnumerable(net topology.Network) error {
 // phase order cannot change the cost.
 func uniformRadices(net topology.Network) bool {
 	if _, ok := net.(*topology.Hypercube); ok {
-		return true // without asking for a fresh copy of its d radices
+		return true
 	}
-	dims := net.Dims()
-	for _, r := range dims {
-		if r != dims[0] {
+	// Radix i is read off the strides rather than a fresh copy of Dims,
+	// so an analytic build, which asks twice, allocates only its Table.
+	k := net.NumDims()
+	radix := func(i int) int {
+		if i == k-1 {
+			return net.Nodes() / net.Stride(i)
+		}
+		return net.Stride(i+1) / net.Stride(i)
+	}
+	for i := 1; i < k; i++ {
+		if radix(i) != radix(0) {
 			return false
 		}
 	}
@@ -1047,19 +1055,20 @@ func (o *Optimizer) BuildTableOnCtx(ctx context.Context, net topology.Network, m
 		step = 1
 	}
 	sp := obs.StartSpan(ctx, "optimizer")
+	if sp == nil { // untraced: no counter snapshots to take
+		return o.buildTableOn(ctx, net, mLo, mHi, step)
+	}
 	before := o.Stats()
 	t, err := o.buildTableOn(ctx, net, mLo, mHi, step)
-	if sp != nil {
-		// Deltas are process-wide, so a concurrent build on another
-		// topology inflates them; good enough for trace triage.
-		after := o.Stats()
-		sp.SetAttr("topology", net.Name())
-		sp.SetInt("segments", int64(len(t.Segments)))
-		sp.SetInt("evaluated", after.Evaluated-before.Evaluated)
-		sp.SetInt("pruned", after.Pruned-before.Pruned)
-		sp.SetInt("memo_hits", after.MemoHits-before.MemoHits)
-		sp.SetInt("memo_misses", after.MemoMisses-before.MemoMisses)
-	}
+	// Deltas are process-wide, so a concurrent build on another topology
+	// inflates them; good enough for trace triage.
+	after := o.Stats()
+	sp.SetAttr("topology", net.Name())
+	sp.SetInt("segments", int64(len(t.Segments)))
+	sp.SetInt("evaluated", after.Evaluated-before.Evaluated)
+	sp.SetInt("pruned", after.Pruned-before.Pruned)
+	sp.SetInt("memo_hits", after.MemoHits-before.MemoHits)
+	sp.SetInt("memo_misses", after.MemoMisses-before.MemoMisses)
 	sp.End()
 	return t, err
 }

@@ -122,3 +122,31 @@ func TestBuiltTableLookupMatchesBest(t *testing.T) {
 		}
 	}
 }
+
+// An analytic build's working memory is reused from build to build: all it
+// allocates is the Table it returns, one Segments slice and one partition
+// per segment, whatever the fabric — a cube, a uniform torus, a mixed-radix
+// one.
+func TestAnalyticBuildAllocatesOnlyItsTable(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops reused items at random under the race detector")
+	}
+	ctx := context.Background()
+	for _, spec := range []string{"hypercube-8", "hypercube-16", "torus-8x8", "torus-4x8x2"} {
+		net := topology.MustParseSpec(spec)
+		o := New(model.IPSC860())
+		build := func() Table {
+			tbl, err := o.BuildTableOnCtx(ctx, net, 0, 512, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tbl
+		}
+		segs := len(build().Segments) // the first build fills the pool and the fabric's derived lines
+		allocs := testing.AllocsPerRun(50, func() { build() })
+		t.Logf("%s: %.0f allocs for %d segments", spec, allocs, segs)
+		if allocs > float64(segs+2) {
+			t.Errorf("%s: an analytic build made %.0f allocations for %d segments, want ≤ %d", spec, allocs, segs, segs+2)
+		}
+	}
+}

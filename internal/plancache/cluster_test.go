@@ -197,6 +197,54 @@ func TestJoinerSurvivesInitiatorCancel(t *testing.T) {
 	}
 }
 
+// TestRetryAfterAbandonedFlightCountsOneMiss: a caller that joins a fill
+// its initiator already abandoned retries once the fill dies of that
+// cancellation and builds the line itself — one call, one miss.
+func TestRetryAfterAbandonedFlightCountsOneMiss(t *testing.T) {
+	var calls atomic.Int64
+	inFetch := make(chan struct{})
+	var c *Cache
+	c = New(Config{
+		Fetch: func(ctx context.Context, _, _ string) (*LineData, error) {
+			if calls.Add(1) > 1 {
+				return nil, nil // the retry's fill: decline, build locally
+			}
+			close(inFetch)
+			<-ctx.Done() // the initiator departs: the fill is abandoned
+			for c.Stats().Misses < 2 {
+				time.Sleep(time.Millisecond) // until the joiner is in
+			}
+			return nil, ctx.Err()
+		},
+	})
+
+	net := mustSpec(t, fetchedSpec)
+	ctx, cancel := context.WithCancel(context.Background())
+	initiatorErr := make(chan error, 1)
+	go func() {
+		_, err := c.GetForCtx(ctx, "ipsc860", net, 32)
+		initiatorErr <- err
+	}()
+	recvWithin(t, inFetch, "the initiator never reached the fetch")
+	cancel()
+	if err := recvWithin(t, initiatorErr, "the initiator never returned"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("initiator got %v, want context.Canceled", err)
+	}
+
+	joinerErr := make(chan error, 1)
+	go func() {
+		_, err := c.GetForCtx(bg, "ipsc860", net, 32)
+		joinerErr <- err
+	}()
+	if err := recvWithin(t, joinerErr, "the joiner never returned"); err != nil {
+		t.Fatalf("joiner of an abandoned fill: %v", err)
+	}
+	if s := c.Stats(); s.Misses != 2 || s.Hits != 0 || s.Builds != 1 || calls.Load() != 2 {
+		t.Fatalf("misses=%d hits=%d builds=%d fetches=%d, want 2 misses for two calls, 0 hits, 1 build, 2 fetches",
+			s.Misses, s.Hits, s.Builds, calls.Load())
+	}
+}
+
 // TestFetchOnlyWhereBuildCostsMoreThanHop pins which misses consult the
 // owner: a line whose build replays or routes around faults is fetched,
 // a healthy analytic line — microseconds to rebuild — never is.

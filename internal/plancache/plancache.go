@@ -17,7 +17,11 @@
 //
 // Concurrency: lines live in fixed shards (mutex + LRU list each); a
 // missing line is built exactly once per cache — concurrent requests for
-// the same (machine, topology) wait on a single in-flight build.
+// the same (machine, topology) wait on a single in-flight fill. A cheap
+// fill, an analytic build on a healthy fabric, runs on the goroutine of
+// the request that missed; any other fill (a replayed or faulted line,
+// which may first be fetched from a peer) runs detached in a goroutine of
+// its own.
 // Capacity is bounded per shard with least-recently-used eviction, and
 // hit/miss/evict/inflight counters expose the cache's behaviour to the
 // service layer's /metrics.
@@ -78,7 +82,9 @@ type Config struct {
 	// hook — for the lines whose build costs more than the hop: those of
 	// a simulated-backend optimizer and those of a faulted fabric
 	// (topology.HealthDigestOf ≠ "ok"). A healthy analytic line is always
-	// built locally, in microseconds. The hook may return (nil, nil) to
+	// built locally, in microseconds, on the goroutine of the request that
+	// missed, so the hook is only ever called from a detached fill's
+	// goroutine. The hook may return (nil, nil) to
 	// decline (this replica owns the key, or no peers are configured), a
 	// validated-importable LineData on success, or an error after its own
 	// deadline/retry budget; any error or invalid payload falls back to
@@ -179,13 +185,17 @@ type line struct {
 }
 
 // flight is one in-progress line fill (peer fetch, then local build);
-// latecomers join it and wait on done. The fill runs in its own
-// goroutine under its own context: a joiner whose request context ends
-// departs immediately without disturbing the others, and only when the
-// LAST waiter departs is the fill's context cancelled — so one
-// disconnected client aborts nothing for anyone else, a fully
-// abandoned fill stops at its next checkpoint, and a fill that
-// completes anyway still inserts its line for future callers.
+// latecomers join it and wait on done. The fill runs under its own
+// context, detached from every request's cancellation. A cheap fill runs
+// on its initiator's goroutine, which waits the build out: an analytic
+// build has no checkpoint once started, and a goroutine of its own would
+// run it to completion all the same. Any other fill runs in its own
+// goroutine: a waiter whose request context ends departs immediately
+// without disturbing the others, and only when the LAST waiter departs is
+// the fill's context cancelled — so one disconnected client aborts
+// nothing for anyone else, a fully abandoned fill stops at its next
+// checkpoint, and a fill that completes anyway still inserts its line
+// for future callers.
 type flight struct {
 	done    chan struct{}
 	line    *line
@@ -393,7 +403,10 @@ func (c *Cache) OptimizerStats() optimize.Stats {
 // ctx.Err() immediately while any in-flight line fill it initiated or
 // joined continues for its remaining waiters (and is cancelled only when
 // fully abandoned), so a disconnected client stops paying for a hull
-// build it will never read.
+// build it will never read. The one exception is a cheap fill (a healthy
+// line on the analytic backend) this caller initiated: it runs on the
+// caller's goroutine, microseconds with no checkpoint, and answers even
+// if ctx ends meanwhile.
 func (c *Cache) GetForCtx(ctx context.Context, machine string, net topology.Network, m int) (Plan, error) {
 	name, prm, err := c.resolve(machine)
 	if err != nil {
@@ -464,15 +477,20 @@ var ErrOverloaded = errors.New("build capacity exhausted")
 
 // lineFor returns the resident line for (name, topology), filling it
 // under a per-key singleflight on a miss (peer fetch first when a Fetch
-// hook is configured and fill finds the line worth fetching, local build
+// hook is configured and the line is not cheap to build, local build
 // otherwise). built is true only for the caller that initiated a fill
 // that ran a local build (not for hits, joined waiters, or peer imports).
+// Each call counts one hit or one miss, however often it retries.
 //
-// ctx bounds this caller's WAIT, not the fill: when ctx ends the
-// caller gets ctx.Err() immediately while the fill keeps running for
-// the remaining waiters — and when the last waiter departs the fill is
-// cancelled at its next checkpoint. Either way the flight entry is
-// removed when the fill goroutine finishes, so a cancelled fill never
+// A cheap fill (see cheap) runs on the initiating caller's goroutine:
+// an analytic build has no cancellation checkpoint once it has started,
+// so the initiator waits it out and reads its own result, while joiners
+// wait on done as for any fill. Every other fill runs in its own
+// goroutine, and ctx bounds this caller's WAIT, not the fill: when ctx
+// ends the caller gets ctx.Err() immediately while the fill keeps
+// running for the remaining waiters — and when the last waiter departs
+// the fill is cancelled at its next checkpoint. Either way the flight
+// entry is removed when the fill finishes, so a cancelled fill never
 // poisons the key: the next caller simply starts a fresh one.
 func (c *Cache) lineFor(ctx context.Context, name string, prm model.Params, net topology.Network) (ln *line, built bool, err error) {
 	key := lineKey{machine: name, topo: net.Name()}
@@ -490,6 +508,7 @@ func (c *Cache) lineFor(ctx context.Context, name string, prm model.Params, net 
 		sp.End()
 	}()
 
+	missed := false // a retry after an abandoned flight counts no second miss
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, false, err
@@ -498,13 +517,18 @@ func (c *Cache) lineFor(ctx context.Context, name string, prm model.Params, net 
 		if el, ok := sh.lines[key]; ok {
 			sh.lru.MoveToFront(el)
 			sh.mu.Unlock()
-			c.hits.Add(1)
+			if !missed {
+				c.hits.Add(1)
+			}
 			return el.Value.(*line), false, nil
+		}
+		if !missed {
+			missed = true
+			c.misses.Add(1)
 		}
 		if f, ok := sh.flight[key]; ok {
 			f.waiters.Add(1)
 			sh.mu.Unlock()
-			c.misses.Add(1)
 			outcome = "join"
 			ln, err, retry := c.awaitFlight(ctx, f)
 			if retry {
@@ -525,13 +549,20 @@ func (c *Cache) lineFor(ctx context.Context, name string, prm model.Params, net 
 		f.waiters.Add(1)
 		sh.flight[key] = f
 		sh.mu.Unlock()
-		c.misses.Add(1)
 		c.inflight.Add(1)
 		outcome = "miss"
-		go c.runFlight(fctx, f, sh, key, name, prm, net)
-		ln, err, retry := c.awaitFlight(ctx, f)
-		if retry {
-			continue
+		opt := c.optimizer(name, prm)
+		if cheap(opt, net) {
+			// The initiator's waiter is never released, so no joiner's
+			// departure can cancel the fill it is running.
+			c.runFlight(fctx, f, sh, key, name, opt, net)
+			ln, err = f.line, f.err
+		} else {
+			go c.runFlight(fctx, f, sh, key, name, opt, net)
+			var retry bool
+			if ln, err, retry = c.awaitFlight(ctx, f); retry {
+				continue
+			}
 		}
 		// f.built is only safe to read once the fill has published; a
 		// caller departing early (ctx end) reports built=false.
@@ -581,27 +612,45 @@ func flightDone(f *flight) bool {
 	}
 }
 
+// errFillPanicked is the result a flight publishes when its fill
+// panicked: the panic goes on up the stack, and joiners get this error
+// instead of waiting on a flight that never ends.
+var errFillPanicked = errors.New("plancache: line fill panicked")
+
 // runFlight performs one fill: peer fetch (when configured and worth the
 // hop, see fill), then local build, publishing the result and retiring
-// the flight entry. It runs detached from any single request so one
-// disconnected client cannot abort work others are waiting on.
-func (c *Cache) runFlight(ctx context.Context, f *flight, sh *shard, key lineKey, name string, prm model.Params, net topology.Network) {
-	f.line, f.built, f.err = c.fill(ctx, name, prm, net)
-
-	sh.mu.Lock()
-	if f.err == nil {
-		c.insertLocked(sh, f.line)
-		if f.built {
-			c.builds.Add(1)
-		} else {
-			c.peerImports.Add(1)
+// the flight entry. lineFor runs it on the initiating caller's goroutine
+// for a cheap fill and in a goroutine of its own otherwise, detached from
+// any single request so one disconnected client cannot abort work others
+// are waiting on.
+func (c *Cache) runFlight(ctx context.Context, f *flight, sh *shard, key lineKey, name string, opt *optimize.Optimizer, net topology.Network) {
+	defer func() {
+		sh.mu.Lock()
+		if f.err == nil {
+			c.insertLocked(sh, f.line)
+			if f.built {
+				c.builds.Add(1)
+			} else {
+				c.peerImports.Add(1)
+			}
 		}
-	}
-	delete(sh.flight, key)
-	sh.mu.Unlock()
-	c.inflight.Add(-1)
-	f.cancel()
-	close(f.done)
+		delete(sh.flight, key)
+		sh.mu.Unlock()
+		c.inflight.Add(-1)
+		f.cancel()
+		close(f.done)
+	}()
+	f.err = errFillPanicked
+	f.line, f.built, f.err = c.fill(ctx, name, opt, net)
+}
+
+// cheap reports whether a line is cheaper to build here than any
+// alternative: the analytic backend on a healthy fabric, a build of 3–50 µs
+// on a warm fabric handle for cubes up to hypercube-20. Such a line is
+// never fetched from a peer, and its fill runs on the goroutine that
+// asked for it.
+func cheap(opt *optimize.Optimizer, net topology.Network) bool {
+	return opt.Backend() == optimize.Analytic && topology.HealthDigestOf(net) == "ok"
 }
 
 // fill obtains one line: from the owning peer when the Fetch hook
@@ -613,12 +662,9 @@ func (c *Cache) runFlight(ctx context.Context, f *flight, sh *shard, key lineKey
 // fetch is ≈ 80 µs in process and ≈ 300 µs of CPU across two processes.
 // A line whose build replays (the simulated backend: milliseconds to
 // seconds) or routes around faults (≈ 120 µs on hypercube-10!dl=0-1,
-// milliseconds on hypercube-16) is fetched. A healthy line on the
-// analytic backend rebuilds on a warm fabric handle in 3–50 µs for cubes
-// up to hypercube-20, so it is built here.
-func (c *Cache) fill(ctx context.Context, name string, prm model.Params, net topology.Network) (*line, bool, error) {
-	if c.cfg.Fetch != nil &&
-		(c.optimizer(name, prm).Backend() == optimize.Simulated || topology.HealthDigestOf(net) != "ok") {
+// milliseconds on hypercube-16) is fetched; a cheap one is built here.
+func (c *Cache) fill(ctx context.Context, name string, opt *optimize.Optimizer, net topology.Network) (*line, bool, error) {
+	if c.cfg.Fetch != nil && !cheap(opt, net) {
 		ld, err := c.cfg.Fetch(ctx, name, net.Name())
 		if err == nil && ld != nil && ld.Machine == name && ld.Topology == net.Name() {
 			if ln, err := c.admit(*ld); err == nil {
@@ -641,7 +687,7 @@ func (c *Cache) fill(ctx context.Context, name string, prm model.Params, net top
 	sp := obs.StartSpan(ctx, "build")
 	sp.SetAttr("machine", name)
 	sp.SetAttr("topology", net.Name())
-	ln, err := c.build(ctx, name, prm, net)
+	ln, err := c.build(ctx, name, opt, net)
 	if err != nil {
 		sp.SetAttr("error", "true")
 	}
@@ -668,8 +714,7 @@ func (e *BuildError) Unwrap() error { return e.Err }
 // fully abandoned fill aborts before an analytic build or between a
 // simulated one's sweep points (context errors pass through unwrapped so
 // the flight machinery can classify them).
-func (c *Cache) build(ctx context.Context, name string, prm model.Params, net topology.Network) (*line, error) {
-	opt := c.optimizer(name, prm)
+func (c *Cache) build(ctx context.Context, name string, opt *optimize.Optimizer, net topology.Network) (*line, error) {
 	tbl, err := opt.BuildTableOnCtx(ctx, net, 0, c.cfg.SweepHi, c.cfg.SweepStep)
 	if err != nil {
 		if ctx.Err() != nil {

@@ -2,11 +2,13 @@ package plancache
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/model"
 	"repro/internal/optimize"
@@ -169,6 +171,40 @@ func TestSingleflightCollapsesConcurrentBuilds(t *testing.T) {
 	}
 	if s := c.Stats(); s.Inflight != 0 {
 		t.Errorf("inflight gauge = %d after quiescence", s.Inflight)
+	}
+}
+
+// strideBomb is a healthy fabric whose builds panic: the optimizer reads
+// its strides, request validation never does.
+type strideBomb struct{ topology.Network }
+
+func (strideBomb) Stride(int) int { panic("strideBomb: stride read") }
+
+// A cheap fill runs on the caller's goroutine, where a server recovers a
+// panic and keeps serving, so a fill that panics must still retire its
+// flight: the next caller for the line starts a fill of its own (and
+// panics the same way) instead of waiting on one that never ends.
+func TestPanickingFillRetiresItsFlight(t *testing.T) {
+	c := New(Config{})
+	net := strideBomb{mustSpec(t, "torus-4x4")}
+	for i := 0; i < 2; i++ {
+		ctx, cancel := context.WithTimeout(bg, 5*time.Second)
+		err := func() (err error) {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("call %d: the fill did not panic (err %v)", i, err)
+				}
+			}()
+			_, err = c.GetForCtx(ctx, "ipsc860", net, 32)
+			return err
+		}()
+		cancel()
+		if err != nil {
+			t.Fatalf("call %d: %v — the first call's flight was left behind", i, err)
+		}
+	}
+	if s := c.Stats(); s.Inflight != 0 || s.Lines != 0 || s.Builds != 0 {
+		t.Fatalf("inflight=%d lines=%d builds=%d after two panicked fills, want 0/0/0", s.Inflight, s.Lines, s.Builds)
 	}
 }
 

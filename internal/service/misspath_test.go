@@ -21,6 +21,9 @@ var benchTable optimize.Table
 //   - rebuild/<spec>: a fresh analytic optimizer builds the line's hull on
 //     a fabric handle that is already derived — a serving process's steady
 //     state, where every fabric it has seen keeps its handle.
+//   - fill/<spec>: the whole miss around that build, through
+//     plancache.GetForCtx — lookup, fill, build, insert, eviction — on a
+//     one-line cache asked for two machines in turn, so every call misses.
 //   - hop/<spec>: cluster.FetchLine plus ImportLine, against an in-process
 //     owner that holds the line.
 func BenchmarkMissPath(b *testing.B) {
@@ -43,6 +46,32 @@ func BenchmarkMissPath(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
 				build()
+			}
+		})
+	}
+
+	for _, spec := range []string{"hypercube-8", "hypercube-16"} {
+		b.Run("fill/"+spec, func(b *testing.B) {
+			net, err := plancache.ResolveTopology(spec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			c := plancache.New(plancache.Config{Shards: 1, CapacityPerShard: 1})
+			machines := [2]string{machine, "hypo"}
+			get := func(i int) {
+				if _, err := c.GetForCtx(ctx, machines[i%2], net, 40); err != nil {
+					b.Fatal(err)
+				}
+			}
+			get(1) // the handle's first derivation
+			b.ReportAllocs()
+			i := 0
+			for b.Loop() {
+				get(i)
+				i++
+			}
+			if s := c.Stats(); s.Hits != 0 {
+				b.Fatalf("%d hits: every call must miss", s.Hits)
 			}
 		})
 	}
