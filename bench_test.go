@@ -822,6 +822,52 @@ func BenchmarkReplayCertified(b *testing.B) {
 	}
 }
 
+// BenchmarkReplayCyclic times the replay floor: contended cyclic phases,
+// which no certificate prices in closed form, on the cyclic interpreter.
+// torus-8x8x8 is the whole {3} plan at m = 40, one phase spanning all
+// 512 nodes (261 632 messages); torus-4x4x4x4 is the {4} fragment the
+// optimizer replays for a simulated hull (65 280 messages). The network
+// is new per replay, as a cost request's is; its fabric handle, and so
+// the certificate, is shared.
+func BenchmarkReplayCyclic(b *testing.B) {
+	prm := model.IPSC860()
+	for _, bc := range []struct {
+		spec string
+		part partition.Partition
+		frag bool
+	}{
+		{"torus-8x8x8", partition.Partition{3}, false},
+		{"torus-4x4x4x4", partition.Partition{4}, true},
+	} {
+		b.Run(bc.spec, func(b *testing.B) {
+			topo := topology.MustParseSpec(bc.spec)
+			plan, err := exchange.NewPlanOn(topo, 40, bc.part)
+			if err != nil {
+				b.Fatal(err)
+			}
+			src := plan.Compile()
+			if bc.frag {
+				src = plan.CompilePhase(0)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var last simnet.Result
+			for i := 0; i < b.N; i++ {
+				if last, err = simnet.New(topo, prm).RunSource(src); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if last.EnginePhases != 1 || last.DeclineReason != "row-not-exchange" {
+				b.Fatalf("%d engine phases, declined for %q: want the one cyclic phase on the engine",
+					last.EnginePhases, last.DeclineReason)
+			}
+			b.ReportMetric(last.Makespan, "sim_µs")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(last.Messages), "ns/msg")
+		})
+	}
+}
+
 // benchEngine measures the event queue alone under the simulator's load
 // shape: 4096 nodes, each of whose events schedules that node's next one
 // at next(now, node), b.N events in all (ns/op is per event). The engine

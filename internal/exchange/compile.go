@@ -65,9 +65,11 @@ func (p *Plan) Compile() *CompiledPlan {
 
 // phaseSpan is the span of a phase compiled to rows op-table rows. Its
 // Shape keeps simnet's promise: appendPhaseRows derives every row's kind
-// and partner rule from (XOR, Stride, Span) and the row count alone.
+// and partner rule from (XOR, Stride, Span) and the row count alone. A
+// cyclic phase's rows are laid out exactly as simnet.ShapeCyclic
+// describes, so its replay runs on simnet's cyclic interpreter.
 func phaseSpan(ph Phase, rows int) simnet.PhaseSpan {
-	shape := "cyclic"
+	shape := simnet.ShapeCyclic
 	if ph.XOR {
 		shape = "xor"
 	}

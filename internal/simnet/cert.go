@@ -38,6 +38,10 @@ type phaseCert struct {
 	decline string  // the first lockstep check that failed, "" when none did
 	hops    []int32 // per window row, the one hop count (≥ 1) of an exchange row's circuits
 
+	// cyclic: the span's Shape is ShapeCyclic and the window keeps the
+	// promise, row by row and node by node.
+	cyclic bool
+
 	// groupsDisjoint: every communication partner is in its node's group
 	// and no directed link carries circuits of two groups.
 	groupsDisjoint bool
@@ -62,6 +66,7 @@ func (n *Network) certify(src Sharded, sp PhaseSpan, winLo int) *phaseCert {
 	}
 
 	c := &phaseCert{hops: make([]int32, sp.Rows-1), groupsDisjoint: true}
+	c.cyclic = sp.Shape == ShapeCyclic && keepsCyclic(src, sp, winLo)
 	partner := make([]int32, nodes)   // this row's exchange partners
 	rowOf := make([]int32, nodes*deg) // 1 + the window row whose circuits last covered the slot
 	var groupOf []int32               // 1 + the group whose circuits cover the slot
@@ -153,6 +158,49 @@ func (n *Network) certify(src Sharded, sp PhaseSpan, winLo int) *phaseCert {
 		}
 	}
 	return c
+}
+
+// keepsCyclic reports whether the window of span sp opening at row winLo
+// is laid out as ShapeCyclic promises: each row one kind and byte count
+// on every node, in the promised order, with every send FORCED and every
+// partner the promised shift of the node's field digit.
+func keepsCyclic(src Sharded, sp PhaseSpan, winLo int) bool {
+	steps := sp.Span - 1
+	if tail := sp.Rows - 1 - 3*steps; steps < 1 || tail < 0 || tail > 1 {
+		return false
+	}
+	nodes := src.NumNodes()
+	for i := 0; i < sp.Rows-1; i++ {
+		want, shift := OpShuffle, 0
+		switch k := i - steps; {
+		case k < 0:
+			want, shift = OpPostRecv, -(i + 1)
+		case k < 2*steps && k%2 == 0:
+			want, shift = OpSend, k/2+1
+		case k < 2*steps:
+			want, shift = OpWaitRecv, -(k/2 + 1)
+		}
+		r := winLo + i
+		kind, bytes, ok := src.UniformRow(r)
+		if !ok || kind != want {
+			return false
+		}
+		for p := 0; p < nodes; p++ {
+			op := src.Op(p, r)
+			if op.Kind != want || op.Bytes != bytes || want == OpSend && op.Type != Forced {
+				return false
+			}
+			if want == OpShuffle {
+				continue
+			}
+			f := p / sp.Stride % sp.Span
+			g := (f + shift + sp.Span) % sp.Span
+			if op.Peer != p+(g-f)*sp.Stride {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // certKey identifies a certificate on its topology handle: the phase by

@@ -1,0 +1,17 @@
+package simnet
+
+// CyclicWindows returns how many of src's phase windows the certificates
+// on n's fabric handle find keeping the cyclic promise: the windows a
+// replay on n runs on the cyclic interpreter.
+func CyclicWindows(n *Network, src Sharded) int {
+	count, winLo := 0, 1
+	for _, sp := range src.PhaseSpans() {
+		if sp.Shape == ShapeCyclic {
+			if cert, _ := n.certificate(src, sp, winLo); cert.cyclic {
+				count++
+			}
+		}
+		winLo += sp.Rows
+	}
+	return count
+}

@@ -6,7 +6,7 @@ import (
 	"math"
 	"strings"
 	"sync"
-	"weak"
+	"unsafe"
 
 	"repro/internal/event"
 	"repro/internal/model"
@@ -230,10 +230,14 @@ type runState struct {
 	// they are few; a source that outgrows chanScanMax destinations gets
 	// chanTab[src], indexed by destination (1 + channel, 0 for none). The
 	// per-slot cursors replace the inbox/arrSeq/postSeq/waitSeq maps.
-	chans    []msgChan
-	outIdx   [][]chanRef
-	chanTab  [][]int32
-	chanHint int // channels the current window is expected to open, 0 when unknown
+	chans   []msgChan
+	outIdx  [][]chanRef
+	chanTab [][]int32
+
+	// cyc is the cyclic interpreter's window, when the rows being run keep
+	// the "cyclic" shape's promise; cyc.end is 0 otherwise. The later
+	// shards of a sharded window borrow the first shard's.
+	cyc cyclicWindow
 
 	bar barrierState
 
@@ -264,8 +268,9 @@ type runState struct {
 	windowed bool
 
 	// Long-lived bound handlers so event scheduling never allocates.
-	stepH    event.ArgHandler
-	deliverH event.ArgHandler
+	stepH       event.ArgHandler
+	deliverH    event.ArgHandler
+	cycDeliverH event.ArgHandler
 }
 
 // statePool recycles runStates across replays, of one Network or of many:
@@ -274,6 +279,7 @@ var statePool = sync.Pool{New: func() any {
 	st := &runState{eng: event.New()}
 	st.stepH = func(_ event.Time, p int) { st.step(p) }
 	st.deliverH = func(now event.Time, ch int) { st.deliverAt(ch, float64(now)) }
+	st.cycDeliverH = func(now event.Time, i int) { st.deliverCyclic(i, float64(now)) }
 	return st
 }}
 
@@ -337,7 +343,7 @@ func (n *Network) newState(src Source, owner *runState, cutoff float64) *runStat
 	// NodeFinish and Timeline leave with the Result, so they are fresh.
 	st.res = Result{NodeFinish: make([]float64, nodes), ReplayShards: 1}
 	st.failed, st.windowed, st.rngs = nil, false, nil
-	st.cutoff, st.siblings, st.chanHint = cutoff, nil, 0
+	st.cutoff, st.siblings, st.cyc.end = cutoff, nil, 0
 	if n.jitterFrac != 0 {
 		// Fresh per-Run streams seeded from the Network keep jitter
 		// reproducible across repeated and concurrent Runs (see
@@ -347,51 +353,27 @@ func (n *Network) newState(src Source, owner *runState, cutoff float64) *runStat
 	return st
 }
 
-// maxPooledChans bounds the channel storage a pooled state keeps. The
-// node and link arrays grow with the machine; channels grow with the
-// pairs that talk — a cyclic phase spanning a whole 256-node torus opens
-// 65 280 of them — and a state idling in the pool must not hold megabytes
-// for the rare replay that needs them. Larger storage goes to spareChans.
-const maxPooledChans = 1 << 13
-
-// spareChans is the channel storage of the last replay that outgrew
-// maxPooledChans, held weakly: the next replay to outgrow it takes the
-// storage over instead of allocating its own, and the first collection in
-// between frees it, so an idle process retains nothing. Without it a
-// whole-machine torus-8x8x8 phase leaves 19 MB of garbage, the next such
-// replay allocates 19 MB beside it unless a collection happened to run in
-// between, and a daemon's peak resident set depends on the order of its
-// requests.
-var spareChans struct {
-	sync.Mutex
-	p weak.Pointer[[]msgChan]
-}
-
-// takeSpareChans returns the spare storage, emptied, if it holds at least
-// want channels, else nil; either way the spare is gone.
-func takeSpareChans(want int) []msgChan {
-	spareChans.Lock()
-	p := spareChans.p.Value()
-	spareChans.p = weak.Pointer[[]msgChan]{}
-	spareChans.Unlock()
-	if p == nil || cap(*p) < want {
-		return nil
-	}
-	return (*p)[:0]
-}
+// maxPooledInbox bounds, in bytes, the message storage a pooled state
+// keeps: its cyclic inbox and its channel table. The node and link arrays
+// grow with the machine; message storage grows with the pairs that talk,
+// and a state idling in the pool must not hold megabytes for the rare
+// replay that needs them. The bound keeps the inbox of a cyclic phase
+// spanning a whole 512-node machine (512 destinations × 512 steps).
+const maxPooledInbox = 256 << 10
 
 // release returns st to the pool, dropping what would pin the caller's
-// network and programs. A shard hands back only what is its own: the link
-// arrays it borrowed stay with their owner.
+// network and programs and message storage above maxPooledInbox. A shard
+// hands back only what is its own: the link arrays and the cyclic window
+// it borrowed stay with their owner.
 func (st *runState) release() {
 	if st.borrowsLinks {
 		st.busy, st.backlogOf = nil, nil
+		st.cyc = cyclicWindow{}
 	}
-	if cap(st.chans) > maxPooledChans {
-		spare := st.chans[:0]
-		spareChans.Lock()
-		spareChans.p = weak.Make(&spare)
-		spareChans.Unlock()
+	if cap(st.cyc.inbox) > maxPooledInbox {
+		st.cyc.inbox = nil
+	}
+	if uintptr(cap(st.chans))*unsafe.Sizeof(msgChan{}) > maxPooledInbox {
 		st.chans, st.outIdx, st.chanTab = nil, nil, nil
 	}
 	st.net, st.src, st.topo, st.cube, st.degr, st.siblings = nil, nil, nil, nil, nil, nil
@@ -465,7 +447,14 @@ func (st *runState) hold(slots []int, now, finish float64) {
 		}
 		bi := st.backlogOf[slot]
 		if bi == 0 {
-			st.backlogs = append(st.backlogs, holdQueue{})
+			if k := len(st.backlogs); k < cap(st.backlogs) {
+				// Reuse a queue an earlier replay or window dropped,
+				// with the spill storage it grew.
+				st.backlogs = st.backlogs[:k+1]
+				st.backlogs[k].head, st.backlogs[k].n = 0, 0
+			} else {
+				st.backlogs = append(st.backlogs, holdQueue{})
+			}
 			bi = int32(len(st.backlogs))
 			st.backlogOf[slot] = bi
 		}
@@ -478,22 +467,23 @@ func (st *runState) hold(slots []int, now, finish float64) {
 // msgChan carries the messages of one ordered (src,dst) pair. The three
 // cursors are the FIFO sequence counters for arrival, posting and waiting;
 // sent indexes the slot a send writes its message type into. The first
-// message's slot is inline: a pair of a cyclic phase exchanges exactly one
-// message, and a phase spanning the machine opens n² such channels.
+// message's slot is inline: most pairs exchange exactly one message.
+//
+// A slot is its flags alone. Neither the arrival time nor the time a
+// waiter parked is needed: every event fires at the engine's current
+// time, and a node's step runs at its own ready time, so a wait that
+// finds its message arrived wakes at its ready time (the arrival is no
+// later), and a delivery that finds its waiter parked wakes it at the
+// delivery time (the waiter's ready time is no later, and it cannot move
+// while the node is parked).
 type msgChan struct {
 	dst   int32
 	arr   int32
 	post  int32
 	wait  int32
 	sent  int32
-	first inboxSlot
-	rest  []inboxSlot // slots 1, 2, …
-}
-
-type inboxSlot struct {
-	arriveAt  float64
-	waiterCPU float64 // time at which the waiter parked
-	flags     uint8
+	first uint8
+	rest  []uint8 // slots 1, 2, …
 }
 
 const (
@@ -692,6 +682,10 @@ func (st *runState) checkPeer(p int, op Op) bool {
 // runnable (at its ready time).
 func (st *runState) step(p int) {
 	if st.failed != nil || st.done[p] {
+		return
+	}
+	if pc := st.pc[p]; pc < st.cyc.end {
+		st.stepCyclic(p, pc)
 		return
 	}
 	if st.pc[p] >= st.lens[p] {

@@ -25,20 +25,31 @@
 // Plain programs replay on one event engine that orders every event in
 // the machine. A Source that also declares its per-phase structure (the
 // Sharded interface; exchange.CompiledPlan does) is replayed phase by
-// phase, and each phase by the cheapest means that gives the engine's
-// exact result. A phase certificate — proved once per (topology, phase
-// field) from the actual routed links, detours included, and kept with
-// the fabric handle — says whether the phase runs in lockstep: every row a
-// uniform exchange whose circuits are pairwise link-disjoint and of one
-// hop count. Such a phase is priced in closed form, by the float
-// additions the engine would have applied to every node and no events. A
-// phase the certificate declines — or any phase when jitter, a degraded
-// overlay's slow wires or tracing make durations node-dependent — runs on
-// the engine; SetReplayShards lets it run as several private
-// engines when the same certificate proves the phase's node groups share
-// no directed link. Every path returns bit-identical results: same
-// makespans, same counters, same jitter draws (per-node RNG streams),
-// same float summation order. Result says which path each phase took.
+// phase, and each phase by the cheapest of three means that gives the
+// engine's exact result. A phase certificate — proved once per
+// (topology, phase field) from the actual routed links, detours included,
+// and kept with the fabric handle — decides between them:
+//
+//   - Closed form. A phase that runs in lockstep — every row a uniform
+//     exchange whose circuits are pairwise link-disjoint and of one hop
+//     count — is priced by the float additions the engine would have
+//     applied to every node, and no events.
+//   - Cyclic window. A phase whose span promises ShapeCyclic, and whose
+//     rows keep the promise, runs on the engine without its receive
+//     posts or message channels: the layout fixes which message each
+//     wait matches, so a message is one entry of a flat (destination,
+//     step) inbox, and a node's partner comes from its field digit.
+//   - Engine. Any other phase runs on the generic engine, as does every
+//     phase of a traced run. Jitter and a degraded overlay's slow wires,
+//     which make durations node-dependent, rule out the closed form
+//     only.
+//
+// SetReplayShards lets an engine-run phase, cyclic or not, run as several
+// private engines when the same certificate proves the phase's node
+// groups share no directed link. Every path returns bit-identical
+// results: same makespans, same counters, same jitter draws (per-node RNG
+// streams), same float summation order. Result says which phases were
+// priced in closed form and which ran on the engine.
 //
 // A caller that needs the result only if the makespan is at most some
 // cutoff says so per call (RunSourceBounded). Virtual time only moves

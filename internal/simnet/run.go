@@ -3,6 +3,7 @@ package simnet
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/event"
@@ -234,18 +235,9 @@ func (st *runState) channel(src, dst int) int {
 	}
 	ci := len(st.chans)
 	if ci == cap(st.chans) {
-		// Double, rather than append's 1.25× for large slices: a phase
-		// spanning the machine opens tens of thousands of channels, and
-		// every regrowth copies and clears them all.
-		want := max(2*ci, 64, st.chanHint)
-		var grown []msgChan
-		if want > maxPooledChans {
-			grown = takeSpareChans(want)
-		}
-		if grown == nil {
-			grown = make([]msgChan, 0, want)
-		}
-		grown = grown[:ci]
+		// Double, rather than append's 1.25× for large slices: every
+		// regrowth copies and clears the whole table.
+		grown := make([]msgChan, ci, max(2*ci, 64))
 		copy(grown, st.chans)
 		st.chans = grown
 	}
@@ -268,15 +260,15 @@ func (st *runState) channel(src, dst int) int {
 	return ci
 }
 
-// slot returns channel ci's i-th message slot, extending the list as
-// posts/waits/sends run ahead of each other.
-func (st *runState) slot(ci, i int) *inboxSlot {
+// slot returns the flags of channel ci's i-th message slot, extending
+// the list as posts/waits/sends run ahead of each other.
+func (st *runState) slot(ci, i int) *uint8 {
 	ch := &st.chans[ci]
 	if i == 0 {
 		return &ch.first
 	}
 	for len(ch.rest) < i {
-		ch.rest = append(ch.rest, inboxSlot{})
+		ch.rest = append(ch.rest, 0)
 	}
 	return &ch.rest[i-1]
 }
@@ -294,7 +286,7 @@ func (st *runState) doSend(p int, op Op) {
 	s := st.slot(ci, int(ch.sent))
 	ch.sent++
 	if op.Type == Forced {
-		s.flags |= slotForced
+		*s |= slotForced
 	}
 	if q == p {
 		st.deliverAt(ci, st.ready[p]) // local delivery is free
@@ -332,19 +324,24 @@ func (st *runState) deliverAt(ci int, t float64) {
 	ch := &st.chans[ci]
 	s := st.slot(ci, int(ch.arr))
 	ch.arr++
-	s.flags |= slotArrived
-	s.arriveAt = t
-	if s.flags&slotForced != 0 && s.flags&slotPosted == 0 {
+	*s |= slotArrived
+	if *s&slotForced != 0 && *s&slotPosted == 0 {
 		st.res.DroppedForced++
 	}
-	if s.flags&slotWaiting != 0 {
-		s.flags &^= slotWaiting
-		wake := t
-		if s.waiterCPU > wake {
-			wake = s.waiterCPU
-		}
-		st.advance(int(ch.dst), wake)
+	if *s&slotWaiting != 0 {
+		*s &^= slotWaiting
+		st.wake(int(ch.dst), t)
 	}
+}
+
+// wake resumes node q, parked in a receive wait, on a delivery at time t.
+// A parked node's ready time is the time it parked: only its own wake
+// moves it.
+func (st *runState) wake(q int, t float64) {
+	if st.ready[q] > t {
+		t = st.ready[q]
+	}
+	st.advance(q, t)
 }
 
 // doPostRecv implements OpPostRecv for the next unposted message slot from
@@ -353,25 +350,129 @@ func (st *runState) doPostRecv(p, peer int) {
 	ci := st.channel(peer, p)
 	i := int(st.chans[ci].post)
 	st.chans[ci].post++
-	st.slot(ci, i).flags |= slotPosted
+	*st.slot(ci, i) |= slotPosted
 }
 
 // doWaitRecv implements OpWaitRecv: blocks until the next unconsumed
-// message from peer has arrived.
+// message from peer has arrived. A message that has arrived did so no
+// later than now, node p's ready time, so the wait ends at once.
 func (st *runState) doWaitRecv(p, peer int) {
 	ci := st.channel(peer, p)
 	i := int(st.chans[ci].wait)
 	st.chans[ci].wait++
 	s := st.slot(ci, i)
-	if s.flags&slotArrived != 0 {
-		wake := s.arriveAt
-		if st.ready[p] > wake {
-			wake = st.ready[p]
-		}
-		st.advance(p, wake)
+	if *s&slotArrived != 0 {
+		st.advance(p, st.ready[p])
 		return
 	}
-	s.flags |= slotWaiting
-	s.waiterCPU = st.ready[p]
+	*s |= slotWaiting
 	st.park()
+}
+
+// cyclicWindow is the state of an engine window whose rows keep
+// ShapeCyclic's promise (PhaseSpan.Shape): span−1 receive posts, then
+// span−1 send/wait pairs in which step j sends to field f+j and waits for
+// the message from field f−j, then an optional shuffle. The promise fixes
+// which message each wait matches — the one its node's step-j sender
+// addressed to it — so the window needs no channels: a message is one
+// byte of a flat inbox indexed by (destination, step). The posts cost no
+// events either: they touch no link and no clock, and every one of them
+// precedes every send, so a node's first event is its first send, fired
+// in node order as the posts' round-robin left them.
+type cyclicWindow struct {
+	// first is the row of the window's first send and end the row after
+	// its last wait: rows [first, end) are interpreted here, the rest by
+	// step. end is 0 outside a cyclic window.
+	first, end int32
+	span       int
+	stride     int
+	shift      uint    // an inbox row holds 1<<shift ≥ span−1 steps
+	bytes      []int   // per step j−1, the byte count of its send row
+	field      []int32 // per node: its digit f in the phase field
+	base       []int32 // per node: its label with that digit zeroed
+	inbox      []uint8 // per destination<<shift + j−1: msgArrived, msgParked or 0
+}
+
+const (
+	msgArrived uint8 = 1 + iota // the message is in; its wait returns at once
+	msgParked                   // its receiver waits for it
+)
+
+// openCyclic sets st up to interpret the window opening at row winLo of
+// a span that keeps the cyclic promise, and reports whether it could:
+// every send row must also have one byte count on every node.
+func (st *runState) openCyclic(src Sharded, sp PhaseSpan, winLo int) bool {
+	c := &st.cyc
+	steps := sp.Span - 1
+	first := winLo + steps
+	c.bytes = c.bytes[:0]
+	for j := 0; j < steps; j++ {
+		kind, b, ok := src.UniformRow(first + 2*j)
+		if !ok || kind != OpSend {
+			return false
+		}
+		c.bytes = append(c.bytes, b)
+	}
+	c.first, c.end = int32(first), int32(first+2*steps)
+	c.span, c.stride = sp.Span, sp.Stride
+	c.shift = uint(bits.Len(uint(steps - 1)))
+	c.field = resized(c.field, st.n)
+	c.base = resized(c.base, st.n)
+	for p := range c.field {
+		f := p / sp.Stride % sp.Span
+		c.field[p], c.base[p] = int32(f), int32(p-f*sp.Stride)
+	}
+	c.inbox = resized(c.inbox, st.n<<c.shift)
+	return true
+}
+
+// stepCyclic interprets row pc of node p in a cyclic window: an even
+// offset from the first send is a step's send, an odd one its wait. A
+// send is doSend's, with the partner from the node's digits and the
+// delivery addressed to the receiver's inbox; a wait returns at once if
+// its message is in, as doWaitRecv's does, and parks otherwise.
+func (st *runState) stepCyclic(p int, pc int32) {
+	c := &st.cyc
+	k := int(pc - c.first)
+	j := k >> 1 // step j+1
+	if k&1 != 0 {
+		i := p<<c.shift + j
+		if c.inbox[i] == msgArrived {
+			st.advance(p, st.ready[p])
+			return
+		}
+		c.inbox[i] = msgParked
+		st.park()
+		return
+	}
+	g := int(c.field[p]) + j + 1
+	if g >= c.span {
+		g -= c.span
+	}
+	q := int(c.base[p]) + g*c.stride
+	bytes := c.bytes[j]
+	st.slots = st.slots[:0]
+	st.appendRoute(p, q)
+	dur := st.jitter(p, st.net.params.RawMessageTime(bytes, len(st.slots)))
+	start, dur, err := st.reserve(p, st.ready[p], dur)
+	if err != nil {
+		st.fail(fmt.Errorf("simnet: send %d→%d at t=%g µs: %w", p, q, st.ready[p], err))
+		return
+	}
+	finish := start + dur
+	st.res.Messages++
+	st.res.BytesMoved += bytes
+	st.eng.PostArg(event.Time(finish), st.cycDeliverH, q<<c.shift+j)
+	st.advance(p, finish)
+}
+
+// deliverCyclic records the arrival of inbox message i at time t, waking
+// its receiver if it is parked on it.
+func (st *runState) deliverCyclic(i int, t float64) {
+	c := &st.cyc
+	if c.inbox[i] == msgParked {
+		st.wake(i>>c.shift, t)
+		return
+	}
+	c.inbox[i] = msgArrived
 }

@@ -32,8 +32,21 @@ type PhaseSpan struct {
 	// kind and partner — only byte counts may differ. A source that makes
 	// no such promise leaves Shape empty and has its phases certified
 	// afresh on every replay.
+	//
+	// ShapeCyclic promises more: node p, with digit f = (p/Stride) mod Span
+	// in the field, runs Span−1 OpPostRecv rows, row j posting the receive
+	// from field f−j; then Span−1 pairs of rows, pair j a FORCED OpSend to
+	// field f+j and an OpWaitRecv from field f−j (mod Span, the other
+	// digits kept); then at most one OpShuffle row. The replay checks the
+	// promise once per (topology, span), with the phase certificate, and
+	// runs a window that keeps it on a dedicated interpreter; a window that
+	// breaks it runs on the generic engine.
 	Shape string
 }
+
+// ShapeCyclic is the PhaseSpan.Shape of a cyclic-shift phase, the one
+// exchange.CompiledPlan gives every phase it does not combine by XOR.
+const ShapeCyclic = "cyclic"
 
 // Sharded is a Source that exposes its per-phase structure, which lets a
 // replay treat each phase on its own: price it in closed form when its
@@ -103,7 +116,8 @@ func (n *Network) nodeDependent() string {
 // form — its certificate proves the engine would finish every node of
 // every row at one instant — or run on the event engine, on as many
 // shards as SetReplayShards allows and the certificate proves
-// independent. It reports ran = false when the source's span structure is
+// independent, and on the cyclic interpreter when the certificate says
+// the window keeps the cyclic promise. It reports ran = false when the source's span structure is
 // unusable as a whole (the caller then runs the monolithic loop). A
 // barrier release or a closed-form phase end past cutoff abandons the run
 // with ErrCutoff, as a node clock past it abandons an engine window.
@@ -183,7 +197,7 @@ func (n *Network) runPhases(src Sharded, cutoff float64) (Result, bool, error) {
 		geom := phaseGeom{stride: sp.Stride, block: sp.Stride * sp.Span, weff: min(w, nodes/sp.Span)}
 		reason := engineOnly
 		var cert *phaseCert
-		if reason == "" || geom.weff > 1 {
+		if reason == "" || geom.weff > 1 || sp.Shape == ShapeCyclic {
 			var computed bool
 			if cert, computed = n.certificate(src, sp, winLo); computed {
 				res.Certificates++
@@ -218,7 +232,7 @@ func (n *Network) runPhases(src Sharded, cutoff float64) (Result, bool, error) {
 			geom.weff = 1
 		}
 		res.ReplayShards = max(res.ReplayShards, geom.weff)
-		if err := eng.runWindow(n, src, geom, pi, winLo, winHi, release, cutoff, ready); err != nil {
+		if err := eng.runWindow(n, src, geom, sp, cert, pi, winLo, winHi, release, cutoff, ready); err != nil {
 			return res, true, err
 		}
 	}
@@ -285,8 +299,9 @@ func (e *shardEngines) release() {
 
 // runWindow runs rows [winLo, winHi) of every node on geom.weff shards,
 // from the barrier release time, and writes the nodes' finish times back
-// to ready.
-func (e *shardEngines) runWindow(n *Network, src Sharded, geom phaseGeom, pi, winLo, winHi int, release, cutoff float64, ready []float64) error {
+// to ready. A window whose certificate says it keeps the cyclic promise
+// starts every node at its first send, on the cyclic interpreter.
+func (e *shardEngines) runWindow(n *Network, src Sharded, geom phaseGeom, sp PhaseSpan, cert *phaseCert, pi, winLo, winHi int, release, cutoff float64, ready []float64) error {
 	nodes := len(ready)
 	if e.ws == nil {
 		e.stall = make([]float64, nodes)
@@ -304,20 +319,20 @@ func (e *shardEngines) runWindow(n *Network, src Sharded, geom phaseGeom, pi, wi
 		e.ws = append(e.ws, st)
 	}
 	ws := e.ws[:geom.weff]
-	// Every send row of a window opens one channel per node — a cyclic
-	// phase sends to a new partner each row, of the span−1 its group
-	// holds — so a shard's share of them sizes its channel table in one
-	// allocation instead of by doubling.
-	sends := 0
-	for r := winLo; r < winHi; r++ {
-		if kind, _, ok := src.UniformRow(r); ok && kind == OpSend {
-			sends++
-		}
+	start := winLo
+	cyclic := cert != nil && cert.cyclic && ws[0].openCyclic(src, sp, winLo)
+	if cyclic {
+		start = int(ws[0].cyc.first)
 	}
-	sends = min(sends, geom.block/geom.stride-1)
 	for _, st := range ws {
 		st.siblings = ws
-		st.chanHint = len(st.chans) + (sends*nodes+geom.weff-1)/geom.weff
+		if !cyclic {
+			st.cyc.end = 0
+		} else if st != ws[0] {
+			// One inbox for all shards: a message stays in its group, so
+			// each shard writes the entries of its own nodes only.
+			st.cyc = ws[0].cyc
+		}
 	}
 
 	// A link may change shards between phases, and its backlog lives
@@ -339,7 +354,7 @@ func (e *shardEngines) runWindow(n *Network, src Sharded, geom phaseGeom, pi, wi
 	// barrier's sorted release does.
 	for p := 0; p < nodes; p++ {
 		st := ws[geom.owner(p)]
-		st.pc[p] = int32(winLo)
+		st.pc[p] = int32(start)
 		st.lens[p] = int32(winHi)
 		st.ready[p] = release
 		st.done[p] = false

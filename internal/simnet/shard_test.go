@@ -3,11 +3,8 @@ package simnet
 import (
 	"errors"
 	"reflect"
-	"runtime"
-	"runtime/debug"
 	"sync"
 	"testing"
-	"unsafe"
 
 	"repro/internal/model"
 	"repro/internal/topology"
@@ -294,49 +291,6 @@ func TestRecycledStateCarriesNothingOver(t *testing.T) {
 		}
 		requireIdentical(t, "serial after dirty runs", want, fresh(1))
 		requireIdentical(t, "sharded after dirty runs", want, fresh(3))
-	}
-}
-
-// Channel storage too large for a pooled state is handed from one replay
-// that needs it to the next — the second allocates none of its own — and
-// is held only weakly: one collection and an idle process retains nothing.
-// Which of the two happens between a pair of large replays decides whether
-// the second allocates, never what it computes.
-func TestOversizedChannelStorageIsRecycled(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // collections only where the test asks
-	const n = 128                                    // n·(n−1) = 16 256 channels, grown into a 16 384 table
-	progs := make([]Program, n)
-	for p := range progs {
-		for k := 1; k < n; k++ {
-			progs[p] = append(progs[p], Send(p^k, 8, Unforced))
-		}
-		for k := 1; k < n; k++ {
-			progs[p] = append(progs[p], Recv(p^k))
-		}
-	}
-	run := func() (Result, uint64) {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		res := mustRun(t, mkNet(7, model.IPSC860()), progs)
-		runtime.ReadMemStats(&after)
-		return res, after.TotalAlloc - before.TotalAlloc
-	}
-	want, _ := run()
-	if p := spareChans.p.Value(); p == nil || cap(*p) < n*(n-1) {
-		t.Fatal("a replay past maxPooledChans left no spare channel storage")
-	}
-	reused, reusedBytes := run()
-	requireIdentical(t, "on recycled channel storage", want, reused)
-
-	runtime.GC()
-	if spareChans.p.Value() != nil {
-		t.Fatal("spare channel storage survived a collection")
-	}
-	fresh, freshBytes := run()
-	requireIdentical(t, "on fresh channel storage", want, fresh)
-	table := uint64(16384 * unsafe.Sizeof(msgChan{}))
-	if freshBytes < reusedBytes+table*9/10 {
-		t.Fatalf("replay with a spare allocated %d B, without one %d B: want the %d B table saved", reusedBytes, freshBytes, table)
 	}
 }
 
