@@ -8,14 +8,16 @@ import (
 )
 
 // This file generalizes the §4.3/§7.4 closed forms from the binary
-// hypercube to any topology.Network. A phase over a dimension group of
-// span S (the product of the group's radices) runs S−1 steps moving
-// superblocks of m·n/S bytes. On an all-radix-2 group the steps are the
-// XOR pairwise schedule and the total routed distance over the steps is
-// w·2^(w−1), exactly eq. (3); on mixed-radix groups the steps are cyclic
-// field shifts and the distance term is the sum over steps of the
-// worst-case routed distance within a sub-block, computed once per
-// (topology handle, field) and kept with the handle.
+// hypercube to any topology.Network, with one formula for every fabric. A
+// phase over a dimension field of span S (the product of the field's
+// radices) runs S−1 steps moving superblocks of m·n/S bytes. On an
+// all-radix-2 field the steps are the XOR pairwise schedule and the total
+// routed distance over the steps is w·2^(w−1), exactly eq. (3), so a
+// hypercube is priced by the same arithmetic as eq. (3)'s PhaseCost; on
+// mixed-radix fields the steps are cyclic field shifts and the distance
+// term is the sum over steps of the worst-case routed distance within a
+// sub-block, computed exactly in O(S·w) once per (topology handle, field)
+// and kept with the handle.
 
 // fieldKey names one fact this package derives per dimension field of a
 // topology and keeps with the topology handle (topology.Derived).
@@ -28,99 +30,87 @@ type fieldFact uint8
 
 const (
 	shiftDist     fieldFact = iota // phaseDistTotal
-	shiftLB                        // maxNodeShiftDist
 	degradedPhase                  // phaseMetricsDegraded
 )
 
-// exactShiftDistSpan bounds the field span for which the worst-case
-// shift distances are computed by exact O(span²) enumeration. Larger
-// fields use the O(Σ radices) per-dimension closed form below — a
-// serving tier must never run an enumeration quadratic in an
-// attacker-chosen span (a single /v1/plan for a big torus would
-// otherwise pin a CPU for hours).
-const exactShiftDistSpan = 4096
+// digitDistances returns, for each dimension lo+i of the field [lo, lo+w),
+// the routed distance rows[i][x] from node 0 to the node x steps along that
+// dimension, read from the healthy base fabric: x on a mesh, min(x, r−x)
+// on a torus. Routed distance is the sum of such per-dimension terms, so
+// these rows are all the distance facts of a field need.
+func digitDistances(net topology.Network, lo, w int) [][]int {
+	if dg, ok := net.(*topology.Degraded); ok {
+		net = dg.Base()
+	}
+	rows := make([][]int, w)
+	for i := range rows {
+		stride := net.Stride(lo + i)
+		r, _ := topology.SpanSize(net, lo+i, 1) // the radix; the caller checked the field
+		row := make([]int, r)
+		for x := 1; x < len(row); x++ {
+			row[x] = net.Distance(0, x*stride)
+		}
+		rows[i] = row
+	}
+	return rows
+}
 
 // phaseDistTotal returns the total routed distance charged to one phase
 // over the dimension field [lo, lo+w), whose span (topology.SpanSize) the
-// caller has already read: Σ_j max_f dist(f, f+j) for cyclic
+// caller has already read: Σ_j max_f dist(f, f+j mod span) for cyclic
 // phases, w·2^(w−1) for XOR phases (where every step's distance is
-// uniform, popcount(j)). Beyond exactShiftDistSpan the cyclic term is
-// the per-dimension worst-case closed form: adding j to a field shifts
-// digit i by j_i plus at most one carry, so the step's distance is at
-// most Σ_i M_i(j_i) with M_i(v) the worst per-dimension digit distance
-// over the carry cases; summed over j, each digit value occurs span/r_i
-// times, giving Σ_i (span/r_i)·Σ_v M_i(v) − Σ_i M_i(0).
+// uniform, popcount(j)).
+//
+// The cyclic maximum is a carry recursion across the field's dimensions.
+// Adding j to f moves digit i by v = j_i + c, c the carry out of digit i−1;
+// every digit f_i is free, so the only thing one digit's choice passes to
+// the next is its carry out. Carry 0 is reachable iff v ≤ r_i−1 and costs
+// the distance of a forward move by v; carry 1 is reachable iff v ≥ 1 and
+// costs that of a move back by r_i−v (the addition wrapped). The worst
+// step is the best path through these two states, O(w) per step: exact,
+// with no enumeration over f. Nodes differing only inside the field are
+// routed inside its sub-block, so the sub-block of node 0 stands for all;
+// faults break that symmetry, and degraded phases are priced by
+// phaseMetricsDegraded, never here.
 func phaseDistTotal(net topology.Network, lo, w, span int) float64 {
 	if span == 1<<w { // every radix is at least 2: an all-binary field
 		return float64(w) * float64(span/2)
 	}
-	return topology.Derived(net, fieldKey{shiftDist, lo, w}, func() (total float64) {
-		if span <= exactShiftDistSpan {
-			// Distances between nodes differing only inside the field are
-			// field-local, so the sub-block anchored at label 0 is
-			// representative: node(f) = f·stride. (Faults break this
-			// symmetry; degraded phases are priced by phaseMetricsDegraded,
-			// never here.)
-			stride := net.Stride(lo)
-			for j := 1; j < span; j++ {
-				maxDist := 0
-				for f := 0; f < span; f++ {
-					if d := net.Distance(f*stride, ((f+j)%span)*stride); d > maxDist {
-						maxDist = d
+	return topology.Derived(net, fieldKey{shiftDist, lo, w}, func() float64 {
+		rows := digitDistances(net, lo, w)
+		digit := make([]int, w) // j's digits, field dimension 0 first
+		total := 0
+		for j := 1; j < span; j++ {
+			for i := 0; ; i++ { // j = j−1 plus one
+				if digit[i]++; digit[i] < len(rows[i]) {
+					break
+				}
+				digit[i] = 0
+			}
+			// stay and wrap are the worst distance over the digits so far
+			// with carry 0 and carry 1 into the next digit; −1 is
+			// unreachable.
+			stay, wrap := 0, -1
+			for i, row := range rows {
+				r, nextStay, nextWrap := len(row), -1, -1
+				for c, worst := range [2]int{stay, wrap} {
+					if worst < 0 {
+						continue
+					}
+					v := digit[i] + c
+					if v <= r-1 {
+						nextStay = max(nextStay, worst+row[v])
+					}
+					if v >= 1 {
+						nextWrap = max(nextWrap, worst+row[r-v])
 					}
 				}
-				total += float64(maxDist)
+				stay, wrap = nextStay, nextWrap
 			}
-			return total
+			total += max(stay, wrap)
 		}
-		// Torus fields wrap; any other shape is priced with the
-		// open-boundary max(w, r−w), the pessimistic upper bound. A
-		// healthy Degraded overlay wraps exactly like its base.
-		baseNet := net
-		if dg, ok := net.(*topology.Degraded); ok {
-			baseNet = dg.Base()
-		}
-		_, wrap := baseNet.(*topology.Torus)
-		dims := net.Dims()
-		for i := lo; i < lo+w; i++ {
-			r := dims[i]
-			sum, zero := 0, 0
-			for v := 0; v < r; v++ {
-				m := digitShiftMax(r, v, wrap)
-				sum += m
-				if v == 0 {
-					zero = m
-				}
-			}
-			total += float64(span/r)*float64(sum) - float64(zero)
-		}
-		return total
+		return float64(total)
 	})
-}
-
-// digitShiftMax returns the worst-case routed distance of one dimension
-// when its digit shifts by v with an optional incoming carry: the new
-// digit is (a+v+c) mod r for c ∈ {0,1}, so the digit difference is
-// w = (v+c) mod r — distance min(w, r−w) on a torus, and on a mesh
-// either w or r−w depending on whether the addition wrapped, both
-// reachable, so the max of the two.
-func digitShiftMax(r, v int, wrap bool) int {
-	best := 0
-	for c := 0; c <= 1; c++ {
-		w := (v + c) % r
-		var d int
-		if w == 0 {
-			d = 0
-		} else if wrap {
-			d = min(w, r-w)
-		} else {
-			d = max(w, r-w)
-		}
-		if d > best {
-			best = d
-		}
-	}
-	return best
 }
 
 // degradedPhaseMetrics carries the params-independent per-step worst
@@ -279,21 +269,18 @@ func (p Params) phaseCostOn(net topology.Network, m, lo, w int) (t float64, span
 
 // PhaseLineOn returns PhaseCostOn as a function of the block size: over the
 // field [lo, lo+w) the phase costs intercept + slope·m, on healthy fields
-// (a hypercube's are PhaseLine's) and on faulty overlays alike, because
-// every term of the closed form is either constant or proportional to m.
-// The paper draws its hull of optimality (§6, §8) as an envelope of
-// exactly these straight lines. The coefficients group PhaseCostOn's terms
-// by power of m rather than in its order of evaluation, so
-// intercept + slope·m agrees with PhaseCostOn to rounding, not to the last
-// bit: the lines say where two groupings cross, PhaseCostOn says which one
-// a block size on either side of the crossing is served.
+// and on faulty overlays alike, because every term of the closed form is
+// either constant or proportional to m. The paper draws its hull of
+// optimality (§6, §8) as an envelope of exactly these straight lines. The
+// coefficients group PhaseCostOn's terms by power of m rather than in its
+// order of evaluation, so intercept + slope·m agrees with PhaseCostOn to
+// rounding, not to the last bit: the lines say where two groupings cross,
+// PhaseCostOn says which one a block size on either side of the crossing
+// is served. On a hypercube the coefficients are eq. (3)'s PhaseLine, bit
+// for bit.
 func (p Params) PhaseLineOn(net topology.Network, lo, w int) (slope, intercept float64, err error) {
 	if w <= 0 {
 		return 0, 0, fmt.Errorf("model: nonpositive phase width %d", w)
-	}
-	if h, ok := topology.AsHypercube(net); ok && lo >= 0 && lo+w <= h.Dim() {
-		slope, intercept = p.PhaseLine(h.Dim(), w)
-		return slope, intercept, nil
 	}
 	span, err := topology.SpanSize(net, lo, w)
 	if err != nil {
@@ -331,33 +318,15 @@ func (p Params) PhaseLineOn(net topology.Network, lo, w int) (slope, intercept f
 // MultiphaseOn returns the modeled total time in µs of the multiphase
 // complete exchange with dimension grouping D on any topology with block
 // size m, every phase using the circuit-switched schedule inside its
-// sub-blocks. On a hypercube this agrees exactly with Multiphase. The
-// per-phase breakdown is also returned.
+// sub-blocks and priced by PhaseCostOn. On a hypercube this agrees
+// exactly with Multiphase: PhaseCostOn does eq. (3)'s float operations in
+// its order. The per-phase breakdown is also returned.
 func (p Params) MultiphaseOn(net topology.Network, m int, D partition.Partition) (float64, []PhaseBreakdown, error) {
 	if net.NumDims() == 0 {
 		if len(D) != 0 {
 			return 0, nil, fmt.Errorf("model: nonempty grouping %v for single-node topology", D)
 		}
 		return 0, nil, nil
-	}
-	if h, ok := topology.AsHypercube(net); ok {
-		// Radix-2 fast path: eq. (3) directly, no field layout to derive
-		// (also taken by fault-free Degraded overlays, which behave
-		// identically to their base by construction). Keeps the serving
-		// tier's hot Get as cheap as before the topology generalization.
-		d := h.Dim()
-		sum := 0
-		for _, di := range D {
-			if di <= 0 {
-				return 0, nil, fmt.Errorf("model: nonpositive phase group %d", di)
-			}
-			sum += di
-		}
-		if sum != d {
-			return 0, nil, fmt.Errorf("model: phase groups sum to %d, want %d dimensions", sum, d)
-		}
-		t, phases := p.Multiphase(m, d, D)
-		return t, phases, nil
 	}
 	// The phase fields of topology.PhaseFields, walked in place: phase j
 	// takes the D[j] dimensions below the previous phase's.

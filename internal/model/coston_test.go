@@ -2,6 +2,9 @@ package model
 
 import (
 	"math"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,11 +13,25 @@ import (
 )
 
 // MultiphaseOn on a hypercube must agree exactly with the original
-// eq.-(3) closed form, for every machine, partition and block size.
+// eq.-(3) closed form, for every machine, partition and block size, and
+// PhaseLineOn with eq. (3)'s line, bit for bit, on every field.
 func TestMultiphaseOnMatchesMultiphaseOnHypercube(t *testing.T) {
 	for name, prm := range Machines() {
 		for _, d := range []int{1, 3, 5, 7} {
 			h := topology.MustNew(d)
+			for w := 1; w <= d; w++ {
+				wantSlope, wantIntercept := prm.PhaseLine(d, w)
+				for lo := 0; lo+w <= d; lo++ {
+					slope, intercept, err := prm.PhaseLineOn(h, lo, w)
+					if err != nil {
+						t.Fatalf("%s d=%d [%d,%d): %v", name, d, lo, lo+w, err)
+					}
+					if math.Float64bits(slope) != math.Float64bits(wantSlope) || math.Float64bits(intercept) != math.Float64bits(wantIntercept) {
+						t.Fatalf("%s d=%d [%d,%d): PhaseLineOn %v + %v·m, PhaseLine %v + %v·m",
+							name, d, lo, lo+w, intercept, slope, wantIntercept, wantSlope)
+					}
+				}
+			}
 			for _, D := range partition.All(d) {
 				for _, m := range []int{0, 1, 40, 400} {
 					want, wantPhases := prm.Multiphase(m, d, D)
@@ -35,7 +52,7 @@ func TestMultiphaseOnMatchesMultiphaseOnHypercube(t *testing.T) {
 	}
 }
 
-// The hypercube fast path must still validate groupings.
+// MultiphaseOn must validate groupings on a hypercube as on a grid.
 func TestMultiphaseOnValidation(t *testing.T) {
 	prm := IPSC860()
 	h := topology.MustNew(4)
@@ -100,27 +117,15 @@ func TestPhaseCostOnStructure(t *testing.T) {
 }
 
 // The memoized shift-distance term must equal a direct enumeration of
-// the cyclic schedule's worst-case step distances.
+// the cyclic schedule's worst-case step distances, on the first call and
+// when read back from the memo.
 func TestPhaseDistTotalMatchesEnumeration(t *testing.T) {
 	net := topology.MustParseSpec("torus-5x3")
-	lo, w := 0, 2
-	span := 15
-	want := 0.0
-	for j := 1; j < span; j++ {
-		maxDist := 0
-		for f := 0; f < span; f++ {
-			if d := net.Distance(f, (f+j)%span); d > maxDist {
-				maxDist = d
-			}
+	want, _ := shiftDistOracle(net, 0, 2)
+	for range 2 {
+		if got := phaseDistTotal(net, 0, 2, 15); got != float64(want) {
+			t.Errorf("phaseDistTotal = %v, enumeration %d", got, want)
 		}
-		want += float64(maxDist)
-	}
-	if got := phaseDistTotal(net, lo, w, span); got != want {
-		t.Errorf("phaseDistTotal = %v, enumeration %v", got, want)
-	}
-	// Second call must hit the memo and agree.
-	if got := phaseDistTotal(net, lo, w, span); got != want {
-		t.Errorf("memoized phaseDistTotal = %v, want %v", got, want)
 	}
 }
 
@@ -136,9 +141,9 @@ func TestPhaseCostOnRejectsBadField(t *testing.T) {
 	}
 }
 
-// Beyond exactShiftDistSpan the distance term switches to the
-// per-dimension closed form: it must return promptly for huge tori and
-// upper-bound the exact enumeration on a span just past the cutoff.
+// The distance facts are exact at every span: a torus of a million nodes
+// prices promptly (no O(span²) path), and a field past span 4096 equals
+// the enumeration, so no span size switches the method.
 func TestPhaseDistTotalLargeSpanClosedForm(t *testing.T) {
 	big := topology.MustParseSpec("torus-1024x1024")
 	start := time.Now()
@@ -152,25 +157,104 @@ func TestPhaseDistTotalLargeSpanClosedForm(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("large-torus analytic cost took %v: the O(span²) path leaked back in", elapsed)
 	}
+	checkShiftDist(t, topology.MustParseSpec("torus-65x65")) // span 4225
+}
 
-	// On a span just over the cutoff, the closed form must dominate the
-	// exact worst-case enumeration (it is an upper bound).
-	net := topology.MustParseSpec("torus-84x84") // span 7056 > exactShiftDistSpan
-	closed := phaseDistTotal(net, 0, 2, 84*84)
-	span := 84 * 84
-	exact := 0.0
+// shiftDistOracle enumerates the cyclic phase over the field [lo, lo+w) of
+// a healthy net in O(span²): the sum over steps of the worst distance of
+// the step (phaseDistTotal) and the busiest node's total distance over
+// the steps (maxNodeShiftDist).
+func shiftDistOracle(net topology.Network, lo, w int) (total, busiest int) {
+	span, _ := topology.SpanSize(net, lo, w)
+	stride := net.Stride(lo)
+	node := make([]int, span)
 	for j := 1; j < span; j++ {
-		maxDist := 0
-		for f := 0; f < span; f += 97 { // sampled f, still a lower bound on the max
-			if d := net.Distance(f, (f+j)%span); d > maxDist {
-				maxDist = d
+		worst := 0
+		for f := range node {
+			d := net.Distance(f*stride, ((f+j)%span)*stride)
+			worst = max(worst, d)
+			node[f] += d
+		}
+		total += worst
+	}
+	return total, slices.Max(node)
+}
+
+// checkShiftDist requires both distance facts of every cyclic field of net
+// to equal the enumeration.
+func checkShiftDist(t *testing.T, net topology.Network) {
+	t.Helper()
+	for lo := 0; lo < net.NumDims(); lo++ {
+		for w := 1; lo+w <= net.NumDims(); w++ {
+			span, _ := topology.SpanSize(net, lo, w)
+			if span == 1<<w {
+				continue // XOR field: neither fact is asked
+			}
+			total, busiest := shiftDistOracle(net, lo, w)
+			if got := phaseDistTotal(net, lo, w, span); got != float64(total) {
+				t.Errorf("%s [%d,%d): phaseDistTotal %v, enumeration %d", net.Name(), lo, lo+w, got, total)
+			}
+			if got := maxNodeShiftDist(net, lo, w, span); got != float64(busiest) {
+				t.Errorf("%s [%d,%d): maxNodeShiftDist %v, enumeration %d", net.Name(), lo, lo+w, got, busiest)
 			}
 		}
-		exact += float64(maxDist)
 	}
-	if closed < exact {
-		t.Errorf("closed form %v below sampled exact lower bound %v", closed, exact)
+}
+
+// The carry recursion and the closed form equal the O(span²) enumeration
+// on every cyclic field of tori and meshes of mixed radices, and on a
+// faulted overlay the bound is the healthy base's — at most what the
+// detoured enumeration gives, so it stays admissible.
+func TestShiftDistExact(t *testing.T) {
+	for _, spec := range []string{
+		"torus-7", "mesh-9", "torus-3x5", "mesh-3x5", "torus-2x3x2x3", "mesh-2x3x4", "torus-4x8x2",
+		"mesh-3x3x3x3", "torus-9x7x5", "mesh-9x8x7", "torus-4x4x4x4", "mesh-5x2x6", "torus-2x9x2x9",
+	} {
+		checkShiftDist(t, topology.MustParseSpec(spec))
 	}
+	for _, spec := range []string{"torus-4x4!dl=0-1", "mesh-3x5!dl=0-1", "torus-4x8x2!sl=0-1:2.5"} {
+		net := topology.MustParseSpec(spec)
+		base := net.(*topology.Degraded).Base()
+		for lo := 0; lo < net.NumDims(); lo++ {
+			for w := 1; lo+w <= net.NumDims(); w++ {
+				span, _ := topology.SpanSize(net, lo, w)
+				got, healthy := maxNodeShiftDist(net, lo, w, span), maxNodeShiftDist(base, lo, w, span)
+				if _, detoured := shiftDistOracle(net, lo, w); got != healthy || got > float64(detoured) {
+					t.Errorf("%s [%d,%d): bound %v, healthy base %v, detoured enumeration %d", spec, lo, lo+w, got, healthy, detoured)
+				}
+			}
+		}
+	}
+}
+
+// FuzzShiftDist checks both distance facts against the enumeration on
+// random tori and meshes: one to four dimensions of radix 2–9, span at
+// most 4096.
+func FuzzShiftDist(f *testing.F) {
+	f.Add([]byte{1, 3}, false)
+	f.Add([]byte{0, 1, 2, 3}, true)
+	f.Add([]byte{7, 6, 5}, false)
+	f.Add([]byte{2, 2, 2, 2}, true)
+	f.Fuzz(func(t *testing.T, raw []byte, mesh bool) {
+		var radices []string
+		span := 1
+		for _, b := range raw[:min(len(raw), 4)] {
+			r := 2 + int(b)%8
+			if span*r > 4096 {
+				break
+			}
+			span *= r
+			radices = append(radices, strconv.Itoa(r))
+		}
+		if len(radices) == 0 {
+			return
+		}
+		kind := "torus-"
+		if mesh {
+			kind = "mesh-"
+		}
+		checkShiftDist(t, topology.MustParseSpec(kind+strings.Join(radices, "x")))
+	})
 }
 
 // PhaseLineOn is PhaseCostOn regrouped by power of m: on every machine,
@@ -229,5 +313,32 @@ func TestMultiphaseOnAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { prm.MultiphaseOn(net, 40, D) }); allocs != 1 {
 		t.Fatalf("MultiphaseOn on %s allocates %v times, want 1 (the phase slice)", net.Name(), allocs)
+	}
+}
+
+// BenchmarkFirstDerivation prices every field of a fabric on a handle that
+// has derived nothing yet — its line (PhaseLineOn) and its admissible bound
+// (PhaseLowerBoundOn) — as the first request for a fabric does.
+func BenchmarkFirstDerivation(b *testing.B) {
+	prm := IPSC860()
+	for _, spec := range []string{"torus-16x16x16", "torus-64x64", "torus-2x3x2x3x2x3x2x3x2x3x2x3", "hypercube-16"} {
+		b.Run(spec, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				net, err := topology.ParseSpec(spec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for lo := 0; lo < net.NumDims(); lo++ {
+					for w := 1; lo+w <= net.NumDims(); w++ {
+						if _, _, err := prm.PhaseLineOn(net, lo, w); err != nil {
+							b.Fatal(err)
+						}
+						if _, err := prm.PhaseLowerBoundOn(net, 40, lo, w); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+			}
+		})
 	}
 }

@@ -120,7 +120,9 @@ func TestLowerBoundAdmissibleOnDegraded(t *testing.T) {
 // once per step. The sum still adds span−1 equal terms in step order, so
 // PhaseCostOn and PhaseLineOn are pinned to the bits they had when every
 // step kept its own copy: two fallback fields of a 65 536-node torus with a
-// dead and a slow wire, three block sizes, two machines.
+// dead and a slow wire, three block sizes, two machines. The [0,2) rows
+// (span 65 536) were re-recorded when the healthy distance total they
+// share out became exact instead of a per-dimension upper bound.
 func TestDegradedFallbackBits(t *testing.T) {
 	net := topology.MustParseSpec("torus-256x256!dl=0-1!sl=2-3:2.5")
 	type row struct {
@@ -133,17 +135,17 @@ func TestDegradedFallbackBits(t *testing.T) {
 		rows    []row
 	}{
 		{"ipsc860", IPSC860(), []row{
-			{0, 2, 0, 0x41bc16d4a2402b8e, 0x40ef84ff33333334, 0x41bc16d4a2402b8e},
-			{0, 2, 40, 0x41bc3e3ae1400bee, 0x40ef84ff33333334, 0x41bc16d4a2402b8e},
-			{0, 2, 512, 0x41be0f2495735161, 0x40ef84ff33333334, 0x41bc16d4a2402b8e},
+			{0, 2, 0, 0x41bbfcfb493fea8e, 0x40ef84ff33333334, 0x41bbfcfb493fea8e},
+			{0, 2, 40, 0x41bc246188403712, 0x40ef84ff33333334, 0x41bbfcfb493fea8e},
+			{0, 2, 512, 0x41bdf54b3c730b8e, 0x40ef84ff33333334, 0x41bbfcfb493fea8e},
 			{1, 1, 0, 0x412f2f9280000019, 0x40f856a3d70a3d71, 0x412f2f9280000019},
 			{1, 1, 40, 0x41531c18b6666674, 0x40f856a3d70a3d71, 0x412f2f9280000019},
 			{1, 1, 512, 0x4188d362210a3d60, 0x40f856a3d70a3d71, 0x412f2f9280000019},
 		}},
 		{"hypo", Hypothetical(), []row{
-			{0, 2, 0, 0x41bb89fd44002074, 0x4103ffec00000000, 0x41bb89fd44002074},
-			{0, 2, 40, 0x41bbedfce00020b3, 0x4103ffec00000000, 0x41bb89fd44002074},
-			{0, 2, 512, 0x41c044fc22000f73, 0x4103ffec00000000, 0x41bb89fd44002074},
+			{0, 2, 0, 0x41bb70e4a7ffeb61, 0x4103ffec00000000, 0x41bb70e4a7ffeb61},
+			{0, 2, 40, 0x41bbd4e443ffeb51, 0x4103ffec00000000, 0x41bb70e4a7ffeb61},
+			{0, 2, 512, 0x41c0386fd3fff55a, 0x4103ffec00000000, 0x41bb70e4a7ffeb61},
 			{1, 1, 0, 0x412dab4fffffffeb, 0x410bec0000000000, 0x412dab4fffffffeb},
 			{1, 1, 40, 0x41634e34fffffff6, 0x410bec0000000000, 0x412dab4fffffffeb},
 			{1, 1, 512, 0x419c27569fffffe6, 0x410bec0000000000, 0x412dab4fffffffeb},

@@ -30,28 +30,24 @@ import (
 
 // maxNodeShiftDist returns max_f Σ_{j=1}^{span−1} dist(f, (f+j) mod span)
 // over the dimension field [lo, lo+w): the total routed distance of the
-// busiest node's sends across a cyclic phase, kept with the topology
-// handle. Distances between nodes differing only inside the field are
-// sub-block-local, so the sub-block anchored at label 0 is representative.
-// Beyond exactShiftDistSpan the O(span²) maximum is replaced by the f = 0
-// row sum — weaker, but still admissible (the maximum dominates every
-// single row).
+// busiest node's sends across a cyclic phase. Those sends reach every other
+// node of the sub-block once, and a routed distance is a sum of
+// per-dimension distances, so the total splits by dimension into
+// Σ_i (span/r_i)·Σ_x d_i(f_i, x). A torus ring is vertex-transitive and
+// the worst node of a mesh line is its end, so the maximum over f is the
+// closed form Σ_i (span/r_i)·Σ_x d_i(0, x). On a faulted overlay it is
+// the healthy base's value: a detour is never shorter than the route it
+// replaces, so the bound stays admissible.
 func maxNodeShiftDist(net topology.Network, lo, w, span int) float64 {
-	return topology.Derived(net, fieldKey{shiftLB, lo, w}, func() (total float64) {
-		stride := net.Stride(lo)
-		rows := span // every row f of the sub-block, or only f = 0
-		if span > exactShiftDistSpan {
-			rows = 1
+	total := 0
+	for _, row := range digitDistances(net, lo, w) {
+		sum := 0
+		for _, d := range row {
+			sum += d
 		}
-		for f := 0; f < rows; f++ {
-			sum := 0
-			for j := 1; j < span; j++ {
-				sum += net.Distance(f*stride, ((f+j)%span)*stride)
-			}
-			total = max(total, float64(sum))
-		}
-		return total
-	})
+		total += span / len(row) * sum
+	}
+	return float64(total)
 }
 
 // PhaseLowerBoundOn returns an admissible lower bound in µs on the
@@ -61,13 +57,18 @@ func maxNodeShiftDist(net topology.Network, lo, w, span int) float64 {
 // plus the busiest node's serial transmission time, plus the ρ·m·n
 // shuffle when the phase spans less than the whole machine. The bound
 // never exceeds the value exchange fragment replay produces for the same
-// field, so pruning on it never discards a potential winner.
+// field, so pruning on it never discards a potential winner. A
+// non-operational overlay (dead node, severed partition) is an error
+// wrapping topology.ErrUnroutable, as in PhaseCostOn.
 func (p Params) PhaseLowerBoundOn(net topology.Network, m, lo, w int) (float64, error) {
 	if w <= 0 {
 		return 0, fmt.Errorf("model: nonpositive phase width %d", w)
 	}
 	span, err := topology.SpanSize(net, lo, w)
 	if err != nil {
+		return 0, err
+	}
+	if err := topology.CheckOperational(net); err != nil {
 		return 0, err
 	}
 	xor := span == 1<<w // every radix is at least 2

@@ -1,6 +1,7 @@
 package model_test
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/exchange"
@@ -15,6 +16,27 @@ func TestPhaseLowerBoundErrors(t *testing.T) {
 	for _, w := range []int{0, -1} {
 		if _, err := model.IPSC860().PhaseLowerBoundOn(net, 8, 0, w); err == nil {
 			t.Errorf("w=%d: no error", w)
+		}
+	}
+}
+
+// A dead node makes a fabric unable to host a complete exchange, so the
+// bound, like PhaseCostOn, is an error wrapping ErrUnroutable on every
+// field of such an overlay — never a panic from fault-aware routing and
+// never a number.
+func TestPhaseLowerBoundNonOperational(t *testing.T) {
+	prm := model.IPSC860()
+	for _, spec := range []string{"torus-4x4!dn=5", "mesh-4x4!dn=0", "hypercube-4!dn=3"} {
+		net := topology.MustParseSpec(spec)
+		for lo := 0; lo < net.NumDims(); lo++ {
+			for w := 1; lo+w <= net.NumDims(); w++ {
+				if _, err := prm.PhaseCostOn(net, 8, lo, w); !errors.Is(err, topology.ErrUnroutable) {
+					t.Fatalf("%s [%d,%d): PhaseCostOn error %v, want ErrUnroutable", spec, lo, lo+w, err)
+				}
+				if lb, err := prm.PhaseLowerBoundOn(net, 8, lo, w); !errors.Is(err, topology.ErrUnroutable) {
+					t.Errorf("%s [%d,%d): PhaseLowerBoundOn = %v, %v; want ErrUnroutable", spec, lo, lo+w, lb, err)
+				}
+			}
 		}
 	}
 }

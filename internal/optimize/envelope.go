@@ -14,7 +14,6 @@ import (
 type analyticPricer struct {
 	params model.Params
 	topo   topology.Network
-	cube   *topology.Hypercube // non-nil: eq. (3) directly
 	es     *enumSet
 	cost   []float64 // per es.distinct field, at the block size last priced
 }
@@ -27,8 +26,7 @@ func (o *Optimizer) newAnalyticPricer(topo topology.Network, es *enumSet) *analy
 
 // reset points a at another topology, keeping its cost buffer.
 func (a *analyticPricer) reset(params model.Params, topo topology.Network, es *enumSet) {
-	cube, _ := topology.AsHypercube(topo)
-	*a = analyticPricer{params: params, topo: topo, cube: cube, es: es, cost: resized(a.cost, len(es.distinct))}
+	*a = analyticPricer{params: params, topo: topo, es: es, cost: resized(a.cost, len(es.distinct))}
 }
 
 // resized returns buf with length n and every element zero, allocating
@@ -60,15 +58,13 @@ var envelopeScratchPool = sync.Pool{New: func() any { return new(envelopeScratch
 
 // winner returns the grouping the enumeration selects at block size m and
 // its cost: each candidate's cost is the left-to-right sum of its phases'
-// PhaseCost/PhaseCostOn values — bit-identical to Multiphase/MultiphaseOn
-// — and the lowest wins, then the fewest phases, then enumeration order.
-// This is the arithmetic every analytic answer is settled by, BestOn's and
+// PhaseCostOn values — bit-identical to MultiphaseOn — and the lowest
+// wins, then the fewest phases, then enumeration order. This is the
+// arithmetic every analytic answer is settled by, BestOn's and
 // each segment boundary of a table.
 func (a *analyticPricer) winner(m int) (best int, t float64, err error) {
 	for k, f := range a.es.distinct {
-		if a.cube != nil {
-			a.cost[k] = a.params.PhaseCost(m, a.cube.Dim(), f[1])
-		} else if a.cost[k], err = a.params.PhaseCostOn(a.topo, m, f[0], f[1]); err != nil {
+		if a.cost[k], err = a.params.PhaseCostOn(a.topo, m, f[0], f[1]); err != nil {
 			return 0, 0, err
 		}
 	}

@@ -475,8 +475,9 @@ type enumSet struct {
 	// distinct lists every field some grouping uses, once, and phase[i][j]
 	// is the index in it of grouping i's j-th field: the analytic backend
 	// prices a field once per block size, not once per grouping it occurs
-	// in. On a hypercube a field is its width alone (eq. 3 does not ask
-	// where it starts), so distinct has at most d entries.
+	// in. On a healthy fabric whose dimensions share one radix a field's
+	// radices and routed distances are the same wherever it starts, so
+	// its cost is its width alone and distinct has at most k entries.
 	distinct [][2]int
 	phase    [][]int32
 	err      error
@@ -640,11 +641,12 @@ func groupings(net topology.Network) []partition.Partition {
 
 // enumKey is all the enumeration asks of a topology: how many dimensions
 // there are to group, whether they share one radix (partitions suffice;
-// otherwise ordered compositions), and whether eq. (3)'s width-only fields
-// apply. At most a few dozen keys exist.
+// otherwise ordered compositions), and whether a field is priced by its
+// width alone (a healthy uniform-radix fabric). At most a few dozen keys
+// exist.
 type enumKey struct {
-	dims          int
-	uniform, cube bool
+	dims             int
+	uniform, byWidth bool
 }
 
 var (
@@ -655,8 +657,9 @@ var (
 // enumFor returns the cached enumeration of topo's shape (groupings plus
 // per-grouping phase fields), computing it on first use.
 func enumFor(topo topology.Network) (*enumSet, error) {
-	_, cube := topology.AsHypercube(topo)
-	k := enumKey{dims: topo.NumDims(), uniform: uniformRadices(topo), cube: cube}
+	uniform := uniformRadices(topo)
+	byWidth := uniform && topology.HealthDigestOf(topo) == "ok"
+	k := enumKey{dims: topo.NumDims(), uniform: uniform, byWidth: byWidth}
 	enumMu.Lock()
 	es, ok := enumSets[k]
 	if !ok {
@@ -676,7 +679,7 @@ func enumFor(topo topology.Network) (*enumSet, error) {
 			}
 			es.phase[i] = make([]int32, len(es.fields[i]))
 			for j, f := range es.fields[i] {
-				if cube {
+				if byWidth {
 					f[0] = 0
 				}
 				k, ok := index[f]
