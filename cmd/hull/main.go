@@ -30,37 +30,17 @@ func main() {
 	csv := flag.Bool("csv", false, "emit CSV instead of an aligned table")
 	machine := flag.String("machine", "ipsc860",
 		"machine model: "+strings.Join(model.MachineNames(), " | "))
-	save := flag.String("save", "", "also write the table as JSON to this path (§6: compute once, reuse)")
-	load := flag.String("load", "", "load a previously saved table instead of recomputing")
 	flag.Parse()
 
 	prm, err := model.MachineByName(*machine)
 	if err != nil {
 		fatal(err)
 	}
-
-	opt := optimize.New(prm)
-	var tbl optimize.Table
-	if *load != "" {
-		tbl, err = optimize.LoadTableFile(*load, prm)
-	} else {
-		var cube *topology.Hypercube
-		if cube, err = topology.New(*d); err == nil {
-			tbl, err = opt.BuildTableOnCtx(context.Background(), cube, *lo, *hi, *step)
-		}
-	}
+	cube, err := topology.New(*d)
 	if err != nil {
 		fatal(err)
 	}
-	if *save != "" {
-		if err := optimize.SaveTableFile(*save, tbl, prm); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "hull: table saved to %s\n", *save)
-	}
-	// The table names its topology and its range, whether just built or
-	// loaded: a loaded one ignores -d/-lo/-hi/-step.
-	net, err := topology.ParseSpec(tbl.Topo)
+	tbl, err := optimize.New(prm).BuildTableOnCtx(context.Background(), cube, *lo, *hi, *step)
 	if err != nil {
 		fatal(err)
 	}
@@ -68,15 +48,17 @@ func main() {
 	out := report.NewTable(
 		fmt.Sprintf("hull of optimality: d=%d, machine=%s, blocks %d..%d", tbl.D, *machine, tblLo, tblHi),
 		"block range (B)", "partition", "time at range start (µs)")
+	// Each row is priced from the table's own grouping, as a served plan
+	// is: no second enumeration.
 	for _, seg := range tbl.Segments {
-		c, err := opt.BestOn(net, seg.MinBlock)
+		t, _, err := prm.MultiphaseOn(cube, seg.MinBlock, seg.Part)
 		if err != nil {
 			fatal(err)
 		}
 		out.AddRowStrings(
 			fmt.Sprintf("%d..%d", seg.MinBlock, seg.MaxBlock),
 			seg.Part.String(),
-			report.FormatMicros(c.TimeMicro))
+			report.FormatMicros(t))
 	}
 	var werr error
 	if *csv {

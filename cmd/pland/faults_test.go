@@ -5,10 +5,13 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/partition"
 )
 
 func post(t *testing.T, url string, body interface{}, v interface{}) {
@@ -120,10 +123,12 @@ func TestDaemonCorruptSnapshotStartsCold(t *testing.T) {
 func TestDaemonTruncatedSnapshotStartsCold(t *testing.T) {
 	snap := filepath.Join(t.TempDir(), "plans.json")
 
-	// Produce a genuine snapshot, then cut it off mid-stream.
+	// Produce a genuine snapshot, then cut it off mid-stream. A faulted
+	// line is one a snapshot keeps.
+	planURL := "/v1/plan?machine=ipsc860&topology=" + url.QueryEscape("hypercube-6!sl=0-1:2.5") + "&m=40"
 	base, stop := startDaemon(t, options{machine: "ipsc860", snapshotPath: snap})
 	var got planWire
-	fetch(t, base+"/v1/plan?machine=ipsc860&d=6&m=40", &got)
+	fetch(t, base+planURL, &got)
 	stop()
 	raw, err := os.ReadFile(snap)
 	if err != nil {
@@ -146,9 +151,44 @@ func TestDaemonTruncatedSnapshotStartsCold(t *testing.T) {
 		t.Fatalf("daemon restored %d lines from a truncated snapshot, want cold start", cold.Cache.Lines)
 	}
 	var again planWire
-	fetch(t, base2+"/v1/plan?machine=ipsc860&d=6&m=40", &again)
+	fetch(t, base2+planURL, &again)
 	if again.PredictedUS != got.PredictedUS {
 		t.Fatalf("cold rebuild answered %v µs, pre-truncation daemon said %v µs",
 			again.PredictedUS, got.PredictedUS)
+	}
+}
+
+// The case a snapshot of faulted lines exists for: a slow wire is
+// reported and planned on, the daemon restarts, and the same report
+// again is answered from the restored line — no rebuild.
+func TestDaemonRestartAnswersReReportedFaultWarm(t *testing.T) {
+	snap := filepath.Join(t.TempDir(), "plans.json")
+	slow := map[string]interface{}{
+		"topology": "torus-4x4", "action": "slow", "links": [][2]int{{0, 1}}, "factor": 2.5,
+	}
+	planURL := "/v1/plan?machine=ipsc860&topology=torus-4x4&m=40"
+
+	base, stop := startDaemon(t, options{machine: "ipsc860", snapshotPath: snap})
+	post(t, base+"/v1/faults", slow, nil)
+	var before degradedPlanWire
+	fetch(t, base+planURL, &before)
+	if before.Health != "sl=0-1:2.5" || before.Degraded {
+		t.Fatalf("slow-wire plan: health=%q degraded=%v, want sl=0-1:2.5/false", before.Health, before.Degraded)
+	}
+	stop()
+
+	base2, _ := startDaemon(t, options{machine: "ipsc860", snapshotPath: snap})
+	post(t, base2+"/v1/faults", slow, nil)
+	var after degradedPlanWire
+	fetch(t, base2+planURL, &after)
+	if after.Health != before.Health || !partition.Partition(after.Partition).Equal(before.Partition) ||
+		after.PredictedUS != before.PredictedUS {
+		t.Fatalf("after restart: %s %v/%v µs, before: %s %v/%v µs",
+			after.Health, after.Partition, after.PredictedUS, before.Health, before.Partition, before.PredictedUS)
+	}
+	var m metricsWire
+	fetch(t, base2+"/metrics", &m)
+	if m.Cache.Builds != 0 || m.Cache.Misses != 0 {
+		t.Fatalf("re-reported fault ran builds=%d misses=%d after restart, want 0/0", m.Cache.Builds, m.Cache.Misses)
 	}
 }

@@ -13,8 +13,11 @@
 //
 // The daemon restores its cache from -snapshot at startup (if the file
 // exists), persists it periodically and again on graceful shutdown
-// (SIGINT/SIGTERM), so a restarted daemon answers warm without re-running
-// a single partition enumeration.
+// (SIGINT/SIGTERM). The file holds the lines that are expensive to
+// rebuild: simulated lines, and faulted lines keyed by their fault
+// digest, so a fault re-reported after a restart is answered warm. A
+// healthy analytic line is not written; it rebuilds in microseconds on
+// its first request.
 //
 // Fleet mode: -self and -peers turn N replicas into one logical cache.
 //
@@ -29,8 +32,9 @@
 // retries, and a per-peer circuit breaker, and falls back to a local
 // build when the owner is unreachable; a healthy analytic line rebuilds
 // in microseconds and is always built where it is asked. /readyz turns
-// 200 only after restore, warmup, and the ring join's warm fan-out;
-// /healthz stays pure liveness.
+// 200 only after restore, warmup, and the ring join's warm fan-out, which
+// imports this replica's owned lines from each peer's snapshot document
+// (the same lines -snapshot persists); /healthz stays pure liveness.
 package main
 
 import (
@@ -237,6 +241,11 @@ func newDaemon(o options) (*daemon, error) {
 	}
 	cache := plancache.New(cacheCfg)
 	if o.snapshotPath != "" {
+		// Only a regular file is a snapshot: anything else at the path
+		// (a directory, a device) is the operator's, never moved aside.
+		if fi, err := os.Stat(o.snapshotPath); err == nil && !fi.Mode().IsRegular() {
+			return nil, fmt.Errorf("snapshot path %s is not a regular file", o.snapshotPath)
+		}
 		restored, skipped, err := cache.RestoreFile(o.snapshotPath)
 		switch {
 		case errors.Is(err, os.ErrNotExist):
@@ -411,12 +420,12 @@ func (d *daemon) snapshot(kind string) error {
 	if d.opts.snapshotPath == "" {
 		return nil
 	}
-	if err := d.cache.SnapshotFile(d.opts.snapshotPath); err != nil {
+	lines, err := d.cache.SnapshotFile(d.opts.snapshotPath)
+	if err != nil {
 		return fmt.Errorf("%s snapshot: %w", kind, err)
 	}
-	s := d.cache.Stats()
-	d.log.Info("snapshot written", "kind", kind, "lines", s.Lines,
-		"segments", s.Segments, "path", d.opts.snapshotPath)
+	d.log.Info("snapshot written", "kind", kind, "lines", lines,
+		"resident", d.cache.Stats().Lines, "path", d.opts.snapshotPath)
 	return nil
 }
 

@@ -8,8 +8,10 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"net/url"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -91,8 +93,8 @@ type metricsWire struct {
 
 // TestDaemonEndToEnd drives the full acceptance path: a served plan
 // equals optimize.Best, repeat queries hit the cache without touching
-// the optimizer, and the shutdown snapshot restores to a warm cache
-// that answers without re-costing.
+// the optimizer, and the shutdown snapshot restores the faulted lines to
+// a warm cache that answers them without re-costing.
 func TestDaemonEndToEnd(t *testing.T) {
 	snap := filepath.Join(t.TempDir(), "plans.json")
 	base, stop := startDaemon(t, options{
@@ -139,29 +141,39 @@ func TestDaemonEndToEnd(t *testing.T) {
 		t.Errorf("hits %d→%d, want +10", before.Cache.Hits, after.Cache.Hits)
 	}
 
+	// The lines a snapshot keeps are the ones that cost a rebuild: plan on
+	// three faulted fabrics before shutting down.
+	faulted := []struct {
+		spec string
+		m    int
+	}{{"hypercube-7!sl=0-1:2.5", 40}, {"hypercube-6!dl=0-1", 8}, {"torus-4x4!dl=0-1", 300}}
+	planURL := func(base, spec string, m int) string {
+		return fmt.Sprintf("%s/v1/plan?machine=ipsc860&topology=%s&m=%d", base, url.QueryEscape(spec), m)
+	}
+	served := make([]planWire, len(faulted))
+	for i, q := range faulted {
+		fetch(t, planURL(base, q.spec, q.m), &served[i])
+	}
+
 	// Graceful shutdown writes the snapshot.
 	stop()
 	if _, err := os.Stat(snap); err != nil {
 		t.Fatalf("shutdown did not write snapshot: %v", err)
 	}
 
-	// A restarted daemon restores warm: it answers identically with
-	// zero builds and zero misses.
+	// A restarted daemon restores the faulted lines warm: it answers them
+	// identically with zero builds and zero misses.
 	base2, stop2 := startDaemon(t, options{
 		machine:      "ipsc860",
 		snapshotPath: snap,
 	})
 	defer stop2()
-	for _, q := range queried {
+	for i, q := range faulted {
 		var got planWire
-		fetch(t, fmt.Sprintf("%s/v1/plan?machine=ipsc860&d=%d&m=%d", base2, q.d, q.m), &got)
-		want, err := ref.BestOn(topology.MustNew(q.d), q.m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !partition.Partition(got.Partition).Equal(want.Part) || got.PredictedUS != want.TimeMicro {
-			t.Errorf("restored d=%d m=%d: served %v/%v, want %v/%v",
-				q.d, q.m, got.Partition, got.PredictedUS, want.Part, want.TimeMicro)
+		fetch(t, planURL(base2, q.spec, q.m), &got)
+		if want := served[i]; !partition.Partition(got.Partition).Equal(want.Partition) || got.PredictedUS != want.PredictedUS {
+			t.Errorf("restored %s m=%d: served %v/%v, want %v/%v",
+				q.spec, q.m, got.Partition, got.PredictedUS, want.Partition, want.PredictedUS)
 		}
 	}
 	var warm metricsWire
@@ -221,6 +233,30 @@ func TestDaemonPeriodicSnapshot(t *testing.T) {
 	}
 }
 
+// A -snapshot path that is a directory is the operator's mistake to see,
+// not a corrupt snapshot to move aside: the daemon refuses to start and
+// leaves the directory and its contents where they are.
+func TestDaemonRefusesSnapshotDirectory(t *testing.T) {
+	dir := t.TempDir()
+	kept := filepath.Join(dir, "keep.txt")
+	if err := os.WriteFile(kept, []byte("operator data"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := newDaemon(options{machine: "ipsc860", snapshotPath: dir, logger: slog.New(slog.DiscardHandler)})
+	if err == nil || !strings.Contains(err.Error(), dir) {
+		t.Fatalf("newDaemon with a directory as -snapshot: %v, want an error naming %s", err, dir)
+	}
+	if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+		t.Fatalf("snapshot directory no longer in place: %v", err)
+	}
+	if raw, err := os.ReadFile(kept); err != nil || string(raw) != "operator data" {
+		t.Fatalf("file inside the snapshot directory: %q, %v", raw, err)
+	}
+	if _, err := os.Stat(dir + ".corrupt"); !os.IsNotExist(err) {
+		t.Fatalf("directory was moved aside (stat %s.corrupt: %v)", dir, err)
+	}
+}
+
 func TestDaemonRejectsBadOptions(t *testing.T) {
 	for _, o := range []options{
 		{machine: "cray"},
@@ -254,7 +290,8 @@ func TestDaemonDefaultMachineFlag(t *testing.T) {
 // TestDaemonServesTorus drives the topology acceptance path end to end:
 // the daemon serves /v1/plan for a torus machine, the answer equals the
 // optimizer's own winner for that shape, repeat queries hit the cache
-// without new builds, and the torus line survives a snapshot restart.
+// without new builds, and a faulted torus line survives a snapshot
+// restart.
 func TestDaemonServesTorus(t *testing.T) {
 	snap := filepath.Join(t.TempDir(), "plans.json")
 	base, stop := startDaemon(t, options{
@@ -307,18 +344,20 @@ func TestDaemonServesTorus(t *testing.T) {
 		t.Errorf("hits %d→%d, want +8", before.Cache.Hits, after.Cache.Hits)
 	}
 
-	// Warm restart keeps the torus line.
+	// A warm restart keeps a faulted torus line; the healthy one is cheap
+	// and rebuilds on demand.
+	slowURL := "/v1/plan?machine=ipsc860&topology=" + url.QueryEscape("torus-4x4x4!sl=0-1:2.5") + "&m=40"
+	var want torusWire
+	fetch(t, base+slowURL, &want)
 	stop()
 	base2, stop2 := startDaemon(t, options{machine: "ipsc860", snapshotPath: snap})
 	defer stop2()
 	var got torusWire
-	fetch(t, base2+"/v1/plan?machine=ipsc860&topology=torus-4x4x4&m=40", &got)
-	want, err := ref.BestOn(net, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !partition.Partition(got.Partition).Equal(want.Part) {
-		t.Errorf("restored torus answer %v, want %v", got.Partition, want.Part)
+	fetch(t, base2+slowURL, &got)
+	if got.Topology != "torus-4x4x4!sl=0-1:2.5" || !partition.Partition(got.Partition).Equal(want.Partition) ||
+		got.PredictedUS != want.PredictedUS {
+		t.Errorf("restored torus answer %s %v/%v µs, want %s %v/%v µs",
+			got.Topology, got.Partition, got.PredictedUS, want.Topology, want.Partition, want.PredictedUS)
 	}
 	var warm metricsWire
 	fetch(t, base2+"/metrics", &warm)

@@ -1207,3 +1207,26 @@ func (t Table) Bounds() (lo, hi int, ok bool) {
 	}
 	return t.Segments[0].MinBlock, t.Segments[len(t.Segments)-1].MaxBlock, true
 }
+
+// Validate checks a table read from outside the optimizer (a snapshot or
+// peer line): every grouping splits the D dimensions into positive parts,
+// and the block ranges are non-empty, non-negative and strictly
+// ascending, so LookupSegment answers each covered block size from the
+// one segment holding it.
+func (t Table) Validate() error {
+	prevMax := -1
+	for _, seg := range t.Segments {
+		valid := seg.Part.Sum() == t.D && (t.D == 0 || len(seg.Part) > 0)
+		for _, di := range seg.Part {
+			valid = valid && di > 0
+		}
+		if !valid {
+			return fmt.Errorf("grouping %v invalid for %s", seg.Part, t.Topo)
+		}
+		if seg.MinBlock > seg.MaxBlock || seg.MinBlock <= prevMax {
+			return fmt.Errorf("segment range [%d,%d] out of order", seg.MinBlock, seg.MaxBlock)
+		}
+		prevMax = seg.MaxBlock
+	}
+	return nil
+}

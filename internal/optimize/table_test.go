@@ -150,3 +150,30 @@ func TestAnalyticBuildAllocatesOnlyItsTable(t *testing.T) {
 		}
 	}
 }
+
+// Validate is the check a line from outside the optimizer (a snapshot or a
+// peer's) passes before it is served: one valid table, then one broken
+// segment list per rule.
+func TestTableValidateRejectsInvalidSegments(t *testing.T) {
+	seg := func(min, max int, part ...int) model.HullSegment {
+		return model.HullSegment{Part: part, MinBlock: min, MaxBlock: max}
+	}
+	for _, c := range []struct {
+		name string
+		tbl  Table
+	}{
+		{"valid", Table{D: 3, Segments: []model.HullSegment{seg(0, 50, 2, 1), seg(51, 200, 3)}}},
+		{"partition not summing to d", Table{D: 5, Segments: []model.HullSegment{seg(0, 10, 9)}}},
+		{"empty partition", Table{D: 5, Segments: []model.HullSegment{seg(0, 10)}}},
+		{"inverted range", Table{D: 5, Segments: []model.HullSegment{seg(10, 0, 2, 3)}}},
+		{"negative block", Table{D: 5, Segments: []model.HullSegment{seg(-1, 10, 2, 3)}}},
+		{"zero part", Table{D: 3, Segments: []model.HullSegment{seg(0, 10, 3, 0)}}},
+		{"segments out of order", Table{D: 3, Segments: []model.HullSegment{seg(100, 200, 3), seg(0, 50, 2, 1)}}},
+		{"segments overlapping", Table{D: 3, Segments: []model.HullSegment{seg(0, 50, 2, 1), seg(50, 200, 3)}}},
+	} {
+		err := c.tbl.Validate()
+		if (err == nil) != (c.name == "valid") {
+			t.Errorf("%s: Validate() = %v", c.name, err)
+		}
+	}
+}

@@ -2,9 +2,12 @@ package plancache
 
 import (
 	"bytes"
+	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/optimize"
 	"repro/internal/topology"
 )
 
@@ -109,35 +112,71 @@ func TestWarmForAndInvalidateWhere(t *testing.T) {
 	}
 }
 
-// Snapshots hold only healthy-fabric lines: degraded overlays are
-// runtime state, never restart-warm content.
-func TestSnapshotSkipsDegradedLines(t *testing.T) {
-	c := New(Config{SweepHi: 64})
-	if _, err := c.WarmForCtx(bg, "ipsc860", mustSpec(t, "torus-4x4")); err != nil {
-		t.Fatal(err)
-	}
-	slow := overlayPC(t, "torus-4x4", topology.FaultSet{
-		SlowLinks: []topology.SlowLink{{Link: topology.Link{A: 0, B: 1}, Factor: 2}},
-	})
-	if _, err := c.WarmForCtx(bg, "ipsc860", slow); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := c.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(buf.String(), "sl=0-1") {
-		t.Fatal("snapshot serialized a degraded line")
-	}
-	fresh := New(Config{SweepHi: 64})
-	restored, skipped, err := fresh.Restore(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored != 1 || skipped != 0 {
-		t.Fatalf("restore = (%d restored, %d skipped), want (1, 0)", restored, skipped)
-	}
-	if st := fresh.Stats(); st.Lines != 1 {
-		t.Fatalf("restored cache holds %d lines, want only the bare fabric", st.Lines)
+// What leaves the process is decided by cheap alone: Snapshot — the
+// snapshot file and the peer fan-out document — holds a line exactly when
+// it is not cheap, a simulated line or one on a faulted fabric, and such a
+// line restores to a cache that answers it without a build. A healthy
+// analytic line is never written.
+func TestSnapshotHoldsExactlyTheLinesThatAreNotCheap(t *testing.T) {
+	for _, c := range []struct {
+		backend string
+		spec    string
+		written bool
+	}{
+		{"analytic", "hypercube-4", false},
+		{"analytic", "torus-4x4", false},
+		{"analytic", "hypercube-4!dl=0-1", true},
+		{"analytic", "torus-4x4!sl=0-1:2.5", true},
+		{"simulated", "hypercube-4", true},
+		{"simulated", "torus-4x4", true},
+		{"simulated", "hypercube-4!dl=0-1", true},
+		{"simulated", "torus-4x4!sl=0-1:2.5", true},
+	} {
+		cfg := Config{SweepHi: 16, SweepStep: 8}
+		if c.backend == "simulated" {
+			cfg.NewOptimizer = optimize.NewSimulated
+		}
+		net := mustSpec(t, c.spec)
+		src := New(cfg)
+		want, err := src.GetForCtx(bg, "ipsc860", net, 12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := src.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var doc Snapshot
+		if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+			t.Fatal(err)
+		}
+		var written, wantWritten []string
+		for _, ld := range doc.Lines {
+			written = append(written, ld.Topology)
+		}
+		if c.written {
+			wantWritten = []string{net.Name()}
+		}
+		if !slices.Equal(written, wantWritten) {
+			t.Errorf("%s %s: snapshot holds %q, want %q", c.backend, c.spec, written, wantWritten)
+			continue
+		}
+		if !c.written {
+			continue
+		}
+		dst := New(cfg)
+		if restored, skipped, err := dst.Restore(&buf); err != nil || restored != 1 || skipped != 0 {
+			t.Fatalf("%s %s: restore = (%d, %d, %v), want (1, 0, nil)", c.backend, c.spec, restored, skipped, err)
+		}
+		got, err := dst.GetForCtx(bg, "ipsc860", net, 12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Part.Equal(want.Part) || got.TimeMicro != want.TimeMicro || got.Topo != want.Topo {
+			t.Errorf("%s %s: restored answer %+v, want %+v", c.backend, c.spec, got, want)
+		}
+		if s := dst.Stats(); s.Builds != 0 || s.Misses != 0 {
+			t.Errorf("%s %s: restored line ran builds=%d misses=%d, want 0/0", c.backend, c.spec, s.Builds, s.Misses)
+		}
 	}
 }

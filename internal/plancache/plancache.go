@@ -26,9 +26,12 @@
 // hit/miss/evict/inflight counters expose the cache's behaviour to the
 // service layer's /metrics.
 //
-// Snapshot/Restore serialize resident lines as JSON, tagged with the
-// machine parameters they were computed for, so a restarted daemon
-// answers from a warm cache without re-running a single enumeration.
+// Snapshot/Restore serialize the resident lines that are expensive to
+// rebuild — simulated lines and faulted lines, the ones a fill would also
+// fetch from a peer — as JSON, tagged with the machine parameters they
+// were computed for, so a restarted daemon answers them warm. A healthy
+// analytic line is not written: it rebuilds in microseconds on its first
+// request.
 package plancache
 
 import (
@@ -79,9 +82,10 @@ type Config struct {
 	NewOptimizer func(model.Params) *optimize.Optimizer
 	// Fetch, when non-nil, is consulted inside the per-key singleflight
 	// before a missing line is built locally — the cluster peer-fetch
-	// hook — for the lines whose build costs more than the hop: those of
-	// a simulated-backend optimizer and those of a faulted fabric
-	// (topology.HealthDigestOf ≠ "ok"). A healthy analytic line is always
+	// hook — for the lines that are not cheap (see cheap): those of a
+	// simulated-backend optimizer and those of a faulted fabric. These
+	// are also the only lines Snapshot writes, so the peer fan-out and a
+	// restart carry what the hook would fetch. A cheap line is always
 	// built locally, in microseconds, on the goroutine of the request that
 	// missed, so the hook is only ever called from a detached fill's
 	// goroutine. The hook may return (nil, nil) to
@@ -646,9 +650,13 @@ func (c *Cache) runFlight(ctx context.Context, f *flight, sh *shard, key lineKey
 
 // cheap reports whether a line is cheaper to build here than any
 // alternative: the analytic backend on a healthy fabric, a build of 3–50 µs
-// on a warm fabric handle for cubes up to hypercube-20. Such a line is
-// never fetched from a peer, and its fill runs on the goroutine that
-// asked for it.
+// on a warm fabric handle for cubes up to hypercube-20. It is the one rule
+// for whether a line leaves the process: a cheap line is never fetched
+// from a peer, its fill runs on the goroutine that asked for it, and
+// Snapshot (what SnapshotFile persists and the peer fan-out serves)
+// leaves it out. Every other line — a replayed one, or one routed around
+// faults, whose first build in a fresh process takes milliseconds to
+// seconds — is fetched, filled detached, and persisted.
 func cheap(opt *optimize.Optimizer, net topology.Network) bool {
 	return opt.Backend() == optimize.Analytic && topology.HealthDigestOf(net) == "ok"
 }

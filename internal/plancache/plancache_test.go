@@ -208,10 +208,13 @@ func TestPanickingFillRetiresItsFlight(t *testing.T) {
 	}
 }
 
+// A snapshot restores its lines warm: the faulted lines it holds answer
+// identically in a fresh cache, with no build and no miss.
 func TestSnapshotRestoreWarm(t *testing.T) {
+	specs := []string{"hypercube-5!dl=0-1", "hypercube-6!sl=0-1:2.5", "torus-4x4!dl=0-1"}
 	c := New(Config{})
-	for _, d := range []int{5, 6, 7} {
-		if _, err := c.GetForCtx(bg, "ipsc860", mustCube(t, d), 40); err != nil {
+	for _, spec := range specs {
+		if _, err := c.GetForCtx(bg, "ipsc860", mustSpec(t, spec), 40); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -228,18 +231,18 @@ func TestSnapshotRestoreWarm(t *testing.T) {
 	if restored != 3 || skipped != 0 {
 		t.Fatalf("restored %d skipped %d, want 3/0", restored, skipped)
 	}
-	for _, d := range []int{5, 6, 7} {
-		got, err := warm.GetForCtx(bg, "ipsc860", mustCube(t, d), 40)
+	for _, spec := range specs {
+		got, err := warm.GetForCtx(bg, "ipsc860", mustSpec(t, spec), 40)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := c.GetForCtx(bg, "ipsc860", mustCube(t, d), 40)
+		want, err := c.GetForCtx(bg, "ipsc860", mustSpec(t, spec), 40)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !got.Part.Equal(want.Part) || got.TimeMicro != want.TimeMicro {
-			t.Errorf("d=%d: restored plan %v/%v, want %v/%v",
-				d, got.Part, got.TimeMicro, want.Part, want.TimeMicro)
+			t.Errorf("%s: restored plan %v/%v, want %v/%v",
+				spec, got.Part, got.TimeMicro, want.Part, want.TimeMicro)
 		}
 	}
 	if s := warm.Stats(); s.Builds != 0 || s.Misses != 0 {
@@ -249,7 +252,7 @@ func TestSnapshotRestoreWarm(t *testing.T) {
 
 func TestRestoreSkipsStaleParams(t *testing.T) {
 	c := New(Config{})
-	if _, err := c.GetForCtx(bg, "ipsc860", mustCube(t, 6), 40); err != nil {
+	if _, err := c.GetForCtx(bg, "ipsc860", mustSpec(t, fetchedSpec), 40); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -272,7 +275,7 @@ func TestRestoreSkipsStaleParams(t *testing.T) {
 
 func TestRestoreSkipsMismatchedSweep(t *testing.T) {
 	coarse := New(Config{SweepHi: 128, SweepStep: 8})
-	if _, err := coarse.GetForCtx(bg, "ipsc860", mustCube(t, 6), 40); err != nil {
+	if _, err := coarse.GetForCtx(bg, "ipsc860", mustSpec(t, fetchedSpec), 40); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -296,8 +299,8 @@ func TestRestoreRejectsMalformedSnapshot(t *testing.T) {
 	if _, _, err := warm.Restore(bytes.NewReader([]byte("{"))); err == nil {
 		t.Error("expected error for truncated JSON")
 	}
-	bad := []byte(`{"version":1,"lines":[{"machine":"ipsc860","params":` +
-		mustParamsJSON(t) + `,"d":6,"sweep_lo":0,"sweep_hi":512,"sweep_step":1,` +
+	bad := []byte(`{"version":2,"lines":[{"machine":"ipsc860","params":` +
+		mustParamsJSON(t) + `,"topology":"hypercube-6","d":6,"sweep_lo":0,"sweep_hi":512,"sweep_step":1,` +
 		`"segments":[{"partition":[9,9],"min_block":0,"max_block":10}]}]}`)
 	if _, _, err := warm.Restore(bytes.NewReader(bad)); err == nil {
 		t.Error("expected error for invalid stored partition")
@@ -306,23 +309,7 @@ func TestRestoreRejectsMalformedSnapshot(t *testing.T) {
 
 func mustParamsJSON(t *testing.T) string {
 	t.Helper()
-	var buf bytes.Buffer
-	c := New(Config{})
-	if _, err := c.GetForCtx(bg, "ipsc860", mustCube(t, 5), 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var snap struct {
-		Lines []struct {
-			Params interface{} `json:"params"`
-		} `json:"lines"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
-		t.Fatal(err)
-	}
-	out, err := json.Marshal(snap.Lines[0].Params)
+	out, err := json.Marshal(model.IPSC860())
 	if err != nil {
 		t.Fatal(err)
 	}

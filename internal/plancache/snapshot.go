@@ -11,7 +11,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/optimize"
 	"repro/internal/partition"
-	"repro/internal/topology"
 )
 
 // SnapshotVersion is the wire-format version Snapshot writes and Restore
@@ -49,8 +48,8 @@ type LineData struct {
 	Segments  []SegmentData `json:"segments"`
 }
 
-// Snapshot is the JSON envelope SnapshotTo writes, Restore reads, and
-// the peer snapshot fan-out endpoint serves.
+// Snapshot is the JSON envelope (*Cache).Snapshot writes, Restore reads,
+// and the peer snapshot fan-out endpoint serves.
 type Snapshot struct {
 	Version int        `json:"version"`
 	Lines   []LineData `json:"lines"`
@@ -79,38 +78,6 @@ func (c *Cache) exportLocked(ln *line) (LineData, bool) {
 		})
 	}
 	return sl, true
-}
-
-// Export collects every resident line as wire data, most recently used
-// first. Lines built for degraded overlays (a fault digest in the
-// topology name) are skipped when withDegraded is false: fault state is
-// ephemeral runtime state, and a snapshot restore should come up
-// planning for healthy fabrics, not resurrect last week's failures.
-func (c *Cache) export(withDegraded bool) []LineData {
-	var lines []LineData
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		for el := sh.lru.Front(); el != nil; el = el.Next() {
-			ln := el.Value.(*line)
-			if _, digest := topology.SplitSpec(ln.key.topo); digest != "" && !withDegraded {
-				continue
-			}
-			if sl, ok := c.exportLocked(ln); ok {
-				lines = append(lines, sl)
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return lines
-}
-
-// ExportLines returns every resident line as wire data, most recently
-// used first, degraded-overlay lines included — the peer snapshot
-// fan-out document. Unlike Snapshot, digest-keyed lines are kept: a
-// replica joining a fleet mid-incident should warm the lines the fleet
-// is actually serving.
-func (c *Cache) ExportLines() []LineData {
-	return c.export(true)
 }
 
 // ExportLine returns one resident line as wire data, bumping its LRU
@@ -142,17 +109,42 @@ func (c *Cache) ImportLine(sl LineData) error {
 	return nil
 }
 
-// Snapshot writes every resident non-degraded line as JSON, most
-// recently used first. Counters are not serialized: a restored cache
+// export collects the snapshot document: most recently used first, every
+// resident line that is not cheap (see cheap) — the lines of a
+// simulated-backend optimizer and the lines of a faulted fabric, each
+// keyed by its fault digest. A cheap line rebuilds on its first request in
+// less time than restoring it takes, so it is left out.
+func (c *Cache) export() Snapshot {
+	snap := Snapshot{Version: SnapshotVersion}
+	for _, sh := range c.shards {
+		sh.mu.Lock()
+		for el := sh.lru.Front(); el != nil; el = el.Next() {
+			ln := el.Value.(*line)
+			if sl, ok := c.exportLocked(ln); ok && !cheap(c.optimizer(sl.Machine, sl.Params), ln.net) {
+				snap.Lines = append(snap.Lines, sl)
+			}
+		}
+		sh.mu.Unlock()
+	}
+	return snap
+}
+
+// Snapshot writes the snapshot document (see export) as JSON. It is both
+// what SnapshotFile persists and the peer snapshot fan-out a joining
+// replica warms from. Counters are not serialized: a restored cache
 // starts cold on stats but warm on content.
 func (c *Cache) Snapshot(w io.Writer) error {
-	snap := Snapshot{Version: SnapshotVersion, Lines: c.export(false)}
+	return writeSnapshot(w, c.export())
+}
+
+func writeSnapshot(w io.Writer, snap Snapshot) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(snap)
 }
 
-// Restore loads lines written by Snapshot into the cache. A snapshot
+// Restore loads lines written by Snapshot into the cache. Any valid line
+// is admitted, a cheap one from an older snapshot included. A snapshot
 // from a different schema version — including the pre-topology version 1
 // — is rejected outright as stale. Lines whose machine is unknown to
 // this cache's registry, whose recorded parameters differ from the
@@ -228,22 +220,36 @@ func (c *Cache) admit(sl LineData) (*line, error) {
 }
 
 // SnapshotFile writes the snapshot atomically: to a temp file in the
-// target directory, then renamed over the destination, so a crash
-// mid-write never truncates the previous snapshot.
-func (c *Cache) SnapshotFile(path string) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".plancache-*.json")
+// target directory, synced to disk, then renamed over the destination,
+// and the rename synced with the directory, so a crash mid-write never
+// truncates the previous snapshot. It returns how many lines it wrote.
+func (c *Cache) SnapshotFile(path string) (lines int, err error) {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, ".plancache-*.json")
 	if err != nil {
-		return err
+		return 0, err
 	}
 	defer os.Remove(tmp.Name())
-	if err := c.Snapshot(tmp); err != nil {
-		tmp.Close()
-		return err
+	snap := c.export()
+	err = writeSnapshot(tmp, snap)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Close(); err != nil {
-		return err
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	return os.Rename(tmp.Name(), path)
+	if err != nil {
+		return 0, err
+	}
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return 0, err
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return 0, err
+	}
+	defer d.Close()
+	return len(snap.Lines), d.Sync()
 }
 
 // RestoreFile loads a snapshot from a file path.

@@ -50,14 +50,14 @@ func TestStaleV1SnapshotRejected(t *testing.T) {
 func TestTorusLineSnapshotRoundTrip(t *testing.T) {
 	cfg := Config{SweepHi: 64, NewOptimizer: optimize.New}
 	src := New(cfg)
-	want, err := src.GetForCtx(bg, "hypo", mustSpec(t, "torus-3x3"), 24)
+	want, err := src.GetForCtx(bg, "hypo", mustSpec(t, "torus-3x3!dl=0-1"), 24)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want.Topo != "torus-3x3" || want.D != 2 {
+	if want.Topo != "torus-3x3!dl=0-1" || want.D != 2 {
 		t.Fatalf("unexpected plan: %+v", want)
 	}
-	if _, err := src.GetForCtx(bg, "hypo", mustCube(t, 4), 24); err != nil {
+	if _, err := src.GetForCtx(bg, "hypo", mustSpec(t, fetchedSpec), 24); err != nil {
 		t.Fatal(err)
 	}
 
@@ -70,7 +70,7 @@ func TestTorusLineSnapshotRoundTrip(t *testing.T) {
 	if err != nil || restored != 2 || skipped != 0 {
 		t.Fatalf("restore: %d restored, %d skipped, %v", restored, skipped, err)
 	}
-	got, err := dst.GetForCtx(bg, "hypo", mustSpec(t, "torus-3x3"), 24)
+	got, err := dst.GetForCtx(bg, "hypo", mustSpec(t, "torus-3x3!dl=0-1"), 24)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func FuzzRestore(f *testing.F) {
 		f.Add(buf.Bytes())
 	}
 	for _, q := range []struct{ machine, spec string }{
-		{"hypo", "hypercube-4"}, {"ipsc860", "hypercube-3"}, {"hypo", "torus-3x3"}, {"hypo", "mesh-2x3"},
+		{"hypo", "hypercube-4!dl=0-1"}, {"ipsc860", "hypercube-3!sl=0-1:2.5"}, {"hypo", "torus-3x3!dl=0-1"}, {"hypo", "mesh-2x3!sl=0-1:2"},
 	} {
 		one := New(cfg)
 		for _, c := range []*Cache{one, all} {

@@ -17,7 +17,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/plancache"
-	"repro/internal/topology"
 )
 
 func TestReadyzGatesOnSetReady(t *testing.T) {
@@ -118,10 +117,18 @@ func TestPeerLineBuildsOnDemandAndServes(t *testing.T) {
 	}
 }
 
+// The peer fan-out serves the cache's snapshot document byte for byte: the
+// resident faulted line, and not the healthy analytic one beside it.
 func TestPeerSnapshotServesResidentLines(t *testing.T) {
 	cache := plancache.New(plancache.Config{})
-	if _, err := cache.WarmForCtx(context.Background(), "ipsc860", topology.MustNew(3)); err != nil {
-		t.Fatal(err)
+	for _, spec := range []string{"hypercube-3", "torus-4x4!sl=0-1:2.5"} {
+		net, err := plancache.ResolveTopology(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cache.WarmForCtx(context.Background(), "ipsc860", net); err != nil {
+			t.Fatal(err)
+		}
 	}
 	srv, err := New(Config{Cache: cache})
 	if err != nil {
@@ -135,21 +142,26 @@ func TestPeerSnapshotServesResidentLines(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file bytes.Buffer
+	if err := cache.Snapshot(&file); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, file.Bytes()) {
+		t.Fatalf("peer snapshot differs from the snapshot file:\n%s\nvs\n%s", body, file.Bytes())
+	}
 	var snap plancache.Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+	if err := json.Unmarshal(body, &snap); err != nil {
 		t.Fatal(err)
 	}
 	if snap.Version != plancache.SnapshotVersion {
 		t.Fatalf("snapshot version %d, want %d", snap.Version, plancache.SnapshotVersion)
 	}
-	found := false
-	for _, ld := range snap.Lines {
-		if ld.Machine == "ipsc860" && ld.Topology == "hypercube-3" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("warmed line missing from peer snapshot: %+v", snap.Lines)
+	if len(snap.Lines) != 1 || snap.Lines[0].Machine != "ipsc860" || snap.Lines[0].Topology != "torus-4x4!sl=0-1:2.5" {
+		t.Fatalf("peer snapshot lines %+v, want only the faulted torus line", snap.Lines)
 	}
 }
 

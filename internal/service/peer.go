@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/plancache"
 )
 
 // Peer-serving endpoints: the cluster layer's server side. A replica
@@ -57,13 +56,16 @@ func (s *Server) handlePeerLine(w http.ResponseWriter, r *http.Request) int {
 	return writeJSON(w, http.StatusOK, ld)
 }
 
-// handlePeerSnapshot serves every resident line (degraded-overlay
-// lines included) for a joining replica's warm fan-out.
+// handlePeerSnapshot serves a joining replica's warm fan-out: the cache's
+// snapshot document, the same one -snapshot persists — every resident
+// line that is expensive to rebuild (see plancache.(*Cache).Snapshot).
 func (s *Server) handlePeerSnapshot(w http.ResponseWriter, _ *http.Request) int {
-	return writeJSON(w, http.StatusOK, plancache.Snapshot{
-		Version: plancache.SnapshotVersion,
-		Lines:   s.cache.ExportLines(),
-	})
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	// The status is sent: a write error means the fetcher went away, and
+	// its WarmOwned skips a peer whose document does not decode.
+	_ = s.cache.Snapshot(w)
+	return http.StatusOK
 }
 
 // ReadyResponse is the /readyz wire format.
