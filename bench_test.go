@@ -903,7 +903,7 @@ func benchEngine(b *testing.B, next func(now event.Time, node int) event.Time) {
 // step at the same instant, so every pending event ties and the queue
 // holds one or two runs. BenchmarkEngineDistinct is the contended or
 // jittered machine: no two nodes' events share a time, every event is a
-// run of its own, and the queue is a plain 4096-entry heap.
+// run of its own, and 4096 runs wait in the radix queue.
 func BenchmarkEngineTies(b *testing.B) {
 	benchEngine(b, func(now event.Time, _ int) event.Time { return now + 1 })
 }

@@ -2,6 +2,7 @@ package event
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -11,12 +12,11 @@ import (
 // the Engine or the oracle.
 type queue struct {
 	now      func() Time
-	at       func(t Time, h Handler) (cancel func() bool)
-	post     func(t Time, h Handler)
 	postArg  func(t Time, h ArgHandler, arg int)
-	step     func() bool
-	runUntil func(Time) Time
+	run      func() Time
 	runLimit func(uint64) bool
+	stop     func()
+	reset    func()
 	pending  func() int
 	steps    func() uint64
 }
@@ -24,28 +24,17 @@ type queue struct {
 func engineQueue() queue {
 	g := New()
 	return queue{
-		now: g.Now,
-		at: func(t Time, h Handler) func() bool {
-			e := g.At(t, h)
-			return func() bool { return g.Cancel(e) }
-		},
-		post: g.Post, postArg: g.PostArg,
-		step: g.Step, runUntil: g.RunUntil, runLimit: g.RunLimit,
-		pending: g.Pending, steps: g.Steps,
+		now: g.Now, postArg: g.PostArg,
+		run: g.Run, runLimit: g.RunLimit, stop: g.Stop, reset: g.Reset,
+		pending: func() int { return queued(g) }, steps: g.Steps,
 	}
 }
 
 func oracleQueue() queue {
 	g := &oracleEngine{}
 	return queue{
-		now: func() Time { return g.now },
-		at: func(t Time, h Handler) func() bool {
-			e := g.At(t, h)
-			return func() bool { return g.Cancel(e) }
-		},
-		post:    func(t Time, h Handler) { g.At(t, h) },
-		postArg: g.PostArg,
-		step:    g.Step, runUntil: g.RunUntil, runLimit: g.RunLimit,
+		now: func() Time { return g.now }, postArg: g.PostArg,
+		run: g.Run, runLimit: g.RunLimit, stop: g.Stop, reset: g.Reset,
 		pending: func() int { return len(g.queue) },
 		steps:   func() uint64 { return g.nsteps },
 	}
@@ -56,21 +45,20 @@ func oracleQueue() queue {
 const maxScriptEvents = 1 << 14
 
 // scriptRun interprets an op script against one queue and logs everything
-// observable: each fired (time, id), and the result of every Cancel, Step,
-// RunUntil and RunLimit with the clock and the pending count after it.
+// observable: each fired (time, id), and the result of every Run,
+// RunLimit, Stop and Reset with the clock and the pending count after it.
 // Handlers read the script too — a fired event decides from the next byte
 // whether to schedule children at the current instant, at a shared later
-// time (appends to the open run, which may be the one draining) or as a
-// cancellable event — so the two interpreters stay in step exactly as
-// long as the two queues fire in the same order.
+// time (appends to the open run, which may be the one draining), as a
+// burst, or to stop the engine — so the two interpreters stay in step
+// exactly as long as the two queues fire in the same order.
 type scriptRun struct {
-	q       queue
-	script  []byte
-	pos     int
-	mode    byte // delay profile, from the script's first byte
-	nextID  int
-	cancels []func() bool
-	log     strings.Builder
+	q      queue
+	script []byte
+	pos    int
+	mode   byte // delay profile, from the script's first byte
+	nextID int
+	log    strings.Builder
 }
 
 func (r *scriptRun) next() (byte, bool) {
@@ -109,43 +97,66 @@ func (r *scriptRun) delay() Time {
 	}
 }
 
-func (r *scriptRun) id() (int, bool) {
-	if r.nextID >= maxScriptEvents {
-		return 0, false
+// special decodes one byte into a time at or after now that stresses the
+// key order: −0 beside +0, the least subnormal, the next float up, a huge
+// finite time and, rarely, +Inf.
+func (r *scriptRun) special(now Time) Time {
+	b, _ := r.next()
+	switch b % 8 {
+	case 0:
+		if now == 0 {
+			return Time(math.Copysign(0, -1))
+		}
+		return now
+	case 1:
+		return now + 5e-324
+	case 2:
+		return Time(math.Nextafter(float64(now), math.Inf(1)))
+	case 3:
+		return 2*now + 1
+	case 4:
+		return max(now, 1e300)
+	case 5:
+		if b>>3 == 0 {
+			return Time(math.Inf(1))
+		}
 	}
-	r.nextID++
-	return r.nextID - 1, true
+	return now + 1.0/3
 }
 
 func (r *scriptRun) postArg(t Time) {
-	if id, ok := r.id(); ok {
-		r.q.postArg(t, r.fired, id)
+	if r.nextID >= maxScriptEvents {
+		return
+	}
+	r.q.postArg(t, r.fired, r.nextID)
+	r.nextID++
+}
+
+func (r *scriptRun) burst(t Time, n byte) {
+	for ; n > 0; n-- {
+		r.postArg(t)
 	}
 }
 
-func (r *scriptRun) at(t Time, pooled bool) {
-	id, ok := r.id()
-	if !ok {
-		return
+// show prints a time with −0 as 0: a run fires every event at the time it
+// was opened with, the oracle each at its own, and −0 == +0.
+func show(t Time) string {
+	if t == 0 {
+		t = 0
 	}
-	h := func(now Time) { r.fired(now, id) }
-	if pooled {
-		r.q.post(t, h)
-	} else {
-		r.cancels = append(r.cancels, r.q.at(t, h))
-	}
+	return fmt.Sprint(t)
 }
 
 func (r *scriptRun) fired(now Time, id int) {
 	if now != r.q.now() {
-		fmt.Fprintf(&r.log, "handler saw %v, clock says %v\n", now, r.q.now())
+		fmt.Fprintf(&r.log, "handler saw %v, clock says %v\n", show(now), show(r.q.now()))
 	}
-	fmt.Fprintf(&r.log, "fire %v #%d\n", now, id)
+	fmt.Fprintf(&r.log, "fire %v #%d\n", show(now), id)
 	b, ok := r.next()
 	if !ok {
 		return
 	}
-	switch b % 6 {
+	switch b % 8 {
 	case 2:
 		r.postArg(now + r.delay())
 	case 3:
@@ -157,12 +168,21 @@ func (r *scriptRun) fired(now Time, id int) {
 		r.postArg(now + r.delay())
 		r.postArg(now)
 	case 5:
-		r.at(now+r.delay(), false)
+		t := now + r.delay()
+		n, _ := r.next()
+		r.burst(t, n%8)
+	case 6:
+		r.postArg(now)
+	case 7:
+		if b == 7 {
+			fmt.Fprintf(&r.log, "handler stops\n")
+			r.q.stop()
+		}
 	}
 }
 
 func (r *scriptRun) state(what string) {
-	fmt.Fprintf(&r.log, "%s now=%v pending=%d steps=%d\n", what, r.q.now(), r.q.pending(), r.q.steps())
+	fmt.Fprintf(&r.log, "%s now=%v pending=%d steps=%d\n", what, show(r.q.now()), r.q.pending(), r.q.steps())
 }
 
 func (r *scriptRun) run() string {
@@ -179,26 +199,36 @@ func (r *scriptRun) run() string {
 		case 0:
 			r.postArg(now + r.delay())
 		case 1:
-			r.at(now+r.delay(), false)
-		case 2:
-			r.at(now+r.delay(), true)
-		case 3:
-			if b, _ := r.next(); len(r.cancels) > 0 {
-				i := int(b) % len(r.cancels)
-				r.state(fmt.Sprintf("cancel[%d]=%v", i, r.cancels[i]()))
-			}
-		case 4:
-			r.state(fmt.Sprintf("step=%v", r.q.step()))
-		case 5:
-			r.state(fmt.Sprintf("rununtil=%v", r.q.runUntil(now+r.delay())))
-		case 6:
-			b, _ := r.next()
-			r.state(fmt.Sprintf("runlimit=%v", r.q.runLimit(uint64(b%8))))
-		case 7:
 			t := now + r.delay()
-			for b, _ := r.next(); b%16 > 0; b-- {
-				r.postArg(t)
+			n, _ := r.next()
+			r.burst(t, n%16)
+		case 2:
+			r.state(fmt.Sprintf("runlimit(1)=%v", r.q.runLimit(1)))
+		case 3:
+			b, _ := r.next()
+			r.state(fmt.Sprintf("runlimit(%d)=%v", b%8, r.q.runLimit(uint64(b%8))))
+		case 4:
+			if b, _ := r.next(); b%4 == 0 {
+				r.state(fmt.Sprintf("run=%v", show(r.q.run())))
+			} else {
+				r.postArg(now)
 			}
+		case 5:
+			if b, _ := r.next(); b%4 == 0 {
+				r.q.reset()
+				r.state("reset")
+			} else {
+				r.postArg(now + r.delay())
+			}
+		case 6:
+			if b, _ := r.next(); b%16 == 0 {
+				r.q.stop()
+				r.state("stop")
+			} else {
+				r.postArg(r.special(now))
+			}
+		case 7:
+			r.postArg(r.special(now))
 		}
 	}
 	r.state("script end")
@@ -226,9 +256,10 @@ func diffScript(t *testing.T, script []byte) {
 
 // TestEngineMatchesOracle drives the run queue and the container/heap
 // oracle with the same random op scripts — tie-heavy, all-distinct and
-// mixed delay profiles; zero-delay pushes from inside handlers; pushes
-// into the draining run; RunUntil and RunLimit stopping mid-run; Cancel of
-// queued, fired and already-cancelled events — and demands identical logs.
+// mixed delay profiles; zero-delay posts from inside handlers; posts into
+// the draining run; bursts at one time; −0, subnormal, huge and infinite
+// times; RunLimit stopping mid-run; Stop from a handler and from outside;
+// Reset mid-drain — and demands identical logs.
 func TestEngineMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 600; i++ {
@@ -243,11 +274,11 @@ func TestEngineMatchesOracle(t *testing.T) {
 // scripts.
 func FuzzEngineOrder(f *testing.F) {
 	f.Add([]byte{0})
-	f.Add([]byte{1, 7, 0, 5, 7, 1, 9, 4, 4, 4, 5, 2, 4, 6, 3})                // bursts of ties, then steps
-	f.Add([]byte{0, 1, 3, 1, 3, 0, 4, 3, 0, 3, 0, 4, 4, 1, 11, 3, 1, 5, 8})   // cancel queued, fired, twice
-	f.Add([]byte{2, 0, 9, 0, 200, 5, 40, 0, 17, 6, 1, 5, 3, 6, 7})            // distinct times, RunUntil between them
-	f.Add([]byte{0, 7, 8, 6, 4, 4, 16, 3, 8, 4, 0, 4, 4, 5, 3, 4, 4, 4, 4})   // handlers appending to the draining run
-	f.Add([]byte{0, 1, 4, 3, 0, 0, 3, 4, 1, 3, 3, 1, 4, 4, 3, 1, 3, 2, 4, 4}) // cancel the head, schedule before it
+	f.Add([]byte{1, 1, 0, 5, 1, 1, 9, 2, 2, 2, 3, 2, 2, 3, 6})              // bursts of ties, then steps
+	f.Add([]byte{0, 7, 0, 7, 1, 7, 4, 7, 5, 3, 7, 2, 5, 0, 7, 0, 3, 7})     // −0, subnormal, huge and infinite times
+	f.Add([]byte{2, 0, 9, 0, 200, 3, 3, 0, 17, 3, 1, 4, 0, 3, 7})           // distinct times, partial drains between them
+	f.Add([]byte{0, 1, 8, 6, 2, 4, 16, 3, 8, 2, 0, 4, 4, 5, 3, 2, 2, 3, 4}) // handlers appending to the draining run
+	f.Add([]byte{0, 1, 4, 8, 3, 3, 5, 0, 0, 1, 3, 9, 3, 6, 0, 2, 4, 0})     // reset mid-drain, stop, reuse
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 4096 {
 			t.Skip()

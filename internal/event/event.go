@@ -13,62 +13,54 @@
 // How the queue meets the contract is an implementation detail. The
 // simulated machines are synchronous — inside a phase every node finishes
 // a step at the same instant — so almost every pending event ties with
-// its neighbours, and a binary heap of single events pays a full-depth
-// sift for each of them. The queue instead orders runs: a run is a
-// maximal sequence of consecutively scheduled events with one timestamp,
-// keyed by (time, sequence number of its first event) and drained first
-// in, first out. Scheduling at the time of the run that received the
-// previous event is an append; only a change of timestamp touches the
-// heap. This is exact: two runs with the same time hold disjoint,
-// ordered ranges of sequence numbers, so ordering runs by their first
-// event orders every event.
+// its neighbours. The queue therefore orders runs: a run is a maximal
+// sequence of consecutively scheduled events with one timestamp, drained
+// first in, first out. Scheduling at the time of the run that received
+// the previous event is an append; only a change of timestamp queues a
+// new run. Two runs with the same time hold disjoint, ordered ranges of
+// the scheduling order, so firing runs by (time, queueing order) fires
+// every event in contract order.
+//
+// The runs wait in a monotone radix queue keyed on the bit pattern of
+// their time, which for the non-negative times the engine accepts is the
+// numeric order. Bucket b holds the runs whose key first differs from the
+// last popped key (the base) in bit b−1; bucket 0 holds the base's own
+// runs. A push is one XOR and a bit count, appended to its bucket. A pop
+// takes bucket 0's next run, or, when bucket 0 is empty, makes the least
+// key of the lowest occupied bucket the base and moves that bucket's runs,
+// in order, to the buckets below it; a key moves at most 64 times in all.
+// Runs of one time always share a bucket, so their queueing order, which
+// every push and move keeps, is the order they leave bucket 0 in: no
+// sequence number is kept, and no float is compared. This is exact
+// only because the queue is monotone: nothing is scheduled before the
+// clock, which is the base, and nothing queued is ever withdrawn, so
+// every key is at least the base whenever it is pushed or popped.
 package event
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync/atomic"
 )
 
 // Time is virtual simulation time in microseconds.
 type Time float64
 
-// Inf is an effectively infinite simulation time.
-const Inf = Time(math.MaxFloat64)
-
-// noLimit, as step's limit, lets every queued event fire.
-var noLimit = Time(math.Inf(1))
-
-// Handler is a callback fired when an event matures.
-type Handler func(now Time)
-
 // ArgHandler is a callback fired with the integer argument it was
 // scheduled with. Passing one long-lived ArgHandler to many PostArg calls
-// avoids the per-event closure allocation a plain Handler would need to
-// capture its argument.
+// makes scheduling allocation-free: there is no closure per event.
 type ArgHandler func(now Time, arg int)
 
-// Event identifies a callback scheduled by At or After, so the caller can
-// cancel it.
-type Event struct {
-	time      Time
-	seq       uint64
-	cancelled bool
-}
-
-// Time returns the maturity time of the event.
-func (e *Event) Time() Time { return e.time }
-
-// item is one queued callback: exactly one of h and argh is set.
+// item is one queued callback.
 type item struct {
-	h    Handler
-	argh ArgHandler
-	arg  int
+	h   ArgHandler
+	arg int
 }
 
 // run is a maximal sequence of consecutively scheduled events sharing one
 // timestamp. The first event is stored inline, so a run of one costs no
-// more than a plain heap entry; the n after it fill a chain of chunks
+// more than a plain queue entry; the n after it fill a chain of chunks
 // drawn from, and returned as they drain to, the engine's shared pool —
 // so the queue's storage follows the number of events pending, whichever
 // runs they fall into.
@@ -88,30 +80,42 @@ type chunk struct {
 	next  int32 // the run's, or the free list's, following chunk; -1 at the end
 }
 
-// runKey is a run's heap entry: its events fire at time, the first of
-// them was the seq-th event scheduled, and they live in runs[slot].
+// runKey is a run's queue entry: its events fire at the time whose
+// normalised bit pattern is key, and they live in runs[slot].
 type runKey struct {
-	time Time
-	seq  uint64
+	key  uint64
 	slot int32
 }
 
-func (a runKey) before(b runKey) bool {
-	return a.time < b.time || (a.time == b.time && a.seq < b.seq)
+// keyOf is t's bit pattern with −0 taken as +0, so that for t ≥ 0 the
+// order of keys is the numeric order of times, +Inf last.
+func keyOf(t Time) uint64 {
+	k := math.Float64bits(float64(t))
+	if k == 1<<63 {
+		k = 0
+	}
+	return k
 }
 
 // Engine is a discrete-event scheduler.
 type Engine struct {
-	now     Time
-	seq     uint64 // sequence number of the next event scheduled
-	nsteps  uint64
-	pending int // scheduled events neither fired nor cancelled
+	now    Time
+	nsteps uint64
 
-	heap      []runKey // 4-ary min-heap of the runs not yet draining
-	runs      []run    // run storage, indexed by slot
-	free      []int32  // retired slots
-	chunks    []chunk  // chunk storage
-	freeChunk int32    // head of the free chunk list, -1 when empty
+	// The radix queue of the runs not yet draining: base is the key of
+	// the run popped last, buckets[b] the runs whose key first differs
+	// from it in bit b−1, each in queueing order, and bit b−1 of mask is
+	// set when buckets[b] is non-empty. buckets[0], the runs at base, pops
+	// from head.
+	base    uint64
+	buckets [65][]runKey
+	mask    uint64
+	head    int
+
+	runs      []run   // run storage, indexed by slot
+	free      []int32 // retired slots
+	chunks    []chunk // chunk storage
+	freeChunk int32   // head of the free chunk list, -1 when empty
 
 	// The open run received the most recent event; scheduling at openTime
 	// appends to it. openTime is NaN — equal to no time — when no run is
@@ -119,21 +123,13 @@ type Engine struct {
 	open     int32
 	openTime Time
 
-	// The draining run has left the heap; its remaining events all fire
-	// at curKey.time, the next of them being number curKey.seq and the
-	// curPos-th of the run (0 is first). curChunk is the chunk the
-	// previous one came from. curKey.slot < 0 when no run is draining.
-	curKey   runKey
+	// The draining run has left the queue; its remaining events all fire
+	// at now, the next of them being the curPos-th of the run (0 is
+	// first). curChunk is the chunk the previous one came from. cur < 0
+	// when no run is draining.
+	cur      int32
 	curPos   int
 	curChunk int32
-
-	// Cancelled events stay queued as tombstones, recognised by sequence
-	// number when their turn comes. firedSeq is one past the sequence
-	// number of the last event fired: events fire in (time, seq) order and
-	// nothing is scheduled before now, so an uncancelled event has fired
-	// exactly when (time, seq) is below (now, firedSeq).
-	cancelled map[uint64]struct{}
-	firedSeq  uint64
 
 	stopped atomic.Bool // Stop was called since the last Reset
 }
@@ -151,11 +147,16 @@ func New() *Engine {
 func (g *Engine) Reset() {
 	clear(g.runs) // drop the handlers the storage would otherwise pin
 	clear(g.chunks)
+	buckets := g.buckets
+	for b := range buckets {
+		buckets[b] = buckets[b][:0]
+	}
 	*g = Engine{
-		heap: g.heap[:0], runs: g.runs[:0], free: g.free[:0],
+		buckets: buckets,
+		runs:    g.runs[:0], free: g.free[:0],
 		chunks: g.chunks[:0], freeChunk: -1,
 		open: -1, openTime: Time(math.NaN()),
-		curKey: runKey{slot: -1},
+		cur: -1,
 	}
 }
 
@@ -165,59 +166,17 @@ func (g *Engine) Now() Time { return g.now }
 // Steps returns the number of events executed so far.
 func (g *Engine) Steps() uint64 { return g.nsteps }
 
-// Pending returns the number of queued events.
-func (g *Engine) Pending() int { return g.pending }
-
-// At schedules h to fire at absolute time t. Scheduling in the past
-// (t < Now) or at a NaN time panics: it indicates a logic error in the
-// caller.
-func (g *Engine) At(t Time, h Handler) *Event {
-	if h == nil {
-		panic("event: nil handler")
-	}
-	e := &Event{time: t, seq: g.seq}
-	g.schedule(t, item{h: h})
-	return e
-}
-
-// Post schedules h to fire at absolute time t, like At, but returns no
-// handle, so the event cannot be cancelled and scheduling it allocates
-// nothing once the queue's storage is warm. Simulation hot loops use
-// Post/PostArg.
-func (g *Engine) Post(t Time, h Handler) {
-	if h == nil {
-		panic("event: nil handler")
-	}
-	g.schedule(t, item{h: h})
-}
-
-// PostArg schedules h(now, arg) to fire at absolute time t, like Post.
-// The handler is stored as passed, so reusing one bound ArgHandler across
-// calls makes scheduling allocation-free.
+// PostArg schedules h(now, arg) to fire at absolute time t. Scheduling in
+// the past (t < Now), at a NaN time or with a nil handler panics: it
+// indicates a logic error in the caller.
 func (g *Engine) PostArg(t Time, h ArgHandler, arg int) {
 	if h == nil {
 		panic("event: nil handler")
 	}
-	g.schedule(t, item{argh: h, arg: arg})
-}
-
-// After schedules h to fire dt microseconds from now (dt ≥ 0).
-func (g *Engine) After(dt Time, h Handler) *Event {
-	if dt < 0 {
-		panic(fmt.Sprintf("event: negative delay %v", dt))
-	}
-	return g.At(g.now+dt, h)
-}
-
-// schedule queues it as the next event in scheduling order: onto the open
-// run when the time matches, else as a new run.
-func (g *Engine) schedule(t Time, it item) {
 	if !(t >= g.now) { // also catches NaN, which compares false with everything
 		panic(fmt.Sprintf("event: scheduling at %v before now %v", t, g.now))
 	}
-	seq := g.seq
-	g.seq++
-	g.pending++
+	it := item{h: h, arg: arg}
 	if t == g.openTime {
 		r := &g.runs[g.open]
 		off := r.n % chunkLen
@@ -243,54 +202,52 @@ func (g *Engine) schedule(t Time, it item) {
 	}
 	g.runs[slot] = run{first: it}
 	g.open, g.openTime = slot, t
-	g.heap = append(g.heap, runKey{})
-	g.siftUp(len(g.heap)-1, runKey{time: t, seq: seq, slot: slot})
+	k := keyOf(t)
+	b := bits.Len64(k ^ g.base)
+	g.buckets[b] = append(g.buckets[b], runKey{key: k, slot: slot})
+	if b > 0 {
+		g.mask |= 1 << (b - 1)
+	}
 }
 
-// siftUp places k at or above heap index i, which must be a hole.
-func (g *Engine) siftUp(i int, k runKey) {
-	h := g.heap
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !k.before(h[parent]) {
-			break
+// popRun takes the earliest queued run and starts draining it at its
+// time. It reports false when no run is queued.
+func (g *Engine) popRun() bool {
+	if len(g.buckets[0]) == 0 {
+		if g.mask == 0 {
+			return false
 		}
-		h[i] = h[parent]
-		i = parent
+		g.redistribute(bits.TrailingZeros64(g.mask) + 1)
 	}
-	h[i] = k
+	b0 := g.buckets[0]
+	g.cur, g.curPos = b0[g.head].slot, 0
+	if g.head++; g.head == len(b0) {
+		g.buckets[0], g.head = b0[:0], 0
+	}
+	g.now = Time(math.Float64frombits(g.base))
+	return true
 }
 
-// popRun removes the earliest run from the heap and starts draining it.
-func (g *Engine) popRun() {
-	h := g.heap
-	g.curKey, g.curPos = h[0], 0
-	n := len(h) - 1
-	k := h[n]
-	g.heap = h[:n]
-	if n == 0 {
-		return
+// redistribute makes the least key of bucket b the base and moves every
+// run of the bucket, in order, to the bucket its key now falls in, which
+// is below b. The buckets above b keep their runs: their keys differ from
+// the new base first in the same bit as from the old one.
+func (g *Engine) redistribute(b int) {
+	rs := g.buckets[b]
+	base := rs[0].key
+	for _, k := range rs[1:] {
+		base = min(base, k.key)
 	}
-	// Sift the former last entry down from the root hole.
-	i := 0
-	for {
-		child := 4*i + 1
-		if child >= n {
-			break
+	g.base = base
+	g.mask &^= 1 << (b - 1)
+	for _, k := range rs {
+		to := bits.Len64(k.key ^ base)
+		if to > 0 {
+			g.mask |= 1 << (to - 1)
 		}
-		best := child
-		for c := child + 1; c < min(child+4, n); c++ {
-			if h[c].before(h[best]) {
-				best = c
-			}
-		}
-		if !h[best].before(k) {
-			break
-		}
-		h[i] = h[best]
-		i = best
+		g.buckets[to] = append(g.buckets[to], k)
 	}
-	h[i] = k
+	g.buckets[b] = rs[:0]
 }
 
 // newChunk takes a chunk from the pool, growing it when empty.
@@ -315,7 +272,7 @@ func (g *Engine) recycle(c int32) {
 
 // retire recycles the drained run's slot and its last chunk.
 func (g *Engine) retire() {
-	slot := g.curKey.slot
+	slot := g.cur
 	if g.runs[slot].n > 0 {
 		g.recycle(g.curChunk)
 	}
@@ -324,107 +281,55 @@ func (g *Engine) retire() {
 	if g.open == slot {
 		g.open, g.openTime = -1, Time(math.NaN())
 	}
-	g.curKey.slot = -1
+	g.cur = -1
 }
 
-// step fires the earliest event if it matures at or before limit.
-func (g *Engine) step(limit Time) bool {
-	for {
-		if g.curKey.slot >= 0 && g.curPos > int(g.runs[g.curKey.slot].n) {
-			g.retire()
-		}
-		if g.curKey.slot < 0 {
-			if len(g.heap) == 0 || g.heap[0].time > limit {
-				return false
-			}
-			g.popRun()
-		} else if g.curKey.time > limit {
-			return false
-		}
-		r := &g.runs[g.curKey.slot]
-		it := r.first
-		if g.curPos > 0 {
-			off := (g.curPos - 1) % chunkLen
-			if off == 0 {
-				// Entering the run's first chunk, or leaving a drained one.
-				if g.curPos == 1 {
-					g.curChunk = r.head
-				} else {
-					next := g.chunks[g.curChunk].next
-					g.recycle(g.curChunk)
-					g.curChunk = next
-				}
-			}
-			it = g.chunks[g.curChunk].items[off]
-		}
-		seq := g.curKey.seq
-		g.curPos++
-		g.curKey.seq++
-		if len(g.cancelled) != 0 {
-			if _, dead := g.cancelled[seq]; dead {
-				delete(g.cancelled, seq)
-				continue
-			}
-		}
-		g.now, g.firedSeq = g.curKey.time, seq+1
-		g.nsteps++
-		g.pending--
-		if it.argh != nil {
-			it.argh(g.now, it.arg)
-		} else {
-			it.h(g.now)
-		}
-		return true
+// step fires the earliest event. It reports false when nothing is queued.
+func (g *Engine) step() bool {
+	if g.cur >= 0 && g.curPos > int(g.runs[g.cur].n) {
+		g.retire()
 	}
-}
-
-// Cancel removes a scheduled event; cancelling an already-fired or
-// already-cancelled event is a no-op. Reports whether the event was
-// actually removed.
-func (g *Engine) Cancel(e *Event) bool {
-	if e == nil || e.cancelled || e.time < g.now || (e.time == g.now && e.seq < g.firedSeq) {
+	if g.cur < 0 && !g.popRun() {
 		return false
 	}
-	if g.cancelled == nil {
-		g.cancelled = make(map[uint64]struct{})
+	r := &g.runs[g.cur]
+	it := r.first
+	if g.curPos > 0 {
+		off := (g.curPos - 1) % chunkLen
+		if off == 0 {
+			// Entering the run's first chunk, or leaving a drained one.
+			if g.curPos == 1 {
+				g.curChunk = r.head
+			} else {
+				next := g.chunks[g.curChunk].next
+				g.recycle(g.curChunk)
+				g.curChunk = next
+			}
+		}
+		it = g.chunks[g.curChunk].items[off]
 	}
-	e.cancelled = true
-	g.cancelled[e.seq] = struct{}{}
-	g.pending--
+	g.curPos++
+	g.nsteps++
+	it.h(g.now, it.arg)
 	return true
 }
 
-// Stop ends the Run, RunUntil or RunLimit in progress once the handler it
-// is in returns, and makes every later one return at once, until Reset:
-// the clock stays where it is and what is queued stays queued. A
-// simulation that has learned all it needed stops instead of draining.
-// Stop alone of the engine's methods may be called from another
-// goroutine, so one of several engines run side by side can stop the rest.
-func (g *Engine) Stop() { g.stopped.Store(true) }
+// empty reports whether no event is queued.
+func (g *Engine) empty() bool {
+	return (g.cur < 0 || g.curPos > int(g.runs[g.cur].n)) && len(g.buckets[0]) == 0 && g.mask == 0
+}
 
-// Step executes the single earliest event. It reports false when the
-// queue is empty.
-func (g *Engine) Step() bool { return g.step(noLimit) }
+// Stop ends the Run or RunLimit in progress once the handler it is in
+// returns, and makes every later one return at once, until Reset: the
+// clock stays where it is and what is queued stays queued. A simulation
+// that has learned all it needed stops instead of draining. Stop alone of
+// the engine's methods may be called from another goroutine, so one of
+// several engines run side by side can stop the rest.
+func (g *Engine) Stop() { g.stopped.Store(true) }
 
 // Run executes events until the queue is empty and returns the final time.
 func (g *Engine) Run() Time {
-	for !g.stopped.Load() && g.step(noLimit) {
-	}
-	return g.now
-}
-
-// RunUntil executes events with time ≤ deadline; events beyond the
-// deadline remain queued. Afterwards Now() is the deadline if any events
-// remained and the clock had not passed it, else the time of the last
-// event executed.
-func (g *Engine) RunUntil(deadline Time) Time {
-	for !g.stopped.Load() && g.step(deadline) {
-	}
-	if g.stopped.Load() {
-		return g.now
-	}
-	if g.pending > 0 && g.now < deadline {
-		g.now = deadline
+	for !g.stopped.Load() && g.step() {
 	}
 	return g.now
 }
@@ -433,9 +338,9 @@ func (g *Engine) RunUntil(deadline Time) Time {
 // runaway simulations. It reports whether the queue drained.
 func (g *Engine) RunLimit(n uint64) bool {
 	for i := uint64(0); i < n && !g.stopped.Load(); i++ {
-		if !g.step(noLimit) {
+		if !g.step() {
 			return true
 		}
 	}
-	return g.pending == 0
+	return g.empty()
 }

@@ -8,37 +8,63 @@ import (
 	"testing"
 )
 
+// queued counts the events g holds, walking the queue's storage.
+func queued(g *Engine) int {
+	n := 0
+	if g.cur >= 0 {
+		n += int(g.runs[g.cur].n) + 1 - g.curPos
+	}
+	for b, ks := range g.buckets {
+		if b == 0 {
+			ks = ks[g.head:]
+		}
+		for _, k := range ks {
+			n += int(g.runs[k.slot].n) + 1
+		}
+	}
+	return n
+}
+
+// recorder is an ArgHandler that logs (now, arg) per firing.
+type recorder struct {
+	times []Time
+	args  []int
+}
+
+func (r *recorder) h(now Time, arg int) {
+	r.times = append(r.times, now)
+	r.args = append(r.args, arg)
+}
+
 func TestFIFOAmongTies(t *testing.T) {
 	g := New()
-	var order []int
-	for i := 0; i < 10; i++ {
-		i := i
-		g.At(5, func(Time) { order = append(order, i) })
+	var r recorder
+	for i := 0; i < 40; i++ { // more than one chunk
+		g.PostArg(5, r.h, i)
 	}
 	g.Run()
-	for i, v := range order {
+	for i, v := range r.args {
 		if v != i {
-			t.Fatalf("tie order = %v", order)
+			t.Fatalf("tie order = %v", r.args)
 		}
 	}
 }
 
 func TestTimeOrdering(t *testing.T) {
 	g := New()
-	var fired []Time
+	var r recorder
 	times := []Time{9, 3, 7, 1, 3, 8, 0}
-	for _, tm := range times {
-		tm := tm
-		g.At(tm, func(now Time) {
-			if now != tm {
-				t.Errorf("fired at %v, scheduled %v", now, tm)
-			}
-			fired = append(fired, now)
-		})
+	for i, tm := range times {
+		g.PostArg(tm, r.h, i)
 	}
 	end := g.Run()
-	if !sort.SliceIsSorted(fired, func(i, j int) bool { return fired[i] < fired[j] }) {
-		t.Errorf("events out of order: %v", fired)
+	if !sort.SliceIsSorted(r.times, func(i, j int) bool { return r.times[i] < r.times[j] }) {
+		t.Errorf("events out of order: %v", r.times)
+	}
+	for i, arg := range r.args {
+		if r.times[i] != times[arg] {
+			t.Errorf("event %d fired at %v, scheduled %v", arg, r.times[i], times[arg])
+		}
 	}
 	if end != 9 {
 		t.Errorf("final time %v, want 9", end)
@@ -48,38 +74,60 @@ func TestTimeOrdering(t *testing.T) {
 	}
 }
 
-func TestAfter(t *testing.T) {
+// Equal-time runs that one redistribution moves into bucket 0 must leave
+// it in the order they were queued. Runs at 10 and 20 alternate, so every
+// one is a run of its own, all in the top bucket of the base 0; the pop of
+// the first 10 sends the three runs at 10 to bucket 0 together.
+func TestRedistributedTiesKeepOrder(t *testing.T) {
 	g := New()
-	var hit Time
-	g.At(10, func(Time) {
-		g.After(5, func(now Time) { hit = now })
-	})
+	var r recorder
+	for i := 0; i < 6; i++ {
+		tm := Time(10 + 10*(i%2))
+		g.PostArg(tm, r.h, 2*i)
+		g.PostArg(tm, r.h, 2*i+1)
+	}
 	g.Run()
-	if hit != 15 {
-		t.Errorf("After fired at %v, want 15", hit)
+	want := "[0 1 4 5 8 9 2 3 6 7 10 11]"
+	if got := fmt.Sprint(r.args); got != want {
+		t.Errorf("fired %v, want %v", got, want)
+	}
+}
+
+// The key order is the numeric order over every kind of non-negative
+// time: −0 with +0, subnormal, normal, huge and infinite.
+func TestExtremeTimes(t *testing.T) {
+	negZero := Time(math.Copysign(0, -1))
+	times := []Time{Time(math.Inf(1)), 1, 1e300, 0, 5e-324, negZero, 1, 5e-324, 0}
+	g, o := New(), &oracleEngine{}
+	var got, want recorder
+	for i, tm := range times {
+		g.PostArg(tm, got.h, i)
+		o.PostArg(tm, want.h, i)
+	}
+	if g.Run() != Time(math.Inf(1)) {
+		t.Errorf("run ended at %v, want +Inf", g.Now())
+	}
+	o.Run()
+	if fmt.Sprint(got.args) != fmt.Sprint(want.args) {
+		t.Errorf("fired %v, oracle %v", got.args, want.args)
+	}
+	for i := range got.times {
+		if got.times[i] != want.times[i] {
+			t.Errorf("event %d fired at %v, oracle at %v", got.args[i], got.times[i], want.times[i])
+		}
 	}
 }
 
 func TestSchedulePastPanics(t *testing.T) {
 	g := New()
-	g.At(10, func(Time) {})
+	g.PostArg(10, func(Time, int) {}, 0)
 	g.Run()
 	defer func() {
 		if recover() == nil {
 			t.Error("scheduling in the past must panic")
 		}
 	}()
-	g.At(5, func(Time) {})
-}
-
-func TestNegativeAfterPanics(t *testing.T) {
-	g := New()
-	defer func() {
-		if recover() == nil {
-			t.Error("negative delay must panic")
-		}
-	}()
-	g.After(-1, func(Time) {})
+	g.PostArg(5, func(Time, int) {}, 0)
 }
 
 func TestNilHandlerPanics(t *testing.T) {
@@ -89,88 +137,55 @@ func TestNilHandlerPanics(t *testing.T) {
 			t.Error("nil handler must panic")
 		}
 	}()
-	g.At(1, nil)
+	g.PostArg(1, nil, 0)
 }
 
-func TestCancel(t *testing.T) {
+func TestScheduleNaNPanics(t *testing.T) {
 	g := New()
-	fired := false
-	e := g.At(5, func(Time) { fired = true })
-	if !g.Cancel(e) {
-		t.Error("first cancel must succeed")
-	}
-	if g.Cancel(e) {
-		t.Error("second cancel must be a no-op")
-	}
-	if g.Cancel(nil) {
-		t.Error("cancel(nil) must be a no-op")
-	}
-	g.Run()
-	if fired {
-		t.Error("cancelled event fired")
-	}
-}
-
-func TestCancelMiddleOfHeap(t *testing.T) {
-	g := New()
-	var fired []int
-	var evs []*Event
-	for i := 0; i < 20; i++ {
-		i := i
-		evs = append(evs, g.At(Time(i), func(Time) { fired = append(fired, i) }))
-	}
-	// Cancel all odd events.
-	for i := 1; i < 20; i += 2 {
-		g.Cancel(evs[i])
-	}
-	g.Run()
-	if len(fired) != 10 {
-		t.Fatalf("fired %v", fired)
-	}
-	for _, v := range fired {
-		if v%2 != 0 {
-			t.Fatalf("odd event %d fired", v)
+	defer func() {
+		if recover() == nil {
+			t.Error("scheduling at a NaN time must panic")
 		}
-	}
-}
-
-func TestRunUntil(t *testing.T) {
-	g := New()
-	var fired []Time
-	for _, tm := range []Time{1, 5, 10, 15} {
-		tm := tm
-		g.At(tm, func(now Time) { fired = append(fired, now) })
-	}
-	g.RunUntil(10)
-	if len(fired) != 3 {
-		t.Errorf("fired %v, want 3 events", fired)
-	}
-	if g.Now() != 10 {
-		t.Errorf("now = %v, want 10", g.Now())
-	}
-	if g.Pending() != 1 {
-		t.Errorf("pending = %d", g.Pending())
-	}
-	g.Run()
-	if len(fired) != 4 {
-		t.Error("remaining event must fire on Run")
-	}
+		if n := queued(g); n != 0 {
+			t.Errorf("scheduling at a NaN time left %d events queued", n)
+		}
+	}()
+	g.PostArg(Time(math.NaN()), func(Time, int) {}, 0)
 }
 
 func TestRunLimit(t *testing.T) {
 	g := New()
-	count := 0
+	var r recorder
 	for i := 0; i < 10; i++ {
-		g.At(Time(i), func(Time) { count++ })
+		g.PostArg(Time(i), r.h, i)
 	}
 	if g.RunLimit(4) {
 		t.Error("queue must not drain in 4 steps")
 	}
-	if count != 4 {
-		t.Errorf("count = %d", count)
+	if len(r.args) != 4 {
+		t.Errorf("fired %v", r.args)
 	}
 	if !g.RunLimit(100) {
 		t.Error("queue must drain")
+	}
+
+	// Stopping inside a run leaves the rest of it queued; an event posted
+	// at the run's own time joins it, after those queued.
+	g.Reset()
+	r = recorder{}
+	for i := 0; i < 3; i++ {
+		g.PostArg(10, r.h, i) // one run of three
+	}
+	g.PostArg(20, r.h, 3)
+	if g.RunLimit(1) || g.Now() != 10 || queued(g) != 3 {
+		t.Fatalf("one step into the run: now = %v, %d queued", g.Now(), queued(g))
+	}
+	g.PostArg(10, r.h, 4)
+	if g.RunLimit(3) || fmt.Sprint(r.args) != "[0 1 2 4]" || queued(g) != 1 {
+		t.Fatalf("fired %v, %d queued", r.args, queued(g))
+	}
+	if !g.RunLimit(1) || g.Now() != 20 {
+		t.Fatalf("last event: now = %v", g.Now())
 	}
 }
 
@@ -180,52 +195,41 @@ func TestRunLimit(t *testing.T) {
 func TestStop(t *testing.T) {
 	g := New()
 	var fired []int
+	stopAt3 := func(_ Time, i int) {
+		fired = append(fired, i)
+		if i == 3 {
+			g.Stop()
+		}
+	}
 	for i := 0; i < 10; i++ {
-		i := i
-		g.At(Time(i), func(Time) {
-			fired = append(fired, i)
-			if i == 3 {
-				g.Stop()
-			}
-		})
+		g.PostArg(Time(i), stopAt3, i)
 	}
 	if g.RunLimit(100) {
 		t.Error("a stopped RunLimit must not report the queue drained")
 	}
-	if len(fired) != 4 || g.Now() != 3 || g.Pending() != 6 {
-		t.Errorf("after Stop at t=3: fired %v, now %v, %d pending", fired, g.Now(), g.Pending())
+	if len(fired) != 4 || g.Now() != 3 || queued(g) != 6 {
+		t.Errorf("after Stop at t=3: fired %v, now %v, %d queued", fired, g.Now(), queued(g))
 	}
-	if g.Run(); len(fired) != 4 {
-		t.Errorf("Run after Stop fired %v", fired)
-	}
-	if g.RunUntil(100); len(fired) != 4 || g.Now() != 3 {
-		t.Errorf("RunUntil after Stop fired %v and moved the clock to %v", fired, g.Now())
+	if g.Run(); len(fired) != 4 || g.Now() != 3 {
+		t.Errorf("Run after Stop fired %v and moved the clock to %v", fired, g.Now())
 	}
 
 	g.Reset()
 	n := 0
-	var h Handler
-	h = func(now Time) {
+	var h ArgHandler
+	h = func(now Time, _ int) {
 		n++
-		g.Post(now+1, h)
+		g.PostArg(now+1, h, 0)
 	}
-	g.Post(0, h)
+	g.PostArg(0, h, 0)
 	ran := make(chan Time)
 	go func() { ran <- g.Run() }() // endless, but for Stop
 	g.Stop()
 	if end := <-ran; n != int(end)+1 && n != 0 {
 		t.Errorf("stopped from outside at t=%v after %d events", end, n)
 	}
-	if g.Pending() > 1 {
-		t.Errorf("%d events pending after an outside Stop", g.Pending())
-	}
-}
-
-func TestEventTimeAccessor(t *testing.T) {
-	g := New()
-	e := g.At(7, func(Time) {})
-	if e.Time() != 7 {
-		t.Errorf("Time() = %v", e.Time())
+	if queued(g) != 1 {
+		t.Errorf("%d events queued after an outside Stop", queued(g))
 	}
 }
 
@@ -234,18 +238,15 @@ func TestDeterministicUnderRandomLoad(t *testing.T) {
 		g := New()
 		rng := rand.New(rand.NewSource(seed))
 		var trace []Time
-		var spawn func(depth int)
-		spawn = func(depth int) {
-			if depth > 3 {
-				return
+		var spawn ArgHandler
+		spawn = func(now Time, depth int) {
+			trace = append(trace, now)
+			if depth < 4 {
+				g.PostArg(now+Time(rng.Intn(100)), spawn, depth+1)
+				g.PostArg(now+Time(rng.Intn(100)), spawn, depth+1)
 			}
-			g.After(Time(rng.Intn(100)), func(now Time) {
-				trace = append(trace, now)
-				spawn(depth + 1)
-				spawn(depth + 1)
-			})
 		}
-		spawn(0)
+		g.PostArg(Time(rng.Intn(100)), spawn, 0)
 		g.Run()
 		return trace
 	}
@@ -265,182 +266,100 @@ func TestEmptyRun(t *testing.T) {
 	if g.Run() != 0 {
 		t.Error("empty run must end at time 0")
 	}
-	if g.Step() {
-		t.Error("Step on empty queue must be false")
+	if !g.RunLimit(1) || g.Steps() != 0 {
+		t.Error("RunLimit on an empty queue must fire nothing and report it drained")
 	}
 }
 
-func TestPostAndPostArgPooling(t *testing.T) {
+// A Reset after the clock, and so the queue's base, has moved far ahead
+// must take the base back to zero: the reused engine orders times below
+// the old base as a new one does.
+func TestResetAfterBaseMoved(t *testing.T) {
 	g := New()
-	var order []string
-	g.Post(2, func(Time) { order = append(order, "post@2") })
-	g.PostArg(1, func(_ Time, arg int) { order = append(order, fmt.Sprintf("arg%d@1", arg)) }, 7)
-	g.At(1, func(Time) { order = append(order, "at@1") })
-	g.Run()
-	want := []string{"arg7@1", "at@1", "post@2"}
-	for i, w := range want {
-		if order[i] != w {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
+	var r recorder
+	g.PostArg(1000, r.h, 0)
+	g.PostArg(1000, r.h, 1)
+	g.PostArg(3000, r.h, 2)
+	g.PostArg(2000, r.h, 3)
+	if g.RunLimit(3) || g.Now() != 2000 {
+		t.Fatalf("clock at %v, want 2000", g.Now())
 	}
-
-	// Queue storage is recycled: a chain of sequential Posts — one run of
-	// one event after another — reuses a retired run's slot instead of
-	// allocating per step.
-	g2 := New()
-	count := 0
-	var tick Handler
-	tick = func(now Time) {
-		count++
-		if count < 100 {
-			g2.Post(now+1, tick)
-		}
+	g.Reset()
+	r = recorder{}
+	for i, tm := range []Time{5, 3, 7, 3, 1500, 0} {
+		g.PostArg(tm, r.h, i)
 	}
-	g2.Post(0, tick)
-	allocs := testing.AllocsPerRun(1, func() {
-		count = 0
-		g2.Post(g2.Now(), tick)
-		g2.Run()
-	})
-	if count != 100 {
-		t.Fatalf("chain ran %d steps", count)
-	}
-	// One warm-up run has grown the queue; steady-state scheduling must
-	// not allocate per event (allow slack for the heap slice).
-	if allocs > 5 {
-		t.Errorf("pooled Post allocated %.0f times per run", allocs)
-	}
-
-	// Cancellable At events coexist with pooled ones.
-	g3 := New()
-	fired := false
-	e := g3.At(5, func(Time) { fired = true })
-	g3.PostArg(5, func(Time, int) {}, 0)
-	if !g3.Cancel(e) {
-		t.Error("cancel must succeed")
-	}
-	g3.Run()
-	if fired {
-		t.Error("cancelled event fired")
+	if end := g.Run(); end != 1500 || fmt.Sprint(r.args) != "[5 1 3 0 2 4]" {
+		t.Errorf("after Reset: fired %v, ended at %v", r.args, end)
 	}
 }
 
-func TestScheduleNaNPanics(t *testing.T) {
-	nan := Time(math.NaN())
-	for name, schedule := range map[string]func(g *Engine){
-		"At":      func(g *Engine) { g.At(nan, func(Time) {}) },
-		"Post":    func(g *Engine) { g.Post(nan, func(Time) {}) },
-		"PostArg": func(g *Engine) { g.PostArg(nan, func(Time, int) {}, 0) },
-		"After":   func(g *Engine) { g.After(nan, func(Time) {}) },
-	} {
-		func() {
-			g := New()
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s at a NaN time must panic", name)
-				}
-				if g.Pending() != 0 {
-					t.Errorf("%s at a NaN time left %d events queued", name, g.Pending())
-				}
-			}()
-			schedule(g)
-		}()
-	}
-}
-
-func TestCancelFiredAndTombstones(t *testing.T) {
-	g := New()
-	var fired []int
-	note := func(i int) Handler { return func(Time) { fired = append(fired, i) } }
-	a := g.At(5, note(0))
-	b := g.At(5, note(1))
-	c := g.At(9, note(2))
-	if !g.Cancel(b) || g.Pending() != 2 {
-		t.Fatalf("cancel of a queued event: pending = %d", g.Pending())
-	}
-	if !g.Step() || g.Cancel(a) {
-		t.Error("an event that has fired cannot be cancelled")
-	}
-	// The clock must not move to a cancelled event's time, and an event
-	// scheduled earlier than a tombstone at the head still fires first.
-	if !g.Cancel(c) || g.Step() || g.Now() != 5 || g.Pending() != 0 {
-		t.Fatalf("queue of one tombstone: now = %v, pending = %d", g.Now(), g.Pending())
-	}
-	d := g.At(7, note(3))
-	if g.Cancel(c) {
-		t.Error("second cancel after the tombstone was dropped must be a no-op")
-	}
-	if !g.Cancel(d) {
-		t.Error("an event scheduled before a dropped tombstone's time is still queued")
-	}
-	g.At(6, note(4))
-	if end := g.Run(); end != 6 || fmt.Sprint(fired) != "[0 4]" {
-		t.Errorf("fired %v, ended at %v", fired, end)
-	}
-	if g.Steps() != 2 {
-		t.Errorf("steps = %d, tombstones must not count", g.Steps())
-	}
-}
-
-func TestRunUntilBoundaries(t *testing.T) {
-	g := New()
-	var fired []Time
-	h := func(now Time) { fired = append(fired, now) }
-	for i := 0; i < 3; i++ {
-		g.Post(10, h) // one run of three
-	}
-	g.Post(20, h)
-	if g.RunUntil(9.5) != 9.5 || len(fired) != 0 {
-		t.Fatalf("nothing matures by 9.5: fired %v", fired)
-	}
-	if g.RunLimit(1) || g.Now() != 10 || g.Pending() != 3 {
-		t.Fatalf("one step into the run: now = %v, pending = %d", g.Now(), g.Pending())
-	}
-	// A deadline behind the clock fires nothing, even mid-run.
-	if g.RunUntil(5) != 10 || len(fired) != 1 {
-		t.Fatalf("deadline behind the clock: fired %v", fired)
-	}
-	// Events scheduled at the deadline itself fire, after those queued.
-	g.Post(10, func(now Time) { fired = append(fired, -now) })
-	if g.RunUntil(10) != 10 || fmt.Sprint(fired) != "[10 10 10 -10]" {
-		t.Fatalf("deadline on the run's own time: fired %v", fired)
-	}
-	if g.RunUntil(15) != 15 || g.Pending() != 1 {
-		t.Fatalf("clock must advance to the deadline while events remain: now = %v", g.Now())
-	}
-	if g.RunUntil(30) != 20 {
-		t.Fatalf("clock must stop at the last event once drained: now = %v", g.Now())
-	}
-}
-
+// A reset engine re-running a load it has run before keeps every
+// structure it needs — runs, chunks and radix buckets — and allocates
+// nothing, on a mixed load, on a synchronous one where every event ties
+// and on a contended one where no two times are equal.
 func TestResetKeepsStorage(t *testing.T) {
 	g := New()
 	count := 0
-	var h ArgHandler = func(Time, int) { count++ }
-	load := func() {
-		for i := 0; i < 64; i++ {
-			g.PostArg(Time(i%4), h, i)
-			g.PostArg(Time(i%4), h, i)
+	left := 0
+	const nodes = 512
+	chain := func(next func(now Time, node int) Time) ArgHandler {
+		var h ArgHandler
+		h = func(now Time, node int) {
+			count++
+			if left > 0 {
+				left--
+				g.PostArg(next(now, node), h, node)
+			}
 		}
+		return h
 	}
-	load()
-	g.RunLimit(10) // leave events queued and a run half drained
-	e := g.At(3, func(Time) {})
-	g.Cancel(e)
-	g.Reset()
-	if g.Now() != 0 || g.Pending() != 0 || g.Steps() != 0 || g.Step() {
-		t.Fatalf("reset engine: now = %v, pending = %d, steps = %d", g.Now(), g.Pending(), g.Steps())
+	ties := chain(func(now Time, _ int) Time { return now + 1 })
+	distinct := chain(func(now Time, node int) Time { return now + 1 + Time(node)/8192 })
+	mixed := func(Time, int) { count++ }
+	loads := []struct {
+		name   string
+		events int
+		load   func()
+	}{
+		{"mixed", 128, func() {
+			for i := 0; i < 64; i++ {
+				g.PostArg(Time(i%4), mixed, i)
+				g.PostArg(Time(i%4), mixed, i)
+			}
+		}},
+		{"ties", 8 * nodes, func() {
+			left = 7 * nodes
+			for p := 0; p < nodes; p++ {
+				g.PostArg(0, ties, p)
+			}
+		}},
+		{"distinct", 8 * nodes, func() {
+			left = 7 * nodes
+			for p := 0; p < nodes; p++ {
+				g.PostArg(Time(p)/nodes, distinct, p)
+			}
+		}},
 	}
-	count = 0
-	allocs := testing.AllocsPerRun(5, func() {
+	for _, l := range loads {
 		g.Reset()
-		load()
-		g.Run()
-	})
-	if count != 6*128 {
-		t.Fatalf("ran %d events", count)
-	}
-	if allocs != 0 {
-		t.Errorf("a reset engine allocated %.0f times re-running the same load", allocs)
+		l.load()
+		g.RunLimit(10) // leave events queued and a run half drained
+		g.Reset()
+		if g.Now() != 0 || queued(g) != 0 || g.Steps() != 0 || !g.RunLimit(1) {
+			t.Fatalf("%s: reset engine: now = %v, %d queued, steps = %d", l.name, g.Now(), queued(g), g.Steps())
+		}
+		count = 0
+		allocs := testing.AllocsPerRun(5, func() {
+			g.Reset()
+			l.load()
+			g.Run()
+		})
+		if count != 6*l.events {
+			t.Fatalf("%s: ran %d events, want %d", l.name, count, 6*l.events)
+		}
+		if allocs != 0 {
+			t.Errorf("%s: a reset engine allocated %v times re-running the same load", l.name, allocs)
+		}
 	}
 }

@@ -5,88 +5,63 @@ import (
 	"fmt"
 )
 
-// oracleEngine is the engine this package shipped before the queue
-// coalesced ties: container/heap over one *oracleEvent per scheduled
-// callback, ordered by (time, seq), Cancel by heap.Remove. It is kept,
-// test-only, as the reference the differential and fuzz tests compare the
-// run queue against — simple enough that its firing order is the
-// definition of the ordering contract.
+// oracleEngine is the simplest engine that meets the ordering contract:
+// container/heap over one *oracleEvent per scheduled callback, ordered by
+// (time, seq). It is kept, test-only, as the reference the differential
+// and fuzz tests compare the run queue against — simple enough that its
+// firing order is the definition of the contract.
 type oracleEngine struct {
-	now    Time
-	seq    uint64
-	queue  oracleHeap
-	nsteps uint64
+	now     Time
+	seq     uint64
+	queue   oracleHeap
+	nsteps  uint64
+	stopped bool
 }
 
 type oracleEvent struct {
-	time    Time
-	seq     uint64
-	index   int // heap index, -1 when not queued
-	handler Handler
-	argh    ArgHandler
-	arg     int
-}
-
-func (g *oracleEngine) push(t Time, e *oracleEvent) *oracleEvent {
-	if !(t >= g.now) {
-		panic(fmt.Sprintf("event: scheduling at %v before now %v", t, g.now))
-	}
-	e.time, e.seq = t, g.seq
-	g.seq++
-	heap.Push(&g.queue, e)
-	return e
-}
-
-func (g *oracleEngine) At(t Time, h Handler) *oracleEvent {
-	return g.push(t, &oracleEvent{handler: h})
+	time Time
+	seq  uint64
+	h    ArgHandler
+	arg  int
 }
 
 func (g *oracleEngine) PostArg(t Time, h ArgHandler, arg int) {
-	g.push(t, &oracleEvent{argh: h, arg: arg})
-}
-
-func (g *oracleEngine) Cancel(e *oracleEvent) bool {
-	if e == nil || e.index < 0 {
-		return false
+	if !(t >= g.now) {
+		panic(fmt.Sprintf("event: scheduling at %v before now %v", t, g.now))
 	}
-	heap.Remove(&g.queue, e.index)
-	e.index = -1
-	return true
+	heap.Push(&g.queue, &oracleEvent{time: t, seq: g.seq, h: h, arg: arg})
+	g.seq++
 }
 
-func (g *oracleEngine) Step() bool {
+func (g *oracleEngine) step() bool {
 	if len(g.queue) == 0 {
 		return false
 	}
 	e := heap.Pop(&g.queue).(*oracleEvent)
 	g.now = e.time
 	g.nsteps++
-	if e.argh != nil {
-		e.argh(g.now, e.arg)
-	} else {
-		e.handler(g.now)
-	}
+	e.h(g.now, e.arg)
 	return true
 }
 
-func (g *oracleEngine) RunUntil(deadline Time) Time {
-	for len(g.queue) > 0 && g.queue[0].time <= deadline {
-		g.Step()
-	}
-	if len(g.queue) > 0 && g.now < deadline {
-		g.now = deadline
+func (g *oracleEngine) Run() Time {
+	for !g.stopped && g.step() {
 	}
 	return g.now
 }
 
 func (g *oracleEngine) RunLimit(n uint64) bool {
-	for i := uint64(0); i < n; i++ {
-		if !g.Step() {
+	for i := uint64(0); i < n && !g.stopped; i++ {
+		if !g.step() {
 			return true
 		}
 	}
 	return len(g.queue) == 0
 }
+
+func (g *oracleEngine) Stop() { g.stopped = true }
+
+func (g *oracleEngine) Reset() { *g = oracleEngine{} }
 
 type oracleHeap []*oracleEvent
 
@@ -97,22 +72,13 @@ func (h oracleHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h oracleHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *oracleHeap) Push(x any) {
-	e := x.(*oracleEvent)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
+func (h oracleHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *oracleHeap) Push(x any)   { *h = append(*h, x.(*oracleEvent)) }
 func (h *oracleHeap) Pop() any {
 	old := *h
 	n := len(old)
 	e := old[n-1]
 	old[n-1] = nil
-	e.index = -1
 	*h = old[:n-1]
 	return e
 }
