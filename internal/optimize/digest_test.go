@@ -27,7 +27,9 @@ const answerDigestFile = "testdata/answer_digests.json"
 // answerFabrics are the fabrics whose analytic tables are pinned, on every
 // registered machine: every hypercube a serving tier accepts, the grids the
 // benchmark workloads serve, mixed-radix tori, grids with a field of span
-// above 4096, and dead-wire and slow-wire overlays.
+// above 4096, and dead-wire and slow-wire overlays: the replay workload's
+// three among them, and one of more than 4096 nodes, whose diameter is the
+// estimate rather than an all-pairs search.
 var answerFabrics = func() []string {
 	var specs []string
 	for d := 1; d <= 20; d++ {
@@ -38,6 +40,7 @@ var answerFabrics = func() []string {
 		"torus-3x5", "torus-4x8x2", "torus-3x5x7",
 		"torus-32x32x32", "mesh-64x64x4",
 		"hypercube-6!dl=0-1", "hypercube-8!sl=0-1:2.5", "torus-4x4!dl=0-1", "torus-8x8!sl=0-1:2.5",
+		"hypercube-10!dl=0-1", "hypercube-10!sl=0-1:2.5", "torus-8x8!dl=0-1", "torus-4100!dl=0-1",
 	)
 }()
 
