@@ -69,22 +69,17 @@ func TestFleetRequestIDSpansReplicas(t *testing.T) {
 		waitReady(t, u)
 	}
 
-	// Pick a hypercube line owned by replica 0 so replica 1 must fetch.
+	// The hypercube-3 line's owner builds it and the other replica must
+	// fetch it; which replica owns it hangs off the OS-assigned ports.
 	ring, err := cluster.NewRing(urls, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := -1
-	for cand := 3; cand <= 12; cand++ {
-		if ring.Owner(cluster.LineKey("ipsc860", fmt.Sprintf("hypercube-%d", cand))) == urls[0] {
-			d = cand
-			break
-		}
+	const d = 3
+	owner, fetcher := ring.Owner(cluster.LineKey("ipsc860", fmt.Sprintf("hypercube-%d", d))), urls[0]
+	if fetcher == owner {
+		fetcher = urls[1]
 	}
-	if d < 0 {
-		t.Fatal("no line owned by replica 0")
-	}
-	owner, fetcher := urls[0], urls[1]
 
 	const id = "fleet-trace-0001"
 	req, _ := http.NewRequest(http.MethodGet,

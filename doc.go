@@ -65,8 +65,9 @@
 // (a dead node or a severed live graph, decided once on the handle) a
 // plan query gets the healthy base's plan flagged degraded, with no
 // cache work for the faulted line; pricing or building on such a fabric
-// is a 400. A zero-fault overlay is exactly transparent: bit-identical
-// plans, costs, and cache keys.
+// is a 400. An overlay always carries a fault: topology.Overlay refuses
+// an empty set, because a fabric without faults is its base network, and
+// a report that leaves a fabric no faults returns it to that network.
 //
 // The serving tier also scales out: internal/cluster turns N pland
 // replicas into one logical cache. A consistent-hash ring with virtual

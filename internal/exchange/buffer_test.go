@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/bitutil"
 )
 
 func TestNewBufferValidation(t *testing.T) {
@@ -195,7 +193,7 @@ func TestAppendFieldPositionsMatchesScan(t *testing.T) {
 	scan := func(d, lo, w, val int) []int {
 		var out []int
 		for p := 0; p < 1<<uint(d); p++ {
-			if bitutil.Field(p, lo, w) == val {
+			if (p>>lo)&(1<<w-1) == val {
 				out = append(out, p)
 			}
 		}

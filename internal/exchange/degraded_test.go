@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/exchange"
 	"repro/internal/model"
-	"repro/internal/optimize"
 	"repro/internal/simnet"
 	"repro/internal/topology"
 )
@@ -19,78 +18,6 @@ func overlay(t *testing.T, base topology.Network, fs topology.FaultSet) *topolog
 		t.Fatal(err)
 	}
 	return d
-}
-
-// Acceptance: a Degraded wrapper with zero faults plans and costs
-// bit-identically to the bare network — pinned on hypercube and torus,
-// on both optimizer backends and both plan-costing paths. Fresh
-// optimizer instances per side keep the comparison honest (the
-// optimizer's cache would otherwise collapse the two calls).
-func TestZeroFaultOverlayBitIdentical(t *testing.T) {
-	p := model.IPSC860()
-	for _, spec := range []string{"hypercube-5", "torus-4x4x4"} {
-		bare := topology.MustParseSpec(spec)
-		wrapped := overlay(t, bare, topology.FaultSet{})
-		for _, m := range []int{0, 16, 100} {
-			// Plan construction and compiled-trace cost.
-			planBare, err := exchange.NewPlanOn(bare, m, defaultGroups(bare))
-			if err != nil {
-				t.Fatal(err)
-			}
-			planWrapped, err := exchange.NewPlanOn(wrapped, m, defaultGroups(wrapped))
-			if err != nil {
-				t.Fatal(err)
-			}
-			resBare, err := planBare.Cost(simnet.New(bare, p))
-			if err != nil {
-				t.Fatal(err)
-			}
-			resWrapped, err := planWrapped.Cost(simnet.New(wrapped, p))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if resBare.Makespan != resWrapped.Makespan {
-				t.Fatalf("%s m=%d: compiled cost %v (bare) != %v (zero-fault overlay)",
-					spec, m, resBare.Makespan, resWrapped.Makespan)
-			}
-
-			// Analytic model.
-			tBare, _, err := p.MultiphaseOn(bare, m, defaultGroups(bare))
-			if err != nil {
-				t.Fatal(err)
-			}
-			tWrapped, _, err := p.MultiphaseOn(wrapped, m, defaultGroups(wrapped))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tBare != tWrapped {
-				t.Fatalf("%s m=%d: analytic cost %v != %v", spec, m, tBare, tWrapped)
-			}
-		}
-
-		// Full optimizer, both backends.
-		for _, backend := range []string{"analytic", "simulated"} {
-			mk := func() *optimize.Optimizer {
-				if backend == "simulated" {
-					return optimize.NewSimulated(p)
-				}
-				return optimize.New(p)
-			}
-			m := 64
-			cBare, err := mk().BestOn(bare, m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cWrapped, err := mk().BestOn(wrapped, m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !cBare.Part.Equal(cWrapped.Part) || cBare.TimeMicro != cWrapped.TimeMicro {
-				t.Fatalf("%s %s: Best = (%v, %v) bare vs (%v, %v) zero-fault overlay",
-					spec, backend, cBare.Part, cBare.TimeMicro, cWrapped.Part, cWrapped.TimeMicro)
-			}
-		}
-	}
 }
 
 // defaultGroups returns the all-ones grouping (one dimension per phase)

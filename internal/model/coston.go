@@ -242,7 +242,7 @@ func (p Params) phaseCostOn(net topology.Network, m, lo, w int) (t float64, span
 	}
 	n := net.Nodes()
 	mi := float64(m) * float64(n/span)
-	if dg, ok := net.(*topology.Degraded); ok && !dg.Healthy() {
+	if dg, ok := net.(*topology.Degraded); ok {
 		if err := dg.Operational(); err != nil {
 			return 0, 0, err
 		}
@@ -288,7 +288,7 @@ func (p Params) PhaseLineOn(net topology.Network, lo, w int) (slope, intercept f
 	}
 	n := net.Nodes()
 	steps := float64(span - 1) // on an overlay, each step weighted by its slow factor
-	if dg, ok := net.(*topology.Degraded); ok && !dg.Healthy() {
+	if dg, ok := net.(*topology.Degraded); ok {
 		if err := dg.Operational(); err != nil {
 			return 0, 0, err
 		}

@@ -268,7 +268,7 @@ func TestPhaseLineOnMatchesPhaseCostOn(t *testing.T) {
 			"hypercube-6!dl=0-1", "hypercube-6!sl=0-1:2.5", "torus-8x8!dl=0-1",
 		} {
 			net := topology.MustParseSpec(spec)
-			cube, _ := topology.AsHypercube(net)
+			cube, _ := net.(*topology.Hypercube)
 			for lo := 0; lo < net.NumDims(); lo++ {
 				for w := 1; lo+w <= net.NumDims(); w++ {
 					slope, intercept, err := prm.PhaseLineOn(net, lo, w)

@@ -19,7 +19,7 @@ func degradedNet(t *testing.T, spec string, fs topology.FaultSet) *topology.Degr
 
 // Degraded phase costs dominate the healthy closed forms: slow wires
 // scale the steps that cross them, dead wires stretch routes by their
-// detours, and a healthy overlay prices exactly like the bare network.
+// detours.
 func TestPhaseCostOnDegradedDominatesHealthy(t *testing.T) {
 	p := IPSC860()
 	bare := topology.MustParseSpec("torus-4x4")
@@ -30,7 +30,6 @@ func TestPhaseCostOnDegradedDominatesHealthy(t *testing.T) {
 		}
 		return c
 	}
-	zero := degradedNet(t, "torus-4x4", topology.FaultSet{})
 	slow := degradedNet(t, "torus-4x4", topology.FaultSet{
 		SlowLinks: []topology.SlowLink{{Link: topology.Link{A: 0, B: 1}, Factor: 3}},
 	})
@@ -40,13 +39,6 @@ func TestPhaseCostOnDegradedDominatesHealthy(t *testing.T) {
 	for _, f := range [][2]int{{0, 1}, {1, 1}, {0, 2}} {
 		lo, w := f[0], f[1]
 		h := healthyCost(lo, w)
-		z, err := p.PhaseCostOn(zero, 64, lo, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if z != h {
-			t.Fatalf("field [%d,%d): zero-fault overlay cost %v != bare %v", lo, lo+w, z, h)
-		}
 		s, err := p.PhaseCostOn(slow, 64, lo, w)
 		if err != nil {
 			t.Fatal(err)

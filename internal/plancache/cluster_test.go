@@ -277,21 +277,10 @@ func TestFetchOnlyWhereBuildCostsMoreThanHop(t *testing.T) {
 		t.Fatalf("healthy analytic line: %d fetches, %d builds — want 0, 1", n, s.Builds)
 	}
 
-	// A zero-fault overlay is its bare fabric: the same line, not fetched.
-	healthy, err := topology.Overlay(mustCube(t, 6), topology.FaultSet{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	get(analytic, healthy)
-	get(analytic, mustCube(t, 6))
-	if n, s := fetchesOf("hypercube-6"), analytic.Stats(); n != 0 || s.Builds != 2 {
-		t.Fatalf("zero-fault overlay: %d fetches, %d builds — want 0, 2", n, s.Builds)
-	}
-
 	// A faulted analytic line is fetched first.
 	get(analytic, mustSpec(t, fetchedSpec))
-	if n, s := fetchesOf(fetchedSpec), analytic.Stats(); n != 1 || s.Builds != 3 {
-		t.Fatalf("faulted analytic line: %d fetches, %d builds — want 1, 3", n, s.Builds)
+	if n, s := fetchesOf(fetchedSpec), analytic.Stats(); n != 1 || s.Builds != 2 {
+		t.Fatalf("faulted analytic line: %d fetches, %d builds — want 1, 2", n, s.Builds)
 	}
 
 	// A healthy line whose build replays is fetched first.

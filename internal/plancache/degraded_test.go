@@ -48,19 +48,6 @@ func TestDegradedLineKeyedSeparately(t *testing.T) {
 	if st := c.Stats(); st.Lines != 2 {
 		t.Fatalf("resident lines = %d, want 2 (bare + degraded)", st.Lines)
 	}
-	// A zero-fault overlay hits the bare line: same key, no third build.
-	clean := overlayPC(t, "torus-4x4", topology.FaultSet{})
-	same, err := c.GetForCtx(bg, "ipsc860", clean, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if same.Topo != bare.Topo || same.TimeMicro != bare.TimeMicro {
-		t.Fatalf("zero-fault overlay answered (%q, %v), want the bare line (%q, %v)",
-			same.Topo, same.TimeMicro, bare.Topo, bare.TimeMicro)
-	}
-	if st := c.Stats(); st.Lines != 2 {
-		t.Fatalf("zero-fault overlay built a third line (lines = %d)", st.Lines)
-	}
 }
 
 // WarmFor builds a line for an already-constructed overlay, and

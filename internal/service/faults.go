@@ -113,23 +113,23 @@ func (s *Server) handleFaults(w http.ResponseWriter, r *http.Request) int {
 		return writeError(w, http.StatusBadRequest,
 			fmt.Sprintf("unknown action %q (valid: down, slow, restore, clear)", req.Action))
 	}
-	// Overlay canonicalizes and validates the merged set against the
-	// base fabric (in-range nodes, adjacent endpoints, sane factors); it
-	// is used for nothing else. The registry keeps the handle Resolve
+	// A set left empty makes the fabric healthy: it leaves the registry.
+	// Otherwise Overlay canonicalizes and validates the merged set against
+	// the base fabric (in-range nodes, adjacent endpoints, sane factors);
+	// it is used for nothing else. The registry keeps the handle Resolve
 	// files under the faulted fabric's name, so a report and a request
 	// that names the same digest are served on one handle, whose routes
 	// and live-graph facts are derived once.
-	d, err := topology.Overlay(base, fs)
-	if err != nil {
-		s.faultMu.Unlock()
-		return writeError(w, http.StatusBadRequest, err.Error())
-	}
-	canon := d.Faults()
-	digest := d.HealthDigest()
-	net := base
-	if canon.Empty() {
+	net, digest, canon := base, "ok", topology.FaultSet{}
+	if fs.Empty() {
 		delete(s.faults, name)
 	} else {
+		d, err := topology.Overlay(base, fs)
+		if err != nil {
+			s.faultMu.Unlock()
+			return writeError(w, http.StatusBadRequest, err.Error())
+		}
+		canon, digest = d.Faults(), d.HealthDigest()
 		if net, err = topology.Resolve(d.Name()); err != nil {
 			s.faultMu.Unlock()
 			return writeError(w, http.StatusInternalServerError, err.Error())

@@ -99,6 +99,51 @@ func TestFaultsReplanLifecycle(t *testing.T) {
 	}
 }
 
+// An update that leaves a fabric without faults makes it healthy without
+// building an overlay: a "down" naming nothing on a healthy fabric, and a
+// "restore" of its last fault, both answer "ok", leave no registry entry
+// and retire no line, so the bare line keeps answering.
+func TestFaultsLeavingNoFaults(t *testing.T) {
+	srv, ts := newFaultTestServer(t)
+	planURL := ts.URL + "/v1/plan?machine=ipsc860&topology=torus-4x4&m=40"
+	var healthy PlanResponse
+	getJSON(t, planURL, http.StatusOK, &healthy)
+
+	check := func(what string, fr FaultsResponse) {
+		t.Helper()
+		want := FaultsResponse{Topology: "torus-4x4", Health: "ok", Operational: true}
+		if !reflect.DeepEqual(fr, want) {
+			t.Fatalf("%s: %+v, want %+v", what, fr, want)
+		}
+		if got := srv.FaultTopologies(); len(got) != 0 {
+			t.Fatalf("%s: the registry holds %v", what, got)
+		}
+		before := srv.cache.Stats()
+		var p PlanResponse
+		getJSON(t, planURL, http.StatusOK, &p)
+		after := srv.cache.Stats()
+		if p.Health != "ok" || p.Degraded || !reflect.DeepEqual(p.Partition, healthy.Partition) ||
+			after.Builds != before.Builds || after.Hits != before.Hits+1 {
+			t.Fatalf("%s: plan %+v, cache %+v → %+v; want the bare line's hit", what, p, before, after)
+		}
+	}
+	var fr FaultsResponse
+	postJSON(t, ts.URL+"/v1/faults", FaultsRequest{Topology: "torus-4x4", Action: "down"}, http.StatusOK, &fr)
+	check("down naming nothing", fr)
+
+	postJSON(t, ts.URL+"/v1/faults", FaultsRequest{
+		Topology: "torus-4x4", Action: "down", Links: [][2]int{{0, 1}},
+	}, http.StatusOK, &fr)
+	if fr.Health != "dl=0-1" || len(srv.FaultTopologies()) != 1 {
+		t.Fatalf("down 0-1: %+v, registry %v", fr, srv.FaultTopologies())
+	}
+	var restored FaultsResponse
+	postJSON(t, ts.URL+"/v1/faults", FaultsRequest{
+		Topology: "torus-4x4", Action: "restore", Links: [][2]int{{1, 0}},
+	}, http.StatusOK, &restored)
+	check("restore of the last fault", restored)
+}
+
 // When the degraded fabric cannot be planned at all (a dead node severs
 // the exchange), the server degrades gracefully: the last-known-good
 // healthy plan is served flagged degraded and the counters tick. The
@@ -424,8 +469,9 @@ func faultOps(data []byte) []FaultsRequest {
 // FuzzFaults drives /v1/faults with decoded request sequences. No request
 // may answer 5xx (a panic answers 500). After every accepted update the
 // fabric is served on exactly the handle topology.Resolve gives for its
-// reported name and digest, and a clear answers "ok" and leaves no
-// registry entry behind.
+// reported name and digest; the registry holds an overlay exactly when
+// that digest is not "ok", and the overlay's digest is the reported one,
+// never empty; and a clear answers "ok".
 func FuzzFaults(f *testing.F) {
 	// TestFaultsValidation's rows, then accepted sequences: down, slow,
 	// restore and clear on links and a node.
@@ -484,13 +530,14 @@ func FuzzFaults(f *testing.F) {
 				t.Fatalf("op %d %s: served %s (%s) on %p, %s resolves to %p",
 					i, body, served.Name(), health, served, spec, named)
 			}
-			if op.Action == "clear" {
-				srv.faultMu.Lock()
-				_, kept := srv.faults[fr.Topology]
-				srv.faultMu.Unlock()
-				if fr.Health != "ok" || kept {
-					t.Fatalf("op %d: clear answered health %q, registry entry kept: %v", i, fr.Health, kept)
-				}
+			srv.faultMu.Lock()
+			held, kept := srv.faults[fr.Topology]
+			srv.faultMu.Unlock()
+			if kept != (fr.Health != "ok") || kept && held.HealthDigest() != fr.Health {
+				t.Fatalf("op %d %s: health %q, registry entry kept: %v", i, body, fr.Health, kept)
+			}
+			if op.Action == "clear" && fr.Health != "ok" {
+				t.Fatalf("op %d: clear answered health %q", i, fr.Health)
 			}
 		}
 	})

@@ -82,12 +82,11 @@ type Interval struct {
 }
 
 // New returns a network over the given topology with the given machine
-// parameters. A fault-free topology.Degraded overlay keeps the
-// hypercube bit-trick fast paths (it routes identically to its base by
-// construction); a faulty overlay routes — and detours — through the
-// overlay, and its slow wires stretch the circuits that cross them.
+// parameters. A bare hypercube takes the bit-trick fast paths; a
+// topology.Degraded overlay routes — and detours — through the overlay,
+// and its slow wires stretch the circuits that cross them.
 func New(t topology.Network, p model.Params) *Network {
-	h, _ := topology.AsHypercube(t)
+	h, _ := t.(*topology.Hypercube)
 	return &Network{topo: t, hyper: h, params: p}
 }
 

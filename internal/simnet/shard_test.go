@@ -295,16 +295,11 @@ func TestRecycledStateCarriesNothingOver(t *testing.T) {
 }
 
 // A certificate is kept with the fabric handle it was proved on: a second
-// run on the same handle certifies nothing, a fault-free overlay of it
-// reads its certificates, and another handle of the same spec proves its
-// own. A mesh spec parses to a new handle, so every run of this test —
+// run on the same handle certifies nothing, and another handle of the
+// same spec proves its own. A mesh spec parses to a new handle, so every run of this test —
 // -count included — starts cold.
 func TestCertificateKeptWithHandle(t *testing.T) {
 	topo := topology.MustParseSpec("mesh-2x2x2")
-	healthy, err := topology.Overlay(topo, topology.FaultSet{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	src := multiphaseSource()
 	for i := range src.spans {
 		src.spans[i].Shape = "kept-with-handle"
@@ -317,7 +312,6 @@ func TestCertificateKeptWithHandle(t *testing.T) {
 	}{
 		{"first run", topo, 2},
 		{"same handle", topo, 0},
-		{"fault-free overlay", healthy, 0},
 		{"another handle of the spec", topology.MustParseSpec("mesh-2x2x2"), 2},
 	} {
 		got := mustRunSource(t, New(tc.net, model.Hypothetical()), src)

@@ -44,9 +44,10 @@ type SlowLink struct {
 
 // FaultSet is the declarative fault state of one network: which nodes
 // are down, which wires are severed, and which wires are slow. The zero
-// value means fully healthy. Overlay canonicalizes a set (sorted,
-// deduplicated, dead wires dominate slow entries), so two FaultSets
-// describing the same faults yield the same HealthDigest.
+// value means fully healthy, and Overlay refuses it: a healthy fabric is
+// its base network. Overlay canonicalizes a set (sorted, deduplicated,
+// dead wires dominate slow entries), so two FaultSets describing the same
+// faults yield the same HealthDigest.
 type FaultSet struct {
 	DeadNodes []int
 	DeadLinks []Link
@@ -172,24 +173,23 @@ func (fs FaultSet) digest() string {
 // optimizer, the plan cache — prices and plans the degraded fabric
 // through the same interface as a healthy one.
 //
-// Routing is fault-aware: a pair whose dimension-ordered base route only
-// crosses live links keeps that exact route (so a zero-fault overlay is
-// observationally identical to its base network), and a pair whose base
-// route is broken detours over a breadth-first shortest path through the
-// live graph, memoized per pair. When no live path exists, Route returns
-// an error wrapping ErrUnroutable; AppendRoute — the allocation-free
-// contract without an error return — panics with that error, so planning
-// layers must gate on CheckOperational/Connected before replaying.
+// An overlay always carries at least one fault. Routing is fault-aware: a
+// pair whose dimension-ordered base route only crosses live links keeps
+// that exact route, and a pair whose base route is broken detours over a
+// breadth-first shortest path through the live graph, memoized per pair.
+// When no live path exists, Route returns an error wrapping
+// ErrUnroutable; AppendRoute — the allocation-free contract without an
+// error return — panics with that error, so planning layers must gate on
+// CheckOperational/Connected before replaying.
 //
 // Node labels are unchanged: Nodes(), Contains() and the LinkSlot space
 // still describe the full fabric, with dead elements marked, not
 // removed. A Degraded overlay is immutable after Overlay returns and
 // safe for concurrent use — Resolve hands one out to every request that
 // names the fabric; to change the fault state, build a new overlay from
-// the base network. What it learns lazily it learns once: Connected,
-// Diameter, AveragePathLength and TotalLinks come from one derivation
-// pass on first use (see derive for when they are exact), detours are
-// memoized per broken pair.
+// the base network. What it learns lazily it learns once: Connected and
+// Diameter come from one derivation pass on first use (see derive for
+// when the diameter is exact), detours are memoized per broken pair.
 type Degraded struct {
 	base   Network
 	fs     FaultSet
@@ -207,39 +207,32 @@ type Degraded struct {
 	deriveOnce sync.Once
 	connErr    error
 	diam       int
-	apl        float64
-	links      int
 
-	memo memo // Derived's values; a fault-free overlay uses its base's
+	memo memo // Derived's values
 }
 
 var _ Network = (*Degraded)(nil)
 
-func (d *Degraded) derived() *memo {
-	if d.Healthy() {
-		return d.base.derived()
-	}
-	return &d.memo
-}
+func (d *Degraded) derived() *memo { return &d.memo }
 
 // Overlay wraps base with the given fault set. The set is canonicalized
-// and validated (see FaultSet.canonicalize); wrapping an already
-// degraded network is an error — merge fault sets against the bare base
+// and validated (see FaultSet.canonicalize); an empty set is an error —
+// a fabric without faults is its base network — and so is wrapping an
+// already degraded network: merge fault sets against the bare base
 // instead, so the canonical digest stays unique.
 func Overlay(base Network, fs FaultSet) (*Degraded, error) {
 	if _, ok := base.(*Degraded); ok {
 		return nil, fmt.Errorf("topology: cannot overlay faults on already degraded %s; overlay the base network", base.Name())
+	}
+	if fs.Empty() {
+		return nil, fmt.Errorf("topology: no faults to overlay on %s; a healthy fabric is its base network", base.Name())
 	}
 	cfs, err := fs.canonicalize(base)
 	if err != nil {
 		return nil, err
 	}
 	d := &Degraded{base: base, fs: cfs, digest: cfs.digest()}
-	if d.digest == "" {
-		d.name = base.Name()
-	} else {
-		d.name = base.Name() + "!" + d.digest
-	}
+	d.name = base.Name() + "!" + d.digest
 	if len(cfs.DeadNodes) > 0 {
 		d.deadNode = make([]bool, base.Nodes())
 		for _, p := range cfs.DeadNodes {
@@ -279,25 +272,14 @@ func (d *Degraded) Base() Network { return d.base }
 // Faults returns a copy of the canonical fault set.
 func (d *Degraded) Faults() FaultSet { return d.fs.Clone() }
 
-// Healthy reports whether the overlay carries no faults at all — in
-// which case every method delegates to the base network, Name() returns
-// the base name unchanged and Derived reads the base's values.
-func (d *Degraded) Healthy() bool { return d.fs.Empty() }
+// HealthDigest returns the canonical fault summary: the "!"-joined
+// dn/dl/sl groups that also suffix Name(), never empty. Equal digests mean
+// equal fault states; serving tiers key cached plans on it so a fault
+// report invalidates exactly the affected entries.
+func (d *Degraded) HealthDigest() string { return d.digest }
 
-// HealthDigest returns the canonical fault summary: "ok" when healthy,
-// otherwise the "!"-joined dn/dl/sl groups that also suffix Name().
-// Equal digests mean equal fault states; serving tiers key cached plans
-// on it so a fault report invalidates exactly the affected entries.
-func (d *Degraded) HealthDigest() string {
-	if d.digest == "" {
-		return "ok"
-	}
-	return d.digest
-}
-
-// Name returns the base spec when healthy, or the base spec with the
-// canonical fault suffix ("torus-4x4!dl=0-1"). ParseSpec round-trips
-// either form.
+// Name returns the base spec with the canonical fault suffix
+// ("torus-4x4!dl=0-1"). ParseSpec round-trips it.
 func (d *Degraded) Name() string { return d.name }
 
 // NodeAlive reports whether node p is up.
@@ -342,9 +324,6 @@ func (d *Degraded) Degree() int         { return d.base.Degree() }
 // Neighbors returns the live nodes reachable from p over live wires, in
 // base dimension order; nil when p itself is down.
 func (d *Degraded) Neighbors(p int) []int {
-	if d.Healthy() {
-		return d.base.Neighbors(p)
-	}
 	if !d.NodeAlive(p) {
 		return nil
 	}
@@ -358,14 +337,8 @@ func (d *Degraded) Neighbors(p int) []int {
 	return out
 }
 
-// LinkSlot and TotalLinks keep the base slot space; TotalLinks counts
-// only the usable directed links that remain.
+// LinkSlot keeps the base slot space.
 func (d *Degraded) LinkSlot(from, to int) int { return d.base.LinkSlot(from, to) }
-
-func (d *Degraded) TotalLinks() int {
-	d.deriveOnce.Do(d.derive)
-	return d.links
-}
 
 // detourKey packs an ordered pair into the memo key.
 func detourKey(src, dst int) int64 { return int64(src)<<32 | int64(uint32(dst)) }
@@ -470,9 +443,6 @@ func (d *Degraded) Route(src, dst int) ([]int, error) {
 	if !d.Contains(src) || !d.Contains(dst) {
 		return nil, fmt.Errorf("topology: route %d→%d outside %s", src, dst, d.name)
 	}
-	if d.Healthy() {
-		return d.base.Route(src, dst)
-	}
 	return d.routeFor(nil, src, dst)
 }
 
@@ -480,9 +450,6 @@ func (d *Degraded) Route(src, dst int) ([]int, error) {
 // the ErrUnroutable-wrapping error, so replay layers must run behind a
 // Connected/CheckOperational gate (the planners do).
 func (d *Degraded) AppendRoute(buf []int, src, dst int) []int {
-	if d.Healthy() {
-		return d.base.AppendRoute(buf, src, dst)
-	}
 	out, err := d.routeFor(buf, src, dst)
 	if err != nil {
 		panic(err)
@@ -521,9 +488,6 @@ func (d *Degraded) AppendRouteSlots(buf []int, src, dst int) []int {
 // Distance returns the fault-aware routed hop count. Unroutable pairs
 // panic like AppendRoute; gate on Connected/CheckOperational first.
 func (d *Degraded) Distance(a, b int) int {
-	if d.Healthy() {
-		return d.base.Distance(a, b)
-	}
 	if a == b {
 		return 0
 	}
@@ -561,57 +525,49 @@ func (d *Degraded) RouteMetrics(src, dst int) (dist int, slow float64, err error
 	return len(route) - 1, slow, nil
 }
 
-// maxExactMetricNodes bounds the network size for which Diameter and
-// AveragePathLength are computed exactly over the live graph; a larger
-// overlay with dead elements falls back to documented estimates (serving
-// tiers never ask beyond reports and barrier weights).
+// maxExactMetricNodes bounds the network size for which Diameter is
+// computed exactly over the live graph; a larger overlay with dead
+// elements falls back to a documented estimate (serving tiers never ask
+// beyond reports and barrier weights).
 const maxExactMetricNodes = 4096
 
-// derive computes, once per overlay, every fact that depends on the live
-// graph as a whole: connectivity, diameter, mean path length, link count.
-// An overlay with no dead node or wire — slow wires only, or no fault —
-// has its base's graph and takes the base's closed-form values without a
-// traversal. Otherwise the live graph is laid out once as flat adjacency,
-// a walk from the first live node settles connectivity, and up to
-// maxExactMetricNodes an all-sources breadth-first search takes the
-// diameter as an integer maximum and the path length as an integer sum
-// under one division: exact, and independent of how the sources were
-// split. Beyond that size the path length is the base's and the diameter
-// the base's plus two hops of detour per dead wire, a dead node counting
-// as the wires it takes down — an estimate (a ring cut open exceeds it)
-// used only as the global-sync weight, consistently by the model and the
-// simulator, which see the same Network.
+// derive computes, once per overlay, the two facts that depend on the live
+// graph as a whole: connectivity and the diameter. An overlay with no dead
+// node or wire — slow wires only — has its base's graph and takes the
+// base's diameter without a traversal. Otherwise the live graph is laid
+// out once as flat adjacency, a walk from the first live node settles
+// connectivity, and up to maxExactMetricNodes an all-sources
+// breadth-first search takes the diameter as an integer maximum: exact,
+// and independent of how the sources were split. Beyond that size the
+// diameter is the base's plus two hops of detour per dead wire, a dead
+// node counting as the wires it takes down — an estimate (a ring cut open
+// exceeds it) used only as the global-sync weight, consistently by the
+// model and the simulator, which see the same Network.
 func (d *Degraded) derive() {
 	defer noteDerivation(time.Now())
-	d.diam, d.apl, d.links = d.base.Diameter(), d.base.AveragePathLength(), d.base.TotalLinks()
+	d.diam = d.base.Diameter()
 	if d.hopDown == nil {
 		return
 	}
-	g := d.liveGraph()
-	deadLinks := d.links - len(g.adj) // directed: two per dead wire
-	d.links = len(g.adj)
+	g, dropped := d.liveGraph()
 	n := d.base.Nodes()
 	live, first := n-len(d.fs.DeadNodes), 0
 	for first < n && !d.NodeAlive(first) {
 		first++
 	}
 	if live == 0 {
-		d.diam, d.apl = 0, 0
+		d.diam = 0
 		return
 	}
-	if reached, _, _ := g.walk(first, make([]int32, n), make([]int32, n)); reached != live {
+	if reached, _ := g.walk(first, make([]int32, n), make([]int32, n)); reached != live {
 		d.connErr = fmt.Errorf("topology: %s: %d of %d live nodes unreachable: %w",
 			d.name, live-reached, live, ErrUnroutable)
 	}
 	if n > maxExactMetricNodes {
-		d.diam += deadLinks
+		d.diam += dropped
 		return
 	}
-	far, sum, pairs := g.allPairs(d.deadNode)
-	d.diam, d.apl = far, 0
-	if pairs > 0 {
-		d.apl = float64(sum) / float64(pairs)
-	}
+	d.diam = g.allPairs(d.deadNode)
 }
 
 // liveGraph is the live part of a degraded fabric as flat adjacency: node
@@ -621,24 +577,29 @@ type liveGraph struct {
 	off, adj []int32
 }
 
-func (d *Degraded) liveGraph() liveGraph {
+// liveGraph also returns how many of the base's adjacency entries it
+// dropped: the directed links the faults take down, two per dead wire.
+func (d *Degraded) liveGraph() (liveGraph, int) {
 	n := d.base.Nodes()
-	g := liveGraph{off: make([]int32, n+1), adj: make([]int32, 0, d.base.TotalLinks())}
+	g := liveGraph{off: make([]int32, n+1), adj: make([]int32, 0, n*d.base.Degree())}
+	dropped := 0
 	for p := 0; p < n; p++ {
 		for _, q := range d.base.Neighbors(p) {
-			if !d.hopDown[d.base.LinkSlot(p, q)] {
+			if d.hopDown[d.base.LinkSlot(p, q)] {
+				dropped++
+			} else {
 				g.adj = append(g.adj, int32(q))
 			}
 		}
 		g.off[p+1] = int32(len(g.adj))
 	}
-	return g
+	return g, dropped
 }
 
 // walk searches breadth-first from s, in dist and queue (scratch, one
-// entry per node), and returns the nodes reached (s included), the
-// greatest distance and the sum of distances.
-func (g liveGraph) walk(s int, dist, queue []int32) (reached, far int, sum int64) {
+// entry per node), and returns the nodes reached (s included) and the
+// greatest distance.
+func (g liveGraph) walk(s int, dist, queue []int32) (reached, far int) {
 	for i := range dist {
 		dist[i] = -1
 	}
@@ -651,17 +612,16 @@ func (g liveGraph) walk(s int, dist, queue []int32) (reached, far int, sum int64
 			if dist[q] < 0 {
 				dist[q], queue[tail] = next, q
 				tail++
-				sum += int64(next)
 			}
 		}
 	}
-	return tail, int(dist[queue[tail-1]]), sum
+	return tail, int(dist[queue[tail-1]])
 }
 
 // allPairs walks from every live source — dealt from a shared cursor to
 // GOMAXPROCS workers, the caller being one — and returns the greatest
-// distance, the sum of distances and the count of ordered routable pairs.
-func (g liveGraph) allPairs(dead []bool) (far int, sum, pairs int64) {
+// distance.
+func (g liveGraph) allPairs(dead []bool) (far int) {
 	n := len(g.off) - 1
 	var cursor atomic.Int64
 	var mu sync.Mutex
@@ -669,15 +629,15 @@ func (g liveGraph) allPairs(dead []bool) (far int, sum, pairs int64) {
 	work := func() {
 		defer wg.Done()
 		dist, queue := make([]int32, n), make([]int32, n)
-		wFar, wSum, wPairs := 0, int64(0), int64(0)
+		wFar := 0
 		for s := int(cursor.Add(1)) - 1; s < n; s = int(cursor.Add(1)) - 1 {
 			if dead == nil || !dead[s] {
-				reached, f, total := g.walk(s, dist, queue)
-				wFar, wSum, wPairs = max(wFar, f), wSum+total, wPairs+int64(reached-1)
+				_, f := g.walk(s, dist, queue)
+				wFar = max(wFar, f)
 			}
 		}
 		mu.Lock()
-		far, sum, pairs = max(far, wFar), sum+wSum, pairs+wPairs
+		far = max(far, wFar)
 		mu.Unlock()
 	}
 	workers := min(runtime.GOMAXPROCS(0), n)
@@ -687,7 +647,7 @@ func (g liveGraph) allPairs(dead []bool) (far int, sum, pairs int64) {
 	}
 	work()
 	wg.Wait()
-	return far, sum, pairs
+	return far
 }
 
 // Diameter returns the maximum distance over live routable pairs: exact
@@ -695,14 +655,6 @@ func (g liveGraph) allPairs(dead []bool) (far int, sum, pairs int64) {
 func (d *Degraded) Diameter() int {
 	d.deriveOnce.Do(d.derive)
 	return d.diam
-}
-
-// AveragePathLength returns the mean distance over ordered live routable
-// pairs; exact up to maxExactMetricNodes, the base value beyond (reports
-// only).
-func (d *Degraded) AveragePathLength() float64 {
-	d.deriveOnce.Do(d.derive)
-	return d.apl
 }
 
 // Connected reports (as nil) whether every pair of live nodes is
@@ -723,23 +675,6 @@ func (d *Degraded) Operational() error {
 			d.name, len(d.fs.DeadNodes), ErrUnroutable)
 	}
 	return d.Connected()
-}
-
-// AsHypercube returns the bit-trick hypercube behind net when every fast
-// path may be used: net is a *Hypercube, or a fault-free Degraded
-// overlay of one (a zero-fault overlay routes, prices and replays
-// identically to its base by construction). Faulty overlays return
-// false — their routing must consult the fault state.
-func AsHypercube(net Network) (*Hypercube, bool) {
-	switch t := net.(type) {
-	case *Hypercube:
-		return t, true
-	case *Degraded:
-		if t.Healthy() {
-			return AsHypercube(t.base)
-		}
-	}
-	return nil, false
 }
 
 // CheckOperational reports whether net can host a complete exchange:

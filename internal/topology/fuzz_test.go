@@ -149,7 +149,7 @@ func FuzzRoute(f *testing.F) {
 // wire sets and checks the degraded contract: every returned route
 // avoids all dead wires and matches Distance, or the pair reports
 // ErrUnroutable — never a route through a fault, never a panic from the
-// error-returning form.
+// error-returning form. A mask that kills nothing must be refused.
 func FuzzDegradedRoute(f *testing.F) {
 	f.Add(uint8(0), 0, 0, uint64(0))
 	f.Add(uint8(1), 3, 61, uint64(0x9e3779b97f4a7c15))
@@ -189,6 +189,12 @@ func FuzzDegradedRoute(f *testing.F) {
 			}
 		}
 		d, err := Overlay(base, fs)
+		if fs.Empty() {
+			if err == nil {
+				t.Fatalf("%s: Overlay with no faults = %s, want an error", base.Name(), d.Name())
+			}
+			return
+		}
 		if err != nil {
 			t.Fatalf("%s: Overlay(%v): %v", base.Name(), fs, err)
 		}

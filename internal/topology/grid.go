@@ -306,49 +306,3 @@ func (g *grid) LinkSlot(from, to int) int {
 	}
 	panic(fmt.Sprintf("topology: LinkSlot(%d,%d): nodes are not adjacent in %s", from, to, g.name))
 }
-
-// TotalLinks returns the number of usable directed links.
-func (g *grid) TotalLinks() int {
-	total := 0
-	for _, r := range g.radices {
-		perDim := 0
-		switch {
-		case g.wrap && r == 2:
-			// One out-link per node covers both directions of the wire.
-			perDim = g.n
-		case g.wrap:
-			perDim = 2 * g.n
-		default:
-			// Each of the n/r rows of the dimension has r−1 wires, each
-			// full-duplex.
-			perDim = g.n / r * (r - 1) * 2
-		}
-		total += perDim
-	}
-	return total
-}
-
-// AveragePathLength returns the mean routed distance over ordered node
-// pairs with src ≠ dst. Per-dimension digit distances are independent,
-// so the total over all ordered pairs is Σ_i (n/r_i)²·S_i with S_i the
-// all-pairs digit-distance sum of dimension i. The sum is an exact
-// integer and there is one division, so the value is the correctly rounded
-// mean — the one a Degraded overlay's all-pairs walk of the same graph
-// arrives at.
-func (g *grid) AveragePathLength() float64 {
-	if g.n <= 1 {
-		return 0
-	}
-	total := 0.0
-	for i, r := range g.radices {
-		s := 0
-		for a := 0; a < r; a++ {
-			for b := 0; b < r; b++ {
-				s += g.dimDist(a, b, i)
-			}
-		}
-		pairs := g.n / r
-		total += float64(pairs) * float64(pairs) * float64(s)
-	}
-	return total / float64(g.n*(g.n-1))
-}

@@ -54,17 +54,10 @@ func TestGridBasics(t *testing.T) {
 	if tor.Stride(0) != 1 || tor.Stride(1) != 4 || tor.Stride(2) != 16 {
 		t.Error("strides wrong")
 	}
-	if tor.TotalLinks() != 64*6 {
-		t.Errorf("torus-4x4x4 TotalLinks = %d, want %d", tor.TotalLinks(), 64*6)
-	}
 
 	mesh := MustParseSpec("mesh-3x3")
 	if mesh.Diameter() != 4 {
 		t.Errorf("mesh-3x3 diameter = %d", mesh.Diameter())
-	}
-	// 2·(r−1) directed links per row, 3 rows per dimension, 2 dimensions.
-	if mesh.TotalLinks() != 2*2*3*2 {
-		t.Errorf("mesh-3x3 TotalLinks = %d", mesh.TotalLinks())
 	}
 	// Corner, edge and center degrees.
 	if got := len(mesh.Neighbors(0)); got != 2 {
@@ -113,13 +106,25 @@ func TestGridDistanceIsRouteLength(t *testing.T) {
 	}
 }
 
-// Every directed link slot must be unique per directed link, in range,
-// and the usable-slot census must match TotalLinks.
+// Every directed link slot must be unique per directed link and in range,
+// and the usable-slot census must match both the adjacency lists and the
+// shape's closed-form count of directed links: d·2^d on a cube; per
+// dimension, n on a radix-2 ring (one wire per pair), 2n on a longer
+// ring, and 2·(r−1) per row of a mesh.
 func TestLinkSlotsUniqueAndCounted(t *testing.T) {
-	for _, spec := range []string{"hypercube-4", "torus-4x4", "torus-2x3", "mesh-3x3", "torus-2x2"} {
+	for _, c := range []struct {
+		spec  string
+		links int
+	}{
+		{"hypercube-4", 4 * 16}, {"torus-4x4", 2 * 2 * 16}, {"torus-2x3", 6 + 2*6},
+		{"mesh-3x3", 2 * 2 * 3 * 2}, {"torus-2x2", 4 + 4},
+	} {
+		spec := c.spec
 		net := MustParseSpec(spec)
 		seen := make(map[int]bool)
+		adjacent := 0
 		for p := 0; p < net.Nodes(); p++ {
+			adjacent += len(net.Neighbors(p))
 			for _, q := range net.Neighbors(p) {
 				slot := net.LinkSlot(p, q)
 				if slot < 0 || slot >= net.Nodes()*net.Degree() {
@@ -131,34 +136,14 @@ func TestLinkSlotsUniqueAndCounted(t *testing.T) {
 				seen[slot] = true
 			}
 		}
-		if len(seen) != net.TotalLinks() {
-			t.Errorf("%s: %d distinct link slots, TotalLinks says %d", spec, len(seen), net.TotalLinks())
-		}
-	}
-}
-
-func TestAveragePathLengthMatchesEnumeration(t *testing.T) {
-	for _, spec := range []string{"hypercube-4", "torus-4x3", "mesh-3x2x2"} {
-		net := MustParseSpec(spec)
-		n := net.Nodes()
-		total, pairs := 0, 0
-		for a := 0; a < n; a++ {
-			for b := 0; b < n; b++ {
-				if a != b {
-					total += net.Distance(a, b)
-					pairs++
-				}
-			}
-		}
-		want := float64(total) / float64(pairs)
-		if got := net.AveragePathLength(); got < want-1e-9 || got > want+1e-9 {
-			t.Errorf("%s: AveragePathLength %v, enumeration %v", spec, got, want)
+		if len(seen) != adjacent || len(seen) != c.links {
+			t.Errorf("%s: %d distinct link slots, %d adjacency entries, want %d links", spec, len(seen), adjacent, c.links)
 		}
 	}
 }
 
 // SubBlocks must partition the node set into spans of agreeing outer
-// digits, generalizing Hypercube.Subcubes.
+// digits.
 func TestSubBlocksPartition(t *testing.T) {
 	net := MustParseSpec("torus-3x2x4")
 	blocks, err := SubBlocks(net, 1, 2)
@@ -186,6 +171,42 @@ func TestSubBlocksPartition(t *testing.T) {
 	}
 	if _, err := SubBlocks(net, 2, 2); err == nil {
 		t.Error("out-of-range field must fail")
+	}
+
+	// On a hypercube the blocks are the §5.2 subcubes of the bit field:
+	// 2^(d−w) of them, member v of a block carrying v in bits lo..lo+w−1
+	// and agreeing with the block's other members outside them.
+	h := MustNew(5)
+	for lo := 0; lo <= 4; lo++ {
+		for w := 1; lo+w <= 5; w++ {
+			blocks, err := SubBlocks(h, lo, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(blocks) != 1<<(5-w) {
+				t.Fatalf("lo=%d w=%d: %d subcubes", lo, w, len(blocks))
+			}
+			field := (1<<w - 1) << lo
+			covered := make(map[int]int)
+			for _, blk := range blocks {
+				for v, p := range blk {
+					covered[p]++
+					if p&field != v<<lo || p&^field != blk[0]&^field {
+						t.Fatalf("lo=%d w=%d: member %d of %v is %b", lo, w, v, blk, p)
+					}
+				}
+			}
+			for p := 0; p < h.Nodes(); p++ {
+				if covered[p] != 1 {
+					t.Errorf("lo=%d w=%d: node %d covered %d times", lo, w, p, covered[p])
+				}
+			}
+		}
+	}
+	for _, c := range [][2]int{{-1, 2}, {0, -1}, {3, 3}, {0, 6}} {
+		if _, err := SubBlocks(h, c[0], c[1]); err == nil {
+			t.Errorf("SubBlocks(hypercube-5, %d, %d) must fail", c[0], c[1])
+		}
 	}
 }
 

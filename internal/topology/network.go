@@ -9,7 +9,11 @@ import (
 // written against: a set of nodes labelled by mixed-radix coordinates
 // with deterministic dimension-ordered routing. The three concrete
 // implementations are Hypercube (all radices 2, bit-trick fast paths),
-// Torus (wraparound mixed-radix grid) and Mesh (open boundaries).
+// Torus (wraparound mixed-radix grid) and Mesh (open boundaries); a
+// Degraded overlay puts faults on any of them. What the layers above read
+// is what the paper prices a phase from: routes and their link slots,
+// routed distances (eq. 3's δ·distance term) and the diameter (§7.3's
+// global sync).
 //
 // Node labels are integers in [0, Nodes()): label p decomposes into
 // digits p = Σ c_i·Stride(i) with 0 ≤ c_i < Dims()[i], dimension 0 being
@@ -22,12 +26,11 @@ import (
 // dimension-ordered routing is deadlock-free on hypercubes and meshes
 // (links are acquired in a fixed global order), but torus wraparound
 // reintroduces cyclic waits within a ring — the classical result that
-// k-ary n-cubes need virtual channels; package circuit demonstrates
-// both behaviours. The path-level simulator (package simnet) reserves
-// whole circuits atomically, so it is deadlock-free on every shape. A
-// route between nodes differing only inside a dimension group never
-// leaves that group's sub-block — the property the multiphase exchange
-// planner relies on.
+// k-ary n-cubes need virtual channels. The path-level simulator (package
+// simnet) reserves whole circuits atomically, so it is deadlock-free on
+// every shape. A route between nodes differing only inside a dimension
+// group never leaves that group's sub-block — the property the multiphase
+// exchange planner relies on.
 type Network interface {
 	// Name returns the canonical registry spelling, e.g. "hypercube-7",
 	// "torus-4x4x4", "mesh-8x8". ParseSpec(Name()) round-trips.
@@ -75,18 +78,13 @@ type Network interface {
 	// and allocates like AppendRoute, and unlike AppendRoute keeps what
 	// buf already holds.
 	AppendRouteSlots(buf []int, src, dst int) []int
-	// TotalLinks returns the number of usable directed links.
-	TotalLinks() int
-	// AveragePathLength returns the mean routed distance over all
-	// ordered node pairs with src ≠ dst.
-	AveragePathLength() float64
 
 	// derived returns the memo Derived keeps this handle's values in.
 	derived() *memo
 }
 
 // memo is what one handle keeps of the values other layers derive from it
-// (Derived): one per Hypercube, grid and faulted Degraded overlay.
+// (Derived): one per Hypercube, grid and Degraded overlay.
 type memo struct{ m sync.Map } // key → *memoCell
 
 type memoCell struct {
@@ -97,9 +95,8 @@ type memoCell struct {
 // Derived returns build's value for key on net. build runs at most once per
 // handle — concurrent first callers wait for that one run — and its value
 // is kept with the handle: shared by everyone holding it (Resolve hands out
-// one handle per fabric) and collected with it. A fault-free Degraded
-// overlay routes and prices like its base, and reads and fills its base's
-// values. build must be a pure function of the fabric; a key's type should
+// one handle per fabric) and collected with it. build must be a pure
+// function of the fabric; a key's type should
 // be private to the calling package, so that two packages never collide.
 func Derived[K comparable, V any](net Network, key K, build func() V) V {
 	m := &net.derived().m
@@ -174,8 +171,8 @@ func SpanSize(net Network, lo, w int) (int, error) {
 
 // SubBlocks partitions the node set into the sub-blocks of the dimension
 // field [lo, lo+w): each block lists, in increasing field value, the
-// nodes that agree on every digit outside the field. This generalizes
-// Hypercube.Subcubes to mixed-radix coordinate blocks; phase j of the
+// nodes that agree on every digit outside the field. On a hypercube the
+// blocks are the subcubes of the bit field (§5.2); phase j of the
 // multiphase exchange operates simultaneously on all blocks of its field.
 func SubBlocks(net Network, lo, w int) ([][]int, error) {
 	span, err := SpanSize(net, lo, w)

@@ -3,7 +3,6 @@ package topology
 import (
 	"flag"
 	"fmt"
-	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -37,9 +36,9 @@ func faultCases(base Network) map[string]FaultSet {
 // only. go test ./internal/topology -args -wide
 var wide = flag.Bool("wide", false, "compare every hypercube-10 overlay against the oracle walks")
 
-// The one derivation pass must answer exactly what the four separate
-// walks it replaced answered (oracle_test.go): same verdict and message,
-// same integers, same float bits.
+// The one derivation pass must answer exactly what the separate walks it
+// replaced answered (oracle_test.go): same verdict and message, same
+// diameter.
 func TestDegradedDerivedFactsMatchOracle(t *testing.T) {
 	for _, spec := range []string{
 		"hypercube-6", "hypercube-7", "hypercube-8", "hypercube-9", "hypercube-10",
@@ -63,12 +62,6 @@ func TestDegradedDerivedFactsMatchOracle(t *testing.T) {
 				if got, want := d.Diameter(), oracleDiameter(d); got != want {
 					t.Errorf("%s: Diameter() = %d, oracle %d", d.Name(), got, want)
 				}
-				if got, want := d.AveragePathLength(), oracleAveragePathLength(d); math.Float64bits(got) != math.Float64bits(want) {
-					t.Errorf("%s: AveragePathLength() = %v, oracle %v", d.Name(), got, want)
-				}
-				if got, want := d.TotalLinks(), oracleTotalLinks(d); got != want {
-					t.Errorf("%s: TotalLinks() = %d, oracle %d", d.Name(), got, want)
-				}
 			}
 		})
 	}
@@ -91,7 +84,8 @@ func TestLargeFabricDiameterFallback(t *testing.T) {
 		if err := d.Connected(); err != nil {
 			t.Fatalf("%s: %v", spec, err)
 		}
-		exact, _, _ := d.liveGraph().allPairs(d.deadNode)
+		g, _ := d.liveGraph()
+		exact := g.allPairs(d.deadNode)
 		if got := d.Diameter(); got < exact || got <= d.base.Diameter() {
 			t.Errorf("%s: Diameter() = %d, live graph %d, base %d", spec, got, exact, d.base.Diameter())
 		}

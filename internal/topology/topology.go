@@ -1,5 +1,5 @@
 // Package topology models circuit-switched interconnection networks:
-// the hypercube of §2 (node labels, links, e-cube routes, subcube
+// the hypercube of §2 (node labels, links, e-cube routes, sub-block
 // decompositions) generalized behind the Network interface to
 // mixed-radix Torus and Mesh machines, plus the edge/node contention
 // analysis that motivates the circuit-switched schedules. Registry
@@ -13,8 +13,8 @@
 // ParseSpec is the pure constructor, Resolve the same thing through a
 // bounded process-wide table that returns one shared handle per fabric
 // whatever the spelling. What a handle derives lazily — a Degraded
-// overlay's connectivity, diameter, path length and link count (one pass,
-// exact up to maxExactMetricNodes nodes) and its detours, a grid's digit
+// overlay's connectivity and diameter (one pass, exact up to
+// maxExactMetricNodes nodes) and its detours, a grid's digit
 // table — is a pure function of the canonical spec (simulated time never
 // consults the host), derived on first use and kept with the handle.
 //
@@ -142,17 +142,6 @@ func (h *Hypercube) Nodes() int { return h.n }
 // Contains reports whether label p names a node of the cube.
 func (h *Hypercube) Contains(p int) bool { return p >= 0 && p < h.n }
 
-// Neighbor returns the neighbour of p across dimension i.
-func (h *Hypercube) Neighbor(p, i int) (int, error) {
-	if !h.Contains(p) {
-		return 0, fmt.Errorf("topology: node %d not in %d-cube", p, h.dim)
-	}
-	if i < 0 || i >= h.dim {
-		return 0, fmt.Errorf("topology: dimension %d not in [0,%d)", i, h.dim)
-	}
-	return bitutil.FlipBit(p, i), nil
-}
-
 // Neighbors returns all d neighbours of p in dimension order.
 func (h *Hypercube) Neighbors(p int) []int {
 	out := make([]int, h.dim)
@@ -184,74 +173,5 @@ func (h *Hypercube) Route(src, dst int) ([]int, error) {
 	if !h.Contains(src) || !h.Contains(dst) {
 		return nil, fmt.Errorf("topology: route %d→%d outside %d-cube", src, dst, h.dim)
 	}
-	return bitutil.ECubePath(src, dst), nil
-}
-
-// TotalLinks returns the number of directed links: d·2^d.
-func (h *Hypercube) TotalLinks() int { return h.dim * h.n }
-
-// AveragePathLength returns the mean e-cube path length over all ordered
-// pairs with src ≠ dst: d·2^(d-1)/(2^d−1), the distance term of eq. (2).
-func (h *Hypercube) AveragePathLength() float64 {
-	if h.dim == 0 {
-		return 0
-	}
-	return float64(h.dim) * float64(h.n/2) / float64(h.n-1)
-}
-
-// Subcube identifies one subcube of dimension w within the cube: the set
-// of nodes whose labels agree outside bit positions lo..lo+w-1. The paper
-// (§5.2) decomposes phases over the subcubes determined by consecutive
-// bit ranges of the node label.
-type Subcube struct {
-	Lo    int // lowest bit position of the subcube's label field
-	Width int // subcube dimension
-	Fixed int // the fixed bits outside the field (field bits zeroed)
-}
-
-// Nodes lists the subcube's 2^Width member labels in increasing order of
-// the field value.
-func (s Subcube) Nodes() []int {
-	out := make([]int, 1<<uint(s.Width))
-	for v := range out {
-		out[v] = bitutil.WithField(s.Fixed, s.Lo, s.Width, v)
-	}
-	return out
-}
-
-// Contains reports whether node p belongs to the subcube.
-func (s Subcube) Contains(p int) bool {
-	return bitutil.WithField(p, s.Lo, s.Width, 0) == s.Fixed
-}
-
-// Rank returns p's index within the subcube (its field value).
-func (s Subcube) Rank(p int) int { return bitutil.Field(p, s.Lo, s.Width) }
-
-// Member returns the node with the given rank within the subcube.
-func (s Subcube) Member(rank int) int {
-	return bitutil.WithField(s.Fixed, s.Lo, s.Width, rank)
-}
-
-func (s Subcube) String() string {
-	return fmt.Sprintf("subcube[bits %d..%d of %0b]", s.Lo, s.Lo+s.Width-1, s.Fixed)
-}
-
-// Subcubes returns all 2^(d−w) subcubes of width w anchored at bit lo,
-// partitioning the node set. Phase j of the multiphase algorithm operates
-// simultaneously on all subcubes returned here for its bit range.
-func (h *Hypercube) Subcubes(lo, w int) ([]Subcube, error) {
-	if w < 0 || lo < 0 || lo+w > h.dim {
-		return nil, fmt.Errorf("topology: bit field [%d,%d) not in %d-cube", lo, lo+w, h.dim)
-	}
-	count := 1 << uint(h.dim-w)
-	out := make([]Subcube, 0, count)
-	seen := make(map[int]bool, count)
-	for p := 0; p < h.n; p++ {
-		fixed := bitutil.WithField(p, lo, w, 0)
-		if !seen[fixed] {
-			seen[fixed] = true
-			out = append(out, Subcube{Lo: lo, Width: w, Fixed: fixed})
-		}
-	}
-	return out, nil
+	return h.AppendRoute(nil, src, dst), nil
 }

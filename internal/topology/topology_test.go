@@ -1,8 +1,8 @@
 package topology
 
 import (
+	"slices"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/bitutil"
 )
@@ -30,23 +30,6 @@ func TestMustNewPanics(t *testing.T) {
 		}
 	}()
 	MustNew(-1)
-}
-
-func TestNeighbor(t *testing.T) {
-	h := MustNew(4)
-	n, err := h.Neighbor(0b0101, 1)
-	if err != nil || n != 0b0111 {
-		t.Errorf("Neighbor = %b, %v", n, err)
-	}
-	if _, err := h.Neighbor(99, 0); err == nil {
-		t.Error("out-of-cube node must fail")
-	}
-	if _, err := h.Neighbor(0, 4); err == nil {
-		t.Error("out-of-range dimension must fail")
-	}
-	if _, err := h.Neighbor(0, -1); err == nil {
-		t.Error("negative dimension must fail")
-	}
 }
 
 func TestNeighborsAllAdjacent(t *testing.T) {
@@ -100,86 +83,6 @@ func TestEdgeDim(t *testing.T) {
 	}
 }
 
-func TestTotalLinks(t *testing.T) {
-	if got := MustNew(5).TotalLinks(); got != 160 {
-		t.Errorf("32-node cube has %d directed links, want 160", got)
-	}
-}
-
-func TestAveragePathLength(t *testing.T) {
-	// eq. (2) distance term: d·2^(d-1)/(2^d−1). For d=5: 80/31.
-	h := MustNew(5)
-	want := 80.0 / 31.0
-	if got := h.AveragePathLength(); got != want {
-		t.Errorf("avg path length = %v, want %v", got, want)
-	}
-	if MustNew(0).AveragePathLength() != 0 {
-		t.Error("0-cube average path length must be 0")
-	}
-	// Cross-check by brute force for d=4.
-	h4 := MustNew(4)
-	sum, cnt := 0, 0
-	for a := 0; a < 16; a++ {
-		for b := 0; b < 16; b++ {
-			if a != b {
-				sum += h4.Distance(a, b)
-				cnt++
-			}
-		}
-	}
-	if got, want := h4.AveragePathLength(), float64(sum)/float64(cnt); got != want {
-		t.Errorf("d=4 avg = %v, brute force %v", got, want)
-	}
-}
-
-func TestSubcubesPartitionNodes(t *testing.T) {
-	h := MustNew(5)
-	for lo := 0; lo <= 3; lo++ {
-		for w := 1; lo+w <= 5; w++ {
-			subs, err := h.Subcubes(lo, w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(subs) != 1<<uint(5-w) {
-				t.Fatalf("lo=%d w=%d: %d subcubes", lo, w, len(subs))
-			}
-			seen := map[int]int{}
-			for _, s := range subs {
-				for _, p := range s.Nodes() {
-					seen[p]++
-					if !s.Contains(p) {
-						t.Errorf("%v does not contain own member %d", s, p)
-					}
-					if s.Member(s.Rank(p)) != p {
-						t.Errorf("rank/member roundtrip failed for %d in %v", p, s)
-					}
-				}
-			}
-			for p := 0; p < 32; p++ {
-				if seen[p] != 1 {
-					t.Errorf("lo=%d w=%d: node %d covered %d times", lo, w, p, seen[p])
-				}
-			}
-		}
-	}
-}
-
-func TestSubcubesErrors(t *testing.T) {
-	h := MustNew(4)
-	for _, c := range [][2]int{{-1, 2}, {0, -1}, {3, 2}, {0, 5}} {
-		if _, err := h.Subcubes(c[0], c[1]); err == nil {
-			t.Errorf("Subcubes(%d,%d) must fail", c[0], c[1])
-		}
-	}
-}
-
-func TestSubcubeString(t *testing.T) {
-	s := Subcube{Lo: 1, Width: 2, Fixed: 0b1000}
-	if s.String() == "" {
-		t.Error("empty String")
-	}
-}
-
 // Paper §5.2 and Figure 3: for d=3 with partition {2,1}, the first partial
 // exchange uses bits 2,1 and the second uses bit 0.
 func TestPhaseFieldsFigure3(t *testing.T) {
@@ -205,7 +108,7 @@ func TestPhaseFieldsCoverAllBits(t *testing.T) {
 		}
 		covered := 0
 		for _, f := range fields {
-			covered |= bitutil.Mask(f[1]) << uint(f[0])
+			covered |= (1<<f[1] - 1) << f[0]
 		}
 		if covered != 127 {
 			t.Errorf("dims %v cover bits %b, want all 7", dims, covered)
@@ -229,26 +132,18 @@ func TestPhaseFieldsErrors(t *testing.T) {
 	}
 }
 
-func TestRouteMatchesBitutil(t *testing.T) {
-	h := MustNew(7)
-	f := func(a, b uint8) bool {
-		s, d := int(a)&127, int(b)&127
-		route, err := h.Route(s, d)
-		if err != nil {
-			return false
-		}
-		want := bitutil.ECubePath(s, d)
-		if len(route) != len(want) {
-			return false
-		}
-		for i := range want {
-			if route[i] != want[i] {
-				return false
-			}
-		}
-		return true
+// Paper §2: the e-cube route from 0 to 31 corrects bit 0 first and has
+// length 5; 2→23 has length 3 and 14→11 length 2. (The edge and node the
+// three routes contend for are TestAnalyzeStepPaperExample's.)
+func TestECubePathPaperExamples(t *testing.T) {
+	h := MustNew(5)
+	route, err := h.Route(0, 31)
+	if err != nil || !slices.Equal(route, []int{0, 1, 3, 7, 15, 31}) {
+		t.Errorf("route 0→31 = %v, %v; want [0 1 3 7 15 31]", route, err)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
-		t.Error(err)
+	for _, c := range []struct{ src, dst, hops int }{{0, 31, 5}, {2, 23, 3}, {14, 11, 2}} {
+		if route, err := h.Route(c.src, c.dst); err != nil || len(route)-1 != c.hops {
+			t.Errorf("route %d→%d = %v, %v; want %d hops", c.src, c.dst, route, err, c.hops)
+		}
 	}
 }
