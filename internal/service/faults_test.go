@@ -533,7 +533,7 @@ func FuzzFaults(f *testing.F) {
 			srv.faultMu.Lock()
 			held, kept := srv.faults[fr.Topology]
 			srv.faultMu.Unlock()
-			if kept != (fr.Health != "ok") || kept && held.HealthDigest() != fr.Health {
+			if fr.Health == "" || kept != (fr.Health != "ok") || kept && held.HealthDigest() != fr.Health {
 				t.Fatalf("op %d %s: health %q, registry entry kept: %v", i, body, fr.Health, kept)
 			}
 			if op.Action == "clear" && fr.Health != "ok" {

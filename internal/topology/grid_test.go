@@ -83,9 +83,10 @@ func TestGridBasics(t *testing.T) {
 }
 
 // Distance must be a metric consistent with shortest paths: symmetric,
-// triangle-inequality-respecting, and equal to the route length.
+// triangle-inequality-respecting, and equal to the length of a route whose
+// every hop is a link — on the grids and on the e-cube-routed hypercube.
 func TestGridDistanceIsRouteLength(t *testing.T) {
-	for _, spec := range []string{"torus-5x3", "mesh-4x4", "torus-2x3x2"} {
+	for _, spec := range []string{"torus-5x3", "mesh-4x4", "torus-2x3x2", "hypercube-6"} {
 		net := MustParseSpec(spec)
 		n := net.Nodes()
 		for a := 0; a < n; a++ {
@@ -100,6 +101,11 @@ func TestGridDistanceIsRouteLength(t *testing.T) {
 				if len(r)-1 != net.Distance(a, b) {
 					t.Fatalf("%s: route %d→%d length %d, distance %d",
 						spec, a, b, len(r)-1, net.Distance(a, b))
+				}
+				for i := 0; i+1 < len(r); i++ {
+					if net.Distance(r[i], r[i+1]) != 1 {
+						t.Fatalf("%s: route %d→%d hop %d→%d is not a link", spec, a, b, r[i], r[i+1])
+					}
 				}
 			}
 		}

@@ -96,8 +96,8 @@ type memoCell struct {
 // handle — concurrent first callers wait for that one run — and its value
 // is kept with the handle: shared by everyone holding it (Resolve hands out
 // one handle per fabric) and collected with it. build must be a pure
-// function of the fabric; a key's type should
-// be private to the calling package, so that two packages never collide.
+// function of the fabric; a key's type should be private to the calling
+// package, so that two packages never collide.
 func Derived[K comparable, V any](net Network, key K, build func() V) V {
 	m := &net.derived().m
 	c, ok := m.Load(key)
