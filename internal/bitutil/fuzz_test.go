@@ -10,7 +10,7 @@ func FuzzECubePath(f *testing.F) {
 	f.Fuzz(func(t *testing.T, a, b int) {
 		src := a & 0xFFFF
 		dst := b & 0xFFFF
-		p := ECubePath(src, dst)
+		p := ecubePath(src, dst)
 		if p[0] != src || p[len(p)-1] != dst {
 			t.Fatal("endpoints wrong")
 		}

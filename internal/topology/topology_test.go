@@ -147,3 +147,27 @@ func TestECubePathPaperExamples(t *testing.T) {
 		}
 	}
 }
+
+// Route on a cube must be the e-cube walk bitutil's primitives define:
+// each hop flips the lowest set bit of cur^dst, so a route is a shortest
+// path that corrects dimensions in ascending order.
+func TestRouteMatchesBitutil(t *testing.T) {
+	h := MustNew(7)
+	for s := 0; s < h.Nodes(); s++ {
+		for d := 0; d < h.Nodes(); d++ {
+			route, err := h.Route(s, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cur := s
+			want := []int{cur}
+			for cur != d {
+				cur = bitutil.FlipBit(cur, bitutil.LowestSetBit(cur^d))
+				want = append(want, cur)
+			}
+			if !slices.Equal(route, want) {
+				t.Fatalf("route %d→%d = %v, want %v", s, d, route, want)
+			}
+		}
+	}
+}
