@@ -117,11 +117,18 @@ func waitReady(t *testing.T, base string) {
 	}
 }
 
+// lineRef names one hypercube plan-cache line.
+type lineRef struct {
+	machine string
+	d       int
+}
+
 // TestFleetEndToEnd is the clustered acceptance path: a non-owner
 // serves a line by fetching it from its ring owner (the owner builds
 // once, the fetcher imports instead of building), and after the owner
-// dies the same fetcher still answers — by local fallback build, within
-// one client deadline, with the breaker trip visible on /metrics.
+// dies the same fetcher still answers — by local fallback build, each
+// request within one client deadline — until the dead owner's breaker
+// opens at the default threshold, visible on /metrics.
 func TestFleetEndToEnd(t *testing.T) {
 	lns, urls := reserveFleet(t, 3)
 	peers := strings.Join(urls, ",")
@@ -129,37 +136,42 @@ func TestFleetEndToEnd(t *testing.T) {
 	stops := make([]func(), len(lns))
 	for i := range lns {
 		_, stops[i] = startFleetNode(t, options{
-			machine:          "ipsc860",
-			backend:          "simulated", // a line the ring still fetches: its build replays
-			sweepHi:          64,
-			sweepStep:        16,
-			self:             urls[i],
-			peers:            peers,
-			peerAttempts:     1,
-			breakerThreshold: 1,
-			probeEvery:       time.Hour, // only the startup sweep: the test owns peer-state timing
+			machine:   "ipsc860",
+			backend:   "simulated", // a line the ring still fetches: its build replays
+			sweepHi:   64,
+			sweepStep: 16,
+			self:      urls[i],
+			peers:     peers,
 		}, lns[i])
 	}
 	for _, u := range urls {
 		waitReady(t, u)
 	}
 
-	// Map two hypercube lines to the same owner, and pick a distinct
-	// replica as the fetcher. The ring hangs off the OS-assigned ports, so
-	// which replica owns what differs run to run; but four lines over
-	// three replicas give some replica two of hypercube-3..6.
+	// One line for the peer serve and one per failure the breaker takes
+	// to open, all owned by one replica, and a distinct replica as the
+	// fetcher. The ring hangs off the OS-assigned ports, so which replica
+	// owns what differs run to run; but 25 lines over three replicas give
+	// some replica a share of at least nine.
+	const threshold = 5 // cluster.Config's default BreakerThreshold
 	ring, err := cluster.NewRing(urls, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	owned := make(map[string][]int)
+	owned := make(map[string][]lineRef)
 	var owner string
-	var dims []int
-	for d := 3; d <= 6 && dims == nil; d++ {
-		o := ring.Owner(cluster.LineKey("ipsc860", fmt.Sprintf("hypercube-%d", d)))
-		if owned[o] = append(owned[o], d); len(owned[o]) == 2 {
-			owner, dims = o, owned[o]
+	var lines []lineRef
+	for d := 3; d <= 7 && lines == nil; d++ {
+		for _, machine := range model.MachineNames() {
+			o := ring.Owner(cluster.LineKey(machine, fmt.Sprintf("hypercube-%d", d)))
+			if owned[o] = append(owned[o], lineRef{machine, d}); len(owned[o]) == 1+threshold {
+				owner, lines = o, owned[o]
+				break
+			}
 		}
+	}
+	if lines == nil {
+		t.Fatalf("no replica owns %d of the lines: %v", 1+threshold, owned)
 	}
 	var fetcher string
 	ownerIdx := -1
@@ -170,11 +182,14 @@ func TestFleetEndToEnd(t *testing.T) {
 			fetcher = u
 		}
 	}
+	planURL := func(ln lineRef, m int) string {
+		return fmt.Sprintf("%s/v1/plan?machine=%s&d=%d&m=%d", fetcher, ln.machine, ln.d, m)
+	}
 
 	// Owner-serve: the non-owner answers by peer fetch. The owner builds
 	// the line (once, on demand); the fetcher imports it.
 	var plan planWire
-	fetch(t, fmt.Sprintf("%s/v1/plan?machine=ipsc860&d=%d&m=40", fetcher, dims[0]), &plan)
+	fetch(t, planURL(lines[0], 40), &plan)
 	var fm, om clusterMetricsWire
 	fetch(t, fetcher+"/metrics", &fm)
 	fetch(t, owner+"/metrics", &om)
@@ -187,38 +202,46 @@ func TestFleetEndToEnd(t *testing.T) {
 	}
 
 	// Resident now: a repeat query on the fetcher touches nobody.
-	fetch(t, fmt.Sprintf("%s/v1/plan?machine=ipsc860&d=%d&m=80", fetcher, dims[0]), &plan)
+	fetch(t, planURL(lines[0], 80), &plan)
 	fetch(t, fetcher+"/metrics", &fm)
 	if fm.Cluster.PeerHits != 1 {
 		t.Fatalf("repeat query re-fetched from the owner (hits %d)", fm.Cluster.PeerHits)
 	}
 
-	// Kill the owner. The fleet froze probing (probeEvery is an hour), so
-	// the fetcher still believes the owner is up: its next owned-line
-	// miss pays one failed fetch, trips the breaker, and falls back to a
-	// local build — the request must still succeed, quickly.
+	// Kill the owner. Nothing tells the fetcher: each miss on a line the
+	// dead owner owns pays its failed fetch and falls back to a local
+	// build, and the request must still succeed, quickly. The breaker
+	// opens on the threshold-th failure in a row.
 	stops[ownerIdx]()
 	client := &http.Client{Timeout: 15 * time.Second}
-	began := time.Now()
-	resp, err := client.Get(fmt.Sprintf("%s/v1/plan?machine=ipsc860&d=%d&m=40", fetcher, dims[1]))
-	if err != nil {
-		t.Fatalf("request after owner death: %v", err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("request after owner death: %d, want 200 via local fallback", resp.StatusCode)
-	}
-	if took := time.Since(began); took > 10*time.Second {
-		t.Fatalf("fallback took %v — dead peer stalled the request", took)
+	for i, ln := range lines[1:] {
+		fetch(t, fetcher+"/metrics", &fm)
+		if breaker := fm.breakerOf(owner); breaker != "closed" {
+			t.Fatalf("dead owner's breaker is %q after %d failed fetches, want closed below the threshold of %d",
+				breaker, i, threshold)
+		}
+		began := time.Now()
+		resp, err := client.Get(planURL(ln, 40))
+		if err != nil {
+			t.Fatalf("request %d after owner death: %v", i+1, err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d after owner death: %d, want 200 via local fallback", i+1, resp.StatusCode)
+		}
+		if took := time.Since(began); took > 10*time.Second {
+			t.Fatalf("fallback %d took %v — dead peer stalled the request", i+1, took)
+		}
 	}
 
 	fetch(t, fetcher+"/metrics", &fm)
-	if fm.Cluster.FallbackBuilds < 1 {
-		t.Fatal("peer_fallback_builds_total did not move after owner death")
+	if fm.Cluster.FallbackBuilds != threshold {
+		t.Fatalf("peer_fallback_builds_total is %d after %d misses on the dead owner's lines, want %d",
+			fm.Cluster.FallbackBuilds, threshold, threshold)
 	}
-	if fm.Cache.Builds < 1 {
-		t.Fatal("fetcher did not build locally after owner death")
+	if fm.Cache.Builds != threshold {
+		t.Fatalf("fetcher built %d lines locally after owner death, want %d", fm.Cache.Builds, threshold)
 	}
 	if breaker := fm.breakerOf(owner); breaker != "open" {
 		t.Fatalf("dead owner's breaker is %q on the fetcher's /metrics, want open", breaker)
@@ -233,10 +256,9 @@ func TestAnalyticFleetBuildsLocally(t *testing.T) {
 	peers := strings.Join(urls, ",")
 	for i := range lns {
 		startFleetNode(t, options{
-			machine:    "ipsc860",
-			self:       urls[i],
-			peers:      peers,
-			probeEvery: time.Hour,
+			machine: "ipsc860",
+			self:    urls[i],
+			peers:   peers,
 		}, lns[i])
 	}
 	for _, u := range urls {
@@ -281,25 +303,24 @@ func TestAnalyticFleetBuildsLocally(t *testing.T) {
 // One shard of two lines under a working set of up to nine makes every
 // pass over it miss, so the survivors fetch from the owner until it dies
 // and must fall back to local builds from then on. The kill is tied to a
-// request count, and every client keeps going for two more passes after
-// it, so each survivor meets the dead owner whatever the scheduling.
+// request count, and every client keeps going for four more passes after
+// it, so each survivor meets the dead owner often enough, whatever the
+// scheduling, to open its breaker at the default threshold of five
+// failures in a row.
 func TestFleetKillOwnerUnderLoad(t *testing.T) {
 	lns, urls := reserveFleet(t, 3)
 	peers := strings.Join(urls, ",")
 	nodes := make([]*daemon, len(lns))
 	for i := range lns {
 		nodes[i], _ = startFleetNode(t, options{
-			machine:          "ipsc860",
-			backend:          "simulated", // lines the ring still fetches: their builds replay
-			sweepHi:          64,
-			sweepStep:        16,
-			self:             urls[i],
-			peers:            peers,
-			shards:           1,
-			capacity:         2,
-			peerAttempts:     1,
-			breakerThreshold: 1,
-			probeEvery:       time.Hour, // the survivors learn of the death from their fetches
+			machine:   "ipsc860",
+			backend:   "simulated", // lines the ring still fetches: their builds replay
+			sweepHi:   64,
+			sweepStep: 16,
+			self:      urls[i],
+			peers:     peers,
+			shards:    1,
+			capacity:  2,
 		}, lns[i])
 	}
 	for _, u := range urls {
@@ -310,10 +331,6 @@ func TestFleetKillOwnerUnderLoad(t *testing.T) {
 	ring, err := cluster.NewRing(urls, 0)
 	if err != nil {
 		t.Fatal(err)
-	}
-	type lineRef struct {
-		machine string
-		d       int
 	}
 	var lines []lineRef
 	owned := make(map[string]int)
@@ -347,7 +364,7 @@ func TestFleetKillOwnerUnderLoad(t *testing.T) {
 			go func(offset int) {
 				defer wg.Done()
 				afterKill := 0
-				for i := 0; i < perClient || afterKill < 2*len(lines); i++ {
+				for i := 0; i < perClient || afterKill < 4*len(lines); i++ {
 					select {
 					case <-killed:
 						afterKill++

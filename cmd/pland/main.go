@@ -31,10 +31,14 @@
 // or one on a faulted fabric — is fetched from the owner with deadlines,
 // retries, and a per-peer circuit breaker, and falls back to a local
 // build when the owner is unreachable; a healthy analytic line rebuilds
-// in microseconds and is always built where it is asked. /readyz turns
-// 200 only after restore, warmup, and the ring join's warm fan-out, which
-// imports this replica's owned lines from each peer's snapshot document
-// (the same lines -snapshot persists); /healthz stays pure liveness.
+// in microseconds and is always built where it is asked. The breaker is
+// the only failure detector — nothing polls the peers — and the peer
+// layer runs on the cluster package's defaults: 3 attempts of 2 s each,
+// a breaker that opens after 5 consecutive failures and half-opens 5 s
+// later. /readyz turns 200 only after restore, warmup, and the ring
+// join's warm fan-out, which imports this replica's owned lines from
+// each peer's snapshot document (the same lines -snapshot persists);
+// /healthz stays pure liveness.
 package main
 
 import (
@@ -77,14 +81,9 @@ type options struct {
 	warmupDims    string
 
 	// Fleet mode (see the package doc): all off when peers is empty.
-	self             string
-	peers            string
-	maxBuilds        int
-	peerTimeout      time.Duration
-	peerAttempts     int
-	probeEvery       time.Duration
-	breakerThreshold int
-	breakerCooldown  time.Duration
+	self      string
+	peers     string
+	maxBuilds int
 
 	// Observability: -log-format selects text (default) or json slog
 	// output; -debug-addr serves net/http/pprof and /debug/vars on its
@@ -112,11 +111,6 @@ func main() {
 	flag.StringVar(&o.self, "self", "", "this replica's advertised base URL (required with -peers)")
 	flag.StringVar(&o.peers, "peers", "", "comma-separated replica base URLs forming the fleet (empty = standalone)")
 	flag.IntVar(&o.maxBuilds, "max-builds", 0, "concurrent local hull builds before shedding with 503 (0 = unbounded)")
-	flag.DurationVar(&o.peerTimeout, "peer-timeout", 0, "per-attempt peer fetch deadline for fetched lines: simulated or faulted (0 = cluster default)")
-	flag.IntVar(&o.peerAttempts, "peer-attempts", 0, "peer fetch attempts before local fallback, for fetched lines: simulated or faulted (0 = cluster default)")
-	flag.DurationVar(&o.probeEvery, "probe-every", 0, "peer health-probe interval (0 = cluster default)")
-	flag.IntVar(&o.breakerThreshold, "breaker-threshold", 0, "consecutive peer fetch failures before the breaker opens, for fetched lines: simulated or faulted (0 = cluster default)")
-	flag.DurationVar(&o.breakerCooldown, "breaker-cooldown", 0, "open-breaker cooldown before a half-open probe, for fetched lines: simulated or faulted (0 = cluster default)")
 	flag.StringVar(&o.logFormat, "log-format", "text", "log output format: text | json")
 	flag.StringVar(&o.debugAddr, "debug-addr", "", "listen address for pprof and /debug/vars (empty = off)")
 	flag.IntVar(&o.traceCapacity, "trace-capacity", 0, "request traces retained for /debug/traces (0 = default)")
@@ -214,14 +208,9 @@ func newDaemon(o options) (*daemon, error) {
 			return nil, fmt.Errorf("-peers requires -self (this replica's advertised URL)")
 		}
 		clu, err = cluster.New(cluster.Config{
-			Self:             o.self,
-			Peers:            strings.Split(o.peers, ","),
-			FetchAttempts:    o.peerAttempts,
-			FetchTimeout:     o.peerTimeout,
-			BreakerThreshold: o.breakerThreshold,
-			BreakerCooldown:  o.breakerCooldown,
-			ProbeInterval:    o.probeEvery,
-			Logger:           o.logger,
+			Self:   o.self,
+			Peers:  strings.Split(o.peers, ","),
+			Logger: o.logger,
 		})
 		if err != nil {
 			return nil, err
@@ -351,14 +340,14 @@ func (d *daemon) run(ctx context.Context, ln net.Listener) error {
 	}
 
 	// Readiness: restore + warmup already ran in newDaemon. A standalone
-	// daemon is ready as soon as it serves; a clustered one first starts
-	// health probes and warm-fetches its owned lines from live peers —
-	// in the background, because joining a fleet whose peers are still
-	// booting must not deadlock startup (they need our /healthz up).
+	// daemon is ready as soon as it serves; a clustered one first
+	// warm-fetches its owned lines from every peer once — in the
+	// background, because joining a fleet whose peers are still booting
+	// must not deadlock startup (their fan-out needs our snapshot
+	// endpoint up).
 	if d.clu == nil {
 		d.svc.SetReady(true)
 	} else {
-		d.clu.Start(ctx)
 		go func() {
 			imported, err := d.clu.WarmOwned(ctx, d.cache)
 			if err != nil {

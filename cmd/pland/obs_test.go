@@ -56,13 +56,12 @@ func TestFleetRequestIDSpansReplicas(t *testing.T) {
 	peers := strings.Join(urls, ",")
 	for i := range lns {
 		startFleetNode(t, options{
-			machine:    "ipsc860",
-			backend:    "simulated", // a line the ring still fetches: its build replays
-			sweepHi:    64,
-			sweepStep:  16,
-			self:       urls[i],
-			peers:      peers,
-			probeEvery: time.Hour,
+			machine:   "ipsc860",
+			backend:   "simulated", // a line the ring still fetches: its build replays
+			sweepHi:   64,
+			sweepStep: 16,
+			self:      urls[i],
+			peers:     peers,
 		}, lns[i])
 	}
 	for _, u := range urls {

@@ -78,11 +78,12 @@
 // /v1/peer/line — per-attempt deadlines, bounded retries with backoff
 // and jitter, and per-peer circuit breakers guarding every hop — and
 // falls back to a local singleflight build when the owner is dead or
-// slow, so a peer failure costs latency, never an error. Replicas probe
-// each other's /healthz, warm-fetch their owned lines at startup, gate
-// /readyz on that warm-up, forward fault updates fleet-wide, and shed
-// local builds beyond a bound with 503s. Without -peers the daemon is
-// bit-identical to the standalone build.
+// slow, so a peer failure costs latency, never an error. A peer's
+// breaker is the only judge of its health — nothing polls the peers.
+// Replicas warm-fetch their owned lines at startup, gate /readyz on that
+// warm-up, forward fault updates fleet-wide, and shed local builds
+// beyond a bound with 503s. Without -peers the daemon is bit-identical
+// to the standalone build.
 //
 // The fleet watches itself through internal/obs, a zero-dependency
 // observability layer: every request carries a correlation ID

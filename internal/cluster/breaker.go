@@ -13,17 +13,19 @@ const (
 	// breakerOpen: too many consecutive failures; fetches are refused
 	// locally (fast fallback to a local build) until the cooldown ends.
 	breakerOpen = "open"
-	// breakerHalfOpen: the cooldown ended and exactly one probe fetch is
+	// breakerHalfOpen: the cooldown ended and exactly one probe call is
 	// allowed through; its outcome closes or re-opens the breaker.
 	breakerHalfOpen = "half-open"
 )
 
-// breaker is one peer's circuit breaker: consecutive fetch failures
-// trip it open, a cooldown later a single half-open probe is let
+// breaker is one peer's circuit breaker and the fleet's only failure
+// detector: consecutive failed calls — line fetches and fault forwards
+// alike — trip it open, a cooldown later a single half-open probe is let
 // through, and that probe's outcome decides between closed and another
 // open period. While open, every would-be fetch fails instantly — the
 // caller pays a local build instead of a deadline wait on a peer that
-// has been failing anyway.
+// has been failing anyway. A restarted peer is readmitted the same way:
+// by the first half-open call after the cooldown.
 type breaker struct {
 	threshold int
 	cooldown  time.Duration
@@ -48,7 +50,7 @@ func newBreaker(threshold int, cooldown time.Duration, now func() time.Time) *br
 	}
 }
 
-// allow reports whether a fetch may proceed. An open breaker whose
+// allow reports whether a call may proceed. An open breaker whose
 // cooldown has elapsed transitions to half-open and admits this one
 // caller as the probe; further callers are refused until the probe
 // reports back.
@@ -69,7 +71,7 @@ func (b *breaker) allow() bool {
 	}
 }
 
-// success records a completed fetch: the breaker closes and the failure
+// success records a completed call: the breaker closes and the failure
 // streak resets.
 func (b *breaker) success() {
 	b.mu.Lock()
@@ -78,7 +80,7 @@ func (b *breaker) success() {
 	b.fails = 0
 }
 
-// failure records a failed fetch: a failed half-open probe re-opens
+// failure records a failed call: a failed half-open probe re-opens
 // immediately, a closed breaker opens once the streak reaches the
 // threshold.
 func (b *breaker) failure() {
@@ -92,10 +94,10 @@ func (b *breaker) failure() {
 	}
 }
 
-// abandon records a fetch its caller gave up on: it says nothing about
+// abandon records a call its caller gave up on: it says nothing about
 // the peer, so the streak is left alone. An abandoned half-open probe
 // returns the breaker to open without restarting the cooldown, so the
-// next fetch is admitted as the probe instead of being refused forever.
+// next call is admitted as the probe instead of being refused forever.
 func (b *breaker) abandon() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -104,21 +106,11 @@ func (b *breaker) abandon() {
 	}
 }
 
-// reset force-closes the breaker (a down→up health-probe transition:
-// the peer restarted and answers /healthz again, so give it a clean
-// slate rather than waiting out a cooldown from its previous life).
-func (b *breaker) reset() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.state = breakerClosed
-	b.fails = 0
-}
-
 // snapshot returns the state, consecutive-failure count, and trip total.
 func (b *breaker) snapshot() (state string, fails int, trips int64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	// An open breaker past its cooldown is reported open until a fetch
+	// An open breaker past its cooldown is reported open until a call
 	// actually probes it; that is the truthful serving state.
 	return b.state, b.fails, b.trips
 }

@@ -95,19 +95,3 @@ func TestBreakerAbandonBooksNothing(t *testing.T) {
 		t.Fatal("the next caller was refused the probe an abandoned one left")
 	}
 }
-
-func TestBreakerReset(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(0, 0)}
-	b := newBreaker(1, time.Hour, clk.now)
-	b.failure()
-	if b.allow() {
-		t.Fatal("open breaker admitted a fetch")
-	}
-	b.reset() // the health prober saw the peer come back
-	if !b.allow() {
-		t.Fatal("reset breaker refused a fetch")
-	}
-	if state, fails, _ := b.snapshot(); state != breakerClosed || fails != 0 {
-		t.Fatalf("after reset: got state %s, fails %d", state, fails)
-	}
-}

@@ -11,7 +11,6 @@ import (
 	"net/url"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -28,8 +27,6 @@ const (
 	// PeerSnapshotPath serves every resident line (degraded included) as
 	// a plancache.Snapshot document for warm fan-out.
 	PeerSnapshotPath = "/v1/peer/snapshot"
-	// healthPath is the liveness endpoint the prober polls.
-	healthPath = "/healthz"
 	// faultsPath is the fault-update endpoint forwards replay against.
 	faultsPath = "/v1/faults"
 )
@@ -48,9 +45,6 @@ type Config struct {
 	Self string
 	// Peers are the other replicas' base URLs.
 	Peers []string
-	// VirtualNodes is the per-member virtual-node count (default
-	// DefaultVirtualNodes).
-	VirtualNodes int
 	// FetchAttempts bounds tries per peer fetch (default 3).
 	FetchAttempts int
 	// FetchTimeout is the per-attempt deadline (default 2s). A resident
@@ -61,20 +55,16 @@ type Config struct {
 	// further attempt with up to 50% added jitter (default 50ms).
 	FetchBackoff time.Duration
 	// BreakerThreshold trips a peer's breaker after this many
-	// consecutive fetch failures (default 5).
+	// consecutive failed calls, fetches and forwards alike (default 5).
 	BreakerThreshold int
-	// BreakerCooldown is how long a tripped breaker refuses fetches
+	// BreakerCooldown is how long a tripped breaker refuses calls
 	// before admitting a half-open probe (default 5s).
 	BreakerCooldown time.Duration
-	// ProbeInterval is the health-poll period (default 2s).
-	ProbeInterval time.Duration
-	// ProbeTimeout bounds one health poll (default 1s).
-	ProbeTimeout time.Duration
 	// HTTPClient overrides the transport (default: a dedicated client;
 	// per-call contexts carry the deadlines).
 	HTTPClient *http.Client
-	// Logger receives peer state transitions and forward failures
-	// (default slog.Default()).
+	// Logger receives forward failures and skipped warm lines (default
+	// slog.Default()).
 	Logger *slog.Logger
 
 	// now is injected by tests; nil means time.Now.
@@ -82,9 +72,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.VirtualNodes <= 0 {
-		c.VirtualNodes = DefaultVirtualNodes
-	}
 	if c.FetchAttempts <= 0 {
 		c.FetchAttempts = 3
 	}
@@ -100,12 +87,6 @@ func (c Config) withDefaults() Config {
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 5 * time.Second
 	}
-	if c.ProbeInterval <= 0 {
-		c.ProbeInterval = 2 * time.Second
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = time.Second
-	}
 	if c.HTTPClient == nil {
 		c.HTTPClient = &http.Client{}
 	}
@@ -118,14 +99,14 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// peer is one remote replica's serving state.
+// peer is one remote replica's serving state. Its breaker is the one
+// failure detector: fetches and fault forwards both consult it and both
+// book their outcomes on it. Peers start closed: optimism costs at most
+// one fast failed call, while pessimism would cost guaranteed local
+// builds until a cooldown.
 type peer struct {
 	url     string
 	breaker *breaker
-	// up is 1 while the last health probe succeeded. Peers start up:
-	// optimism costs at most one fast failed fetch, while pessimism
-	// would cost guaranteed local builds until the first probe.
-	up atomic.Bool
 }
 
 // Cluster is the peer layer over a static replica set. Safe for
@@ -168,14 +149,13 @@ func New(cfg Config) (*Cluster, error) {
 			url:     u,
 			breaker: newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.now),
 		}
-		peers[u].up.Store(true)
 		members = append(members, u)
 		order = append(order, u)
 	}
 	if len(order) == 0 {
 		return nil, fmt.Errorf("cluster: no peers besides self %s", self)
 	}
-	ring, err := NewRing(members, cfg.VirtualNodes)
+	ring, err := NewRing(members, DefaultVirtualNodes)
 	if err != nil {
 		return nil, err
 	}
@@ -257,14 +237,10 @@ func (c *Cluster) FetchLine(ctx context.Context, machine, topo string) (*plancac
 	return ld, nil
 }
 
-// fetchFrom runs the guarded fetch loop against one peer: skip if the
-// peer is probed-down or its breaker refuses, otherwise up to
-// FetchAttempts tries, each under its own deadline, with exponential
-// backoff plus jitter between attempts.
+// fetchFrom runs the guarded fetch loop against one peer: skip if its
+// breaker refuses, otherwise up to FetchAttempts tries, each under its
+// own deadline, with exponential backoff plus jitter between attempts.
 func (c *Cluster) fetchFrom(ctx context.Context, p *peer, machine, topo string) (*plancache.LineData, error) {
-	if !p.up.Load() {
-		return nil, fmt.Errorf("cluster: peer %s is down", p.url)
-	}
 	if !p.breaker.allow() {
 		return nil, fmt.Errorf("cluster: peer %s breaker is open", p.url)
 	}
@@ -329,75 +305,16 @@ func (c *Cluster) fetchOnce(ctx context.Context, base, machine, topo string) (*p
 	return &ld, nil
 }
 
-// Start launches the health-probe loop; it stops when ctx ends. An
-// immediate first sweep runs before the ticker so /readyz reflects real
-// peer state within one probe timeout of boot.
-func (c *Cluster) Start(ctx context.Context) {
-	go func() {
-		c.probeAll(ctx)
-		tick := time.NewTicker(c.cfg.ProbeInterval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-tick.C:
-				c.probeAll(ctx)
-			}
-		}
-	}()
-}
-
-// probeAll polls every peer's /healthz concurrently.
-func (c *Cluster) probeAll(ctx context.Context) {
-	var wg sync.WaitGroup
-	for _, u := range c.order {
-		p := c.peers[u]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c.probe(ctx, p)
-		}()
-	}
-	wg.Wait()
-}
-
-func (c *Cluster) probe(ctx context.Context, p *peer) {
-	pctx, cancel := context.WithTimeout(ctx, c.cfg.ProbeTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(pctx, http.MethodGet, p.url+healthPath, nil)
-	if err != nil {
-		return
-	}
-	resp, err := c.cfg.HTTPClient.Do(req)
-	up := err == nil && resp.StatusCode == http.StatusOK
-	if err == nil {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		resp.Body.Close()
-	}
-	was := p.up.Swap(up)
-	if was != up {
-		if up {
-			// A restarted peer answers liveness again: clean slate.
-			p.breaker.reset()
-			c.cfg.Logger.Info("peer is up", "component", "cluster", "peer", p.url)
-		} else {
-			c.cfg.Logger.Warn("peer is down", "component", "cluster", "peer", p.url)
-		}
-	}
-}
-
-// WarmOwned fan-fetches snapshots from every live peer and imports the
-// lines this replica owns — the warm-restart path: a replica joining a
-// running fleet starts with its share of the fleet's resident lines
-// instead of rebuilding them. Peers that fail are skipped (best
-// effort); the import count and the last error are returned.
+// WarmOwned fan-fetches snapshots from every peer, once each, and
+// imports the lines this replica owns — the warm-restart path: a replica
+// joining a running fleet starts with its share of the fleet's resident
+// lines instead of rebuilding them. Peers that fail are skipped (best
+// effort); the import count and the last error are returned. Nothing is
+// booked on a peer's breaker: the replicas of a fleet boot together, so
+// a peer that does not answer yet says nothing about its serving.
 func (c *Cluster) WarmOwned(ctx context.Context, cache *plancache.Cache) (imported int, err error) {
 	for _, u := range c.order {
 		p := c.peers[u]
-		if !p.up.Load() {
-			continue
-		}
 		lines, ferr := c.fetchSnapshot(ctx, p.url)
 		if ferr != nil {
 			err = ferr
@@ -444,25 +361,34 @@ func (c *Cluster) fetchSnapshot(ctx context.Context, base string) ([]plancache.L
 	return snap.Lines, nil
 }
 
-// ForwardFaults replays one fault-update body against every live peer
-// (marked with ForwardedHeader so it is applied, not re-forwarded).
-// Best effort: failures are counted, logged, and reported, never fatal
-// — a partitioned peer re-converges on its next fault update or
-// restart, and until then serves under its own digest.
+// ForwardFaults replays one fault-update body against every peer whose
+// breaker admits it (marked with ForwardedHeader so it is applied, not
+// re-forwarded), and books each forward's outcome on that breaker like
+// a fetch's. Best effort: failures are counted, logged, and reported,
+// never fatal — a partitioned peer re-converges on its next fault
+// update or restart, and until then serves under its own digest.
 func (c *Cluster) ForwardFaults(ctx context.Context, body []byte) (forwarded, failed int) {
 	for _, u := range c.order {
 		p := c.peers[u]
-		if !p.up.Load() {
+		if !p.breaker.allow() {
 			failed++
-			c.cfg.Logger.Warn("not forwarding faults to down peer", "component", "cluster", "peer", p.url)
+			c.cfg.Logger.Warn("not forwarding faults to peer with open breaker", "component", "cluster", "peer", p.url)
 			continue
 		}
-		if err := c.forwardOnce(ctx, p.url, body); err != nil {
-			failed++
-			c.cfg.Logger.Warn("forwarding faults failed", "component", "cluster", "peer", p.url, "error", err)
+		err := c.forwardOnce(ctx, p.url, body)
+		switch {
+		case err == nil:
+			p.breaker.success()
+			forwarded++
 			continue
+		case ctx.Err() != nil:
+			// The forward's context ended; this says nothing about the peer.
+			p.breaker.abandon()
+		default:
+			p.breaker.failure()
 		}
-		forwarded++
+		failed++
+		c.cfg.Logger.Warn("forwarding faults failed", "component", "cluster", "peer", p.url, "error", err)
 	}
 	c.faultForwards.Add(int64(forwarded))
 	c.faultForwardFailures.Add(int64(failed))
@@ -497,7 +423,8 @@ func (c *Cluster) forwardOnce(ctx context.Context, base string, body []byte) err
 // PeerMetrics is one peer's serving state on /metrics and /readyz.
 type PeerMetrics struct {
 	URL string `json:"url"`
-	Up  bool   `json:"up" prom:"pland_peer_up,gauge" help:"Last health-probe verdict per peer (1 = up)."`
+	// Up is false exactly while the peer's breaker is open.
+	Up bool `json:"up" prom:"pland_peer_up,gauge" help:"1 unless the peer's breaker is open."`
 	// Breaker is "closed", "open", or "half-open".
 	Breaker             string `json:"breaker" prom:"-"`
 	ConsecutiveFailures int    `json:"consecutive_failures" prom:"pland_peer_consecutive_failures,gauge" help:"Current fetch-failure streak per peer."`
@@ -533,7 +460,7 @@ func (c *Cluster) Metrics() Metrics {
 	return m
 }
 
-// PeerStates returns every peer's up/breaker state, sorted by URL.
+// PeerStates returns every peer's breaker state, sorted by URL.
 func (c *Cluster) PeerStates() []PeerMetrics {
 	out := make([]PeerMetrics, 0, len(c.order))
 	for _, u := range c.order {
@@ -541,7 +468,7 @@ func (c *Cluster) PeerStates() []PeerMetrics {
 		state, fails, trips := p.breaker.snapshot()
 		out = append(out, PeerMetrics{
 			URL:                 p.url,
-			Up:                  p.up.Load(),
+			Up:                  state != breakerOpen,
 			Breaker:             state,
 			ConsecutiveFailures: fails,
 			BreakerTrips:        trips,

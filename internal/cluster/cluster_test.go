@@ -6,9 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -197,6 +199,15 @@ func TestFetchExhaustionTripsBreakerThenRecovers(t *testing.T) {
 	}
 }
 
+// openBreaker trips p's breaker the way failed calls do.
+func openBreaker(c *Cluster, p *peer) {
+	for i := 0; i < c.cfg.BreakerThreshold; i++ {
+		p.breaker.failure()
+	}
+}
+
+// TestFetchSkipsProbedDownPeer: a peer whose breaker is open is not
+// contacted; the fetch fails fast into the local fallback.
 func TestFetchSkipsProbedDownPeer(t *testing.T) {
 	var calls atomic.Int64
 	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -207,14 +218,17 @@ func TestFetchSkipsProbedDownPeer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.peers[peer.URL].up.Store(false) // what the health prober does
+	openBreaker(c, c.peers[peer.URL])
 	topo, _ := cubeOwnedBy(t, c.Ring(), "ipsc860", peer.URL)
 	if _, err := c.FetchLine(context.Background(), "ipsc860", topo); err == nil ||
-		!strings.Contains(err.Error(), "down") {
-		t.Fatalf("fetch from down peer: %v, want a down error", err)
+		!strings.Contains(err.Error(), "breaker is open") {
+		t.Fatalf("fetch from a peer with an open breaker: %v, want a breaker error", err)
 	}
 	if calls.Load() != 0 {
-		t.Fatal("down peer was contacted")
+		t.Fatal("peer with an open breaker was contacted")
+	}
+	if m := c.Metrics(); m.FallbackBuilds != 1 {
+		t.Fatalf("peer_fallback_builds_total = %d, want 1", m.FallbackBuilds)
 	}
 }
 
@@ -330,6 +344,9 @@ func TestCancelledFetchBooksNothing(t *testing.T) {
 	}
 }
 
+// TestProbeFlipsPeerState: a peer's reported state is its breaker's —
+// up while closed, down while open, and up again once the half-open
+// probe after the cooldown succeeds.
 func TestProbeFlipsPeerState(t *testing.T) {
 	var healthy atomic.Bool
 	healthy.Store(true)
@@ -338,32 +355,44 @@ func TestProbeFlipsPeerState(t *testing.T) {
 			http.Error(w, "dead", http.StatusInternalServerError)
 			return
 		}
-		io.WriteString(w, `{"status":"ok"}`)
+		json.NewEncoder(w).Encode(testLine(t, "ipsc860", r.URL.Query().Get("topology"), 3))
 	}))
 	defer peer.Close()
-	c, err := New(Config{Self: "http://self.invalid:1", Peers: []string{peer.URL}})
+	clk := &fakeClock{t: time.Unix(0, 0)}
+	c, err := New(Config{
+		Self:             "http://self.invalid:1",
+		Peers:            []string{peer.URL},
+		FetchAttempts:    1,
+		BreakerThreshold: 1,
+		BreakerCooldown:  time.Minute,
+		now:              clk.now,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := c.peers[peer.URL]
-	p.breaker.failure() // leftover failure streak from the peer's past life
+	topo, _ := cubeOwnedBy(t, c.Ring(), "ipsc860", peer.URL)
+	up := func() bool { return c.PeerStates()[0].Up }
 
-	c.probe(context.Background(), p)
-	if !p.up.Load() {
-		t.Fatal("healthy peer probed down")
+	if !up() {
+		t.Fatal("a new peer is reported down")
 	}
 	healthy.Store(false)
-	c.probe(context.Background(), p)
-	if p.up.Load() {
-		t.Fatal("broken peer probed up")
+	if _, err := c.FetchLine(context.Background(), "ipsc860", topo); err == nil {
+		t.Fatal("fetch from a broken peer succeeded")
+	}
+	if up() {
+		t.Fatal("a peer whose breaker is open is reported up")
 	}
 	healthy.Store(true)
-	c.probe(context.Background(), p)
-	if !p.up.Load() {
-		t.Fatal("healed peer probed down")
+	clk.advance(2 * time.Minute)
+	if up() {
+		t.Fatal("a peer is reported up before its half-open probe")
 	}
-	if _, fails, _ := p.breaker.snapshot(); fails != 0 {
-		t.Fatalf("down→up transition did not reset the breaker (fails %d)", fails)
+	if _, err := c.FetchLine(context.Background(), "ipsc860", topo); err != nil {
+		t.Fatalf("half-open probe against a healed peer: %v", err)
+	}
+	if !up() {
+		t.Fatal("a peer whose half-open probe succeeded is reported down")
 	}
 }
 
@@ -380,7 +409,7 @@ func TestForwardFaultsMarksAndSkips(t *testing.T) {
 	}))
 	defer live.Close()
 	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		t.Error("down peer received a forward")
+		t.Error("a peer with an open breaker received a forward")
 	}))
 	defer dead.Close()
 
@@ -388,7 +417,7 @@ func TestForwardFaultsMarksAndSkips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.peers[dead.URL].up.Store(false)
+	openBreaker(c, c.peers[dead.URL])
 
 	body := []byte(`{"topology":"hypercube-3","action":"clear"}`)
 	forwarded, failed := c.ForwardFaults(context.Background(), body)
@@ -405,6 +434,139 @@ func TestForwardFaultsMarksAndSkips(t *testing.T) {
 	m := c.Metrics()
 	if m.FaultForwards != 1 || m.FaultForwardFailures != 1 {
 		t.Fatalf("forward counters: %+v", m)
+	}
+}
+
+// TestBreakerSharedByFetchAndForward: line fetches and fault forwards
+// from many goroutines share one peer's breaker. Against a failing peer
+// it trips exactly once, on the threshold-th failure in a row; calls
+// whose callers cancelled book nothing; a startup fan-out books nothing;
+// and after the cooldown one half-open call, from either path, decides
+// for both.
+func TestBreakerSharedByFetchAndForward(t *testing.T) {
+	var healthy atomic.Bool
+	var lineCalls, forwardCalls atomic.Int64
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case PeerLinePath:
+			lineCalls.Add(1)
+		case faultsPath:
+			forwardCalls.Add(1)
+		}
+		if !healthy.Load() {
+			http.Error(w, "broken", http.StatusInternalServerError)
+			return
+		}
+		switch r.URL.Path {
+		case PeerLinePath:
+			json.NewEncoder(w).Encode(testLine(t, "ipsc860", r.URL.Query().Get("topology"), 3))
+		case faultsPath:
+			io.WriteString(w, `{}`)
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	defer peer.Close()
+
+	const threshold = 5
+	clk := &fakeClock{t: time.Unix(0, 0)}
+	c, err := New(Config{
+		Self:             "http://self.invalid:1",
+		Peers:            []string{peer.URL},
+		FetchAttempts:    1,
+		BreakerThreshold: threshold,
+		BreakerCooldown:  time.Minute,
+		Logger:           slog.New(slog.DiscardHandler),
+		now:              clk.now,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, _ := cubeOwnedBy(t, c.Ring(), "ipsc860", peer.URL)
+	body := []byte(`{"topology":"hypercube-3","action":"clear"}`)
+	state := func() PeerMetrics { return c.PeerStates()[0] }
+	// call runs n calls from n goroutines, alternating between the two
+	// paths, and waits for all of them.
+	call := func(ctx context.Context, n int) {
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if i%2 == 0 {
+					c.FetchLine(ctx, "ipsc860", topo)
+				} else {
+					c.ForwardFaults(ctx, body)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+
+	// One short of the threshold: still closed.
+	call(context.Background(), threshold-1)
+	if st := state(); st.Breaker != breakerClosed || st.ConsecutiveFailures != threshold-1 || st.BreakerTrips != 0 {
+		t.Fatalf("after %d failures: %+v, want closed with the streak at %d", threshold-1, st, threshold-1)
+	}
+
+	// Calls whose callers cancelled, and a startup fan-out against the
+	// failing peer, book nothing.
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	call(cancelled, 2*threshold)
+	if _, err := c.WarmOwned(context.Background(), plancache.New(plancache.Config{})); err == nil {
+		t.Fatal("warm fan-out from a failing peer reported no error")
+	}
+	if st := state(); st.Breaker != breakerClosed || st.ConsecutiveFailures != threshold-1 {
+		t.Fatalf("after cancelled calls and a fan-out: %+v, want closed with the streak still at %d", st, threshold-1)
+	}
+	// Only the two fetches among the first four calls count.
+	if m := c.Metrics(); m.PeerFetchFailures != 2 || m.FallbackBuilds != 2 {
+		t.Fatalf("cancelled fetches counted: failures %d, fallback builds %d, want 2 each",
+			m.PeerFetchFailures, m.FallbackBuilds)
+	}
+
+	// Many concurrent failures: one trip, however many were in flight.
+	call(context.Background(), 4*threshold)
+	if st := state(); st.Breaker != breakerOpen || st.BreakerTrips != 1 || st.Up {
+		t.Fatalf("after the threshold: %+v, want open, down, with exactly 1 trip", st)
+	}
+	// Open: neither path touches the peer.
+	seen := lineCalls.Load() + forwardCalls.Load()
+	call(context.Background(), 4*threshold)
+	if got := lineCalls.Load() + forwardCalls.Load(); got != seen {
+		t.Fatalf("open breaker let %d calls through", got-seen)
+	}
+	if st := state(); st.BreakerTrips != 1 {
+		t.Fatalf("refused calls tripped the breaker again: %d trips", st.BreakerTrips)
+	}
+
+	// Cooldown over, peer still broken: the half-open forward fails and
+	// re-opens the breaker for fetches too.
+	clk.advance(2 * time.Minute)
+	if forwarded, failed := c.ForwardFaults(context.Background(), body); forwarded != 0 || failed != 1 {
+		t.Fatalf("half-open forward to a broken peer = (%d, %d), want (0, 1)", forwarded, failed)
+	}
+	if st := state(); st.Breaker != breakerOpen || st.BreakerTrips != 2 {
+		t.Fatalf("after a failed half-open forward: %+v, want open with 2 trips", st)
+	}
+	seen = lineCalls.Load()
+	if _, err := c.FetchLine(context.Background(), "ipsc860", topo); err == nil || lineCalls.Load() != seen {
+		t.Fatalf("fetch after a failed half-open forward: %v, %d calls, want refused locally", err, lineCalls.Load()-seen)
+	}
+
+	// Cooldown over, peer healed: the half-open fetch closes the breaker
+	// for forwards too.
+	healthy.Store(true)
+	clk.advance(2 * time.Minute)
+	if _, err := c.FetchLine(context.Background(), "ipsc860", topo); err != nil {
+		t.Fatalf("half-open fetch against a healed peer: %v", err)
+	}
+	if st := state(); st.Breaker != breakerClosed || st.ConsecutiveFailures != 0 || !st.Up {
+		t.Fatalf("after a successful half-open fetch: %+v, want closed and up", st)
+	}
+	if forwarded, failed := c.ForwardFaults(context.Background(), body); forwarded != 1 || failed != 0 {
+		t.Fatalf("forward after the breaker closed = (%d, %d), want (1, 0)", forwarded, failed)
 	}
 }
 

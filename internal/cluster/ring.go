@@ -11,12 +11,13 @@
 // does it fall back to a local singleflight build. A dead or slow peer
 // must never make a request fail — only cost more.
 //
-// Membership is a static peer list plus lightweight health probing
-// (/healthz polls drive peer up/down state, surfaced with breaker state
-// on /metrics and /readyz). On startup a replica warm-fetches the lines
-// it owns from any live peer (snapshot fan-out over /v1/peer/snapshot),
-// and fault-set updates are forwarded to all live peers best-effort so
-// digest-keyed invalidation stays fleet-consistent.
+// Membership is a static peer list; the breaker is the only judge of a
+// peer's health (its state is surfaced on /metrics and /readyz, and a
+// peer is reported up unless its breaker is open). On startup a replica
+// warm-fetches the lines it owns from every peer once (snapshot fan-out
+// over /v1/peer/snapshot), and fault-set updates are forwarded
+// best-effort to every peer whose breaker admits them, so digest-keyed
+// invalidation stays fleet-consistent.
 //
 // The idiom follows Kohring's implicit simulations over messaging
 // protocols: the paper's compute-once tables served over real IP

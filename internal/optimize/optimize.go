@@ -571,7 +571,7 @@ func (o *Optimizer) checkEnumerable(net topology.Network) error {
 	if net.Nodes() > 1<<20 {
 		return fmt.Errorf("optimize: %s exceeds the enumeration limit of 2^20 nodes", net.Name())
 	}
-	if !uniformRadices(net) && net.NumDims() > MaxMixedRadixDims {
+	if !topology.UniformRadices(net) && net.NumDims() > MaxMixedRadixDims {
 		return fmt.Errorf("optimize: %s has %d unequal-radix dimensions; composition enumeration is limited to %d",
 			net.Name(), net.NumDims(), MaxMixedRadixDims)
 	}
@@ -589,36 +589,12 @@ func (o *Optimizer) checkEnumerable(net topology.Network) error {
 	return nil
 }
 
-// uniformRadices reports whether every dimension has the same radix, in
-// which case a group's radix multiset depends only on its size and
-// phase order cannot change the cost.
-func uniformRadices(net topology.Network) bool {
-	if _, ok := net.(*topology.Hypercube); ok {
-		return true
-	}
-	// Radix i is read off the strides rather than a fresh copy of Dims,
-	// so an analytic build, which asks twice, allocates only its Table.
-	k := net.NumDims()
-	radix := func(i int) int {
-		if i == k-1 {
-			return net.Nodes() / net.Stride(i)
-		}
-		return net.Stride(i+1) / net.Stride(i)
-	}
-	for i := 1; i < k; i++ {
-		if radix(i) != radix(0) {
-			return false
-		}
-	}
-	return true
-}
-
 // groupings enumerates the candidate dimension groupings of a topology:
 // the partitions of k when every radix is equal (the hypercube's p(d)
 // partitions, §6) and all ordered compositions of k otherwise.
 func groupings(net topology.Network) []partition.Partition {
 	k := net.NumDims()
-	if uniformRadices(net) {
+	if topology.UniformRadices(net) {
 		return partition.All(k)
 	}
 	var out []partition.Partition
@@ -657,7 +633,7 @@ var (
 // enumFor returns the cached enumeration of topo's shape (groupings plus
 // per-grouping phase fields), computing it on first use.
 func enumFor(topo topology.Network) (*enumSet, error) {
-	uniform := uniformRadices(topo)
+	uniform := topology.UniformRadices(topo)
 	byWidth := uniform && topology.HealthDigestOf(topo) == "ok"
 	k := enumKey{dims: topo.NumDims(), uniform: uniform, byWidth: byWidth}
 	enumMu.Lock()

@@ -357,17 +357,9 @@ func checkServable(net topology.Network) error {
 	if _, ok := net.(*topology.Hypercube); ok {
 		return nil // uniform radix 2 by construction; keep the hot Get allocation-free
 	}
-	dims := net.Dims()
-	uniform := true
-	for _, r := range dims {
-		if r != dims[0] {
-			uniform = false
-			break
-		}
-	}
-	if !uniform && len(dims) > MaxMixedRadixDims {
+	if k := net.NumDims(); k > MaxMixedRadixDims && !topology.UniformRadices(net) {
 		return fmt.Errorf("plancache: %s has %d unequal-radix dimensions, over the serving limit of %d",
-			net.Name(), len(dims), MaxMixedRadixDims)
+			net.Name(), k, MaxMixedRadixDims)
 	}
 	return topology.CheckOperational(net)
 }

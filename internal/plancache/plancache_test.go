@@ -426,3 +426,38 @@ func TestEvictedOverlayLinesRetainNothing(t *testing.T) {
 		t.Errorf("live heap grew by %d KB over %d overlay lines, want < 1.5 MB", grew>>10, digests)
 	}
 }
+
+// TestGridHitAllocatesLikeCubeHit: the serving check reads a grid's
+// radices off its strides, so a hit on a resident torus or mesh line
+// allocates no more than a hit on a cube line, and resolving a resident
+// grid spec allocates nothing.
+func TestGridHitAllocatesLikeCubeHit(t *testing.T) {
+	c := New(Config{})
+	hitAllocs := func(spec string) float64 {
+		net, err := ResolveTopology(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.GetForCtx(bg, "ipsc860", net, 24); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(100, func() {
+			if _, err := c.GetForCtx(bg, "ipsc860", net, 24); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	cube := hitAllocs("hypercube-7")
+	for _, spec := range []string{"torus-8x8", "torus-4x4x4", "mesh-8x8"} {
+		if got := hitAllocs(spec); got > cube {
+			t.Errorf("a %s hit allocates %.0f times, a hypercube-7 hit %.0f", spec, got, cube)
+		}
+		if got := testing.AllocsPerRun(100, func() {
+			if _, err := ResolveTopology(spec); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 0 {
+			t.Errorf("resolving resident %s allocates %.0f times, want 0", spec, got)
+		}
+	}
+}

@@ -223,7 +223,7 @@ func TestFaultUpdatesForwardToPeers(t *testing.T) {
 	var got atomic.Pointer[capture]
 	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/v1/faults" {
-			io.WriteString(w, `{"status":"ok"}`) // the health probe
+			http.NotFound(w, r) // only fault forwards reach this peer
 			return
 		}
 		body, _ := io.ReadAll(r.Body)
@@ -298,7 +298,7 @@ func TestFaultForwardOutlivesTheClient(t *testing.T) {
 	second := make(chan string, 1)
 	peer := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/v1/faults" {
-			io.WriteString(w, `{"status":"ok"}`) // the health probe
+			http.NotFound(w, r) // only fault forwards reach this peer
 			return
 		}
 		io.Copy(io.Discard, r.Body)

@@ -73,14 +73,15 @@ type ReadyResponse struct {
 	// Status is "ready" or "starting".
 	Status  string  `json:"status"`
 	UptimeS float64 `json:"uptime_s"`
-	// Peers carries per-peer up/breaker state on a clustered daemon.
+	// Peers carries per-peer breaker state on a clustered daemon.
 	Peers []cluster.PeerMetrics `json:"peers,omitempty"`
 }
 
 // handleReadyz reports readiness: 200 only after the daemon finished
 // snapshot restore, warmup, and (when clustered) ring join + warm
 // fan-out. /healthz stays pure liveness — a starting replica is alive
-// (peers may probe it) but not yet a good routing target.
+// (it already serves its peers' fetches and fan-outs) but not yet a
+// good routing target.
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) int {
 	resp := ReadyResponse{UptimeS: time.Since(s.start).Seconds()}
 	if s.cfg.Cluster != nil {

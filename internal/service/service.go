@@ -53,8 +53,6 @@ type Config struct {
 	// DefaultMachine answers requests that omit ?machine= (default
 	// "ipsc860").
 	DefaultMachine string
-	// BatchWorkers bounds the fan-out of /v1/batch (default GOMAXPROCS).
-	BatchWorkers int
 	// MaxBatch bounds the query count of one /v1/batch call (default
 	// 4096); larger bodies get 413.
 	MaxBatch int
@@ -77,19 +75,17 @@ type Config struct {
 	// to always be on.
 	Tracer *obs.Tracer
 	// Cluster, when non-nil, is the peer layer this replica belongs to:
-	// /metrics and /readyz surface peer up/down/breaker state, and
-	// accepted /v1/faults updates are forwarded to all live peers. Nil
-	// means a standalone daemon — every clustered behaviour is off and
-	// the server is exactly the pre-cluster pland.
+	// /metrics and /readyz surface each peer's breaker state, and
+	// accepted /v1/faults updates are forwarded to every peer whose
+	// breaker admits them. Nil means a standalone daemon — every
+	// clustered behaviour is off and the server is exactly the
+	// pre-cluster pland.
 	Cluster *cluster.Cluster
 }
 
 func (c Config) withDefaults() Config {
 	if c.DefaultMachine == "" {
 		c.DefaultMachine = "ipsc860"
-	}
-	if c.BatchWorkers <= 0 {
-		c.BatchWorkers = runtime.GOMAXPROCS(0)
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 4096
@@ -142,7 +138,7 @@ type Server struct {
 	costReplays optimize.ReplayCounter
 
 	// ready gates /readyz: set by the daemon once snapshot restore,
-	// warmup, and cluster join (probe start + warm fan-out) are done, so
+	// warmup, and cluster join (the warm fan-out) are done, so
 	// a load balancer never routes to a cold replica.
 	ready atomic.Bool
 }
@@ -594,7 +590,7 @@ type BatchResponse struct {
 	Results []BatchItem `json:"results"`
 }
 
-// handleBatch fans the queries across a bounded worker pool; results
+// handleBatch fans the queries across GOMAXPROCS workers; results
 // come back in request order.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) int {
 	var req BatchRequest
@@ -606,10 +602,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) int {
 			fmt.Sprintf("batch of %d queries exceeds the limit of %d", len(req.Queries), s.cfg.MaxBatch))
 	}
 	results := make([]batchResult, len(req.Queries))
-	workers := s.cfg.BatchWorkers
-	if workers > len(req.Queries) {
-		workers = len(req.Queries)
-	}
+	workers := min(runtime.GOMAXPROCS(0), len(req.Queries))
 	ctx := r.Context()
 	var next atomic.Int64
 	var wg sync.WaitGroup

@@ -169,6 +169,24 @@ func SpanSize(net Network, lo, w int) (int, error) {
 	return top / net.Stride(lo), nil
 }
 
+// UniformRadices reports whether every dimension of net has the same
+// radix, in which case a group's radix multiset depends only on its size
+// and phase order cannot change a cost. Each radix is read off the
+// strides (SpanSize of a one-wide field), so the check copies nothing:
+// the serving check and the optimizer both run it per call.
+func UniformRadices(net Network) bool {
+	if _, ok := net.(*Hypercube); ok {
+		return true
+	}
+	r0, _ := SpanSize(net, 0, 1)
+	for i := 1; i < net.NumDims(); i++ {
+		if r, _ := SpanSize(net, i, 1); r != r0 {
+			return false
+		}
+	}
+	return true
+}
+
 // SubBlocks partitions the node set into the sub-blocks of the dimension
 // field [lo, lo+w): each block lists, in increasing field value, the
 // nodes that agree on every digit outside the field. On a hypercube the
