@@ -772,8 +772,8 @@ func benchReplayFragment(b *testing.B, shards int) {
 func BenchmarkReplaySerial(b *testing.B)  { benchReplayFragment(b, 1) }
 func BenchmarkReplaySharded(b *testing.B) { benchReplayFragment(b, 4) }
 
-// uncertified hides the compiled fragment's span Shape, so the replay
-// core may not share its certificate and runs the pass on every replay.
+// uncertified hides a compiled plan's span Shapes, so the replay core may
+// not share its certificates and runs the pass on every replay.
 type uncertified struct {
 	*exchange.CompiledPlan
 	spans []simnet.PhaseSpan
@@ -781,33 +781,49 @@ type uncertified struct {
 
 func (u uncertified) PhaseSpans() []simnet.PhaseSpan { return u.spans }
 
+func uncertify(c *exchange.CompiledPlan) uncertified {
+	u := uncertified{CompiledPlan: c, spans: append([]simnet.PhaseSpan(nil), c.PhaseSpans()...)}
+	for i := range u.spans {
+		u.spans[i].Shape = ""
+	}
+	return u
+}
+
 // BenchmarkReplayCertified prices the same fragment, jitter-free, by its
 // phase certificate. cold pays the certificate pass — every circuit of
 // every row routed and stamped once — on each replay, which a process
 // otherwise pays once per (topology, field): it must stay below one
 // engine replay (BenchmarkReplaySerial). warm is every later replay: the
 // closed form alone, 255 additions and the finish-time fill.
+// cold-hypercube-11 is the costliest certificate a /v1/cost request
+// meets: the whole {11} plan on 2048 nodes, 2047 rows of 2048 circuits.
 func BenchmarkReplayCertified(b *testing.B) {
 	prm := model.IPSC860()
 	topo, frag := replayFragment(b)
-	cold := uncertified{CompiledPlan: frag, spans: append([]simnet.PhaseSpan(nil), frag.PhaseSpans()...)}
-	for i := range cold.spans {
-		cold.spans[i].Shape = ""
+	cube11 := topology.MustParseSpec("hypercube-11")
+	whole, err := exchange.NewPlanOn(cube11, 40, partition.Partition{11})
+	if err != nil {
+		b.Fatal(err)
 	}
 	for _, bc := range []struct {
 		name   string
+		topo   topology.Network
 		src    simnet.Source
 		passes int
-	}{{"cold", cold, 1}, {"warm", frag, 0}} {
+	}{
+		{"cold", topo, uncertify(frag), 1},
+		{"warm", topo, frag, 0},
+		{"cold-hypercube-11", cube11, uncertify(whole.Compile()), 1},
+	} {
 		b.Run(bc.name, func(b *testing.B) {
-			if _, err := simnet.New(topo, prm).RunSource(bc.src); err != nil { // warm's one pass
+			if _, err := simnet.New(bc.topo, prm).RunSource(bc.src); err != nil { // warm's one pass
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			var last simnet.Result
 			for i := 0; i < b.N; i++ {
-				res, err := simnet.New(topo, prm).RunSource(bc.src)
+				res, err := simnet.New(bc.topo, prm).RunSource(bc.src)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -828,7 +844,8 @@ func BenchmarkReplayCertified(b *testing.B) {
 // 512 nodes (261 632 messages); torus-4x4x4x4 is the {4} fragment the
 // optimizer replays for a simulated hull (65 280 messages). The network
 // is new per replay, as a cost request's is; its fabric handle, and so
-// the certificate, is shared.
+// the certificate, is shared. maxq is Result.MaxEdgeQueue, the deepest
+// link backlog, which the lazily pruned backlog must keep exact.
 func BenchmarkReplayCyclic(b *testing.B) {
 	prm := model.IPSC860()
 	for _, bc := range []struct {
@@ -863,6 +880,7 @@ func BenchmarkReplayCyclic(b *testing.B) {
 					last.EnginePhases, last.DeclineReason)
 			}
 			b.ReportMetric(last.Makespan, "sim_µs")
+			b.ReportMetric(float64(last.MaxEdgeQueue), "maxq")
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(last.Messages), "ns/msg")
 		})
 	}

@@ -2,6 +2,7 @@ package exchange
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bitutil"
 	"repro/internal/simnet"
@@ -16,8 +17,9 @@ import (
 // table and computes each node's partner on the fly, so even a
 // million-node plan costs O(ops per node) memory instead of O(n · ops).
 //
-// CompiledPlan implements simnet.Source; fabric.Sim's recorded traces are
-// the oracle the compiler is tested against (op-for-op equality).
+// CompiledPlan implements simnet.Source, simnet.Sharded and
+// simnet.RowPeers; fabric.Sim's recorded traces are the oracle the
+// compiler is tested against (op-for-op equality).
 type CompiledPlan struct {
 	m     int
 	n     int
@@ -168,16 +170,54 @@ func (r compiledOp) peer(p int) int {
 		return p ^ (f^g)<<r.fieldLo
 	}
 	f := (p / r.stride) % r.span
-	var g int
+	return p + (r.digit(f)-f)*r.stride
+}
+
+// digit returns the field digit a node whose own digit is f pairs with in
+// a generic row.
+func (r compiledOp) digit(f int) int {
 	switch {
 	case r.xor:
-		g = f ^ r.shift
+		return f ^ r.shift
 	case r.kind == simnet.OpSend:
-		g = (f + r.shift) % r.span
+		return (f + r.shift) % r.span
 	default: // receive rows pair with the sender shifted the other way
-		g = (f - r.shift + r.span) % r.span
+		return (f - r.shift + r.span) % r.span
 	}
-	return p + (g-f)*r.stride
+}
+
+// AppendRowPeers appends row i's partner of every node to dst, in node
+// order — the Peer of every Op(p, i) — which makes CompiledPlan a
+// simnet.RowPeers source: every row is uniform, and Op builds each op from
+// the row's kind, byte count and this partner alone. A mask row is one
+// loop of p ^ mask. Any other communication row walks the field digit by
+// digit, adding one offset to each run of Stride labels, so no node pays
+// a divide. Barrier and shuffle rows append zeros.
+func (c *CompiledPlan) AppendRowPeers(dst []int32, i int) []int32 {
+	r := c.rows[i]
+	lo := len(dst)
+	dst = slices.Grow(dst, c.n)[:lo+c.n]
+	out := dst[lo:]
+	switch {
+	case r.kind == simnet.OpExchange && r.mask != 0:
+		for p := range out {
+			out[p] = int32(p ^ r.mask)
+		}
+	case r.kind == simnet.OpExchange || r.kind == simnet.OpSend ||
+		r.kind == simnet.OpPostRecv || r.kind == simnet.OpWaitRecv:
+		block := r.stride * r.span
+		for f := 0; f < r.span; f++ {
+			d := (r.digit(f) - f) * r.stride
+			for run := f * r.stride; run < c.n; run += block {
+				for p := run; p < run+r.stride; p++ {
+					out[p] = int32(p + d)
+				}
+			}
+		}
+	default:
+		clear(out)
+	}
+	return dst
 }
 
 // Op returns node p's i-th op.

@@ -53,9 +53,29 @@ func (c *phaseCert) declineFor(reason string) {
 	}
 }
 
+// RowPeers is an optional interface of a Sharded source that can hand
+// over the partners of a whole row at once. The certificate pass reads a
+// row through it, one call instead of one Op per node; the engine and
+// the cyclic interpreter still read Op.
+//
+// It carries a promise the pass does not check: UniformRow(row) reports
+// ok, and for every node p, Op(p, row) equals Op{Kind: kind, Bytes:
+// bytes, Peer: peers[p]}, with kind and bytes UniformRow's and every other
+// field zero (an OpSend is FORCED). A source that makes the promise must
+// test it against its own Op, as exchange.CompiledPlan does.
+type RowPeers interface {
+	// AppendRowPeers appends the partner of every node in row, in node
+	// order, to dst and returns the extended slice. A row without
+	// partners (barrier, shuffle, compute) appends zeros.
+	AppendRowPeers(dst []int32, row int) []int32
+}
+
 // certify walks the sp.Rows−1 rows after the barrier at winLo−1 once,
-// node by node through src.Op and the topology's own AppendRouteSlots —
-// the calls the engine makes — and returns what they prove.
+// routing every circuit through the topology's own AppendRouteSlots — the
+// call the engine makes — and returns what the routed links prove. A
+// source's rows are read a row of partners at a time when it keeps the
+// RowPeers promise, and node by node through src.Op otherwise; only the
+// per-node path can find a uniform-row accessor that disagrees with Op.
 func (n *Network) certify(src Sharded, sp PhaseSpan, winLo int) *phaseCert {
 	nodes, deg := n.topo.Nodes(), n.topo.Degree()
 	multi := sp.Span < nodes // more than one group: the group facts are not vacuous
@@ -67,6 +87,8 @@ func (n *Network) certify(src Sharded, sp PhaseSpan, winLo int) *phaseCert {
 
 	c := &phaseCert{hops: make([]int32, sp.Rows-1), groupsDisjoint: true}
 	c.cyclic = sp.Shape == ShapeCyclic && keepsCyclic(src, sp, winLo)
+	rp, batched := src.(RowPeers)
+	var peers []int32                 // this row's partners, when batched
 	partner := make([]int32, nodes)   // this row's exchange partners
 	rowOf := make([]int32, nodes*deg) // 1 + the window row whose circuits last covered the slot
 	var groupOf []int32               // 1 + the group whose circuits cover the slot
@@ -86,13 +108,23 @@ func (n *Network) certify(src Sharded, sp PhaseSpan, winLo int) *phaseCert {
 		if c.decline != "" && !(multi && c.groupsDisjoint) {
 			return c // nothing left to prove
 		}
+		byRow := batched && uniform
+		if byRow {
+			peers = rp.AppendRowPeers(peers[:0], r)
+		}
 		h := -1
 		for p := 0; p < nodes; p++ {
-			op := src.Op(p, r)
-			if uniform && (op.Kind != kind || op.Bytes != bytes) {
-				c.declineFor(declineRowNotUniform)
+			k, q := kind, 0
+			if byRow {
+				q = int(peers[p])
+			} else {
+				op := src.Op(p, r)
+				if uniform && (op.Kind != kind || op.Bytes != bytes) {
+					c.declineFor(declineRowNotUniform)
+				}
+				k, q = op.Kind, op.Peer
 			}
-			switch op.Kind {
+			switch k {
 			case OpCompute, OpShuffle:
 				continue
 			case OpExchange, OpSend, OpPostRecv, OpWaitRecv, OpRecv:
@@ -103,7 +135,6 @@ func (n *Network) certify(src Sharded, sp PhaseSpan, winLo int) *phaseCert {
 				c.declineFor(declineRowNotExchange)
 				continue
 			}
-			q := op.Peer
 			if q == p {
 				c.declineFor(declinePartner) // a self-exchange costs nothing on the engine
 				continue
@@ -117,7 +148,7 @@ func (n *Network) certify(src Sharded, sp PhaseSpan, winLo int) *phaseCert {
 			if group[q] != g {
 				c.groupsDisjoint = false
 			}
-			if op.Kind != OpExchange && op.Kind != OpSend {
+			if k != OpExchange && k != OpSend {
 				continue
 			}
 			slots = n.topo.AppendRouteSlots(slots[:0], p, q)
@@ -163,13 +194,22 @@ func (n *Network) certify(src Sharded, sp PhaseSpan, winLo int) *phaseCert {
 // keepsCyclic reports whether the window of span sp opening at row winLo
 // is laid out as ShapeCyclic promises: each row one kind and byte count
 // on every node, in the promised order, with every send FORCED and every
-// partner the promised shift of the node's field digit.
+// partner the promised shift of the node's field digit. Each node's digit
+// is computed once per pass. A RowPeers source's kinds, byte counts and
+// message types follow from UniformRow by its promise, so only its
+// partners are read, a row at a time.
 func keepsCyclic(src Sharded, sp PhaseSpan, winLo int) bool {
 	steps := sp.Span - 1
 	if tail := sp.Rows - 1 - 3*steps; steps < 1 || tail < 0 || tail > 1 {
 		return false
 	}
 	nodes := src.NumNodes()
+	field := make([]int32, nodes)
+	for p := range field {
+		field[p] = int32(p / sp.Stride % sp.Span)
+	}
+	rp, batched := src.(RowPeers)
+	var peers []int32
 	for i := 0; i < sp.Rows-1; i++ {
 		want, shift := OpShuffle, 0
 		switch k := i - steps; {
@@ -185,17 +225,35 @@ func keepsCyclic(src Sharded, sp PhaseSpan, winLo int) bool {
 		if !ok || kind != want {
 			return false
 		}
-		for p := 0; p < nodes; p++ {
-			op := src.Op(p, r)
-			if op.Kind != want || op.Bytes != bytes || want == OpSend && op.Type != Forced {
-				return false
-			}
+		if batched {
 			if want == OpShuffle {
 				continue
 			}
-			f := p / sp.Stride % sp.Span
-			g := (f + shift + sp.Span) % sp.Span
-			if op.Peer != p+(g-f)*sp.Stride {
+			peers = rp.AppendRowPeers(peers[:0], r)
+		}
+		for p := 0; p < nodes; p++ {
+			var q int
+			if batched {
+				q = int(peers[p])
+			} else {
+				op := src.Op(p, r)
+				if op.Kind != want || op.Bytes != bytes || want == OpSend && op.Type != Forced {
+					return false
+				}
+				if want == OpShuffle {
+					continue
+				}
+				q = op.Peer
+			}
+			// |shift| < Span, so the shifted digit wraps at most once.
+			f := int(field[p])
+			g := f + shift
+			if g < 0 {
+				g += sp.Span
+			} else if g >= sp.Span {
+				g -= sp.Span
+			}
+			if q != p+(g-f)*sp.Stride {
 				return false
 			}
 		}

@@ -3,6 +3,7 @@ package simnet_test
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -113,6 +114,53 @@ func TestDeclineReasonsOfTheNetwork(t *testing.T) {
 					name, res.DeclineReason, res.ClosedFormPhases, want.reason, want.closed)
 			}
 		}
+	}
+}
+
+// perNode hides a compiled plan's RowPeers, so the certificate pass reads
+// it node by node through Op.
+type perNode struct{ simnet.Sharded }
+
+// A certificate read a row of partners at a time proves what the same
+// pass reading Op node by node proves — the same decline reason, hop
+// counts, cyclic layout and group facts — on every phase of the pinned
+// plans: certified ones, cyclic rows, detours that break the hop count,
+// and groups that do and do not share a link.
+func TestRowPeersCertifyLikeOp(t *testing.T) {
+	reasons := map[string]int{}
+	groups := map[bool]int{}
+	detours := []identityCase{
+		// The dead wire is in dimension 0, and its detours leave a field
+		// holding only that dimension.
+		{name: "cube6 dead link {5,1}", spec: "hypercube-6!dl=0-1", part: partition.Partition{5, 1}, m: 8},
+	}
+	for _, c := range append(detours, identityCases...) {
+		if c.progs != nil {
+			continue // plain programs have no phases
+		}
+		net, src := c.network(t, 1)
+		winLo := 1
+		for i, sp := range src.PhaseSpans() {
+			d, h, cyc, g := simnet.Certify(net, src, sp, winLo)
+			wd, wh, wcyc, wg := simnet.Certify(net, perNode{src}, sp, winLo)
+			if d != wd || !slices.Equal(h, wh) || cyc != wcyc || g != wg {
+				t.Errorf("%s phase %d: batched %q %v cyclic=%v groups=%v, per node %q %v cyclic=%v groups=%v",
+					c.name, i, d, h, cyc, g, wd, wh, wcyc, wg)
+			}
+			reasons[d]++
+			if sp.Span < net.Topo().Nodes() {
+				groups[g]++
+			}
+			winLo += sp.Rows
+		}
+	}
+	for _, r := range []string{"", "row-not-exchange", "hop-mismatch"} {
+		if reasons[r] == 0 {
+			t.Errorf("no phase of the corpus certified with decline %q: %v", r, reasons)
+		}
+	}
+	if groups[true] == 0 || groups[false] == 0 {
+		t.Errorf("the corpus's multi-group phases are not both link-disjoint and not: %v", groups)
 	}
 }
 

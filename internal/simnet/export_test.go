@@ -15,3 +15,11 @@ func CyclicWindows(n *Network, src Sharded) int {
 	}
 	return count
 }
+
+// Certify runs the certificate pass over the phase window of span sp
+// opening at row winLo afresh, past the handle's cache, and returns what
+// it proved.
+func Certify(n *Network, src Sharded, sp PhaseSpan, winLo int) (decline string, hops []int32, cyclic, groupsDisjoint bool) {
+	c := n.certify(src, sp, winLo)
+	return c.decline, c.hops, c.cyclic, c.groupsDisjoint
+}

@@ -381,10 +381,11 @@ func (st *runState) release() {
 }
 
 // holdQueue is the cold part of one directed link's state: the finish
-// times, ascending, of the holds that were still outstanding when newer
-// ones were placed behind them. It is a circular buffer, inline until more
-// than edgeRing circuits stack up on the link and a doubled heap buffer
-// after that.
+// times, ascending, of older holds that were still outstanding when newer
+// ones were placed behind them. Entries that have finished since may
+// linger (see push). It is a circular buffer, inline until more than
+// edgeRing circuits are outstanding on the link at once and a doubled
+// heap buffer after that.
 type holdQueue struct {
 	head, n uint32
 	ring    [edgeRing]float64
@@ -393,17 +394,26 @@ type holdQueue struct {
 
 const edgeRing = 4 // a power of two
 
-// push drops the holds finished by now, appends finish, and returns the
-// number left outstanding.
-func (q *holdQueue) push(now, finish float64) int32 {
+// push appends finish, the newest hold still outstanding when a new one
+// is placed at time now, and returns the queue's length. The new hold's
+// depth is at most the length before the push + 2 (the stored holds,
+// finish and the new hold). push drops the holds finished by now only when
+// that bound exceeds seen, the deepest depth counted so far, or when the
+// buffer is full; the returned length + 1 is then the exact depth.
+// Otherwise finished entries linger and the length + 1 is at most seen,
+// so it cannot raise it. Virtual time never moves back, so an entry
+// finished by now stays finished and falls out at a later prune.
+func (q *holdQueue) push(now, finish float64, seen int32) int32 {
 	buf := q.ring[:]
 	if q.spill != nil {
 		buf = q.spill
 	}
 	mask := uint32(len(buf) - 1)
-	for q.n > 0 && buf[q.head&mask] <= now {
-		q.head++
-		q.n--
+	if int32(q.n)+2 > seen || q.n == uint32(len(buf)) {
+		for q.n > 0 && buf[q.head&mask] <= now {
+			q.head++
+			q.n--
+		}
 	}
 	if q.n == uint32(len(buf)) {
 		grown := make([]float64, 2*len(buf))
@@ -429,11 +439,12 @@ func (q *holdQueue) push(now, finish float64) int32 {
 // prev = busy[slot] ≤ now proves every earlier hold has finished — the
 // queue is empty and the new hold is alone on the link — without reading
 // anything else. Only a hold placed behind an unfinished one (prev > now)
-// touches the link's backlog, which keeps the older outstanding holds
-// (prev joins them) and prunes finished ones in place, instead of
-// scheduling a release event per link per hold. A backlog skipped by the
-// fast path may keep finished entries; they are below every later now and
-// fall out at the next contended hold.
+// touches the link's backlog, which keeps the older holds (prev joins
+// them) instead of scheduling a release event per link per hold. The
+// backlog is pruned lazily: the depth is at most its length + 2 (the
+// stored holds, prev and the new one), so while that cannot exceed
+// maxQueue no finished hold needs dropping to keep maxQueue exact.
+// maxQueue is each shard's own, and a sharded run takes the largest.
 func (st *runState) hold(slots []int, now, finish float64) {
 	if st.maxQueue == 0 && len(slots) > 0 {
 		st.maxQueue = 1
@@ -457,7 +468,7 @@ func (st *runState) hold(slots []int, now, finish float64) {
 			bi = int32(len(st.backlogs))
 			st.backlogOf[slot] = bi
 		}
-		if depth := st.backlogs[bi-1].push(now, prev) + 1; depth > st.maxQueue {
+		if depth := st.backlogs[bi-1].push(now, prev, st.maxQueue) + 1; depth > st.maxQueue {
 			st.maxQueue = depth
 		}
 	}

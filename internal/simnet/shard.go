@@ -64,8 +64,10 @@ type Sharded interface {
 	PhaseSpans() []PhaseSpan
 	// UniformRow returns the op kind and byte count row i has on every
 	// node, or ok = false when nodes differ on either. Op(p, i) must agree
-	// with it for every p; the certificate pass checks that it does, and a
-	// replay then reads a certified row once instead of once per node.
+	// with it for every p. The certificate pass checks that it does,
+	// node by node, unless the source is a RowPeers, whose promise covers
+	// it; a replay then reads a certified row once instead of once per
+	// node.
 	UniformRow(i int) (kind OpKind, bytes int, ok bool)
 }
 
