@@ -661,7 +661,7 @@ func BenchmarkHullBuildSimulated(b *testing.B) {
 				}
 				st = opt.Stats()
 			}
-			b.ReportMetric(float64(st.ReplaysSerial+st.ReplaysSharded), "replays/op")
+			b.ReportMetric(float64(st.ReplaysSerial), "replays/op")
 			b.ReportMetric(float64(st.ReplaysAborted), "aborted/op")
 		})
 	}
@@ -717,60 +717,32 @@ func replayFragment(b *testing.B) (topology.Network, *exchange.CompiledPlan) {
 	return topo, plan.CompilePhase(0)
 }
 
-// benchReplayFragment replays the fragment on the event engine with the
-// given shard count. The fragment's phase certificate holds, so a plain
-// replay would be priced in closed form and neither the engine nor its
-// shards would run; one statically slow wire (a degraded overlay that
-// keeps every base route) makes the replay core decline it, "slow-link",
-// while leaving the dynamics what they were everywhere else — every step
-// of a row tied at one instant. The sharded replay engages fully and must
-// report the same sim_µs bit-for-bit as the serial one: it is checked
-// here against one serial replay outside the timer, and the benchmark
-// pair exposes the wall-clock ratio.
-func benchReplayFragment(b *testing.B, shards int) {
+// BenchmarkReplaySerial replays the fragment on the event engine. The
+// fragment's phase certificate holds, so a plain replay would be priced in
+// closed form and the engine would not run; one statically slow wire (a
+// degraded overlay that keeps every base route) makes the replay core
+// decline it, "slow-link", while leaving the dynamics what they were
+// everywhere else — every step of a row tied at one instant.
+func BenchmarkReplaySerial(b *testing.B) {
 	prm := model.IPSC860()
 	_, frag := replayFragment(b)
 	slow := topology.MustParseSpec("hypercube-16!sl=0-1:2")
-	replay := func(w int) simnet.Result {
-		net := simnet.New(slow, prm)
-		net.SetReplayShards(w)
-		res, err := net.RunSource(frag)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return res
-	}
-	var serial simnet.Result
-	if shards > 1 {
-		serial = replay(1)
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	var last simnet.Result
 	for i := 0; i < b.N; i++ {
-		last = replay(shards)
+		res, err := simnet.New(slow, prm).RunSource(frag)
+		if err != nil {
+			b.Fatal(err)
+		}
+		last = res
 	}
 	b.StopTimer()
 	if last.DeclineReason != "slow-link" || last.EnginePhases != 1 {
 		b.Fatalf("fragment declined for %q on %d engine phases, want slow-link on 1", last.DeclineReason, last.EnginePhases)
 	}
-	if shards > 1 && (last.ReplayShards != shards || last.Makespan != serial.Makespan ||
-		last.ContentionStall != serial.ContentionStall || last.Messages != serial.Messages) {
-		b.Fatalf("%d shards (engaged %d): makespan %v stall %v msgs %d, serial %v / %v / %d",
-			shards, last.ReplayShards, last.Makespan, last.ContentionStall, last.Messages,
-			serial.Makespan, serial.ContentionStall, serial.Messages)
-	}
 	b.ReportMetric(last.Makespan, "sim_µs")
-	b.ReportMetric(float64(last.ReplayShards), "shards")
 }
-
-// BenchmarkReplaySerial and BenchmarkReplaySharded are the sharded-replay
-// acceptance pair: identical work, one engine vs four link-disjoint
-// shards. Compare their ns/op (and confirm identical sim_µs) across a
-// run; on a ≥ 4-core machine the sharded replay should win by ~the
-// shard count.
-func BenchmarkReplaySerial(b *testing.B)  { benchReplayFragment(b, 1) }
-func BenchmarkReplaySharded(b *testing.B) { benchReplayFragment(b, 4) }
 
 // uncertified hides a compiled plan's span Shapes, so the replay core may
 // not share its certificates and runs the pass on every replay.

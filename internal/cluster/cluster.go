@@ -60,9 +60,6 @@ type Config struct {
 	// BreakerCooldown is how long a tripped breaker refuses calls
 	// before admitting a half-open probe (default 5s).
 	BreakerCooldown time.Duration
-	// HTTPClient overrides the transport (default: a dedicated client;
-	// per-call contexts carry the deadlines).
-	HTTPClient *http.Client
 	// Logger receives forward failures and skipped warm lines (default
 	// slog.Default()).
 	Logger *slog.Logger
@@ -86,9 +83,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 5 * time.Second
-	}
-	if c.HTTPClient == nil {
-		c.HTTPClient = &http.Client{}
 	}
 	if c.Logger == nil {
 		c.Logger = slog.Default()
@@ -117,6 +111,7 @@ type Cluster struct {
 	self  string
 	peers map[string]*peer // keyed by base URL
 	order []string         // stable iteration order (sorted)
+	http  *http.Client     // per-call contexts carry the deadlines
 
 	peerHits, peerFetchFailures, fallbackBuilds atomic.Int64
 	faultForwards, faultForwardFailures         atomic.Int64
@@ -160,7 +155,7 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 	sort.Strings(order)
-	return &Cluster{cfg: cfg, ring: ring, self: self, peers: peers, order: order}, nil
+	return &Cluster{cfg: cfg, ring: ring, self: self, peers: peers, order: order, http: &http.Client{}}, nil
 }
 
 // normalizeURL validates a base URL and strips any trailing slash so
@@ -289,7 +284,7 @@ func (c *Cluster) fetchOnce(ctx context.Context, base, machine, topo string) (*p
 	if id := obs.RequestID(ctx); id != "" {
 		req.Header.Set(obs.RequestIDHeader, id)
 	}
-	resp, err := c.cfg.HTTPClient.Do(req)
+	resp, err := c.http.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -342,7 +337,7 @@ func (c *Cluster) fetchSnapshot(ctx context.Context, base string) ([]plancache.L
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.cfg.HTTPClient.Do(req)
+	resp, err := c.http.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -407,7 +402,7 @@ func (c *Cluster) forwardOnce(ctx context.Context, base string, body []byte) err
 	if id := obs.RequestID(ctx); id != "" {
 		req.Header.Set(obs.RequestIDHeader, id)
 	}
-	resp, err := c.cfg.HTTPClient.Do(req)
+	resp, err := c.http.Do(req)
 	if err != nil {
 		return err
 	}

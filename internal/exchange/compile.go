@@ -17,7 +17,7 @@ import (
 // table and computes each node's partner on the fly, so even a
 // million-node plan costs O(ops per node) memory instead of O(n · ops).
 //
-// CompiledPlan implements simnet.Source, simnet.Sharded and
+// CompiledPlan implements simnet.Source, simnet.Phased and
 // simnet.RowPeers; fabric.Sim's recorded traces are the oracle the
 // compiler is tested against (op-for-op equality).
 type CompiledPlan struct {
@@ -138,10 +138,9 @@ func appendPhaseRows(rows []compiledOp, ph Phase, shuffleBytes int) []compiledOp
 
 // PhaseSpans returns the plan's per-phase span structure — one entry per
 // phase, covering that phase's barrier, step and shuffle rows — making
-// CompiledPlan a simnet.Sharded source: a replay prices each phase whose
-// certificate holds in closed form, and may split the others across
-// link-disjoint sub-block shards (simnet.Network.SetReplayShards).
-// Callers must not modify the returned slice.
+// CompiledPlan a simnet.Phased source: a replay prices each phase whose
+// certificate holds in closed form, and runs the others on the event
+// engine. Callers must not modify the returned slice.
 func (c *CompiledPlan) PhaseSpans() []simnet.PhaseSpan { return c.spans }
 
 // UniformRow returns row i's kind and byte count, which the shared op

@@ -13,12 +13,11 @@ import (
 )
 
 // costOn replays src on a fresh network over topo with the given jitter
-// and shard count and returns the result.
-func costOn(t *testing.T, topo topology.Network, src simnet.Source, jitterFrac float64, shards int) simnet.Result {
+// and returns the result.
+func costOn(t *testing.T, topo topology.Network, src simnet.Source, jitterFrac float64) simnet.Result {
 	t.Helper()
 	net := simnet.New(topo, model.IPSC860())
 	net.SetJitter(jitterFrac, 7)
-	net.SetReplayShards(shards)
 	res, err := net.RunSource(src)
 	if err != nil {
 		t.Fatal(err)
@@ -27,25 +26,25 @@ func costOn(t *testing.T, topo topology.Network, src simnet.Source, jitterFrac f
 }
 
 // simulated strips the fields that report how a result was produced —
-// shards, pricing modes, certificate passes — leaving what was simulated.
+// pricing modes, certificate passes — leaving what was simulated.
 func simulated(r simnet.Result) simnet.Result {
-	r.ReplayShards, r.ClosedFormPhases, r.EnginePhases, r.DeclineReason, r.Certificates = 0, 0, 0, "", 0
+	r.ClosedFormPhases, r.EnginePhases, r.DeclineReason, r.Certificates = 0, 0, "", 0
 	return r
 }
 
 // requireBitIdentical asserts every simulated Result field matches
 // bit-for-bit — the contract of every replay mode.
-func requireBitIdentical(t *testing.T, label string, serial, sharded simnet.Result) {
+func requireBitIdentical(t *testing.T, label string, oracle, res simnet.Result) {
 	t.Helper()
-	serial, sharded = simulated(serial), simulated(sharded)
-	if !reflect.DeepEqual(serial, sharded) {
-		t.Fatalf("%s: sharded ≠ serial\nserial:  %+v\nsharded: %+v", label, serial, sharded)
+	oracle, res = simulated(oracle), simulated(res)
+	if !reflect.DeepEqual(oracle, res) {
+		t.Fatalf("%s: replay ≠ monolithic loop\nloop:   %+v\nreplay: %+v", label, oracle, res)
 	}
 }
 
 // engineOracle replays the compiled plan's bare per-node programs through
-// the monolithic event loop — no phase structure, no certificates, no
-// shards: the reference every other replay mode must equal.
+// the monolithic event loop — no phase structure, no certificates: the
+// reference every other replay mode must equal.
 func engineOracle(t *testing.T, topo topology.Network, src *exchange.CompiledPlan, jitterFrac float64) simnet.Result {
 	t.Helper()
 	net := simnet.New(topo, model.IPSC860())
@@ -58,11 +57,10 @@ func engineOracle(t *testing.T, topo topology.Network, src *exchange.CompiledPla
 }
 
 // requireMode asserts how a replay priced its phases. A jitter-free XOR
-// phase of a healthy topology is answered by its certificate, so sharding
-// has nothing to engage on; everything else — any phase under jitter,
-// cyclic phases — must have run on the engine, and a replay with such
-// phases on several shards when asked for them.
-func requireMode(t *testing.T, label string, res simnet.Result, plan *exchange.Plan, jitter float64, shards int) {
+// phase of a healthy topology is answered by its certificate; everything
+// else — any phase under jitter, cyclic phases — must have run on the
+// engine.
+func requireMode(t *testing.T, label string, res simnet.Result, plan *exchange.Plan, jitter float64) {
 	t.Helper()
 	closed := 0
 	for _, ph := range plan.Phases() {
@@ -75,17 +73,14 @@ func requireMode(t *testing.T, label string, res simnet.Result, plan *exchange.P
 		t.Fatalf("%s: %d phases priced in closed form and %d on the engine (declined for %q), want %d and %d",
 			label, res.ClosedFormPhases, res.EnginePhases, res.DeclineReason, closed, engine)
 	}
-	if engine > 0 && shards > 1 && res.ReplayShards < 2 {
-		t.Fatalf("%s: sharded replay fell back (ReplayShards=%d)", label, res.ReplayShards)
-	}
 }
 
 // The equivalence matrix: compiled multiphase plans on all three topology
-// families, with jitter off and on, replayed on one engine and across
-// several shard counts — every simulated field must agree bit-for-bit
-// with the monolithic engine loop, and each replay must have been priced
-// the way its input dictates (no silent fallback, no silent engine run).
-func TestShardedReplayEquivalence(t *testing.T) {
+// families, with jitter off and on, replayed phase by phase — every
+// simulated field must agree bit-for-bit with the monolithic engine loop,
+// and each replay must have been priced the way its input dictates (no
+// silent engine run).
+func TestPhasedReplayEquivalence(t *testing.T) {
 	cases := []struct {
 		spec string
 		m    int
@@ -107,21 +102,18 @@ func TestShardedReplayEquivalence(t *testing.T) {
 		}
 		src := plan.Compile()
 		for _, jitter := range []float64{0, 0.05} {
-			oracle := engineOracle(t, topo, src, jitter)
-			for _, w := range []int{1, 2, 3, 4} {
-				label := fmt.Sprintf("%s/%v w=%d jitter=%v", tc.spec, tc.D, w, jitter)
-				res := costOn(t, topo, src, jitter, w)
-				requireMode(t, label, res, plan, jitter, w)
-				requireBitIdentical(t, label, oracle, res)
-			}
+			label := fmt.Sprintf("%s/%v jitter=%v", tc.spec, tc.D, jitter)
+			res := costOn(t, topo, src, jitter)
+			requireMode(t, label, res, plan, jitter)
+			requireBitIdentical(t, label, engineOracle(t, topo, src, jitter), res)
 		}
 	}
 }
 
 // Single-phase fragments — the optimizer's memoized costing unit — must
-// replay equivalently too: in closed form when nothing forbids it, on
-// link-disjoint shards under jitter.
-func TestShardedFragmentEquivalence(t *testing.T) {
+// replay equivalently too: in closed form when nothing forbids it, on the
+// engine under jitter.
+func TestFragmentReplayEquivalence(t *testing.T) {
 	topo := topology.MustParseSpec("hypercube-6")
 	plan, err := exchange.NewPlanOn(topo, 16, partition.Partition{3, 3})
 	if err != nil {
@@ -130,23 +122,17 @@ func TestShardedFragmentEquivalence(t *testing.T) {
 	for pi := 0; pi < plan.NumPhases(); pi++ {
 		frag := plan.CompilePhase(pi)
 		for _, jitter := range []float64{0, 0.05} {
-			oracle := engineOracle(t, topo, frag, jitter)
-			for _, w := range []int{1, 4} {
-				label := fmt.Sprintf("phase %d w=%d jitter=%v", pi, w, jitter)
-				res := costOn(t, topo, frag, jitter, w)
-				if closed := jitter == 0; closed != (res.ClosedFormPhases == 1) || closed == (res.EnginePhases == 1) {
-					t.Fatalf("%s: %d closed-form and %d engine phases", label, res.ClosedFormPhases, res.EnginePhases)
-				}
-				if jitter != 0 && w > 1 && res.ReplayShards < 2 {
-					t.Fatalf("%s: fragment fell back (ReplayShards=%d)", label, res.ReplayShards)
-				}
-				requireBitIdentical(t, label, oracle, res)
+			label := fmt.Sprintf("phase %d jitter=%v", pi, jitter)
+			res := costOn(t, topo, frag, jitter)
+			if closed := jitter == 0; closed != (res.ClosedFormPhases == 1) || closed == (res.EnginePhases == 1) {
+				t.Fatalf("%s: %d closed-form and %d engine phases", label, res.ClosedFormPhases, res.EnginePhases)
 			}
+			requireBitIdentical(t, label, engineOracle(t, topo, frag, jitter), res)
 		}
 	}
 }
 
-// PhaseSpans is the compiled plan's sharding metadata: one span per
+// PhaseSpans is the compiled plan's phase structure: one span per
 // phase, row counts covering the whole table, and fragment compilation
 // reproducing the corresponding whole-plan entry.
 func TestCompiledPlanPhaseSpans(t *testing.T) {
@@ -185,12 +171,12 @@ func TestCompiledPlanPhaseSpans(t *testing.T) {
 	}
 }
 
-// A slow-wire-only overlay keeps base routes, so sharding still engages
-// and stays bit-identical: per-circuit slow factors are pure functions of
-// the route. That holds with the slow wires on one shard or spread over
-// several: wires 0–1 and 4–5 lie in different groups of the stride-1
-// phase, so two shards stretch circuits of their own.
-func TestShardedDegradedSlowWiresStillShard(t *testing.T) {
+// A slow-wire-only overlay keeps base routes, and its slow factors stretch
+// circuits node by node, so every phase runs on the engine and stays
+// bit-identical to the monolithic loop: per-circuit slow factors are pure
+// functions of the route. That holds with one slow wire or two in
+// different groups of the stride-1 phase (wires 0–1 and 4–5).
+func TestDegradedSlowWiresReplayEquivalence(t *testing.T) {
 	base := topology.MustParseSpec("hypercube-5")
 	for _, slowLinks := range [][]topology.SlowLink{
 		{{Link: topology.Link{A: 0, B: 1}, Factor: 4}},
@@ -205,18 +191,11 @@ func TestShardedDegradedSlowWiresStillShard(t *testing.T) {
 			t.Fatal(err)
 		}
 		src := plan.Compile()
-		oracle := engineOracle(t, slow, src, 0)
-		for _, w := range []int{1, 4} {
-			label := fmt.Sprintf("%s w=%d", slow.Name(), w)
-			res := costOn(t, slow, src, 0, w)
-			if res.DeclineReason != "slow-link" {
-				t.Fatalf("%s: declined for %q, want slow-link", label, res.DeclineReason)
-			}
-			if w > 1 && res.ReplayShards < 2 {
-				t.Fatalf("%s: slow-only overlay fell back (ReplayShards=%d)", label, res.ReplayShards)
-			}
-			requireBitIdentical(t, label, oracle, res)
+		res := costOn(t, slow, src, 0)
+		if res.DeclineReason != "slow-link" {
+			t.Fatalf("%s: declined for %q, want slow-link", slow.Name(), res.DeclineReason)
 		}
+		requireBitIdentical(t, slow.Name(), engineOracle(t, slow, src, 0), res)
 	}
 }
 
@@ -236,14 +215,14 @@ func phaseIndexWithStride(t *testing.T, plan *exchange.Plan, stride int) int {
 }
 
 // A dead wire makes fault-aware routing detour through links that belong
-// to other sub-blocks: the partitioner must detect the cross-span
-// coverage and take the serial fallback path — and the fallback must
-// still produce the serial result exactly.
-func TestShardedDegradedDetourFallsBackToSerial(t *testing.T) {
+// to other sub-blocks: the certificate must see the longer route and send
+// the phase to the engine, which must still produce the monolithic loop's
+// result exactly.
+func TestDegradedDetourReplayEquivalence(t *testing.T) {
 	base := topology.MustParseSpec("hypercube-3")
 	// Kill a dimension-2 wire. The stride-4 phase pairs 0↔4 directly
-	// across it, so its detour has to borrow wires owned by the other
-	// pair groups ({1,5}, {2,6}, {3,7}) — cross-shard coverage.
+	// across it, so its detour has to borrow wires of the other pair
+	// groups ({1,5}, {2,6}, {3,7}).
 	dead, err := topology.Overlay(base, topology.FaultSet{
 		DeadLinks: []topology.Link{{A: 0, B: 4}},
 	})
@@ -255,16 +234,14 @@ func TestShardedDegradedDetourFallsBackToSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	frag := plan.CompilePhase(phaseIndexWithStride(t, plan, 4))
-	serial := costOn(t, dead, frag, 0, 1)
-	sharded := costOn(t, dead, frag, 0, 4)
-	if sharded.ReplayShards != 1 {
-		t.Fatalf("detour-crossed fragment did not fall back: ReplayShards=%d", sharded.ReplayShards)
+	res := costOn(t, dead, frag, 0)
+	if res.EnginePhases != 1 {
+		t.Fatalf("detour-crossed fragment: %d engine phases (declined for %q), want 1", res.EnginePhases, res.DeclineReason)
 	}
-	requireBitIdentical(t, "detour fallback", serial, sharded)
+	requireBitIdentical(t, "detour fragment", engineOracle(t, dead, frag, 0), res)
 
-	// The whole plan still replays equivalently whatever mix of sharded
-	// and fallback phases it ends up with.
+	// The whole plan still replays equivalently whatever mix of certified
+	// and engine-run phases it ends up with.
 	whole := plan.Compile()
-	requireBitIdentical(t, "degraded whole plan",
-		costOn(t, dead, whole, 0, 1), costOn(t, dead, whole, 0, 4))
+	requireBitIdentical(t, "degraded whole plan", engineOracle(t, dead, whole, 0), costOn(t, dead, whole, 0))
 }

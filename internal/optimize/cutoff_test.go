@@ -163,7 +163,7 @@ func TestBoundEntryUpgrades(t *testing.T) {
 	if _, fits, _ := ev.candidateCost(ctx, m, es.parts[whole], es.fields[whole], lb, (lb[0]+tight)/2); fits {
 		t.Fatal("a bound entry was returned as a cost")
 	}
-	if st := o.Stats(); st.ReplaysAborted != 1 || st.ReplaysSerial+st.ReplaysSharded != 0 {
+	if st := o.Stats(); st.ReplaysAborted != 1 || st.ReplaysSerial != 0 {
 		t.Fatalf("a limit below the recorded bound replayed again: %+v", st)
 	}
 	// A looser limit, still short of the cost: replayed again, bound raised.
@@ -183,14 +183,14 @@ func TestBoundEntryUpgrades(t *testing.T) {
 		t.Fatalf("entry after the full replay: %v exact=%v", v, isExact)
 	}
 	st = o.Stats()
-	if st.ReplaysAborted != 2 || st.ReplaysSerial+st.ReplaysSharded != 1 || st.Evaluated != 0 {
+	if st.ReplaysAborted != 2 || st.ReplaysSerial != 1 || st.Evaluated != 0 {
 		t.Fatalf("replay counts after the upgrade: %+v", st)
 	}
 	// An exact entry above the limit prunes without a replay.
 	if _, fits, _ := ev.candidateCost(ctx, m, es.parts[whole], es.fields[whole], lb, tight); fits {
 		t.Fatal("an exact cost above the limit was accepted")
 	}
-	if after := o.Stats(); after.ReplaysAborted != 2 || after.ReplaysSerial+after.ReplaysSharded != 1 {
+	if after := o.Stats(); after.ReplaysAborted != 2 || after.ReplaysSerial != 1 {
 		t.Fatalf("an exact entry replayed again: %+v", after)
 	}
 

@@ -192,15 +192,16 @@ type Stats struct {
 	// PrunedByCutoff's replay is exact phase costs already summed, or a
 	// replay aborted at its cutoff, this candidate's or an earlier one's.
 	PrunedByCutoff int64 `json:"pruned_by_cutoff" prom:"pland_optimizer_pruned_by_cutoff_total,counter" help:"Pruned candidate partitions whose proof needed a replay, not the admissible bounds alone."`
-	// ReplaysSharded and ReplaysSerial split the simulated backend's
-	// finished replays (memoized fragments and whole-plan winner
-	// re-derivations) by the mode that actually ran: sharded when the
-	// link-disjoint partitioner engaged (Result.ReplayShards > 1), serial
-	// otherwise — including every sharded attempt that fell back and every
-	// replay priced wholly in closed form. ReplaysAborted counts the
+	// ReplaysSharded is always 0.
+	//
+	// Deprecated: every replay runs on one engine; the field stays only
+	// for callers that still read it, until they are rewritten.
+	ReplaysSharded int64 `json:"-" prom:"-"`
+	// ReplaysSerial counts the simulated backend's finished replays
+	// (memoized fragments and whole-plan winner re-derivations), those
+	// priced wholly in closed form included. ReplaysAborted counts the
 	// replays abandoned at their cutoff (simnet.ErrCutoff) instead.
-	ReplaysSharded int64 `json:"replays_sharded" prom:"pland_optimizer_replays_sharded_total,counter" help:"Simulated replays that ran on link-disjoint engine shards."`
-	ReplaysSerial  int64 `json:"replays_serial" prom:"pland_optimizer_replays_serial_total,counter" help:"Simulated replays that ran serial (including sharded fallbacks and closed-form replays)."`
+	ReplaysSerial int64 `json:"replays_serial" prom:"pland_optimizer_replays_serial_total,counter" help:"Simulated replays that ran to completion, closed-form ones included."`
 	// The remaining fields reach the Prometheus form through the service's
 	// replay section, which adds the replays no optimizer ran.
 	ReplaysAborted int64 `json:"replays_aborted" prom:"-"`
@@ -226,7 +227,6 @@ func (s *Stats) Add(t Stats) {
 	s.MemoHits += t.MemoHits
 	s.MemoMisses += t.MemoMisses
 	s.PrunedByCutoff += t.PrunedByCutoff
-	s.ReplaysSharded += t.ReplaysSharded
 	s.ReplaysSerial += t.ReplaysSerial
 	s.ReplaysAborted += t.ReplaysAborted
 	s.PhasesClosedForm += t.PhasesClosedForm
@@ -245,8 +245,7 @@ func (s *Stats) Add(t Stats) {
 // Optimizer counts its own replays; a caller replaying plans itself (the
 // /v1/cost endpoint) keeps one of its own.
 type ReplayCounter struct {
-	sharded, serial    atomic.Int64
-	aborted            atomic.Int64
+	serial, aborted    atomic.Int64
 	closedForm, engine atomic.Int64
 	certificates       atomic.Int64
 
@@ -280,13 +279,8 @@ func (c *ReplayCounter) Traced(ctx context.Context, kind string, plan *exchange.
 		return res, err
 	}
 	sp.SetInt("phases", int64(res.ClosedFormPhases+res.EnginePhases))
-	sp.SetInt("replay_shards", int64(res.ReplayShards))
 	sp.SetInt("closed_form_phases", int64(res.ClosedFormPhases))
-	if res.ReplayShards > 1 {
-		c.sharded.Add(1)
-	} else {
-		c.serial.Add(1)
-	}
+	c.serial.Add(1)
 	c.closedForm.Add(int64(res.ClosedFormPhases))
 	c.engine.Add(int64(res.EnginePhases))
 	c.certificates.Add(int64(res.Certificates))
@@ -305,7 +299,6 @@ func (c *ReplayCounter) Traced(ctx context.Context, kind string, plan *exchange.
 // AddTo accumulates the counters into s.
 func (c *ReplayCounter) AddTo(s *Stats) {
 	t := Stats{
-		ReplaysSharded:   c.sharded.Load(),
 		ReplaysSerial:    c.serial.Load(),
 		ReplaysAborted:   c.aborted.Load(),
 		PhasesClosedForm: c.closedForm.Load(),

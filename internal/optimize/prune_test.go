@@ -244,7 +244,7 @@ func TestEveryReplayIsAttributed(t *testing.T) {
 	}
 	root.End()
 	st := o.Stats()
-	replays := st.ReplaysSerial + st.ReplaysSharded + st.ReplaysAborted
+	replays := st.ReplaysSerial + st.ReplaysAborted
 	if st.ReplaysAborted == 0 {
 		t.Error("no replay of the sweep was aborted at its cutoff")
 	}

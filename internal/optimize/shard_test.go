@@ -15,8 +15,8 @@ import (
 // The simulated backend prices each input the way it should: the XOR
 // phases of a healthy cube by certificate, in closed form with no engine
 // phase and no decline; the cyclic phases of a torus on the event engine,
-// declined as row-not-exchange. Every replay runs serial. (Sharded ≡
-// serial is pinned where sharding lives, in simnet and exchange.)
+// declined as row-not-exchange. Every finished replay counts as serial,
+// and the deprecated sharded count stays 0.
 func TestSimulatedPricingModes(t *testing.T) {
 	prm := model.IPSC860()
 	for _, tc := range []struct {
@@ -53,11 +53,11 @@ func TestSimulatedPricingModes(t *testing.T) {
 
 // The replay counters aggregate like the other Stats fields.
 func TestStatsAddReplayCounters(t *testing.T) {
-	a := Stats{ReplaysSharded: 2, ReplaysSerial: 3, PhasesClosedForm: 1, Declines: map[string]int64{"jitter": 1}}
-	a.Add(Stats{ReplaysSharded: 5, ReplaysSerial: 7, PhasesClosedForm: 2, PhasesEngine: 4, Certificates: 3,
+	a := Stats{ReplaysSerial: 3, ReplaysAborted: 1, PhasesClosedForm: 1, Declines: map[string]int64{"jitter": 1}}
+	a.Add(Stats{ReplaysSerial: 7, ReplaysAborted: 2, PhasesClosedForm: 2, PhasesEngine: 4, Certificates: 3,
 		Declines: map[string]int64{"jitter": 2, "trace": 1}})
-	if a.ReplaysSharded != 7 || a.ReplaysSerial != 10 {
-		t.Fatalf("Add: got sharded=%d serial=%d", a.ReplaysSharded, a.ReplaysSerial)
+	if a.ReplaysSerial != 10 || a.ReplaysAborted != 3 {
+		t.Fatalf("Add: got serial=%d aborted=%d", a.ReplaysSerial, a.ReplaysAborted)
 	}
 	if a.PhasesClosedForm != 3 || a.PhasesEngine != 4 || a.Certificates != 3 || a.Declines["jitter"] != 3 || a.Declines["trace"] != 1 {
 		t.Fatalf("Add: got %+v", a)
@@ -136,7 +136,7 @@ func TestCertificatesSharedAcrossMachines(t *testing.T) {
 	if total.Certificates > int64(fields) {
 		t.Errorf("%d certificate passes for %d distinct fields", total.Certificates, fields)
 	}
-	if replays := total.ReplaysSerial + total.ReplaysSharded; replays <= int64(fields) {
+	if replays := total.ReplaysSerial; replays <= int64(fields) {
 		t.Fatalf("only %d replays: the sweeps must outnumber the %d fields", replays, fields)
 	}
 }

@@ -13,7 +13,7 @@ import (
 	"repro/internal/topology"
 )
 
-// plainSource presents explicit programs as a bare Source — not a Sharded
+// plainSource presents explicit programs as a bare Source — not a Phased
 // one, so it runs on the monolithic loop.
 type plainSource []simnet.Program
 
@@ -21,11 +21,11 @@ func (s plainSource) NumNodes() int         { return len(s) }
 func (s plainSource) NumOps(p int) int      { return len(s[p]) }
 func (s plainSource) Op(p, i int) simnet.Op { return s[p][i] }
 
-// boundedCase returns the case's network at the given shard count and its
-// source: the compiled plan, or the explicit programs as a plain Source.
-func boundedCase(t *testing.T, c identityCase, shards int) (*simnet.Network, simnet.Source) {
+// boundedCase returns the case's network and its source: the compiled
+// plan, or the explicit programs as a plain Source.
+func boundedCase(t *testing.T, c identityCase) (*simnet.Network, simnet.Source) {
 	t.Helper()
-	net, compiled := c.network(t, shards)
+	net, compiled := c.network(t)
 	if compiled == nil {
 		return net, plainSource(c.progs(net.Nodes()))
 	}
@@ -37,38 +37,33 @@ func boundedCase(t *testing.T, c identityCase, shards int) (*simnet.Network, sim
 var cutoffFractions = []float64{0.25, 0.5, 1 - 1e-12, 1, 1 + 1e-12, 2}
 
 // A bounded replay is abandoned with ErrCutoff if and only if the makespan
-// exceeds the cutoff, and otherwise is the unbounded replay bit for bit —
-// on the monolithic loop, in closed-form phases, and in engine windows on
-// one, two and three shards, over every pinned case.
+// exceeds the cutoff, and otherwise is the monolithic engine loop's
+// unbounded replay bit for bit — on the monolithic loop, in closed-form
+// phases and in engine windows, over every pinned case.
 func TestBoundedReplay(t *testing.T) {
 	for _, c := range identityCases {
-		want := c.run(t, 1)
-		for _, shards := range []int{1, 2, 3} {
-			if c.progs != nil && shards > 1 {
-				continue // explicit programs are not a Sharded source
+		want := c.oracle(t)
+		for _, frac := range cutoffFractions {
+			cutoff := frac * want.Makespan
+			label := fmt.Sprintf("%s cutoff=%v×makespan", c.name, frac)
+			net, src := boundedCase(t, c)
+			res, err := net.RunSourceBounded(src, cutoff)
+			if want.Makespan > cutoff {
+				if !errors.Is(err, simnet.ErrCutoff) {
+					t.Errorf("%s: makespan %v above cutoff %v, got err %v", label, want.Makespan, cutoff, err)
+				}
+				continue
 			}
-			for _, frac := range cutoffFractions {
-				cutoff := frac * want.Makespan
-				label := fmt.Sprintf("%s shards=%d cutoff=%v×makespan", c.name, shards, frac)
-				net, src := boundedCase(t, c, shards)
-				res, err := net.RunSourceBounded(src, cutoff)
-				if want.Makespan > cutoff {
-					if !errors.Is(err, simnet.ErrCutoff) {
-						t.Errorf("%s: makespan %v above cutoff %v, got err %v", label, want.Makespan, cutoff, err)
-					}
-					continue
-				}
-				if err != nil {
-					t.Errorf("%s: makespan %v within cutoff %v, got err %v", label, want.Makespan, cutoff, err)
-					continue
-				}
-				if got := digestOf(res); got != digestOf(want) {
-					t.Errorf("%s: a completed bounded run differs from the unbounded one:\n  got  %+v\n  want %+v",
-						label, got, digestOf(want))
-				}
+			if err != nil {
+				t.Errorf("%s: makespan %v within cutoff %v, got err %v", label, want.Makespan, cutoff, err)
+				continue
+			}
+			if got := digestOf(res); got != digestOf(want) {
+				t.Errorf("%s: a completed bounded run differs from the unbounded one:\n  got  %+v\n  want %+v",
+					label, got, digestOf(want))
 			}
 		}
-		net, src := boundedCase(t, c, 1)
+		net, src := boundedCase(t, c)
 		if _, err := net.RunSourceBounded(src, -1); !errors.Is(err, simnet.ErrCutoff) {
 			t.Errorf("%s: negative cutoff: %v", c.name, err)
 		}
@@ -103,32 +98,31 @@ func TestBoundedReplayKeepsOtherVerdicts(t *testing.T) {
 		t.Errorf("cutoff equal to the makespan: %v, %v", res.Makespan, err)
 	}
 
-	// A cyclic phase on shards: the budget is each window's shard's.
+	// A cyclic phase window: the budget is the window's.
 	torus := topology.MustParseSpec("torus-4x4")
 	plan, err := exchange.NewPlanOn(torus, 32, partition.Partition{1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded := simnet.New(torus, prm)
-	sharded.SetReplayShards(2)
-	sharded.SetEventBudget(3)
-	if _, err := sharded.RunSourceBounded(plan.Compile(), 1e9); err == nil || !strings.Contains(err.Error(), "budget") {
-		t.Errorf("sharded budget exhausted under a far cutoff: %v", err)
+	windowed := simnet.New(torus, prm)
+	windowed.SetEventBudget(3)
+	if _, err := windowed.RunSourceBounded(plan.Compile(), 1e9); err == nil || !strings.Contains(err.Error(), "budget") {
+		t.Errorf("window budget exhausted under a far cutoff: %v", err)
 	}
 }
 
 // FuzzBoundedReplay: for any topology, grouping, block size, jitter
-// setting, shard count and cutoff, a bounded replay is abandoned exactly
-// when the monolithic engine loop's makespan exceeds the cutoff, and
-// otherwise equals it.
+// setting and cutoff, a bounded replay is abandoned exactly when the
+// monolithic engine loop's makespan exceeds the cutoff, and otherwise
+// equals it.
 func FuzzBoundedReplay(f *testing.F) {
-	f.Add(uint8(1), uint8(0), uint16(24), false, uint8(1), uint16(500))
-	f.Add(uint8(3), uint8(0b10010), uint16(40), false, uint8(3), uint16(1000))
-	f.Add(uint8(5), uint8(0b01), uint16(32), false, uint8(2), uint16(999))
-	f.Add(uint8(6), uint8(0b11111), uint16(1), true, uint8(4), uint16(1001))
-	f.Add(uint8(10), uint8(0b1), uint16(8), false, uint8(2), uint16(250))
-	f.Add(uint8(13), uint8(0b101), uint16(0), false, uint8(1), uint16(2000))
-	f.Fuzz(func(t *testing.T, spec, cuts uint8, m uint16, jitter bool, shards uint8, permille uint16) {
+	f.Add(uint8(1), uint8(0), uint16(24), false, uint16(500))
+	f.Add(uint8(3), uint8(0b10010), uint16(40), false, uint16(1000))
+	f.Add(uint8(5), uint8(0b01), uint16(32), false, uint16(999))
+	f.Add(uint8(6), uint8(0b11111), uint16(1), true, uint16(1001))
+	f.Add(uint8(10), uint8(0b1), uint16(8), false, uint16(250))
+	f.Add(uint8(13), uint8(0b101), uint16(0), false, uint16(2000))
+	f.Fuzz(func(t *testing.T, spec, cuts uint8, m uint16, jitter bool, permille uint16) {
 		topo := topology.MustParseSpec(fuzzSpecs[int(spec)%len(fuzzSpecs)])
 		plan, err := exchange.NewPlanOn(topo, int(m%512), fuzzGrouping(topo, cuts))
 		if err != nil {
@@ -145,7 +139,6 @@ func FuzzBoundedReplay(f *testing.F) {
 		}
 		// permille 1000 is the makespan itself: the boundary is in reach.
 		cutoff := oracle.Makespan * float64(permille%2048) / 1000
-		net.SetReplayShards(int(shards%5) + 1)
 		res, err := net.RunSourceBounded(src, cutoff)
 		if oracle.Makespan > cutoff {
 			if !errors.Is(err, simnet.ErrCutoff) {

@@ -2,7 +2,7 @@ package simnet
 
 import "repro/internal/topology"
 
-// The reasons a phase of a Sharded source runs on the event engine
+// The reasons a phase of a Phased source runs on the event engine
 // instead of being priced in closed form (Result.DeclineReason). The
 // first three are properties of the network that make durations
 // node-dependent, and are decided before any certificate is looked at;
@@ -30,10 +30,6 @@ const (
 // for all nodes, every node's partner names it back, the directed-link
 // slots of all circuits of a row — both directions, detours included —
 // are pairwise disjoint, and they all have one hop count.
-//
-// The group fact is what sharded replay needs of a phase the engine
-// runs: groups are the node sets agreeing outside the phase field
-// (PhaseSpan), dealt onto shards whole.
 type phaseCert struct {
 	decline string  // the first lockstep check that failed, "" when none did
 	hops    []int32 // per window row, the one hop count (≥ 1) of an exchange row's circuits
@@ -41,19 +37,9 @@ type phaseCert struct {
 	// cyclic: the span's Shape is ShapeCyclic and the window keeps the
 	// promise, row by row and node by node.
 	cyclic bool
-
-	// groupsDisjoint: every communication partner is in its node's group
-	// and no directed link carries circuits of two groups.
-	groupsDisjoint bool
 }
 
-func (c *phaseCert) declineFor(reason string) {
-	if c.decline == "" {
-		c.decline = reason
-	}
-}
-
-// RowPeers is an optional interface of a Sharded source that can hand
+// RowPeers is an optional interface of a Phased source that can hand
 // over the partners of a whole row at once. The certificate pass reads a
 // row through it, one call instead of one Op per node; the engine and
 // the cyclic interpreter still read Op.
@@ -72,117 +58,78 @@ type RowPeers interface {
 
 // certify walks the sp.Rows−1 rows after the barrier at winLo−1 once,
 // routing every circuit through the topology's own AppendRouteSlots — the
-// call the engine makes — and returns what the routed links prove. A
-// source's rows are read a row of partners at a time when it keeps the
-// RowPeers promise, and node by node through src.Op otherwise; only the
-// per-node path can find a uniform-row accessor that disagrees with Op.
-func (n *Network) certify(src Sharded, sp PhaseSpan, winLo int) *phaseCert {
-	nodes, deg := n.topo.Nodes(), n.topo.Degree()
-	multi := sp.Span < nodes // more than one group: the group facts are not vacuous
-	geom := phaseGeom{stride: sp.Stride, block: sp.Stride * sp.Span}
-	group := make([]int32, nodes)
-	for p := range group {
-		group[p] = int32(geom.group(p))
-	}
-
-	c := &phaseCert{hops: make([]int32, sp.Rows-1), groupsDisjoint: true}
+// call the engine makes — and returns what the routed links prove. It
+// stops at the first check that fails. A source's rows are read a row of
+// partners at a time when it keeps the RowPeers promise, and node by node
+// through src.Op otherwise; only the per-node path can find a uniform-row
+// accessor that disagrees with Op.
+func (n *Network) certify(src Phased, sp PhaseSpan, winLo int) *phaseCert {
+	nodes := n.topo.Nodes()
+	c := &phaseCert{hops: make([]int32, sp.Rows-1)}
 	c.cyclic = sp.Shape == ShapeCyclic && keepsCyclic(src, sp, winLo)
-	rp, batched := src.(RowPeers)
-	var peers []int32                 // this row's partners, when batched
-	partner := make([]int32, nodes)   // this row's exchange partners
-	rowOf := make([]int32, nodes*deg) // 1 + the window row whose circuits last covered the slot
-	var groupOf []int32               // 1 + the group whose circuits cover the slot
-	if multi {
-		groupOf = make([]int32, nodes*deg)
+	declined := func(reason string) *phaseCert {
+		c.decline = reason
+		return c
 	}
+	rp, batched := src.(RowPeers)
+	var peers []int32                             // this row's partners, when batched
+	partner := make([]int32, nodes)               // this row's exchange partners
+	rowOf := make([]int32, nodes*n.topo.Degree()) // 1 + the window row whose circuits last covered the slot
 	var slots []int
 	for i := range c.hops {
 		r, stamp := winLo+i, int32(i)+1
 		kind, bytes, uniform := src.UniformRow(r)
 		switch {
 		case !uniform:
-			c.declineFor(declineRowNotUniform)
+			return declined(declineRowNotUniform)
 		case kind != OpExchange && kind != OpShuffle:
-			c.declineFor(declineRowNotExchange)
+			return declined(declineRowNotExchange)
 		}
-		if c.decline != "" && !(multi && c.groupsDisjoint) {
-			return c // nothing left to prove
-		}
-		byRow := batched && uniform
-		if byRow {
+		if batched {
+			if kind == OpShuffle {
+				continue
+			}
 			peers = rp.AppendRowPeers(peers[:0], r)
 		}
 		h := -1
 		for p := 0; p < nodes; p++ {
-			k, q := kind, 0
-			if byRow {
+			var q int
+			if batched {
 				q = int(peers[p])
 			} else {
 				op := src.Op(p, r)
-				if uniform && (op.Kind != kind || op.Bytes != bytes) {
-					c.declineFor(declineRowNotUniform)
+				if op.Kind != kind || op.Bytes != bytes {
+					return declined(declineRowNotUniform)
 				}
-				k, q = op.Kind, op.Peer
+				q = op.Peer
 			}
-			switch k {
-			case OpCompute, OpShuffle:
-				continue
-			case OpExchange, OpSend, OpPostRecv, OpWaitRecv, OpRecv:
-			default:
-				// A barrier or unknown op inside the window: the engine
-				// reports it, on one shard.
-				c.groupsDisjoint = false
-				c.declineFor(declineRowNotExchange)
+			if kind == OpShuffle {
 				continue
 			}
-			if q == p {
-				c.declineFor(declinePartner) // a self-exchange costs nothing on the engine
-				continue
+			if q == p || q < 0 || q >= nodes {
+				// A self-exchange costs nothing on the engine; a node
+				// outside the machine fails the run there.
+				return declined(declinePartner)
 			}
-			if q < 0 || q >= nodes {
-				c.groupsDisjoint = false
-				c.declineFor(declinePartner)
-				continue
-			}
-			g := group[p]
-			if group[q] != g {
-				c.groupsDisjoint = false
-			}
-			if k != OpExchange && k != OpSend {
-				continue
-			}
+			partner[p] = int32(q)
 			slots = n.topo.AppendRouteSlots(slots[:0], p, q)
-			if c.decline == "" { // so the row, and this op, is an exchange
-				partner[p] = int32(q)
-				if h >= 0 && len(slots) != h {
-					c.declineFor(declineHops)
-				}
-				h = len(slots)
-				for _, s := range slots {
-					if rowOf[s] == stamp {
-						c.declineFor(declineOverlap)
-						break
-					}
-					rowOf[s] = stamp
-				}
+			if h >= 0 && len(slots) != h {
+				return declined(declineHops)
 			}
-			if multi && c.groupsDisjoint {
-				for _, s := range slots {
-					if groupOf[s] == 0 {
-						groupOf[s] = g + 1
-					} else if groupOf[s] != g+1 {
-						c.groupsDisjoint = false
-					}
+			h = len(slots)
+			for _, s := range slots {
+				if rowOf[s] == stamp {
+					return declined(declineOverlap)
 				}
+				rowOf[s] = stamp
 			}
 		}
-		if c.decline == "" && kind == OpExchange {
+		if kind == OpExchange {
 			// Every node of the row recorded its partner: each must be
 			// named back, or the engine's rendezvous never completes.
 			for p, q := range partner {
 				if partner[q] != int32(p) {
-					c.declineFor(declinePartner)
-					break
+					return declined(declinePartner)
 				}
 			}
 			c.hops[i] = int32(h)
@@ -198,7 +145,7 @@ func (n *Network) certify(src Sharded, sp PhaseSpan, winLo int) *phaseCert {
 // is computed once per pass. A RowPeers source's kinds, byte counts and
 // message types follow from UniformRow by its promise, so only its
 // partners are read, a row at a time.
-func keepsCyclic(src Sharded, sp PhaseSpan, winLo int) bool {
+func keepsCyclic(src Phased, sp PhaseSpan, winLo int) bool {
 	steps := sp.Span - 1
 	if tail := sp.Rows - 1 - 3*steps; steps < 1 || tail < 0 || tail > 1 {
 		return false
@@ -275,7 +222,7 @@ type certKey struct {
 // requests on one handle verify a phase field once between them. A span
 // with no Shape promises nothing about other sources' phases and is
 // certified afresh.
-func (n *Network) certificate(src Sharded, sp PhaseSpan, winLo int) (cert *phaseCert, computed bool) {
+func (n *Network) certificate(src Phased, sp PhaseSpan, winLo int) (cert *phaseCert, computed bool) {
 	if sp.Shape == "" {
 		return n.certify(src, sp, winLo), true
 	}

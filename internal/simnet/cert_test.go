@@ -3,6 +3,7 @@ package simnet_test
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -16,7 +17,7 @@ import (
 
 // requireSameSimulation asserts that two results agree in every simulated
 // field, floats by their exact bits. The fields that say how a result was
-// produced (shards, pricing modes, certificate passes) are not compared.
+// produced (pricing modes, certificate passes) are not compared.
 func requireSameSimulation(t *testing.T, label string, want, got simnet.Result) {
 	t.Helper()
 	bits := math.Float64bits
@@ -52,7 +53,7 @@ func requireSameSimulation(t *testing.T, label string, want, got simnet.Result) 
 }
 
 // The phase-by-phase replay — certified phases in closed form, the rest
-// on one engine or several shards — must equal the monolithic engine loop
+// on the engine — must equal the monolithic engine loop
 // over the same plan's bare programs, on the whole digest matrix and on
 // plans that mix certified and declined phases.
 func TestPhasedReplayMatchesEngine(t *testing.T) {
@@ -69,7 +70,7 @@ func TestPhasedReplayMatchesEngine(t *testing.T) {
 		if c.progs != nil {
 			continue // plain programs have no phases
 		}
-		net, src := c.network(t, 1)
+		net, src := c.network(t)
 		oracle, err := net.Run(src.Programs())
 		if err != nil {
 			t.Fatal(err)
@@ -77,16 +78,49 @@ func TestPhasedReplayMatchesEngine(t *testing.T) {
 		if oracle.ClosedFormPhases != 0 || oracle.EnginePhases != 0 {
 			t.Fatalf("%s: the oracle was not the monolithic engine loop: %+v", c.name, oracle)
 		}
-		for _, w := range []int{1, 2, 3} {
-			res := c.run(t, w)
-			requireSameSimulation(t, fmt.Sprintf("%s at %d shards", c.name, w), oracle, res)
-			if got := res.ClosedFormPhases + res.EnginePhases; got != len(src.PhaseSpans()) {
-				t.Errorf("%s: %d phases accounted for, of %d", c.name, got, len(src.PhaseSpans()))
-			}
-			if i < len(mixed) && (res.ClosedFormPhases == 0 || res.EnginePhases == 0 || res.DeclineReason == "") {
-				t.Errorf("%s: want certified and declined phases mixed, got %d closed-form, %d engine, reason %q",
-					c.name, res.ClosedFormPhases, res.EnginePhases, res.DeclineReason)
-			}
+		res := c.run(t)
+		requireSameSimulation(t, c.name, oracle, res)
+		if got := res.ClosedFormPhases + res.EnginePhases; got != len(src.PhaseSpans()) {
+			t.Errorf("%s: %d phases accounted for, of %d", c.name, got, len(src.PhaseSpans()))
+		}
+		if i < len(mixed) && (res.ClosedFormPhases == 0 || res.EnginePhases == 0 || res.DeclineReason == "") {
+			t.Errorf("%s: want certified and declined phases mixed, got %d closed-form, %d engine, reason %q",
+				c.name, res.ClosedFormPhases, res.EnginePhases, res.DeclineReason)
+		}
+	}
+}
+
+// SetReplayShards is inert: whatever it asks for, an engine-run torus
+// phase replays exactly as without it, every Result field bit-identical,
+// ReplayShards 1 included.
+func TestReplayShardsIsInert(t *testing.T) {
+	topo := topology.MustParseSpec("torus-4x4")
+	plan, err := exchange.NewPlanOn(topo, 32, partition.Partition{1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := plan.Compile()
+	replay := func(shards ...int) simnet.Result {
+		t.Helper()
+		net := simnet.New(topo, model.IPSC860())
+		for _, k := range shards {
+			net.SetReplayShards(k)
+		}
+		res, err := net.RunSource(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	replay() // certify the phases on the handle, so no later run counts a pass
+	want := replay()
+	if want.EnginePhases == 0 || want.ReplayShards != 1 {
+		t.Fatalf("%d engine phases, ReplayShards %d: want an engine-run phase on one engine",
+			want.EnginePhases, want.ReplayShards)
+	}
+	for _, k := range []int{0, 1, 2, 4, 64} {
+		if got := replay(k); !reflect.DeepEqual(got, want) {
+			t.Errorf("SetReplayShards(%d) changed the replay:\n  got  %+v\n  want %+v", k, got, want)
 		}
 	}
 }
@@ -108,7 +142,7 @@ func TestDeclineReasonsOfTheNetwork(t *testing.T) {
 			if c.name != name {
 				continue
 			}
-			res := c.run(t, 1)
+			res := c.run(t)
 			if res.DeclineReason != want.reason || res.ClosedFormPhases != want.closed {
 				t.Errorf("%s: declined for %q with %d closed-form phases, want %q and %d",
 					name, res.DeclineReason, res.ClosedFormPhases, want.reason, want.closed)
@@ -119,16 +153,14 @@ func TestDeclineReasonsOfTheNetwork(t *testing.T) {
 
 // perNode hides a compiled plan's RowPeers, so the certificate pass reads
 // it node by node through Op.
-type perNode struct{ simnet.Sharded }
+type perNode struct{ simnet.Phased }
 
 // A certificate read a row of partners at a time proves what the same
 // pass reading Op node by node proves — the same decline reason, hop
-// counts, cyclic layout and group facts — on every phase of the pinned
-// plans: certified ones, cyclic rows, detours that break the hop count,
-// and groups that do and do not share a link.
+// counts and cyclic layout — on every phase of the pinned plans:
+// certified ones, cyclic rows and detours that break the hop count.
 func TestRowPeersCertifyLikeOp(t *testing.T) {
 	reasons := map[string]int{}
-	groups := map[bool]int{}
 	detours := []identityCase{
 		// The dead wire is in dimension 0, and its detours leave a field
 		// holding only that dimension.
@@ -138,19 +170,16 @@ func TestRowPeersCertifyLikeOp(t *testing.T) {
 		if c.progs != nil {
 			continue // plain programs have no phases
 		}
-		net, src := c.network(t, 1)
+		net, src := c.network(t)
 		winLo := 1
 		for i, sp := range src.PhaseSpans() {
-			d, h, cyc, g := simnet.Certify(net, src, sp, winLo)
-			wd, wh, wcyc, wg := simnet.Certify(net, perNode{src}, sp, winLo)
-			if d != wd || !slices.Equal(h, wh) || cyc != wcyc || g != wg {
-				t.Errorf("%s phase %d: batched %q %v cyclic=%v groups=%v, per node %q %v cyclic=%v groups=%v",
-					c.name, i, d, h, cyc, g, wd, wh, wcyc, wg)
+			d, h, cyc := simnet.Certify(net, src, sp, winLo)
+			wd, wh, wcyc := simnet.Certify(net, perNode{src}, sp, winLo)
+			if d != wd || !slices.Equal(h, wh) || cyc != wcyc {
+				t.Errorf("%s phase %d: batched %q %v cyclic=%v, per node %q %v cyclic=%v",
+					c.name, i, d, h, cyc, wd, wh, wcyc)
 			}
 			reasons[d]++
-			if sp.Span < net.Topo().Nodes() {
-				groups[g]++
-			}
 			winLo += sp.Rows
 		}
 	}
@@ -159,12 +188,9 @@ func TestRowPeersCertifyLikeOp(t *testing.T) {
 			t.Errorf("no phase of the corpus certified with decline %q: %v", r, reasons)
 		}
 	}
-	if groups[true] == 0 || groups[false] == 0 {
-		t.Errorf("the corpus's multi-group phases are not both link-disjoint and not: %v", groups)
-	}
 }
 
-// rowSource is a hand-built Sharded source of one phase spanning a whole
+// rowSource is a hand-built Phased source of one phase spanning a whole
 // hypercube-3: a barrier, then rows of exchanges given as partner tables.
 // It promises no Shape, so every replay certifies it afresh.
 type rowSource struct {
@@ -255,30 +281,27 @@ func TestCertificateDeclines(t *testing.T) {
 	for _, tc := range cases {
 		net := simnet.New(topo, model.IPSC860())
 		oracle, oracleErr := net.Run(tc.src.programs())
-		for _, w := range []int{1, 3} {
-			net.SetReplayShards(w)
-			res, err := net.RunSource(tc.src)
-			if tc.name == "partner does not name back" {
-				// The engine deadlocks on it; so must the phased replay.
-				if err == nil || oracleErr == nil || err.Error() != oracleErr.Error() {
-					t.Errorf("%s: error %v, want the engine's %v", tc.name, err, oracleErr)
-				}
-				continue
+		res, err := net.RunSource(tc.src)
+		if tc.name == "partner does not name back" {
+			// The engine deadlocks on it; so must the phased replay.
+			if err == nil || oracleErr == nil || err.Error() != oracleErr.Error() {
+				t.Errorf("%s: error %v, want the engine's %v", tc.name, err, oracleErr)
 			}
-			if err != nil || oracleErr != nil {
-				t.Fatalf("%s: %v / %v", tc.name, err, oracleErr)
-			}
-			requireSameSimulation(t, tc.name, oracle, res)
-			if res.DeclineReason != tc.reason || (tc.reason == "") != (res.ClosedFormPhases == 1) {
-				t.Errorf("%s: declined for %q with %d closed-form phases, want reason %q",
-					tc.name, res.DeclineReason, res.ClosedFormPhases, tc.reason)
-			}
-			if res.Certificates != 1 {
-				t.Errorf("%s: %d certificate passes for a source with no Shape, want 1 per replay", tc.name, res.Certificates)
-			}
-			if tc.stalled != (res.ContentionStall > 0) {
-				t.Errorf("%s: ContentionStall %v", tc.name, res.ContentionStall)
-			}
+			continue
+		}
+		if err != nil || oracleErr != nil {
+			t.Fatalf("%s: %v / %v", tc.name, err, oracleErr)
+		}
+		requireSameSimulation(t, tc.name, oracle, res)
+		if res.DeclineReason != tc.reason || (tc.reason == "") != (res.ClosedFormPhases == 1) {
+			t.Errorf("%s: declined for %q with %d closed-form phases, want reason %q",
+				tc.name, res.DeclineReason, res.ClosedFormPhases, tc.reason)
+		}
+		if res.Certificates != 1 {
+			t.Errorf("%s: %d certificate passes for a source with no Shape, want 1 per replay", tc.name, res.Certificates)
+		}
+		if tc.stalled != (res.ContentionStall > 0) {
+			t.Errorf("%s: ContentionStall %v", tc.name, res.ContentionStall)
 		}
 	}
 
@@ -385,17 +408,17 @@ func fuzzGrouping(topo topology.Network, cuts uint8) partition.Partition {
 	return part
 }
 
-// FuzzCertifiedReplay: for any topology, grouping, block size, jitter
-// setting and shard count, the phase-by-phase replay equals the
-// monolithic engine loop over the same programs.
+// FuzzCertifiedReplay: for any topology, grouping, block size and jitter
+// setting, the phase-by-phase replay equals the monolithic engine loop
+// over the same programs.
 func FuzzCertifiedReplay(f *testing.F) {
-	f.Add(uint8(1), uint8(0), uint16(24), false, uint8(1))
-	f.Add(uint8(3), uint8(0b10010), uint16(40), false, uint8(3))
-	f.Add(uint8(5), uint8(0b01), uint16(32), false, uint8(2))
-	f.Add(uint8(6), uint8(0b11111), uint16(1), true, uint8(4))
-	f.Add(uint8(10), uint8(0b1), uint16(8), false, uint8(2))
-	f.Add(uint8(13), uint8(0b101), uint16(0), false, uint8(1))
-	f.Fuzz(func(t *testing.T, spec, cuts uint8, m uint16, jitter bool, shards uint8) {
+	f.Add(uint8(1), uint8(0), uint16(24), false)
+	f.Add(uint8(3), uint8(0b10010), uint16(40), false)
+	f.Add(uint8(5), uint8(0b01), uint16(32), false)
+	f.Add(uint8(6), uint8(0b11111), uint16(1), true)
+	f.Add(uint8(10), uint8(0b1), uint16(8), false)
+	f.Add(uint8(13), uint8(0b101), uint16(0), false)
+	f.Fuzz(func(t *testing.T, spec, cuts uint8, m uint16, jitter bool) {
 		topo := topology.MustParseSpec(fuzzSpecs[int(spec)%len(fuzzSpecs)])
 		plan, err := exchange.NewPlanOn(topo, int(m%512), fuzzGrouping(topo, cuts))
 		if err != nil {
@@ -410,7 +433,6 @@ func FuzzCertifiedReplay(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		net.SetReplayShards(int(shards%5) + 1)
 		res, err := net.RunSource(src)
 		if err != nil {
 			t.Fatal(err)

@@ -37,13 +37,12 @@ type cyclicCase struct {
 	m       int
 	machine string
 	jitter  float64
-	shards  int
 	cutoff  float64 // the bound as a fraction of the makespan; 0 for none
 }
 
 func (c cyclicCase) String() string {
-	return fmt.Sprintf("%s %v m=%d %s jitter=%g shards=%d cutoff=%g",
-		c.spec, c.part, c.m, c.machine, c.jitter, c.shards, c.cutoff)
+	return fmt.Sprintf("%s %v m=%d %s jitter=%g cutoff=%g",
+		c.spec, c.part, c.m, c.machine, c.jitter, c.cutoff)
 }
 
 // check replays the case three ways — the cyclic interpreter, the
@@ -70,22 +69,21 @@ func (c cyclicCase) check(t *testing.T) bool {
 		}
 		generic.spans[i].Shape = ""
 	}
-	net := func(shards int) *simnet.Network {
+	net := func() *simnet.Network {
 		n := simnet.New(topo, model.Machines()[c.machine])
 		n.SetJitter(c.jitter, 7)
-		n.SetReplayShards(shards)
 		return n
 	}
-	if got := simnet.CyclicWindows(net(1), kernel); got != cyclic {
+	if got := simnet.CyclicWindows(net(), kernel); got != cyclic {
 		t.Fatalf("%v: %d of %d cyclic windows keep the promise", c, got, cyclic)
 	}
 	compare := func(cutoff float64) simnet.Result {
-		want, wantErr := net(1).RunSourceBounded(bareSource{kernel}, cutoff)
+		want, wantErr := net().RunSourceBounded(bareSource{kernel}, cutoff)
 		for _, path := range []struct {
 			name string
 			src  simnet.Source
 		}{{"cyclic interpreter", kernel}, {"generic engine", generic}} {
-			got, err := net(c.shards).RunSourceBounded(path.src, cutoff)
+			got, err := net().RunSourceBounded(path.src, cutoff)
 			switch {
 			case (err == nil) != (wantErr == nil) || errors.Is(err, simnet.ErrCutoff) != errors.Is(wantErr, simnet.ErrCutoff):
 				t.Fatalf("%v cutoff %v: %s returned %v, the oracle %v", c, cutoff, path.name, err, wantErr)
@@ -93,8 +91,8 @@ func (c cyclicCase) check(t *testing.T) bool {
 				t.Fatalf("%v cutoff %v: %s differs from the oracle\n got  %+v\n want %+v", c, cutoff, path.name, got, want)
 			}
 		}
-		kres, kerr := net(c.shards).RunSourceBounded(kernel, cutoff)
-		gres, gerr := net(c.shards).RunSourceBounded(generic, cutoff)
+		kres, kerr := net().RunSourceBounded(kernel, cutoff)
+		gres, gerr := net().RunSourceBounded(generic, cutoff)
 		kres.Certificates, gres.Certificates = 0, 0 // the hidden shape certifies on every replay
 		if (kerr == nil) != (gerr == nil) || kerr == nil && !reflect.DeepEqual(kres, gres) {
 			t.Fatalf("%v cutoff %v: the interpreter and the generic engine differ\n interpreter %+v (%v)\n generic     %+v (%v)",
@@ -111,30 +109,30 @@ func (c cyclicCase) check(t *testing.T) bool {
 
 // simulated strips the fields that say how a result was produced.
 func simulated(r simnet.Result) simnet.Result {
-	r.ReplayShards, r.ClosedFormPhases, r.EnginePhases, r.DeclineReason, r.Certificates = 0, 0, 0, "", 0
+	r.ClosedFormPhases, r.EnginePhases, r.DeclineReason, r.Certificates = 0, 0, "", 0
 	return r
 }
 
 // cyclicCases cover the interpreter's inputs: one, two and three phases
 // of it with and without a shuffle, radix-2 fields beside it (which are
 // XOR phases), tori and meshes, every registered machine, jitter, dead
-// and slow wires, several shards, an empty block, and cutoffs on both
+// and slow wires, an empty block, and cutoffs on both
 // sides of the makespan.
 var cyclicCases = []cyclicCase{
-	{spec: "torus-4x4x4", part: partition.Partition{3}, m: 40, machine: "ipsc860", shards: 1},
-	{spec: "torus-4x4x4", part: partition.Partition{1, 1, 1}, m: 16, machine: "hypo", shards: 3},
-	{spec: "torus-3x5", part: partition.Partition{1, 1}, m: 8, machine: "ncube2", shards: 2},
-	{spec: "torus-6x6", part: partition.Partition{2}, m: 512, machine: "ipsc860-raw", shards: 1, cutoff: 0.9},
-	{spec: "mesh-6x5", part: partition.Partition{1, 1}, m: 24, machine: "ipsc860-nosync", shards: 2},
-	{spec: "mesh-4x4x4", part: partition.Partition{2, 1}, m: 40, machine: "ipsc860", jitter: 0.05, shards: 1},
-	{spec: "torus-2x6", part: partition.Partition{1, 1}, m: 8, machine: "hypo", shards: 2},
-	{spec: "torus-3x3x3x3", part: partition.Partition{2, 2}, m: 4, machine: "ipsc860", jitter: 0.08, shards: 3, cutoff: 1.2},
-	{spec: "torus-5x5", part: partition.Partition{2}, m: 0, machine: "ipsc860", shards: 1},
-	{spec: "torus-4x4!dl=0-1", part: partition.Partition{2}, m: 32, machine: "ipsc860", shards: 1},
-	{spec: "torus-4x4!sl=0-1:3", part: partition.Partition{1, 1}, m: 32, machine: "ncube2", shards: 2},
-	{spec: "mesh-5x4!dl=0-1", part: partition.Partition{1, 1}, m: 100, machine: "hypo", jitter: 0.02, shards: 2, cutoff: 0.99},
-	{spec: "mesh-3x6x2", part: partition.Partition{1, 2}, m: 60, machine: "ipsc860", shards: 1, cutoff: 0.5},
-	{spec: "torus-6", part: partition.Partition{1}, m: 200, machine: "hypo", shards: 1},
+	{spec: "torus-4x4x4", part: partition.Partition{3}, m: 40, machine: "ipsc860"},
+	{spec: "torus-4x4x4", part: partition.Partition{1, 1, 1}, m: 16, machine: "hypo"},
+	{spec: "torus-3x5", part: partition.Partition{1, 1}, m: 8, machine: "ncube2"},
+	{spec: "torus-6x6", part: partition.Partition{2}, m: 512, machine: "ipsc860-raw", cutoff: 0.9},
+	{spec: "mesh-6x5", part: partition.Partition{1, 1}, m: 24, machine: "ipsc860-nosync"},
+	{spec: "mesh-4x4x4", part: partition.Partition{2, 1}, m: 40, machine: "ipsc860", jitter: 0.05},
+	{spec: "torus-2x6", part: partition.Partition{1, 1}, m: 8, machine: "hypo"},
+	{spec: "torus-3x3x3x3", part: partition.Partition{2, 2}, m: 4, machine: "ipsc860", jitter: 0.08, cutoff: 1.2},
+	{spec: "torus-5x5", part: partition.Partition{2}, m: 0, machine: "ipsc860"},
+	{spec: "torus-4x4!dl=0-1", part: partition.Partition{2}, m: 32, machine: "ipsc860"},
+	{spec: "torus-4x4!sl=0-1:3", part: partition.Partition{1, 1}, m: 32, machine: "ncube2"},
+	{spec: "mesh-5x4!dl=0-1", part: partition.Partition{1, 1}, m: 100, machine: "hypo", jitter: 0.02, cutoff: 0.99},
+	{spec: "mesh-3x6x2", part: partition.Partition{1, 2}, m: 60, machine: "ipsc860", cutoff: 0.5},
+	{spec: "torus-6", part: partition.Partition{1}, m: 200, machine: "hypo"},
 }
 
 // The cyclic interpreter equals the generic windowed engine and the
@@ -150,15 +148,14 @@ func TestCyclicWindowMatchesEngine(t *testing.T) {
 // FuzzCyclicWindow draws the differential inputs: a torus or mesh of one
 // to four dimensions of radix 2–6 (at most 256 nodes, radices clamped to
 // 4 beyond that), a random partition of its dimensions, m in [0, 512],
-// any registered machine, jitter, a dead or slow wire, one to three
-// shards and a cutoff.
+// any registered machine, jitter, a dead or slow wire and a cutoff.
 func FuzzCyclicWindow(f *testing.F) {
-	f.Add(uint16(0o1234), uint8(2), false, uint8(0), uint16(40), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0))
-	f.Add(uint16(0o4321), uint8(1), true, uint8(1), uint16(300), uint8(3), uint8(5), uint8(1), uint8(2), uint8(100))
-	f.Add(uint16(0o7777), uint8(3), false, uint8(5), uint16(0), uint8(2), uint8(3), uint8(2), uint8(1), uint8(250))
+	f.Add(uint16(0o1234), uint8(2), false, uint8(0), uint16(40), uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Add(uint16(0o4321), uint8(1), true, uint8(1), uint16(300), uint8(3), uint8(5), uint8(1), uint8(100))
+	f.Add(uint16(0o7777), uint8(3), false, uint8(5), uint16(0), uint8(2), uint8(3), uint8(2), uint8(250))
 	names := model.MachineNames()
 	f.Fuzz(func(t *testing.T, radices uint16, dims uint8, mesh bool, cuts uint8, m uint16,
-		machine, jitter, overlay, shards, cutoff uint8) {
+		machine, jitter, overlay, cutoff uint8) {
 		nd := 1 + int(dims%4)
 		rs := make([]int, nd)
 		nodes := 1
@@ -198,7 +195,6 @@ func FuzzCyclicWindow(f *testing.F) {
 			part:    part,
 			m:       int(m % 513),
 			machine: names[int(machine)%len(names)],
-			shards:  1 + int(shards%3),
 		}
 		if jitter%4 != 0 {
 			c.jitter = float64(jitter%8) / 100

@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"fmt"
 	"runtime/debug"
 	"testing"
 	"unsafe"
@@ -76,8 +75,8 @@ func (s *cyclicSource) programs() []Program {
 }
 
 // A window that keeps the cyclic promise runs on the interpreter and
-// equals the monolithic engine over the same programs, bit for bit, on one
-// shard or several sharing its inbox. A span labelled ShapeCyclic whose
+// equals the monolithic engine over the same programs, bit for bit. A
+// span labelled ShapeCyclic whose
 // rows break the promise — a partner out of turn, an UNFORCED send, a
 // missing post, an exchange phase — is refused by the certificate and
 // runs on the generic engine, which equals the monolithic engine too.
@@ -137,15 +136,12 @@ func TestBrokenCyclicPromiseFallsBack(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: oracle: %v", tc.name, err)
 		}
-		for _, w := range []int{1, 2, 4} {
-			net := New(topology.MustParseSpec("torus-4x4"), model.IPSC860()) // a fresh handle: certificates start cold
-			net.SetReplayShards(w)
-			got := mustRunSource(t, net, src)
-			if keeps := CyclicWindows(net, src) == 1; keeps != tc.keeps {
-				t.Fatalf("%s: certificate says the promise is kept: %v, want %v", tc.name, keeps, tc.keeps)
-			}
-			requireIdentical(t, fmt.Sprintf("%s on %d shards", tc.name, w), want, got)
+		net := New(topology.MustParseSpec("torus-4x4"), model.IPSC860()) // a fresh handle: certificates start cold
+		got := mustRunSource(t, net, src)
+		if keeps := CyclicWindows(net, src) == 1; keeps != tc.keeps {
+			t.Fatalf("%s: certificate says the promise is kept: %v, want %v", tc.name, keeps, tc.keeps)
 		}
+		requireIdentical(t, tc.name, want, got)
 	}
 }
 

@@ -138,9 +138,9 @@ var identityCases = []identityCase{
 	{name: "mesh4x4 fan-in", spec: "mesh-4x4", progs: fanIn(5)},
 }
 
-// network builds the case's network at the given shard count (1 = one
-// engine) and, for a compiled case, its plan's compiled source.
-func (c identityCase) network(t *testing.T, shards int) (*simnet.Network, *exchange.CompiledPlan) {
+// network builds the case's network and, for a compiled case, its plan's
+// compiled source.
+func (c identityCase) network(t *testing.T) (*simnet.Network, *exchange.CompiledPlan) {
 	t.Helper()
 	topo, err := topology.ParseSpec(c.spec)
 	if err != nil {
@@ -148,7 +148,6 @@ func (c identityCase) network(t *testing.T, shards int) (*simnet.Network, *excha
 	}
 	net := simnet.New(topo, model.IPSC860())
 	net.SetJitter(c.jitter, 42)
-	net.SetReplayShards(shards)
 	if c.progs != nil {
 		return net, nil
 	}
@@ -159,10 +158,10 @@ func (c identityCase) network(t *testing.T, shards int) (*simnet.Network, *excha
 	return net, plan.Compile()
 }
 
-// run replays the case at the given shard count.
-func (c identityCase) run(t *testing.T, shards int) simnet.Result {
+// run replays the case.
+func (c identityCase) run(t *testing.T) simnet.Result {
 	t.Helper()
-	net, src := c.network(t, shards)
+	net, src := c.network(t)
 	var res simnet.Result
 	var err error
 	if src == nil {
@@ -176,25 +175,37 @@ func (c identityCase) run(t *testing.T, shards int) simnet.Result {
 	return res
 }
 
+// oracle replays the case's programs on the monolithic engine loop: for a
+// compiled case, the plan's bare programs.
+func (c identityCase) oracle(t *testing.T) simnet.Result {
+	t.Helper()
+	net, src := c.network(t)
+	if src == nil {
+		return c.run(t)
+	}
+	res, err := net.Run(src.Programs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestReplayBitIdentity pins every simulated simnet.Result field, bit for
 // bit, across the replay core's fast and slow paths: XOR and cyclic
 // phases, detours, slow wires, jitter, and one-sided sends
 // with link queues deeper than the inline ring — phases priced in closed
-// form or run on one engine or on several shards, as each case allows.
+// form or run on the engine, as each case allows, and each equal to the
+// monolithic engine loop over the same programs.
 func TestReplayBitIdentity(t *testing.T) {
 	got := make(map[string]replayDigest)
 	for _, c := range identityCases {
-		serial := c.run(t, 1)
-		got[c.name] = digestOf(serial)
+		got[c.name] = digestOf(c.run(t))
 		if c.progs != nil {
-			continue // explicit programs are not a Sharded source
+			continue // explicit programs run on the monolithic loop already
 		}
-		for _, w := range []int{2, 3} {
-			sharded := c.run(t, w)
-			if d := digestOf(sharded); d != got[c.name] {
-				t.Errorf("%s: %d shards (engaged %d) diverge from serial:\n  serial  %+v\n  sharded %+v",
-					c.name, w, sharded.ReplayShards, got[c.name], d)
-			}
+		if d := digestOf(c.oracle(t)); d != got[c.name] {
+			t.Errorf("%s: the phase-by-phase replay diverges from the monolithic loop:\n  phased     %+v\n  monolithic %+v",
+				c.name, got[c.name], d)
 		}
 	}
 	if *updateDigests {

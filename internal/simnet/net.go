@@ -25,7 +25,6 @@ type Network struct {
 	budget     uint64
 	jitterFrac float64
 	jitterSeed int64
-	shards     int // SetReplayShards; ≤ 1 keeps each engine-run phase on one engine
 }
 
 // SetJitter enables deterministic pseudo-random perturbation of every
@@ -41,9 +40,9 @@ type Network struct {
 // (go test -count=2), concurrent Runs on different Networks do not perturb
 // each other, and two Networks with the same seed agree exactly. Per-node
 // streams — rather than one per-Run stream consumed in global event
-// order — are what let the sharded replay mode (SetReplayShards) stay
-// bit-identical to serial replay: a node draws the same noise values
-// regardless of how unrelated nodes' events interleave around it.
+// order — fix the bits the pinned replay digests record: a node draws the
+// same noise values regardless of how unrelated nodes' events interleave
+// around it.
 func (n *Network) SetJitter(frac float64, seed int64) {
 	if frac < 0 {
 		frac = 0
@@ -125,14 +124,12 @@ type Result struct {
 	// Timeline holds per-op occupancy intervals when tracing is enabled
 	// (Network.SetTrace), in completion order.
 	Timeline []Interval
-	// ReplayShards is the number of event-engine shards the run actually
-	// used: 1 for a serial replay (including every sharded attempt that
-	// fell back — cross-group detour routes or partners — and every run
-	// whose phases were all priced in closed form), the maximum
-	// per-phase shard count otherwise. Sharded and serial replays of the
-	// same source are bit-identical in every other field above.
+	// ReplayShards is always 1.
+	//
+	// Deprecated: every replay runs on one engine; the field stays only
+	// for callers that still read it, until they are rewritten.
 	ReplayShards int
-	// ClosedFormPhases and EnginePhases count the phases of a Sharded
+	// ClosedFormPhases and EnginePhases count the phases of a Phased
 	// source by how they were priced: in closed form, under a certificate
 	// that the phase runs in lockstep, or on the event engine. Both are 0
 	// for plain programs. DeclineReason says why the first engine-run
@@ -214,15 +211,11 @@ type runState struct {
 
 	// Directed-link state, indexed by topology.LinkSlot (u*d+i on the
 	// hypercube: node u's link across dimension i); see hold for the
-	// hot/cold split. busy and backlogOf are shared between the shards of
-	// a sharded replay (borrowsLinks marks the borrowers), backlogs and
-	// maxQueue are each shard's own.
+	// hot/cold split.
 	busy      []float64   // hot: finish time of the link's newest hold
 	backlogOf []int32     // cold: 1 + index into backlogs, 0 until the link is first contended
 	backlogs  []holdQueue // cold: the older holds still outstanding, per contended link
 	maxQueue  int32       // deepest holding-or-waiting count seen on any link
-
-	borrowsLinks bool
 
 	// Message channels, one per ordered (src,dst) pair actually used,
 	// discovered on first contact. outIdx[src] lists src's channels while
@@ -234,8 +227,7 @@ type runState struct {
 	chanTab [][]int32
 
 	// cyc is the cyclic interpreter's window, when the rows being run keep
-	// the "cyclic" shape's promise; cyc.end is 0 otherwise. The later
-	// shards of a sharded window borrow the first shard's.
+	// the "cyclic" shape's promise; cyc.end is 0 otherwise.
 	cyc cyclicWindow
 
 	bar barrierState
@@ -244,26 +236,23 @@ type runState struct {
 	failed error
 
 	// cutoff is the makespan bound of a bounded run (+Inf for a plain
-	// one): the first node clock to pass it trips the run. siblings are
-	// the other shards of the window a tripped shard must stop.
-	cutoff   float64
-	siblings []*runState
+	// one): the first node clock to pass it trips the run.
+	cutoff float64
 
 	// rngs holds one splitmix64 jitter stream per node (nil when jitter
 	// is off). Per-node streams keep noise draws independent of the
-	// global event interleaving, which the sharded replay mode requires
-	// for bit-identity with serial replay.
+	// global event interleaving; the pinned replay digests record their
+	// bits.
 	rngs []uint64
-	// stall accumulates ContentionStall per owning node; the run sums it
-	// in node-index order at the end. Event-order accumulation into one
-	// float64 would make the total depend on how unrelated nodes'
-	// reservations interleave — per-node accumulation makes the sharded
-	// and serial totals bit-identical.
+	// stall accumulates ContentionStall per owning node; stallTotal sums
+	// it in node-index order. Event-order accumulation into one float64
+	// would make the total depend on how unrelated nodes' reservations
+	// interleave; the pinned replay digests record the node-order bits.
 	stall []float64
 
-	// windowed marks a shard interpreting one phase's row window under
-	// runPhases: barriers are handled by the orchestrator between
-	// windows, so encountering one mid-window is a verification bug.
+	// windowed marks a state interpreting phase row windows under
+	// runPhases: barriers are applied between windows, so encountering
+	// one mid-window is a verification bug.
 	windowed bool
 
 	// Long-lived bound handlers so event scheduling never allocates.
@@ -293,10 +282,8 @@ func resized[T any](s []T, n int) []T {
 	return s
 }
 
-// newState returns a reset runState for one replay of src on n, with
-// link arrays of its own — or, for the later shards of a sharded replay,
-// with owner's.
-func (n *Network) newState(src Source, owner *runState, cutoff float64) *runState {
+// newState returns a reset runState for one replay of src on n.
+func (n *Network) newState(src Source, cutoff float64) *runState {
 	st := statePool.Get().(*runState)
 	nodes := n.topo.Nodes()
 	st.net, st.src, st.topo, st.cube, st.n = n, src, n.topo, n.hyper, nodes
@@ -319,12 +306,8 @@ func (n *Network) newState(src Source, owner *runState, cutoff float64) *runStat
 	st.exBytes = resized(st.exBytes, nodes)
 	st.exReady = resized(st.exReady, nodes)
 	st.stall = resized(st.stall, nodes)
-	if st.borrowsLinks = owner != nil; st.borrowsLinks {
-		st.busy, st.backlogOf = owner.busy, owner.backlogOf
-	} else {
-		st.busy = resized(st.busy, nodes*n.topo.Degree())
-		st.backlogOf = resized(st.backlogOf, nodes*n.topo.Degree())
-	}
+	st.busy = resized(st.busy, nodes*n.topo.Degree())
+	st.backlogOf = resized(st.backlogOf, nodes*n.topo.Degree())
 	st.backlogs, st.maxQueue = st.backlogs[:0], 0
 
 	// Channel tables keep their per-source storage across replays.
@@ -342,7 +325,7 @@ func (n *Network) newState(src Source, owner *runState, cutoff float64) *runStat
 	// NodeFinish and Timeline leave with the Result, so they are fresh.
 	st.res = Result{NodeFinish: make([]float64, nodes), ReplayShards: 1}
 	st.failed, st.windowed, st.rngs = nil, false, nil
-	st.cutoff, st.siblings, st.cyc.end = cutoff, nil, 0
+	st.cutoff, st.cyc.end = cutoff, 0
 	if n.jitterFrac != 0 {
 		// Fresh per-Run streams seeded from the Network keep jitter
 		// reproducible across repeated and concurrent Runs (see
@@ -361,21 +344,15 @@ func (n *Network) newState(src Source, owner *runState, cutoff float64) *runStat
 const maxPooledInbox = 256 << 10
 
 // release returns st to the pool, dropping what would pin the caller's
-// network and programs and message storage above maxPooledInbox. A shard
-// hands back only what is its own: the link arrays and the cyclic window
-// it borrowed stay with their owner.
+// network and programs and message storage above maxPooledInbox.
 func (st *runState) release() {
-	if st.borrowsLinks {
-		st.busy, st.backlogOf = nil, nil
-		st.cyc = cyclicWindow{}
-	}
 	if cap(st.cyc.inbox) > maxPooledInbox {
 		st.cyc.inbox = nil
 	}
 	if uintptr(cap(st.chans))*unsafe.Sizeof(msgChan{}) > maxPooledInbox {
 		st.chans, st.outIdx, st.chanTab = nil, nil, nil
 	}
-	st.net, st.src, st.topo, st.cube, st.degr, st.siblings = nil, nil, nil, nil, nil, nil
+	st.net, st.src, st.topo, st.cube, st.degr = nil, nil, nil, nil, nil
 	st.res, st.failed = Result{}, nil
 	statePool.Put(st)
 }
@@ -444,7 +421,6 @@ func (q *holdQueue) push(now, finish float64, seen int32) int32 {
 // backlog is pruned lazily: the depth is at most its length + 2 (the
 // stored holds, prev and the new one), so while that cannot exceed
 // maxQueue no finished hold needs dropping to keep maxQueue exact.
-// maxQueue is each shard's own, and a sharded run takes the largest.
 func (st *runState) hold(slots []int, now, finish float64) {
 	if st.maxQueue == 0 && len(slots) > 0 {
 		st.maxQueue = 1
@@ -542,10 +518,10 @@ var ErrCutoff = errors.New("simnet: makespan exceeds the cutoff")
 // if the makespan is at most cutoff µs — an optimizer holding an incumbent.
 // Virtual time only moves forward, so the first node clock, barrier
 // release or closed-form phase end past the cutoff proves the makespan
-// exceeds it, and the run stops there — every shard of it — with
-// ErrCutoff and a Result that means nothing. A run that returns nil is the
-// run RunSource would have made, bit for bit: ErrCutoff is returned if and
-// only if a completing run's makespan exceeds the cutoff.
+// exceeds it, and the run stops there with ErrCutoff and a Result that
+// means nothing. A run that returns nil is the run RunSource would have
+// made, bit for bit: ErrCutoff is returned if and only if a completing
+// run's makespan exceeds the cutoff.
 func (n *Network) RunSourceBounded(src Source, cutoff float64) (Result, error) {
 	if src.NumNodes() != n.topo.Nodes() {
 		return Result{}, fmt.Errorf("simnet: source of %d programs for %d nodes",
@@ -554,7 +530,7 @@ func (n *Network) RunSourceBounded(src Source, cutoff float64) (Result, error) {
 	return n.runSource(src, cutoff)
 }
 
-// runSource replays a Sharded source phase by phase (runPhases) and
+// runSource replays a Phased source phase by phase (runPhases) and
 // everything else — plain programs, a source whose span table is
 // unusable, any run with tracing on — in the one monolithic loop below,
 // which is also the oracle the phase-by-phase path is tested against.
@@ -562,60 +538,78 @@ func (n *Network) runSource(src Source, cutoff float64) (Result, error) {
 	if cutoff < 0 {
 		return Result{}, ErrCutoff // no makespan is negative
 	}
-	sh, phased := src.(Sharded)
+	ph, phased := src.(Phased)
 	if phased && !n.trace {
-		if res, ran, err := n.runPhases(sh, cutoff); ran {
+		if res, ran, err := n.runPhases(ph, cutoff); ran {
 			return res, err
 		}
 	}
-	nodes := n.topo.Nodes()
-	st := n.newState(src, nil, cutoff)
+	st := n.newState(src, cutoff)
 	defer st.release()
 
-	totalOps := uint64(0)
-	for p := 0; p < nodes; p++ {
-		st.lens[p] = int32(src.NumOps(p))
-		totalOps += uint64(st.lens[p])
+	// Every node begins interpreting its program at time 0.
+	ops := uint64(0)
+	for p := 0; p < st.n; p++ {
+		k := src.NumOps(p)
+		ops += uint64(k)
+		st.seed(p, 0, k, 0)
 	}
-	// Seed: every node begins interpreting its program at time 0.
-	for p := 0; p < nodes; p++ {
-		st.eng.PostArg(0, st.stepH, p)
+	if err := st.drain(ops); err != nil {
+		return st.res, err
 	}
-	budget := n.budget
+	st.res.MaxEdgeQueue = int(st.maxQueue)
+	st.res.ContentionStall = st.stallTotal()
+	if phased && n.trace {
+		st.res.EnginePhases, st.res.DeclineReason = len(ph.PhaseSpans()), declineTrace
+	}
+	return st.res, nil
+}
+
+// seed sets node p to interpret rows [pc, end) of its program from time
+// t, and posts its first step. Nodes seeded at one time in node order
+// have their ties broken by node id, exactly as a barrier's sorted
+// release does.
+func (st *runState) seed(p, pc, end int, t float64) {
+	st.pc[p], st.lens[p], st.ready[p], st.done[p] = int32(pc), int32(end), t, false
+	st.eng.PostArg(event.Time(t), st.stepH, p)
+}
+
+// drain runs the seeded engine to its end under the event budget and
+// reports a failure, an exhausted budget or a node left blocked. The
+// default budget scales with ops, the rows the seeded nodes have to
+// interpret: every op consumes exactly one step event; add one final step
+// per node, one delivery per send, and the seed events. 2·ops + 4·nodes
+// dominates that, so the watchdog never trips on a well-formed program of
+// any size.
+func (st *runState) drain(ops uint64) error {
+	budget := st.net.budget
 	if budget == 0 {
-		budget = DefaultEventBudget
-		// Every op consumes exactly one step event; add one final step
-		// per node, one delivery per send, and the seed events. 2·ops +
-		// 4·nodes dominates that, so the watchdog never trips on a
-		// well-formed program of any size.
-		if structural := 2*totalOps + 4*uint64(nodes); structural > budget {
-			budget = structural
-		}
+		budget = max(DefaultEventBudget, 2*ops+4*uint64(st.n))
 	}
 	drained := st.eng.RunLimit(budget)
 	if st.failed != nil {
-		return st.res, st.failed
+		return st.failed
 	}
 	if !drained {
-		return st.res, st.budgetError(budget)
+		return st.budgetError(budget)
 	}
 	for p, d := range st.done {
 		if !d {
-			return st.res, fmt.Errorf("simnet: node %d blocked at op %d (%s): deadlock",
+			return fmt.Errorf("simnet: node %d blocked at op %d (%s): deadlock",
 				p, st.pc[p], st.opName(p))
 		}
 	}
-	st.res.MaxEdgeQueue = int(st.maxQueue)
-	// Per-node stall sums collapse to the reported total in node-index
-	// order — the same order the sharded merge uses, so both modes add
-	// the same floats in the same sequence.
-	for p := 0; p < nodes; p++ {
-		st.res.ContentionStall += st.stall[p]
+	return nil
+}
+
+// stallTotal sums the per-node stall accounts in node-index order: the
+// same floats in the same sequence whatever order the events ran in.
+func (st *runState) stallTotal() float64 {
+	total := 0.0
+	for _, s := range st.stall {
+		total += s
 	}
-	if phased && n.trace {
-		st.res.EnginePhases, st.res.DeclineReason = len(sh.PhaseSpans()), declineTrace
-	}
-	return st.res, nil
+	return total
 }
 
 // budgetError reports event-budget exhaustion with enough detail to act
@@ -668,14 +662,10 @@ func (st *runState) fail(err error) {
 }
 
 // trip abandons a bounded run whose makespan is now known to exceed the
-// cutoff: the engine — and, in a sharded window, every sibling's — stops
-// where it is instead of draining.
+// cutoff: the engine stops where it is instead of draining.
 func (st *runState) trip() {
 	st.fail(ErrCutoff)
 	st.eng.Stop()
-	for _, sib := range st.siblings {
-		sib.eng.Stop()
-	}
 }
 
 // checkPeer validates a receive op's peer, failing the run (not

@@ -24,7 +24,7 @@
 //
 // Plain programs replay on one event engine that orders every event in
 // the machine. A Source that also declares its per-phase structure (the
-// Sharded interface; exchange.CompiledPlan does) is replayed phase by
+// Phased interface; exchange.CompiledPlan does) is replayed phase by
 // phase, and each phase by the cheapest of three means that gives the
 // engine's exact result. A phase certificate — proved once per
 // (topology, phase field) from the actual routed links, detours included,
@@ -44,17 +44,16 @@
 //     which make durations node-dependent, rule out the closed form
 //     only.
 //
-// SetReplayShards lets an engine-run phase, cyclic or not, run as several
-// private engines when the same certificate proves the phase's node
-// groups share no directed link. Every path returns bit-identical
-// results: same makespans, same counters, same jitter draws (per-node RNG
-// streams), same float summation order. Result says which phases were
-// priced in closed form and which ran on the engine.
+// All of it runs on one goroutine, with one virtual clock. Every path
+// returns what the monolithic engine loop returns, bit for bit: same
+// makespans, same counters, same jitter draws (per-node RNG streams), same
+// float summation order (per-node stall sums). Result says which phases
+// were priced in closed form and which ran on the engine.
 //
 // A caller that needs the result only if the makespan is at most some
 // cutoff says so per call (RunSourceBounded). Virtual time only moves
 // forward, so the first node clock, barrier release or closed-form phase
-// end past the cutoff ends the run — all its shards — with ErrCutoff: "the
+// end past the cutoff ends the run with ErrCutoff: "the
 // makespan, if the run completes, exceeds the cutoff", not a statement
 // about deadlock or any other failure the run had not reached yet. A
 // bounded run that returns nil is the unbounded run, bit for bit.

@@ -14,8 +14,8 @@ import (
 // from node p's private stream: p is the node computing the transfer (the
 // sender of a send, the second arriver of an exchange rendezvous), which
 // is deterministic for a given program, so the noise sequence does not
-// depend on how unrelated nodes' events interleave — the property the
-// sharded replay mode needs for bit-identity with serial replay.
+// depend on how unrelated nodes' events interleave — the bits the pinned
+// replay digests record.
 func (st *runState) jitter(p int, dur float64) float64 {
 	f := st.net.jitterFrac
 	if f == 0 {
@@ -113,11 +113,11 @@ func (st *runState) reserve(owner int, t, dur float64) (start, adjDur float64, e
 // then pay the global synchronization cost 150·d µs (§7.3) together.
 func (st *runState) enterBarrier(p int) {
 	if st.windowed {
-		// Barriers are global; a shard interprets only the rows between
-		// them, with the orchestrator synchronizing at each boundary. The
-		// partitioner rejects windows containing barrier rows, so this is
+		// Barriers are global; a window interprets only the rows between
+		// them, with runPhases applying each one at its boundary. Its
+		// prescan rejects windows containing barrier rows, so this is
 		// unreachable short of a verification bug.
-		st.fail(fmt.Errorf("simnet: node %d: barrier inside a sharded phase window", p))
+		st.fail(fmt.Errorf("simnet: node %d: barrier inside a phase window", p))
 		return
 	}
 	b := &st.bar
@@ -401,7 +401,7 @@ const (
 // openCyclic sets st up to interpret the window opening at row winLo of
 // a span that keeps the cyclic promise, and reports whether it could:
 // every send row must also have one byte count on every node.
-func (st *runState) openCyclic(src Sharded, sp PhaseSpan, winLo int) bool {
+func (st *runState) openCyclic(src Phased, sp PhaseSpan, winLo int) bool {
 	c := &st.cyc
 	steps := sp.Span - 1
 	first := winLo + steps
