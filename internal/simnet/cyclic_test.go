@@ -165,6 +165,25 @@ func TestWarmCyclicReplayAllocs(t *testing.T) {
 	}
 }
 
+// A replay whose phase runs on the engine allocates the finish times it
+// returns and nothing per node besides: the window's own state leaves its
+// nodes' finish times in st.ready, not in a NodeFinish of its own. The
+// accounting is kept inline, so no helper is started.
+func TestEngineWindowAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops reused items at random under the race detector")
+	}
+	defer forceHelper(false)()
+	net := New(topology.MustParseSpec("torus-4x4x4"), model.IPSC860())
+	src := &cyclicSource{nodes: 64, stride: 1, span: 64, bytes: 40 * 64}
+	if res := mustRunSource(t, net, src); res.EnginePhases != 1 {
+		t.Fatalf("%d engine phases, want the cyclic one", res.EnginePhases)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { mustRunSource(t, net, src) }); allocs > 2 {
+		t.Fatalf("an engine-run replay made %v allocations, want at most 2", allocs)
+	}
+}
+
 // messageStorage returns the bytes of message storage st keeps: its
 // cyclic inbox and its channel table.
 func (st *runState) messageStorage() (inbox, chans uintptr) {

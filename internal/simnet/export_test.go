@@ -23,3 +23,11 @@ func Certify(n *Network, src Phased, sp PhaseSpan, winLo int) (decline string, h
 	c := n.certify(src, sp, winLo)
 	return c.decline, c.hops, c.cyclic
 }
+
+// HoldLogOn forces where the replays' hold logs are applied — on a
+// helper goroutine from a window's first contended hop (true) or inline
+// (false) — until the returned function restores the default. No replay
+// may run while it is called.
+func HoldLogOn(helper bool) (restore func()) {
+	return forceHelper(helper)
+}

@@ -212,10 +212,9 @@ type runState struct {
 	// Directed-link state, indexed by topology.LinkSlot (u*d+i on the
 	// hypercube: node u's link across dimension i); see hold for the
 	// hot/cold split.
-	busy      []float64   // hot: finish time of the link's newest hold
-	backlogOf []int32     // cold: 1 + index into backlogs, 0 until the link is first contended
-	backlogs  []holdQueue // cold: the older holds still outstanding, per contended link
-	maxQueue  int32       // deepest holding-or-waiting count seen on any link
+	busy []float64 // hot: finish time of the link's newest hold
+	held bool      // some circuit has held a link
+	log  holdLog   // cold: the contended hops, for the backlog accounting
 
 	// Message channels, one per ordered (src,dst) pair actually used,
 	// discovered on first contact. outIdx[src] lists src's channels while
@@ -265,6 +264,7 @@ type runState struct {
 // the optimizer and the cost endpoint build a Network per request.
 var statePool = sync.Pool{New: func() any {
 	st := &runState{eng: event.New()}
+	st.log.init()
 	st.stepH = func(_ event.Time, p int) { st.step(p) }
 	st.deliverH = func(now event.Time, ch int) { st.deliverAt(ch, float64(now)) }
 	st.cycDeliverH = func(now event.Time, i int) { st.deliverCyclic(i, float64(now)) }
@@ -307,8 +307,8 @@ func (n *Network) newState(src Source, cutoff float64) *runState {
 	st.exReady = resized(st.exReady, nodes)
 	st.stall = resized(st.stall, nodes)
 	st.busy = resized(st.busy, nodes*n.topo.Degree())
-	st.backlogOf = resized(st.backlogOf, nodes*n.topo.Degree())
-	st.backlogs, st.maxQueue = st.backlogs[:0], 0
+	st.held = false
+	st.log.acct.reset(len(st.busy))
 
 	// Channel tables keep their per-source storage across replays.
 	st.chans = st.chans[:0]
@@ -322,8 +322,9 @@ func (n *Network) newState(src Source, cutoff float64) *runState {
 	}
 
 	st.bar = barrierState{waiters: st.bar.waiters[:0]}
-	// NodeFinish and Timeline leave with the Result, so they are fresh.
-	st.res = Result{NodeFinish: make([]float64, nodes), ReplayShards: 1}
+	// The monolithic loop's NodeFinish leaves with its Result, so the
+	// loop allocates it; a window's nodes finish in st.ready.
+	st.res = Result{ReplayShards: 1}
 	st.failed, st.windowed, st.rngs = nil, false, nil
 	st.cutoff, st.cyc.end = cutoff, 0
 	if n.jitterFrac != 0 {
@@ -346,6 +347,7 @@ const maxPooledInbox = 256 << 10
 // release returns st to the pool, dropping what would pin the caller's
 // network and programs and message storage above maxPooledInbox.
 func (st *runState) release() {
+	st.log.flush() // drain flushed the log; this joins the helper of a window that panicked
 	if cap(st.cyc.inbox) > maxPooledInbox {
 		st.cyc.inbox = nil
 	}
@@ -355,99 +357,6 @@ func (st *runState) release() {
 	st.net, st.src, st.topo, st.cube, st.degr = nil, nil, nil, nil, nil
 	st.res, st.failed = Result{}, nil
 	statePool.Put(st)
-}
-
-// holdQueue is the cold part of one directed link's state: the finish
-// times, ascending, of older holds that were still outstanding when newer
-// ones were placed behind them. Entries that have finished since may
-// linger (see push). It is a circular buffer, inline until more than
-// edgeRing circuits are outstanding on the link at once and a doubled
-// heap buffer after that.
-type holdQueue struct {
-	head, n uint32
-	ring    [edgeRing]float64
-	spill   []float64 // replaces ring once non-nil; len is a power of two
-}
-
-const edgeRing = 4 // a power of two
-
-// push appends finish, the newest hold still outstanding when a new one
-// is placed at time now, and returns the queue's length. The new hold's
-// depth is at most the length before the push + 2 (the stored holds,
-// finish and the new hold). push drops the holds finished by now only when
-// that bound exceeds seen, the deepest depth counted so far, or when the
-// buffer is full; the returned length + 1 is then the exact depth.
-// Otherwise finished entries linger and the length + 1 is at most seen,
-// so it cannot raise it. Virtual time never moves back, so an entry
-// finished by now stays finished and falls out at a later prune.
-func (q *holdQueue) push(now, finish float64, seen int32) int32 {
-	buf := q.ring[:]
-	if q.spill != nil {
-		buf = q.spill
-	}
-	mask := uint32(len(buf) - 1)
-	if int32(q.n)+2 > seen || q.n == uint32(len(buf)) {
-		for q.n > 0 && buf[q.head&mask] <= now {
-			q.head++
-			q.n--
-		}
-	}
-	if q.n == uint32(len(buf)) {
-		grown := make([]float64, 2*len(buf))
-		for i := uint32(0); i < q.n; i++ {
-			grown[i] = buf[(q.head+i)&mask]
-		}
-		q.spill, q.head = grown, 0
-		buf, mask = grown, uint32(len(grown)-1)
-	}
-	buf[(q.head+q.n)&mask] = finish
-	q.n++
-	return int32(q.n)
-}
-
-// hold reserves every link in slots until finish, for a circuit placed
-// at time now, and keeps maxQueue — the number of circuits ever
-// simultaneously holding-or-waiting on one link — up to date.
-//
-// Holds on a link never overlap (each reservation starts at or after the
-// previous finish), so a link's outstanding holds are an ascending queue
-// of finish times whose newest member is busy[slot] itself. That is the
-// hot/cold invariant: busy alone answers "when is the link free", and
-// prev = busy[slot] ≤ now proves every earlier hold has finished — the
-// queue is empty and the new hold is alone on the link — without reading
-// anything else. Only a hold placed behind an unfinished one (prev > now)
-// touches the link's backlog, which keeps the older holds (prev joins
-// them) instead of scheduling a release event per link per hold. The
-// backlog is pruned lazily: the depth is at most its length + 2 (the
-// stored holds, prev and the new one), so while that cannot exceed
-// maxQueue no finished hold needs dropping to keep maxQueue exact.
-func (st *runState) hold(slots []int, now, finish float64) {
-	if st.maxQueue == 0 && len(slots) > 0 {
-		st.maxQueue = 1
-	}
-	for _, slot := range slots {
-		prev := st.busy[slot]
-		st.busy[slot] = finish
-		if prev <= now {
-			continue
-		}
-		bi := st.backlogOf[slot]
-		if bi == 0 {
-			if k := len(st.backlogs); k < cap(st.backlogs) {
-				// Reuse a queue an earlier replay or window dropped,
-				// with the spill storage it grew.
-				st.backlogs = st.backlogs[:k+1]
-				st.backlogs[k].head, st.backlogs[k].n = 0, 0
-			} else {
-				st.backlogs = append(st.backlogs, holdQueue{})
-			}
-			bi = int32(len(st.backlogs))
-			st.backlogOf[slot] = bi
-		}
-		if depth := st.backlogs[bi-1].push(now, prev, st.maxQueue) + 1; depth > st.maxQueue {
-			st.maxQueue = depth
-		}
-	}
 }
 
 // msgChan carries the messages of one ordered (src,dst) pair. The three
@@ -546,6 +455,7 @@ func (n *Network) runSource(src Source, cutoff float64) (Result, error) {
 	}
 	st := n.newState(src, cutoff)
 	defer st.release()
+	st.res.NodeFinish = make([]float64, st.n)
 
 	// Every node begins interpreting its program at time 0.
 	ops := uint64(0)
@@ -557,7 +467,7 @@ func (n *Network) runSource(src Source, cutoff float64) (Result, error) {
 	if err := st.drain(ops); err != nil {
 		return st.res, err
 	}
-	st.res.MaxEdgeQueue = int(st.maxQueue)
+	st.res.MaxEdgeQueue = st.edgeQueue()
 	st.res.ContentionStall = st.stallTotal()
 	if phased && n.trace {
 		st.res.EnginePhases, st.res.DeclineReason = len(ph.PhaseSpans()), declineTrace
@@ -587,6 +497,7 @@ func (st *runState) drain(ops uint64) error {
 		budget = max(DefaultEventBudget, 2*ops+4*uint64(st.n))
 	}
 	drained := st.eng.RunLimit(budget)
+	st.log.flush()
 	if st.failed != nil {
 		return st.failed
 	}
@@ -690,7 +601,9 @@ func (st *runState) step(p int) {
 	}
 	if st.pc[p] >= st.lens[p] {
 		st.done[p] = true
-		st.res.NodeFinish[p] = st.ready[p]
+		if st.res.NodeFinish != nil {
+			st.res.NodeFinish[p] = st.ready[p]
+		}
 		if st.ready[p] > st.res.Makespan {
 			st.res.Makespan = st.ready[p]
 		}

@@ -212,7 +212,7 @@ func (n *Network) runPhases(src Phased, cutoff float64) (Result, bool, error) {
 		res.Messages += st.res.Messages
 		res.BytesMoved += st.res.BytesMoved
 		res.DroppedForced += st.res.DroppedForced
-		res.MaxEdgeQueue = max(res.MaxEdgeQueue, int(st.maxQueue))
+		res.MaxEdgeQueue = max(res.MaxEdgeQueue, st.edgeQueue())
 	}
 	return res, true, nil
 }
@@ -265,10 +265,7 @@ func (st *runState) runWindow(src Phased, sp PhaseSpan, cert *phaseCert, winLo, 
 	// Every hold placed so far finished by some node's ready time, hence
 	// by the release, so the backlogs hold nothing a later hold could
 	// still count: drop them.
-	if len(st.backlogs) > 0 {
-		st.backlogs = st.backlogs[:0]
-		clear(st.backlogOf)
-	}
+	st.log.acct.drop()
 	for p := range ready {
 		st.seed(p, start, winHi, release)
 	}

@@ -199,6 +199,7 @@ type Degraded struct {
 	deadNode []bool          // nil when no dead nodes
 	hopDown  []bool          // by base LinkSlot, both directions: wire dead or either endpoint dead; nil when neither occurs
 	slowSlot map[int]float64 // by base LinkSlot, both directions; nil when no slow links
+	slowBits []uint64        // bit s set when slowSlot holds slot s; nil when no slow links
 	maxSlow  float64
 
 	detours sync.Map // int64(src)<<32 | dst → []int, only for broken base routes
@@ -254,10 +255,13 @@ func Overlay(base Network, fs FaultSet) (*Degraded, error) {
 	}
 	if len(cfs.SlowLinks) > 0 {
 		d.slowSlot = make(map[int]float64, 2*len(cfs.SlowLinks))
+		d.slowBits = make([]uint64, (base.Nodes()*base.Degree()+63)/64)
 		d.maxSlow = 1
 		for _, sl := range cfs.SlowLinks {
-			d.slowSlot[base.LinkSlot(sl.A, sl.B)] = sl.Factor
-			d.slowSlot[base.LinkSlot(sl.B, sl.A)] = sl.Factor
+			for _, s := range []int{base.LinkSlot(sl.A, sl.B), base.LinkSlot(sl.B, sl.A)} {
+				d.slowSlot[s] = sl.Factor
+				d.slowBits[s/64] |= 1 << (s % 64)
+			}
 			if sl.Factor > d.maxSlow {
 				d.maxSlow = sl.Factor
 			}
@@ -293,12 +297,14 @@ func (d *Degraded) LinkAlive(from, to int) bool {
 
 // SlowFactor returns the speed factor of the directed-link slot (as
 // returned by LinkSlot): 1 for full-speed links, > 1 for slow ones. The
-// simulator scales circuit durations by the worst factor on the route.
+// simulator scales circuit durations by the worst factor on the route,
+// so it asks for every hop: a bit per directed slot answers for the
+// full-speed ones, and only a slow one reaches the map.
 func (d *Degraded) SlowFactor(slot int) float64 {
-	if f, ok := d.slowSlot[slot]; ok {
-		return f
+	if w := uint(slot) / 64; w >= uint(len(d.slowBits)) || d.slowBits[w]&(1<<(uint(slot)%64)) == 0 {
+		return 1
 	}
-	return 1
+	return d.slowSlot[slot]
 }
 
 // HasSlowLinks reports whether any wire runs below full speed.

@@ -264,3 +264,31 @@ func TestHealthDigestOfPlain(t *testing.T) {
 		t.Fatalf("SplitSpec(plain) = %q, %q", base, digest)
 	}
 }
+
+// SlowFactor's bit per directed slot must answer exactly as the slow-wire
+// map it guards, for every slot of the overlays the cost workload replays
+// and of overlays with several slow wires, one dead wire beside them, and
+// a cube large enough that the bits span many words.
+func TestSlowFactorBitsMatchMap(t *testing.T) {
+	for _, spec := range []string{
+		"hypercube-10!sl=0-1:2.5", "hypercube-10!dl=0-1", "torus-8x8!dl=0-1",
+		"torus-4x4!sl=0-1:2.5,5-6:3", "mesh-4x4x4!dl=1-2!sl=0-1:2,62-63:4",
+		"hypercube-16!sl=0-1:2,65534-65535:3",
+	} {
+		net, err := ParseSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := net.(*Degraded)
+		slots := d.Nodes() * d.Degree()
+		for s := -1; s <= slots; s++ {
+			want, ok := d.slowSlot[s]
+			if !ok {
+				want = 1
+			}
+			if got := d.SlowFactor(s); got != want {
+				t.Fatalf("%s: SlowFactor(%d) = %v, the map says %v", spec, s, got, want)
+			}
+		}
+	}
+}
