@@ -17,12 +17,16 @@ import (
 	"repro/internal/topology"
 )
 
-// updateAnswerDigests rewrites testdata/answer_digests.json from the code
-// under test. Regenerate it only in a change that is meant to alter an
-// analytic answer, and list every moved segment with both values.
-var updateAnswerDigests = flag.Bool("update-answer-digests", false, "rewrite testdata/answer_digests.json")
+// updateAnswerDigests rewrites testdata/answer_digests.json and
+// testdata/simulated_digests.json from the code under test. Regenerate
+// them only in a change that is meant to alter an answer, and list every
+// moved segment with both values.
+var updateAnswerDigests = flag.Bool("update-answer-digests", false, "rewrite testdata/answer_digests.json and testdata/simulated_digests.json")
 
-const answerDigestFile = "testdata/answer_digests.json"
+const (
+	answerDigestFile    = "testdata/answer_digests.json"
+	simulatedDigestFile = "testdata/simulated_digests.json"
+)
 
 // answerFabrics are the fabrics whose analytic tables are pinned, on every
 // registered machine: every hypercube a serving tier accepts, the grids the
@@ -96,31 +100,70 @@ func answerDigests(t *testing.T) map[string][]answerSegment {
 				t.Fatalf("%s %s: %v", name, spec, err)
 			}
 			key := name + " " + spec
-			for _, seg := range tbl.Segments {
-				s := answerSegment{Lo: seg.MinBlock, Hi: seg.MaxBlock, Part: seg.Part}
-				for _, end := range []struct {
-					m    int
-					bits *string
-				}{{seg.MinBlock, &s.LoBits}, {seg.MaxBlock, &s.HiBits}} {
-					c, err := o.BestOn(net, end.m)
-					if err != nil {
-						t.Fatalf("%s m=%d: %v", key, end.m, err)
-					}
-					if !c.Part.Equal(seg.Part) {
-						t.Errorf("%s m=%d: BestOn %v, table %v", key, end.m, c.Part, seg.Part)
-					}
-					*end.bits = bitsOf(c.TimeMicro)
-				}
-				got[key] = append(got[key], s)
-			}
+			got[key] = tableDigest(t, o, net, key, tbl)
 		}
 	}
 	return got
 }
 
-// writeAnswerDigests writes one segment per line, keys sorted, so a
-// re-record's diff is one line per moved segment.
-func writeAnswerDigests(digests map[string][]answerSegment) error {
+// tableDigest reads the served time at each end of tbl's segments off
+// BestOn, which must agree with the table's grouping.
+func tableDigest(t *testing.T, o *Optimizer, net topology.Network, key string, tbl Table) []answerSegment {
+	var segs []answerSegment
+	for _, seg := range tbl.Segments {
+		s := answerSegment{Lo: seg.MinBlock, Hi: seg.MaxBlock, Part: seg.Part}
+		for _, end := range []struct {
+			m    int
+			bits *string
+		}{{seg.MinBlock, &s.LoBits}, {seg.MaxBlock, &s.HiBits}} {
+			c, err := o.BestOn(net, end.m)
+			if err != nil {
+				t.Fatalf("%s m=%d: %v", key, end.m, err)
+			}
+			if !c.Part.Equal(seg.Part) {
+				t.Errorf("%s m=%d: BestOn %v, table %v", key, end.m, c.Part, seg.Part)
+			}
+			*end.bits = bitsOf(c.TimeMicro)
+		}
+		segs = append(segs, s)
+	}
+	return segs
+}
+
+// simulatedFabrics are the fabrics whose simulated tables are pinned, on
+// every registered machine, with the sweep step each is built at: the
+// hypercube at every block size, and the grids at the cold-build
+// workload's step of 16, where a step-1 sweep would cost seconds.
+var simulatedFabrics = []struct {
+	spec string
+	step int
+}{{"hypercube-8", 1}, {"torus-4x4x4", 16}, {"torus-8x8", 16}, {"mesh-8x8", 16}}
+
+// simulatedDigests builds the simulated table of every (machine, fabric)
+// above over the plan cache's default sweep. A segment end's time is the
+// simulated BestOn's: the whole-plan replay of the winner at that block
+// size.
+func simulatedDigests(t *testing.T) map[string][]answerSegment {
+	got := make(map[string][]answerSegment)
+	for _, name := range model.MachineNames() {
+		prm, _ := model.MachineByName(name)
+		o := NewSimulated(prm)
+		for _, f := range simulatedFabrics {
+			net := topology.MustParseSpec(f.spec)
+			tbl, err := o.BuildTableOnCtx(t.Context(), net, 0, answerSweepHi, f.step)
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, f.spec, err)
+			}
+			key := fmt.Sprintf("%s %s step=%d", name, f.spec, f.step)
+			got[key] = tableDigest(t, o, net, key, tbl)
+		}
+	}
+	return got
+}
+
+// writeDigests writes digests to file, one segment per line, keys sorted,
+// so a re-record's diff is one line per moved segment.
+func writeDigests(file string, digests map[string][]answerSegment) error {
 	keys := make([]string, 0, len(digests))
 	for k := range digests {
 		keys = append(keys, k)
@@ -149,10 +192,10 @@ func writeAnswerDigests(digests map[string][]answerSegment) error {
 		buf.WriteByte('\n')
 	}
 	buf.WriteString("}\n")
-	if err := os.MkdirAll(filepath.Dir(answerDigestFile), 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Dir(file), 0o755); err != nil {
 		return err
 	}
-	return os.WriteFile(answerDigestFile, buf.Bytes(), 0o644)
+	return os.WriteFile(file, buf.Bytes(), 0o644)
 }
 
 // TestAnswerDigests pins every analytic answer the repository serves on
@@ -160,15 +203,28 @@ func writeAnswerDigests(digests map[string][]answerSegment) error {
 // exact bits of its cost at both ends. A mismatch lists the segments that
 // moved, on both sides.
 func TestAnswerDigests(t *testing.T) {
-	got := answerDigests(t)
+	checkDigests(t, answerDigestFile, answerDigests(t))
+}
+
+// TestSimulatedDigests pins the simulated backend's tables the same way:
+// each segment's block sizes, grouping and the exact bits of the replayed
+// time at both ends.
+func TestSimulatedDigests(t *testing.T) {
+	checkDigests(t, simulatedDigestFile, simulatedDigests(t))
+}
+
+// checkDigests compares got with the tables pinned in file, or rewrites
+// the file under -update-answer-digests.
+func checkDigests(t *testing.T, file string, got map[string][]answerSegment) {
+	t.Helper()
 	if *updateAnswerDigests {
-		if err := writeAnswerDigests(got); err != nil {
+		if err := writeDigests(file, got); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %d tables to %s", len(got), answerDigestFile)
+		t.Logf("wrote %d tables to %s", len(got), file)
 		return
 	}
-	raw, err := os.ReadFile(answerDigestFile)
+	raw, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +233,7 @@ func TestAnswerDigests(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(want) != len(got) {
-		t.Errorf("%s pins %d tables, the test builds %d", answerDigestFile, len(want), len(got))
+		t.Errorf("%s pins %d tables, the test builds %d", file, len(want), len(got))
 	}
 	for key, g := range got {
 		w, ok := want[key]
