@@ -350,6 +350,7 @@ func (o *Optimizer) newEvaluation(topo topology.Network) *evaluation {
 	e := &evaluation{Optimizer: o, topo: topo}
 	if o.backend == Simulated {
 		e.net = simnet.New(topo, o.params)
+		e.net.SetEdgeQueue(false) // a candidate is priced by its makespan alone
 	}
 	return e
 }

@@ -500,6 +500,7 @@ func (s *Server) handleCost(w http.ResponseWriter, r *http.Request) int {
 		return writeError(w, http.StatusBadRequest, err.Error())
 	}
 	costNet := simnet.New(net, prm)
+	costNet.SetEdgeQueue(false) // CostResponse carries no MaxEdgeQueue
 	res, err := s.costReplays.Traced(r.Context(), "cost", plan, math.Inf(1), func() (simnet.Result, error) { return plan.Cost(costNet) })
 	if err != nil {
 		return writeError(w, http.StatusInternalServerError, err.Error())

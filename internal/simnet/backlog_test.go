@@ -1,8 +1,10 @@
 package simnet_test
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/exchange"
@@ -15,11 +17,16 @@ import (
 // The contended cyclic replays that exercise the link backlogs hardest,
 // pinned on the iPSC-860 at m = 4, 40 and 160 to the values recorded
 // before the backlog pruned lazily: the makespan and contention stall by
-// their float bits, the message count and the deepest backlog. Each is
-// replayed with the backlog accounting inline and on a helper goroutine:
-// both must match the pins, and each other in every Result field. The
-// multi-group {2,1} plan is replayed on the monolithic engine loop as
-// well, which must match the pins too.
+// their float bits, the message count and the deepest backlog. A fresh
+// network counts backlogs, so its replays must match every pin. Each is
+// replayed again with the count off, which must change no bit of any
+// Result field but MaxEdgeQueue, and that one to 0; so must a bounded
+// replay that trips. The multi-group {2,1} plan is replayed on the
+// monolithic engine loop as well, which must match the pins too.
+//
+// The count is off or on without moving a bit beyond the pinned replays
+// too: on jittered contended replays, and on the overlays whose exchanges
+// hold links through the generic engine, on both loops.
 func TestContendedReplayPinned(t *testing.T) {
 	type pin struct {
 		makespan, stall uint64
@@ -56,39 +63,133 @@ func TestContendedReplayPinned(t *testing.T) {
 	for _, tc := range cases {
 		topo := topology.MustParseSpec(tc.spec)
 		for i, m := range []int{4, 40, 160} {
+			label := fmt.Sprintf("%s %v m=%d", tc.spec, tc.part, m)
 			plan, err := exchange.NewPlanOn(topo, m, tc.part)
 			if err != nil {
 				t.Fatal(err)
 			}
-			net := simnet.New(topo, prm)
+			net := simnet.New(topo, prm) // counts: bench/ reads MaxEdgeQueue off a plain New
 			// Certify every span on the handle first, so that neither
-			// placement's run counts a certificate pass the other skips.
+			// run counts a certificate pass the other skips.
 			simnet.CyclicWindows(net, plan.Compile())
 			runs := map[string]simnet.Result{}
-			for _, helper := range []bool{false, true} {
-				restore := simnet.HoldLogOn(helper)
-				res, err := plan.Cost(net)
-				restore()
-				if err != nil {
-					t.Fatalf("%s %v m=%d: %v", tc.spec, tc.part, m, err)
-				}
-				runs[map[bool]string{false: "inline", true: "helper"}[helper]] = res
+			runs["phased"] = replayOffOn(t, label, net, func(n *simnet.Network) (simnet.Result, error) { return plan.Cost(n) })
+			if runs["phased"].MaxEdgeQueue == 0 {
+				t.Fatalf("%s: a fresh network counted no link backlog", label)
 			}
-			requireDeepEqual(t, fmt.Sprintf("%s %v m=%d", tc.spec, tc.part, m), runs["inline"], runs["helper"])
 			if tc.oracle {
-				if runs["monolithic"], err = net.Run(plan.Compile().Programs()); err != nil {
-					t.Fatalf("%s %v m=%d: %v", tc.spec, tc.part, m, err)
-				}
+				progs := plan.Compile().Programs()
+				runs["monolithic"] = replayOffOn(t, label+" on the monolithic loop", net,
+					func(n *simnet.Network) (simnet.Result, error) { return n.Run(progs) })
 			}
 			for path, res := range runs {
 				got := pin{math.Float64bits(res.Makespan), math.Float64bits(res.ContentionStall), res.Messages, res.MaxEdgeQueue}
 				if got != tc.pins[i] {
-					t.Errorf("%s %v m=%d %s: makespan %v stall %v messages %d maxq %d (bits %#x %#x), pinned %v %v %d %d",
-						tc.spec, tc.part, m, path, res.Makespan, res.ContentionStall, res.Messages, res.MaxEdgeQueue,
+					t.Errorf("%s %s: makespan %v stall %v messages %d maxq %d (bits %#x %#x), pinned %v %v %d %d",
+						label, path, res.Makespan, res.ContentionStall, res.Messages, res.MaxEdgeQueue,
 						got.makespan, got.stall, math.Float64frombits(tc.pins[i].makespan),
 						math.Float64frombits(tc.pins[i].stall), tc.pins[i].messages, tc.pins[i].maxq)
 				}
 			}
+			boundedOffOn(t, label, net, plan.Compile(), runs["phased"].Makespan/2)
 		}
 	}
+
+	for _, r := range []struct {
+		name       string
+		spec       string
+		part       partition.Partition
+		m          int
+		jitter     float64
+		monolithic bool // replay the bare programs on the monolithic loop too
+	}{
+		{"torus-16x16 {2} jittered", "torus-16x16", partition.Partition{2}, 40, 0.08, false},
+		{"torus-8x8x8 {2,1} jittered", "torus-8x8x8", partition.Partition{2, 1}, 160, 0.08, false},
+		{"hypercube-10!sl=0-1:2.5 {5,5}", "hypercube-10!sl=0-1:2.5", partition.Partition{5, 5}, 40, 0, true},
+		{"hypercube-10!dl=0-1 {5,5}", "hypercube-10!dl=0-1", partition.Partition{5, 5}, 40, 0, true},
+		{"torus-8x8!dl=0-1 {2}", "torus-8x8!dl=0-1", partition.Partition{2}, 160, 0.08, false},
+		{"hypercube-6!sl=0-1:2 {3,3}", "hypercube-6!sl=0-1:2", partition.Partition{3, 3}, 40, 0.08, true},
+	} {
+		topo := topology.MustParseSpec(r.spec)
+		plan, err := exchange.NewPlanOn(topo, r.m, r.part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := plan.Compile()
+		net := simnet.New(topo, model.IPSC860())
+		net.SetJitter(r.jitter, 7)
+		// The first replay on a handle runs the certificate passes later
+		// ones reuse: Result.Certificates would differ.
+		if _, err := net.RunSource(src); err != nil {
+			t.Fatal(err)
+		}
+		on := replayOffOn(t, r.name, net, func(n *simnet.Network) (simnet.Result, error) { return n.RunSource(src) })
+		if on.MaxEdgeQueue < 1 {
+			t.Fatalf("%s: no circuit held a link", r.name)
+		}
+		if r.monolithic {
+			progs := src.Programs()
+			replayOffOn(t, r.name+" on the monolithic loop", net,
+				func(n *simnet.Network) (simnet.Result, error) { return n.Run(progs) })
+		}
+		boundedOffOn(t, r.name, net, src, on.Makespan/2)
+	}
+}
+
+// replayOffOn replays run on net, which counts backlogs, then on a copy of
+// it with the count off, and returns the counted result. The two must
+// agree in every Result field but MaxEdgeQueue, which is 0 uncounted.
+func replayOffOn(t *testing.T, label string, net *simnet.Network, run func(*simnet.Network) (simnet.Result, error)) simnet.Result {
+	t.Helper()
+	on, err := run(net)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	off, err := run(uncounted(net))
+	if err != nil {
+		t.Fatalf("%s, count off: %v", label, err)
+	}
+	requireSameButQueue(t, label, on, off)
+	return on
+}
+
+// boundedOffOn replays src bounded at cutoff, below its makespan, with
+// the count on and off: both must trip, at the same partial result.
+func boundedOffOn(t *testing.T, label string, net *simnet.Network, src simnet.Source, cutoff float64) {
+	t.Helper()
+	on, onErr := net.RunSourceBounded(src, cutoff)
+	off, offErr := uncounted(net).RunSourceBounded(src, cutoff)
+	if !errors.Is(onErr, simnet.ErrCutoff) || !errors.Is(offErr, simnet.ErrCutoff) {
+		t.Fatalf("%s bounded at %v: %v / %v, want ErrCutoff with the count on and off", label, cutoff, onErr, offErr)
+	}
+	requireSameButQueue(t, label+" bounded", on, off)
+}
+
+// uncounted returns a network like net — its fabric handle, parameters and
+// jitter — that counts no link backlogs.
+func uncounted(net *simnet.Network) *simnet.Network {
+	off := *net
+	off.SetEdgeQueue(false)
+	return &off
+}
+
+// requireSameButQueue fails unless off, a replay with the count off, is
+// reflect.DeepEqual to on but for a MaxEdgeQueue of 0, naming the fields
+// that differ.
+func requireSameButQueue(t *testing.T, label string, on, off simnet.Result) {
+	t.Helper()
+	if off.MaxEdgeQueue != 0 {
+		t.Errorf("%s: MaxEdgeQueue %d with the count off, want 0", label, off.MaxEdgeQueue)
+	}
+	off.MaxEdgeQueue = on.MaxEdgeQueue
+	if reflect.DeepEqual(on, off) {
+		return
+	}
+	ov, fv := reflect.ValueOf(on), reflect.ValueOf(off)
+	for i := range ov.NumField() {
+		if !reflect.DeepEqual(ov.Field(i).Interface(), fv.Field(i).Interface()) {
+			t.Errorf("%s: %s differs with the count off", label, ov.Type().Field(i).Name)
+		}
+	}
+	t.FailNow()
 }

@@ -22,6 +22,7 @@ type Network struct {
 	hyper      *topology.Hypercube // non-nil when topo is the radix-2 fast path
 	params     model.Params
 	trace      bool
+	countQueue bool // count link backlogs for Result.MaxEdgeQueue (SetEdgeQueue)
 	budget     uint64
 	jitterFrac float64
 	jitterSeed int64
@@ -68,6 +69,13 @@ func (n *Network) SetEventBudget(limit uint64) { n.budget = limit }
 // op's occupancy interval is appended to Result.Timeline.
 func (n *Network) SetTrace(on bool) { n.trace = on }
 
+// SetEdgeQueue turns the link-backlog count behind Result.MaxEdgeQueue on
+// or off; a new Network counts. The count decides no time: with it off a
+// replay's other Result fields are bit for bit what they are with it on,
+// MaxEdgeQueue is 0, and a contended replay skips the count's share of
+// its work. A caller that never reads MaxEdgeQueue turns it off.
+func (n *Network) SetEdgeQueue(on bool) { n.countQueue = on }
+
 // Interval is one node-op occupancy span in the timeline: the node was
 // inside the op from Start to End (µs). For communication ops the span
 // includes rendezvous and circuit waiting.
@@ -86,7 +94,7 @@ type Interval struct {
 // and its slow wires stretch the circuits that cross them.
 func New(t topology.Network, p model.Params) *Network {
 	h, _ := t.(*topology.Hypercube)
-	return &Network{topo: t, hyper: h, params: p}
+	return &Network{topo: t, hyper: h, params: p, countQueue: true}
 }
 
 // Topo returns the underlying topology.
@@ -119,7 +127,9 @@ type Result struct {
 	// Barriers is the number of global synchronizations executed.
 	Barriers int
 	// MaxEdgeQueue is the largest number of circuits that were ever
-	// simultaneously holding-or-waiting on one directed link.
+	// simultaneously holding-or-waiting on one directed link. It is 0,
+	// not counted, on a network whose count is off (SetEdgeQueue), and 0
+	// on any network when no circuit held a link.
 	MaxEdgeQueue int
 	// Timeline holds per-op occupancy intervals when tracing is enabled
 	// (Network.SetTrace), in completion order.
@@ -212,9 +222,10 @@ type runState struct {
 	// Directed-link state, indexed by topology.LinkSlot (u*d+i on the
 	// hypercube: node u's link across dimension i); see hold for the
 	// hot/cold split.
-	busy []float64 // hot: finish time of the link's newest hold
-	held bool      // some circuit has held a link
-	log  holdLog   // cold: the contended hops, for the backlog accounting
+	busy     []float64 // hot: finish time of the link's newest hold
+	held     bool      // some circuit has held a link
+	counting bool      // the network counts link backlogs (SetEdgeQueue)
+	acct     backlog   // cold: the link-backlog count, when counting
 
 	// Message channels, one per ordered (src,dst) pair actually used,
 	// discovered on first contact. outIdx[src] lists src's channels while
@@ -264,7 +275,6 @@ type runState struct {
 // the optimizer and the cost endpoint build a Network per request.
 var statePool = sync.Pool{New: func() any {
 	st := &runState{eng: event.New()}
-	st.log.init()
 	st.stepH = func(_ event.Time, p int) { st.step(p) }
 	st.deliverH = func(now event.Time, ch int) { st.deliverAt(ch, float64(now)) }
 	st.cycDeliverH = func(now event.Time, i int) { st.deliverCyclic(i, float64(now)) }
@@ -307,8 +317,10 @@ func (n *Network) newState(src Source, cutoff float64) *runState {
 	st.exReady = resized(st.exReady, nodes)
 	st.stall = resized(st.stall, nodes)
 	st.busy = resized(st.busy, nodes*n.topo.Degree())
-	st.held = false
-	st.log.acct.reset(len(st.busy))
+	st.held, st.counting = false, n.countQueue
+	if st.counting {
+		st.acct.reset(len(st.busy))
+	}
 
 	// Channel tables keep their per-source storage across replays.
 	st.chans = st.chans[:0]
@@ -347,7 +359,6 @@ const maxPooledInbox = 256 << 10
 // release returns st to the pool, dropping what would pin the caller's
 // network and programs and message storage above maxPooledInbox.
 func (st *runState) release() {
-	st.log.flush() // drain flushed the log; this joins the helper of a window that panicked
 	if cap(st.cyc.inbox) > maxPooledInbox {
 		st.cyc.inbox = nil
 	}
@@ -497,7 +508,6 @@ func (st *runState) drain(ops uint64) error {
 		budget = max(DefaultEventBudget, 2*ops+4*uint64(st.n))
 	}
 	drained := st.eng.RunLimit(budget)
-	st.log.flush()
 	if st.failed != nil {
 		return st.failed
 	}

@@ -185,7 +185,7 @@ func (n *Network) runPhases(src Phased, cutoff float64) (Result, bool, error) {
 				}
 				res.Messages += msgs
 				res.BytesMoved += moved
-				if msgs > 0 { // circuits held links, each alone on its own
+				if msgs > 0 && n.countQueue { // circuits held links, each alone on its own
 					res.MaxEdgeQueue = max(res.MaxEdgeQueue, 1)
 				}
 				res.ClosedFormPhases++
@@ -265,7 +265,9 @@ func (st *runState) runWindow(src Phased, sp PhaseSpan, cert *phaseCert, winLo, 
 	// Every hold placed so far finished by some node's ready time, hence
 	// by the release, so the backlogs hold nothing a later hold could
 	// still count: drop them.
-	st.log.acct.drop()
+	if st.counting {
+		st.acct.drop()
+	}
 	for p := range ready {
 		st.seed(p, start, winHi, release)
 	}
