@@ -199,8 +199,14 @@ func (p Params) MessageTime(m, h int) float64 {
 
 // RawMessageTime is MessageTime without synchronization effects:
 // λ + τ·m + δ·h. This is the latency of one wire transfer.
+//
+// Here and in the two methods below, each product is rounded by an
+// explicit float64(…) before it is added: the Go spec lets a compiler
+// fuse x*y + z into one rounding, and arm64, ppc64le, s390x and riscv64
+// do, so without the conversions the simulator's pinned bits would hold
+// on amd64 alone.
 func (p Params) RawMessageTime(m, h int) float64 {
-	return p.Lambda + p.Tau*float64(m) + p.Delta*float64(h)
+	return p.Lambda + float64(p.Tau*float64(m)) + float64(p.Delta*float64(h))
 }
 
 // ExchangeTime returns the duration of one pairwise exchange of m bytes
@@ -220,7 +226,7 @@ func (p Params) ExchangeTime(m, h int) float64 {
 	data := p.RawMessageTime(m, h)
 	switch p.Exchange {
 	case ExchangeSynced:
-		return p.LambdaZero + p.Delta*float64(h) + data
+		return p.LambdaZero + float64(p.Delta*float64(h)) + data
 	case ExchangeSerialized:
 		return 2 * data
 	default: // ExchangeIdeal
@@ -236,7 +242,7 @@ func (p Params) UnforcedMessageTime(m, h int) float64 {
 	if m > p.UnforcedThreshold {
 		// Reserve and acknowledge: two zero-byte messages over the
 		// same path.
-		t += 2 * (p.LambdaZero + p.Delta*float64(h))
+		t += 2 * (p.LambdaZero + float64(p.Delta*float64(h)))
 	}
 	return t
 }

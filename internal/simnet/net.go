@@ -631,7 +631,7 @@ func (st *runState) step(p int) {
 		}
 		st.advance(p, st.ready[p]+op.Micros)
 	case OpShuffle:
-		st.advance(p, st.ready[p]+st.net.params.Rho*float64(op.Bytes))
+		st.advance(p, st.ready[p]+float64(st.net.params.Rho*float64(op.Bytes))) // float64(…) forbids a fused multiply-add; see jitter
 	case OpBarrier:
 		st.enterBarrier(p)
 	case OpExchange:

@@ -21,7 +21,10 @@ func (st *runState) jitter(p int, dur float64) float64 {
 	if f == 0 {
 		return dur
 	}
-	return dur * (1 + f*(2*nextJitter(&st.rngs[p])-1))
+	// Each float64(…) rounds a product before it is added, so that no
+	// GOARCH fuses the two into one multiply-add and moves the pinned bits.
+	u := float64(nextJitter(&st.rngs[p]))
+	return dur * (1 + float64(f*(2*u-1)))
 }
 
 // seedJitterStreams builds one splitmix64 state per node from the network
@@ -130,7 +133,7 @@ func (st *runState) enterBarrier(p int) {
 		st.park()
 		return
 	}
-	release := b.maxTime + st.net.params.GlobalSync(st.syncD)
+	release := b.maxTime + float64(st.net.params.GlobalSync(st.syncD)) // float64(…) forbids a fused multiply-add; see jitter
 	st.res.Barriers++
 	waiters := b.waiters
 	// Resetting to [:0] reuses the backing array; nothing re-enters the

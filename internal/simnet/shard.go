@@ -158,7 +158,7 @@ func (n *Network) runPhases(src Phased, cutoff float64) (Result, bool, error) {
 		// The global barrier this phase opens with: everyone waits for
 		// the slowest arrival, then pays the global sync cost together —
 		// exactly enterBarrier's release rule.
-		release := latest(ready) + n.params.GlobalSync(n.topo.Diameter())
+		release := latest(ready) + float64(n.params.GlobalSync(n.topo.Diameter())) // float64(…) forbids a fused multiply-add; see jitter
 		if release > cutoff {
 			return res, true, ErrCutoff
 		}
@@ -246,7 +246,7 @@ func (n *Network) closedForm(src Phased, cert *phaseCert, winLo, winHi int, rele
 			msgs += nodes // nodes/2 pairs, two transmissions each
 			moved += nodes * bytes
 		case OpShuffle:
-			t += n.params.Rho * float64(bytes)
+			t += float64(n.params.Rho * float64(bytes)) // float64(…) forbids a fused multiply-add; see jitter
 		}
 	}
 	return t, msgs, moved, true
