@@ -23,10 +23,8 @@ import (
 // Result field but MaxEdgeQueue, and that one to 0; so must a bounded
 // replay that trips. The multi-group {2,1} plan is replayed on the
 // monolithic engine loop as well, which must match the pins too.
-//
-// The count is off or on without moving a bit beyond the pinned replays
-// too: on jittered contended replays, and on the overlays whose exchanges
-// hold links through the generic engine, on both loops.
+// TestHoldLogPlacementsAgree holds the count off and on to each other
+// beyond these pins.
 func TestContendedReplayPinned(t *testing.T) {
 	type pin struct {
 		makespan, stall uint64
@@ -94,7 +92,14 @@ func TestContendedReplayPinned(t *testing.T) {
 			boundedOffOn(t, label, net, plan.Compile(), runs["phased"].Makespan/2)
 		}
 	}
+}
 
+// Whether the link-backlog count runs or not must change no bit of any
+// Result field but MaxEdgeQueue beyond the pinned replays too: on jittered
+// contended replays, on the overlays whose exchanges hold links through
+// the generic engine, on both engine loops, and on bounded replays that
+// trip mid-window.
+func TestHoldLogPlacementsAgree(t *testing.T) {
 	for _, r := range []struct {
 		name       string
 		spec       string
