@@ -38,12 +38,12 @@ func requireBitIdentical(t *testing.T, label string, oracle, res simnet.Result) 
 	t.Helper()
 	oracle, res = simulated(oracle), simulated(res)
 	if !reflect.DeepEqual(oracle, res) {
-		t.Fatalf("%s: replay ≠ monolithic loop\nloop:   %+v\nreplay: %+v", label, oracle, res)
+		t.Fatalf("%s: replay ≠ bare programs\nbare:   %+v\nreplay: %+v", label, oracle, res)
 	}
 }
 
-// engineOracle replays the compiled plan's bare per-node programs through
-// the monolithic event loop — no phase structure, no certificates: the
+// engineOracle replays the compiled plan's bare per-node programs, every
+// epoch on the event engine — no phase structure, no certificates: the
 // reference every other replay mode must equal.
 func engineOracle(t *testing.T, topo topology.Network, src *exchange.CompiledPlan, jitterFrac float64) simnet.Result {
 	t.Helper()
@@ -77,7 +77,7 @@ func requireMode(t *testing.T, label string, res simnet.Result, plan *exchange.P
 
 // The equivalence matrix: compiled multiphase plans on all three topology
 // families, with jitter off and on, replayed phase by phase — every
-// simulated field must agree bit-for-bit with the monolithic engine loop,
+// simulated field must agree bit-for-bit with the bare programs' replay,
 // and each replay must have been priced the way its input dictates (no
 // silent engine run).
 func TestPhasedReplayEquivalence(t *testing.T) {
@@ -173,7 +173,7 @@ func TestCompiledPlanPhaseSpans(t *testing.T) {
 
 // A slow-wire-only overlay keeps base routes, and its slow factors stretch
 // circuits node by node, so every phase runs on the engine and stays
-// bit-identical to the monolithic loop: per-circuit slow factors are pure
+// bit-identical to the bare programs: per-circuit slow factors are pure
 // functions of the route. That holds with one slow wire or two in
 // different groups of the stride-1 phase (wires 0–1 and 4–5).
 func TestDegradedSlowWiresReplayEquivalence(t *testing.T) {
@@ -216,7 +216,7 @@ func phaseIndexWithStride(t *testing.T, plan *exchange.Plan, stride int) int {
 
 // A dead wire makes fault-aware routing detour through links that belong
 // to other sub-blocks: the certificate must see the longer route and send
-// the phase to the engine, which must still produce the monolithic loop's
+// the phase to the engine, which must still produce the bare programs'
 // result exactly.
 func TestDegradedDetourReplayEquivalence(t *testing.T) {
 	base := topology.MustParseSpec("hypercube-3")

@@ -114,7 +114,7 @@ func TestCertificatesSharedAcrossMachines(t *testing.T) {
 		total.Add(st)
 
 		// The engine oracle: each hull segment's winner, replayed as bare
-		// programs through the monolithic loop.
+		// programs with no phase structure to price.
 		for _, seg := range tbl.Segments {
 			c, err := o.BestOn(topo, seg.MinBlock)
 			if err != nil {

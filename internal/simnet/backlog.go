@@ -81,16 +81,6 @@ func (st *runState) hold(slots []int, now, finish float64) {
 	}
 }
 
-// edgeQueue is Result.MaxEdgeQueue: 0 when the network counts no
-// backlogs or before any circuit held a link, 1 while none waited behind
-// another.
-func (st *runState) edgeQueue() int {
-	if !st.counting || !st.held {
-		return 0
-	}
-	return int(st.acct.max)
-}
-
 // backlog is the link-backlog count of one replay state.
 type backlog struct {
 	of     []int32     // per directed link: 1 + index into queues, 0 until the link is first contended

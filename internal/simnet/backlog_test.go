@@ -21,8 +21,8 @@ import (
 // network counts backlogs, so its replays must match every pin. Each is
 // replayed again with the count off, which must change no bit of any
 // Result field but MaxEdgeQueue, and that one to 0; so must a bounded
-// replay that trips. The multi-group {2,1} plan is replayed on the
-// monolithic engine loop as well, which must match the pins too.
+// replay that trips. The multi-group {2,1} plan's bare programs are
+// replayed on the engine as well, which must match the pins too.
 // TestHoldLogPlacementsAgree holds the count off and on to each other
 // beyond these pins.
 func TestContendedReplayPinned(t *testing.T) {
@@ -77,7 +77,7 @@ func TestContendedReplayPinned(t *testing.T) {
 			}
 			if tc.oracle {
 				progs := plan.Compile().Programs()
-				runs["monolithic"] = replayOffOn(t, label+" on the monolithic loop", net,
+				runs["bare programs"] = replayOffOn(t, label+" as bare programs", net,
 					func(n *simnet.Network) (simnet.Result, error) { return n.Run(progs) })
 			}
 			for path, res := range runs {
@@ -101,12 +101,12 @@ func TestContendedReplayPinned(t *testing.T) {
 // trip mid-window.
 func TestHoldLogPlacementsAgree(t *testing.T) {
 	for _, r := range []struct {
-		name       string
-		spec       string
-		part       partition.Partition
-		m          int
-		jitter     float64
-		monolithic bool // replay the bare programs on the monolithic loop too
+		name   string
+		spec   string
+		part   partition.Partition
+		m      int
+		jitter float64
+		bare   bool // replay the bare programs on the engine too
 	}{
 		{"torus-16x16 {2} jittered", "torus-16x16", partition.Partition{2}, 40, 0.08, false},
 		{"torus-8x8x8 {2,1} jittered", "torus-8x8x8", partition.Partition{2, 1}, 160, 0.08, false},
@@ -132,9 +132,9 @@ func TestHoldLogPlacementsAgree(t *testing.T) {
 		if on.MaxEdgeQueue < 1 {
 			t.Fatalf("%s: no circuit held a link", r.name)
 		}
-		if r.monolithic {
+		if r.bare {
 			progs := src.Programs()
-			replayOffOn(t, r.name+" on the monolithic loop", net,
+			replayOffOn(t, r.name+" as bare programs", net,
 				func(n *simnet.Network) (simnet.Result, error) { return n.Run(progs) })
 		}
 		boundedOffOn(t, r.name, net, src, on.Makespan/2)

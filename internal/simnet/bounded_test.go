@@ -14,7 +14,7 @@ import (
 )
 
 // plainSource presents explicit programs as a bare Source — not a Phased
-// one, so it runs on the monolithic loop.
+// one, so every epoch runs on the engine.
 type plainSource []simnet.Program
 
 func (s plainSource) NumNodes() int         { return len(s) }
@@ -37,9 +37,9 @@ func boundedCase(t *testing.T, c identityCase) (*simnet.Network, simnet.Source) 
 var cutoffFractions = []float64{0.25, 0.5, 1 - 1e-12, 1, 1 + 1e-12, 2}
 
 // A bounded replay is abandoned with ErrCutoff if and only if the makespan
-// exceeds the cutoff, and otherwise is the monolithic engine loop's
-// unbounded replay bit for bit — on the monolithic loop, in closed-form
-// phases and in engine windows, over every pinned case.
+// exceeds the cutoff, and otherwise is the unbounded replay of the bare
+// programs bit for bit — for plain programs, in closed-form phases and in
+// engine windows, over every pinned case.
 func TestBoundedReplay(t *testing.T) {
 	for _, c := range identityCases {
 		want := c.oracle(t)
@@ -98,22 +98,22 @@ func TestBoundedReplayKeepsOtherVerdicts(t *testing.T) {
 		t.Errorf("cutoff equal to the makespan: %v, %v", res.Makespan, err)
 	}
 
-	// A cyclic phase window: the budget is the window's.
+	// A cyclic phase window: the budget counts the whole run's events.
 	torus := topology.MustParseSpec("torus-4x4")
 	plan, err := exchange.NewPlanOn(torus, 32, partition.Partition{1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	windowed := simnet.New(torus, prm)
-	windowed.SetEventBudget(3)
-	if _, err := windowed.RunSourceBounded(plan.Compile(), 1e9); err == nil || !strings.Contains(err.Error(), "budget") {
+	cyclic := simnet.New(torus, prm)
+	cyclic.SetEventBudget(3)
+	if _, err := cyclic.RunSourceBounded(plan.Compile(), 1e9); err == nil || !strings.Contains(err.Error(), "budget") {
 		t.Errorf("window budget exhausted under a far cutoff: %v", err)
 	}
 }
 
 // FuzzBoundedReplay: for any topology, grouping, block size, jitter
 // setting and cutoff, a bounded replay is abandoned exactly when the
-// monolithic engine loop's makespan exceeds the cutoff, and otherwise
+// engine replay's makespan over the bare programs exceeds the cutoff, and otherwise
 // equals it.
 func FuzzBoundedReplay(f *testing.F) {
 	f.Add(uint8(1), uint8(0), uint16(24), false, uint16(500))

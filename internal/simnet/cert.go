@@ -56,13 +56,31 @@ type RowPeers interface {
 	AppendRowPeers(dst []int32, row int) []int32
 }
 
+// rowPeers reads the partners of row r, whose UniformRow is kind and
+// bytes, into buf: a row at a time from a source that keeps the RowPeers
+// promise, and node by node through src.Op from any other, whose ops must
+// then agree with the uniform row, every send FORCED. ok is false when
+// one does not: only the per-node path can find a uniform-row accessor
+// that disagrees with Op.
+func rowPeers(src Phased, r int, kind OpKind, bytes int, buf []int32) (peers []int32, ok bool) {
+	if rp, batched := src.(RowPeers); batched {
+		return rp.AppendRowPeers(buf[:0], r), true
+	}
+	peers = buf[:0]
+	for p := range src.NumNodes() {
+		op := src.Op(p, r)
+		if op.Kind != kind || op.Bytes != bytes || kind == OpSend && op.Type != Forced {
+			return peers, false
+		}
+		peers = append(peers, int32(op.Peer))
+	}
+	return peers, true
+}
+
 // certify walks the sp.Rows−1 rows after the barrier at winLo−1 once,
 // routing every circuit through the topology's own AppendRouteSlots — the
 // call the engine makes — and returns what the routed links prove. It
-// stops at the first check that fails. A source's rows are read a row of
-// partners at a time when it keeps the RowPeers promise, and node by node
-// through src.Op otherwise; only the per-node path can find a uniform-row
-// accessor that disagrees with Op.
+// stops at the first check that fails.
 func (n *Network) certify(src Phased, sp PhaseSpan, winLo int) *phaseCert {
 	nodes := n.topo.Nodes()
 	c := &phaseCert{hops: make([]int32, sp.Rows-1)}
@@ -71,8 +89,7 @@ func (n *Network) certify(src Phased, sp PhaseSpan, winLo int) *phaseCert {
 		c.decline = reason
 		return c
 	}
-	rp, batched := src.(RowPeers)
-	var peers []int32                             // this row's partners, when batched
+	var peers []int32                             // this row's partners
 	partner := make([]int32, nodes)               // this row's exchange partners
 	rowOf := make([]int32, nodes*n.topo.Degree()) // 1 + the window row whose circuits last covered the slot
 	var slots []int
@@ -85,27 +102,16 @@ func (n *Network) certify(src Phased, sp PhaseSpan, winLo int) *phaseCert {
 		case kind != OpExchange && kind != OpShuffle:
 			return declined(declineRowNotExchange)
 		}
-		if batched {
-			if kind == OpShuffle {
-				continue
-			}
-			peers = rp.AppendRowPeers(peers[:0], r)
+		var ok bool
+		if peers, ok = rowPeers(src, r, kind, bytes, peers); !ok {
+			return declined(declineRowNotUniform)
+		}
+		if kind == OpShuffle {
+			continue
 		}
 		h := -1
-		for p := 0; p < nodes; p++ {
-			var q int
-			if batched {
-				q = int(peers[p])
-			} else {
-				op := src.Op(p, r)
-				if op.Kind != kind || op.Bytes != bytes {
-					return declined(declineRowNotUniform)
-				}
-				q = op.Peer
-			}
-			if kind == OpShuffle {
-				continue
-			}
+		for p, q32 := range peers {
+			q := int(q32)
 			if q == p || q < 0 || q >= nodes {
 				// A self-exchange costs nothing on the engine; a node
 				// outside the machine fails the run there.
@@ -155,7 +161,6 @@ func keepsCyclic(src Phased, sp PhaseSpan, winLo int) bool {
 	for p := range field {
 		field[p] = int32(p / sp.Stride % sp.Span)
 	}
-	rp, batched := src.(RowPeers)
 	var peers []int32
 	for i := 0; i < sp.Rows-1; i++ {
 		want, shift := OpShuffle, 0
@@ -172,26 +177,14 @@ func keepsCyclic(src Phased, sp PhaseSpan, winLo int) bool {
 		if !ok || kind != want {
 			return false
 		}
-		if batched {
-			if want == OpShuffle {
-				continue
-			}
-			peers = rp.AppendRowPeers(peers[:0], r)
+		if peers, ok = rowPeers(src, r, kind, bytes, peers); !ok {
+			return false
 		}
-		for p := 0; p < nodes; p++ {
-			var q int
-			if batched {
-				q = int(peers[p])
-			} else {
-				op := src.Op(p, r)
-				if op.Kind != want || op.Bytes != bytes || want == OpSend && op.Type != Forced {
-					return false
-				}
-				if want == OpShuffle {
-					continue
-				}
-				q = op.Peer
-			}
+		if want == OpShuffle {
+			continue
+		}
+		for p, q32 := range peers {
+			q := int(q32)
 			// |shift| < Span, so the shifted digit wraps at most once.
 			f := int(field[p])
 			g := f + shift

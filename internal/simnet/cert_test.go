@@ -53,8 +53,8 @@ func requireSameSimulation(t *testing.T, label string, want, got simnet.Result) 
 }
 
 // The phase-by-phase replay — certified phases in closed form, the rest
-// on the engine — must equal the monolithic engine loop
-// over the same plan's bare programs, on the whole digest matrix and on
+// on the engine — must equal the engine replay of the same plan's bare
+// programs, on the whole digest matrix and on
 // plans that mix certified and declined phases.
 func TestPhasedReplayMatchesEngine(t *testing.T) {
 	mixed := []identityCase{
@@ -76,7 +76,7 @@ func TestPhasedReplayMatchesEngine(t *testing.T) {
 			t.Fatal(err)
 		}
 		if oracle.ClosedFormPhases != 0 || oracle.EnginePhases != 0 {
-			t.Fatalf("%s: the oracle was not the monolithic engine loop: %+v", c.name, oracle)
+			t.Fatalf("%s: the oracle priced phases: %+v", c.name, oracle)
 		}
 		res := c.run(t)
 		requireSameSimulation(t, c.name, oracle, res)
@@ -409,8 +409,8 @@ func fuzzGrouping(topo topology.Network, cuts uint8) partition.Partition {
 }
 
 // FuzzCertifiedReplay: for any topology, grouping, block size and jitter
-// setting, the phase-by-phase replay equals the monolithic engine loop
-// over the same programs.
+// setting, the phase-by-phase replay equals the engine replay of the
+// same plan's bare programs.
 func FuzzCertifiedReplay(f *testing.F) {
 	f.Add(uint8(1), uint8(0), uint16(24), false)
 	f.Add(uint8(3), uint8(0b10010), uint16(40), false)

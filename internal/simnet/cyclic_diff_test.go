@@ -25,8 +25,8 @@ type hiddenShape struct {
 
 func (h hiddenShape) PhaseSpans() []simnet.PhaseSpan { return h.spans }
 
-// bareSource hides the phase structure too: the monolithic engine loop,
-// the oracle every phase-by-phase path is held to.
+// bareSource hides the phase structure too: every epoch on the generic
+// engine, the oracle every phase-by-phase path is held to.
 type bareSource struct{ simnet.Source }
 
 // cyclicCase is one differential input: a plan on a fabric, replayed on a
@@ -46,7 +46,7 @@ func (c cyclicCase) String() string {
 }
 
 // check replays the case three ways — the cyclic interpreter, the
-// generic windowed engine, the monolithic oracle — unbounded and, when
+// generic engine window, the bare oracle — unbounded and, when
 // the case has a cutoff, bounded, and requires every Result field to
 // agree. It reports false, checking nothing, for a fabric that cannot
 // host the plan.
@@ -135,8 +135,8 @@ var cyclicCases = []cyclicCase{
 	{spec: "torus-6", part: partition.Partition{1}, m: 200, machine: "hypo"},
 }
 
-// The cyclic interpreter equals the generic windowed engine and the
-// monolithic oracle in every Result field, on a seeded table.
+// The cyclic interpreter equals the generic engine window and the bare
+// oracle in every Result field, on a seeded table.
 func TestCyclicWindowMatchesEngine(t *testing.T) {
 	for _, c := range cyclicCases {
 		if !c.check(t) {

@@ -63,7 +63,7 @@ func (s *cyclicSource) UniformRow(i int) (OpKind, int, bool) {
 	return first.Kind, first.Bytes, true
 }
 
-// programs materializes the source for the monolithic engine.
+// programs materializes the source's bare programs.
 func (s *cyclicSource) programs() []Program {
 	progs := make([]Program, s.nodes)
 	for p := range progs {
@@ -75,11 +75,11 @@ func (s *cyclicSource) programs() []Program {
 }
 
 // A window that keeps the cyclic promise runs on the interpreter and
-// equals the monolithic engine over the same programs, bit for bit. A
+// equals the engine over the same bare programs, bit for bit. A
 // span labelled ShapeCyclic whose
 // rows break the promise — a partner out of turn, an UNFORCED send, a
 // missing post, an exchange phase — is refused by the certificate and
-// runs on the generic engine, which equals the monolithic engine too.
+// runs on the generic engine, which equals them too.
 func TestBrokenCyclicPromiseFallsBack(t *testing.T) {
 	// swapSteps has node trade its step-1 and step-2 partners in the rows
 	// of one kind.
@@ -166,7 +166,7 @@ func TestWarmCyclicReplayAllocs(t *testing.T) {
 }
 
 // A replay whose phase runs on the engine allocates the finish times it
-// returns and nothing per node besides: the window's own state leaves its
+// returns and nothing per node besides: the replay state leaves its
 // nodes' finish times in st.ready, not in a NodeFinish of its own. That
 // holds with the link-backlog count on and off.
 func TestEngineWindowAllocs(t *testing.T) {

@@ -175,8 +175,8 @@ func (c identityCase) run(t *testing.T) simnet.Result {
 	return res
 }
 
-// oracle replays the case's programs on the monolithic engine loop: for a
-// compiled case, the plan's bare programs.
+// oracle replays the case's programs with no phase structure, every epoch
+// on the engine: for a compiled case, the plan's bare programs.
 func (c identityCase) oracle(t *testing.T) simnet.Result {
 	t.Helper()
 	net, src := c.network(t)
@@ -195,16 +195,16 @@ func (c identityCase) oracle(t *testing.T) simnet.Result {
 // phases, detours, slow wires, jitter, and one-sided sends
 // with link queues deeper than the inline ring — phases priced in closed
 // form or run on the engine, as each case allows, and each equal to the
-// monolithic engine loop over the same programs.
+// engine replay of the same bare programs.
 func TestReplayBitIdentity(t *testing.T) {
 	got := make(map[string]replayDigest)
 	for _, c := range identityCases {
 		got[c.name] = digestOf(c.run(t))
 		if c.progs != nil {
-			continue // explicit programs run on the monolithic loop already
+			continue // explicit programs have no phase structure to price
 		}
 		if d := digestOf(c.oracle(t)); d != got[c.name] {
-			t.Errorf("%s: the phase-by-phase replay diverges from the monolithic loop:\n  phased     %+v\n  monolithic %+v",
+			t.Errorf("%s: the phase-by-phase replay diverges from the bare programs:\n  phased %+v\n  bare   %+v",
 				c.name, got[c.name], d)
 		}
 	}

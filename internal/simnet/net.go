@@ -205,11 +205,19 @@ type runState struct {
 	// the slow-factor lookup and the hold all read it.
 	slots []int
 
-	pc      []int32   // program counter per node
-	lens    []int32   // program length per node (NumOps, cached)
-	opStart []float64 // time the current op began occupying the node
-	ready   []float64 // node-available time, µs
-	done    []bool
+	pc   []int32 // program counter per node
+	lens []int32 // program length per node (NumOps, cached)
+	// ready is each node's available time, µs. A node's ready time moves
+	// only when it completes an op (advance): until then it is the time
+	// the op began, the Start of the op's timeline interval.
+	ready []float64
+	done  []bool
+
+	// The driver's view of the nodes: how many wait at a barrier row for
+	// its release and how many finished their programs; engaged once the
+	// engine and its tables are reset for this run (engage).
+	waiting, finished int
+	engaged           bool
 
 	// Exchange rendezvous: node p parked inside OpExchange has
 	// exPeer[p] = partner, with its payload size and ready time. The
@@ -240,30 +248,25 @@ type runState struct {
 	// the "cyclic" shape's promise; cyc.end is 0 otherwise.
 	cyc cyclicWindow
 
-	bar barrierState
-
 	res    Result
 	failed error
 
 	// cutoff is the makespan bound of a bounded run (+Inf for a plain
 	// one): the first node clock to pass it trips the run.
 	cutoff float64
+	// budget is the run's event watchdog, counted over all its epochs.
+	budget uint64
 
 	// rngs holds one splitmix64 jitter stream per node (nil when jitter
 	// is off). Per-node streams keep noise draws independent of the
 	// global event interleaving; the pinned replay digests record their
 	// bits.
 	rngs []uint64
-	// stall accumulates ContentionStall per owning node; stallTotal sums
+	// stall accumulates ContentionStall per owning node; runSource sums
 	// it in node-index order. Event-order accumulation into one float64
 	// would make the total depend on how unrelated nodes' reservations
 	// interleave; the pinned replay digests record the node-order bits.
 	stall []float64
-
-	// windowed marks a state interpreting phase row windows under
-	// runPhases: barriers are applied between windows, so encountering
-	// one mid-window is a verification bug.
-	windowed bool
 
 	// Long-lived bound handlers so event scheduling never allocates.
 	stepH       event.ArgHandler
@@ -292,22 +295,54 @@ func resized[T any](s []T, n int) []T {
 	return s
 }
 
-// newState returns a reset runState for one replay of src on n.
+// newState returns a runState for one replay of src on n with what the
+// driver reads reset: the node clocks and counts. The engine and its
+// tables wait for the run's first engine epoch (engage): a replay priced
+// wholly in closed form never needs them.
 func (n *Network) newState(src Source, cutoff float64) *runState {
 	st := statePool.Get().(*runState)
 	nodes := n.topo.Nodes()
 	st.net, st.src, st.topo, st.cube, st.n = n, src, n.topo, n.hyper, nodes
 	st.syncD = n.topo.Diameter()
+	st.ready = resized(st.ready, nodes)
+	st.res = Result{ReplayShards: 1}
+	st.failed, st.waiting, st.finished, st.engaged = nil, 0, 0, false
+	st.cutoff, st.cyc.end = cutoff, 0
+	return st
+}
+
+// engage resets the engine and its tables — program counters and
+// lengths, the event budget, rendezvous slots, stall accounts, link
+// state, message channels, jitter streams — before the run's first
+// engine epoch, and does nothing after it.
+func (st *runState) engage() {
+	if st.engaged {
+		return
+	}
+	st.engaged = true
+	n, nodes := st.net, st.n
 	st.degr = nil
 	if dg, ok := n.topo.(*topology.Degraded); ok && dg.HasSlowLinks() {
 		st.degr = dg
 	}
 	st.eng.Reset()
-
 	st.pc = resized(st.pc, nodes)
-	st.lens = resized(st.lens, nodes)
-	st.opStart = resized(st.opStart, nodes)
-	st.ready = resized(st.ready, nodes)
+	st.lens = st.lens[:0]
+	ops := uint64(0)
+	for p := range nodes {
+		k := st.src.NumOps(p)
+		st.lens = append(st.lens, int32(k))
+		ops += uint64(k)
+	}
+	// An explicit budget is taken literally. The default scales with the
+	// rows the nodes interpret: every op consumes exactly one step event;
+	// add one final step per node, one delivery per send, and the seed
+	// events. 2·ops + 4·nodes dominates that, so the watchdog never trips
+	// on a well-formed program of any size.
+	st.budget = n.budget
+	if st.budget == 0 {
+		st.budget = max(DefaultEventBudget, 2*ops+4*uint64(nodes))
+	}
 	st.done = resized(st.done, nodes)
 	st.exPeer = resized(st.exPeer, nodes)
 	for p := range st.exPeer {
@@ -333,19 +368,13 @@ func (n *Network) newState(src Source, cutoff float64) *runState {
 		st.outIdx[p], st.chanTab[p] = st.outIdx[p][:0], st.chanTab[p][:0]
 	}
 
-	st.bar = barrierState{waiters: st.bar.waiters[:0]}
-	// The monolithic loop's NodeFinish leaves with its Result, so the
-	// loop allocates it; a window's nodes finish in st.ready.
-	st.res = Result{ReplayShards: 1}
-	st.failed, st.windowed, st.rngs = nil, false, nil
-	st.cutoff, st.cyc.end = cutoff, 0
+	st.rngs = nil
 	if n.jitterFrac != 0 {
 		// Fresh per-Run streams seeded from the Network keep jitter
 		// reproducible across repeated and concurrent Runs (see
 		// SetJitter); never touch the global math/rand state here.
 		st.rngs = seedJitterStreams(n.jitterSeed, nodes)
 	}
-	return st
 }
 
 // maxPooledInbox bounds, in bytes, the message storage a pooled state
@@ -404,12 +433,6 @@ type chanRef struct {
 	ch  int32
 }
 
-type barrierState struct {
-	arrived int
-	maxTime float64
-	waiters []int32
-}
-
 // Run executes one program per node (len(programs) must equal the node
 // count) and returns the result. Programs must be mutually consistent:
 // every exchange must have a matching exchange on the peer, and every
@@ -450,69 +473,24 @@ func (n *Network) RunSourceBounded(src Source, cutoff float64) (Result, error) {
 	return n.runSource(src, cutoff)
 }
 
-// runSource replays a Phased source phase by phase (runPhases) and
-// everything else — plain programs, a source whose span table is
-// unusable, any run with tracing on — in the one monolithic loop below,
-// which is also the oracle the phase-by-phase path is tested against.
-func (n *Network) runSource(src Source, cutoff float64) (Result, error) {
-	if cutoff < 0 {
-		return Result{}, ErrCutoff // no makespan is negative
-	}
-	ph, phased := src.(Phased)
-	if phased && !n.trace {
-		if res, ran, err := n.runPhases(ph, cutoff); ran {
-			return res, err
+// drain runs the engine until every node has stopped, at a barrier row
+// or at the end of its program, within what is left of the run's event
+// budget, and reports a failure, an exhausted budget or a deadlock: some
+// node blocked in an op, or nodes waiting at a barrier that others
+// finished without, which never releases. The error names the
+// lowest-numbered node that did not finish.
+func (st *runState) drain() error {
+	if st.engaged {
+		drained := st.eng.RunLimit(st.budget - st.eng.Steps())
+		if st.failed != nil {
+			return st.failed
+		}
+		if !drained {
+			return st.budgetError()
 		}
 	}
-	st := n.newState(src, cutoff)
-	defer st.release()
-	st.res.NodeFinish = make([]float64, st.n)
-
-	// Every node begins interpreting its program at time 0.
-	ops := uint64(0)
-	for p := 0; p < st.n; p++ {
-		k := src.NumOps(p)
-		ops += uint64(k)
-		st.seed(p, 0, k, 0)
-	}
-	if err := st.drain(ops); err != nil {
-		return st.res, err
-	}
-	st.res.MaxEdgeQueue = st.edgeQueue()
-	st.res.ContentionStall = st.stallTotal()
-	if phased && n.trace {
-		st.res.EnginePhases, st.res.DeclineReason = len(ph.PhaseSpans()), declineTrace
-	}
-	return st.res, nil
-}
-
-// seed sets node p to interpret rows [pc, end) of its program from time
-// t, and posts its first step. Nodes seeded at one time in node order
-// have their ties broken by node id, exactly as a barrier's sorted
-// release does.
-func (st *runState) seed(p, pc, end int, t float64) {
-	st.pc[p], st.lens[p], st.ready[p], st.done[p] = int32(pc), int32(end), t, false
-	st.eng.PostArg(event.Time(t), st.stepH, p)
-}
-
-// drain runs the seeded engine to its end under the event budget and
-// reports a failure, an exhausted budget or a node left blocked. The
-// default budget scales with ops, the rows the seeded nodes have to
-// interpret: every op consumes exactly one step event; add one final step
-// per node, one delivery per send, and the seed events. 2·ops + 4·nodes
-// dominates that, so the watchdog never trips on a well-formed program of
-// any size.
-func (st *runState) drain(ops uint64) error {
-	budget := st.net.budget
-	if budget == 0 {
-		budget = max(DefaultEventBudget, 2*ops+4*uint64(st.n))
-	}
-	drained := st.eng.RunLimit(budget)
-	if st.failed != nil {
-		return st.failed
-	}
-	if !drained {
-		return st.budgetError(budget)
+	if st.waiting == st.n || st.finished == st.n {
+		return nil
 	}
 	for p, d := range st.done {
 		if !d {
@@ -523,23 +501,13 @@ func (st *runState) drain(ops uint64) error {
 	return nil
 }
 
-// stallTotal sums the per-node stall accounts in node-index order: the
-// same floats in the same sequence whatever order the events ran in.
-func (st *runState) stallTotal() float64 {
-	total := 0.0
-	for _, s := range st.stall {
-		total += s
-	}
-	return total
-}
-
 // budgetError reports event-budget exhaustion with enough detail to act
 // on: how many events ran, and where each unfinished node is stuck (its
 // program counter and current op), mirroring the deadlock error path.
-func (st *runState) budgetError(budget uint64) error {
+func (st *runState) budgetError() error {
 	var b strings.Builder
 	fmt.Fprintf(&b, "simnet: event budget (%d) exhausted after %d events (livelock?)",
-		budget, st.eng.Steps())
+		st.budget, st.eng.Steps())
 	const maxListed = 8
 	listed, unfinished := 0, 0
 	for p := 0; p < st.n; p++ {
@@ -582,23 +550,6 @@ func (st *runState) fail(err error) {
 	}
 }
 
-// trip abandons a bounded run whose makespan is now known to exceed the
-// cutoff: the engine stops where it is instead of draining.
-func (st *runState) trip() {
-	st.fail(ErrCutoff)
-	st.eng.Stop()
-}
-
-// checkPeer validates a receive op's peer, failing the run (not
-// panicking) on a node outside the cube.
-func (st *runState) checkPeer(p int, op Op) bool {
-	if op.Peer < 0 || op.Peer >= st.n {
-		st.fail(fmt.Errorf("simnet: node %d: %s from nonexistent node %d", p, op.Kind, op.Peer))
-		return false
-	}
-	return true
-}
-
 // step interprets the current op of node p. Called whenever node p becomes
 // runnable (at its ready time).
 func (st *runState) step(p int) {
@@ -611,16 +562,10 @@ func (st *runState) step(p int) {
 	}
 	if st.pc[p] >= st.lens[p] {
 		st.done[p] = true
-		if st.res.NodeFinish != nil {
-			st.res.NodeFinish[p] = st.ready[p]
-		}
-		if st.ready[p] > st.res.Makespan {
-			st.res.Makespan = st.ready[p]
-		}
+		st.finished++
 		return
 	}
 	op := st.src.Op(p, int(st.pc[p]))
-	st.opStart[p] = st.ready[p]
 	switch op.Kind {
 	case OpCompute:
 		// NaN passes a plain < 0 guard and would reach the event queue as
@@ -633,28 +578,25 @@ func (st *runState) step(p int) {
 	case OpShuffle:
 		st.advance(p, st.ready[p]+float64(st.net.params.Rho*float64(op.Bytes))) // float64(…) forbids a fused multiply-add; see jitter
 	case OpBarrier:
-		st.enterBarrier(p)
+		st.waiting++ // runSource releases it once every node waits at one
 	case OpExchange:
 		st.enterExchange(p, op)
 	case OpSend:
 		st.doSend(p, op)
-	case OpPostRecv:
-		if !st.checkPeer(p, op) {
+	case OpPostRecv, OpRecv, OpWaitRecv:
+		// A peer outside the machine fails the run; it does not panic.
+		if op.Peer < 0 || op.Peer >= st.n {
+			st.fail(fmt.Errorf("simnet: node %d: %s from nonexistent node %d", p, op.Kind, op.Peer))
 			return
 		}
-		st.doPostRecv(p, op.Peer)
-		st.advance(p, st.ready[p])
-	case OpRecv:
-		if !st.checkPeer(p, op) {
-			return
+		if op.Kind != OpWaitRecv {
+			st.doPostRecv(p, op.Peer)
 		}
-		st.doPostRecv(p, op.Peer)
-		st.doWaitRecv(p, op.Peer)
-	case OpWaitRecv:
-		if !st.checkPeer(p, op) {
-			return
+		if op.Kind == OpPostRecv {
+			st.advance(p, st.ready[p])
+		} else {
+			st.doWaitRecv(p, op.Peer)
 		}
-		st.doWaitRecv(p, op.Peer)
 	default:
 		st.fail(fmt.Errorf("simnet: node %d: unknown op kind %v", p, op.Kind))
 	}
@@ -665,7 +607,10 @@ func (st *runState) step(p int) {
 // time and hence on the makespan.
 func (st *runState) advance(p int, t float64) {
 	if t > st.cutoff {
-		st.trip()
+		// The makespan is now known to exceed the cutoff: the engine
+		// stops where it is instead of draining.
+		st.fail(ErrCutoff)
+		st.eng.Stop()
 		return
 	}
 	if st.net.trace && st.pc[p] < st.lens[p] {
@@ -675,7 +620,7 @@ func (st *runState) advance(p int, t float64) {
 			Kind:  op.Kind,
 			Peer:  op.Peer,
 			Bytes: op.Bytes,
-			Start: st.opStart[p],
+			Start: st.ready[p],
 			End:   t,
 		})
 	}
@@ -683,7 +628,3 @@ func (st *runState) advance(p int, t float64) {
 	st.pc[p]++
 	st.eng.PostArg(event.Time(t), st.stepH, p)
 }
-
-// park leaves node p blocked inside its current op; a later event will
-// resume it via advance.
-func (st *runState) park() {}

@@ -22,13 +22,15 @@
 // network executes one program per node, returning per-node completion
 // times and aggregate statistics.
 //
-// Plain programs replay on one event engine that orders every event in
-// the machine. A Source that also declares its per-phase structure (the
-// Phased interface; exchange.CompiledPlan does) is replayed phase by
-// phase, and each phase by the cheapest of three means that gives the
-// engine's exact result. A phase certificate — proved once per
-// (topology, phase field) from the actual routed links, detours included,
-// and kept with the fabric handle — decides between them:
+// A replay runs epoch by epoch: an epoch is what the nodes run between
+// two global barriers, and the barrier between two epochs is applied
+// outside the event engine, which orders every event inside one. A
+// Source that also declares its per-phase structure (the Phased
+// interface; exchange.CompiledPlan does) has each phase's epoch run by the
+// cheapest of three means that gives the engine's exact result. A phase
+// certificate — proved once per (topology, phase field) from the actual
+// routed links, detours included, and kept with the fabric handle —
+// decides between them:
 //
 //   - Closed form. A phase that runs in lockstep — every row a uniform
 //     exchange whose circuits are pairwise link-disjoint and of one hop
@@ -44,19 +46,19 @@
 //     which make durations node-dependent, rule out the closed form
 //     only.
 //
-// All of it runs on one goroutine, with one virtual clock. Every path
-// returns what the monolithic engine loop returns, bit for bit: same
-// makespans, same counters, same jitter draws (per-node RNG streams), same
-// float summation order (per-node stall sums). Result says which phases
-// were priced in closed form and which ran on the engine.
+// All of it runs on one goroutine, with one virtual clock, and gives the
+// same bits every way: same makespans, same counters, same jitter draws
+// (per-node RNG streams), same float summation order (per-node stall
+// sums). Result says which phases were priced in closed form and which
+// ran on the engine.
 //
 // A caller that needs the result only if the makespan is at most some
 // cutoff says so per call (RunSourceBounded). Virtual time only moves
 // forward, so the first node clock, barrier release or closed-form phase
-// end past the cutoff ends the run with ErrCutoff: "the
-// makespan, if the run completes, exceeds the cutoff", not a statement
-// about deadlock or any other failure the run had not reached yet. A
-// bounded run that returns nil is the unbounded run, bit for bit.
+// end past the cutoff ends the run with ErrCutoff: "the makespan, if the
+// run completes, exceeds the cutoff", not a statement about deadlock or
+// any other failure the run had not reached yet. A bounded run that
+// returns nil is the unbounded run, bit for bit.
 package simnet
 
 import "fmt"

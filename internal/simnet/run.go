@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 
 	"repro/internal/event"
 )
@@ -33,13 +32,7 @@ func (st *runState) jitter(p int, dur float64) float64 {
 func seedJitterStreams(seed int64, nodes int) []uint64 {
 	s := make([]uint64, nodes)
 	for p := range s {
-		z := uint64(seed) + 0x9e3779b97f4a7c15*uint64(p+1)
-		z ^= z >> 30
-		z *= 0xbf58476d1ce4e5b9
-		z ^= z >> 27
-		z *= 0x94d049bb133111eb
-		z ^= z >> 31
-		s[p] = z
+		s[p] = splitmix(uint64(seed) + 0x9e3779b97f4a7c15*uint64(p+1))
 	}
 	return s
 }
@@ -48,13 +41,16 @@ func seedJitterStreams(seed int64, nodes int) []uint64 {
 // draw in [0, 1) with the full 53 bits of float64 precision.
 func nextJitter(state *uint64) float64 {
 	*state += 0x9e3779b97f4a7c15
-	z := *state
+	return float64(splitmix(*state)>>11) * 0x1p-53
+}
+
+// splitmix is the splitmix64 finalizer.
+func splitmix(z uint64) uint64 {
 	z ^= z >> 30
 	z *= 0xbf58476d1ce4e5b9
 	z ^= z >> 27
 	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	return float64(z>>11) * 0x1p-53
+	return z ^ z>>31
 }
 
 // chanScanMax is the number of destinations a source's channel list may
@@ -112,49 +108,6 @@ func (st *runState) reserve(owner int, t, dur float64) (start, adjDur float64, e
 	return start, dur, nil
 }
 
-// enterBarrier implements OpBarrier: all nodes wait for the last arrival,
-// then pay the global synchronization cost 150·d µs (§7.3) together.
-func (st *runState) enterBarrier(p int) {
-	if st.windowed {
-		// Barriers are global; a window interprets only the rows between
-		// them, with runPhases applying each one at its boundary. Its
-		// prescan rejects windows containing barrier rows, so this is
-		// unreachable short of a verification bug.
-		st.fail(fmt.Errorf("simnet: node %d: barrier inside a phase window", p))
-		return
-	}
-	b := &st.bar
-	b.arrived++
-	if st.ready[p] > b.maxTime {
-		b.maxTime = st.ready[p]
-	}
-	b.waiters = append(b.waiters, int32(p))
-	if b.arrived < st.n {
-		st.park()
-		return
-	}
-	release := b.maxTime + float64(st.net.params.GlobalSync(st.syncD)) // float64(…) forbids a fused multiply-add; see jitter
-	st.res.Barriers++
-	waiters := b.waiters
-	// Resetting to [:0] reuses the backing array; nothing re-enters the
-	// barrier while we release (advance only schedules events).
-	b.arrived, b.maxTime, b.waiters = 0, 0, b.waiters[:0]
-	// Release in node order, not arrival order. All release events carry
-	// the same timestamp, so the engine breaks their ties by insertion
-	// sequence; sorting pins that sequence to the node id, making a
-	// phase's contention resolution independent of the arrival-order
-	// history of earlier phases. A phase simulated standalone then evolves
-	// identically to the same phase inside a longer plan up to float
-	// tie-breaking: exactly-tied link acquisitions compare absolute times,
-	// so a different start offset can still flip a tie (the optimizer's
-	// memoized fragment costing documents this as its screening-metric
-	// semantics).
-	slices.Sort(waiters)
-	for _, q := range waiters {
-		st.advance(int(q), release)
-	}
-}
-
 // enterExchange implements OpExchange via a rendezvous: the first node to
 // arrive parks in the exPeer/exBytes/exReady slots; the second computes
 // the circuit timing for both.
@@ -184,8 +137,7 @@ func (st *runState) enterExchange(p int, op Op) {
 		st.exPeer[p] = int32(q)
 		st.exBytes[p] = op.Bytes
 		st.exReady[p] = st.ready[p]
-		st.park()
-		return
+		return // parked: the partner's arrival advances both
 	}
 	firstBytes, firstReady := st.exBytes[q], st.exReady[q]
 	st.exPeer[q] = -1
@@ -368,8 +320,7 @@ func (st *runState) doWaitRecv(p, peer int) {
 		st.advance(p, st.ready[p])
 		return
 	}
-	*s |= slotWaiting
-	st.park()
+	*s |= slotWaiting // parked: the delivery wakes it
 }
 
 // cyclicWindow is the state of an engine window whose rows keep
@@ -444,8 +395,7 @@ func (st *runState) stepCyclic(p int, pc int32) {
 			st.advance(p, st.ready[p])
 			return
 		}
-		c.inbox[i] = msgParked
-		st.park()
+		c.inbox[i] = msgParked // its delivery wakes it
 		return
 	}
 	g := int(c.field[p]) + j + 1

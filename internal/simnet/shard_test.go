@@ -90,7 +90,7 @@ func requireIdentical(t *testing.T, label string, want, got Result) {
 }
 
 // The phase-by-phase replay of a multiphase program must be bit-identical
-// to the monolithic engine loop over the bare programs, with and without
+// to the engine replay of the bare programs, with and without
 // jitter. Phase one has a compute row, so it runs on the engine either
 // way; phase two is pure exchanges and is priced in closed form unless
 // jitter forbids it.
@@ -108,7 +108,7 @@ func TestPhasedProgramsMatchMonolithic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireIdentical(t, "phase by phase vs monolithic", oracle, phased)
+		requireIdentical(t, "phase by phase vs bare programs", oracle, phased)
 		wantClosed, wantReason := 1, declineRowNotExchange
 		if jitter != 0 {
 			wantClosed, wantReason = 0, declineJitter
@@ -122,7 +122,8 @@ func TestPhasedProgramsMatchMonolithic(t *testing.T) {
 
 // A span table whose peers escape their declared groups describes the
 // phase wrongly, but the replay rests only on what the certificate proves
-// from the routed links: it still equals the monolithic engine loop.
+// from the routed links: it still equals the engine replay of the bare
+// programs.
 func TestMisdeclaredSpanMatchesMonolithic(t *testing.T) {
 	src := multiphaseSource()
 	// Lie about phase two: claim it spans only dimension 0 (stride 1,
@@ -142,7 +143,8 @@ func TestMisdeclaredSpanMatchesMonolithic(t *testing.T) {
 }
 
 // Structurally unusable span tables (wrong row totals, missing barriers,
-// non-dividing blocks) must send the whole replay to the monolithic loop.
+// non-dividing blocks) price no epoch: every one runs on the engine, as
+// the bare programs' do.
 func TestUnusableSpansRunMonolithic(t *testing.T) {
 	topo := topology.MustNew(3)
 	oracle, err := New(topo, model.Hypothetical()).Run(multiphaseSource().progs)
@@ -161,7 +163,7 @@ func TestUnusableSpansRunMonolithic(t *testing.T) {
 		mutate(src)
 		res := mustRunSource(t, New(topo, model.Hypothetical()), src)
 		if res.ClosedFormPhases != 0 || res.EnginePhases != 0 {
-			t.Errorf("%s: %d closed-form and %d engine phases, want the monolithic loop",
+			t.Errorf("%s: %d closed-form and %d engine phases, want none priced",
 				name, res.ClosedFormPhases, res.EnginePhases)
 		}
 		requireIdentical(t, name, oracle, res)
@@ -169,7 +171,7 @@ func TestUnusableSpansRunMonolithic(t *testing.T) {
 }
 
 // Tracing records a global, completion-ordered timeline; a traced replay
-// runs on the monolithic loop and says so.
+// runs every phase on the engine and says so.
 func TestTraceRunsMonolithic(t *testing.T) {
 	topo := topology.MustNew(3)
 	net := New(topo, model.Hypothetical())
@@ -185,7 +187,7 @@ func TestTraceRunsMonolithic(t *testing.T) {
 }
 
 // One Network must serve concurrent RunSource calls without data races
-// (run under -race), every call returning the monolithic loop's result.
+// (run under -race), every call returning the bare programs' result.
 func TestConcurrentRunSourceOneNetwork(t *testing.T) {
 	topo := topology.MustNew(3)
 	src := multiphaseSource()
@@ -221,7 +223,8 @@ func TestConcurrentRunSourceOneNetwork(t *testing.T) {
 // a deadlock, a contended fan-in on a different-sized machine, runs
 // abandoned at a cutoff with their engines stopped mid-queue) may hand
 // their state to the next replay, whose result must equal a first run's:
-// the monolithic loop's, on the phase-by-phase path and on the loop itself.
+// the bare programs', on the phase-by-phase path and on the bare programs
+// themselves.
 func TestRecycledStateCarriesNothingOver(t *testing.T) {
 	src := multiphaseSource()
 	fresh := func() *Network {
@@ -257,7 +260,7 @@ func TestRecycledStateCarriesNothingOver(t *testing.T) {
 			t.Fatalf("under 0.9 of the makespan: %v", err)
 		}
 		requireIdentical(t, "phased after dirty runs", want, mustRunSource(t, fresh(), src))
-		requireIdentical(t, "monolithic after dirty runs", want, mustRun(t, fresh(), src.progs))
+		requireIdentical(t, "bare programs after dirty runs", want, mustRun(t, fresh(), src.progs))
 	}
 }
 
