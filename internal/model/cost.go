@@ -24,7 +24,7 @@ func (p Params) StandardExchange(m, d int) float64 {
 		return 0
 	}
 	half := float64(int(1) << uint(d-1))
-	t := float64(d) * (p.EffLambda() + float64(m)*(p.EffTau()+2*p.Rho)*half + p.EffDelta())
+	t := float64(float64(d) * (p.EffLambda() + float64(float64(m)*(p.EffTau()+2*p.Rho)*half) + p.EffDelta()))
 	if p.GlobalSyncPerPhase {
 		t += p.GlobalSync(d)
 	}
@@ -46,7 +46,7 @@ func (p Params) OptimalCircuitSwitched(m, d int) float64 {
 	}
 	steps := float64(int(1)<<uint(d) - 1)
 	totalDist := float64(d) * float64(int(1)<<uint(d-1))
-	t := steps*(p.EffLambda()+p.EffTau()*float64(m)) + p.EffDelta()*totalDist
+	t := float64(steps*(p.EffLambda()+float64(p.EffTau()*float64(m)))) + float64(p.EffDelta()*totalDist)
 	if p.GlobalSyncPerPhase {
 		t += p.GlobalSync(d)
 	}
@@ -77,7 +77,7 @@ func (p Params) PhaseCost(m, d, di int) float64 {
 	mi := float64(EffectiveBlockSize(m, d, di))
 	steps := float64(int(1)<<uint(di) - 1)
 	totalDist := float64(di) * float64(int(1)<<uint(di-1))
-	t := steps*(p.EffLambda()+p.EffTau()*mi) + p.EffDelta()*totalDist
+	t := float64(steps*(p.EffLambda()+float64(p.EffTau()*mi))) + float64(p.EffDelta()*totalDist)
 	if di != d {
 		t += p.ShuffleTime(m, d)
 	}
@@ -98,8 +98,8 @@ func (p Params) PhaseLine(d, di int) (slope, intercept float64) {
 	}
 	steps := float64(int(1)<<uint(di) - 1)
 	totalDist := float64(di) * float64(int(1)<<uint(di-1))
-	slope = steps * p.EffTau() * float64(EffectiveBlockSize(1, d, di))
-	intercept = steps*p.EffLambda() + p.EffDelta()*totalDist
+	slope = float64(steps * p.EffTau() * float64(EffectiveBlockSize(1, d, di)))
+	intercept = float64(steps*p.EffLambda()) + float64(p.EffDelta()*totalDist)
 	if di != d {
 		slope += p.ShuffleTime(1, d)
 	}
@@ -121,7 +121,7 @@ func (p Params) PhaseCostStandard(m, d, di int) float64 {
 	}
 	mi := float64(EffectiveBlockSize(m, d, di))
 	half := float64(int(1) << uint(di-1))
-	t := float64(di) * (p.EffLambda() + mi*(p.EffTau()+2*p.Rho)*half + p.EffDelta())
+	t := float64(float64(di) * (p.EffLambda() + float64(mi*(p.EffTau()+2*p.Rho)*half) + p.EffDelta()))
 	if di != d {
 		t += p.ShuffleTime(m, d)
 	}
@@ -217,9 +217,9 @@ func (p Params) CrossoverBlockSize(d int) float64 {
 		return 0
 	}
 	n := float64(int(1) << uint(d))
-	half := n / 2
-	num := (n-float64(d)-1)*p.EffLambda() + float64(d)*(half-1)*p.EffDelta()
-	den := (float64(d)*half-n+1)*p.EffTau() + float64(d)*n*p.Rho
+	half := float64(n / 2)
+	num := float64((n-float64(d)-1)*p.EffLambda()) + float64(float64(d)*(half-1)*p.EffDelta())
+	den := float64((float64(float64(d)*half)-n+1)*p.EffTau()) + float64(float64(d)*n*p.Rho)
 	if den == 0 {
 		return 0
 	}

@@ -252,14 +252,14 @@ func (p Params) phaseCostOn(net topology.Network, m, lo, w int) (t float64, span
 		}
 		for i := 0; i < pm.steps; i++ {
 			dist, slow := pm.at(i)
-			t += (p.EffLambda() + p.EffTau()*mi + p.EffDelta()*dist) * slow
+			t += float64((p.EffLambda() + float64(p.EffTau()*mi) + float64(p.EffDelta()*dist)) * slow)
 		}
 	} else {
 		steps := float64(span - 1)
-		t = steps*(p.EffLambda()+p.EffTau()*mi) + p.EffDelta()*phaseDistTotal(net, lo, w, span)
+		t = float64(steps*(p.EffLambda()+float64(p.EffTau()*mi))) + float64(p.EffDelta()*phaseDistTotal(net, lo, w, span))
 	}
 	if span != n {
-		t += p.Rho * float64(m) * float64(n)
+		t += float64(p.Rho * float64(m) * float64(n))
 	}
 	if p.GlobalSyncPerPhase {
 		t += p.GlobalSync(net.Diameter())
@@ -300,14 +300,14 @@ func (p Params) PhaseLineOn(net topology.Network, lo, w int) (slope, intercept f
 		for i := 0; i < pm.steps; i++ {
 			dist, slow := pm.at(i)
 			steps += slow
-			intercept += (p.EffLambda() + p.EffDelta()*dist) * slow
+			intercept += float64((p.EffLambda() + float64(p.EffDelta()*dist)) * slow)
 		}
 	} else {
-		intercept = steps*p.EffLambda() + p.EffDelta()*phaseDistTotal(net, lo, w, span)
+		intercept = float64(steps*p.EffLambda()) + float64(p.EffDelta()*phaseDistTotal(net, lo, w, span))
 	}
-	slope = steps * p.EffTau() * float64(n/span)
+	slope = float64(steps * p.EffTau() * float64(n/span))
 	if span != n {
-		slope += p.Rho * float64(n)
+		slope += float64(p.Rho * float64(n))
 	}
 	if p.GlobalSyncPerPhase {
 		intercept += p.GlobalSync(net.Diameter())

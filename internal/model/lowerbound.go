@@ -77,12 +77,12 @@ func (p Params) PhaseLowerBoundOn(net topology.Network, m, lo, w int) (float64, 
 	steps := float64(span - 1)
 	var t float64
 	if xor {
-		t = steps*(p.EffLambda()+p.EffTau()*mi) + p.EffDelta()*float64(w)*float64(span/2)
+		t = float64(steps*(p.EffLambda()+float64(p.EffTau()*mi))) + float64(p.EffDelta()*float64(w)*float64(span/2))
 	} else {
-		t = steps*(p.Lambda+p.Tau*mi) + p.Delta*maxNodeShiftDist(net, lo, w, span)
+		t = float64(steps*(p.Lambda+float64(p.Tau*mi))) + float64(p.Delta*maxNodeShiftDist(net, lo, w, span))
 	}
 	if span != n {
-		t += p.Rho * float64(m) * float64(n)
+		t += float64(p.Rho * float64(m) * float64(n))
 	}
 	t += p.GlobalSync(net.Diameter())
 	return t, nil

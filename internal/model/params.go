@@ -121,8 +121,9 @@ func (p Params) EffTau() float64 {
 }
 
 // GlobalSync returns the cost in µs of one global synchronization on a
-// hypercube of dimension d.
-func (p Params) GlobalSync(d int) float64 { return p.GlobalSyncPerDim * float64(d) }
+// hypercube of dimension d. The product is rounded before a caller adds
+// it (see RawMessageTime).
+func (p Params) GlobalSync(d int) float64 { return float64(p.GlobalSyncPerDim * float64(d)) }
 
 // IPSC860 returns the measured parameters of the Intel iPSC-860 from §7.4,
 // configured the way the paper's implementation ran: FORCED messages,
@@ -194,17 +195,17 @@ func Hypothetical() Params {
 // MessageTime returns the modeled time in µs for a single m-byte message
 // crossing h dimensions: λ_eff + τ·m + δ_eff·h.
 func (p Params) MessageTime(m, h int) float64 {
-	return p.EffLambda() + p.Tau*float64(m) + p.EffDelta()*float64(h)
+	return p.EffLambda() + float64(p.Tau*float64(m)) + float64(p.EffDelta()*float64(h))
 }
 
 // RawMessageTime is MessageTime without synchronization effects:
 // λ + τ·m + δ·h. This is the latency of one wire transfer.
 //
-// Here and in the two methods below, each product is rounded by an
+// Here and throughout the package, each product is rounded by an
 // explicit float64(…) before it is added: the Go spec lets a compiler
 // fuse x*y + z into one rounding, and arm64, ppc64le, s390x and riscv64
-// do, so without the conversions the simulator's pinned bits would hold
-// on amd64 alone.
+// do, so without the conversions the pinned bits would hold on amd64
+// alone.
 func (p Params) RawMessageTime(m, h int) float64 {
 	return p.Lambda + float64(p.Tau*float64(m)) + float64(p.Delta*float64(h))
 }
@@ -250,5 +251,5 @@ func (p Params) UnforcedMessageTime(m, h int) float64 {
 // ShuffleTime returns the modeled time in µs to permute the full local
 // buffer once: ρ bytes/µs over 2^d blocks of m bytes.
 func (p Params) ShuffleTime(m, d int) float64 {
-	return p.Rho * float64(m) * float64(int(1)<<uint(d))
+	return float64(p.Rho * float64(m) * float64(int(1)<<uint(d)))
 }

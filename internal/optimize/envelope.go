@@ -211,14 +211,16 @@ func (l costLines) leadsUntil(w int, m float64) float64 {
 		return m
 	}
 	until := math.Inf(1)
-	ws, wc := l.slope[w]*(1+envelopeMargin), (l.intercept[w]+l.slope[w]*m)*(1+envelopeMargin)
+	// Each float64(…) rounds a product before it is added or subtracted,
+	// so that no GOARCH fuses the two into one multiply-add.
+	ws, wc := float64(l.slope[w]*(1+envelopeMargin)), float64((l.intercept[w]+float64(l.slope[w]*m))*(1+envelopeMargin))
 	for i := range l.slope {
 		if i == w {
 			continue
 		}
 		// i's lead over w's raised line is gap at m and changes by closing
 		// per byte.
-		gap := l.intercept[i] + l.slope[i]*m - wc
+		gap := l.intercept[i] + float64(l.slope[i]*m) - wc
 		if !(gap > 0) {
 			return m
 		}
