@@ -343,7 +343,7 @@ type evaluation struct {
 	topo        topology.Network
 	net         *simnet.Network // the simulated backend's replay fabric
 	simPhases   simMemo         // (field, m) -> fragment replay makespan, or a value it exceeds
-	boundPhases memoTable       // (field, m) -> admissible lower bound
+	boundPhases simMemo         // (field, m) -> admissible lower bound, always exact
 }
 
 func (o *Optimizer) newEvaluation(topo topology.Network) *evaluation {
@@ -363,46 +363,6 @@ type phaseKey struct {
 	m     int
 }
 
-// memoEntry is one compute-once memo cell.
-type memoEntry struct {
-	once sync.Once
-	val  float64
-	err  error
-}
-
-// memoTable is a concurrency-safe compute-once map: the first caller for
-// a key runs compute, concurrent callers block on its sync.Once, later
-// callers reuse the stored value. Entries live as long as the evaluation
-// (simulated backend only: the admissible bounds).
-type memoTable struct {
-	mu sync.Mutex
-	m  map[phaseKey]*memoEntry
-}
-
-func (t *memoTable) get(k phaseKey, hits, misses *atomic.Int64, compute func() (float64, error)) (float64, error) {
-	t.mu.Lock()
-	if t.m == nil {
-		t.m = make(map[phaseKey]*memoEntry)
-	}
-	e, ok := t.m[k]
-	if !ok {
-		e = new(memoEntry)
-		t.m[k] = e
-	}
-	t.mu.Unlock()
-	first := false
-	e.once.Do(func() {
-		first = true
-		e.val, e.err = compute()
-	})
-	if first {
-		misses.Add(1)
-	} else {
-		hits.Add(1)
-	}
-	return e.val, e.err
-}
-
 // simEntry is one memoized fragment cost, in one of two states: exact —
 // val is the fragment's makespan — or bounded — the makespan is known to
 // exceed val, the highest cutoff a replay of it was aborted at (−Inf
@@ -414,11 +374,12 @@ type simEntry struct {
 	err   error
 }
 
-// simMemo is the simulated backend's phase memo. Unlike memoTable's
-// compute-once cells its entries can be asked again: a caller whose cutoff
-// lies beyond what an entry records replays the fragment, under that
-// cutoff, and leaves the entry exact or with a higher bound. Same-key
-// callers wait on the entry, as they would on a sync.Once.
+// simMemo is the simulated backend's phase memo. Its entries can be
+// asked again: a caller whose cutoff lies beyond what an entry records
+// replays the fragment, under that cutoff, and leaves the entry exact or
+// with a higher bound. Same-key callers wait on the entry. Looked up with
+// an infinite cutoff, as the admissible bounds are, an entry is computed
+// once and answers exactly, or with its error, ever after.
 type simMemo struct {
 	mu sync.Mutex
 	m  map[phaseKey]*simEntry
@@ -864,8 +825,8 @@ func (e *evaluation) candidateBound(m int, fields [][2]int, perPhase []float64) 
 	total := 0.0
 	for pi, f := range fields {
 		lo, w := f[0], f[1]
-		v, err := e.boundPhases.get(phaseKey{lo: lo, w: w, m: m}, &e.memoHits, &e.memoMisses,
-			func() (float64, error) { return e.params.PhaseLowerBoundOn(e.topo, m, lo, w) })
+		v, _, err := e.boundPhases.get(phaseKey{lo: lo, w: w, m: m}, math.Inf(1), &e.memoHits, &e.memoMisses,
+			func(float64) (float64, error) { return e.params.PhaseLowerBoundOn(e.topo, m, lo, w) })
 		if err != nil {
 			return 0, err
 		}
