@@ -170,7 +170,7 @@ func BenchmarkE8_ContentionFree(b *testing.B) {
 					b.Fatal(err)
 				}
 				for _, step := range plan.Steps() {
-					r, err := h.AnalyzeStep(step)
+					r, err := topology.Analyze(h, step)
 					if err != nil {
 						b.Fatal(err)
 					}

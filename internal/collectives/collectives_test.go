@@ -263,7 +263,7 @@ func TestBroadcastLevelsContentionFree(t *testing.T) {
 			for r := 0; r < bit; r++ {
 				step = append(step, topology.Transfer{Src: r ^ root, Dst: (r + bit) ^ root})
 			}
-			rep, err := h.AnalyzeStep(step)
+			rep, err := topology.Analyze(h, step)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -190,7 +190,7 @@ func TestAllPlansContentionFree(t *testing.T) {
 						t.Fatalf("d=%d %v step %d: self transfer", d, D, k)
 					}
 				}
-				r, err := h.AnalyzeStep(step)
+				r, err := topology.Analyze(h, step)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -299,7 +299,7 @@ func E8Contention(dmax int) (*report.Table, error) {
 			}
 			for _, step := range plan.Steps() {
 				steps++
-				r, err := h.AnalyzeStep(step)
+				r, err := topology.Analyze(h, step)
 				if err != nil {
 					return nil, err
 				}
@@ -310,7 +310,7 @@ func E8Contention(dmax int) (*report.Table, error) {
 		}
 		naiveMax := 0
 		for i := 0; i < h.Nodes(); i++ {
-			r, err := h.AnalyzeStep(h.NaiveStep(i))
+			r, err := topology.Analyze(h, topology.NaiveStep(h, i))
 			if err != nil {
 				return nil, err
 			}

@@ -46,12 +46,6 @@ func (r ContentionReport) ContendedEdges() []Edge {
 	return out
 }
 
-// AnalyzeStep computes the contention report for a set of simultaneous
-// transfers. Transfers with Src == Dst are ignored.
-func (h *Hypercube) AnalyzeStep(step []Transfer) (ContentionReport, error) {
-	return Analyze(h, step)
-}
-
 // XORStep returns the transfer set of step i of the Schmiermund–Seidel
 // schedule: every node p exchanges with p XOR i. The schedule is the
 // paper's Optimal Circuit-Switched algorithm (§4.2): for i = 1..2^d−1 the
@@ -69,7 +63,7 @@ func (h *Hypercube) XORStep(i int) []Transfer {
 // the first offending step or 0 if all are clean.
 func (h *Hypercube) VerifyXORScheduleContentionFree() (int, error) {
 	for i := 1; i < h.n; i++ {
-		r, err := h.AnalyzeStep(h.XORStep(i))
+		r, err := Analyze(h, h.XORStep(i))
 		if err != nil {
 			return i, err
 		}
@@ -79,15 +73,3 @@ func (h *Hypercube) VerifyXORScheduleContentionFree() (int, error) {
 	}
 	return 0, nil
 }
-
-// NaiveStep returns the transfer set of step i of the naive
-// complete-exchange schedule in which every node simultaneously sends its
-// i-th block to node i. All n−1 circuits converge on one destination, so
-// the step suffers heavy edge contention for d ≥ 2 — the contrast that
-// motivates the carefully scheduled algorithms of §4.2.
-func (h *Hypercube) NaiveStep(i int) []Transfer { return NaiveStep(h, i) }
-
-// ShiftStep returns the transfer set in which node p sends to (p+i) mod n.
-// Cyclic shifts are, perhaps surprisingly, edge-contention-free under
-// e-cube routing; they are provided for schedule experiments.
-func (h *Hypercube) ShiftStep(i int) []Transfer { return ShiftStep(h, i) }

@@ -6,7 +6,7 @@ import "testing"
 // paths 0→31 and 14→11 share node 15.
 func TestAnalyzeStepPaperExample(t *testing.T) {
 	h := MustNew(5)
-	r, err := h.AnalyzeStep([]Transfer{{0, 31}, {2, 23}, {14, 11}})
+	r, err := Analyze(h, []Transfer{{0, 31}, {2, 23}, {14, 11}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestAnalyzeStepPaperExample(t *testing.T) {
 
 func TestAnalyzeStepIgnoresSelf(t *testing.T) {
 	h := MustNew(3)
-	r, err := h.AnalyzeStep([]Transfer{{2, 2}, {3, 3}})
+	r, err := Analyze(h, []Transfer{{2, 2}, {3, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestAnalyzeStepIgnoresSelf(t *testing.T) {
 
 func TestAnalyzeStepErrors(t *testing.T) {
 	h := MustNew(3)
-	if _, err := h.AnalyzeStep([]Transfer{{0, 99}}); err == nil {
+	if _, err := Analyze(h, []Transfer{{0, 99}}); err == nil {
 		t.Error("out-of-cube transfer must fail")
 	}
 }
@@ -110,7 +110,7 @@ func TestNaiveScheduleHasContention(t *testing.T) {
 		h := MustNew(d)
 		found := false
 		for i := 0; i < h.Nodes() && !found; i++ {
-			r, err := h.AnalyzeStep(h.NaiveStep(i))
+			r, err := Analyze(h, NaiveStep(h, i))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -130,7 +130,7 @@ func TestShiftScheduleContentionFree(t *testing.T) {
 	for d := 1; d <= 7; d++ {
 		h := MustNew(d)
 		for i := 1; i < h.Nodes(); i++ {
-			r, err := h.AnalyzeStep(h.ShiftStep(i))
+			r, err := Analyze(h, ShiftStep(h, i))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -147,7 +147,7 @@ func TestXORScheduleHasNodePassThroughs(t *testing.T) {
 	h := MustNew(5)
 	sawPassThrough := false
 	for i := 1; i < h.Nodes(); i++ {
-		r, err := h.AnalyzeStep(h.XORStep(i))
+		r, err := Analyze(h, h.XORStep(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +180,7 @@ func TestContendedEdgesSorted(t *testing.T) {
 	h := MustNew(4)
 	// Force contention: many transfers into node 0 along shared low-dim
 	// edges.
-	r, err := h.AnalyzeStep([]Transfer{{15, 0}, {14, 0}, {13, 0}, {7, 0}})
+	r, err := Analyze(h, []Transfer{{15, 0}, {14, 0}, {13, 0}, {7, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -248,7 +248,8 @@ func Analyze(net Network, step []Transfer) (ContentionReport, error) {
 
 // ShiftStep returns the transfer set in which node p sends to
 // (p+i) mod n — the cyclic-shift step family the generalized multiphase
-// schedule uses on non-binary radices.
+// schedule uses on non-binary radices. On the hypercube, cyclic shifts
+// are, perhaps surprisingly, edge-contention-free under e-cube routing.
 func ShiftStep(net Network, i int) []Transfer {
 	n := net.Nodes()
 	step := make([]Transfer, 0, n)
@@ -260,6 +261,9 @@ func ShiftStep(net Network, i int) []Transfer {
 
 // NaiveStep returns the transfer set of step i of the naive
 // complete-exchange schedule: every node simultaneously sends to node i.
+// All n−1 circuits converge on one destination, so on a hypercube of
+// d ≥ 2 the step suffers heavy edge contention — the contrast that
+// motivates the carefully scheduled algorithms of §4.2.
 func NaiveStep(net Network, i int) []Transfer {
 	n := net.Nodes()
 	step := make([]Transfer, 0, n-1)
