@@ -226,8 +226,14 @@ func barriers(src Phased, r, nodes int) int {
 }
 
 // leave releases every node from the barrier it waits at, at time t and
-// in node order: the engine breaks the ties of equal times by insertion
-// order, so the node id fixes it, whatever order the nodes arrived in.
+// in node order. The engine breaks the ties of equal times by insertion
+// order, so the node id fixes it, whatever order the nodes arrived in: a
+// phase's contention resolution does not depend on the arrival history of
+// earlier phases, and a phase replayed on its own evolves as it does
+// inside a longer plan, up to float tie-breaking (exactly tied link
+// acquisitions compare absolute times, so another start offset can still
+// flip a tie; the optimizer's fragment costing documents this).
+//
 // Each node resumes at the row after its barrier, or at row from when
 // from ≥ 0: a closed-form epoch moves no program counter. A traced run
 // records every node's barrier interval here, from its arrival to t.
