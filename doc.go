@@ -35,9 +35,10 @@
 // per-fabric facts they lean on (phase certificates, routed-distance sums)
 // are derived once per topology handle and kept there, an admissible
 // analytic lower bound (model.PhaseLowerBoundOn) prunes provable losers
-// branch-and-bound style, and surviving candidates are costed in
-// parallel on a bounded worker pool with deterministic tie-breaking —
-// bit-identical results to exhaustive serial enumeration, with
+// branch-and-bound style, surviving candidates are costed best first,
+// and a table build's block sizes are dealt to a bounded worker pool
+// with deterministic tie-breaking — bit-identical results to exhaustive
+// serial enumeration, with
 // evaluated/pruned/memo-hit counters surfaced through Optimizer.Stats
 // and the daemon's /metrics.
 //

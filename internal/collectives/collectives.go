@@ -7,9 +7,8 @@
 // Each collective has exactly one implementation, written against the
 // fabric interface (package fabric), so the same code moves real data on
 // the goroutine runtime and is costed in virtual time on the
-// circuit-switched simulator; Compile additionally lowers each pattern
-// straight to the per-node simulator programs such a run would record, so
-// pure costing (Cost) needs no goroutines or payloads at all. The paper's observation that the complete
+// circuit-switched simulator, where the programs a run records are its
+// cost (Simulate). The paper's observation that the complete
 // exchange upper-bounds every pattern ("the time taken by our multiphase
 // algorithm is an upper bound on the time required by any of these
 // patterns") is enforced by tests.

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/exchange"
+	"repro/internal/fabric"
 	"repro/internal/model"
 	"repro/internal/partition"
 	"repro/internal/simnet"
@@ -14,6 +15,16 @@ import (
 )
 
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
+
+// run executes the collective with verified payloads on a fresh
+// goroutine-runtime fabric of 2^d nodes.
+func run(k Kind, d, m, root int, timeout time.Duration) error {
+	fab, err := fabric.NewRuntime(1 << uint(d))
+	if err != nil {
+		return err
+	}
+	return RunOn(k, fab, m, root, timeout)
+}
 
 func TestKindStrings(t *testing.T) {
 	for k, want := range map[Kind]string{
@@ -176,7 +187,7 @@ func TestTrafficAccounting(t *testing.T) {
 func TestRunBroadcastAllRoots(t *testing.T) {
 	for d := 0; d <= 4; d++ {
 		for root := 0; root < 1<<uint(d); root++ {
-			if err := RunBroadcast(d, 9, root, 30*time.Second); err != nil {
+			if err := run(Broadcast, d, 9, root, 30*time.Second); err != nil {
 				t.Errorf("d=%d root=%d: %v", d, root, err)
 			}
 		}
@@ -186,7 +197,7 @@ func TestRunBroadcastAllRoots(t *testing.T) {
 func TestRunScatterAllRoots(t *testing.T) {
 	for d := 0; d <= 4; d++ {
 		for root := 0; root < 1<<uint(d); root++ {
-			if err := RunScatter(d, 5, root, 30*time.Second); err != nil {
+			if err := run(Scatter, d, 5, root, 30*time.Second); err != nil {
 				t.Errorf("d=%d root=%d: %v", d, root, err)
 			}
 		}
@@ -196,7 +207,7 @@ func TestRunScatterAllRoots(t *testing.T) {
 func TestRunGatherAllRoots(t *testing.T) {
 	for d := 0; d <= 4; d++ {
 		for root := 0; root < 1<<uint(d); root++ {
-			if err := RunGather(d, 5, root, 30*time.Second); err != nil {
+			if err := run(Gather, d, 5, root, 30*time.Second); err != nil {
 				t.Errorf("d=%d root=%d: %v", d, root, err)
 			}
 		}
@@ -205,20 +216,20 @@ func TestRunGatherAllRoots(t *testing.T) {
 
 func TestRunAllGather(t *testing.T) {
 	for d := 0; d <= 5; d++ {
-		if err := RunAllGather(d, 7, 30*time.Second); err != nil {
+		if err := run(AllGather, d, 7, 0, 30*time.Second); err != nil {
 			t.Errorf("d=%d: %v", d, err)
 		}
 	}
 }
 
 func TestRunRootValidation(t *testing.T) {
-	if err := RunBroadcast(3, 4, 8, time.Second); err == nil {
+	if err := run(Broadcast, 3, 4, 8, time.Second); err == nil {
 		t.Error("broadcast root out of range must fail")
 	}
-	if err := RunScatter(3, 4, -1, time.Second); err == nil {
+	if err := run(Scatter, 3, 4, -1, time.Second); err == nil {
 		t.Error("scatter root out of range must fail")
 	}
-	if err := RunGather(3, 4, 100, time.Second); err == nil {
+	if err := run(Gather, 3, 4, 100, time.Second); err == nil {
 		t.Error("gather root out of range must fail")
 	}
 }
@@ -228,10 +239,10 @@ func TestCollectivesQuick(t *testing.T) {
 		d := int(dRaw)%4 + 1
 		root := int(rootRaw) % (1 << uint(d))
 		m := int(mRaw)%13 + 1
-		return RunBroadcast(d, m, root, 30*time.Second) == nil &&
-			RunScatter(d, m, root, 30*time.Second) == nil &&
-			RunGather(d, m, root, 30*time.Second) == nil &&
-			RunAllGather(d, m, 30*time.Second) == nil
+		return run(Broadcast, d, m, root, 30*time.Second) == nil &&
+			run(Scatter, d, m, root, 30*time.Second) == nil &&
+			run(Gather, d, m, root, 30*time.Second) == nil &&
+			run(AllGather, d, m, 0, 30*time.Second) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)

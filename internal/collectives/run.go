@@ -100,40 +100,6 @@ func RunOn(k Kind, fab fabric.Fabric, m, root int, timeout time.Duration) error 
 	}, timeout)
 }
 
-// runData executes the collective on a fresh goroutine-runtime fabric.
-func runData(k Kind, d, m, root int, timeout time.Duration) error {
-	fab, err := fabric.NewRuntime(1 << uint(d))
-	if err != nil {
-		return err
-	}
-	return RunOn(k, fab, m, root, timeout)
-}
-
-// RunBroadcast executes a binomial-tree broadcast of an m-byte block from
-// root on a goroutine cluster of 2^d nodes and verifies every node
-// received it intact.
-func RunBroadcast(d, m, root int, timeout time.Duration) error {
-	return runData(Broadcast, d, m, root, timeout)
-}
-
-// RunScatter executes a binomial-tree scatter from root with canonical
-// per-destination payloads; every node must end with exactly its block.
-func RunScatter(d, m, root int, timeout time.Duration) error {
-	return runData(Scatter, d, m, root, timeout)
-}
-
-// RunGather executes the inverse of scatter: every node contributes its
-// canonical block; the root must end with all 2^d blocks, each verified.
-func RunGather(d, m, root int, timeout time.Duration) error {
-	return runData(Gather, d, m, root, timeout)
-}
-
-// RunAllGather executes recursive-doubling allgather: every node
-// contributes its canonical block and must end with all 2^d blocks.
-func RunAllGather(d, m int, timeout time.Duration) error {
-	return runData(AllGather, d, m, 0, timeout)
-}
-
 // Simulate runs the collective on a simulated fabric over the given
 // network — moving and verifying real data and costing the schedule in
 // virtual time — and returns the discrete-event result.

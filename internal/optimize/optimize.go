@@ -76,20 +76,16 @@
 //     replay; one under a looser cutoff replays again and leaves the entry
 //     exact or with a higher bound; a bound is never returned as a cost,
 //     and the winner's reported time only ever reads exact entries.
-//   - Parallel costing. A single BestOn costs its surviving candidates
-//     concurrently on a bounded worker pool (SetWorkers, default
-//     GOMAXPROCS) — after the first
-//     best-first candidate, which runs alone so that every other one
-//     starts with an incumbent, hence a finite cutoff. A simulated table
-//     sweep deals its points to the same workers instead and costs the
-//     candidates within a point serially, best first: the points carry
-//     nothing from one to the next but an ordering hint, while two
-//     candidates started together would both replay with no cutoff. Ties
-//     break deterministically — lowest cost, then fewest phases, then
-//     enumeration order — reduced after all workers finish, so parallel
-//     and serial enumeration return bit-identical Choices.
-//     SetExhaustive(true) disables pruning, cutoffs and best-first
-//     ordering for equivalence testing.
+//   - Parallel costing, over points only. A point's candidates are
+//     costed serially, best first, on the calling goroutine: each one
+//     carries the incumbent to the next, and a candidate started beside
+//     another would replay with no cutoff. A simulated table sweep's
+//     points carry nothing from one to the next but an ordering hint, so
+//     the sweep deals them to a bounded worker pool (SetWorkers, default
+//     GOMAXPROCS). Ties break deterministically — lowest cost, then
+//     fewest phases, then enumeration order — so any worker count returns
+//     bit-identical Choices. SetExhaustive(true) disables pruning,
+//     cutoffs and best-first ordering for equivalence testing.
 //
 // The optimizer keeps no answers and no memo between calls: the phase memo
 // lives for one BestOn or BuildTableOnCtx call, shared by that call's
@@ -180,9 +176,9 @@ type Choice struct {
 // memo lookups (a miss computes the phase — its bound, or a fragment
 // replay, finished or aborted — a hit reuses what is recorded); the
 // analytic backend keeps no memo and never moves them. The split of
-// candidates between Evaluated and Pruned can vary run to run on the
-// parallel paths (it depends on how fast the incumbent drops); the
-// returned Choice never does.
+// candidates between Evaluated and Pruned can vary run to run on a sweep
+// with more than one worker (it depends on which lower point's winner
+// hints each point); the returned Choice never does.
 type Stats struct {
 	Evaluations int64 `json:"evaluations" prom:"pland_optimizer_evaluations_total,counter" help:"Optimizer enumeration passes."`
 	Evaluated   int64 `json:"evaluated" prom:"pland_optimizer_evaluated_total,counter" help:"Candidate partitions fully costed."`
@@ -446,8 +442,8 @@ func New(p model.Params) *Optimizer {
 
 // NewSimulated returns an optimizer that costs candidates by simulation
 // on the trace-compiled path. Dimensions up to MaxSimulatedDim are
-// accepted; enumeration runs on a worker pool bounded
-// by GOMAXPROCS.
+// accepted; a table sweep's points are costed on a worker pool bounded by
+// GOMAXPROCS (SetWorkers), the candidates of one point serially.
 func NewSimulated(p model.Params) *Optimizer {
 	return &Optimizer{params: p, backend: Simulated}
 }
@@ -455,13 +451,14 @@ func NewSimulated(p model.Params) *Optimizer {
 // Backend reports how the optimizer costs candidates.
 func (o *Optimizer) Backend() Backend { return o.backend }
 
-// SetWorkers bounds the simulated backend's costing worker pool: the
-// candidates of one BestOn enumeration, or the points of one table sweep,
-// whose candidates are then costed serially. n ≤ 0 restores the default,
+// SetWorkers bounds the simulated backend's sweep worker pool: the points
+// of one table build are dealt to at most n workers, each costing a
+// point's candidates serially. A BestOn call, or a one-point table, is
+// costed on the calling goroutine alone. n ≤ 0 restores the default,
 // GOMAXPROCS; requests above GOMAXPROCS are clamped. The analytic backend
 // prices an enumeration from closed forms in microseconds and never fans
-// out. Safe to call concurrently with BestOn; an in-flight evaluation keeps
-// the pool it started with. The pool size never changes which Choice is
+// out. Safe to call concurrently with a build; an in-flight build keeps
+// the pool it started with. The pool size never changes the table
 // returned.
 func (o *Optimizer) SetWorkers(n int) {
 	if max := runtime.GOMAXPROCS(0); n > max {
@@ -517,7 +514,7 @@ const MaxMixedRadixDims = 17
 // matter) and over all 2^(k−1) ordered compositions otherwise. Every call
 // enumerates; a caller that asks again keeps the answer.
 func (o *Optimizer) BestOn(net topology.Network, m int) (Choice, error) {
-	return o.newEvaluation(net).best(context.Background(), m, nil, 0)
+	return o.newEvaluation(net).best(context.Background(), m, nil)
 }
 
 // checkEnumerable is what an enumeration asks of a topology before it costs
@@ -628,15 +625,14 @@ func enumFor(topo topology.Network) (*enumSet, error) {
 
 // best costs the topology's groupings at block size m and returns the
 // winner (ties go to the candidate with fewer phases, then to enumeration
-// order, as always). hint is an optional warm start — a grouping expected
-// to be (near-)optimal, a lower sweep point's winner, evaluated first so
-// the incumbent starts tight and the bound cuts early — and workers the
-// number of workers the candidates are costed on (≤ 0: the optimizer's
-// pool). Neither changes the returned Choice, only the order and
-// concurrency of evaluation. ctx is used solely for observability (replay
-// spans land on the calling request's trace); it does not cancel the
+// order, as always), costing them on the calling goroutine. hint is an
+// optional warm start — a grouping expected to be (near-)optimal, a lower
+// sweep point's winner, evaluated first so the incumbent starts tight and
+// the bound cuts early; it changes only the order of evaluation, never
+// the returned Choice. ctx is used solely for observability (replay spans
+// land on the calling request's trace); it does not cancel the
 // enumeration.
-func (e *evaluation) best(ctx context.Context, m int, hint partition.Partition, workers int) (Choice, error) {
+func (e *evaluation) best(ctx context.Context, m int, hint partition.Partition) (Choice, error) {
 	topo := e.topo
 	if m < 0 {
 		return Choice{}, fmt.Errorf("optimize: negative block size %d", m)
@@ -660,11 +656,12 @@ func (e *evaluation) best(ctx context.Context, m int, hint partition.Partition, 
 		e.evaluated.Add(int64(len(es.parts)))
 		return Choice{Topo: topo.Name(), D: topo.NumDims(), Block: m, Part: es.parts[i].Clone(), TimeMicro: t, Backend: Analytic}, nil
 	}
-	return e.evaluateSimulated(ctx, m, es, hint, workers)
+	return e.evaluateSimulated(ctx, m, es, hint)
 }
 
 // evaluateSimulated is the simulated backend's memoized, branch-and-bound-
-// pruned, parallel enumeration engine.
+// pruned enumeration: the candidates are costed one after another, best
+// first, each under the incumbent the earlier ones left.
 //
 // Selection uses each candidate's phase-sum: the left-to-right sum of its
 // memoized per-phase values, each one compiled fragment replay (barrier +
@@ -677,8 +674,8 @@ func (e *evaluation) best(ctx context.Context, m int, hint partition.Partition, 
 // incumbent only decreases toward the true minimum, a pruned candidate's
 // cost is strictly above the winner's — it can neither win nor tie — so
 // the reduction over the surviving candidates returns the same Choice as
-// exhaustive enumeration, regardless of worker count or scheduling.
-func (e *evaluation) evaluateSimulated(ctx context.Context, m int, es *enumSet, hint partition.Partition, workers int) (Choice, error) {
+// exhaustive enumeration.
+func (e *evaluation) evaluateSimulated(ctx context.Context, m int, es *enumSet, hint partition.Partition) (Choice, error) {
 	topo, parts, fields := e.topo, es.parts, es.fields
 	prune := !e.exhaustive.Load()
 
@@ -730,69 +727,24 @@ func (e *evaluation) evaluateSimulated(ctx context.Context, m int, es *enumSet, 
 
 	costs := make([]float64, len(parts))
 	done := make([]bool, len(parts))
-	errs := make([]error, len(parts))
-
-	if workers <= 0 {
-		workers = e.poolSize()
-	}
-	workers = max(min(workers, len(order)), 1)
-
-	var incMu sync.Mutex
 	incumbent := math.Inf(1)
-	evaluate := func(i int) {
+	for _, i := range order {
 		limit, lb := math.Inf(1), []float64(nil)
 		if prune {
-			incMu.Lock()
 			limit = incumbent * (1 + pruneSlack)
-			incMu.Unlock()
 			lb = phaseLB[i]
 		}
 		c, fits, err := e.candidateCost(ctx, m, parts[i], fields[i], lb, limit)
 		if err != nil {
-			errs[i] = err
-			return
+			return Choice{}, err
 		}
 		if !fits {
-			return
+			continue
 		}
 		costs[i] = c
 		done[i] = true
 		e.evaluated.Add(1)
-		if prune {
-			incMu.Lock()
-			if c < incumbent {
-				incumbent = c
-			}
-			incMu.Unlock()
-		}
-	}
-	var cursor atomic.Int64
-	if prune && workers > 1 {
-		// The first best-first candidate alone: two candidates started
-		// together would both run with no incumbent, hence no cutoff.
-		evaluate(order[0])
-		cursor.Store(1)
-	}
-	work := func() {
-		for pos := int(cursor.Add(1)) - 1; pos < len(order); pos = int(cursor.Add(1)) - 1 {
-			evaluate(order[pos])
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ { // the caller is the first worker
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-
-	for i := range errs {
-		if errs[i] != nil {
-			return Choice{}, errs[i]
-		}
+		incumbent = min(incumbent, c)
 	}
 	best := Choice{Topo: topo.Name(), D: topo.NumDims(), Block: m, Backend: e.backend}
 	first := true
@@ -1011,30 +963,19 @@ func (o *Optimizer) buildTableOn(ctx context.Context, net topology.Network, mLo,
 	if o.backend == Analytic {
 		return o.envelopeTable(ctx, net, mLo, mHi, step)
 	}
-	e := o.newEvaluation(net)
-	if mHi-mLo >= step {
-		return e.sweepPoints(ctx, mLo, mHi, step)
-	}
-	// A single point: its candidates get the whole worker pool.
-	if err := ctx.Err(); err != nil {
-		return Table{}, err
-	}
-	c, err := e.best(ctx, mLo, nil, 0)
-	if err != nil {
-		return Table{}, err
-	}
-	return Table{Topo: net.Name(), D: net.NumDims(), Segments: []model.HullSegment{{Part: c.Part, MinBlock: mLo, MaxBlock: mLo}}}, nil
+	return o.newEvaluation(net).sweepPoints(ctx, mLo, mHi, step)
 }
 
-// sweepPoints is the simulated backend's sweep of more than one point.
-// A point-by-point loop carries nothing from point to point but an
-// ordering hint, so its iterations are dealt, in m order, to the
-// optimizer's workers and the segments folded afterwards. Each point costs its
-// candidates serially, best first: a candidate started beside another has
-// no incumbent yet, and its replays would run with no cutoff. The hint is
-// the winner of the nearest lower point already finished; ctx is checked
-// by each worker before each point. With one worker this is that loop,
-// point for point.
+// sweepPoints is the simulated backend's table build, and the only place
+// the optimizer fans out. A point-by-point loop carries nothing from
+// point to point but an ordering hint, so its iterations are dealt, in m
+// order, to the optimizer's workers and the segments folded afterwards.
+// best costs each point's candidates serially, best first: a candidate
+// started beside another has no incumbent yet, and its replays would run
+// with no cutoff. The hint is the winner of the nearest lower
+// point already finished; ctx is checked by each worker before each
+// point. With one worker, or one point, this is that loop, point for
+// point.
 func (e *evaluation) sweepPoints(ctx context.Context, mLo, mHi, step int) (Table, error) {
 	points := (mHi-mLo)/step + 1
 	winners := make([]partition.Partition, points)
@@ -1066,7 +1007,7 @@ func (e *evaluation) sweepPoints(ctx context.Context, mLo, mHi, step int) (Table
 			var c Choice
 			err := ctx.Err()
 			if err == nil {
-				c, err = e.best(ctx, mLo+i*step, hint, 1)
+				c, err = e.best(ctx, mLo+i*step, hint)
 			}
 			mu.Lock()
 			if err == nil {

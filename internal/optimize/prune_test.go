@@ -3,6 +3,8 @@ package optimize
 import (
 	"context"
 	"math"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/exchange"
@@ -29,37 +31,33 @@ func shapeNet(t *testing.T, spec string) topology.Network {
 	return topology.MustParseSpec(spec)
 }
 
-// The tentpole invariant: the pruned, best-first, parallel enumeration
-// must return the exact same Choice — partition and bit-identical
-// TimeMicro — as exhaustive serial enumeration, on every topology shape
-// and both backends.
+// The pruned, best-first enumeration with its sweep points dealt to
+// several workers must name, at every point of a simulated table, the
+// partition exhaustive serial enumeration picks there on its own, on every
+// topology shape.
 func TestPrunedParallelEquivalentToExhaustiveSerial(t *testing.T) {
 	prm := model.IPSC860()
+	const lo, hi, step = 0, 200, 4
 	for _, spec := range equivalenceShapes {
-		for _, backend := range []Backend{Analytic, Simulated} {
-			net := shapeNet(t, spec)
-			newOpt := New
-			if backend == Simulated {
-				newOpt = NewSimulated
+		net := shapeNet(t, spec)
+		serial := NewSimulated(prm)
+		serial.SetExhaustive(true)
+		prev := runtime.GOMAXPROCS(max(4, runtime.GOMAXPROCS(0)))
+		pruned := NewSimulated(prm)
+		pruned.SetWorkers(4)
+		table, err := pruned.BuildTableOnCtx(context.Background(), net, lo, hi, step)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		for m := lo; m <= hi; m += step {
+			want, err := serial.BestOn(net, m)
+			if err != nil {
+				t.Fatalf("%s m=%d serial: %v", spec, m, err)
 			}
-			serial := newOpt(prm)
-			serial.SetExhaustive(true)
-			serial.SetWorkers(1)
-			pruned := newOpt(prm)
-			pruned.SetWorkers(4)
-			for _, m := range []int{0, 4, 40, 200} {
-				want, err := serial.BestOn(net, m)
-				if err != nil {
-					t.Fatalf("%s %v m=%d serial: %v", spec, backend, m, err)
-				}
-				got, err := pruned.BestOn(net, m)
-				if err != nil {
-					t.Fatalf("%s %v m=%d pruned: %v", spec, backend, m, err)
-				}
-				if !got.Part.Equal(want.Part) || got.TimeMicro != want.TimeMicro {
-					t.Errorf("%s %v m=%d: pruned+parallel %v/%v µs, exhaustive-serial %v/%v µs",
-						spec, backend, m, got.Part, got.TimeMicro, want.Part, want.TimeMicro)
-				}
+			if got, ok := table.LookupSegment(m); !ok || !got.Part.Equal(want.Part) {
+				t.Errorf("%s m=%d: pruned parallel sweep %v (in range %v), exhaustive serial %v",
+					spec, m, got.Part, ok, want.Part)
 			}
 		}
 	}
@@ -313,7 +311,7 @@ func TestHintDoesNotChangeResult(t *testing.T) {
 	}
 	for _, hint := range []partition.Partition{{3}, {1, 1, 1}, {2, 1}} {
 		o := NewSimulated(prm)
-		got, err := o.newEvaluation(net).best(context.Background(), 40, hint, 0)
+		got, err := o.newEvaluation(net).best(context.Background(), 40, hint)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -324,24 +322,52 @@ func TestHintDoesNotChangeResult(t *testing.T) {
 }
 
 // SetWorkers must clamp and never alter results; worker counts from 1 to
-// GOMAXPROCS return the same Choice (determinism of the parallel path).
+// GOMAXPROCS, and one far above it, build the same simulated table
+// (determinism of the parallel sweep).
 func TestWorkerCountsAgree(t *testing.T) {
 	prm := model.IPSC860()
 	net := topology.MustParseSpec("torus-8x2x2")
-	var ref Choice
-	for i, w := range []int{1, 2, 3, 4, 1 << 20} {
+	workers := []int{1 << 20}
+	for w := runtime.GOMAXPROCS(0); w >= 1; w-- {
+		workers = append([]int{w}, workers...)
+	}
+	var ref Table
+	for i, w := range workers {
 		o := NewSimulated(prm)
 		o.SetWorkers(w)
-		c, err := o.BestOn(net, 24)
+		table, err := o.BuildTableOnCtx(context.Background(), net, 0, 96, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if i == 0 {
-			ref = c
+			ref = table
 			continue
 		}
-		if !c.Part.Equal(ref.Part) || c.TimeMicro != ref.TimeMicro {
-			t.Errorf("workers=%d: %v/%v µs, want %v/%v µs", w, c.Part, c.TimeMicro, ref.Part, ref.TimeMicro)
+		if !reflect.DeepEqual(table, ref) {
+			t.Errorf("workers=%d: %+v, want %+v", w, table, ref)
+		}
+	}
+}
+
+// A one-point simulated table is that point's BestOn: the same partition,
+// costed on the calling goroutine.
+func TestOnePointTableNamesBestOn(t *testing.T) {
+	prm := model.IPSC860()
+	for _, spec := range []string{"torus-4x4x4", "mesh-8x8", "hypercube-6!dl=0-1"} {
+		net := topology.MustParseSpec(spec)
+		for _, m := range []int{0, 40, 160} {
+			want, err := NewSimulated(prm).BestOn(net, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			table, err := NewSimulated(prm).BuildTableOnCtx(context.Background(), net, m, m, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seg := model.HullSegment{Part: want.Part, MinBlock: m, MaxBlock: m}
+			if len(table.Segments) != 1 || !reflect.DeepEqual(table.Segments[0], seg) {
+				t.Errorf("%s m=%d: table %+v, BestOn %v", spec, m, table.Segments, want.Part)
+			}
 		}
 	}
 }

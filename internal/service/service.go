@@ -53,9 +53,6 @@ type Config struct {
 	// DefaultMachine answers requests that omit ?machine= (default
 	// "ipsc860").
 	DefaultMachine string
-	// MaxBatch bounds the query count of one /v1/batch call (default
-	// 4096); larger bodies get 413.
-	MaxBatch int
 	// CostMaxDim bounds the dimension /v1/cost will simulate (default
 	// 12). The compiled-trace replay is fast, but its event count grows
 	// like 4^d; a serving tier must refuse work that large per request.
@@ -86,9 +83,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.DefaultMachine == "" {
 		c.DefaultMachine = "ipsc860"
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 4096
 	}
 	if c.CostMaxDim <= 0 {
 		c.CostMaxDim = 12
@@ -591,6 +585,10 @@ type BatchResponse struct {
 	Results []BatchItem `json:"results"`
 }
 
+// maxBatch bounds the query count of one /v1/batch call; a larger batch
+// gets 413.
+const maxBatch = 4096
+
 // handleBatch fans the queries across GOMAXPROCS workers; results
 // come back in request order.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) int {
@@ -598,9 +596,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) int {
 	if code := decodeBatch(w, r, &req); code != 0 {
 		return code
 	}
-	if len(req.Queries) > s.cfg.MaxBatch {
+	if len(req.Queries) > maxBatch {
 		return writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("batch of %d queries exceeds the limit of %d", len(req.Queries), s.cfg.MaxBatch))
+			fmt.Sprintf("batch of %d queries exceeds the limit of %d", len(req.Queries), maxBatch))
 	}
 	results := make([]batchResult, len(req.Queries))
 	workers := min(runtime.GOMAXPROCS(0), len(req.Queries))
@@ -857,7 +855,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) int {
 
 // maxBodyBytes bounds a POST body: the size cap is enforced while
 // reading, before any per-query work, so an oversized /v1/batch cannot
-// allocate its way past MaxBatch.
+// allocate its way past maxBatch.
 const maxBodyBytes = 1 << 20
 
 // decodeBody JSON-decodes a size-limited request body; on failure it

@@ -359,13 +359,13 @@ func TestBatchEndpoint(t *testing.T) {
 }
 
 func TestBatchTooLarge(t *testing.T) {
-	srv, err := New(Config{Cache: plancache.New(plancache.Config{}), MaxBatch: 4})
+	srv, err := New(Config{Cache: plancache.New(plancache.Config{})})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	req := BatchRequest{Queries: make([]BatchQuery, 5)}
+	req := BatchRequest{Queries: make([]BatchQuery, maxBatch+1)}
 	postJSON(t, ts.URL+"/v1/batch", req, http.StatusRequestEntityTooLarge, nil)
 	postRaw(t, ts.URL+"/v1/batch", `{"queries":[{"d":3,"m":4}]}{"queries":[]}`, http.StatusBadRequest)
 }

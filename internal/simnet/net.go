@@ -446,7 +446,7 @@ func (n *Network) Run(programs []Program) (Result, error) {
 }
 
 // RunSource executes a compiled program source — the allocation-free
-// costing path used by exchange.Plan.Cost and collectives.Cost.
+// costing path used by exchange.Plan.Cost.
 func (n *Network) RunSource(src Source) (Result, error) {
 	return n.RunSourceBounded(src, math.Inf(1))
 }
@@ -503,7 +503,9 @@ func (st *runState) drain() error {
 
 // budgetError reports event-budget exhaustion with enough detail to act
 // on: how many events ran, and where each unfinished node is stuck (its
-// program counter and current op), mirroring the deadlock error path.
+// program counter and current op), mirroring the deadlock error path. A
+// node that has run every op is not listed, even while the event of its
+// last step is still pending.
 func (st *runState) budgetError() error {
 	var b strings.Builder
 	fmt.Fprintf(&b, "simnet: event budget (%d) exhausted after %d events (livelock?)",
@@ -511,7 +513,7 @@ func (st *runState) budgetError() error {
 	const maxListed = 8
 	listed, unfinished := 0, 0
 	for p := 0; p < st.n; p++ {
-		if st.done[p] {
+		if st.done[p] || st.pc[p] >= st.lens[p] {
 			continue
 		}
 		unfinished++
